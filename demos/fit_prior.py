@@ -7,7 +7,7 @@ graded human membership ratings by full-batch Adam with 10-fold
 cross-validation, then compare against a uniform prior and print the
 verbalizations the tuned prior comes to favor.
 
-This takes about a minute. Run from the repository root:
+This takes a few seconds. Run from the repository root:
     python3 demos/fit_prior.py
 """
 

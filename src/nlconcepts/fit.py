@@ -11,16 +11,20 @@ epsilon and alpha through a logistic, beta and temperature through exp.
 The unconstrained vector layout is
 
     [theta (D entries), eps_u, alpha_u, beta_u, temp_u, platt_a, platt_b]
+
+Several fits (CV folds and the final fit) run as one Adam loop over an
+(F, P) stack of such vectors: they share the compiled tasks and differ
+only in the prediction rows their losses count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import expit, logit, logsumexp
+from scipy.special import expit, logit
 
 from .types import ModelParams
 
@@ -28,7 +32,16 @@ ALL_PARAM_GROUPS = ("theta", "epsilon", "alpha", "beta", "temperature", "platt")
 
 
 class NonFinite(ArithmeticError):
-    """Loss or gradient left the finite range."""
+    """Loss or gradient left the finite range.
+
+    `folds` are the rows of the parameter stack it happened in and
+    `epoch` the Adam epoch, when raised from a fit."""
+
+    def __init__(self, folds: Sequence[int], epoch: Optional[int] = None):
+        self.folds = [int(f) for f in folds]
+        self.epoch = epoch
+        at = "" if epoch is None else f" at epoch {epoch}"
+        super().__init__(f"non-finite loss or gradient in fold(s) {self.folds}{at}")
 
 
 class InvalidK(ValueError):
@@ -65,15 +78,8 @@ def kfold_split(ids: Sequence, k: int, seed: int) -> List[Tuple[list, list]]:
     if not 1 <= k <= len(ids):
         raise InvalidK(f"k={k} incompatible with {len(ids)} ids")
     order = np.random.default_rng(seed).permutation(len(ids))
-    folds = [list() for _ in range(k)]
-    for pos, idx in enumerate(order):
-        folds[pos % k].append(ids[idx])
-    out = []
-    for i in range(k):
-        holdout = folds[i]
-        train = [x for j, f in enumerate(folds) if j != i for x in f]
-        out.append((train, holdout))
-    return out
+    folds = [[ids[idx] for idx in order[i::k]] for i in range(k)]
+    return [([x for j, f in enumerate(folds) if j != i for x in f], folds[i]) for i in range(k)]
 
 
 def r_squared(pred: Sequence[float], target: Sequence[float]) -> float:
@@ -122,10 +128,64 @@ class ShapeTask:
     parsed: np.ndarray
     consist: np.ndarray  # (S, K_total) concept truth value per trial
     labels: np.ndarray  # (K_total,) observed Y
-    # per point: (first trial index of its batch, pool mask, target, id)
-    points: List[Tuple[int, np.ndarray, float, str]] = field(default_factory=list)
+    # per point: (first trial index of its batch, its own trial index,
+    # pool mask, target, id)
+    points: List[Tuple[int, int, np.ndarray, float, str]] = field(default_factory=list)
 
     domain: str = "shape"
+
+
+@dataclass
+class TaskBatch:
+    """Tasks compiled once for all forward passes of a fit: number tasks
+    stacked and zero-padded to T tasks of S hypotheses, each judgment one
+    row in task order; shape tasks as they are, their points the rows
+    after the number rows."""
+
+    features: Optional[np.ndarray]  # (T, S, D); None under a non-tuned prior
+    base_logprior: np.ndarray  # (T, S)
+    alive: np.ndarray  # (T, S) parsed and not padding
+    inv_size: np.ndarray  # (T, S)
+    n_inside: np.ndarray  # (T, S) training examples inside the extension
+    n_outside: np.ndarray  # (T, S) training examples outside it
+    test_member: np.ndarray  # (N_number, S)
+    row_task: np.ndarray  # (N_number,) task index of each number row
+    shapes: List[ShapeTask]
+    ids: List[str]  # every row
+    targets: np.ndarray  # every row
+
+
+def stack_tasks(tasks) -> TaskBatch:
+    """Compile tasks into one TaskBatch (a TaskBatch passes through)."""
+    if isinstance(tasks, TaskBatch):
+        return tasks
+    numbers = [t for t in tasks if t.domain == "number"]
+    shapes = [t for t in tasks if t.domain != "number"]
+    width = max((len(t.parsed) for t in numbers), default=0)
+
+    def pad(a, axis=0):
+        """`a` zero-padded along `axis` (its hypotheses) to `width`."""
+        widths = [(0, 0)] * a.ndim
+        widths[axis] = (0, width - a.shape[axis])
+        return np.pad(a, widths)
+
+    n_inside = [t.member.sum(axis=1) for t in numbers]
+    test_member = [np.zeros((0, width))] + [pad(t.test_member, axis=1) for t in numbers]
+    points = [p for t in shapes for p in t.points]
+    tuned = bool(numbers) and numbers[0].features is not None  # tasks share one prior
+    return TaskBatch(
+        features=np.array([pad(t.features) for t in numbers]) if tuned else None,
+        base_logprior=np.array([pad(t.base_logprior) for t in numbers]),
+        alive=np.array([pad(t.parsed) for t in numbers]),
+        inv_size=np.array([pad(t.inv_size) for t in numbers]),
+        n_inside=np.array([pad(n) for n in n_inside]),
+        n_outside=np.array([pad(t.member.shape[1] - n) for t, n in zip(numbers, n_inside)]),
+        test_member=np.concatenate(test_member),
+        row_task=np.repeat(np.arange(len(numbers)), [len(t.targets) for t in numbers]),
+        shapes=shapes,
+        ids=[i for t in numbers for i in t.ids] + [p[4] for p in points],
+        targets=np.array([r for t in numbers for r in t.targets] + [p[3] for p in points]),
+    )
 
 
 def _unpack(u: np.ndarray, dim: int) -> ModelParams:
@@ -141,124 +201,98 @@ def _unpack(u: np.ndarray, dim: int) -> ModelParams:
 
 
 def pack_params(params: ModelParams) -> np.ndarray:
-    dim = len(params.theta)
-    u = np.zeros(dim + 6)
-    u[:dim] = params.theta
-    u[dim] = logit(params.epsilon)
-    u[dim + 1] = logit(params.alpha)
-    u[dim + 2] = math.log(params.beta) if params.beta > 0 else -30.0
-    u[dim + 3] = math.log(params.temperature)
-    u[dim + 4] = params.platt_a
-    u[dim + 5] = params.platt_b
-    return u
+    beta_u = math.log(params.beta) if params.beta > 0 else -30.0
+    rest = [logit(params.epsilon), logit(params.alpha), beta_u, math.log(params.temperature)]
+    return np.concatenate([params.theta, rest, [params.platt_a, params.platt_b]]).astype(float)
 
 
 def _softmax_masked(scores: np.ndarray, alive: np.ndarray) -> np.ndarray:
-    w = np.zeros_like(scores)
-    if np.any(alive):
-        w[alive] = np.exp(scores[alive] - logsumexp(scores[alive]))
-        w /= w.sum()
-    return w
+    """Softmax over the last axis among `alive` entries; all zeros where
+    nothing is alive."""
+    shifted = np.where(alive, scores, -np.inf)
+    top = shifted.max(axis=-1, keepdims=True)
+    e = np.exp(shifted - np.where(np.isfinite(top), top, 0.0))
+    total = e.sum(axis=-1, keepdims=True)
+    return np.divide(e, total, out=np.zeros_like(e), where=total > 0)
 
 
-def _task_predictions(task, u: np.ndarray, dim: int, grad: Optional[np.ndarray]):
-    """Predictions for one task; accumulates d(loss)/du into grad.
+def _number_rows(stack, batch: TaskBatch, dim, rows, grad):
+    """(loss (F,) over each fit's `rows`, predictions (F, N)) of the
+    number rows; adds d(loss)/du into grad (F, P) when given."""
+    eps = expit(stack[:, dim])[:, None, None]
+    temp = np.exp(np.clip(stack[:, dim + 3], -700, 700))[:, None, None]
+    a, b = stack[:, dim + 4, None], stack[:, dim + 5, None]
+    alive = batch.alive
 
-    Returns (loss, list of (id, prediction, target)).
-    """
-    eps_u, alpha_u, beta_u, temp_u = u[dim], u[dim + 1], u[dim + 2], u[dim + 3]
-    a, b = u[dim + 4], u[dim + 5]
-    eps = reparam(eps_u, "unit_interval")
-    alpha = reparam(alpha_u, "unit_interval")
-    beta = reparam(beta_u, "positive")
-    temp = reparam(temp_u, "positive")
+    log_prior = batch.base_logprior
+    if batch.features is not None:
+        log_prior = log_prior + np.einsum("tsd,fd->fts", batch.features, stack[:, :dim])
+    # per-example likelihood terms, for examples inside and outside C
+    g_in = (1.0 - eps) * batch.inv_size + eps / 100.0
+    g_out = eps / 100.0
+    loglik = batch.n_inside * np.log(np.maximum(g_in, 1e-300))
+    loglik = loglik + batch.n_outside * np.log(np.maximum(g_out, 1e-300))
+    log_unnorm = log_prior + np.where(alive, loglik, 0.0)
+    w = _softmax_masked(log_unnorm / temp, alive)  # (F, T, S)
 
-    log_prior = task.base_logprior.copy()
-    if task.features is not None:
-        log_prior = log_prior + task.features @ u[:dim]
-    alive = task.parsed
-
-    if task.domain == "number":
-        return _number_task(task, u, dim, grad, log_prior, alive, eps, temp, a, b)
-    return _shape_task(task, u, dim, grad, log_prior, alive, eps, alpha, beta, temp)
-
-
-def _number_task(task, u, grad_dim, grad, log_prior, alive, eps, temp, a, b):
-    records = []
-    n_tests = len(task.targets)
-    if not np.any(alive):
-        # nothing parseable: fall back to the noise-only prediction 0.5
-        # pushed through the Platt transform
-        loss = 0.0
-        for i in range(n_tests):
-            z = b  # logit(0.5) = 0
-            pred = float(expit(z))
-            r = task.targets[i]
-            loss += r * _softplus(-z) + (1 - r) * _softplus(z)
-            if grad is not None:
-                grad[grad_dim + 5] += pred - r
-            records.append((task.ids[i], pred, r))
-        return loss, records
-
-    # per-example likelihood terms g[s, k]
-    g = (1.0 - eps) * task.member * task.inv_size[:, None] + eps / 100.0
-    loglik = np.where(alive, np.log(np.maximum(g, 1e-300)).sum(axis=1), 0.0)
-    log_unnorm = log_prior + loglik
-    scores = log_unnorm / temp
-    w = _softmax_masked(scores, alive)
-
-    p_raw = task.test_member @ w  # (n_tests,)
+    w_rows = w[:, batch.row_task]  # (F, N, S)
+    p_raw = np.einsum("ns,fns->fn", batch.test_member, w_rows)
+    # nothing parses: the noise-only prediction 0.5, through the Platt transform
+    p_raw = np.where(alive.any(axis=1)[batch.row_task], p_raw, 0.5)
     p_c = np.clip(p_raw, 1e-6, 1.0 - 1e-6)
-    z = b + a * logit(p_c)
+    logit_p = logit(p_c)
+    z = b + a * logit_p
     pred = expit(z)
-    r = task.targets
-    loss = float(np.sum(r * _softplus(-z) + (1 - r) * _softplus(z)))
-    for i in range(n_tests):
-        records.append((task.ids[i], float(pred[i]), float(r[i])))
+    r = batch.targets[: len(batch.row_task)]
+    loss = np.where(rows, r * _softplus(-z) + (1 - r) * _softplus(z), 0.0).sum(axis=1)
 
     if grad is not None:
-        dl_dz = pred - r  # (n_tests,)
-        grad[grad_dim + 4] += float(dl_dz @ logit(p_c))
-        grad[grad_dim + 5] += float(dl_dz.sum())
+        dl_dz = np.where(rows, pred - r, 0.0)  # (F, N)
+        grad[:, dim + 4] += (dl_dz * logit_p).sum(axis=1)
+        grad[:, dim + 5] += dl_dz.sum(axis=1)
         inside = (p_raw > 1e-6) & (p_raw < 1.0 - 1e-6)
         dl_dp = np.where(inside, dl_dz * a / (p_c * (1.0 - p_c)), 0.0)
-        # dp_i/ds_s = w_s (t_is - p_i); collapse over tests
-        coeff = ((task.test_member - p_raw[:, None]) * w[None, :]).T @ dl_dp  # (S,)
-        coeff[~alive] = 0.0
-        if task.features is not None:
-            grad[:grad_dim] += task.features.T @ (coeff / temp)
-        dll_deps = np.where(
-            alive,
-            ((1.0 / 100.0 - task.member * task.inv_size[:, None]) / g).sum(axis=1),
-            0.0,
-        )
-        grad[grad_dim] += float(coeff @ dll_deps) / temp * eps * (1.0 - eps)
+        # dp_n/ds_s = w_s (t_ns - p_n); collapse over each task's rows
+        per_row = (batch.test_member - p_raw[:, :, None]) * w_rows * dl_dp[:, :, None]
+        one_hot = np.eye(len(alive))[batch.row_task]  # (N, T)
+        coeff = np.einsum("fns,nt->fts", per_row, one_hot) / temp  # (F, T, S)
+        if batch.features is not None:
+            grad[:, :dim] += np.einsum("fts,tsd->fd", coeff, batch.features)
+        dll_deps = batch.n_inside * (1.0 / 100.0 - batch.inv_size) / g_in
+        dll_deps = np.where(alive, dll_deps + batch.n_outside * (1.0 / 100.0) / g_out, 0.0)
+        grad[:, dim] += (coeff * dll_deps).sum(axis=(1, 2)) * (eps * (1.0 - eps))[:, 0, 0]
         safe_u = np.where(alive, log_unnorm, 0.0)
-        grad[grad_dim + 3] += float(coeff @ (-safe_u / temp))
-    return loss, records
+        grad[:, dim + 3] -= (coeff * safe_u).sum(axis=(1, 2))
+    return loss, pred
 
 
-def _shape_task(task, u, grad_dim, grad, log_prior, alive, eps, alpha, beta, temp):
-    records = []
+def _shape_task(task, u, dim, grad, train):
+    """(loss over the `train` points, every point's prediction) of one
+    curve; adds d(loss)/du into grad (P,) when given."""
+    params = _unpack(u, dim)
+    eps, alpha, beta, temp = params.epsilon, params.alpha, params.beta, params.temperature
+    log_prior = task.base_logprior
+    if task.features is not None:
+        log_prior = log_prior + task.features @ u[:dim]
+    preds = np.empty(len(task.points))
     loss = 0.0
-    n_total = task.consist.shape[1]
     sign = np.where(task.labels > 0, 1.0, -1.0)  # (K_total,)
 
-    for k_now, pool_mask, target, point_id in task.points:
-        mask = alive & pool_mask
+    for i, (K, k_now, pool_mask, target, _) in enumerate(task.points):
+        mask = task.parsed & pool_mask
         if not np.any(mask):
             # noise-only prediction when nothing in the pool parses
-            pred = eps * alpha
+            preds[i] = pred = eps * alpha
             pred_c = min(max(pred, 1e-6), 1.0 - 1e-6)
-            loss += weighted_bce_loss(pred, target)
-            if grad is not None:
+            if train[i]:
+                loss += weighted_bce_loss(pred, target)
+            if train[i] and grad is not None:
                 dl_dp = (pred_c - target) / (pred_c * (1.0 - pred_c))
-                grad[grad_dim] += dl_dp * alpha * eps * (1.0 - eps)
-                grad[grad_dim + 1] += dl_dp * eps * alpha * (1.0 - alpha)
-            records.append((point_id, pred, target))
+                grad[dim] += dl_dp * alpha * eps * (1.0 - eps)
+                grad[dim + 1] += dl_dp * eps * alpha * (1.0 - alpha)
             continue
 
-        K = k_now  # trials observed so far (all previous batches)
+        # K trials observed so far (all previous batches)
         c_past = task.consist[:, :K]
         q_past = (1.0 - eps) * c_past + eps * alpha  # P(Y=1)
         r_past = np.where(task.labels[:K] > 0, q_past, 1.0 - q_past)
@@ -267,64 +301,80 @@ def _shape_task(task, u, grad_dim, grad, log_prior, alive, eps, alpha, beta, tem
         log_r = np.log(np.maximum(r_past, 1e-300))
         loglik = np.where(mask, (decay * log_r).sum(axis=1) if K else 0.0, 0.0)
         log_unnorm = log_prior + loglik
-        scores = log_unnorm / temp
-        w = _softmax_masked(scores, mask)
+        w = _softmax_masked(log_unnorm / temp, mask)
 
-        c_now = task.consist[:, k_now] if k_now < n_total else None
-        q_now = (1.0 - eps) * task.consist[:, k_now] + eps * alpha
-        p = float(w @ q_now)
+        c_now = task.consist[:, k_now]
+        q_now = (1.0 - eps) * c_now + eps * alpha
+        preds[i] = p = float(w @ q_now)
         p_c = min(max(p, 1e-6), 1.0 - 1e-6)
-        loss += weighted_bce_loss(p, target)
-        records.append((point_id, p, target))
-
-        if grad is not None:
+        if train[i]:
+            loss += weighted_bce_loss(p, target)
+        if train[i] and grad is not None:
             dl_dp = (p_c - target) / (p_c * (1.0 - p_c))
             if not (1e-6 < p < 1.0 - 1e-6):
                 dl_dp = 0.0
             # direct dependence of q_now on eps, alpha
-            grad[grad_dim] += (
-                dl_dp * float(w @ (alpha - task.consist[:, k_now])) * eps * (1.0 - eps)
-            )
-            grad[grad_dim + 1] += dl_dp * eps * float(w.sum()) * alpha * (1.0 - alpha)
+            grad[dim] += dl_dp * float(w @ (alpha - c_now)) * eps * (1.0 - eps)
+            grad[dim + 1] += dl_dp * eps * float(w.sum()) * alpha * (1.0 - alpha)
             # dependence through the weights
             coeff = dl_dp * w * (q_now - p)  # (S,)
             coeff[~mask] = 0.0
             if task.features is not None:
-                grad[:grad_dim] += task.features.T @ (coeff / temp)
+                grad[:dim] += task.features.T @ (coeff / temp)
             if K:
                 dr_deps = sign[None, :K] * (alpha - c_past)
                 dll_deps = (decay * dr_deps / r_past).sum(axis=1)
-                grad[grad_dim] += (
-                    float(coeff @ dll_deps) / temp * eps * (1.0 - eps)
-                )
+                grad[dim] += float(coeff @ dll_deps) / temp * eps * (1.0 - eps)
                 dr_dalpha = sign[None, :K] * eps
                 dll_dalpha = (decay * dr_dalpha / r_past).sum(axis=1)
-                grad[grad_dim + 1] += (
-                    float(coeff @ dll_dalpha) / temp * alpha * (1.0 - alpha)
-                )
+                grad[dim + 1] += float(coeff @ dll_dalpha) / temp * alpha * (1.0 - alpha)
                 dll_dbeta = (-np.log(lag) * decay * log_r).sum(axis=1)
-                grad[grad_dim + 2] += float(coeff @ dll_dbeta) / temp * beta
+                grad[dim + 2] += float(coeff @ dll_dbeta) / temp * beta
             safe_u = np.where(mask, log_unnorm, 0.0)
-            grad[grad_dim + 3] += float(coeff @ (-safe_u / temp))
-    return loss, records
+            grad[dim + 3] += float(coeff @ (-safe_u / temp))
+    return loss, preds
 
 
 def _softplus(x):
     return np.logaddexp(0.0, x)
 
 
-def loss_and_grad(u: np.ndarray, tasks: Sequence, dim: int, want_grad: bool = True):
-    """Total loss over all tasks and its gradient in unconstrained space."""
-    grad = np.zeros_like(u) if want_grad else None
-    loss = 0.0
-    records = []
-    for task in tasks:
-        task_loss, task_records = _task_predictions(task, u, dim, grad)
-        loss += task_loss
-        records.extend(task_records)
-    if not math.isfinite(loss) or (grad is not None and not np.all(np.isfinite(grad))):
-        raise NonFinite("non-finite loss or gradient")
-    return loss, grad, records
+def loss_and_grad(u: np.ndarray, tasks, dim: int, want_grad: bool = True, rows=None):
+    """Total loss over all tasks and its gradient in unconstrained space.
+
+    `tasks` is a sequence of tasks or a TaskBatch. `u` is one parameter
+    vector (P,) or a stack (F, P); `rows`, an (F, N) bool mask over the
+    N prediction rows, picks the rows each fit's loss counts (default
+    all). Returns (loss, grad, one (id, prediction, target) per row)
+    for one vector, (loss (F,), grad (F, P), predictions (F, N)) for a
+    stack; grad is None without want_grad.
+    """
+    batch = stack_tasks(tasks)
+    stack = np.atleast_2d(u)
+    if rows is None:
+        rows = np.ones((len(stack), len(batch.ids)), dtype=bool)
+    grad = np.zeros_like(stack) if want_grad else None
+    loss = np.zeros(len(stack))
+    pred = np.empty((len(stack), len(batch.ids)))
+    n = len(batch.row_task)
+    if n:
+        loss, pred[:, :n] = _number_rows(stack, batch, dim, rows[:, :n], grad)
+    for f in range(len(stack)):
+        col = n
+        for task in batch.shapes:
+            end = col + len(task.points)
+            task_loss, pred[f, col:end] = _shape_task(
+                task, stack[f], dim, None if grad is None else grad[f], rows[f, col:end]
+            )
+            loss[f] += task_loss
+            col = end
+    bad = ~(np.isfinite(loss) & (grad is None or np.isfinite(grad).all(axis=1)))
+    if bad.any():
+        raise NonFinite(np.flatnonzero(bad))
+    if np.ndim(u) == 2:
+        return loss, grad, pred
+    records = [(i, float(p), float(t)) for i, p, t in zip(batch.ids, pred[0], batch.targets)]
+    return float(loss[0]), None if grad is None else grad[0], records
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +388,8 @@ class AdamState:
     t: int = 0
 
     @classmethod
-    def zeros(cls, n: int) -> "AdamState":
-        return cls(m=np.zeros(n), v=np.zeros(n))
+    def zeros(cls, shape) -> "AdamState":
+        return cls(m=np.zeros(shape), v=np.zeros(shape))
 
 
 def adam_step(
@@ -397,52 +447,60 @@ class FitResult:
 
 
 def trainable_mask(dim: int, groups: Sequence[str]) -> np.ndarray:
-    mask = np.zeros(dim + 6, dtype=bool)
-    groups = set(groups)
-    if "theta" in groups:
-        mask[:dim] = True
-    offsets = {"epsilon": 0, "alpha": 1, "beta": 2, "temperature": 3}
-    for name, off in offsets.items():
-        if name in groups:
-            mask[dim + off] = True
-    if "platt" in groups:
-        mask[dim + 4] = True
-        mask[dim + 5] = True
-    return mask
+    names = ["theta"] * dim + ["epsilon", "alpha", "beta", "temperature", "platt", "platt"]
+    return np.isin(names, list(groups))
 
 
 def fit_params(
     config: FitConfig,
-    train_tasks: Sequence,
+    train_tasks,
     init: ModelParams,
     holdout_tasks: Sequence = (),
-) -> FitResult:
+    train_rows: Optional[np.ndarray] = None,
+):
     """Full-batch Adam on the trainable unconstrained parameters.
 
     Deterministic given (config, tasks, init); holdout predictions are
-    produced with the final parameters only.
+    produced with the final parameters only. With `train_rows`, an
+    (F, N) bool mask over the rows of `train_tasks`, F fits from `init`
+    run as one loop over an (F, P) parameter stack; fit f's loss counts
+    the rows it marks, its holdout predictions are the rows it leaves
+    out (in row order), and a list of the F results is returned
+    (`holdout_tasks` is not used then).
     """
     dim = len(init.theta)
-    u = pack_params(init)
+    batch = stack_tasks(train_tasks)
+    rows = np.asarray([np.ones(len(batch.ids))] if train_rows is None else train_rows, dtype=bool)
+    stack = np.tile(pack_params(init), (len(rows), 1))
     mask = trainable_mask(dim, config.trainable)
-    trace = []
-    if np.any(mask):
-        state = AdamState.zeros(len(u))
-        for _ in range(config.epochs):
-            loss, grad, _ = loss_and_grad(u, train_tasks, dim)
-            trace.append(loss)
-            grad = np.where(mask, grad, 0.0)
-            u = adam_step(
-                u,
-                grad,
+    state = AdamState.zeros(stack.shape)
+    losses = []
+    for epoch in range(config.epochs if mask.any() else 1):
+        try:
+            loss, grad, _ = loss_and_grad(stack, batch, dim, want_grad=mask.any(), rows=rows)
+        except NonFinite as error:
+            raise NonFinite(error.folds, epoch) from None
+        losses.append(loss)
+        if mask.any():
+            stack = adam_step(
+                stack,
+                np.where(mask, grad, 0.0),
                 state,
                 lr=config.learning_rate,
                 beta1=config.adam_beta1,
                 beta2=config.adam_beta2,
                 eps=config.adam_eps,
             )
-    else:
-        loss, _, _ = loss_and_grad(u, train_tasks, dim, want_grad=False)
-        trace.append(loss)
-    _, _, holdout = loss_and_grad(u, holdout_tasks, dim, want_grad=False)
-    return FitResult(params=_unpack(u, dim), loss_trace=trace, holdout_predictions=holdout)
+    traces = np.array(losses).T.tolist()
+    if train_rows is None:
+        _, _, holdout = loss_and_grad(stack[0], holdout_tasks, dim, want_grad=False)
+        return FitResult(_unpack(stack[0], dim), traces[0], holdout)
+    _, _, pred = loss_and_grad(stack, batch, dim, want_grad=False, rows=rows)
+    return [
+        FitResult(
+            _unpack(u, dim),
+            trace,
+            [(batch.ids[n], pred[f, n], batch.targets[n]) for n in np.flatnonzero(~train)],
+        )
+        for f, (u, trace, train) in enumerate(zip(stack, traces, rows))
+    ]

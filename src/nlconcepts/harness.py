@@ -22,10 +22,13 @@ from .fit import (
     ShapeTask,
     fit_params,
     kfold_split,
+    loss_and_grad,
+    pack_params,
     r_squared,
+    stack_tasks,
 )
 from .likelihood import EvalCache, pool_shape_logliks
-from .posterior import dedup_pool, dedup_weights, predict_response
+from .posterior import MissingLogQ, dedup_pool, dedup_weights, predict_response
 from .prior import FEATURE_DIM, External, FeatureExtractor, Tuned, Uniform
 from .types import (
     HumanNumberJudgment,
@@ -108,14 +111,10 @@ def build_number_task(
 ) -> NumberTask:
     if cfg.weighting == "importance":
         unique = list(pool)
-        log_q = np.array(
-            [h.proposal_logprob if h.proposal_logprob is not None else 0.0 for h in unique]
-        )
         missing = [h.nl_text for h in unique if h.proposal_logprob is None]
         if missing:
-            from .posterior import MissingLogQ
-
             raise MissingLogQ(f"no proposal log-prob for {missing[0]!r}")
+        log_q = np.array([h.proposal_logprob for h in unique])
     else:
         unique, _ = dedup_pool(pool)
         log_q = np.zeros(len(unique))
@@ -125,12 +124,8 @@ def build_number_task(
     extensions = [cache.extension(h) for h in unique]
     sizes = np.array([len(e) for e in extensions], dtype=float)
     inv_size = np.where(sizes > 0, 1.0 / np.maximum(sizes, 1.0), 0.0)
-    member = np.array(
-        [[float(x in e) for x in example_set.examples] for e in extensions]
-    )
-    test_member = np.array(
-        [[float(t in e) for e in extensions] for t, _, _ in tests]
-    )
+    member = np.array([[float(x in e) for x in example_set.examples] for e in extensions])
+    test_member = np.array([[float(t in e) for e in extensions] for t, _, _ in tests])
     return NumberTask(
         features=features,
         base_logprior=base,
@@ -160,22 +155,12 @@ def build_shape_task(
     )
     labels = np.array([float(t.label) for t in trials])
     points = []
-    trial_index = 0
     k_start = 0
     for b, batch in enumerate(curve.batches, start=1):
-        mask = np.array(
-            [h.source_batch is None or h.source_batch <= b for h in unique]
-        )
-        for t in batch:
-            target = (
-                curve.human_positive_rate[trial_index]
-                if targets == "human"
-                else labels[trial_index]
-            )
-            points.append(
-                (k_start, mask, float(target), f"{curve.concept_id}:{trial_index}")
-            )
-            trial_index += 1
+        mask = np.array([h.source_batch is None or h.source_batch <= b for h in unique])
+        for k in range(k_start, k_start + len(batch)):
+            target = curve.human_positive_rate[k] if targets == "human" else labels[k]
+            points.append((k_start, k, mask, float(target), f"{curve.concept_id}:{k}"))
         k_start += len(batch)
     return ShapeTask(
         features=features,
@@ -184,22 +169,6 @@ def build_shape_task(
         consist=consist,
         labels=labels,
         points=points,
-    )
-
-
-def _subset_number_task(task: NumberTask, keep_ids) -> Optional[NumberTask]:
-    keep = [i for i, d in enumerate(task.ids) if d in keep_ids]
-    if not keep:
-        return None
-    return NumberTask(
-        features=task.features,
-        base_logprior=task.base_logprior,
-        parsed=task.parsed,
-        member=task.member,
-        inv_size=task.inv_size,
-        test_member=task.test_member[keep],
-        targets=task.targets[keep],
-        ids=[task.ids[i] for i in keep],
     )
 
 
@@ -256,56 +225,25 @@ def run_number_experiment(
     extractor = FeatureExtractor(dim=cfg.feature_dim)
     cache = EvalCache()
 
-    full_tasks = {}
+    tasks = []
     for set_id, group in by_set.items():
-        tests = [
-            (j.test_number, j.mean_rating, f"{set_id}:{j.test_number}") for j in group
-        ]
-        full_tasks[set_id] = build_number_task(
-            cfg, pools[set_id], group[0].example_set, tests, extractor, cache
-        )
-
-    all_ids = [d for task in full_tasks.values() for d in task.ids]
-    records: List[PredictionRecord] = []
+        tests = [(j.test_number, j.mean_rating, f"{set_id}:{j.test_number}") for j in group]
+        example_set = group[0].example_set
+        tasks.append(build_number_task(cfg, pools[set_id], example_set, tests, extractor, cache))
+    batch = stack_tasks(tasks)
     if cfg.params is not None:
-        params = cfg.params
-        from .fit import loss_and_grad, pack_params
-
-        _, _, preds = loss_and_grad(
-            pack_params(params), list(full_tasks.values()), len(params.theta), want_grad=False
-        )
-        records = [PredictionRecord(i, p, t, "holdout") for i, p, t in preds]
-        final_params = params
-        traces = []
+        final_params = cfg.params
+        u = pack_params(final_params)
+        _, _, holdout = loss_and_grad(u, batch, len(final_params.theta), want_grad=False)
     else:
-        folds = kfold_split(all_ids, min(cfg.k_folds, len(all_ids)), cfg.seed)
-        traces = []
-        for train_ids, holdout_ids in folds:
-            train_tasks = [
-                t
-                for t in (
-                    _subset_number_task(task, set(train_ids))
-                    for task in full_tasks.values()
-                )
-                if t is not None
-            ]
-            holdout_tasks = [
-                t
-                for t in (
-                    _subset_number_task(task, set(holdout_ids))
-                    for task in full_tasks.values()
-                )
-                if t is not None
-            ]
-            result = fit_params(
-                cfg.fit, train_tasks, default_params(cfg), holdout_tasks
-            )
-            traces.append(result.loss_trace)
-            for datum_id, pred, target in result.holdout_predictions:
-                records.append(PredictionRecord(datum_id, pred, target, "holdout"))
-        # final fit on everything, used for verbalizations
-        final = fit_params(cfg.fit, list(full_tasks.values()), default_params(cfg))
+        # every fold and the final fit on all rows, as one stacked fit
+        folds = kfold_split(batch.ids, min(cfg.k_folds, len(batch.ids)), cfg.seed)
+        rows = [np.isin(batch.ids, holdout, invert=True) for _, holdout in folds]
+        rows.append(np.ones(len(batch.ids), dtype=bool))
+        *fold_results, final = fit_params(cfg.fit, batch, default_params(cfg), train_rows=rows)
+        holdout = [record for result in fold_results for record in result.holdout_predictions]
         final_params = final.params
+    records = [PredictionRecord(i, p, t, "holdout") for i, p, t in holdout]
 
     preds = [r.prediction for r in records]
     targets = [r.human for r in records]
@@ -503,7 +441,11 @@ def budget_sweep(
     seeds: Sequence[int] = (0, 1, 2),
 ) -> List[Dict]:
     """Holdout fit quality as a function of the proposal budget,
-    mean +/- SEM over seeds."""
+    mean +/- SEM over seeds.
+
+    A seed only reshuffles the CV folds: the pool at each budget is
+    always the first `budget` lines of the same pool files, so proposals
+    are never resampled."""
     judgments = io.load_number_judgments(cfg.data_path)
     rows = []
     for budget in budgets:

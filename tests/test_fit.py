@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from nlconcepts import io
 from nlconcepts.fit import (
     AdamState,
     DegenerateTargets,
     FitConfig,
     InvalidK,
+    NonFinite,
     adam_step,
     fit_params,
     kfold_split,
@@ -16,10 +18,18 @@ from nlconcepts.fit import (
     pack_params,
     r_squared,
     reparam,
+    stack_tasks,
     trainable_mask,
     weighted_bce_loss,
 )
-from nlconcepts.harness import ExperimentConfig, build_number_task, build_shape_task
+from nlconcepts.harness import (
+    ExperimentConfig,
+    build_number_task,
+    build_shape_task,
+    default_params,
+    group_judgments,
+    run_number_experiment,
+)
 from nlconcepts.io import make_hypothesis
 from nlconcepts.likelihood import EvalCache
 from nlconcepts.prior import FeatureExtractor
@@ -32,6 +42,8 @@ from nlconcepts.types import (
     Trial,
     Unparsed,
 )
+
+from conftest import FIXTURES
 
 DIM = 12
 
@@ -290,3 +302,117 @@ def test_importance_weighting_task_uses_logq():
     bad = [make_hypothesis("the number is even", "even(x)", "number")]
     with pytest.raises(MissingLogQ):
         build_number_task(cfg, bad, NumberExampleSet([2]), [(4, 0.8, "a")], ext, cache)
+
+
+def fixture_number_tasks(cfg, keep=None):
+    """One task per fixture example set; `keep` restricts the judgments
+    (sets left without any are dropped)."""
+    pools = {
+        f"set{i:02d}": io.load_pool(FIXTURES / "number" / f"set{i:02d}.jsonl", "number")
+        for i in range(1, 9)
+    }
+    by_set = group_judgments(
+        io.load_number_judgments(FIXTURES / "number_judgments.csv"), pools
+    )
+    ext = FeatureExtractor(dim=cfg.feature_dim)
+    cache = EvalCache()
+    tasks = []
+    for set_id, group in by_set.items():
+        tests = [
+            (j.test_number, j.mean_rating, f"{set_id}:{j.test_number}") for j in group
+        ]
+        tests = [t for t in tests if keep is None or t[2] in keep]
+        if tests:
+            tasks.append(
+                build_number_task(cfg, pools[set_id], group[0].example_set, tests, ext, cache)
+            )
+    return tasks
+
+
+@pytest.mark.parametrize("prior", ["uniform", "tuned"])
+def test_stacked_folds_match_fitting_each_fold_alone(prior):
+    cfg = ExperimentConfig(
+        domain="number", prior=prior, feature_dim=DIM if prior == "tuned" else 0
+    )
+    fit_cfg = FitConfig(epochs=50)
+    batch = stack_tasks(fixture_number_tasks(cfg))
+    folds = kfold_split(batch.ids, 4, seed=3)
+    rows = [np.isin(batch.ids, holdout, invert=True) for _, holdout in folds]
+    rows.append(np.ones(len(batch.ids), dtype=bool))
+    stacked = fit_params(fit_cfg, batch, default_params(cfg), train_rows=rows)
+    assert len(stacked) == len(folds) + 1
+    for (train, holdout), result in zip(folds, stacked):
+        alone = fit_params(
+            fit_cfg,
+            fixture_number_tasks(cfg, set(train)),
+            default_params(cfg),
+            holdout_tasks=fixture_number_tasks(cfg, set(holdout)),
+        )
+        assert [d for d, _, _ in result.holdout_predictions] == [
+            d for d, _, _ in alone.holdout_predictions
+        ]
+        gaps = [
+            abs(a[1] - b[1])
+            for a, b in zip(result.holdout_predictions, alone.holdout_predictions)
+        ]
+        assert max(gaps) <= 1e-10
+        np.testing.assert_allclose(result.loss_trace, alone.loss_trace, rtol=1e-10)
+    # the final fit counts every row and holds none out
+    final = fit_params(fit_cfg, batch, default_params(cfg))
+    assert stacked[-1].holdout_predictions == []
+    np.testing.assert_allclose(stacked[-1].loss_trace, final.loss_trace, rtol=1e-10)
+
+
+def test_unparsed_task_stacked_among_others_predicts_platt_of_half():
+    cfg = ExperimentConfig(domain="number", prior="tuned", feature_dim=DIM)
+    ext = FeatureExtractor(dim=DIM)
+    cache = EvalCache()
+    dead = build_number_task(
+        cfg,
+        [make_hypothesis("nonsense", "???", "number")],
+        NumberExampleSet([5]),
+        [(10, 0.5, "dead10"), (3, 0.2, "dead3")],
+        ext,
+        cache,
+    )
+    others = [number_task(cfg, ext, cache), number_task(cfg, ext, cache, [(64, 0.9, "t64")])]
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        u = random_u(rng)
+        _, _, with_dead = loss_and_grad(u, [others[0], dead, others[1]], DIM, want_grad=False)
+        _, _, without = loss_and_grad(u, others, DIM, want_grad=False)
+        preds = dict((d, p) for d, p, _ in with_dead)
+        assert preds["dead10"] == preds["dead3"] == float(expit(u[DIM + 5]))
+        for datum_id, pred, _ in without:
+            assert preds[datum_id] == pytest.approx(pred, abs=1e-15)
+
+
+def test_cv_records_keep_fold_then_set_then_row_order():
+    cfg = ExperimentConfig.from_json(FIXTURES / "configs" / "number_uniform.json")
+    cfg.data_path = str(FIXTURES / "number_judgments.csv")
+    cfg.pools = {k: str(FIXTURES / "number" / f"{k}.jsonl") for k in cfg.pools}
+    cfg.fit = FitConfig(epochs=2, trainable=cfg.fit.trainable)
+    _, records, _ = run_number_experiment(cfg)
+    ids = stack_tasks(fixture_number_tasks(cfg)).ids
+    expected = [
+        d
+        for _, holdout in kfold_split(ids, cfg.k_folds, cfg.seed)
+        for d in ids
+        if d in holdout
+    ]
+    assert [r.datum_id for r in records] == expected
+
+
+def test_non_finite_fold_is_named_with_its_epoch():
+    task = number_task()
+    task.targets[1] = np.nan  # only folds that train on row 1 diverge
+    init = ModelParams(theta=np.zeros(DIM), epsilon=0.5, alpha=0.5, beta=1.0)
+    rows = [[True, False, True], [True, True, False], [False, True, True]]
+    with pytest.raises(NonFinite) as caught:
+        fit_params(FitConfig(epochs=5), [task], init, train_rows=rows)
+    assert caught.value.folds == [1, 2]
+    assert caught.value.epoch == 0
+    assert "fold(s) [1, 2] at epoch 0" in str(caught.value)
+    # a fold that leaves the row out fits on its own
+    (result,) = fit_params(FitConfig(epochs=5), [task], init, train_rows=rows[:1])
+    assert [d for d, _, _ in result.holdout_predictions] == ["t10"]

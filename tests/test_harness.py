@@ -78,8 +78,8 @@ def test_build_shape_task_masks_respect_source_batch(fixtures_dir):
     assert task.consist.shape[1] == len(curve.trials)
     assert len(task.points) == len(curve.trials)
     # points in batch 1 see only batch-1 proposals
-    k0, mask0, _, _ = task.points[0]
-    assert k0 == 0
+    k0, trial0, mask0, _, _ = task.points[0]
+    assert k0 == 0 and trial0 == 0
     unique_batches = []
     seen = set()
     for h in pool:
@@ -89,12 +89,13 @@ def test_build_shape_task_masks_respect_source_batch(fixtures_dir):
     expected0 = [b is None or b <= 1 for b in unique_batches]
     assert mask0.tolist() == expected0
     # the final batch sees everything
-    _, mask_last, _, _ = task.points[-1]
+    _, _, mask_last, _, _ = task.points[-1]
     assert mask_last.all()
-    # k_start grows by batch size
+    # k_start grows by batch size; each point keeps its own trial index
     sizes = [len(b) for b in curve.batches]
-    starts = [k for k, _, _, _ in task.points]
+    starts = [k for k, _, _, _, _ in task.points]
     assert starts[0] == 0 and starts[-1] == sum(sizes[:-1])
+    assert [k for _, k, _, _, _ in task.points] == list(range(len(curve.trials)))
 
 
 def test_run_number_experiment_with_fixed_params(fixtures_dir):
