@@ -21,6 +21,7 @@ evaluation is total for any batch of 1-5 objects.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -271,6 +272,15 @@ def _domain_values(dom, context):
 
 _MISSING = object()
 
+_COMPARE = {
+    "<": operator.lt,
+    "<=": operator.le,
+    "==": operator.eq,
+    "!=": operator.ne,
+    ">=": operator.ge,
+    ">": operator.gt,
+}
+
 
 def _restore(context, var, shadowed):
     if shadowed is _MISSING:
@@ -309,24 +319,19 @@ def _eval_bool(node, context) -> bool:
     if isinstance(node, Not):
         return not _eval_bool(node.arg, context)
     if isinstance(node, Cmp):
-        a = _eval_value(node.left, context)
-        b = _eval_value(node.right, context)
-        return {
-            "<": lambda: a < b,
-            "<=": lambda: a <= b,
-            "==": lambda: a == b,
-            "!=": lambda: a != b,
-            ">=": lambda: a >= b,
-            ">": lambda: a > b,
-        }[node.op]()
+        return _COMPARE[node.op](_eval_value(node.left, context), _eval_value(node.right, context))
     if isinstance(node, Quant):
+        # forall stops at the first False, exists at the first True
+        decisive = node.quantifier == "exists"
         shadowed = context.get(node.var, _MISSING)
-        results = []
+        result = not decisive
         for v in _domain_values(node.domain, context):
             context[node.var] = v
-            results.append(_eval_bool(node.body, context))
+            if _eval_bool(node.body, context) == decisive:
+                result = decisive
+                break
         _restore(context, node.var, shadowed)
-        return all(results) if node.quantifier == "forall" else any(results)
+        return result
     raise TypeError(f"not a boolean expression: {node!r}")
 
 

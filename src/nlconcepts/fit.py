@@ -20,7 +20,7 @@ only in the prediction rows their losses count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -65,11 +65,11 @@ def reparam(unconstrained: float, kind: str) -> float:
     raise ValueError(f"unknown reparam kind {kind!r}")
 
 
-def weighted_bce_loss(pred: float, r: float, delta: float = 1e-6) -> float:
+def weighted_bce_loss(pred, r, delta: float = 1e-6):
     """-[r log pred + (1-r) log(1-pred)], with pred clamped away from
-    0 and 1."""
-    pred = min(max(pred, delta), 1.0 - delta)
-    return -(r * math.log(pred) + (1.0 - r) * math.log(1.0 - pred))
+    0 and 1; elementwise on arrays."""
+    pred = np.clip(pred, delta, 1.0 - delta)
+    return -(r * np.log(pred) + (1.0 - r) * np.log(1.0 - pred))
 
 
 def kfold_split(ids: Sequence, k: int, seed: int) -> List[Tuple[list, list]]:
@@ -120,17 +120,17 @@ class NumberTask:
 
 @dataclass
 class ShapeTask:
-    """One learning curve: shared consistency matrix plus per-trial
-    prediction points."""
+    """One learning curve compiled against its deduplicated pool of S
+    rules: K trials in B batches, each trial one prediction row."""
 
-    features: Optional[np.ndarray]
-    base_logprior: np.ndarray
-    parsed: np.ndarray
-    consist: np.ndarray  # (S, K_total) concept truth value per trial
-    labels: np.ndarray  # (K_total,) observed Y
-    # per point: (first trial index of its batch, its own trial index,
-    # pool mask, target, id)
-    points: List[Tuple[int, int, np.ndarray, float, str]] = field(default_factory=list)
+    features: Optional[np.ndarray]  # (S, D); None under a non-tuned prior
+    base_logprior: np.ndarray  # (S,)
+    consist: np.ndarray  # (S, K) rule truth value per trial
+    labels: np.ndarray  # (K,) observed Y
+    batch: np.ndarray  # (K,) batch index of each trial, from 0
+    visible: np.ndarray  # (B, S) rule parsed and joined by batch b
+    targets: np.ndarray  # (K,)
+    ids: List[str]
 
     domain: str = "shape"
 
@@ -139,7 +139,7 @@ class ShapeTask:
 class TaskBatch:
     """Tasks compiled once for all forward passes of a fit: number tasks
     stacked and zero-padded to T tasks of S hypotheses, each judgment one
-    row in task order; shape tasks as they are, their points the rows
+    row in task order; shape tasks as they are, their trials the rows
     after the number rows."""
 
     features: Optional[np.ndarray]  # (T, S, D); None under a non-tuned prior
@@ -171,7 +171,6 @@ def stack_tasks(tasks) -> TaskBatch:
 
     n_inside = [t.member.sum(axis=1) for t in numbers]
     test_member = [np.zeros((0, width))] + [pad(t.test_member, axis=1) for t in numbers]
-    points = [p for t in shapes for p in t.points]
     tuned = bool(numbers) and numbers[0].features is not None  # tasks share one prior
     return TaskBatch(
         features=np.array([pad(t.features) for t in numbers]) if tuned else None,
@@ -183,8 +182,8 @@ def stack_tasks(tasks) -> TaskBatch:
         test_member=np.concatenate(test_member),
         row_task=np.repeat(np.arange(len(numbers)), [len(t.targets) for t in numbers]),
         shapes=shapes,
-        ids=[i for t in numbers for i in t.ids] + [p[4] for p in points],
-        targets=np.array([r for t in numbers for r in t.targets] + [p[3] for p in points]),
+        ids=[i for t in numbers + shapes for i in t.ids],
+        targets=np.concatenate([np.zeros(0)] + [t.targets for t in numbers + shapes]),
     )
 
 
@@ -210,7 +209,7 @@ def _softmax_masked(scores: np.ndarray, alive: np.ndarray) -> np.ndarray:
     """Softmax over the last axis among `alive` entries; all zeros where
     nothing is alive."""
     shifted = np.where(alive, scores, -np.inf)
-    top = shifted.max(axis=-1, keepdims=True)
+    top = shifted.max(axis=-1, keepdims=True, initial=-np.inf)
     e = np.exp(shifted - np.where(np.isfinite(top), top, 0.0))
     total = e.sum(axis=-1, keepdims=True)
     return np.divide(e, total, out=np.zeros_like(e), where=total > 0)
@@ -266,73 +265,81 @@ def _number_rows(stack, batch: TaskBatch, dim, rows, grad):
     return loss, pred
 
 
-def _shape_task(task, u, dim, grad, train):
-    """(loss over the `train` points, every point's prediction) of one
-    curve; adds d(loss)/du into grad (P,) when given."""
-    params = _unpack(u, dim)
+def shape_forward(task: ShapeTask, params: ModelParams):
+    """One forward pass of the online model over a compiled curve.
+
+    Before batch b, rule s scores (log prior + decayed log-likelihood of
+    all earlier trials) / T, softmaxed over the rules visible at b. The
+    log-likelihoods of all batches are one product, log r @ D^T, with
+    D[b, k] = (K_b - k)^-beta for the K_b trials before batch b. Trial
+    k is predicted as sum_s w[b(k), s] q[s, k], which is eps * alpha at
+    a batch where no rule is visible.
+
+    Returns (predictions (K,), weights (B, S), backward), where
+    backward(d(loss)/d(prediction)) gives the loss gradient in
+    (theta or None, epsilon, alpha, beta, temperature).
+    """
     eps, alpha, beta, temp = params.epsilon, params.alpha, params.beta, params.temperature
+    c = task.consist
+    n_batches, n_trials = task.visible.shape[0], len(task.labels)
     log_prior = task.base_logprior
     if task.features is not None:
-        log_prior = log_prior + task.features @ u[:dim]
-    preds = np.empty(len(task.points))
-    loss = 0.0
-    sign = np.where(task.labels > 0, 1.0, -1.0)  # (K_total,)
+        log_prior = log_prior + task.features @ params.theta
+    sign = np.where(task.labels > 0, 1.0, -1.0)
+    q = (1.0 - eps) * c + eps * alpha  # P(Y=1) under each rule
+    r = np.where(sign > 0, q, 1.0 - q)  # P(observed label)
+    log_r = np.log(np.maximum(r, 1e-300))
+    # lag[b, k] = K_b - k, how far trial k lies behind the start of batch b
+    lag = np.searchsorted(task.batch, np.arange(n_batches))[:, None] - np.arange(n_trials)
+    past = lag > 0
+    lag = np.where(past, lag, 1).astype(float)
+    decay = np.where(past, lag**-beta, 0.0)  # D (B, K)
+    log_unnorm = log_prior + decay @ log_r.T  # (B, S)
+    w = _softmax_masked(log_unnorm / temp, task.visible)
+    now = (task.batch, np.arange(n_trials))
+    mean_truth = (w @ c)[now]  # (K,) zero where nothing is visible
+    pred = (1.0 - eps) * mean_truth + eps * alpha
 
-    for i, (K, k_now, pool_mask, target, _) in enumerate(task.points):
-        mask = task.parsed & pool_mask
-        if not np.any(mask):
-            # noise-only prediction when nothing in the pool parses
-            preds[i] = pred = eps * alpha
-            pred_c = min(max(pred, 1e-6), 1.0 - 1e-6)
-            if train[i]:
-                loss += weighted_bce_loss(pred, target)
-            if train[i] and grad is not None:
-                dl_dp = (pred_c - target) / (pred_c * (1.0 - pred_c))
-                grad[dim] += dl_dp * alpha * eps * (1.0 - eps)
-                grad[dim + 1] += dl_dp * eps * alpha * (1.0 - alpha)
-            continue
+    def backward(dl_dpred):
+        g = np.zeros((n_batches, n_trials))
+        g[now] = dl_dpred
+        # d(loss)/d score[b, s] sums g_k w[b, s] (q[s, k] - pred_k) over
+        # batch b's trials k, where q[s, k] - pred_k = (1 - eps) (c[s, k] - mean_k)
+        d_score = (1.0 - eps) * w * (g @ c.T - (g @ mean_truth)[:, None])
+        d_unnorm = d_score / temp  # (B, S)
+        d_theta = None if task.features is None else d_unnorm.sum(axis=0) @ task.features
+        d_log_r = d_unnorm.T @ decay  # (S, K)
+        d_q = np.divide(sign * d_log_r, r, out=np.zeros_like(r), where=r > 1e-300)
+        d_eps = dl_dpred @ (alpha - mean_truth) + (d_q * (alpha - c)).sum()
+        d_alpha = eps * (dl_dpred.sum() + d_q.sum())
+        d_beta = -((d_unnorm.T @ (np.log(lag) * decay)) * log_r).sum()
+        d_temp = -(d_score * log_unnorm).sum() / temp**2
+        return d_theta, d_eps, d_alpha, d_beta, d_temp
 
-        # K trials observed so far (all previous batches)
-        c_past = task.consist[:, :K]
-        q_past = (1.0 - eps) * c_past + eps * alpha  # P(Y=1)
-        r_past = np.where(task.labels[:K] > 0, q_past, 1.0 - q_past)
-        lag = np.arange(K, 0, -1, dtype=float)
-        decay = lag**-beta
-        log_r = np.log(np.maximum(r_past, 1e-300))
-        loglik = np.where(mask, (decay * log_r).sum(axis=1) if K else 0.0, 0.0)
-        log_unnorm = log_prior + loglik
-        w = _softmax_masked(log_unnorm / temp, mask)
+    return pred, w, backward
 
-        c_now = task.consist[:, k_now]
-        q_now = (1.0 - eps) * c_now + eps * alpha
-        preds[i] = p = float(w @ q_now)
-        p_c = min(max(p, 1e-6), 1.0 - 1e-6)
-        if train[i]:
-            loss += weighted_bce_loss(p, target)
-        if train[i] and grad is not None:
-            dl_dp = (p_c - target) / (p_c * (1.0 - p_c))
-            if not (1e-6 < p < 1.0 - 1e-6):
-                dl_dp = 0.0
-            # direct dependence of q_now on eps, alpha
-            grad[dim] += dl_dp * float(w @ (alpha - c_now)) * eps * (1.0 - eps)
-            grad[dim + 1] += dl_dp * eps * float(w.sum()) * alpha * (1.0 - alpha)
-            # dependence through the weights
-            coeff = dl_dp * w * (q_now - p)  # (S,)
-            coeff[~mask] = 0.0
-            if task.features is not None:
-                grad[:dim] += task.features.T @ (coeff / temp)
-            if K:
-                dr_deps = sign[None, :K] * (alpha - c_past)
-                dll_deps = (decay * dr_deps / r_past).sum(axis=1)
-                grad[dim] += float(coeff @ dll_deps) / temp * eps * (1.0 - eps)
-                dr_dalpha = sign[None, :K] * eps
-                dll_dalpha = (decay * dr_dalpha / r_past).sum(axis=1)
-                grad[dim + 1] += float(coeff @ dll_dalpha) / temp * alpha * (1.0 - alpha)
-                dll_dbeta = (-np.log(lag) * decay * log_r).sum(axis=1)
-                grad[dim + 2] += float(coeff @ dll_dbeta) / temp * beta
-            safe_u = np.where(mask, log_unnorm, 0.0)
-            grad[dim + 3] += float(coeff @ (-safe_u / temp))
-    return loss, preds
+
+def _shape_rows(task: ShapeTask, u, dim, grad, train):
+    """(loss over the `train` trials, every trial's prediction) of one
+    curve; adds d(loss)/du into grad (P,) when given."""
+    params = _unpack(u, dim)
+    pred, _, backward = shape_forward(task, params)
+    target = task.targets
+    loss = float(np.where(train, weighted_bce_loss(pred, target), 0.0).sum())
+    if grad is not None:
+        p_c = np.clip(pred, 1e-6, 1.0 - 1e-6)
+        inside = train & (pred > 1e-6) & (pred < 1.0 - 1e-6)
+        d_theta, d_eps, d_alpha, d_beta, d_temp = backward(
+            np.where(inside, (p_c - target) / (p_c * (1.0 - p_c)), 0.0)
+        )
+        if d_theta is not None:
+            grad[:dim] += d_theta
+        eps, alpha = params.epsilon, params.alpha
+        grad[dim] += d_eps * eps * (1.0 - eps)
+        grad[dim + 1] += d_alpha * alpha * (1.0 - alpha)
+        grad[dim + 2] += d_beta * params.beta
+        grad[dim + 3] += d_temp * params.temperature
+    return loss, pred
 
 
 def _softplus(x):
@@ -362,8 +369,8 @@ def loss_and_grad(u: np.ndarray, tasks, dim: int, want_grad: bool = True, rows=N
     for f in range(len(stack)):
         col = n
         for task in batch.shapes:
-            end = col + len(task.points)
-            task_loss, pred[f, col:end] = _shape_task(
+            end = col + len(task.ids)
+            task_loss, pred[f, col:end] = _shape_rows(
                 task, stack[f], dim, None if grad is None else grad[f], rows[f, col:end]
             )
             loss[f] += task_loss
@@ -420,8 +427,6 @@ class FitConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    seed: int = 0
-    clamp_delta: float = 1e-6
     trainable: Tuple[str, ...] = ("theta", "epsilon", "temperature", "platt")
 
     def __post_init__(self):

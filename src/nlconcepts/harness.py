@@ -15,6 +15,7 @@ import numpy as np
 from . import io
 from .dsl import NUMBER as NUMBER_DOMAIN
 from .dsl import SHAPE as SHAPE_DOMAIN
+from .dsl import eval_shape
 from .fit import (
     FitConfig,
     FitResult,
@@ -25,10 +26,11 @@ from .fit import (
     loss_and_grad,
     pack_params,
     r_squared,
+    shape_forward,
     stack_tasks,
 )
-from .likelihood import EvalCache, pool_shape_logliks
-from .posterior import MissingLogQ, dedup_pool, dedup_weights, predict_response
+from .likelihood import EvalCache
+from .posterior import MissingLogQ, dedup_pool, dedup_weights, weight_diagnostics
 from .prior import FEATURE_DIM, External, FeatureExtractor, Tuned, Uniform
 from .types import (
     HumanNumberJudgment,
@@ -82,7 +84,8 @@ class ExperimentConfig:
 def _prior_pieces(cfg: ExperimentConfig, pool: Sequence[Hypothesis], extractor):
     """(features or None, base log-prior vector) for a deduped pool."""
     if cfg.prior == "tuned":
-        return extractor.matrix(pool), np.zeros(len(pool))
+        features = extractor.matrix(pool) if pool else np.zeros((0, extractor.dim))
+        return features, np.zeros(len(pool))
     if cfg.prior == "external":
         scores = io.load_score_file(cfg.scores_path)
         return None, np.array([scores[h.key] for h in pool])
@@ -143,32 +146,33 @@ def build_shape_task(
     pool: Sequence[Hypothesis],
     curve: LearningCurve,
     extractor: FeatureExtractor,
-    cache: EvalCache,
+    cache: Optional[EvalCache] = None,
     targets: str = "human",  # "human" rates or "labels" (tune for accuracy)
 ) -> ShapeTask:
+    """Compile a curve against its deduplicated pool.
+
+    Every (rule, trial) truth value is evaluated exactly once here, so
+    `cache` is not consulted; it is accepted to match build_number_task.
+    """
     unique, _ = dedup_pool(pool)
     features, base = _prior_pieces(cfg, unique, extractor)
-    parsed = np.array([h.parsed for h in unique])
     trials = curve.trials
-    consist = np.array(
-        [[float(cache.trial_member(h, t)) for t in trials] for h in unique]
-    )
-    labels = np.array([float(t.label) for t in trials])
-    points = []
-    k_start = 0
-    for b, batch in enumerate(curve.batches, start=1):
-        mask = np.array([h.source_batch is None or h.source_batch <= b for h in unique])
-        for k in range(k_start, k_start + len(batch)):
-            target = curve.human_positive_rate[k] if targets == "human" else labels[k]
-            points.append((k_start, k, mask, float(target), f"{curve.concept_id}:{k}"))
-        k_start += len(batch)
+    consist = np.zeros((len(unique), len(trials)))
+    for i, h in enumerate(unique):
+        if h.parsed:
+            consist[i] = [eval_shape(h.program.expr, t.test, t.batch) for t in trials]
+    # a rule joins at its source batch (numbered from 1); unparsed ones never do
+    joins = np.array([(h.source_batch or 0) if h.parsed else np.inf for h in unique])
+    rates = curve.human_positive_rate if targets == "human" else [t.label for t in trials]
     return ShapeTask(
         features=features,
         base_logprior=base,
-        parsed=parsed,
         consist=consist,
-        labels=labels,
-        points=points,
+        labels=np.array([float(t.label) for t in trials]),
+        batch=np.repeat(np.arange(len(curve.batches)), [len(b) for b in curve.batches]),
+        visible=joins <= np.arange(1, len(curve.batches) + 1)[:, None],
+        targets=np.array(rates, dtype=float),
+        ids=[f"{curve.concept_id}:{k}" for k in range(len(trials))],
     )
 
 
@@ -294,8 +298,13 @@ def run_online_experiment(
     """Online protocol: per batch, extend the pool with that batch's
     proposals, weigh by the decayed likelihood of all *previous* trials,
     and predict each trial in the batch before its label is revealed.
+    Each curve is one forward pass over its compiled task (the model
+    the fit optimizes, with the gradient off).
 
-    Returns (metrics, records, per-curve details).
+    Returns (metrics, records, per-curve details); each detail's
+    `per_batch` rows give the batch's accuracy, its MAP rule (None when
+    no rule is visible), and the effective sample size and largest
+    weight of the posterior it was predicted from.
     """
     if curves is None:
         paths = sorted(Path(cfg.data_path).glob("*.json"))
@@ -306,55 +315,30 @@ def run_online_experiment(
         }
     params = params or cfg.params or default_params(cfg)
     extractor = FeatureExtractor(dim=cfg.feature_dim)
-    cache = EvalCache()
-    prior = prior_spec_for(cfg, params, extractor)
-
     records: List[PredictionRecord] = []
     details = {}
     for curve in curves:
-        pool_all, _ = dedup_pool(pools[curve.concept_id])
-        trials = curve.trials
-        trial_index = 0
-        seen = 0
+        pool = pools[curve.concept_id]
+        task = build_shape_task(cfg, pool, curve, extractor)
+        preds, weights, _ = shape_forward(task, params)
+        unique, _ = dedup_pool(pool)
+        correct = (preds >= 0.5) == (task.labels > 0)
+        curve_records = [
+            PredictionRecord(i, float(p), h, "holdout")
+            for i, p, h in zip(task.ids, preds, curve.human_positive_rate)
+        ]
         per_batch = []
-        curve_records = []
-        for b, batch in enumerate(curve.batches, start=1):
-            visible = [
-                h
-                for h in pool_all
-                if h.source_batch is None or h.source_batch <= b
-            ]
-            past = trials[:seen]
-            loglik = pool_shape_logliks(
-                visible, past, params.epsilon, params.alpha, params.beta, cache
+        for b, (w, visible) in enumerate(zip(weights, task.visible)):
+            map_nl = unique[int(np.argmax(w))].nl_text if visible.any() else None
+            per_batch.append(
+                {
+                    "batch": b + 1,
+                    "accuracy": float(correct[task.batch == b].mean()),
+                    "map_nl": map_nl,
+                    **weight_diagnostics(w),
+                }
             )
-            state = dedup_weights(visible, prior, loglik, params.temperature)
-            batch_preds = []
-            for t in batch:
-                if state.degenerate:
-                    pred = params.epsilon * params.alpha
-                else:
-                    pred = predict_response(
-                        state, t, params.epsilon, params.alpha, cache
-                    )
-                human = (
-                    curve.human_positive_rate[trial_index]
-                    if trial_index < len(curve.human_positive_rate)
-                    else None
-                )
-                rec = PredictionRecord(
-                    f"{curve.concept_id}:{trial_index}", pred, human, "holdout"
-                )
-                records.append(rec)
-                curve_records.append(rec)
-                batch_preds.append((pred, t.label))
-                trial_index += 1
-            accuracy = float(
-                np.mean([(p >= 0.5) == bool(y) for p, y in batch_preds])
-            )
-            map_nl = None if state.degenerate else state.map_hypothesis().nl_text
-            per_batch.append({"batch": b, "accuracy": accuracy, "map_nl": map_nl})
-            seen += len(batch)
+        records.extend(curve_records)
         details[curve.concept_id] = {
             "per_batch": per_batch,
             "records": curve_records,
@@ -384,9 +368,8 @@ def fit_online_params(
     """Fit epsilon/alpha/beta/temperature (and theta under a tuned
     prior) against the learning curves."""
     extractor = FeatureExtractor(dim=cfg.feature_dim)
-    cache = EvalCache()
     tasks = [
-        build_shape_task(cfg, pools[c.concept_id], c, extractor, cache, targets)
+        build_shape_task(cfg, pools[c.concept_id], c, extractor, targets=targets)
         for c in curves
     ]
     return fit_params(cfg.fit, tasks, default_params(cfg))

@@ -24,14 +24,10 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .dsl import NUMBER, SHAPE, ConceptProgram, eval_shape, number_extension
+from .dsl import NUMBER, SHAPE, ConceptProgram, DomainMismatch, eval_shape, number_extension
 from .types import Hypothesis, NumberExampleSet, Trial, Unparsed
 
 NEG_LARGE = -1e18  # finite stand-in for log(0) inside optimization
-
-
-class DomainMismatch(TypeError):
-    pass
 
 
 class EvalCache:
@@ -67,9 +63,6 @@ class EvalCache:
             return self._trials[key]
 
 
-_default_cache = EvalCache()
-
-
 def _require(h: Hypothesis, domain: str) -> None:
     if isinstance(h.program, ConceptProgram) and h.program.domain != domain:
         raise DomainMismatch(
@@ -85,7 +78,7 @@ def number_loglikelihood(
 ) -> float:
     """Sum of per-example log-likelihoods; -inf only when epsilon == 0
     and some example falls outside the extension."""
-    cache = cache or _default_cache
+    cache = cache or EvalCache()
     ext = cache.extension(h)
     size = len(ext)
     total = 0.0
@@ -102,7 +95,7 @@ def trial_response_prob(
     h: Hypothesis, t: Trial, epsilon: float, alpha: float, cache: EvalCache | None = None
 ) -> float:
     """Probability assigned to the observed label of one trial."""
-    cache = cache or _default_cache
+    cache = cache or EvalCache()
     member = cache.trial_member(h, t)
     p_positive = (1.0 - epsilon) * float(member) + epsilon * alpha
     return p_positive if t.label else 1.0 - p_positive
@@ -146,7 +139,7 @@ def pool_number_logliks(
 ) -> np.ndarray:
     """Per-hypothesis log-likelihood vector; unparsed entries get the
     NEG_LARGE sentinel so downstream arithmetic stays finite."""
-    cache = cache or _default_cache
+    cache = cache or EvalCache()
     out = np.empty(len(pool))
     for i, h in enumerate(pool):
         if isinstance(h.program, Unparsed):
@@ -165,7 +158,7 @@ def pool_shape_logliks(
     beta: float,
     cache: EvalCache | None = None,
 ) -> np.ndarray:
-    cache = cache or _default_cache
+    cache = cache or EvalCache()
     out = np.empty(len(pool))
     for i, h in enumerate(pool):
         if isinstance(h.program, Unparsed):

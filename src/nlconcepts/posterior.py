@@ -34,7 +34,7 @@ class PosteriorState:
     pool: List[Hypothesis]
     weights: np.ndarray
     degenerate: bool = False
-    diagnostics: Dict[str, int] = field(default_factory=dict)
+    diagnostics: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
@@ -81,6 +81,17 @@ def dedup_pool(pool: Sequence[Hypothesis]):
             unique.append(h)
             counts.append(1)
     return unique, np.array(counts)
+
+
+def weight_diagnostics(weights) -> Dict[str, float]:
+    """Effective sample size 1 / sum(w^2) and the largest weight of a
+    normalized weight vector; both 0 when every weight is 0."""
+    weights = np.asarray(weights, dtype=float)
+    sum_sq = float(np.sum(weights**2))
+    return {
+        "ess": 1.0 / sum_sq if sum_sq > 0 else 0.0,
+        "max_weight": float(np.max(weights, initial=0.0)),
+    }
 
 
 def _normalize(log_unnorm: np.ndarray, temperature: float):
@@ -130,6 +141,7 @@ def dedup_weights(
         "duplicates_merged": len(pool) - len(unique),
         "unparsed": sum(1 for h in unique if not h.parsed),
         "zero_weight": int(np.sum(log_unnorm <= ZERO_CUTOFF)),
+        **weight_diagnostics(weights),
     }
     return PosteriorState(unique, weights, degenerate, diagnostics)
 
@@ -155,6 +167,7 @@ def importance_weights(
         "duplicates_merged": 0,
         "unparsed": sum(1 for h in pool if not h.parsed),
         "zero_weight": int(np.sum(log_unnorm <= ZERO_CUTOFF)),
+        **weight_diagnostics(weights),
     }
     return PosteriorState(pool, weights, degenerate, diagnostics)
 

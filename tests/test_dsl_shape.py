@@ -10,7 +10,7 @@ from nlconcepts.dsl import (
     parse_concept,
 )
 from nlconcepts.dsl.generate import random_shape_expr
-from nlconcepts.dsl.shape import parse_shape_concept
+from nlconcepts.dsl.shape import _eval_bool, parse_shape_concept
 from nlconcepts.types import ShapeObject, shape_universe
 
 
@@ -55,6 +55,44 @@ def test_count_and_feature_iteration():
 def test_variable_shadowing():
     src = "exists(o in others, exists(o in all, o.size == 1) and o.size == 2)"
     assert ev(src, T, [T, C])  # inner o rebinds, outer o is the circle
+
+
+def test_quantifier_exit_restores_shadowed_binding():
+    # the inner quantifier stops at the first decisive object; the outer
+    # `o` must be rebound afterwards, not left at the inner stopping point
+    assert ev("exists(o in others, exists(o in all, o.color == green) and o.size == 3)", C, [T, C, R])
+    assert ev(
+        "exists(o in others, not forall(o in all, o.shape == triangle) and o.shape == rectangle)",
+        C,
+        [T, C, R],
+    )
+    assert not ev("forall(o in others, exists(o in all, o.size == 2) and o.size == 1)", C, [T, C, R])
+    context = {"this": C, "__others__": (T, R), "__all__": (T, C, R), "o": R}
+    expr = parse_shape_concept("forall(o in all, o.color == yellow)")
+    assert not _eval_bool(expr, context)
+    assert context["o"] is R
+    del context["o"]
+    assert _eval_bool(parse_shape_concept("exists(o in all, o.size == 1)"), context)
+    assert "o" not in context
+
+
+def test_count_inside_quantifier_matches_oracle():
+    # count over `all` inside a quantifier over `others`, against a
+    # direct Python reading of the rule on every small batch
+    src = "forall(o in others, count(p in all, p.size > o.size) <= count(p in all, p.size > this.size))"
+    expr = parse_concept(src, "shape").expr
+    n_checked = 0
+    for batch in itertools.chain(_batches(2), _batches(5, limit=300, seed=4)):
+        for test in set(batch):
+            others = list(batch)
+            others.remove(test)
+            want = all(
+                sum(p.size > o.size for p in batch) <= sum(p.size > test.size for p in batch)
+                for o in others
+            )
+            assert eval_shape(expr, test, batch) == want, (test, batch)
+            n_checked += 1
+    assert n_checked > 100
 
 
 def test_type_errors_at_parse_time():

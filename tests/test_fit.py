@@ -43,7 +43,7 @@ from nlconcepts.types import (
     Unparsed,
 )
 
-from conftest import FIXTURES
+from conftest import FIXTURES, synthetic_shape_curve, synthetic_shape_pool
 
 DIM = 12
 
@@ -132,6 +132,27 @@ def test_gradients_match_finite_differences_shape():
     tasks = [shape_task()]
     for _ in range(3):
         fd_check(random_u(rng), tasks, DIM)
+
+
+def test_gradients_match_finite_differences_shape_multibatch():
+    """Five batches under the tuned prior: nothing is visible before
+    batch 2, rules join at batches 2 to 5, one is a duplicate and two
+    never parse, so the visibility mask changes from batch to batch."""
+    cfg = ExperimentConfig(domain="shape", prior="tuned", feature_dim=DIM)
+    task = build_shape_task(
+        cfg, synthetic_shape_pool(), synthetic_shape_curve(), FeatureExtractor(dim=DIM), EvalCache()
+    )
+    assert not task.visible[0].any()
+    assert (task.visible[1:].sum(axis=1) < task.visible.shape[1]).all()
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        fd_check(random_u(rng), [task], DIM)
+
+
+def test_fit_config_rejects_removed_keys():
+    for key, value in (("seed", 0), ("clamp_delta", 1e-6)):
+        with pytest.raises(TypeError, match=key):
+            FitConfig(**{key: value})
 
 
 def test_gradients_match_finite_differences_mixed():

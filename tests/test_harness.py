@@ -17,14 +17,17 @@ from nlconcepts.harness import (
     run_number_experiment,
     run_online_experiment,
 )
-from nlconcepts.likelihood import EvalCache
-from nlconcepts.prior import FeatureExtractor
+from nlconcepts.likelihood import EvalCache, pool_shape_logliks
+from nlconcepts.posterior import dedup_pool, dedup_weights
+from nlconcepts.prior import FeatureExtractor, Uniform
 from nlconcepts.types import (
     LearningCurve,
     ModelParams,
     NumberExampleSet,
     Trial,
 )
+
+from conftest import synthetic_shape_curve, synthetic_shape_pool
 
 
 def load_fixture_curve(fixtures_dir):
@@ -76,26 +79,25 @@ def test_build_shape_task_masks_respect_source_batch(fixtures_dir):
     pool = load_fixture_pool(fixtures_dir)
     task = build_shape_task(cfg, pool, curve, ext, cache)
     assert task.consist.shape[1] == len(curve.trials)
-    assert len(task.points) == len(curve.trials)
-    # points in batch 1 see only batch-1 proposals
-    k0, trial0, mask0, _, _ = task.points[0]
-    assert k0 == 0 and trial0 == 0
-    unique_batches = []
+    assert task.ids == [f"{curve.concept_id}:{k}" for k in range(len(curve.trials))]
+    unique = []
     seen = set()
     for h in pool:
         if h.key not in seen:
             seen.add(h.key)
-            unique_batches.append(h.source_batch)
-    expected0 = [b is None or b <= 1 for b in unique_batches]
-    assert mask0.tolist() == expected0
-    # the final batch sees everything
-    _, _, mask_last, _, _ = task.points[-1]
-    assert mask_last.all()
-    # k_start grows by batch size; each point keeps its own trial index
+            unique.append(h)
+    assert task.visible.shape == (len(curve.batches), len(unique))
+    # before batch b (from 1) a rule is visible iff it parsed and its
+    # source batch is unset or at most b; batch 1 sees only batch-1 proposals
+    for b, visible in enumerate(task.visible, start=1):
+        expected = [h.parsed and (h.source_batch is None or h.source_batch <= b) for h in unique]
+        assert visible.tolist() == expected, b
+    assert task.visible[-1].tolist() == [h.parsed for h in unique]
+    assert not task.visible[0].all() and task.visible[0].any()
+    # each trial carries its own batch index, in trial order
     sizes = [len(b) for b in curve.batches]
-    starts = [k for k, _, _, _, _ in task.points]
-    assert starts[0] == 0 and starts[-1] == sum(sizes[:-1])
-    assert [k for _, k, _, _, _ in task.points] == list(range(len(curve.trials)))
+    assert task.batch.tolist() == [b for b, n in enumerate(sizes) for _ in range(n)]
+    assert np.flatnonzero(task.batch == task.batch[-1])[0] == sum(sizes[:-1])
 
 
 def test_run_number_experiment_with_fixed_params(fixtures_dir):
@@ -136,6 +138,47 @@ def test_online_experiment_results(fixtures_dir):
     assert len(per_batch) == 15
     assert per_batch[-1]["accuracy"] >= 0.9
     assert per_batch[0]["map_nl"] == curve.ground_truth_nl
+
+
+def test_online_experiment_per_batch_diagnostics():
+    """Each batch reports the accuracy, MAP rule, effective sample size
+    and largest weight of the posterior the scalar functions give."""
+    cfg = ExperimentConfig(domain="shape", prior="uniform", feature_dim=0)
+    params = ModelParams(theta=np.zeros(0), epsilon=0.1, alpha=0.4, beta=0.8, temperature=0.7)
+    curve, pool = synthetic_shape_curve(), synthetic_shape_pool()
+    _, records, details = run_online_experiment(cfg, [curve], {curve.concept_id: pool}, params)
+    per_batch = details[curve.concept_id]["per_batch"]
+    assert [row["batch"] for row in per_batch] == [1, 2, 3, 4, 5]
+    # nothing is visible before batch 2
+    assert per_batch[0] == {"batch": 1, "accuracy": 0.5, "map_nl": None, "ess": 0.0, "max_weight": 0.0}
+    cache, seen = EvalCache(), 0
+    unique, _ = dedup_pool(pool)
+    for b, (batch, row) in enumerate(zip(curve.batches, per_batch), start=1):
+        visible = [h for h in unique if h.source_batch is None or h.source_batch <= b]
+        loglik = pool_shape_logliks(
+            visible, curve.trials[:seen], params.epsilon, params.alpha, params.beta, cache
+        )
+        state = dedup_weights(visible, Uniform(), loglik, params.temperature)
+        preds = [r.prediction for r in records[seen : seen + len(batch)]]
+        assert row["accuracy"] == np.mean([(p >= 0.5) == t.label for p, t in zip(preds, batch)])
+        seen += len(batch)
+        if state.degenerate:
+            continue
+        assert row["map_nl"] == state.map_hypothesis().nl_text
+        assert row["ess"] == pytest.approx(state.diagnostics["ess"], rel=1e-12)
+        assert row["max_weight"] == pytest.approx(state.diagnostics["max_weight"], rel=1e-12)
+        assert 1.0 <= row["ess"] <= sum(h.parsed for h in visible)
+
+
+@pytest.mark.parametrize("dsl_srcs", [[], ["???", "this.color =="]], ids=["empty", "unparsed"])
+def test_online_experiment_without_live_rules_predicts_noise(dsl_srcs):
+    cfg = ExperimentConfig(domain="shape", prior="tuned", feature_dim=8)
+    params = ModelParams(theta=np.ones(8), epsilon=0.2, alpha=0.3, beta=0.5)
+    curve = synthetic_shape_curve()
+    pool = [io.make_hypothesis(f"rule {i}", src, "shape") for i, src in enumerate(dsl_srcs)]
+    _, records, details = run_online_experiment(cfg, [curve], {curve.concept_id: pool}, params)
+    assert [r.prediction for r in records] == [pytest.approx(0.2 * 0.3)] * len(curve.trials)
+    assert all(row["map_nl"] is None for row in details[curve.concept_id]["per_batch"])
 
 
 def test_online_experiment_causality(fixtures_dir):

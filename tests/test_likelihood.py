@@ -126,6 +126,12 @@ def test_empty_trial_sequence_is_zero():
     assert decayed_sequence_loglik(GT, [], 0.1, 0.5, 1.0) == 0.0
 
 
+def test_domain_mismatch_is_the_dsl_error():
+    from nlconcepts import dsl, likelihood
+
+    assert likelihood.DomainMismatch is dsl.DomainMismatch
+
+
 def test_pool_shape_logliks_marks_unparsed():
     junk = make_hypothesis("mystery", "???", "shape")
     trials = [Trial([TRI], TRI, True)]

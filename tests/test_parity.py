@@ -2,14 +2,16 @@
 
 For random parameters, every prediction of the fit path
 (`fit.loss_and_grad`) must equal the inference path's prediction for
-the same datum within 1e-12, in both domains.
+the same datum within 1e-12, in both domains. In the shape domain both
+paths run the compiled forward pass, so both are checked against the
+scalar per-hypothesis functions, rebuilt batch by batch as the oracle.
 """
 
 import numpy as np
 import pytest
 
 from nlconcepts import io
-from nlconcepts.fit import loss_and_grad, pack_params
+from nlconcepts.fit import _unpack, loss_and_grad, pack_params
 from nlconcepts.harness import (
     ExperimentConfig,
     build_number_task,
@@ -18,12 +20,18 @@ from nlconcepts.harness import (
     prior_spec_for,
     run_online_experiment,
 )
-from nlconcepts.likelihood import EvalCache, pool_number_logliks
-from nlconcepts.posterior import dedup_weights, platt, predict_membership
+from nlconcepts.likelihood import EvalCache, pool_number_logliks, pool_shape_logliks
+from nlconcepts.posterior import (
+    dedup_pool,
+    dedup_weights,
+    platt,
+    predict_membership,
+    predict_response,
+)
 from nlconcepts.prior import FeatureExtractor
 from nlconcepts.types import ModelParams
 
-from conftest import FIXTURES
+from conftest import FIXTURES, synthetic_shape_curve, synthetic_shape_pool
 
 TOL = 1e-12
 DIM = 16
@@ -92,23 +100,75 @@ def test_number_fit_path_matches_inference_path(prior):
         assert n_checked == len(records) == 48
 
 
+def scalar_online_predictions(cfg, pool, curve, params):
+    """The online protocol from the scalar functions: before each batch,
+    the visible rules' decayed log-likelihoods of all earlier trials,
+    deduplicated weights, then each trial's expected response."""
+    extractor = FeatureExtractor(dim=cfg.feature_dim)
+    prior = prior_spec_for(cfg, params, extractor)
+    cache = EvalCache()
+    unique, _ = dedup_pool(pool)
+    preds, seen = [], 0
+    for b, batch in enumerate(curve.batches, start=1):
+        visible = [h for h in unique if h.source_batch is None or h.source_batch <= b]
+        loglik = pool_shape_logliks(
+            visible, curve.trials[:seen], params.epsilon, params.alpha, params.beta, cache
+        )
+        state = dedup_weights(visible, prior, loglik, params.temperature)
+        for t in batch:
+            if state.degenerate:
+                preds.append(params.epsilon * params.alpha)
+            else:
+                preds.append(predict_response(state, t, params.epsilon, params.alpha, cache))
+        seen += len(batch)
+    return preds
+
+
+def assert_shape_paths_match_oracle(cfg, pool, curve, params):
+    """Online and fit-path predictions against the scalar oracle; the
+    fit path at the parameters its unconstrained vector encodes."""
+    _, online, _ = run_online_experiment(cfg, [curve], {curve.concept_id: pool}, params)
+    want = scalar_online_predictions(cfg, pool, curve, params)
+    assert [r.datum_id for r in online] == [f"{curve.concept_id}:{k}" for k in range(len(want))]
+    gaps = [abs(r.prediction - w) for r, w in zip(online, want)]
+    assert max(gaps) <= TOL, (params, max(gaps))
+
+    task = build_shape_task(cfg, pool, curve, FeatureExtractor(dim=cfg.feature_dim), EvalCache())
+    u = pack_params(params)
+    _, _, records = loss_and_grad(u, [task], cfg.feature_dim, want_grad=False)
+    want = scalar_online_predictions(cfg, pool, curve, _unpack(u, cfg.feature_dim))
+    assert [datum_id for datum_id, _, _ in records] == [r.datum_id for r in online]
+    gaps = [abs(pred - w) for (_, pred, _), w in zip(records, want)]
+    assert max(gaps) <= TOL, (params, max(gaps))
+
+
 @pytest.mark.parametrize("prior", ["uniform", "tuned"])
 def test_shape_fit_path_matches_online_experiment(prior):
     cfg = config("shape", prior)
     curve = io.load_learning_curve(FIXTURES / "shape" / "green_triangles_curve.json")
     pool = io.load_pool(FIXTURES / "shape" / "green_triangles_pool.jsonl", "shape")
-    task = build_shape_task(
-        cfg, pool, curve, FeatureExtractor(dim=cfg.feature_dim), EvalCache()
-    )
     rng = np.random.default_rng(12)
     for _ in range(3):
-        params = random_params(rng, cfg.feature_dim)
-        _, _, records = loss_and_grad(
-            pack_params(params), [task], cfg.feature_dim, want_grad=False
-        )
-        _, online, _ = run_online_experiment(
-            cfg, [curve], {curve.concept_id: pool}, params
-        )
-        assert [datum_id for datum_id, _, _ in records] == [r.datum_id for r in online]
-        gaps = [abs(pred - r.prediction) for (_, pred, _), r in zip(records, online)]
-        assert max(gaps) <= TOL, max(gaps)
+        assert_shape_paths_match_oracle(cfg, pool, curve, random_params(rng, cfg.feature_dim))
+
+
+SPECIAL_PARAMS = [
+    dict(epsilon=0.1, alpha=0.4, beta=0.0, temperature=1.0),
+    dict(epsilon=0.2, alpha=0.6, beta=8.0, temperature=1.3),
+    dict(epsilon=0.15, alpha=0.5, beta=1.0, temperature=0.05),
+    dict(epsilon=1e-4, alpha=0.3, beta=0.7, temperature=0.8),
+    dict(epsilon=1e-4, alpha=0.7, beta=0.0, temperature=0.05),
+]
+
+
+@pytest.mark.parametrize("prior", ["uniform", "tuned"])
+@pytest.mark.parametrize("special", SPECIAL_PARAMS, ids=lambda p: "-".join(f"{v:g}" for v in p.values()))
+def test_shape_paths_match_scalar_oracle_on_synthetic_pool(prior, special):
+    cfg = config("shape", prior)
+    pool, curve = synthetic_shape_pool(), synthetic_shape_curve()
+    task = build_shape_task(cfg, pool, curve, FeatureExtractor(dim=cfg.feature_dim), EvalCache())
+    assert not task.visible[0].any() and task.visible[1].any()
+    assert len(dedup_pool(pool)[0]) == len(pool) - 2
+    rng = np.random.default_rng(13)
+    params = ModelParams(theta=rng.normal(0, 0.5, cfg.feature_dim), **special)
+    assert_shape_paths_match_oracle(cfg, pool, curve, params)

@@ -17,6 +17,7 @@ from nlconcepts.posterior import (
     platt,
     predict_membership,
     predict_response,
+    weight_diagnostics,
 )
 from nlconcepts.prior import External, Uniform
 from nlconcepts.types import Hypothesis, NumberExampleSet, ShapeObject, Trial, Unparsed
@@ -113,6 +114,20 @@ def test_unparsed_kept_with_zero_weight():
     assert state.weights[-1] == 0.0
     assert state.diagnostics["unparsed"] == 1
     assert state.weights.sum() == pytest.approx(1.0)
+
+
+def test_weight_diagnostics_effective_sample_size():
+    one_hot = weight_diagnostics([0.0, 1.0, 0.0])
+    assert one_hot == {"ess": 1.0, "max_weight": 1.0}
+    for n in (1, 4, 7):
+        uniform = weight_diagnostics(np.full(n, 1.0 / n))
+        assert uniform["ess"] == pytest.approx(n, rel=1e-12)
+        assert uniform["max_weight"] == pytest.approx(1.0 / n)
+    assert weight_diagnostics(np.zeros(3)) == {"ess": 0.0, "max_weight": 0.0}
+    # the posterior reports them alongside its other diagnostics
+    state, _ = posterior(POOL, X)
+    assert state.diagnostics["ess"] == pytest.approx(1.0 / np.sum(state.weights**2))
+    assert state.diagnostics["max_weight"] == state.weights.max()
 
 
 def test_degenerate_pool():
