@@ -4,24 +4,36 @@ ablation."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import expit, logit
 
 from . import io
-from .fit import AdamState, adam_step, kfold_split, r_squared
+from .fit import (
+    AdamState,
+    adam_step,
+    kfold_split,
+    number_weights,
+    pack_params,
+    r_squared,
+    shape_forward,
+    stack_tasks,
+)
 from .harness import (
     ExperimentConfig,
     PredictionRecord,
-    _load_number_pools,
+    build_shape_task,
     group_judgments,
+    map_rules,
+    number_tasks,
     run_number_experiment,
 )
-from .likelihood import EvalCache, pool_number_logliks, pool_shape_logliks
-from .posterior import ZERO_CUTOFF, dedup_pool
+from .posterior import platt
+from .prior import FeatureExtractor
 from .propose.prompts import serialize_numbers, serialize_shape_batches
-from .types import Hypothesis, LearningCurve
+from .types import Hypothesis, LearningCurve, ModelParams
 
 
 class AllSamplesDiscarded(RuntimeError):
@@ -52,11 +64,6 @@ def fit_platt(raw: Sequence[float], targets: Sequence[float], epochs: int = 1000
     return float(u[0]), float(u[1])
 
 
-def apply_platt(raw: float, a: float, b: float) -> float:
-    p = min(max(raw, 1e-6), 1.0 - 1e-6)
-    return float(expit(b + a * logit(p)))
-
-
 def _calibrated_records(
     raw_by_id: Dict[str, Tuple[float, float]],  # id -> (raw pred, human)
     k_folds: int,
@@ -73,7 +80,7 @@ def _calibrated_records(
         for i in holdout_ids:
             raw, human = raw_by_id[i]
             records.append(
-                PredictionRecord(i, apply_platt(raw, a, b), human, "holdout")
+                PredictionRecord(i, platt(raw, a, b), human, "holdout")
             )
     return records
 
@@ -89,20 +96,9 @@ def _r2_metrics(records: Sequence[PredictionRecord]) -> Dict[str, float]:
 
 # ---------------------------------------------------------------------------
 # Latent language baseline: MLE over a single hypothesis
-
-
-def mle_hypothesis(
-    pool: Sequence[Hypothesis], loglik: Sequence[float]
-) -> Tuple[Hypothesis, int]:
-    """Single best hypothesis by data likelihood; ties break toward the
-    earliest pool entry."""
-    loglik = np.asarray(loglik, dtype=float)
-    alive = np.array([h.parsed for h in pool]) & (loglik > ZERO_CUTOFF)
-    if not np.any(alive):
-        raise NoViableHypothesis("pool has no consistent parsed hypothesis")
-    masked = np.where(alive, loglik, -np.inf)
-    best = int(np.argmax(masked))  # argmax keeps the first maximizer
-    return pool[best], best
+#
+# The maximum-likelihood hypothesis is the first argmax of the compiled
+# posterior's weights under a uniform prior at temperature 1.
 
 
 def latent_language_number(
@@ -110,26 +106,21 @@ def latent_language_number(
     judgments=None,
     pools: Optional[Dict[str, List[Hypothesis]]] = None,
 ):
-    """Per example set, keep only the maximum-likelihood hypothesis and
-    predict its membership indicator through a cross-validated Platt
-    transform. Returns (metrics, records, chosen NL per set)."""
-    if judgments is None:
-        judgments = io.load_number_judgments(cfg.data_path)
-    if pools is None:
-        pools = _load_number_pools(cfg)
-    epsilon = cfg.params.epsilon if cfg.params is not None else 0.1
-    cache = EvalCache()
+    """Per example set, keep only the maximum-likelihood hypothesis
+    (ties break toward the earliest pool entry) and predict its
+    membership indicator through a cross-validated Platt transform.
+    Returns (metrics, records, chosen NL per set)."""
+    tasks = number_tasks(replace(cfg, prior="uniform", weighting="dedup"), judgments, pools)
+    params = ModelParams(epsilon=cfg.params.epsilon if cfg.params is not None else 0.1)
+    weights, _, _ = number_weights(pack_params(params)[None], stack_tasks(list(tasks.values())), 0)
     raw_by_id: Dict[str, Tuple[float, float]] = {}
     chosen: Dict[str, str] = {}
-    for set_id, group in group_judgments(judgments, pools).items():
-        pool, _ = dedup_pool(pools[set_id])
-        loglik = pool_number_logliks(pool, group[0].example_set, epsilon, cache)
-        best, _ = mle_hypothesis(pool, loglik)
-        chosen[set_id] = best.nl_text
-        extension = cache.extension(best)
-        for j in group:
-            raw = float(j.test_number in extension)
-            raw_by_id[f"{set_id}:{j.test_number}"] = (raw, j.mean_rating)
+    for (set_id, task), w in zip(tasks.items(), weights[0]):
+        if not task.parsed.any():
+            raise NoViableHypothesis(f"pool for {set_id} has no parsed hypothesis")
+        best = int(np.argmax(w))
+        chosen[set_id] = task.names[best]
+        raw_by_id.update(zip(task.ids, zip(task.test_member[:, best], task.targets)))
     records = _calibrated_records(raw_by_id, cfg.k_folds, cfg.seed)
     return _r2_metrics(records), records, chosen
 
@@ -139,55 +130,29 @@ def latent_language_shape(
     curves: Sequence[LearningCurve],
     pools: Dict[str, List[Hypothesis]],
 ):
-    """Online MLE: each batch keeps only the hypothesis that best
+    """Online MLE: each batch keeps only the visible rule that best
     explains the previous trials. Predictions use the usual response
-    noise model. Returns (metrics, records, per-curve chosen NL)."""
-    params = cfg.params
-    eps = params.epsilon if params else 0.1
-    alpha = params.alpha if params else 0.5
-    beta = params.beta if params else 0.0
-    cache = EvalCache()
+    noise model, eps * alpha while no rule is visible. Returns (metrics,
+    records, per-curve chosen NL per batch, None where no rule is visible)."""
+    params = replace(cfg.params or ModelParams(), temperature=1.0)
+    uniform = replace(cfg, prior="uniform")
+    extractor = FeatureExtractor(dim=cfg.feature_dim)
     records: List[PredictionRecord] = []
-    labels: List[bool] = []
     chosen: Dict[str, List[Optional[str]]] = {}
     for curve in curves:
-        pool_all, _ = dedup_pool(pools[curve.concept_id])
-        trials = curve.trials
-        seen = 0
-        trial_index = 0
-        per_batch_nl: List[Optional[str]] = []
-        for b, batch in enumerate(curve.batches, start=1):
-            visible = [
-                h for h in pool_all if h.source_batch is None or h.source_batch <= b
-            ]
-            loglik = pool_shape_logliks(
-                visible, trials[:seen], eps, alpha, beta, cache
-            )
-            try:
-                best, _ = mle_hypothesis(visible, loglik)
-            except NoViableHypothesis:
-                best = None
-            per_batch_nl.append(best.nl_text if best else None)
-            for t in batch:
-                if best is None:
-                    pred = eps * alpha
-                else:
-                    c = float(cache.trial_member(best, t))
-                    pred = (1.0 - eps) * c + eps * alpha
-                human = (
-                    curve.human_positive_rate[trial_index]
-                    if trial_index < len(curve.human_positive_rate)
-                    else None
-                )
-                records.append(
-                    PredictionRecord(
-                        f"{curve.concept_id}:{trial_index}", pred, human, "holdout"
-                    )
-                )
-                labels.append(t.label)
-                trial_index += 1
-            seen += len(batch)
-        chosen[curve.concept_id] = per_batch_nl
+        task = build_shape_task(uniform, pools[curve.concept_id], curve, extractor)
+        _, weights, _ = shape_forward(task, params)
+        best = map_rules(task, weights)
+        chosen[curve.concept_id] = [None if s is None else task.names[s] for s in best]
+        truth = np.array(
+            [0.0 if best[b] is None else task.consist[best[b], k] for k, b in enumerate(task.batch)]
+        )
+        preds = (1.0 - params.epsilon) * truth + params.epsilon * params.alpha
+        records.extend(
+            PredictionRecord(i, float(p), h, "holdout")
+            for i, p, h in zip(task.ids, preds, curve.human_positive_rate)
+        )
+    labels = [t.label for curve in curves for t in curve.trials]
     metrics = {
         "accuracy": float(
             np.mean([(r.prediction >= 0.5) == y for r, y in zip(records, labels)])

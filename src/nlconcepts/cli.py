@@ -20,7 +20,7 @@ from .dsl import SHAPE as SHAPE_DOMAIN
 from .fit import FitConfig
 from .likelihood import EvalCache, pool_number_logliks, pool_shape_logliks
 from .posterior import dedup_weights
-from .prior import External, FeatureExtractor, Tuned, Uniform
+from .prior import FeatureExtractor
 from .propose import (
     ChatClient,
     LiveBackend,
@@ -111,18 +111,11 @@ def _cmd_translate(args) -> int:
     return 0
 
 
-def _prior_from_args(args, params: ModelParams):
-    if args.prior == "tuned":
-        return Tuned(params.theta, FeatureExtractor(dim=len(params.theta)))
-    if args.prior == "external":
-        return External(io.load_score_file(args.scores))
-    return Uniform()
-
-
 def _cmd_infer(args) -> int:
     params = _load_params(args.params) if args.params else ModelParams()
     cache = EvalCache()
-    prior = _prior_from_args(args, params)
+    cfg = harness.ExperimentConfig(args.domain, prior=args.prior, scores_path=args.scores or "")
+    prior = harness.prior_spec_for(cfg, params, FeatureExtractor(dim=len(params.theta)))
     if args.domain == "number":
         pool = io.load_pool(args.pool, NUMBER_DOMAIN)
         examples = _parse_examples(args.examples)

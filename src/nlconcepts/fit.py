@@ -114,6 +114,7 @@ class NumberTask:
     test_member: np.ndarray  # (n_tests, S)
     targets: np.ndarray  # (n_tests,)
     ids: List[str]
+    names: List[str]  # (S,) NL text of each hypothesis
 
     domain: str = "number"
 
@@ -131,6 +132,7 @@ class ShapeTask:
     visible: np.ndarray  # (B, S) rule parsed and joined by batch b
     targets: np.ndarray  # (K,)
     ids: List[str]
+    names: List[str]  # (S,) NL text of each rule
 
     domain: str = "shape"
 
@@ -215,14 +217,13 @@ def _softmax_masked(scores: np.ndarray, alive: np.ndarray) -> np.ndarray:
     return np.divide(e, total, out=np.zeros_like(e), where=total > 0)
 
 
-def _number_rows(stack, batch: TaskBatch, dim, rows, grad):
-    """(loss (F,) over each fit's `rows`, predictions (F, N)) of the
-    number rows; adds d(loss)/du into grad (F, P) when given."""
+def number_weights(stack, batch: TaskBatch, dim):
+    """Posterior weights (F, T, S) of every number task under each
+    parameter vector of `stack`, with the log-weights (log prior + log
+    likelihood) they are the tempered softmax of and each inside
+    example's likelihood g_in (both (F, T, S))."""
     eps = expit(stack[:, dim])[:, None, None]
     temp = np.exp(np.clip(stack[:, dim + 3], -700, 700))[:, None, None]
-    a, b = stack[:, dim + 4, None], stack[:, dim + 5, None]
-    alive = batch.alive
-
     log_prior = batch.base_logprior
     if batch.features is not None:
         log_prior = log_prior + np.einsum("tsd,fd->fts", batch.features, stack[:, :dim])
@@ -231,8 +232,16 @@ def _number_rows(stack, batch: TaskBatch, dim, rows, grad):
     g_out = eps / 100.0
     loglik = batch.n_inside * np.log(np.maximum(g_in, 1e-300))
     loglik = loglik + batch.n_outside * np.log(np.maximum(g_out, 1e-300))
-    log_unnorm = log_prior + np.where(alive, loglik, 0.0)
-    w = _softmax_masked(log_unnorm / temp, alive)  # (F, T, S)
+    log_unnorm = log_prior + np.where(batch.alive, loglik, 0.0)
+    return _softmax_masked(log_unnorm / temp, batch.alive), log_unnorm, g_in
+
+
+def _number_rows(stack, batch: TaskBatch, dim, rows, grad):
+    """(loss (F,) over each fit's `rows`, predictions (F, N)) of the
+    number rows; adds d(loss)/du into grad (F, P) when given."""
+    w, log_unnorm, g_in = number_weights(stack, batch, dim)
+    a, b = stack[:, dim + 4, None], stack[:, dim + 5, None]
+    alive = batch.alive
 
     w_rows = w[:, batch.row_task]  # (F, N, S)
     p_raw = np.einsum("ns,fns->fn", batch.test_member, w_rows)
@@ -254,6 +263,9 @@ def _number_rows(stack, batch: TaskBatch, dim, rows, grad):
         # dp_n/ds_s = w_s (t_ns - p_n); collapse over each task's rows
         per_row = (batch.test_member - p_raw[:, :, None]) * w_rows * dl_dp[:, :, None]
         one_hot = np.eye(len(alive))[batch.row_task]  # (N, T)
+        eps = expit(stack[:, dim])[:, None, None]
+        temp = np.exp(np.clip(stack[:, dim + 3], -700, 700))[:, None, None]
+        g_out = eps / 100.0
         coeff = np.einsum("fns,nt->fts", per_row, one_hot) / temp  # (F, T, S)
         if batch.features is not None:
             grad[:, :dim] += np.einsum("fts,tsd->fd", coeff, batch.features)

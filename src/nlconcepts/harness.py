@@ -21,16 +21,18 @@ from .fit import (
     FitResult,
     NumberTask,
     ShapeTask,
+    TaskBatch,
     fit_params,
     kfold_split,
     loss_and_grad,
+    number_weights,
     pack_params,
     r_squared,
     shape_forward,
     stack_tasks,
 )
 from .likelihood import EvalCache
-from .posterior import MissingLogQ, dedup_pool, dedup_weights, weight_diagnostics
+from .posterior import MissingLogQ, dedup_pool, weight_diagnostics
 from .prior import FEATURE_DIM, External, FeatureExtractor, Tuned, Uniform
 from .types import (
     HumanNumberJudgment,
@@ -138,6 +140,7 @@ def build_number_task(
         test_member=test_member,
         targets=np.array([r for _, r, _ in tests]),
         ids=[i for _, _, i in tests],
+        names=[h.nl_text for h in unique],
     )
 
 
@@ -173,6 +176,7 @@ def build_shape_task(
         visible=joins <= np.arange(1, len(curve.batches) + 1)[:, None],
         targets=np.array(rates, dtype=float),
         ids=[f"{curve.concept_id}:{k}" for k in range(len(trials))],
+        names=[h.nl_text for h in unique],
     )
 
 
@@ -212,6 +216,27 @@ def _load_number_pools(cfg: ExperimentConfig) -> Dict[str, List[Hypothesis]]:
     return pools
 
 
+def number_tasks(
+    cfg: ExperimentConfig,
+    judgments: Optional[Sequence[HumanNumberJudgment]],
+    pools: Optional[Dict[str, List[Hypothesis]]],
+) -> Dict[str, NumberTask]:
+    """Each example set's judgments compiled against its pool, by set
+    id; judgments and pools are loaded from `cfg` when None."""
+    if judgments is None:
+        judgments = io.load_number_judgments(cfg.data_path)
+    if pools is None:
+        pools = _load_number_pools(cfg)
+    extractor = FeatureExtractor(dim=cfg.feature_dim)
+    cache = EvalCache()
+    tasks = {}
+    for set_id, group in group_judgments(judgments, pools).items():
+        tests = [(j.test_number, j.mean_rating, f"{set_id}:{j.test_number}") for j in group]
+        example_set = group[0].example_set
+        tasks[set_id] = build_number_task(cfg, pools[set_id], example_set, tests, extractor, cache)
+    return tasks
+
+
 def run_number_experiment(
     cfg: ExperimentConfig,
     judgments: Optional[Sequence[HumanNumberJudgment]] = None,
@@ -221,20 +246,8 @@ def run_number_experiment(
 
     Returns (metrics dict, prediction records, per-set top verbalizations).
     """
-    if judgments is None:
-        judgments = io.load_number_judgments(cfg.data_path)
-    if pools is None:
-        pools = _load_number_pools(cfg)
-    by_set = group_judgments(judgments, pools)
-    extractor = FeatureExtractor(dim=cfg.feature_dim)
-    cache = EvalCache()
-
-    tasks = []
-    for set_id, group in by_set.items():
-        tests = [(j.test_number, j.mean_rating, f"{set_id}:{j.test_number}") for j in group]
-        example_set = group[0].example_set
-        tasks.append(build_number_task(cfg, pools[set_id], example_set, tests, extractor, cache))
-    batch = stack_tasks(tasks)
+    tasks = number_tasks(cfg, judgments, pools)
+    batch = stack_tasks(list(tasks.values()))
     if cfg.params is not None:
         final_params = cfg.params
         u = pack_params(final_params)
@@ -255,34 +268,31 @@ def run_number_experiment(
         "holdout_r2": r_squared(preds, targets),
         "n_predictions": len(records),
     }
-    verbalizations = number_top_verbalizations(
-        cfg, pools, {s: g[0].example_set for s, g in by_set.items()}, final_params, extractor, cache
-    )
+    verbalizations = number_top_verbalizations(tasks, batch, final_params)
     return metrics, records, verbalizations
 
 
 def number_top_verbalizations(
-    cfg: ExperimentConfig,
-    pools: Dict[str, List[Hypothesis]],
-    example_sets: Dict[str, NumberExampleSet],
+    tasks: Dict[str, NumberTask],
+    batch: TaskBatch,
     params: ModelParams,
-    extractor: FeatureExtractor,
-    cache: EvalCache,
     top_k: int = 5,
 ) -> Dict[str, List[Tuple[str, float]]]:
-    """Highest-weight hypotheses per example set under given params."""
-    from .likelihood import pool_number_logliks
-
-    prior = prior_spec_for(cfg, params, extractor)
+    """Highest-weight hypotheses per example set: the posterior weights
+    the model predicts from at `params`, read off `batch`, the tasks
+    compiled together."""
+    weights, _, _ = number_weights(pack_params(params)[None], batch, len(params.theta))
     out = {}
-    for set_id, pool in pools.items():
-        loglik = pool_number_logliks(pool, example_sets[set_id], params.epsilon, cache)
-        state = dedup_weights(pool, prior, loglik, params.temperature)
-        order = np.argsort(-state.weights, kind="stable")[:top_k]
-        out[set_id] = [
-            (state.pool[i].nl_text, float(state.weights[i])) for i in order
-        ]
+    for (set_id, task), w in zip(tasks.items(), weights[0]):
+        order = np.argsort(-w[: len(task.names)], kind="stable")[:top_k]
+        out[set_id] = [(task.names[i], float(w[i])) for i in order]
     return out
+
+
+def map_rules(task: ShapeTask, weights: np.ndarray) -> List[Optional[int]]:
+    """Per batch, the first rule of largest weight; None where no rule
+    is visible."""
+    return [int(np.argmax(w)) if v.any() else None for w, v in zip(weights, task.visible)]
 
 
 # ---------------------------------------------------------------------------
@@ -318,26 +328,22 @@ def run_online_experiment(
     records: List[PredictionRecord] = []
     details = {}
     for curve in curves:
-        pool = pools[curve.concept_id]
-        task = build_shape_task(cfg, pool, curve, extractor)
+        task = build_shape_task(cfg, pools[curve.concept_id], curve, extractor)
         preds, weights, _ = shape_forward(task, params)
-        unique, _ = dedup_pool(pool)
         correct = (preds >= 0.5) == (task.labels > 0)
         curve_records = [
             PredictionRecord(i, float(p), h, "holdout")
             for i, p, h in zip(task.ids, preds, curve.human_positive_rate)
         ]
-        per_batch = []
-        for b, (w, visible) in enumerate(zip(weights, task.visible)):
-            map_nl = unique[int(np.argmax(w))].nl_text if visible.any() else None
-            per_batch.append(
-                {
-                    "batch": b + 1,
-                    "accuracy": float(correct[task.batch == b].mean()),
-                    "map_nl": map_nl,
-                    **weight_diagnostics(w),
-                }
-            )
+        per_batch = [
+            {
+                "batch": b + 1,
+                "accuracy": float(correct[task.batch == b].mean()),
+                "map_nl": None if s is None else task.names[s],
+                **weight_diagnostics(w),
+            }
+            for b, (s, w) in enumerate(zip(map_rules(task, weights), weights))
+        ]
         records.extend(curve_records)
         details[curve.concept_id] = {
             "per_batch": per_batch,

@@ -14,6 +14,13 @@ Shape domain: responses follow the concept with probability
 trials are down-weighted by a power-law memory decay: trial k of K gets
 weight (1 + K - k) ** -beta, so the most recent trial always has
 weight 1.
+
+These per-hypothesis functions are the scalar path. They serve the
+public posterior API (`nlconcepts infer`, the README quick start) and
+are the oracle the parity tests hold the compiled path to. Fitting,
+online evaluation, top-k verbalizations and the latent-language
+baselines run on the arrays `harness` compiles a pool into, through
+`fit.number_weights` and `fit.shape_forward`.
 """
 
 from __future__ import annotations

@@ -5,6 +5,10 @@ default, usable with proposal sources that hide their sample
 probabilities) and classic importance weights (requires per-sample log
 q). All weight arithmetic happens in log space via log-sum-exp; a
 learnable temperature exponentiates the unnormalized weights by 1/T.
+
+Like `likelihood`, this is the scalar path of the public posterior API
+and the parity tests' oracle; experiments compute the same weights from
+compiled arrays (`fit.number_weights`, `fit.shape_forward`).
 """
 
 from __future__ import annotations

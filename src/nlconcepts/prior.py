@@ -126,8 +126,3 @@ def prior_logweight(spec, h: Hypothesis) -> float:
             raise MissingFeature(key)
         return float(spec.scores[key])
     raise TypeError(f"unknown prior spec {spec!r}")
-
-
-def prior_logweight_grad_theta(extractor: FeatureExtractor, h: Hypothesis) -> np.ndarray:
-    """d/dtheta of the tuned log prior weight: just the feature vector."""
-    return extractor(h.nl_text)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,11 +55,12 @@ class Hypothesis:
     source_batch: Optional[int] = None
 
     def __post_init__(self):
-        if not canonicalize_nl(self.nl_text):
+        if not self.key:
             raise ValueError("hypothesis text is empty after normalization")
 
-    @property
+    @cached_property
     def key(self) -> str:
+        """Canonical NL, computed once: the instance is immutable."""
         return canonicalize_nl(self.nl_text)
 
     @property

@@ -6,22 +6,20 @@ from nlconcepts import io
 from nlconcepts.baselines import (
     AllSamplesDiscarded,
     NoViableHypothesis,
-    apply_platt,
     direct_llm_number,
     direct_number_prompt,
     direct_shape_prompt,
     fit_platt,
     latent_language_number,
     latent_language_shape,
-    mle_hypothesis,
     no_proposal_ablation,
     yes_no_ratio,
 )
 from nlconcepts.fit import FitConfig
 from nlconcepts.harness import ExperimentConfig
 from nlconcepts.io import make_hypothesis
-from nlconcepts.likelihood import EvalCache, pool_number_logliks
-from nlconcepts.types import ModelParams, NumberExampleSet, ShapeObject, Trial
+from nlconcepts.posterior import platt
+from nlconcepts.types import HumanNumberJudgment, ModelParams, NumberExampleSet, ShapeObject, Trial
 
 
 def test_fit_platt_recovers_known_transform():
@@ -32,26 +30,32 @@ def test_fit_platt_recovers_known_transform():
     a, b = fit_platt(raw, targets, epochs=4000, lr=0.01)
     assert a == pytest.approx(a_true, abs=0.05)
     assert b == pytest.approx(b_true, abs=0.05)
-    assert apply_platt(0.5, a, b) == pytest.approx(expit(b_true), abs=0.01)
+    assert platt(0.5, a, b) == pytest.approx(expit(b_true), abs=0.01)
 
 
-def test_mle_hypothesis_prefers_small_extension_and_breaks_ties_first():
-    pool = [
-        make_hypothesis("the number is even", "even(x)", "number"),
-        make_hypothesis("the number is a power of 2", "power(2, x)", "number"),
-        make_hypothesis("junk", "???", "number"),
+def latent_choice(pool, examples):
+    """The latent baseline's chosen NL for one hand-built example set."""
+    example_set = NumberExampleSet(examples)
+    judgments = [
+        HumanNumberJudgment(example_set, test, rating, "s")
+        for test, rating in [(16, 0.9), (6, 0.4), (23, 0.1)]
     ]
-    cache = EvalCache()
-    ll = pool_number_logliks(pool, NumberExampleSet([2, 4, 8]), 0.02, cache)
-    best, idx = mle_hypothesis(pool, ll)
-    assert best.nl_text == "the number is a power of 2"
+    cfg = ExperimentConfig(domain="number", params=ModelParams(epsilon=0.02), k_folds=3)
+    _, _, chosen = latent_language_number(cfg, judgments=judgments, pools={"s": pool})
+    return chosen["s"]
+
+
+def test_latent_language_number_prefers_small_extension_and_breaks_ties_first():
+    even = make_hypothesis("the number is even", "even(x)", "number")
+    power = make_hypothesis("the number is a power of 2", "power(2, x)", "number")
+    junk = make_hypothesis("junk", "???", "number")
+    assert latent_choice([even, power, junk], [2, 4, 8]) == power.nl_text
     # exact tie: first pool entry wins
-    tie = [pool[0], make_hypothesis("an even number", "even(x)", "number")]
-    ll_tie = pool_number_logliks(tie, NumberExampleSet([2]), 0.02, cache)
-    best_tie, _ = mle_hypothesis(tie, ll_tie)
-    assert best_tie is tie[0]
+    also_even = make_hypothesis("an even number", "even(x)", "number")
+    assert latent_choice([even, also_even], [2]) == even.nl_text
+    assert latent_choice([also_even, even], [2]) == also_even.nl_text
     with pytest.raises(NoViableHypothesis):
-        mle_hypothesis([pool[2]], pool_number_logliks([pool[2]], NumberExampleSet([2]), 0.02, cache))
+        latent_choice([junk], [2])
 
 
 def _fixture_cfg(fixtures_dir, prior="uniform"):

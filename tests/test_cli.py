@@ -1,8 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 
-from nlconcepts.cli import main
+from nlconcepts import io
+from nlconcepts.cli import _load_params, main
+from nlconcepts.likelihood import pool_number_logliks
+from nlconcepts.posterior import dedup_weights
+from nlconcepts.prior import FeatureExtractor, Tuned, Uniform
+from nlconcepts.types import NumberExampleSet
 
 
 def test_infer_number(fixtures_dir, capsys):
@@ -21,6 +27,39 @@ def test_infer_number(fixtures_dir, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["hypotheses"][0]["nl"] == "the number is a power of 2"
     assert not payload["degenerate"]
+
+
+def test_infer_number_tuned_prior(fixtures_dir, capsys):
+    """`infer --prior tuned` weighs the pool by the fitted theta."""
+    params_path = fixtures_dir / "params_true.json"
+    pool_path = fixtures_dir / "number" / "set01.jsonl"
+    rc = main(
+        [
+            "infer",
+            "--domain",
+            "number",
+            "--pool",
+            str(pool_path),
+            "--examples",
+            "2,4,8,16",
+            "--params",
+            str(params_path),
+            "--prior",
+            "tuned",
+        ]
+    )
+    assert rc == 0
+    got = json.loads(capsys.readouterr().out)["hypotheses"]
+    params = _load_params(params_path)
+    pool = io.load_pool(pool_path, "number")
+    loglik = pool_number_logliks(pool, NumberExampleSet([2, 4, 8, 16]), params.epsilon)
+    prior = Tuned(params.theta, FeatureExtractor(dim=len(params.theta)))
+    state = dedup_weights(pool, prior, loglik, params.temperature)
+    want = json.loads(state.to_json())["hypotheses"]
+    assert [h["nl"] for h in got] == [h["nl"] for h in want]
+    np.testing.assert_allclose([h["weight"] for h in got], [h["weight"] for h in want], atol=1e-12)
+    uniform = dedup_weights(pool, Uniform(), loglik, params.temperature)
+    assert got[0]["nl"] != uniform.map_hypothesis().nl_text
 
 
 def test_infer_shape(fixtures_dir, capsys):

@@ -17,10 +17,11 @@ from nlconcepts.harness import (
     run_number_experiment,
     run_online_experiment,
 )
-from nlconcepts.likelihood import EvalCache, pool_shape_logliks
-from nlconcepts.posterior import dedup_pool, dedup_weights
+from nlconcepts.likelihood import EvalCache, pool_number_logliks, pool_shape_logliks
+from nlconcepts.posterior import dedup_pool, dedup_weights, importance_weights
 from nlconcepts.prior import FeatureExtractor, Uniform
 from nlconcepts.types import (
+    HumanNumberJudgment,
     LearningCurve,
     ModelParams,
     NumberExampleSet,
@@ -123,6 +124,38 @@ def test_run_number_experiment_with_fixed_params(fixtures_dir):
     for top in verbalizations.values():
         weights = [w for _, w in top]
         assert weights == sorted(weights, reverse=True)
+
+
+def test_top_verbalizations_under_importance_weighting_correct_for_q():
+    """Top-k lists the weights the model predicts from: under importance
+    weighting they are divided by q and duplicates are not merged."""
+    pool = [
+        io.make_hypothesis("the number is even", "even(x)", "number", logq=-0.1),
+        io.make_hypothesis("an even number", "even(x)", "number", logq=-3.0),
+        io.make_hypothesis("the number is odd", "odd(x)", "number", logq=-0.5),
+        io.make_hypothesis("the number is even", "even(x)", "number", logq=-0.1),
+    ]
+    example_set = NumberExampleSet([2, 4])
+    judgments = [HumanNumberJudgment(example_set, t, r, "s") for t, r in [(6, 0.9), (7, 0.1)]]
+    params = ModelParams(epsilon=0.02)
+    tops = {}
+    for weighting in ("dedup", "importance"):
+        cfg = ExperimentConfig(domain="number", weighting=weighting, params=params)
+        _, _, top = run_number_experiment(cfg, judgments=judgments, pools={"s": pool})
+        tops[weighting] = top["s"]
+    # equal likelihoods: the first entry leads under dedup, log q reorders them
+    assert [nl for nl, _ in tops["dedup"]][:2] == ["the number is even", "an even number"]
+    assert [nl for nl, _ in tops["importance"]][:3] == [
+        "an even number",
+        "the number is even",
+        "the number is even",
+    ]
+    loglik = pool_number_logliks(pool, example_set, params.epsilon)
+    want = importance_weights(pool, Uniform(), loglik)
+    order = np.argsort(-want.weights, kind="stable")
+    assert [nl for nl, _ in tops["importance"]] == [pool[i].nl_text for i in order]
+    got = [w for _, w in tops["importance"]]
+    np.testing.assert_allclose(got, want.weights[order], rtol=0, atol=1e-12)
 
 
 def test_online_experiment_results(fixtures_dir):

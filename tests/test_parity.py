@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from nlconcepts import io
+from nlconcepts.baselines import _calibrated_records, latent_language_number, latent_language_shape
 from nlconcepts.fit import _unpack, loss_and_grad, pack_params
 from nlconcepts.harness import (
     ExperimentConfig,
@@ -18,10 +19,12 @@ from nlconcepts.harness import (
     build_shape_task,
     group_judgments,
     prior_spec_for,
+    run_number_experiment,
     run_online_experiment,
 )
 from nlconcepts.likelihood import EvalCache, pool_number_logliks, pool_shape_logliks
 from nlconcepts.posterior import (
+    ZERO_CUTOFF,
     dedup_pool,
     dedup_weights,
     platt,
@@ -172,3 +175,135 @@ def test_shape_paths_match_scalar_oracle_on_synthetic_pool(prior, special):
     rng = np.random.default_rng(13)
     params = ModelParams(theta=rng.normal(0, 0.5, cfg.feature_dim), **special)
     assert_shape_paths_match_oracle(cfg, pool, curve, params)
+
+
+# ---------------------------------------------------------------------------
+# Top-k verbalizations and the latent-language baselines
+
+
+def fixture_number_pools():
+    return {
+        f"set{i:02d}": io.load_pool(FIXTURES / "number" / f"set{i:02d}.jsonl", "number")
+        for i in range(1, 9)
+    }
+
+
+def fixture_number_config(prior, params):
+    cfg = config("number", prior)
+    cfg.data_path = str(FIXTURES / "number_judgments.csv")
+    cfg.pools = {set_id: "" for set_id in fixture_number_pools()}
+    cfg.params = params
+    return cfg
+
+
+TOPK_PARAMS = [
+    dict(epsilon=0.02, temperature=1.0),
+    dict(epsilon=0.3, temperature=0.5),
+    dict(epsilon=0.6, temperature=2.0),
+]
+
+
+@pytest.mark.parametrize("prior", ["uniform", "tuned"])
+@pytest.mark.parametrize("setting", TOPK_PARAMS, ids=["cold", "warm", "hot"])
+def test_number_top_verbalizations_match_dedup_weights(prior, setting):
+    rng = np.random.default_rng(14)
+    dim = DIM if prior == "tuned" else 0
+    params = ModelParams(theta=rng.normal(0, 1.0, dim), **setting)
+    cfg = fixture_number_config(prior, params)
+    pools = fixture_number_pools()
+    judgments = io.load_number_judgments(cfg.data_path)
+    _, _, top = run_number_experiment(cfg, judgments=judgments, pools=pools)
+
+    extractor = FeatureExtractor(dim=cfg.feature_dim)
+    prior_spec = prior_spec_for(cfg, params, extractor)
+    cache = EvalCache()
+    assert set(top) == set(pools)
+    for set_id, group in group_judgments(judgments, pools).items():
+        pool = pools[set_id]
+        loglik = pool_number_logliks(pool, group[0].example_set, params.epsilon, cache)
+        state = dedup_weights(pool, prior_spec, loglik, params.temperature)
+        order = np.argsort(-state.weights, kind="stable")[:5]
+        assert [nl for nl, _ in top[set_id]] == [state.pool[i].nl_text for i in order]
+        gaps = [abs(w - state.weights[i]) for (_, w), i in zip(top[set_id], order)]
+        assert max(gaps) <= TOL, (set_id, max(gaps))
+
+
+def first_argmax(pool, loglik):
+    """Index of the first parsed maximum-likelihood entry, or None."""
+    alive = np.array([h.parsed for h in pool], dtype=bool) & (loglik > ZERO_CUTOFF)
+    if not alive.any():
+        return None
+    return int(np.argmax(np.where(alive, loglik, -np.inf)))
+
+
+@pytest.mark.parametrize("epsilon", [None, 0.02, 0.4])
+def test_latent_language_number_matches_scalar_oracle(epsilon):
+    params = None if epsilon is None else ModelParams(epsilon=epsilon)
+    cfg = fixture_number_config("uniform", params)
+    pools = fixture_number_pools()
+    judgments = io.load_number_judgments(cfg.data_path)
+    metrics, records, chosen = latent_language_number(cfg, judgments=judgments, pools=pools)
+
+    eps = 0.1 if params is None else params.epsilon
+    cache = EvalCache()
+    raw_by_id, want_chosen = {}, {}
+    for set_id, group in group_judgments(judgments, pools).items():
+        pool, _ = dedup_pool(pools[set_id])
+        loglik = pool_number_logliks(pool, group[0].example_set, eps, cache)
+        best = pool[first_argmax(pool, loglik)]
+        want_chosen[set_id] = best.nl_text
+        for j in group:
+            raw = float(j.test_number in cache.extension(best))
+            raw_by_id[f"{set_id}:{j.test_number}"] = (raw, j.mean_rating)
+    want = _calibrated_records(raw_by_id, cfg.k_folds, cfg.seed)
+    assert chosen == want_chosen
+    assert [r.datum_id for r in records] == [r.datum_id for r in want]
+    assert max(abs(r.prediction - w.prediction) for r, w in zip(records, want)) <= TOL
+    assert metrics["n_predictions"] == 48
+
+
+def scalar_latent_shape(pool, curve, eps, alpha, beta):
+    """Before each batch, the first maximum-likelihood visible rule on
+    all earlier trials; its prediction, eps * alpha without one."""
+    cache = EvalCache()
+    unique, _ = dedup_pool(pool)
+    preds, chosen, seen = [], [], 0
+    for b, batch in enumerate(curve.batches, start=1):
+        visible = [h for h in unique if h.source_batch is None or h.source_batch <= b]
+        loglik = pool_shape_logliks(visible, curve.trials[:seen], eps, alpha, beta, cache)
+        best = first_argmax(visible, loglik)
+        chosen.append(None if best is None else visible[best].nl_text)
+        for t in batch:
+            c = 0.0 if best is None else float(cache.trial_member(visible[best], t))
+            preds.append((1.0 - eps) * c + eps * alpha)
+        seen += len(batch)
+    return preds, chosen
+
+
+LATENT_SHAPE_PARAMS = [
+    None,
+    ModelParams(epsilon=0.05, alpha=0.5, beta=0.5),
+    ModelParams(epsilon=0.3, alpha=0.2, beta=2.0, temperature=0.3),
+]
+
+
+@pytest.mark.parametrize("source", ["fixture", "synthetic"])
+@pytest.mark.parametrize("params", LATENT_SHAPE_PARAMS, ids=["default", "mild", "sharp"])
+def test_latent_language_shape_matches_scalar_oracle(source, params):
+    if source == "fixture":
+        curve = io.load_learning_curve(FIXTURES / "shape" / "green_triangles_curve.json")
+        pool = io.load_pool(FIXTURES / "shape" / "green_triangles_pool.jsonl", "shape")
+    else:
+        curve, pool = synthetic_shape_curve(), synthetic_shape_pool()
+    cfg = config("shape", "uniform")
+    cfg.params = params
+    metrics, records, chosen = latent_language_shape(cfg, [curve], {curve.concept_id: pool})
+
+    p = params or ModelParams(epsilon=0.1, alpha=0.5, beta=0.0)
+    want, want_chosen = scalar_latent_shape(pool, curve, p.epsilon, p.alpha, p.beta)
+    assert chosen == {curve.concept_id: want_chosen}
+    assert [r.datum_id for r in records] == [f"{curve.concept_id}:{k}" for k in range(len(want))]
+    assert max(abs(r.prediction - w) for r, w in zip(records, want)) <= TOL
+    assert [r.human for r in records] == list(curve.human_positive_rate)
+    if source == "synthetic":
+        assert want_chosen[0] is None and want_chosen[1] is not None

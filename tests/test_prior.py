@@ -11,7 +11,6 @@ from nlconcepts.prior import (
     Uniform,
     extract_features,
     prior_logweight,
-    prior_logweight_grad_theta,
 )
 
 
@@ -86,10 +85,6 @@ def test_tuned_prior_is_linear_in_theta():
     spec = Tuned(theta, ext)
     expected = float(theta @ ext("the number is even"))
     assert prior_logweight(spec, h()) == pytest.approx(expected)
-    # gradient is the feature vector itself
-    np.testing.assert_array_equal(
-        prior_logweight_grad_theta(ext, h()), ext("the number is even")
-    )
 
 
 def test_tuned_prior_dim_mismatch():

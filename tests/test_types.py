@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from nlconcepts.types import (
     HumanNumberJudgment,
+    Hypothesis,
     LearningCurve,
     ModelParams,
     NumberExampleSet,
@@ -33,6 +36,19 @@ def test_hypothesis_key_and_parsed():
     bad = make_hypothesis("junk", "???", "number")
     assert not bad.parsed
     assert isinstance(bad.program, Unparsed)
+
+
+def test_hypothesis_key_is_canonical_nl_after_replace():
+    h = Hypothesis("  The Number  is EVEN. ", Unparsed("x"))
+    assert h.key == canonicalize_nl(h.nl_text) == "the number is even"
+    assert h.key is h.key  # computed once
+    odd = replace(h, nl_text="The number is ODD.")
+    assert odd.key == canonicalize_nl(odd.nl_text) == "the number is odd"
+    assert h.key == "the number is even"
+    # the cached key takes no part in equality or hashing
+    assert h == Hypothesis("  The Number  is EVEN. ", Unparsed("x"))
+    assert hash(h) == hash(Hypothesis("  The Number  is EVEN. ", Unparsed("x")))
+    assert "key" not in repr(h)
 
 
 def test_hypothesis_rejects_empty_text():
