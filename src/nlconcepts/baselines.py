@@ -227,7 +227,7 @@ def direct_shape_prompt(past_batches, current_batch, test) -> str:
 
 def _direct_samples(backend, prompt: str) -> List[str]:
     params = {"temperature": 1.0, "n": DIRECT_SAMPLES, "max_tokens": 8}
-    return [c["text"] for c in backend._completions(prompt, params)]
+    return [c["text"] for c in backend.completions(prompt, params)]
 
 
 def direct_llm_number(cfg: ExperimentConfig, backend, judgments=None):

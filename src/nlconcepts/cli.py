@@ -2,7 +2,8 @@
 
 Every subcommand is a thin wrapper over the library; configuration comes
 from a JSON file (see ExperimentConfig.from_json) plus a few overriding
-flags. Exit status is 0 on success and 1 on any error.
+flags. Exit status is 0 on success, 1 on any error and 2 on a usage
+error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .posterior import dedup_weights
 from .prior import FeatureExtractor
 from .propose import (
     ChatClient,
-    LiveBackend,
     ProposalRequest,
     ReplayBackend,
     ReplayStore,
@@ -38,19 +38,17 @@ def _parse_examples(text: str) -> NumberExampleSet:
     return NumberExampleSet([int(x) for x in text.replace(",", " ").split()])
 
 
-def _make_backend(args):
+def _make_backend(args, domain: str):
     if args.backend == "static":
-        return StaticPoolBackend(args.pool, args.domain_kind)
-    store = ReplayStore(args.store)
-    if args.backend == "replay":
-        return ReplayBackend(store)
-    client = ChatClient(endpoint=args.endpoint, model=args.model)
-    return LiveBackend(client, store)
+        return StaticPoolBackend(args.pool, domain)
+    client = None if args.backend == "replay" else ChatClient(args.endpoint, args.model)
+    return ReplayBackend(ReplayStore(args.store), client)
 
 
-def _add_backend_flags(p, default="replay"):
-    p.add_argument("--backend", choices=("static", "replay", "live"), default=default)
-    p.add_argument("--pool", help="hypothesis file for the static backend")
+def _add_backend_flags(p, backends=("static", "replay", "live")):
+    p.add_argument("--backend", choices=backends, default="replay")
+    if "static" in backends:
+        p.add_argument("--pool", help="hypothesis file for the static backend")
     p.add_argument("--store", default="replay", help="replay store directory")
     p.add_argument("--endpoint", default="https://api.openai.com/v1")
     p.add_argument("--model", default="gpt-4")
@@ -78,13 +76,13 @@ def _cmd_propose(args) -> int:
     if args.domain == "number":
         examples = _parse_examples(args.examples)
         req_domain = "ablation_unconditioned" if args.unconditioned else "number"
-        args.domain_kind = NUMBER_DOMAIN
+        domain = NUMBER_DOMAIN
     else:
         curve = io.load_learning_curve(args.curve)
         batches = curve.batches[: args.upto_batch]
         req_domain = "shape_first_batch" if args.upto_batch <= 1 else "shape_first_order"
         examples = None if req_domain == "shape_first_batch" else batches
-        args.domain_kind = SHAPE_DOMAIN
+        domain = SHAPE_DOMAIN
     req = ProposalRequest(
         domain=req_domain,
         examples=examples,
@@ -92,8 +90,7 @@ def _cmd_propose(args) -> int:
         temperature=args.temperature,
         seed=args.seed,
     )
-    backend = _make_backend(args)
-    pool = propose(req, backend) if args.backend != "static" else backend.propose(req)
+    pool = propose(req, _make_backend(args, domain))
     io.save_pool(args.out, pool)
     print(f"wrote {len(pool)} hypotheses to {args.out}")
     return 0
@@ -101,10 +98,8 @@ def _cmd_propose(args) -> int:
 
 def _cmd_translate(args) -> int:
     domain = NUMBER_DOMAIN if args.domain == "number" else SHAPE_DOMAIN
-    args.domain_kind = domain
     pool = io.load_pool(args.infile, domain)
-    backend = _make_backend(args)
-    translated = translate_pool(pool, domain, backend)
+    translated = translate_pool(pool, domain, _make_backend(args, domain))
     io.save_pool(args.out, translated)
     n_parsed = sum(1 for h in translated if h.parsed)
     print(f"translated {len(translated)} hypotheses ({n_parsed} parsed) to {args.out}")
@@ -242,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", choices=("number", "shape"), required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    _add_backend_flags(p)
+    _add_backend_flags(p, backends=("replay", "live"))
     p.set_defaults(func=_cmd_translate)
 
     p = sub.add_parser("infer", help="posterior over a hypothesis pool")

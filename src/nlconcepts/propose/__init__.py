@@ -2,7 +2,6 @@
 
 from .backends import (
     EmptyPool,
-    LiveBackend,
     ReplayBackend,
     StaticPoolBackend,
     propose,
@@ -26,16 +25,16 @@ from .prompts import (
     parse_rule_list,
     round_robin_take,
 )
-from .replay import ReplayMiss, ReplayStore, fingerprint
+from .replay import CorruptEntry, ReplayMiss, ReplayStore, fingerprint
 
 __all__ = [
     "ABLATION",
     "API_KEY_VAR",
     "BackendUnavailable",
     "ChatClient",
+    "CorruptEntry",
     "DOMAINS",
     "EmptyPool",
-    "LiveBackend",
     "MissingLogprobSupport",
     "NUMBER",
     "ProposalRequest",

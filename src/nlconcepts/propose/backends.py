@@ -1,9 +1,12 @@
-"""Proposal providers: static pools, replay caches, and the live API.
+"""Proposal providers: static pools and the replay-store LM backend.
 
 A backend turns a ProposalRequest into a list of Hypothesis values.
-Live responses are always recorded into the replay store before use, so
-experiments run from replay are bitwise reproducible. Freshly proposed
-hypotheses carry no program yet; translate_nl_to_dsl compiles them.
+Every LM request (proposal, translation, prior score) goes through
+ReplayBackend.completions, which answers from the replay store. Only a
+miss on a backend given a ChatClient reaches the API, and that response
+is recorded before use, so a run without a client replays it bitwise.
+Freshly proposed hypotheses carry no program yet; translate_nl_to_dsl
+compiles them.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .client import ChatClient, MissingLogprobSupport
 from .prompts import (
     ABLATION,
     NUMBER,
-    SHAPE_FIRST_BATCH,
     SHAPE_FIRST_ORDER,
     SHAPE_PROPOSITIONAL,
     ProposalRequest,
@@ -29,7 +31,7 @@ from .prompts import (
     parse_rule_list,
     round_robin_take,
 )
-from .replay import ReplayMiss, ReplayStore
+from .replay import ReplayStore
 
 RULES_PER_LIST = 10
 
@@ -51,66 +53,68 @@ class StaticPoolBackend:
 
 
 class ReplayBackend:
-    """Replays recorded completions; raises ReplayMiss on unseen requests."""
+    """Answers every LM request through the replay store.
 
-    def __init__(self, store: ReplayStore):
+    Without a client a miss raises ReplayMiss. With one, a miss goes to
+    the API (a log-prob request when params["mode"] is "score", a chat
+    completion otherwise) and the response is recorded before use, so
+    a later client-less run on the same store replays it exactly.
+    """
+
+    def __init__(self, store: ReplayStore, client: Optional[ChatClient] = None):
         self.store = store
-
-    def _completions(self, prompt: str, params: Dict) -> List[Dict]:
-        return self.store.lookup(prompt, params)
-
-    def propose(self, req: ProposalRequest) -> List[Hypothesis]:
-        return _proposals_from_source(req, self._completions)
-
-    def translate(self, prompt: str, params: Dict) -> str:
-        return self._completions(prompt, params)[0]["text"]
-
-    def score(self, prompt: str, params: Dict) -> float:
-        completion = self._completions(prompt, params)[0]
-        if completion["logprob"] is None:
-            raise MissingLogprobSupport("recorded response carries no log-prob")
-        return completion["logprob"]
-
-
-class LiveBackend:
-    """Queries the API and records every raw response before use."""
-
-    def __init__(self, client: ChatClient, store: ReplayStore):
         self.client = client
-        self.store = store
 
-    def _completions(self, prompt: str, params: Dict) -> List[Dict]:
+    def completions(self, prompt: str, params: Dict) -> List[Dict]:
+        if self.client is None:
+            return self.store.lookup(prompt, params)
         cached = self.store.get(prompt, params)
         if cached is not None:
             return cached
-        completions = self.client.complete(
-            prompt,
-            temperature=params["temperature"],
-            n=params["n"],
-            max_tokens=params.get("max_tokens", 512),
-            stop=params.get("stop"),
-            logprobs=params.get("logprobs", False),
-        )
+        if params.get("mode") == "score":
+            logprob = self.client.score(params["prefix"], params["continuation"])
+            completions = [{"text": params["continuation"], "logprob": logprob}]
+        else:
+            completions = self.client.complete(
+                prompt,
+                temperature=params["temperature"],
+                n=params["n"],
+                max_tokens=params.get("max_tokens", 512),
+                stop=params.get("stop"),
+                logprobs=params.get("logprobs", False),
+            )
         self.store.record(prompt, params, completions)
         return completions
 
     def propose(self, req: ProposalRequest) -> List[Hypothesis]:
-        return _proposals_from_source(req, self._completions)
-
-    def translate(self, prompt: str, params: Dict) -> str:
-        return self._completions(prompt, params)[0]["text"]
-
-    def score(self, prompt: str, params: Dict) -> float:
-        cached = self.store.get(prompt, params)
-        if cached is not None:
-            if cached[0]["logprob"] is None:
-                raise MissingLogprobSupport("recorded response carries no log-prob")
-            return cached[0]["logprob"]
-        logprob = self.client.score(params["prefix"], params["continuation"])
-        self.store.record(
-            prompt, params, [{"text": params["continuation"], "logprob": logprob}]
-        )
-        return logprob
+        completions = self.completions(build_prompt(req), _request_params(req))
+        hypotheses: List[Hypothesis] = []
+        if req.domain in (NUMBER, ABLATION):
+            for c in completions:
+                line = c["text"].splitlines()[0] if c["text"].strip() else ""
+                h = _untranslated(f"the number is {line}", logq=c.get("logprob"))
+                if h:
+                    hypotheses.append(h)
+        elif req.domain == SHAPE_FIRST_ORDER:
+            lists = [parse_rule_list(c["text"]) for c in completions]
+            for rule in round_robin_take(lists, req.budget):
+                h = _untranslated(f"something is positive if {_strip_prefix(rule)}")
+                if h:
+                    hypotheses.append(h)
+        elif req.domain == SHAPE_PROPOSITIONAL:
+            for c in completions:
+                rules = parse_rule_lines(c["text"])
+                if rules:
+                    h = _untranslated(f"something is positive if it is {rules[0]}")
+                    if h:
+                        hypotheses.append(h)
+        else:  # first batch
+            rules = parse_rule_lines(completions[0]["text"])
+            for rule in rules[: req.budget]:
+                h = _untranslated(f"something is positive if it is {rule}")
+                if h:
+                    hypotheses.append(h)
+        return hypotheses[: req.budget]
 
 
 def _request_params(req: ProposalRequest) -> Dict:
@@ -139,39 +143,6 @@ def _untranslated(nl: str, logq=None, batch=None) -> Optional[Hypothesis]:
     return Hypothesis(
         nl_text=nl, program=Unparsed(""), proposal_logprob=logq, source_batch=batch
     )
-
-
-def _proposals_from_source(req: ProposalRequest, get_completions) -> List[Hypothesis]:
-    prompt = build_prompt(req)
-    params = _request_params(req)
-    completions = get_completions(prompt, params)
-    hypotheses: List[Hypothesis] = []
-    if req.domain in (NUMBER, ABLATION):
-        for c in completions:
-            line = c["text"].splitlines()[0] if c["text"].strip() else ""
-            h = _untranslated(f"the number is {line}", logq=c.get("logprob"))
-            if h:
-                hypotheses.append(h)
-    elif req.domain == SHAPE_FIRST_ORDER:
-        lists = [parse_rule_list(c["text"]) for c in completions]
-        for rule in round_robin_take(lists, req.budget):
-            h = _untranslated(f"something is positive if {_strip_prefix(rule)}")
-            if h:
-                hypotheses.append(h)
-    elif req.domain == SHAPE_PROPOSITIONAL:
-        for c in completions:
-            rules = parse_rule_lines(c["text"])
-            if rules:
-                h = _untranslated(f"something is positive if it is {rules[0]}")
-                if h:
-                    hypotheses.append(h)
-    else:  # first batch
-        rules = parse_rule_lines(completions[0]["text"])
-        for rule in rules[: req.budget]:
-            h = _untranslated(f"something is positive if it is {rule}")
-            if h:
-                hypotheses.append(h)
-    return hypotheses[: req.budget]
 
 
 def _strip_prefix(rule: str) -> str:
@@ -255,7 +226,7 @@ def translate_nl_to_dsl(nl: str, domain: str, backend) -> object:
     """
     prompt = translation_prompt(nl, domain)
     params = {"temperature": 0.0, "n": 1, "max_tokens": 128, "stop": "\n"}
-    text = backend.translate(prompt, params).strip()
+    text = backend.completions(prompt, params)[0]["text"].strip()
     source = text.splitlines()[0].strip() if text else ""
     try:
         return parse_concept(source, domain)
@@ -328,5 +299,8 @@ def score_nl_prior(nl_list: Sequence[str], domain: str, backend) -> Dict[str, fl
             "temperature": 0.0,
             "n": 1,
         }
-        scores[key] = backend.score(prefix + continuation, params)
+        logprob = backend.completions(prefix + continuation, params)[0]["logprob"]
+        if logprob is None:
+            raise MissingLogprobSupport(f"recorded score for {key!r} carries no log-prob")
+        scores[key] = logprob
     return scores

@@ -16,7 +16,19 @@ from typing import Dict, List, Optional
 
 
 class ReplayMiss(KeyError):
-    pass
+    """No recorded response for a request key in a store."""
+
+    def __init__(self, key: str, root):
+        super().__init__(key, root)
+        self.key = key
+        self.root = root
+
+    def __str__(self):
+        return f"no recorded response for key {self.key} in replay store {self.root}"
+
+
+class CorruptEntry(ValueError):
+    """A recorded entry that cannot be read back, e.g. a truncated write."""
 
 
 def fingerprint(prompt: str, params: Dict) -> str:
@@ -35,16 +47,23 @@ class ReplayStore:
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
-    def get(self, prompt: str, params: Dict) -> Optional[List]:
-        path = self._path(fingerprint(prompt, params))
+    def _read(self, key: str) -> Optional[Dict]:
+        path = self._path(key)
         if not path.exists():
             return None
-        return json.loads(path.read_text())["completions"]
+        try:
+            return json.loads(path.read_text())
+        except ValueError as exc:
+            raise CorruptEntry(f"replay entry {key} is unreadable ({path}): {exc}") from exc
+
+    def get(self, prompt: str, params: Dict) -> Optional[List]:
+        entry = self._read(fingerprint(prompt, params))
+        return None if entry is None else entry["completions"]
 
     def lookup(self, prompt: str, params: Dict) -> List:
         completions = self.get(prompt, params)
         if completions is None:
-            raise ReplayMiss(fingerprint(prompt, params))
+            raise ReplayMiss(fingerprint(prompt, params), self.root)
         return completions
 
     def record(self, prompt: str, params: Dict, completions: List) -> str:
@@ -65,7 +84,7 @@ class ReplayStore:
         return sorted(p.stem for p in self.root.glob("*.json"))
 
     def entry(self, key: str) -> Dict:
-        path = self._path(key)
-        if not path.exists():
-            raise ReplayMiss(key)
-        return json.loads(path.read_text())
+        entry = self._read(key)
+        if entry is None:
+            raise ReplayMiss(key, self.root)
+        return entry

@@ -128,7 +128,7 @@ class CannedBackend:
         self.texts = texts
         self.prompts = []
 
-    def _completions(self, prompt, params):
+    def completions(self, prompt, params):
         self.prompts.append((prompt, params))
         return [{"text": t, "logprob": None} for t in self.texts]
 

@@ -140,6 +140,50 @@ def test_propose_translate_pipeline_reproducible(fixtures_dir, tmp_path, capsys)
     assert lines[0]["dsl"] == "power(2, x)"
 
 
+def test_translate_offers_no_static_backend(fixtures_dir, tmp_path, capsys):
+    """The static backend only proposes; translate rejects it as a usage error."""
+    with pytest.raises(SystemExit) as err:
+        main(
+            [
+                "translate",
+                "--domain",
+                "number",
+                "--in",
+                str(fixtures_dir / "number_pool_size_principle.jsonl"),
+                "--out",
+                str(tmp_path / "out.jsonl"),
+                "--backend",
+                "static",
+            ]
+        )
+    assert err.value.code == 2
+    assert "invalid choice: 'static'" in capsys.readouterr().err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_replay_miss_names_key_and_store(fixtures_dir, tmp_path, capsys):
+    store = fixtures_dir / "replay"
+    rc = main(
+        [
+            "propose",
+            "--domain",
+            "number",
+            "--examples",
+            "1,2,3",
+            "--budget",
+            "5",
+            "--store",
+            str(store),
+            "--out",
+            str(tmp_path / "pool.jsonl"),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no recorded response for key ")
+    assert err.rstrip().endswith(f"in replay store {store}")
+
+
 def _tiny_number_config(fixtures_dir, tmp_path, prior="uniform"):
     cfg = {
         "domain": "number",

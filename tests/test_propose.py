@@ -5,6 +5,8 @@ import pytest
 from nlconcepts.dsl import format_concept
 from nlconcepts.propose import (
     ChatClient,
+    CorruptEntry,
+    MissingLogprobSupport,
     ProposalRequest,
     ReplayBackend,
     ReplayMiss,
@@ -17,6 +19,7 @@ from nlconcepts.propose import (
     parse_rule_list,
     propose,
     round_robin_take,
+    score_nl_prior,
     translate_nl_to_dsl,
 )
 from nlconcepts.propose.backends import EmptyPool, score_prompt
@@ -152,6 +155,23 @@ def test_replay_store_round_trip(tmp_path):
     # first write wins
     store.record("prompt", {"n": 1}, [{"text": "odd", "logprob": -2.0}])
     assert store.get("prompt", {"n": 1}) == completions
+
+
+def test_truncated_entry_raises_corrupt_entry(tmp_path):
+    store = ReplayStore(tmp_path / "rs")
+    key = store.record("prompt", {"n": 1}, [{"text": "even", "logprob": -1.0}])
+    path = tmp_path / "rs" / f"{key}.json"
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])  # a write cut off halfway
+    for read in (
+        lambda: store.get("prompt", {"n": 1}),
+        lambda: store.lookup("prompt", {"n": 1}),
+        lambda: store.entry(key),
+    ):
+        with pytest.raises(CorruptEntry) as err:
+            read()
+        assert isinstance(err.value, ValueError)
+        assert key in str(err.value) and str(path) in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +318,15 @@ def test_replay_backend_misses_unseen_requests(fixtures_dir):
     req = ProposalRequest(
         domain="number", examples=NumberExampleSet([1, 2, 3]), budget=5
     )
-    with pytest.raises(ReplayMiss):
+    with pytest.raises(ReplayMiss) as err:
         propose(req, backend)
+    # still a KeyError, but its message names the key and the store
+    assert isinstance(err.value, KeyError)
+    assert str(err.value) == (
+        f"no recorded response for key {err.value.key} "
+        f"in replay store {fixtures_dir / 'replay'}"
+    )
+    assert len(err.value.key) == 64
 
 
 def test_translate_unparseable_yields_unparsed(tmp_path):
@@ -328,3 +355,110 @@ def test_score_prompt_strips_domain_prefix():
     )
     assert cont2 == "it is a triangle"
     assert prefix2.endswith("# 6. ")
+
+
+# ---------------------------------------------------------------------------
+# ReplayBackend with a client: record on a miss, replay afterwards
+
+
+class FakeClient:
+    """Stands in for ChatClient; counts every call it answers."""
+
+    def __init__(self, texts=("a power of 2", "even"), logprob=-1.5):
+        self.texts = texts
+        self.logprob = logprob
+        self.complete_calls = []
+        self.score_calls = []
+
+    def complete(self, prompt, temperature, n, max_tokens, stop, logprobs):
+        self.complete_calls.append(
+            {
+                "n": n,
+                "temperature": temperature,
+                "max_tokens": max_tokens,
+                "stop": stop,
+                "logprobs": logprobs,
+            }
+        )
+        return [
+            {"text": self.texts[i % len(self.texts)], "logprob": self.logprob}
+            for i in range(n)
+        ]
+
+    def score(self, prefix, continuation):
+        self.score_calls.append((prefix, continuation))
+        return self.logprob
+
+
+def _number_request():
+    return ProposalRequest(
+        domain="number", examples=NumberExampleSet([16, 8, 2, 64]), budget=3, seed=0
+    )
+
+
+def _summary(pool):
+    return [(h.nl_text, h.proposal_logprob) for h in pool]
+
+
+def test_live_miss_calls_client_once_and_records(tmp_path):
+    store = ReplayStore(tmp_path / "rs")
+    client = FakeClient()
+    pool = propose(_number_request(), ReplayBackend(store, client))
+    assert client.complete_calls == [
+        {"n": 3, "temperature": 1.0, "max_tokens": 64, "stop": "\n", "logprobs": True}
+    ]
+    assert _summary(pool) == [
+        ("the number is a power of 2", -1.5),
+        ("the number is even", -1.5),
+        ("the number is a power of 2", -1.5),
+    ]
+    (key,) = store.keys()
+    entry = store.entry(key)
+    assert entry["prompt"] == build_prompt(_number_request())
+    assert [c["text"] for c in entry["completions"]] == ["a power of 2", "even", "a power of 2"]
+
+    # a repeat request is answered from the store
+    again = propose(_number_request(), ReplayBackend(store, client))
+    assert len(client.complete_calls) == 1
+    assert _summary(again) == _summary(pool)
+
+    # a client-less backend on the same store replays identical completions
+    replayed = ReplayBackend(store)
+    assert replayed.completions(entry["prompt"], entry["params"]) == entry["completions"]
+    assert _summary(propose(_number_request(), replayed)) == _summary(pool)
+
+
+def test_clientless_miss_raises_and_records_nothing(tmp_path):
+    store = ReplayStore(tmp_path / "rs")
+    with pytest.raises(ReplayMiss):
+        propose(_number_request(), ReplayBackend(store))
+    with pytest.raises(ReplayMiss):
+        score_nl_prior(["the number is even"], "number", ReplayBackend(store))
+    assert store.keys() == []
+
+
+def test_score_nl_prior_scores_each_canonical_nl_once_then_replays(tmp_path):
+    store = ReplayStore(tmp_path / "rs")
+    client = FakeClient(logprob=-4.25)
+    nl = ["the number is even", "The number is EVEN.", "the number is odd"]
+    scores = score_nl_prior(nl, "number", ReplayBackend(store, client))
+    assert scores == {"the number is even": -4.25, "the number is odd": -4.25}
+    assert [c for _, c in client.score_calls] == ["even", "odd"]
+    assert client.complete_calls == []
+    assert len(store.keys()) == 2
+    assert score_nl_prior(nl, "number", ReplayBackend(store)) == scores
+    assert score_nl_prior(nl, "number", ReplayBackend(store, client)) == scores
+    assert len(client.score_calls) == 2
+
+
+def test_missing_logprob_raises_when_recorded_and_when_replayed(tmp_path):
+    store = ReplayStore(tmp_path / "rs")
+    client = FakeClient(logprob=None)
+    with pytest.raises(MissingLogprobSupport):
+        score_nl_prior(["the number is even"], "number", ReplayBackend(store, client))
+    assert len(store.keys()) == 1  # the response was recorded before the check
+    with pytest.raises(MissingLogprobSupport):
+        score_nl_prior(["the number is even"], "number", ReplayBackend(store, client))
+    with pytest.raises(MissingLogprobSupport):
+        score_nl_prior(["the number is even"], "number", ReplayBackend(store))
+    assert len(client.score_calls) == 1
