@@ -286,8 +286,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the flag that carries each domain's data for `propose` and `infer`
+_DOMAIN_INPUT = {"number": "examples", "shape": "curve"}
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command in ("propose", "infer") and getattr(args, _DOMAIN_INPUT[args.domain]) is None:
+        parser.error(f"{args.command} --domain {args.domain} requires --{_DOMAIN_INPUT[args.domain]}")
     try:
         return args.func(args)
     except SystemExit:

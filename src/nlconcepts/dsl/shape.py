@@ -1,4 +1,4 @@
-"""Parser and evaluator for the logical shape-concept language.
+"""Parser, evaluator and compiler for the logical shape-concept language.
 
 Rules classify a test object (`this`) relative to the other objects in
 its batch. Available sets: `others` (batch minus one occurrence of the
@@ -17,13 +17,22 @@ Example rules:
 Expressions are statically type-checked during parsing (colors and
 shapes support equality only; sizes and counts support ordering), so
 evaluation is total for any batch of 1-5 objects.
+
+Two evaluators share these semantics. `eval_shape` walks the tree for
+one trial; it is the reference interpreter. `compile_shape` turns a
+rule into an array program over all trials of a curve at once, encoded
+by `encode_trials`: each bound variable adds a broadcast axis, and
+quantifiers and `count` reduce it. The truth matrix the model fits and
+predicts from (`harness.build_shape_task`) comes from compiled rules.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple
+
+import numpy as np
 
 from ..types import COLORS, SHAPES, SIZES, ShapeObject
 from .number import DslSyntaxError, _tokenize
@@ -342,6 +351,168 @@ def eval_shape(expr, test: ShapeObject, batch) -> bool:
     others.remove(test)
     context = {"this": test, "__others__": tuple(others), "__all__": tuple(batch)}
     return _eval_bool(expr, context)
+
+
+# ---------------------------------------------------------------------------
+# Compilation to array programs
+#
+# The semantics of eval_shape over all K trials of a curve at once. An
+# expression under d binders works on arrays of d + 1 axes: axis 0 is the
+# trial and axis i the variable of the i-th enclosing binder, over the 5
+# batch slots or the 3 values of a feature set. Quantifiers and count
+# reduce the last axis, so every value broadcasts against the others.
+
+MAX_OBJECTS = 5
+# Largest intermediate of a compiled rule, in array cells (8 MiB of int64)
+CELL_BUDGET = 1 << 20
+
+_DOMAIN_SIZE = {
+    "others": MAX_OBJECTS,
+    "all": MAX_OBJECTS,
+    "colors": len(COLORS),
+    "shapes": len(SHAPES),
+    "sizes": len(SIZES),
+}
+_CODES = {"shape": {s: i for i, s in enumerate(SHAPES)}, "color": {c: i for i, c in enumerate(COLORS)}}
+_FEATURE_VALUES = {"shape": np.arange(len(SHAPES)), "color": np.arange(len(COLORS)), "int": np.array(SIZES)}
+
+
+class TrialArrays(NamedTuple):
+    """K trials as arrays, a row per trial and a column per batch slot.
+
+    Shapes and colors are indices into SHAPES and COLORS, sizes are the
+    sizes themselves. Batches hold 1-5 objects; the empty slots hold 0
+    and lie outside `all`.
+    """
+
+    shape: np.ndarray  # (K, 5) int
+    color: np.ndarray  # (K, 5) int
+    size: np.ndarray  # (K, 5) int
+    all: np.ndarray  # (K, 5) bool, the slots that hold an object
+    others: np.ndarray  # (K, 5) bool, `all` less the first slot equal to `this`
+    this_shape: np.ndarray  # (K,) int, the test object's features
+    this_color: np.ndarray
+    this_size: np.ndarray
+
+
+def _codes(obj: ShapeObject):
+    return _CODES["shape"][obj.shape], _CODES["color"][obj.color], obj.size
+
+
+def encode_trials(trials) -> TrialArrays:
+    """Encode a curve's trials for the functions compile_shape returns."""
+    features = np.zeros((3, len(trials), MAX_OBJECTS), dtype=np.int64)
+    this = np.zeros((3, len(trials)), dtype=np.int64)
+    valid = np.zeros((len(trials), MAX_OBJECTS), dtype=bool)
+    for k, trial in enumerate(trials):
+        valid[k, : len(trial.batch)] = True
+        for j, obj in enumerate(trial.batch):
+            features[:, k, j] = _codes(obj)
+        this[:, k] = _codes(trial.test)
+    others = valid.copy()
+    # as list.remove does: the first occurrence of the test object
+    others[np.arange(len(trials)), [t.batch.index(t.test) for t in trials]] = False
+    return TrialArrays(*features, valid, others, *this)
+
+
+_FIELD = {name: i for i, name in enumerate(TrialArrays._fields)}
+
+
+def _slots(field: str, axis: int, depth: int):
+    """A (K, 5) field viewed with its slots on `axis`, for a value
+    under `depth` binders."""
+    i = _FIELD[field]
+    index = (slice(None),) + (None,) * (axis - 1) + (slice(None),) + (None,) * (depth - axis)
+    return lambda a: a[i][index]
+
+
+def _compile_binder(node, env, depth):
+    """(body, domain mask) of a quantifier or count, on a new last axis."""
+    axis = depth + 1
+    body = _compile_bool(node.body, {**env, node.var: axis}, axis)
+    if node.domain in OBJECT_SETS:
+        return body, _slots(node.domain, axis, axis)
+    ones = np.ones((1,) * axis + (_DOMAIN_SIZE[node.domain],), dtype=bool)
+    return body, lambda a: ones
+
+
+def _compile_value(node, env, depth):
+    if isinstance(node, Const):
+        code = np.int64(node.value if node.kind == "int" else _CODES[node.kind][node.value])
+        return lambda a: code
+    if isinstance(node, VarRef):
+        axis = env[node.name]
+        values = _FEATURE_VALUES[node.kind].reshape((1,) * axis + (-1,) + (1,) * (depth - axis))
+        return lambda a: values
+    if isinstance(node, Accessor):
+        axis = env[node.var]
+        if axis == 0:
+            i, index = _FIELD[f"this_{node.field}"], (slice(None),) + (None,) * depth
+            return lambda a: a[i][index]
+        return _slots(node.field, axis, depth)
+    if isinstance(node, Count):
+        body, mask = _compile_binder(node, env, depth)
+        return lambda a: (body(a) & mask(a)).sum(axis=-1)
+    raise AssertionError(node)
+
+
+def _compile_bool(node, env, depth):
+    if isinstance(node, BoolLit):
+        value = np.bool_(node.value)
+        return lambda a: value
+    if isinstance(node, BoolOp):
+        left = _compile_bool(node.left, env, depth)
+        right = _compile_bool(node.right, env, depth)
+        if node.op == "and":
+            return lambda a: left(a) & right(a)
+        return lambda a: left(a) | right(a)
+    if isinstance(node, Not):
+        arg = _compile_bool(node.arg, env, depth)
+        return lambda a: ~arg(a)
+    if isinstance(node, Cmp):
+        compare = _COMPARE[node.op]
+        left = _compile_value(node.left, env, depth)
+        right = _compile_value(node.right, env, depth)
+        return lambda a: compare(left(a), right(a))
+    if isinstance(node, Quant):
+        body, mask = _compile_binder(node, env, depth)
+        if node.quantifier == "exists":
+            return lambda a: (body(a) & mask(a)).any(axis=-1)
+        return lambda a: (body(a) | ~mask(a)).all(axis=-1)
+    raise TypeError(f"not a boolean expression: {node!r}")
+
+
+def _cells(node) -> int:
+    """Cells per trial of the largest intermediate of a compiled rule."""
+    if isinstance(node, (Quant, Count)):
+        return _DOMAIN_SIZE[node.domain] * _cells(node.body)
+    if isinstance(node, (Cmp, BoolOp)):
+        return max(_cells(node.left), _cells(node.right))
+    if isinstance(node, Not):
+        return _cells(node.arg)
+    return 1
+
+
+def compile_shape(expr):
+    """Compile a parsed rule into a function from encode_trials' arrays
+    to the (K,) bool vector of eval_shape's value on each trial.
+
+    Trials are evaluated in chunks so that no intermediate holds more
+    than CELL_BUDGET cells. A chunk holds at least one trial, so the
+    budget does not bound a rule whose nested binders span more cells
+    than that for one trial (nine nested object binders do: 5^9).
+    """
+    program = _compile_bool(expr, {"this": 0}, 0)
+    step = max(1, CELL_BUDGET // _cells(expr))
+
+    def truth(arrays: TrialArrays) -> np.ndarray:
+        out = np.empty(len(arrays.all), dtype=bool)
+        for lo in range(0, len(out), step):
+            chunk = TrialArrays(*(a[lo : lo + step] for a in arrays))
+            out[lo : lo + step] = np.reshape(program(chunk), -1)
+        return out
+
+    return truth
 
 
 # ---------------------------------------------------------------------------

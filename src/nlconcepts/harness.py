@@ -15,7 +15,7 @@ import numpy as np
 from . import io
 from .dsl import NUMBER as NUMBER_DOMAIN
 from .dsl import SHAPE as SHAPE_DOMAIN
-from .dsl import eval_shape
+from .dsl.shape import compile_shape, encode_trials
 from .fit import (
     FitConfig,
     FitResult,
@@ -154,16 +154,19 @@ def build_shape_task(
 ) -> ShapeTask:
     """Compile a curve against its deduplicated pool.
 
-    Every (rule, trial) truth value is evaluated exactly once here, so
-    `cache` is not consulted; it is accepted to match build_number_task.
+    The curve is encoded once, and each parsed rule, compiled to an
+    array program, fills its row of the truth matrix in one call; rows
+    of unparsed rules stay 0. `cache` is not consulted; it is accepted
+    to match build_number_task.
     """
     unique, _ = dedup_pool(pool)
     features, base = _prior_pieces(cfg, unique, extractor)
     trials = curve.trials
+    arrays = encode_trials(trials)
     consist = np.zeros((len(unique), len(trials)))
     for i, h in enumerate(unique):
         if h.parsed:
-            consist[i] = [eval_shape(h.program.expr, t.test, t.batch) for t in trials]
+            consist[i] = compile_shape(h.program.expr)(arrays)
     # a rule joins at its source batch (numbered from 1); unparsed ones never do
     joins = np.array([(h.source_batch or 0) if h.parsed else np.inf for h in unique])
     rates = curve.human_positive_rate if targets == "human" else [t.label for t in trials]

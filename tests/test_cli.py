@@ -310,3 +310,20 @@ def test_error_exits_nonzero(tmp_path, capsys):
     )
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["propose", "infer"])
+@pytest.mark.parametrize("domain,flag", [("number", "--examples"), ("shape", "--curve")])
+def test_missing_domain_input_is_a_usage_error(command, domain, flag, fixtures_dir, tmp_path, capsys):
+    """Each domain's data flag is required: without it the command exits
+    2 and names the flag instead of failing on a missing value."""
+    if command == "propose":
+        argv = ["propose", "--domain", domain, "--upto-batch", "2", "--out", str(tmp_path / "pool.jsonl")]
+        argv += ["--backend", "replay", "--store", str(fixtures_dir / "replay")]
+    else:
+        argv = ["infer", "--domain", domain, "--pool", str(fixtures_dir / "number_pool_size_principle.jsonl")]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert f"{command} --domain {domain} requires {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "pool.jsonl").exists()

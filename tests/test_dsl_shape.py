@@ -1,6 +1,8 @@
 import itertools
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from nlconcepts.dsl import (
@@ -9,9 +11,21 @@ from nlconcepts.dsl import (
     format_concept,
     parse_concept,
 )
+from nlconcepts.dsl import shape as shape_dsl
 from nlconcepts.dsl.generate import random_shape_expr
-from nlconcepts.dsl.shape import _eval_bool, parse_shape_concept
-from nlconcepts.types import ShapeObject, shape_universe
+from nlconcepts.dsl.shape import (
+    _eval_bool,
+    compile_shape,
+    encode_trials,
+    format_shape_concept,
+    parse_shape_concept,
+)
+from nlconcepts.harness import ExperimentConfig, build_shape_task
+from nlconcepts.posterior import dedup_pool
+from nlconcepts.prior import FeatureExtractor
+from nlconcepts.types import ShapeObject, Trial, shape_universe
+
+from conftest import synthetic_shape_curve, synthetic_shape_pool
 
 
 def ev(src, test, batch):
@@ -203,3 +217,120 @@ def test_fuzzed_round_trip_and_totality():
             a = eval_shape(expr, test, batch)
             b = eval_shape(reparsed.expr, test, batch)
             assert a == b, text
+
+
+# ---------------------------------------------------------------------------
+# Compiled rules against the interpreter
+
+
+def _fuzzed_trials(n, seed):
+    """n trials on random batches of 1-5 objects, repeats allowed."""
+    rng = random.Random(seed)
+    universe = shape_universe()
+    trials = []
+    for _ in range(n):
+        batch = rng.choices(universe, k=rng.randint(1, 5))
+        trials.append(Trial(batch, rng.choice(batch), rng.random() < 0.5))
+    return trials
+
+
+def _small_batch_trials():
+    """Every test object of every batch of up to 2 objects, plus batches
+    holding copies of the test object."""
+    trials = [Trial(b, t, True) for b in _batches(2) for t in set(b)]
+    trials += [Trial((T, T, C), T, True), Trial((C, T, T, T), T, True), Trial((R, R, R, R, R), R, True)]
+    return trials
+
+
+def _assert_compiled_matches(expr, trials, arrays=None):
+    got = compile_shape(expr)(encode_trials(trials) if arrays is None else arrays)
+    want = [eval_shape(expr, t.test, t.batch) for t in trials]
+    assert got.dtype == bool and got.shape == (len(trials),)
+    assert got.tolist() == want, format_shape_concept(expr)
+
+
+def test_compiled_matches_interpreter_on_fuzzed_rules():
+    trials = _fuzzed_trials(100, seed=6)
+    arrays = encode_trials(trials)
+    rng = random.Random(5)
+    for _ in range(1000):
+        _assert_compiled_matches(random_shape_expr(rng, rng.randint(0, 4)), trials, arrays)
+
+
+EDGE_CASES = [
+    # copies of `this`: `others` drops one occurrence only
+    "exists(o in others, o.color == this.color and o.shape == this.shape and o.size == this.size)",
+    "count(o in others, o.shape == this.shape) < count(o in all, o.shape == this.shape)",
+    # a 1-object batch has empty `others`
+    "forall(o in others, false)",
+    "exists(o in others, true)",
+    "count(o in others, true) == 0",
+    # shadowed `this`, rebound to an object and to a feature
+    "exists(this in others, this.color == blue) and this.size == 1",
+    "forall(this in colors, count(o in all, o.color == this) <= 2)",
+    "exists(o in others, exists(o in all, o.size == 1) and o.size == 2)",
+    # count inside a quantifier
+    "forall(o in others, count(p in all, p.size > o.size) <= count(p in all, p.size > this.size))",
+    "exists(c in colors, count(o in all, o.color == c) == 2)",
+    # binders that never mention their variable, and constant comparisons
+    "forall(s in sizes, true) and exists(o in all, 1 < 2)",
+    "count(s in shapes, this.size == large) >= 3",
+    # five binders deep
+    "exists(a in all, forall(b in others, exists(c in colors, count(d in all,"
+    " exists(e in sizes, d.size == e and d.color == c and a.size >= b.size)) >= 1)))",
+]
+
+
+@pytest.mark.parametrize("src", EDGE_CASES)
+def test_compiled_matches_interpreter_on_edge_cases(src):
+    _assert_compiled_matches(parse_shape_concept(src), _small_batch_trials())
+
+
+DEEP_RULE = (
+    "exists(a in others, forall(b in all, exists(c in all, forall(d in all,"
+    " exists(e in all, exists(f in all, f.color == a.color and e.size >= d.size or c.shape == b.shape))))))"
+)
+
+
+def test_deep_rule_is_evaluated_in_chunks_within_the_cell_budget():
+    """Six object binders hold 5^6 cells per trial; 400 trials at once
+    would need a 6.25 MB bool array, so the chunks must stay well below."""
+    trials = _fuzzed_trials(400, seed=3)
+    assert len(trials) * 5**6 > 5 * shape_dsl.CELL_BUDGET
+    expr = parse_shape_concept(DEEP_RULE)
+    truth, arrays = compile_shape(expr), encode_trials(trials)
+    tracemalloc.start()
+    try:
+        got = truth(arrays)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == [eval_shape(expr, t.test, t.batch) for t in trials]
+    assert 0 < got.sum() < len(trials)
+    assert peak < 3 * shape_dsl.CELL_BUDGET  # bytes: a few bool arrays of a chunk
+
+
+def test_chunked_evaluation_matches_interpreter(monkeypatch):
+    # a budget of a few cells splits every rule into chunks of 1-2 trials
+    monkeypatch.setattr(shape_dsl, "CELL_BUDGET", 10)
+    trials = _fuzzed_trials(30, seed=8)
+    arrays = encode_trials(trials)
+    rng = random.Random(9)
+    for _ in range(100):
+        _assert_compiled_matches(random_shape_expr(rng, 3), trials, arrays)
+
+
+def test_build_shape_task_consist_matches_interpreter():
+    pool, curve = synthetic_shape_pool(), synthetic_shape_curve()
+    cfg = ExperimentConfig("shape")
+    task = build_shape_task(cfg, pool, curve, FeatureExtractor(dim=cfg.feature_dim))
+    unique, _ = dedup_pool(pool)
+    want = np.array(
+        [
+            [float(h.parsed and eval_shape(h.program.expr, t.test, t.batch)) for t in curve.trials]
+            for h in unique
+        ]
+    )
+    np.testing.assert_array_equal(task.consist, want)
+    unparsed = [i for i, h in enumerate(unique) if not h.parsed]
+    assert len(unparsed) == 2 and not task.consist[unparsed].any()
