@@ -195,6 +195,8 @@ Question: Based on the above example, is a ({test}) in the concept?
 Answer (one word, just write yes/no):"""
 
 DIRECT_SAMPLES = 10
+# sampling parameters of every direct query: DIRECT_SAMPLES answers at temperature 1
+DIRECT_PARAMS = {"temperature": 1.0, "n": DIRECT_SAMPLES, "max_tokens": 8}
 
 
 def yes_no_ratio(samples: Sequence[str]) -> float:
@@ -226,8 +228,7 @@ def direct_shape_prompt(past_batches, current_batch, test) -> str:
 
 
 def _direct_samples(backend, prompt: str) -> List[str]:
-    params = {"temperature": 1.0, "n": DIRECT_SAMPLES, "max_tokens": 8}
-    return [c["text"] for c in backend.completions(prompt, params)]
+    return [c["text"] for c in backend.completions(prompt, dict(DIRECT_PARAMS))]
 
 
 def direct_llm_number(cfg: ExperimentConfig, backend, judgments=None):

@@ -18,8 +18,7 @@ import numpy as np
 from . import baselines, harness, io
 from .dsl import NUMBER as NUMBER_DOMAIN
 from .dsl import SHAPE as SHAPE_DOMAIN
-from .fit import FitConfig
-from .likelihood import EvalCache, pool_number_logliks, pool_shape_logliks
+from .likelihood import pool_number_logliks, pool_shape_logliks
 from .posterior import dedup_weights
 from .prior import FeatureExtractor
 from .propose import (
@@ -108,20 +107,17 @@ def _cmd_translate(args) -> int:
 
 def _cmd_infer(args) -> int:
     params = _load_params(args.params) if args.params else ModelParams()
-    cache = EvalCache()
     cfg = harness.ExperimentConfig(args.domain, prior=args.prior, scores_path=args.scores or "")
     prior = harness.prior_spec_for(cfg, params, FeatureExtractor(dim=len(params.theta)))
     if args.domain == "number":
         pool = io.load_pool(args.pool, NUMBER_DOMAIN)
         examples = _parse_examples(args.examples)
-        loglik = pool_number_logliks(pool, examples, params.epsilon, cache)
+        loglik = pool_number_logliks(pool, examples, params.epsilon)
     else:
         pool = io.load_pool(args.pool, SHAPE_DOMAIN)
         curve = io.load_learning_curve(args.curve)
         trials = [t for b in curve.batches[: args.upto_batch] for t in b]
-        loglik = pool_shape_logliks(
-            pool, trials, params.epsilon, params.alpha, params.beta, cache
-        )
+        loglik = pool_shape_logliks(pool, trials, params.epsilon, params.alpha, params.beta)
     state = dedup_weights(pool, prior, loglik, params.temperature)
     print(state.to_json())
     return 0
@@ -135,10 +131,7 @@ def _cmd_fit(args) -> int:
         metrics, records, verbalizations = harness.run_number_experiment(cfg)
         (out_dir / "topk.json").write_text(json.dumps(verbalizations, indent=2))
     else:
-        curves = [
-            io.load_learning_curve(p) for p in sorted(Path(cfg.data_path).glob("*.json"))
-        ]
-        pools = {c: io.load_pool(p, SHAPE_DOMAIN) for c, p in cfg.pools.items()}
+        curves, pools = harness.load_curves(cfg), harness.load_shape_pools(cfg)
         result = harness.fit_online_params(cfg, curves, pools)
         (out_dir / "params.json").write_text(
             json.dumps(_dump_params(result.params), indent=2)
@@ -184,14 +177,25 @@ def _cmd_replay(args) -> int:
 
 def _cmd_baseline(args) -> int:
     cfg = harness.ExperimentConfig.from_json(args.config)
+    shape = cfg.domain == SHAPE_DOMAIN
+    if args.kind == "ablation" and shape:
+        raise ValueError(f"ablation needs a number config; {args.config} has domain {cfg.domain!r}")
     out_dir = Path(args.out_dir or cfg.out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.kind == "latent":
-        metrics, records, chosen = baselines.latent_language_number(cfg)
+        if shape:
+            metrics, records, chosen = baselines.latent_language_shape(
+                cfg, harness.load_curves(cfg), harness.load_shape_pools(cfg)
+            )
+        else:
+            metrics, records, chosen = baselines.latent_language_number(cfg)
         (out_dir / "chosen.json").write_text(json.dumps(chosen, indent=2))
     elif args.kind == "llm":
         backend = ReplayBackend(ReplayStore(args.store))
-        metrics, records = baselines.direct_llm_number(cfg, backend)
+        if shape:
+            metrics, records = baselines.direct_llm_shape(harness.load_curves(cfg), backend)
+        else:
+            metrics, records = baselines.direct_llm_number(cfg, backend)
     else:  # ablation
         if not args.shared_pool:
             raise SystemExit("ablation requires --shared-pool")

@@ -35,7 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ..types import COLORS, SHAPES, SIZES, ShapeObject
-from .number import DslSyntaxError, _tokenize
+from .number import BoolLit, BoolOp, DslSyntaxError, Not
+from .number import _Parser as _BoolParser
 
 KEYWORDS = {"forall", "exists", "count", "in", "and", "or", "not", "true", "false"}
 OBJECT_SETS = {"others", "all"}
@@ -83,23 +84,6 @@ class Cmp:
     right: object
 
 
-@dataclass(frozen=True)
-class BoolOp:
-    op: str
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Not:
-    arg: object
-
-
-@dataclass(frozen=True)
-class BoolLit:
-    value: bool
-
-
 def _value_kind(node) -> str:
     if isinstance(node, Const):
         return node.kind
@@ -112,50 +96,13 @@ def _value_kind(node) -> str:
     raise AssertionError(node)
 
 
-class _Parser:
+class _Parser(_BoolParser):
+    """The number parser's tokens and boolean layer, with shape atoms
+    and an environment of bound variables."""
+
     def __init__(self, src: str):
-        self.src = src
-        self.tokens = _tokenize(src)
-        self.i = 0
+        super().__init__(src)
         self.env = {"this": "object"}
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind, value=None):
-        tok = self.next()
-        if tok[0] != kind or (value is not None and tok[1] != value):
-            want = value if value is not None else kind
-            raise DslSyntaxError(f"expected {want!r}, found {tok[1]!r}", tok[2])
-        return tok
-
-    def fail(self, message):
-        raise DslSyntaxError(message, self.peek()[2])
-
-    def parse_expr(self):
-        node = self.parse_and()
-        while self.peek()[:2] == ("name", "or"):
-            self.next()
-            node = BoolOp("or", node, self.parse_and())
-        return node
-
-    def parse_and(self):
-        node = self.parse_unary()
-        while self.peek()[:2] == ("name", "and"):
-            self.next()
-            node = BoolOp("and", node, self.parse_unary())
-        return node
-
-    def parse_unary(self):
-        if self.peek()[:2] == ("name", "not"):
-            self.next()
-            return Not(self.parse_unary())
-        return self.parse_atom()
 
     def parse_atom(self):
         kind, value, pos = self.peek()

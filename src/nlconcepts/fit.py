@@ -26,6 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import expit, logit
 
+from .posterior import softmax_masked
 from .types import ModelParams
 
 ALL_PARAM_GROUPS = ("theta", "epsilon", "alpha", "beta", "temperature", "platt")
@@ -207,16 +208,6 @@ def pack_params(params: ModelParams) -> np.ndarray:
     return np.concatenate([params.theta, rest, [params.platt_a, params.platt_b]]).astype(float)
 
 
-def _softmax_masked(scores: np.ndarray, alive: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis among `alive` entries; all zeros where
-    nothing is alive."""
-    shifted = np.where(alive, scores, -np.inf)
-    top = shifted.max(axis=-1, keepdims=True, initial=-np.inf)
-    e = np.exp(shifted - np.where(np.isfinite(top), top, 0.0))
-    total = e.sum(axis=-1, keepdims=True)
-    return np.divide(e, total, out=np.zeros_like(e), where=total > 0)
-
-
 def number_weights(stack, batch: TaskBatch, dim):
     """Posterior weights (F, T, S) of every number task under each
     parameter vector of `stack`, with the log-weights (log prior + log
@@ -233,7 +224,7 @@ def number_weights(stack, batch: TaskBatch, dim):
     loglik = batch.n_inside * np.log(np.maximum(g_in, 1e-300))
     loglik = loglik + batch.n_outside * np.log(np.maximum(g_out, 1e-300))
     log_unnorm = log_prior + np.where(batch.alive, loglik, 0.0)
-    return _softmax_masked(log_unnorm / temp, batch.alive), log_unnorm, g_in
+    return softmax_masked(log_unnorm / temp, batch.alive), log_unnorm, g_in
 
 
 def _number_rows(stack, batch: TaskBatch, dim, rows, grad):
@@ -307,7 +298,7 @@ def shape_forward(task: ShapeTask, params: ModelParams):
     lag = np.where(past, lag, 1).astype(float)
     decay = np.where(past, lag**-beta, 0.0)  # D (B, K)
     log_unnorm = log_prior + decay @ log_r.T  # (B, S)
-    w = _softmax_masked(log_unnorm / temp, task.visible)
+    w = softmax_masked(log_unnorm / temp, task.visible)
     now = (task.batch, np.arange(n_trials))
     mean_truth = (w @ c)[now]  # (K,) zero where nothing is visible
     pred = (1.0 - eps) * mean_truth + eps * alpha

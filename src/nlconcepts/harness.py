@@ -15,7 +15,6 @@ import numpy as np
 from . import io
 from .dsl import NUMBER as NUMBER_DOMAIN
 from .dsl import SHAPE as SHAPE_DOMAIN
-from .dsl.shape import compile_shape, encode_trials
 from .fit import (
     FitConfig,
     FitResult,
@@ -31,7 +30,7 @@ from .fit import (
     shape_forward,
     stack_tasks,
 )
-from .likelihood import EvalCache
+from .likelihood import EvalCache, extension_matrix, truth_matrix
 from .posterior import MissingLogQ, dedup_pool, weight_diagnostics
 from .prior import FEATURE_DIM, External, FeatureExtractor, Tuned, Uniform
 from .types import (
@@ -126,11 +125,11 @@ def build_number_task(
     features, base = _prior_pieces(cfg, unique, extractor)
     base = base - log_q
     parsed = np.array([h.parsed for h in unique])
-    extensions = [cache.extension(h) for h in unique]
-    sizes = np.array([len(e) for e in extensions], dtype=float)
-    inv_size = np.where(sizes > 0, 1.0 / np.maximum(sizes, 1.0), 0.0)
-    member = np.array([[float(x in e) for x in example_set.examples] for e in extensions])
-    test_member = np.array([[float(t in e) for e in extensions] for t, _, _ in tests])
+    ext = extension_matrix(unique, cache)
+    sizes = ext.sum(axis=1)
+    inv_size = np.divide(1.0, sizes, out=np.zeros_like(sizes), where=sizes > 0)
+    member = ext[:, np.array(example_set.examples) - 1]
+    test_member = ext[:, [t - 1 for t, _, _ in tests]].T
     return NumberTask(
         features=features,
         base_logprior=base,
@@ -152,28 +151,21 @@ def build_shape_task(
     cache: Optional[EvalCache] = None,
     targets: str = "human",  # "human" rates or "labels" (tune for accuracy)
 ) -> ShapeTask:
-    """Compile a curve against its deduplicated pool.
-
-    The curve is encoded once, and each parsed rule, compiled to an
-    array program, fills its row of the truth matrix in one call; rows
-    of unparsed rules stay 0. `cache` is not consulted; it is accepted
-    to match build_number_task.
+    """Compile a curve against its deduplicated pool: the truth matrix
+    of its rules on the curve's trials (`likelihood.truth_matrix`), the
+    batches the trials fall in and the rules visible at each. `cache`
+    is not consulted; it is accepted to match build_number_task.
     """
     unique, _ = dedup_pool(pool)
     features, base = _prior_pieces(cfg, unique, extractor)
     trials = curve.trials
-    arrays = encode_trials(trials)
-    consist = np.zeros((len(unique), len(trials)))
-    for i, h in enumerate(unique):
-        if h.parsed:
-            consist[i] = compile_shape(h.program.expr)(arrays)
     # a rule joins at its source batch (numbered from 1); unparsed ones never do
     joins = np.array([(h.source_batch or 0) if h.parsed else np.inf for h in unique])
     rates = curve.human_positive_rate if targets == "human" else [t.label for t in trials]
     return ShapeTask(
         features=features,
         base_logprior=base,
-        consist=consist,
+        consist=truth_matrix(unique, trials),
         labels=np.array([float(t.label) for t in trials]),
         batch=np.repeat(np.arange(len(curve.batches)), [len(b) for b in curve.batches]),
         visible=joins <= np.arange(1, len(curve.batches) + 1)[:, None],
@@ -302,6 +294,15 @@ def map_rules(task: ShapeTask, weights: np.ndarray) -> List[Optional[int]]:
 # Online logical concepts
 
 
+def load_curves(cfg: ExperimentConfig) -> List[LearningCurve]:
+    """The learning curves in the directory `cfg.data_path`, by file name."""
+    return [io.load_learning_curve(p) for p in sorted(Path(cfg.data_path).glob("*.json"))]
+
+
+def load_shape_pools(cfg: ExperimentConfig) -> Dict[str, List[Hypothesis]]:
+    return {cid: io.load_pool(path, SHAPE_DOMAIN) for cid, path in cfg.pools.items()}
+
+
 def run_online_experiment(
     cfg: ExperimentConfig,
     curves: Optional[Sequence[LearningCurve]] = None,
@@ -320,12 +321,9 @@ def run_online_experiment(
     weight of the posterior it was predicted from.
     """
     if curves is None:
-        paths = sorted(Path(cfg.data_path).glob("*.json"))
-        curves = [io.load_learning_curve(p) for p in paths]
+        curves = load_curves(cfg)
     if pools is None:
-        pools = {
-            cid: io.load_pool(path, SHAPE_DOMAIN) for cid, path in cfg.pools.items()
-        }
+        pools = load_shape_pools(cfg)
     params = params or cfg.params or default_params(cfg)
     extractor = FeatureExtractor(dim=cfg.feature_dim)
     records: List[PredictionRecord] = []

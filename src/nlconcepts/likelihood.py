@@ -15,30 +15,30 @@ trials are down-weighted by a power-law memory decay: trial k of K gets
 weight (1 + K - k) ** -beta, so the most recent trial always has
 weight 1.
 
-These per-hypothesis functions are the scalar path. They serve the
-public posterior API (`nlconcepts infer`, the README quick start) and
-are the oracle the parity tests hold the compiled path to. Fitting,
-online evaluation, top-k verbalizations and the latent-language
-baselines run on the arrays `harness` compiles a pool into, through
-`fit.number_weights` and `fit.shape_forward`.
+Each domain compiles a pool once against its data: `extension_matrix`
+gives every hypothesis's extension as a row over 1..100, `truth_matrix`
+every rule's truth value on each trial, from compiled rules. The
+public functions below are array formulas over those matrices, and
+`harness` builds the tasks that fitting, online evaluation and the
+baselines run on from the same two matrices.
 """
 
 from __future__ import annotations
 
-import math
 import threading
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
-from .dsl import NUMBER, SHAPE, ConceptProgram, DomainMismatch, eval_shape, number_extension
+from .dsl import NUMBER, SHAPE, ConceptProgram, DomainMismatch, number_extension
+from .dsl.shape import compile_shape, encode_trials
 from .types import Hypothesis, NumberExampleSet, Trial, Unparsed
 
 NEG_LARGE = -1e18  # finite stand-in for log(0) inside optimization
 
 
 class EvalCache:
-    """Memoizes extensions and per-trial evaluations across refits.
+    """Memoizes number extensions across refits.
 
     Content-addressed by canonical NL, so equal-text duplicates share
     entries. get-or-compute is linearizable under the lock.
@@ -46,7 +46,6 @@ class EvalCache:
 
     def __init__(self):
         self._extensions: Dict[str, frozenset] = {}
-        self._trials: Dict[Tuple[str, Trial], bool] = {}
         self._lock = threading.Lock()
 
     def extension(self, h: Hypothesis) -> frozenset:
@@ -59,22 +58,63 @@ class EvalCache:
                 self._extensions[key] = number_extension(h.program.expr)
             return self._extensions[key]
 
-    def trial_member(self, h: Hypothesis, t: Trial) -> bool:
-        if isinstance(h.program, Unparsed):
-            return False
-        _require(h, SHAPE)
-        key = (h.key, t)
-        with self._lock:
-            if key not in self._trials:
-                self._trials[key] = eval_shape(h.program.expr, t.test, t.batch)
-            return self._trials[key]
-
 
 def _require(h: Hypothesis, domain: str) -> None:
     if isinstance(h.program, ConceptProgram) and h.program.domain != domain:
         raise DomainMismatch(
             f"hypothesis {h.nl_text!r} is a {h.program.domain} program, need {domain}"
         )
+
+
+def extension_matrix(pool: Sequence[Hypothesis], cache: EvalCache | None = None) -> np.ndarray:
+    """(S, 100) membership of 1..100 in each hypothesis's extension;
+    column x - 1 is number x, rows of unparsed hypotheses are 0."""
+    cache = cache or EvalCache()
+    out = np.zeros((len(pool), 100))
+    for i, h in enumerate(pool):
+        ext = cache.extension(h)
+        out[i, np.fromiter(ext, int, len(ext)) - 1] = 1.0
+    return out
+
+
+def truth_matrix(pool: Sequence[Hypothesis], trials: Sequence[Trial]) -> np.ndarray:
+    """(S, K) truth value of each shape rule on each trial, from rules
+    compiled to array programs over the encoded trials; rows of
+    unparsed rules are 0."""
+    for h in pool:
+        _require(h, SHAPE)
+    arrays = encode_trials(list(trials))
+    out = np.zeros((len(pool), len(arrays.all)))
+    for i, h in enumerate(pool):
+        if h.parsed:
+            out[i] = compile_shape(h.program.expr)(arrays)
+    return out
+
+
+def _weighted_loglik(p: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per row, sum_k weights[k] log p[:, k]; -inf for a row where some
+    p <= 0, whatever its weight. Terms are added in column order, as a
+    loop over examples or trials adds them: a dot product rounds
+    differently and can reorder rules whose log-likelihoods tie in
+    exact arithmetic."""
+    terms = weights * np.log(np.where(p > 0.0, p, 1.0))
+    total = np.cumsum(terms, axis=1)[:, -1] if terms.shape[1] else np.zeros(len(p))
+    return np.where((p <= 0.0).any(axis=1), -np.inf, total)
+
+
+def _pool_vector(pool: Sequence[Hypothesis], loglik: np.ndarray) -> np.ndarray:
+    """NEG_LARGE for unparsed entries and -inf log-likelihoods, so
+    downstream arithmetic stays finite."""
+    parsed = np.array([h.parsed for h in pool], dtype=bool)
+    return np.where(parsed & (loglik > -np.inf), loglik, NEG_LARGE)
+
+
+def _number_logliks(ext: np.ndarray, examples: NumberExampleSet, epsilon: float) -> np.ndarray:
+    member = ext[:, np.array(examples.examples) - 1]  # (S, N)
+    size = ext.sum(axis=1, keepdims=True)
+    inside = np.divide(1.0 - epsilon, size, out=np.zeros_like(size), where=size > 0)
+    p = member * inside + epsilon / 100.0
+    return _weighted_loglik(p, np.ones(len(examples)))
 
 
 def number_loglikelihood(
@@ -85,27 +125,33 @@ def number_loglikelihood(
 ) -> float:
     """Sum of per-example log-likelihoods; -inf only when epsilon == 0
     and some example falls outside the extension."""
-    cache = cache or EvalCache()
-    ext = cache.extension(h)
-    size = len(ext)
-    total = 0.0
-    for x in examples.examples:
-        inside = (1.0 - epsilon) / size if size and x in ext else 0.0
-        p = inside + epsilon / 100.0
-        if p <= 0.0:
-            return -math.inf
-        total += math.log(p)
-    return total
+    return float(_number_logliks(extension_matrix([h], cache), examples, epsilon)[0])
+
+
+def pool_number_logliks(
+    pool: Sequence[Hypothesis],
+    examples: NumberExampleSet,
+    epsilon: float,
+    cache: EvalCache | None = None,
+) -> np.ndarray:
+    """Per-hypothesis log-likelihood vector; unparsed entries get the
+    NEG_LARGE sentinel so downstream arithmetic stays finite."""
+    return _pool_vector(pool, _number_logliks(extension_matrix(pool, cache), examples, epsilon))
+
+
+def _response_probs(truth: np.ndarray, trials: Sequence[Trial], epsilon: float, alpha: float):
+    """(S, K) probability of each trial's observed label under each rule."""
+    p_positive = (1.0 - epsilon) * truth + epsilon * alpha
+    labels = np.array([t.label for t in trials], dtype=bool)
+    return np.where(labels, p_positive, 1.0 - p_positive)
 
 
 def trial_response_prob(
     h: Hypothesis, t: Trial, epsilon: float, alpha: float, cache: EvalCache | None = None
 ) -> float:
-    """Probability assigned to the observed label of one trial."""
-    cache = cache or EvalCache()
-    member = cache.trial_member(h, t)
-    p_positive = (1.0 - epsilon) * float(member) + epsilon * alpha
-    return p_positive if t.label else 1.0 - p_positive
+    """Probability assigned to the observed label of one trial. `cache`
+    is not consulted; rules are compiled, not memoized."""
+    return float(_response_probs(truth_matrix([h], [t]), [t], epsilon, alpha)[0, 0])
 
 
 def decay_weights(n_trials: int, beta: float) -> np.ndarray:
@@ -114,6 +160,12 @@ def decay_weights(n_trials: int, beta: float) -> np.ndarray:
         return np.zeros(0)
     lag = np.arange(n_trials, 0, -1, dtype=float)  # 1 + K - k
     return lag**-beta
+
+
+def _shape_logliks(pool, trials, epsilon, alpha, beta) -> np.ndarray:
+    trials = list(trials)
+    p = _response_probs(truth_matrix(pool, trials), trials, epsilon, alpha)
+    return _weighted_loglik(p, decay_weights(len(trials), beta))
 
 
 def decayed_sequence_loglik(
@@ -125,36 +177,7 @@ def decayed_sequence_loglik(
     cache: EvalCache | None = None,
 ) -> float:
     """Memory-decayed log-likelihood of an ordered trial sequence."""
-    trials = list(trials)
-    if not trials:
-        return 0.0
-    weights = decay_weights(len(trials), beta)
-    total = 0.0
-    for w, t in zip(weights, trials):
-        p = trial_response_prob(h, t, epsilon, alpha, cache=cache)
-        if p <= 0.0:
-            return -math.inf
-        total += w * math.log(p)
-    return total
-
-
-def pool_number_logliks(
-    pool: Sequence[Hypothesis],
-    examples: NumberExampleSet,
-    epsilon: float,
-    cache: EvalCache | None = None,
-) -> np.ndarray:
-    """Per-hypothesis log-likelihood vector; unparsed entries get the
-    NEG_LARGE sentinel so downstream arithmetic stays finite."""
-    cache = cache or EvalCache()
-    out = np.empty(len(pool))
-    for i, h in enumerate(pool):
-        if isinstance(h.program, Unparsed):
-            out[i] = NEG_LARGE
-            continue
-        ll = number_loglikelihood(h, examples, epsilon, cache=cache)
-        out[i] = NEG_LARGE if ll == -math.inf else ll
-    return out
+    return float(_shape_logliks([h], trials, epsilon, alpha, beta)[0])
 
 
 def pool_shape_logliks(
@@ -165,12 +188,6 @@ def pool_shape_logliks(
     beta: float,
     cache: EvalCache | None = None,
 ) -> np.ndarray:
-    cache = cache or EvalCache()
-    out = np.empty(len(pool))
-    for i, h in enumerate(pool):
-        if isinstance(h.program, Unparsed):
-            out[i] = NEG_LARGE
-            continue
-        ll = decayed_sequence_loglik(h, trials, epsilon, alpha, beta, cache=cache)
-        out[i] = NEG_LARGE if ll == -math.inf else ll
-    return out
+    """Per-rule decayed log-likelihood vector, NEG_LARGE for unparsed
+    rules and impossible sequences."""
+    return _pool_vector(pool, _shape_logliks(pool, trials, epsilon, alpha, beta))

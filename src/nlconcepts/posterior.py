@@ -3,25 +3,23 @@
 Two weighting schemes: deduplicated prior-times-likelihood weights (the
 default, usable with proposal sources that hide their sample
 probabilities) and classic importance weights (requires per-sample log
-q). All weight arithmetic happens in log space via log-sum-exp; a
-learnable temperature exponentiates the unnormalized weights by 1/T.
-
-Like `likelihood`, this is the scalar path of the public posterior API
-and the parity tests' oracle; experiments compute the same weights from
-compiled arrays (`fit.number_weights`, `fit.shape_forward`).
+q). Both are a masked softmax of the unnormalized log-weights, the one
+`fit` computes its posteriors with; a learnable temperature
+exponentiates the unnormalized weights by 1/T. Predictions read
+membership off `likelihood.extension_matrix` and truth values off
+`likelihood.truth_matrix`.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
 import numpy as np
-from scipy.special import expit, logit, logsumexp
+from scipy.special import expit, logit
 
-from .likelihood import NEG_LARGE, EvalCache
+from .likelihood import NEG_LARGE, EvalCache, extension_matrix, truth_matrix
 from .prior import prior_logweight
 from .types import Hypothesis, Trial
 
@@ -68,23 +66,25 @@ class PosteriorState:
         )
 
 
+def _first_occurrences(pool: Sequence[Hypothesis]):
+    """(pool index of each canonical NL's first entry, in pool order;
+    how many entries share that NL)."""
+    first: Dict[str, int] = {}
+    counts: Dict[str, int] = {}  # keys in the same order as `first`
+    for i, h in enumerate(pool):
+        first.setdefault(h.key, i)
+        counts[h.key] = counts.get(h.key, 0) + 1
+    return np.array(list(first.values()), dtype=int), np.array(list(counts.values()), dtype=int)
+
+
 def dedup_pool(pool: Sequence[Hypothesis]):
     """Merge duplicates by canonical NL, keeping the first occurrence.
 
     Returns (unique_pool, counts) where counts[i] is the multiplicity of
     unique hypothesis i in the input.
     """
-    seen: Dict[str, int] = {}
-    unique: List[Hypothesis] = []
-    counts: List[int] = []
-    for h in pool:
-        if h.key in seen:
-            counts[seen[h.key]] += 1
-        else:
-            seen[h.key] = len(unique)
-            unique.append(h)
-            counts.append(1)
-    return unique, np.array(counts)
+    first, counts = _first_occurrences(pool)
+    return [pool[i] for i in first], counts
 
 
 def weight_diagnostics(weights) -> Dict[str, float]:
@@ -98,15 +98,38 @@ def weight_diagnostics(weights) -> Dict[str, float]:
     }
 
 
-def _normalize(log_unnorm: np.ndarray, temperature: float):
-    """Softmax of log-weights / T; flags a degenerate (all-zero) pool."""
+def softmax_masked(scores: np.ndarray, alive: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis among `alive` entries; all zeros where
+    nothing is alive."""
+    shifted = np.where(alive, scores, -np.inf)
+    top = shifted.max(axis=-1, keepdims=True, initial=-np.inf)
+    e = np.exp(shifted - np.where(np.isfinite(top), top, 0.0))
+    total = e.sum(axis=-1, keepdims=True)
+    return np.divide(e, total, out=np.zeros_like(e), where=total > 0)
+
+
+def _weigh(kept: List[Hypothesis], n_proposals: int, log_unnorm, temperature: float):
+    """The posterior over `kept`, drawn from `n_proposals` proposals:
+    softmax of log_unnorm / T over the entries above ZERO_CUTOFF,
+    degenerate when there are none."""
     alive = log_unnorm > ZERO_CUTOFF
-    if not np.any(alive):
-        return np.zeros_like(log_unnorm), True
-    scaled = np.where(alive, log_unnorm / temperature, NEG_LARGE)
-    weights = np.exp(scaled - logsumexp(scaled[alive]))
-    weights[~alive] = 0.0
-    return weights / weights.sum(), False
+    weights = softmax_masked(log_unnorm / temperature, alive)
+    diagnostics = {
+        "proposals": n_proposals,
+        "unique": len(kept),
+        "duplicates_merged": n_proposals - len(kept),
+        "unparsed": sum(1 for h in kept if not h.parsed),
+        "zero_weight": int(np.sum(~alive)),
+        **weight_diagnostics(weights),
+    }
+    return PosteriorState(kept, weights, not alive.any(), diagnostics)
+
+
+def _logliks(pool: Sequence[Hypothesis], loglik) -> np.ndarray:
+    loglik = np.asarray(loglik, dtype=float)
+    if len(loglik) != len(pool):
+        raise ValueError("one log-likelihood per pool member required")
+    return loglik
 
 
 def dedup_weights(
@@ -118,36 +141,17 @@ def dedup_weights(
     """Deduplicated posterior weights: w ~ (p(C) p(X|C)) ** (1/T).
 
     `loglik` gives one log-likelihood per *input* pool entry; duplicate
-    entries must carry equal values (they describe the same utterance).
+    entries must carry equal values (they describe the same utterance),
+    and the first occurrence's is used.
     """
     if temperature <= 0:
         raise ValueError("temperature must be > 0")
     pool = list(pool)
-    loglik = np.asarray(loglik, dtype=float)
-    if len(loglik) != len(pool):
-        raise ValueError("one log-likelihood per pool member required")
-    unique, counts = dedup_pool(pool)
-    # map each unique hypothesis to the loglik of its first occurrence
-    index_of = {}
-    uniq_ll = np.empty(len(unique))
-    pos = 0
-    for i, h in enumerate(pool):
-        if h.key not in index_of:
-            index_of[h.key] = pos
-            uniq_ll[pos] = loglik[i]
-            pos += 1
+    loglik = _logliks(pool, loglik)
+    first, _ = _first_occurrences(pool)
+    unique = [pool[i] for i in first]
     log_prior = np.array([prior_logweight(prior, h) for h in unique])
-    log_unnorm = log_prior + uniq_ll
-    weights, degenerate = _normalize(log_unnorm, temperature)
-    diagnostics = {
-        "proposals": len(pool),
-        "unique": len(unique),
-        "duplicates_merged": len(pool) - len(unique),
-        "unparsed": sum(1 for h in unique if not h.parsed),
-        "zero_weight": int(np.sum(log_unnorm <= ZERO_CUTOFF)),
-        **weight_diagnostics(weights),
-    }
-    return PosteriorState(unique, weights, degenerate, diagnostics)
+    return _weigh(unique, len(pool), log_prior + loglik[first], temperature)
 
 
 def importance_weights(
@@ -155,29 +159,22 @@ def importance_weights(
 ) -> PosteriorState:
     """Importance weights w ~ p(C) p(X|C) / q(C|X); no deduplication."""
     pool = list(pool)
-    loglik = np.asarray(loglik, dtype=float)
-    if len(loglik) != len(pool):
-        raise ValueError("one log-likelihood per pool member required")
+    loglik = _logliks(pool, loglik)
     for h in pool:
         if h.proposal_logprob is None:
             raise MissingLogQ(f"hypothesis {h.nl_text!r} lacks a proposal log-prob")
     log_q = np.array([h.proposal_logprob for h in pool])
     log_prior = np.array([prior_logweight(prior, h) for h in pool])
-    log_unnorm = log_prior + loglik - log_q
-    weights, degenerate = _normalize(log_unnorm, 1.0)
-    diagnostics = {
-        "proposals": len(pool),
-        "unique": len(pool),
-        "duplicates_merged": 0,
-        "unparsed": sum(1 for h in pool if not h.parsed),
-        "zero_weight": int(np.sum(log_unnorm <= ZERO_CUTOFF)),
-        **weight_diagnostics(weights),
-    }
-    return PosteriorState(pool, weights, degenerate, diagnostics)
+    return _weigh(pool, len(pool), log_prior + loglik - log_q, 1.0)
 
 
 class DegenerateState(ValueError):
     pass
+
+
+def _require_weights(state: PosteriorState) -> None:
+    if state.degenerate:
+        raise DegenerateState("all pool hypotheses have zero weight")
 
 
 def predict_membership(
@@ -185,13 +182,10 @@ def predict_membership(
 ) -> float:
     """Posterior predictive probability that x_test belongs to the
     latent concept."""
-    if state.degenerate:
-        raise DegenerateState("all pool hypotheses have zero weight")
-    cache = cache or EvalCache()
-    indicator = np.array(
-        [float(x_test in cache.extension(h)) for h in state.pool]
-    )
-    return float(state.weights @ indicator)
+    _require_weights(state)
+    if not 1 <= x_test <= 100:
+        return 0.0
+    return float(state.weights @ extension_matrix(state.pool, cache)[:, x_test - 1])
 
 
 def predict_response(
@@ -201,12 +195,10 @@ def predict_response(
     alpha: float,
     cache: EvalCache | None = None,
 ) -> float:
-    """Expected probability of a positive response on trial t."""
-    if state.degenerate:
-        raise DegenerateState("all pool hypotheses have zero weight")
-    cache = cache or EvalCache()
-    member = np.array([float(cache.trial_member(h, t)) for h in state.pool])
-    per_hyp = (1.0 - epsilon) * member + epsilon * alpha
+    """Expected probability of a positive response on trial t. `cache`
+    is not consulted; rules are compiled, not memoized."""
+    _require_weights(state)
+    per_hyp = (1.0 - epsilon) * truth_matrix(state.pool, [t])[:, 0] + epsilon * alpha
     return float(state.weights @ per_hyp)
 
 

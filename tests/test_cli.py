@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from nlconcepts import io
+from nlconcepts.baselines import DIRECT_PARAMS, direct_shape_prompt
 from nlconcepts.cli import _load_params, main
 from nlconcepts.likelihood import pool_number_logliks
 from nlconcepts.posterior import dedup_weights
 from nlconcepts.prior import FeatureExtractor, Tuned, Uniform
+from nlconcepts.propose import ReplayStore
 from nlconcepts.types import NumberExampleSet
 
 
@@ -215,7 +217,7 @@ def test_fit_number_writes_outputs(fixtures_dir, tmp_path, capsys):
     assert metrics["n_predictions"] == 12
 
 
-def test_fit_shape_writes_outputs(fixtures_dir, tmp_path):
+def _shape_config(fixtures_dir, tmp_path):
     cfg = {
         "domain": "shape",
         "data_path": str(fixtures_dir / "shape"),
@@ -229,6 +231,11 @@ def test_fit_shape_writes_outputs(fixtures_dir, tmp_path):
     }
     path = tmp_path / "shape.json"
     path.write_text(json.dumps(cfg))
+    return path
+
+
+def test_fit_shape_writes_outputs(fixtures_dir, tmp_path):
+    path = _shape_config(fixtures_dir, tmp_path)
     out_dir = tmp_path / "out"
     rc = main(["fit", "--config", str(path), "--out-dir", str(out_dir)])
     assert rc == 0
@@ -283,6 +290,52 @@ def test_baseline_ablation(fixtures_dir, tmp_path):
     )
     assert rc == 0
     assert (out_dir / "metrics.json").exists()
+
+
+def test_baseline_latent_shape(fixtures_dir, tmp_path):
+    """A shape config runs the online latent-language baseline and
+    writes the chosen rule of each batch, per curve."""
+    out_dir = tmp_path / "latent"
+    cfg = _shape_config(fixtures_dir, tmp_path)
+    rc = main(["baseline", "latent", "--config", str(cfg), "--out-dir", str(out_dir)])
+    assert rc == 0
+    chosen = json.loads((out_dir / "chosen.json").read_text())
+    curve = io.load_learning_curve(fixtures_dir / "shape" / "green_triangles_curve.json")
+    assert list(chosen) == ["green_triangles"]
+    assert len(chosen["green_triangles"]) == len(curve.batches)
+    assert chosen["green_triangles"][-1] == curve.ground_truth_nl
+    metrics = json.loads((out_dir / "metrics.json").read_text())
+    assert metrics["n_trials"] == len(curve.trials)
+
+
+def test_baseline_llm_shape(fixtures_dir, tmp_path):
+    """A shape config queries the LM once per trial, here through a
+    replay store of canned answers that follow the labels."""
+    curve = io.load_learning_curve(fixtures_dir / "shape" / "green_triangles_curve.json")
+    store = ReplayStore(tmp_path / "store")
+    for b, batch in enumerate(curve.batches):
+        for t in batch:
+            answers = ["yes"] * 8 + ["no"] * 2 if t.label else ["no"] * 9 + ["yes"]
+            prompt = direct_shape_prompt(curve.batches[:b], batch, t.test)
+            store.record(prompt, DIRECT_PARAMS, [{"text": a, "logprob": None} for a in answers])
+    out_dir = tmp_path / "llm"
+    argv = ["baseline", "llm", "--config", str(_shape_config(fixtures_dir, tmp_path))]
+    rc = main(argv + ["--store", str(tmp_path / "store"), "--out-dir", str(out_dir)])
+    assert rc == 0
+    metrics = json.loads((out_dir / "metrics.json").read_text())
+    assert metrics == {"accuracy": 1.0, "n_trials": len(curve.trials)}
+    rows = (out_dir / "predictions.csv").read_text().splitlines()
+    assert rows[1].startswith("green_triangles:0,")
+
+
+def test_baseline_ablation_rejects_shape_config(fixtures_dir, tmp_path, capsys):
+    shared = fixtures_dir / "number_pool_size_principle.jsonl"
+    argv = ["baseline", "ablation", "--config", str(_shape_config(fixtures_dir, tmp_path))]
+    rc = main(argv + ["--shared-pool", str(shared), "--out-dir", str(tmp_path / "ablation")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "'shape'" in err
+    assert not (tmp_path / "ablation").exists()
 
 
 def test_sweep(fixtures_dir, tmp_path, capsys):

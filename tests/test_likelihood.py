@@ -75,7 +75,7 @@ def test_domain_mismatch_raises():
     with pytest.raises(DomainMismatch):
         cache.extension(GT)
     with pytest.raises(DomainMismatch):
-        cache.trial_member(EVEN, Trial([TRI], TRI, True))
+        pool_shape_logliks([EVEN], [Trial([TRI], TRI, True)], 0.1, 0.5, 1.0)
 
 
 def test_trial_response_prob():

@@ -2,9 +2,9 @@
 
 For random parameters, every prediction of the fit path
 (`fit.loss_and_grad`) must equal the inference path's prediction for
-the same datum within 1e-12, in both domains. In the shape domain both
-paths run the compiled forward pass, so both are checked against the
-scalar per-hypothesis functions, rebuilt batch by batch as the oracle.
+the same datum within 1e-12, in both domains. The shape paths, top-k
+verbalizations and the latent-language baselines are checked against
+the per-hypothesis reference in `oracle`, rebuilt batch by batch.
 """
 
 import numpy as np
@@ -22,18 +22,12 @@ from nlconcepts.harness import (
     run_number_experiment,
     run_online_experiment,
 )
-from nlconcepts.likelihood import EvalCache, pool_number_logliks, pool_shape_logliks
-from nlconcepts.posterior import (
-    ZERO_CUTOFF,
-    dedup_pool,
-    dedup_weights,
-    platt,
-    predict_membership,
-    predict_response,
-)
+from nlconcepts.likelihood import EvalCache, pool_number_logliks
+from nlconcepts.posterior import ZERO_CUTOFF, dedup_pool, dedup_weights, platt, predict_membership
 from nlconcepts.prior import FeatureExtractor
 from nlconcepts.types import ModelParams
 
+import oracle
 from conftest import FIXTURES, synthetic_shape_curve, synthetic_shape_pool
 
 TOL = 1e-12
@@ -104,25 +98,24 @@ def test_number_fit_path_matches_inference_path(prior):
 
 
 def scalar_online_predictions(cfg, pool, curve, params):
-    """The online protocol from the scalar functions: before each batch,
-    the visible rules' decayed log-likelihoods of all earlier trials,
-    deduplicated weights, then each trial's expected response."""
+    """The online protocol from the reference functions: before each
+    batch, the visible rules' decayed log-likelihoods of all earlier
+    trials, deduplicated weights, then each trial's expected response."""
     extractor = FeatureExtractor(dim=cfg.feature_dim)
     prior = prior_spec_for(cfg, params, extractor)
-    cache = EvalCache()
     unique, _ = dedup_pool(pool)
     preds, seen = [], 0
     for b, batch in enumerate(curve.batches, start=1):
         visible = [h for h in unique if h.source_batch is None or h.source_batch <= b]
-        loglik = pool_shape_logliks(
-            visible, curve.trials[:seen], params.epsilon, params.alpha, params.beta, cache
+        loglik = oracle.pool_shape_logliks(
+            visible, curve.trials[:seen], params.epsilon, params.alpha, params.beta
         )
-        state = dedup_weights(visible, prior, loglik, params.temperature)
+        state = oracle.dedup_weights(visible, prior, loglik, params.temperature)
         for t in batch:
             if state.degenerate:
                 preds.append(params.epsilon * params.alpha)
             else:
-                preds.append(predict_response(state, t, params.epsilon, params.alpha, cache))
+                preds.append(oracle.predict_response(state, t, params.epsilon, params.alpha))
         seen += len(batch)
     return preds
 
@@ -216,12 +209,11 @@ def test_number_top_verbalizations_match_dedup_weights(prior, setting):
 
     extractor = FeatureExtractor(dim=cfg.feature_dim)
     prior_spec = prior_spec_for(cfg, params, extractor)
-    cache = EvalCache()
     assert set(top) == set(pools)
     for set_id, group in group_judgments(judgments, pools).items():
         pool = pools[set_id]
-        loglik = pool_number_logliks(pool, group[0].example_set, params.epsilon, cache)
-        state = dedup_weights(pool, prior_spec, loglik, params.temperature)
+        loglik = oracle.pool_number_logliks(pool, group[0].example_set, params.epsilon)
+        state = oracle.dedup_weights(pool, prior_spec, loglik, params.temperature)
         order = np.argsort(-state.weights, kind="stable")[:5]
         assert [nl for nl, _ in top[set_id]] == [state.pool[i].nl_text for i in order]
         gaps = [abs(w - state.weights[i]) for (_, w), i in zip(top[set_id], order)]
@@ -245,15 +237,14 @@ def test_latent_language_number_matches_scalar_oracle(epsilon):
     metrics, records, chosen = latent_language_number(cfg, judgments=judgments, pools=pools)
 
     eps = 0.1 if params is None else params.epsilon
-    cache = EvalCache()
     raw_by_id, want_chosen = {}, {}
     for set_id, group in group_judgments(judgments, pools).items():
         pool, _ = dedup_pool(pools[set_id])
-        loglik = pool_number_logliks(pool, group[0].example_set, eps, cache)
+        loglik = oracle.pool_number_logliks(pool, group[0].example_set, eps)
         best = pool[first_argmax(pool, loglik)]
         want_chosen[set_id] = best.nl_text
         for j in group:
-            raw = float(j.test_number in cache.extension(best))
+            raw = float(j.test_number in oracle.extension(best))
             raw_by_id[f"{set_id}:{j.test_number}"] = (raw, j.mean_rating)
     want = _calibrated_records(raw_by_id, cfg.k_folds, cfg.seed)
     assert chosen == want_chosen
@@ -265,16 +256,15 @@ def test_latent_language_number_matches_scalar_oracle(epsilon):
 def scalar_latent_shape(pool, curve, eps, alpha, beta):
     """Before each batch, the first maximum-likelihood visible rule on
     all earlier trials; its prediction, eps * alpha without one."""
-    cache = EvalCache()
     unique, _ = dedup_pool(pool)
     preds, chosen, seen = [], [], 0
     for b, batch in enumerate(curve.batches, start=1):
         visible = [h for h in unique if h.source_batch is None or h.source_batch <= b]
-        loglik = pool_shape_logliks(visible, curve.trials[:seen], eps, alpha, beta, cache)
+        loglik = oracle.pool_shape_logliks(visible, curve.trials[:seen], eps, alpha, beta)
         best = first_argmax(visible, loglik)
         chosen.append(None if best is None else visible[best].nl_text)
         for t in batch:
-            c = 0.0 if best is None else float(cache.trial_member(visible[best], t))
+            c = 0.0 if best is None else float(oracle.trial_member(visible[best], t))
             preds.append((1.0 - eps) * c + eps * alpha)
         seen += len(batch)
     return preds, chosen
