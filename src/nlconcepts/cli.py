@@ -170,6 +170,9 @@ def _cmd_replay(args) -> int:
     if args.action == "list":
         for key in store.keys():
             print(key)
+    elif args.action == "gc":
+        for name in store.gc():
+            print(f"removed {name}")
     else:
         print(json.dumps(store.entry(args.key), indent=2))
     return 0
@@ -266,8 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("replay", help="inspect the replay store")
-    p.add_argument("action", choices=("list", "show"))
+    p = sub.add_parser("replay", help="inspect the replay store or remove stale temp files")
+    p.add_argument("action", choices=("list", "show", "gc"))
     p.add_argument("key", nargs="?")
     p.add_argument("--store", default="replay")
     p.set_defaults(func=_cmd_replay)

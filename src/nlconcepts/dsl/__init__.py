@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import number as number_dsl
 from . import shape as shape_dsl
@@ -33,6 +34,19 @@ class ConceptProgram:
     def __post_init__(self):
         if self.domain not in (NUMBER, SHAPE):
             raise ValueError(f"unknown domain {self.domain!r}")
+
+    @cached_property
+    def truth(self):
+        """The shape rule compiled once (`shape.compile_shape`): a
+        function from `shape.encode_trials` arrays to the (K,) bool
+        truth vector. It lives as long as the program does."""
+        if self.domain != SHAPE:
+            raise DomainMismatch(f"only shape rules compile to a truth function, not {self.domain}")
+        return shape_dsl.compile_shape(self.expr)
+
+    def __getstate__(self):
+        # the compiled closure does not pickle; it is rebuilt on demand
+        return {k: v for k, v in vars(self).items() if k != "truth"}
 
 
 def parse_concept(src: str, domain: str) -> ConceptProgram:

@@ -31,7 +31,7 @@ from typing import Dict, Sequence
 import numpy as np
 
 from .dsl import NUMBER, SHAPE, ConceptProgram, DomainMismatch, number_extension
-from .dsl.shape import compile_shape, encode_trials
+from .dsl.shape import encode_trials
 from .types import Hypothesis, NumberExampleSet, Trial, Unparsed
 
 NEG_LARGE = -1e18  # finite stand-in for log(0) inside optimization
@@ -79,15 +79,16 @@ def extension_matrix(pool: Sequence[Hypothesis], cache: EvalCache | None = None)
 
 def truth_matrix(pool: Sequence[Hypothesis], trials: Sequence[Trial]) -> np.ndarray:
     """(S, K) truth value of each shape rule on each trial, from rules
-    compiled to array programs over the encoded trials; rows of
-    unparsed rules are 0."""
+    compiled to array programs over the encoded trials (each program
+    compiles once, `ConceptProgram.truth`); rows of unparsed rules are
+    0."""
     for h in pool:
         _require(h, SHAPE)
     arrays = encode_trials(list(trials))
     out = np.zeros((len(pool), len(arrays.all)))
     for i, h in enumerate(pool):
         if h.parsed:
-            out[i] = compile_shape(h.program.expr)(arrays)
+            out[i] = h.program.truth(arrays)
     return out
 
 
@@ -150,7 +151,7 @@ def trial_response_prob(
     h: Hypothesis, t: Trial, epsilon: float, alpha: float, cache: EvalCache | None = None
 ) -> float:
     """Probability assigned to the observed label of one trial. `cache`
-    is not consulted; rules are compiled, not memoized."""
+    is not consulted; the rule's compiled program is."""
     return float(_response_probs(truth_matrix([h], [t]), [t], epsilon, alpha)[0, 0])
 
 

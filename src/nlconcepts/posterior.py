@@ -196,7 +196,7 @@ def predict_response(
     cache: EvalCache | None = None,
 ) -> float:
     """Expected probability of a positive response on trial t. `cache`
-    is not consulted; rules are compiled, not memoized."""
+    is not consulted; the rules' compiled programs are."""
     _require_weights(state)
     per_hyp = (1.0 - epsilon) * truth_matrix(state.pool, [t])[:, 0] + epsilon * alpha
     return float(state.weights @ per_hyp)

@@ -57,8 +57,10 @@ class ReplayBackend:
 
     Without a client a miss raises ReplayMiss. With one, a miss goes to
     the API (a log-prob request when params["mode"] is "score", a chat
-    completion otherwise) and the response is recorded before use, so
-    a later client-less run on the same store replays it exactly.
+    completion otherwise), the response is recorded, and what the store
+    then holds is returned: when another writer recorded the request
+    first, its completions win, so every run sees what a later
+    client-less run on the same store replays.
     """
 
     def __init__(self, store: ReplayStore, client: Optional[ChatClient] = None):
@@ -84,7 +86,7 @@ class ReplayBackend:
                 logprobs=params.get("logprobs", False),
             )
         self.store.record(prompt, params, completions)
-        return completions
+        return self.store.lookup(prompt, params)
 
     def propose(self, req: ProposalRequest) -> List[Hypothesis]:
         completions = self.completions(build_prompt(req), _request_params(req))

@@ -1,4 +1,6 @@
 import json
+import os
+import shutil
 
 import numpy as np
 import pytest
@@ -94,6 +96,28 @@ def test_replay_list_and_show(fixtures_dir, capsys):
     assert rc == 0
     entry = json.loads(capsys.readouterr().out)
     assert "completions" in entry
+
+
+def test_replay_list_on_a_missing_store_creates_nothing(tmp_path, capsys):
+    store = tmp_path / "missing"
+    assert main(["replay", "list", "--store", str(store)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["replay", "gc", "--store", str(store)]) == 0
+    assert not store.exists()
+
+
+def test_replay_gc_keeps_entries_and_live_temp_files(fixtures_dir, tmp_path, capsys):
+    store = tmp_path / "rs"
+    shutil.copytree(fixtures_dir / "replay", store)
+    assert main(["replay", "list", "--store", str(store)]) == 0
+    keys = capsys.readouterr().out
+    live = f".{keys.split()[0]}.{os.getpid()}.1.tmp"
+    (store / live).write_text("{")
+    assert main(["replay", "gc", "--store", str(store)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["replay", "list", "--store", str(store)]) == 0
+    assert capsys.readouterr().out == keys and len(keys.split()) == 5
+    assert (store / live).exists()
 
 
 def test_propose_translate_pipeline_reproducible(fixtures_dir, tmp_path, capsys):

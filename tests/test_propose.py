@@ -1,4 +1,9 @@
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 
 import pytest
 
@@ -172,6 +177,132 @@ def test_truncated_entry_raises_corrupt_entry(tmp_path):
             read()
         assert isinstance(err.value, ValueError)
         assert key in str(err.value) and str(path) in str(err.value)
+
+
+def test_record_writes_one_compact_entry_and_fixture_entries_still_read(tmp_path, fixtures_dir):
+    store = ReplayStore(tmp_path / "rs")
+    entry = {"prompt": "prompt", "params": {"n": 1}, "completions": [{"text": "é", "logprob": -1.0}]}
+    key = store.record(entry["prompt"], entry["params"], entry["completions"])
+    assert os.listdir(tmp_path / "rs") == [f"{key}.json"]
+    text = (tmp_path / "rs" / f"{key}.json").read_text()
+    assert text == json.dumps(entry, separators=(",", ":"))
+    assert store.entry(key) == entry
+    # the shipped fixtures are indented, and read the same way
+    fixtures = ReplayStore(fixtures_dir / "replay")
+    for key in fixtures.keys():
+        text = (fixtures_dir / "replay" / f"{key}.json").read_text()
+        assert "\n  " in text
+        raw = json.loads(text)
+        assert fixtures.lookup(raw["prompt"], raw["params"]) == raw["completions"]
+
+
+def test_reading_a_missing_store_creates_nothing(tmp_path):
+    root = tmp_path / "missing" / "rs"
+    store = ReplayStore(root)
+    with pytest.raises(ReplayMiss):
+        store.lookup("prompt", {"n": 1})
+    assert store.get("prompt", {"n": 1}) is None
+    assert store.keys() == []
+    assert store.gc() == []
+    assert not (tmp_path / "missing").exists()
+    # the first record creates it, parents included
+    key = store.record("prompt", {"n": 1}, [])
+    assert store.keys() == [key]
+
+
+def _temp_files(root):
+    return sorted(n for n in os.listdir(root) if n.endswith(".tmp"))
+
+
+def _dead_pid() -> int:
+    child = subprocess.Popen([sys.executable, "-c", ""])
+    child.wait()  # reaped: the pid no longer exists
+    return child.pid
+
+
+def test_gc_removes_dead_writers_temp_files_and_keeps_live_ones(tmp_path):
+    store = ReplayStore(tmp_path / "rs")
+    key = store.record("prompt", {"n": 1}, [{"text": "even", "logprob": -1.0}])
+    dead = f".{key}.{_dead_pid()}.1.tmp"
+    live = f".{key}.{os.getpid()}.2.tmp"
+    for name in (dead, live):
+        (tmp_path / "rs" / name).write_text('{"prompt": "cut off')
+    (tmp_path / "rs" / "notes.tmp").write_text("not a record's temp file")
+    assert store.keys() == [key]
+    assert store.gc() == [dead]
+    assert _temp_files(tmp_path / "rs") == sorted([live, "notes.tmp"])
+    assert store.gc() == []
+    assert store.keys() == [key]
+
+
+def _record_race(root, barrier, worker, keys):
+    store = ReplayStore(root)
+    barrier.wait()
+    for i in range(keys):
+        store.record(f"prompt {i}", {"n": 1}, [{"text": f"worker {worker}", "logprob": None}])
+
+
+def _check_one_whole_entry_per_key(root, keys):
+    store = ReplayStore(root)
+    assert sorted(os.listdir(root)) == sorted(f"{k}.json" for k in store.keys())
+    assert len(store.keys()) == keys
+    for i in range(keys):
+        (completion,) = store.lookup(f"prompt {i}", {"n": 1})
+        assert completion in ({"text": "worker 0", "logprob": None}, {"text": "worker 1", "logprob": None})
+
+
+def test_two_processes_recording_the_same_keys_leave_one_whole_entry_each(tmp_path):
+    mp = multiprocessing.get_context("spawn")
+    barrier = mp.Barrier(2)
+    workers = [
+        mp.Process(target=_record_race, args=(tmp_path / "rs", barrier, w, 40)) for w in range(2)
+    ]
+    for p in workers:
+        p.start()
+    for p in workers:
+        p.join(60)
+    assert [(p.is_alive(), p.exitcode) for p in workers] == [(False, 0), (False, 0)]
+    _check_one_whole_entry_per_key(tmp_path / "rs", 40)
+
+
+def test_two_threads_recording_the_same_keys_leave_one_whole_entry_each(tmp_path):
+    barrier = threading.Barrier(2)
+    errors = []
+
+    def run(worker):
+        try:
+            _record_race(tmp_path / "rs", barrier, worker, 40)
+        except BaseException as exc:  # surfaced below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    _check_one_whole_entry_per_key(tmp_path / "rs", 40)
+
+
+def test_failed_link_propagates_and_leaves_no_entry_or_temp_file(tmp_path, monkeypatch):
+    store = ReplayStore(tmp_path / "rs")
+    store.record("other", {"n": 1}, [])
+
+    def link(src, dst):
+        raise OSError(5, "simulated failure between the temp write and the link")
+
+    monkeypatch.setattr(os, "link", link)
+    with pytest.raises(OSError, match="simulated failure"):
+        store.record("prompt", {"n": 1}, [{"text": "even", "logprob": -1.0}])
+    assert os.listdir(tmp_path / "rs") == [f"{fingerprint('other', {'n': 1})}.json"]
+    with pytest.raises(ReplayMiss):
+        store.lookup("prompt", {"n": 1})
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +557,34 @@ def test_live_miss_calls_client_once_and_records(tmp_path):
     replayed = ReplayBackend(store)
     assert replayed.completions(entry["prompt"], entry["params"]) == entry["completions"]
     assert _summary(propose(_number_request(), replayed)) == _summary(pool)
+
+
+def test_live_writer_that_loses_the_race_returns_the_winners_completions(tmp_path):
+    store = ReplayStore(tmp_path / "rs")
+    prompt = build_prompt(_number_request())
+
+    class RacedClient(FakeClient):
+        """Another writer records the request while this API call runs."""
+
+        def complete(self, prompt, temperature, n, **kwargs):
+            winner = [{"text": "odd", "logprob": -0.5}] * n
+            params = {
+                "temperature": temperature,
+                "n": n,
+                "max_tokens": 64,
+                "stop": "\n",
+                "logprobs": True,
+                "seed": 0,
+            }
+            store.record(prompt, params, winner)
+            return super().complete(prompt, temperature, n, **kwargs)
+
+    backend = ReplayBackend(store, RacedClient())
+    pool = propose(_number_request(), backend)
+    assert _summary(pool) == [("the number is odd", -0.5)] * 3
+    (key,) = store.keys()
+    assert store.entry(key)["prompt"] == prompt
+    assert [c["text"] for c in store.entry(key)["completions"]] == ["odd"] * 3
 
 
 def test_clientless_miss_raises_and_records_nothing(tmp_path):
