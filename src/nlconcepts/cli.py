@@ -302,6 +302,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command in ("propose", "infer") and getattr(args, _DOMAIN_INPUT[args.domain]) is None:
         parser.error(f"{args.command} --domain {args.domain} requires --{_DOMAIN_INPUT[args.domain]}")
+    if args.command == "replay" and args.action == "show" and args.key is None:
+        parser.error("replay show requires the key argument")
     try:
         return args.func(args)
     except SystemExit:

@@ -123,11 +123,15 @@ class NumberTask:
 @dataclass
 class ShapeTask:
     """One learning curve compiled against its deduplicated pool of S
-    rules: K trials in B batches, each trial one prediction row."""
+    rules: K trials in B batches, each trial one prediction row.
+
+    `consist` must hold only 0.0 and 1.0: `shape_forward` is affine in
+    it. Building a task checks this once and raises ValueError naming
+    the curve otherwise."""
 
     features: Optional[np.ndarray]  # (S, D); None under a non-tuned prior
     base_logprior: np.ndarray  # (S,)
-    consist: np.ndarray  # (S, K) rule truth value per trial
+    consist: np.ndarray  # (S, K) rule truth value per trial, 0.0 or 1.0
     labels: np.ndarray  # (K,) observed Y
     batch: np.ndarray  # (K,) batch index of each trial, from 0
     visible: np.ndarray  # (B, S) rule parsed and joined by batch b
@@ -136,6 +140,16 @@ class ShapeTask:
     names: List[str]  # (S,) NL text of each rule
 
     domain: str = "shape"
+
+    def __post_init__(self):
+        bad = (self.consist != 0.0) & (self.consist != 1.0)
+        if bad.any():
+            s, k = np.argwhere(bad)[0]
+            curve = self.ids[k].rpartition(":")[0]
+            raise ValueError(
+                f"shape task {curve!r}: truth matrix must hold only 0 and 1, "
+                f"found {float(self.consist[s, k])!r} for rule {self.names[s]!r} on trial {k}"
+            )
 
 
 @dataclass
@@ -272,11 +286,23 @@ def shape_forward(task: ShapeTask, params: ModelParams):
     """One forward pass of the online model over a compiled curve.
 
     Before batch b, rule s scores (log prior + decayed log-likelihood of
-    all earlier trials) / T, softmaxed over the rules visible at b. The
-    log-likelihoods of all batches are one product, log r @ D^T, with
-    D[b, k] = (K_b - k)^-beta for the K_b trials before batch b. Trial
-    k is predicted as sum_s w[b(k), s] q[s, k], which is eps * alpha at
-    a batch where no rule is visible.
+    all earlier trials) / T, softmaxed over the rules visible at b, with
+    D[b, k] = (K_b - k)^-beta for the K_b trials before batch b. Trial k
+    is predicted as sum_s w[b(k), s] q[s, k], which is eps * alpha at a
+    batch where no rule is visible.
+
+    `task.consist` must hold only 0 and 1 (ShapeTask checks it). Then
+    q[s, k] = (1 - eps) c[s, k] + eps alpha, the probability r[s, k] of
+    the observed label and log r[s, k] are all affine in c: each equals
+    a0[k] + c[s, k] (a1[k] - a0[k]), with per-trial coefficients from
+    eps, alpha and label k. So the log-likelihoods of all batches are
+    D @ log r0 + (D * (log r1 - log r0)) @ c^T. The first term is the
+    same for every rule of a batch: the softmax cancels it, and so does
+    the gradient, whose rows in the log-weights sum to zero. c enters
+    the pass and its gradient only through four products (the second
+    term, w @ c, g @ c^T and d(log weights) @ c), and the gradients in
+    eps, alpha and beta are per-trial sums of the last one; no (S, K)
+    array is built.
 
     Returns (predictions (K,), weights (B, S), backward), where
     backward(d(loss)/d(prediction)) gives the loss gradient in
@@ -289,16 +315,19 @@ def shape_forward(task: ShapeTask, params: ModelParams):
     if task.features is not None:
         log_prior = log_prior + task.features @ params.theta
     sign = np.where(task.labels > 0, 1.0, -1.0)
-    q = (1.0 - eps) * c + eps * alpha  # P(Y=1) under each rule
-    r = np.where(sign > 0, q, 1.0 - q)  # P(observed label)
-    log_r = np.log(np.maximum(r, 1e-300))
+    # P(Y = 1) under a rule false (q0) or true (q1) on a trial, and r0, r1
+    # the probabilities of each trial's observed label
+    q0, q1 = eps * alpha, (1.0 - eps) + eps * alpha
+    r0 = np.where(sign > 0, q0, 1.0 - q0)
+    r1 = np.where(sign > 0, q1, 1.0 - q1)
+    delta_log_r = np.log(np.maximum(r1, 1e-300)) - np.log(np.maximum(r0, 1e-300))  # (K,)
     # lag[b, k] = K_b - k, how far trial k lies behind the start of batch b
     lag = np.searchsorted(task.batch, np.arange(n_batches))[:, None] - np.arange(n_trials)
     past = lag > 0
     lag = np.where(past, lag, 1).astype(float)
     decay = np.where(past, lag**-beta, 0.0)  # D (B, K)
-    log_unnorm = log_prior + decay @ log_r.T  # (B, S)
-    w = softmax_masked(log_unnorm / temp, task.visible)
+    score = (log_prior + (decay * delta_log_r) @ c.T) / temp  # (B, S), up to a constant per batch
+    w = softmax_masked(score, task.visible)
     now = (task.batch, np.arange(n_trials))
     mean_truth = (w @ c)[now]  # (K,) zero where nothing is visible
     pred = (1.0 - eps) * mean_truth + eps * alpha
@@ -307,16 +336,22 @@ def shape_forward(task: ShapeTask, params: ModelParams):
         g = np.zeros((n_batches, n_trials))
         g[now] = dl_dpred
         # d(loss)/d score[b, s] sums g_k w[b, s] (q[s, k] - pred_k) over
-        # batch b's trials k, where q[s, k] - pred_k = (1 - eps) (c[s, k] - mean_k)
-        d_score = (1.0 - eps) * w * (g @ c.T - (g @ mean_truth)[:, None])
-        d_unnorm = d_score / temp  # (B, S)
+        # batch b's trials k, where q[s, k] - pred_k = (1 - eps) (c[s, k] - mean_k);
+        # d_unnorm is that over T, the gradient in the log-weights (B, S)
+        d_unnorm = (1.0 - eps) / temp * w * (g @ c.T - (g @ mean_truth)[:, None])
         d_theta = None if task.features is None else d_unnorm.sum(axis=0) @ task.features
-        d_log_r = d_unnorm.T @ decay  # (S, K)
-        d_q = np.divide(sign * d_log_r, r, out=np.zeros_like(r), where=r > 1e-300)
-        d_eps = dl_dpred @ (alpha - mean_truth) + (d_q * (alpha - c)).sum()
-        d_alpha = eps * (dl_dpred.sum() + d_q.sum())
-        d_beta = -((d_unnorm.T @ (np.log(lag) * decay)) * log_r).sum()
-        d_temp = -(d_score * log_unnorm).sum() / temp**2
+        # per trial, d(loss)/d log r summed over the rules true on it; over
+        # the false ones it is the negative, as the rows of d_unnorm sum to zero
+        on_true = d_unnorm @ c  # (B, K)
+        true_rules = (decay * on_true).sum(axis=0)
+        # d log r / d q = sign / r, zero where r was clipped
+        inv_r0 = np.divide(sign, r0, out=np.zeros_like(r0), where=r0 > 1e-300)
+        inv_r1 = np.divide(sign, r1, out=np.zeros_like(r1), where=r1 > 1e-300)
+        d_q0, d_q1 = -inv_r0 @ true_rules, inv_r1 @ true_rules
+        d_eps = dl_dpred @ (alpha - mean_truth) + alpha * d_q0 + (alpha - 1.0) * d_q1
+        d_alpha = eps * (dl_dpred.sum() + d_q0 + d_q1)
+        d_beta = -((np.log(lag) * decay * on_true).sum(axis=0) @ delta_log_r)
+        d_temp = -np.vdot(d_unnorm, score)
         return d_theta, d_eps, d_alpha, d_beta, d_temp
 
     return pred, w, backward

@@ -8,6 +8,10 @@ one example and one trial at a time, through the interpreters
 compare the library against an independent reference. It imports only
 the interpreters, the prior, the sentinel constants and the
 PosteriorState container from the library.
+
+`shape_forward_dense` is the reference for the library's shape kernel
+(`fit.shape_forward`): the same forward pass and gradient written over
+dense (S, K) arrays of q, r and log r, valid for any truth values.
 """
 
 from __future__ import annotations
@@ -150,3 +154,113 @@ def predict_response(state, t, epsilon, alpha) -> float:
             for w, h in zip(state.weights, state.pool)
         )
     )
+
+
+# ---------------------------------------------------------------------------
+# Shape kernel
+
+
+def _softmax_rows(scores, alive):
+    """Per row, the softmax of `scores` over the `alive` entries; a row
+    with none alive is all zeros."""
+    out = np.zeros_like(scores)
+    for b, (x, live) in enumerate(zip(scores, alive)):
+        if live.any():
+            out[b, live] = np.exp(x[live] - logsumexp(x[live]))
+    return out
+
+
+def _dense_terms(task, params):
+    """(log prior (S,), sign (K,), r (S, K), log r (S, K), lag (B, K),
+    D (B, K)) of the online shape model: r[s, k] is the probability of
+    trial k's label under rule s, D[b, k] = lag[b, k]^-beta the decay
+    of trial k before batch b (0 for trials not yet seen)."""
+    eps, alpha = params.epsilon, params.alpha
+    n_batches, n_trials = task.visible.shape[0], len(task.labels)
+    log_prior = task.base_logprior
+    if task.features is not None:
+        log_prior = log_prior + task.features @ params.theta
+    sign = np.where(task.labels > 0, 1.0, -1.0)
+    q = (1.0 - eps) * task.consist + eps * alpha
+    r = np.where(sign > 0, q, 1.0 - q)
+    log_r = np.log(np.maximum(r, 1e-300))
+    lag = np.searchsorted(task.batch, np.arange(n_batches))[:, None] - np.arange(n_trials)
+    past = lag > 0
+    lag = np.where(past, lag, 1).astype(float)
+    decay = np.where(past, lag**-params.beta, 0.0)
+    return log_prior, sign, r, log_r, lag, decay
+
+
+def shape_forward_dense(task, params):
+    """(predictions (K,), weights (B, S), backward) of the online shape
+    model, as `fit.shape_forward` returns them, from dense (S, K) arrays;
+    backward(d(loss)/d(prediction)) gives (theta or None, epsilon,
+    alpha, beta, temperature) gradients."""
+    eps, alpha, temp = params.epsilon, params.alpha, params.temperature
+    c = task.consist
+    log_prior, sign, r, log_r, lag, decay = _dense_terms(task, params)
+    log_unnorm = log_prior + decay @ log_r.T
+    w = _softmax_rows(log_unnorm / temp, task.visible)
+    now = (task.batch, np.arange(len(task.labels)))
+    mean_truth = (w @ c)[now]
+    pred = (1.0 - eps) * mean_truth + eps * alpha
+
+    def backward(dl_dpred):
+        g = np.zeros(decay.shape)
+        g[now] = dl_dpred
+        d_score = (1.0 - eps) * w * (g @ c.T - (g @ mean_truth)[:, None])
+        d_unnorm = d_score / temp
+        d_theta = None if task.features is None else d_unnorm.sum(axis=0) @ task.features
+        d_log_r = d_unnorm.T @ decay
+        d_q = np.divide(sign * d_log_r, r, out=np.zeros_like(r), where=r > 1e-300)
+        d_eps = dl_dpred @ (alpha - mean_truth) + (d_q * (alpha - c)).sum()
+        d_alpha = eps * (dl_dpred.sum() + d_q.sum())
+        d_beta = -((d_unnorm.T @ (np.log(lag) * decay)) * log_r).sum()
+        d_temp = -(d_score * log_unnorm).sum() / temp**2
+        return d_theta, d_eps, d_alpha, d_beta, d_temp
+
+    return pred, w, backward
+
+
+def shape_forward_magnitudes(task, params, dl_dpred):
+    """Magnitudes that bound rounding in the shape kernel, in its dense
+    form (`shape_forward_dense`) and in the affine one
+    (`fit.shape_forward`), which writes log r[s, k] as
+    log r0[k] + c[s, k] (log r1[k] - log r0[k]) and 1 / r likewise, with
+    r0, r1 the probabilities of trial k's label under a false and a true
+    rule.
+
+    Returns (z, grads). z is the largest sum of magnitudes behind the
+    tempered log-weight of a visible rule,
+    (|log prior| + sum_k D[b, k] |log r[s, k]|) / T. grads holds, for
+    (theta or None, epsilon, alpha, beta, temperature), each gradient's
+    sum with every factor replaced by its magnitude. Each |log r| and
+    1 / r is the larger of the two forms' terms. A sum of n terms, added
+    in any order, is off by at most about n u times the sum of their
+    magnitudes (u the unit roundoff)."""
+    eps, alpha, temp = params.epsilon, params.alpha, params.temperature
+    c = task.consist
+    log_prior, sign, _, _, lag, decay = _dense_terms(task, params)
+    q0, q1 = eps * alpha, (1.0 - eps) + eps * alpha
+    r0, r1 = np.where(sign > 0, q0, 1.0 - q0), np.where(sign > 0, q1, 1.0 - q1)
+    log_r0, log_r1 = np.log(np.maximum(r0, 1e-300)), np.log(np.maximum(r1, 1e-300))
+    log_r = np.abs(log_r0) + c * np.abs(log_r1 - log_r0)
+    inv_r0 = np.divide(1.0, r0, out=np.zeros_like(r0), where=r0 > 1e-300)
+    inv_r = inv_r0 + c * np.divide(1.0, r1, out=np.zeros_like(r1), where=r1 > 1e-300)
+    size = np.abs(log_prior) + decay @ log_r.T
+    _, w, _ = shape_forward_dense(task, params)
+    now = (task.batch, np.arange(len(task.labels)))
+    mean_truth = (w @ c)[now]
+    g = np.zeros(decay.shape)
+    g[now] = np.abs(dl_dpred)
+    d_score = (1.0 - eps) * w * (g @ c.T + (g @ mean_truth)[:, None])
+    d_unnorm = d_score / temp
+    d_theta = None if task.features is None else d_unnorm.sum(axis=0) @ np.abs(task.features)
+    d_q = (d_unnorm.T @ decay) * inv_r
+    d_eps = np.abs(dl_dpred) @ np.abs(alpha - mean_truth)
+    d_eps += (d_q * np.maximum(alpha, np.abs(alpha - c))).sum()
+    d_alpha = eps * (np.abs(dl_dpred).sum() + d_q.sum())
+    d_beta = ((d_unnorm.T @ (np.log(lag) * decay)) * log_r).sum()
+    d_temp = (d_score * size).sum() / temp**2
+    z = float(size[task.visible].max(initial=0.0)) / temp
+    return z, (d_theta, d_eps, d_alpha, d_beta, d_temp)

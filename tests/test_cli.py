@@ -98,6 +98,13 @@ def test_replay_list_and_show(fixtures_dir, capsys):
     assert "completions" in entry
 
 
+def test_replay_show_without_a_key_is_a_usage_error(fixtures_dir, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["replay", "show", "--store", str(fixtures_dir / "replay")])
+    assert err.value.code == 2
+    assert "replay show requires the key argument" in capsys.readouterr().err
+
+
 def test_replay_list_on_a_missing_store_creates_nothing(tmp_path, capsys):
     store = tmp_path / "missing"
     assert main(["replay", "list", "--store", str(store)]) == 0

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -70,6 +71,30 @@ def test_build_number_task_shapes(fixtures_dir):
     assert len(set(exts)) < len(exts)
     # one deliberately unparsed entry
     assert (~task.parsed).sum() == 1
+
+
+@pytest.mark.parametrize("source", ["fixture", "synthetic"])
+def test_build_shape_task_truth_matrix_is_zero_one(source, fixtures_dir):
+    """The shape kernel is affine in the truth matrix, which holds for
+    0/1 entries only; both pools have unparsed rules and duplicates."""
+    if source == "fixture":
+        pool, curve = load_fixture_pool(fixtures_dir), load_fixture_curve(fixtures_dir)
+    else:
+        pool, curve = synthetic_shape_pool(), synthetic_shape_curve()
+    cfg = ExperimentConfig(domain="shape", prior="uniform", feature_dim=0)
+    task = build_shape_task(cfg, pool, curve, FeatureExtractor(dim=0))
+    assert set(np.unique(task.consist).tolist()) == {0.0, 1.0}
+
+
+def test_shape_task_rejects_a_truth_value_between_zero_and_one(fixtures_dir):
+    cfg = ExperimentConfig(domain="shape", prior="uniform", feature_dim=0)
+    pool, curve = load_fixture_pool(fixtures_dir), load_fixture_curve(fixtures_dir)
+    task = build_shape_task(cfg, pool, curve, FeatureExtractor(dim=0))
+    consist = task.consist.copy()
+    consist[2, 5] = 0.5
+    message = r"shape task 'green_triangles': .* found 0\.5 for rule .* on trial 5"
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(task, consist=consist)
 
 
 def test_build_shape_task_masks_respect_source_batch(fixtures_dir):

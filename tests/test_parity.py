@@ -7,12 +7,17 @@ verbalizations and the latent-language baselines are checked against
 the per-hypothesis reference in `oracle`, rebuilt batch by batch.
 """
 
+import itertools
+import random
+
 import numpy as np
 import pytest
 
 from nlconcepts import io
 from nlconcepts.baselines import _calibrated_records, latent_language_number, latent_language_shape
-from nlconcepts.fit import _unpack, loss_and_grad, pack_params
+from nlconcepts.dsl.generate import random_shape_expr
+from nlconcepts.dsl.shape import format_shape_concept
+from nlconcepts.fit import _unpack, loss_and_grad, pack_params, shape_forward
 from nlconcepts.harness import (
     ExperimentConfig,
     build_number_task,
@@ -22,6 +27,7 @@ from nlconcepts.harness import (
     run_number_experiment,
     run_online_experiment,
 )
+from nlconcepts.io import make_hypothesis
 from nlconcepts.likelihood import EvalCache, pool_number_logliks
 from nlconcepts.posterior import ZERO_CUTOFF, dedup_pool, dedup_weights, platt, predict_membership
 from nlconcepts.prior import FeatureExtractor
@@ -168,6 +174,79 @@ def test_shape_paths_match_scalar_oracle_on_synthetic_pool(prior, special):
     rng = np.random.default_rng(13)
     params = ModelParams(theta=rng.normal(0, 0.5, cfg.feature_dim), **special)
     assert_shape_paths_match_oracle(cfg, pool, curve, params)
+
+
+# ---------------------------------------------------------------------------
+# The shape kernel against its dense reference
+
+EDGE = 1.0 - 1e-16
+KERNEL_GRID = list(
+    itertools.product((1e-300, 0.3, EDGE), (1e-300, 0.3, EDGE), (0.0, 1.0, 8.0), (1e-3, 1.0, 50.0))
+)
+
+
+def fuzzed_shape_pool(seed, n_rules, joins):
+    """`n_rules` random rules, each joining at a batch drawn from
+    `joins` (None: from the first batch), then one that never parses."""
+    rng = random.Random(seed)
+    pool = []
+    for i in range(n_rules):
+        src = format_shape_concept(random_shape_expr(rng, rng.randint(0, 3)))
+        pool.append(make_hypothesis(f"rule {i}: {src}", src, "shape", batch=rng.choice(joins)))
+    return pool + [make_hypothesis("it is garbled", "exists(o in", "shape", batch=None)]
+
+
+def kernel_tasks():
+    """Fuzzed pools on the fixture curve (64 trials, 15 batches) and the
+    synthetic one (12 trials, 5 batches); the pools of seeds 1 and 2
+    leave batch 1 with no visible rule."""
+    cfg = config("shape", "tuned")
+    curves = [
+        io.load_learning_curve(FIXTURES / "shape" / "green_triangles_curve.json"),
+        synthetic_shape_curve(),
+    ]
+    joins = {0: (None, 1, 2, 5), 1: (2, 3, 5), 2: (2, 4)}
+    for seed, curve in itertools.product(joins, curves):
+        pool = fuzzed_shape_pool(seed, 60, joins[seed])
+        yield seed, build_shape_task(cfg, pool, curve, FeatureExtractor(dim=DIM))
+
+
+def test_shape_kernel_matches_dense_reference():
+    """`fit.shape_forward` against `oracle.shape_forward_dense` on every
+    combination of eps, alpha in {1e-300, 0.3, 1 - 1e-16}, beta in
+    {0, 1, 8} and T in {1e-3, 1, 50}: predictions and weights within
+    1e-12 and gradients within 1e-9 of each magnitude, every output
+    finite. Both kernels round; where T = 1e-3 or the clip edges make a
+    log-weight large, each tolerance also allows the summation bound
+    2 (K + 2) u z (u the unit roundoff, z the largest tempered
+    log-weight magnitude, `oracle.shape_forward_magnitudes`), and no
+    gradient is held closer than the smallest normal number."""
+    u, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    empty_batches = 0
+    for seed, task in kernel_tasks():
+        empty_batches += int((~task.visible.any(axis=1)).sum())
+        rng = np.random.default_rng(seed)
+        theta = rng.normal(0, 0.5, DIM)
+        dl_dpred = rng.normal(size=len(task.labels))
+        for eps, alpha, beta, temp in KERNEL_GRID:
+            params = ModelParams(theta=theta, epsilon=eps, alpha=alpha, beta=beta, temperature=temp)
+            at = f"seed {seed}, K = {len(task.labels)}, params {(eps, alpha, beta, temp)}"
+            pred, w, backward = shape_forward(task, params)
+            want_pred, want_w, want_backward = oracle.shape_forward_dense(task, params)
+            z, scale = oracle.shape_forward_magnitudes(task, params, dl_dpred)
+            rounding = 2 * (len(task.labels) + 2) * u * z
+            assert np.isfinite(pred).all() and np.isfinite(w).all(), at
+            assert np.all(np.abs(pred - want_pred) <= 1e-12 + rounding), at
+            assert np.all(np.abs(w - want_w) <= 1e-12 + rounding * want_w), at
+            grads = backward(dl_dpred)
+            for name, got, want, mag in zip(
+                ("theta", "eps", "alpha", "beta", "T"), grads, want_backward(dl_dpred), scale
+            ):
+                assert np.isfinite(got).all(), f"{name} at {at}"
+                # below the smallest normal number no digit is significant
+                bound = np.maximum((1e-9 + rounding) * np.maximum(np.abs(want), mag), tiny)
+                assert np.all(np.abs(got - want) <= bound), f"{name} at {at}: {got} vs {want}"
+    assert empty_batches
 
 
 # ---------------------------------------------------------------------------
