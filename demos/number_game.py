@@ -12,7 +12,7 @@ Run from the repository root:  python3 demos/number_game.py
 from pathlib import Path
 
 from nlconcepts import io
-from nlconcepts.likelihood import EvalCache, pool_number_logliks
+from nlconcepts.likelihood import pool_number_logliks
 from nlconcepts.posterior import dedup_weights, predict_membership
 from nlconcepts.prior import Uniform
 from nlconcepts.types import NumberExampleSet
@@ -23,8 +23,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 def show_posterior(examples, epsilon=0.02):
     pool = io.load_pool(FIXTURES / "number_pool_size_principle.jsonl", "number")
     x = NumberExampleSet(examples)
-    cache = EvalCache()
-    loglik = pool_number_logliks(pool, x, epsilon, cache)
+    loglik = pool_number_logliks(pool, x, epsilon)
     state = dedup_weights(pool, Uniform(), loglik)
 
     print(f"examples: {list(x.examples)}   (epsilon = {epsilon})")
@@ -32,7 +31,7 @@ def show_posterior(examples, epsilon=0.02):
     for i in order:
         print(f"  p = {state.weights[i]:.4f}  {state.pool[i].nl_text}")
     for test in (32, 12, 23, 87):
-        p = predict_membership(state, test, cache)
+        p = predict_membership(state, test)
         print(f"  P({test} in concept) = {p:.4f}")
     print()
 

@@ -293,8 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the flag that carries each domain's data for `propose` and `infer`
+# the flag that carries each domain's data for `propose` and `infer`,
+# and each non-uniform prior's for `infer`
 _DOMAIN_INPUT = {"number": "examples", "shape": "curve"}
+_PRIOR_INPUT = {"tuned": "params", "external": "scores"}
 
 
 def main(argv=None) -> int:
@@ -302,6 +304,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command in ("propose", "infer") and getattr(args, _DOMAIN_INPUT[args.domain]) is None:
         parser.error(f"{args.command} --domain {args.domain} requires --{_DOMAIN_INPUT[args.domain]}")
+    prior_input = _PRIOR_INPUT.get(getattr(args, "prior", None))
+    if args.command == "infer" and prior_input and getattr(args, prior_input) is None:
+        parser.error(f"infer --prior {args.prior} requires --{prior_input}")
     if args.command == "replay" and args.action == "show" and args.key is None:
         parser.error("replay show requires the key argument")
     try:

@@ -26,7 +26,9 @@ class DomainMismatch(TypeError):
 
 @dataclass(frozen=True)
 class ConceptProgram:
-    """A parsed rule tagged with the domain it belongs to."""
+    """A parsed rule tagged with the domain it belongs to. It memoizes
+    its compiled meaning: `extension` in the number domain, `truth` in
+    the shape domain."""
 
     domain: str  # NUMBER or SHAPE
     expr: object
@@ -34,6 +36,14 @@ class ConceptProgram:
     def __post_init__(self):
         if self.domain not in (NUMBER, SHAPE):
             raise ValueError(f"unknown domain {self.domain!r}")
+
+    @cached_property
+    def extension(self) -> frozenset:
+        """The number concept's extension over 1..100, computed once
+        (`number.number_extension`)."""
+        if self.domain != NUMBER:
+            raise DomainMismatch(f"only number concepts have an extension, not {self.domain}")
+        return number_extension(self.expr)
 
     @cached_property
     def truth(self):

@@ -31,8 +31,8 @@ from .fit import (
     stack_tasks,
 )
 from .likelihood import EvalCache, extension_matrix, truth_matrix
-from .posterior import MissingLogQ, dedup_pool, weight_diagnostics
-from .prior import FEATURE_DIM, External, FeatureExtractor, Tuned, Uniform
+from .posterior import dedup_pool, proposal_logq, weight_diagnostics
+from .prior import FEATURE_DIM, External, FeatureExtractor, Tuned, Uniform, prior_logweight
 from .types import (
     HumanNumberJudgment,
     Hypothesis,
@@ -88,8 +88,8 @@ def _prior_pieces(cfg: ExperimentConfig, pool: Sequence[Hypothesis], extractor):
         features = extractor.matrix(pool) if pool else np.zeros((0, extractor.dim))
         return features, np.zeros(len(pool))
     if cfg.prior == "external":
-        scores = io.load_score_file(cfg.scores_path)
-        return None, np.array([scores[h.key] for h in pool])
+        prior = External(io.load_score_file(cfg.scores_path))
+        return None, np.array([prior_logweight(prior, h) for h in pool])
     return None, np.zeros(len(pool))
 
 
@@ -111,21 +111,17 @@ def build_number_task(
     example_set: NumberExampleSet,
     tests: Sequence[Tuple[int, float, str]],  # (test number, target, id)
     extractor: FeatureExtractor,
-    cache: EvalCache,
 ) -> NumberTask:
     if cfg.weighting == "importance":
         unique = list(pool)
-        missing = [h.nl_text for h in unique if h.proposal_logprob is None]
-        if missing:
-            raise MissingLogQ(f"no proposal log-prob for {missing[0]!r}")
-        log_q = np.array([h.proposal_logprob for h in unique])
+        log_q = proposal_logq(unique)
     else:
         unique, _ = dedup_pool(pool)
         log_q = np.zeros(len(unique))
     features, base = _prior_pieces(cfg, unique, extractor)
     base = base - log_q
     parsed = np.array([h.parsed for h in unique])
-    ext = extension_matrix(unique, cache)
+    ext = extension_matrix(unique)
     sizes = ext.sum(axis=1)
     inv_size = np.divide(1.0, sizes, out=np.zeros_like(sizes), where=sizes > 0)
     member = ext[:, np.array(example_set.examples) - 1]
@@ -154,8 +150,8 @@ def build_shape_task(
     """Compile a curve against its deduplicated pool: the truth matrix
     of its rules on the curve's trials (`likelihood.truth_matrix`), the
     batches the trials fall in and the rules visible at each. `cache`
-    is not consulted; it is accepted to match build_number_task.
-    """
+    is not read; callers pass an `EvalCache` positionally, which
+    would otherwise bind to `targets`."""
     unique, _ = dedup_pool(pool)
     features, base = _prior_pieces(cfg, unique, extractor)
     trials = curve.trials
@@ -223,12 +219,11 @@ def number_tasks(
     if pools is None:
         pools = _load_number_pools(cfg)
     extractor = FeatureExtractor(dim=cfg.feature_dim)
-    cache = EvalCache()
     tasks = {}
     for set_id, group in group_judgments(judgments, pools).items():
         tests = [(j.test_number, j.mean_rating, f"{set_id}:{j.test_number}") for j in group]
         example_set = group[0].example_set
-        tasks[set_id] = build_number_task(cfg, pools[set_id], example_set, tests, extractor, cache)
+        tasks[set_id] = build_number_task(cfg, pools[set_id], example_set, tests, extractor)
     return tasks
 
 

@@ -25,38 +25,28 @@ baselines run on from the same two matrices.
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .dsl import NUMBER, SHAPE, ConceptProgram, DomainMismatch, number_extension
+from .dsl import NUMBER, SHAPE, ConceptProgram, DomainMismatch
 from .dsl.shape import encode_trials
-from .types import Hypothesis, NumberExampleSet, Trial, Unparsed
+from .types import Hypothesis, NumberExampleSet, Trial
 
 NEG_LARGE = -1e18  # finite stand-in for log(0) inside optimization
 
 
 class EvalCache:
-    """Memoizes number extensions across refits.
+    """A hypothesis's number extension, memoized on its program
+    (`ConceptProgram.extension`), empty if unparsed. It holds no state:
+    equal text with different programs never shares an extension."""
 
-    Content-addressed by canonical NL, so equal-text duplicates share
-    entries. get-or-compute is linearizable under the lock.
-    """
-
-    def __init__(self):
-        self._extensions: Dict[str, frozenset] = {}
-        self._lock = threading.Lock()
-
-    def extension(self, h: Hypothesis) -> frozenset:
-        if isinstance(h.program, Unparsed):
+    @staticmethod
+    def extension(h: Hypothesis) -> frozenset:
+        if not h.parsed:
             return frozenset()
         _require(h, NUMBER)
-        key = h.key
-        with self._lock:
-            if key not in self._extensions:
-                self._extensions[key] = number_extension(h.program.expr)
-            return self._extensions[key]
+        return h.program.extension
 
 
 def _require(h: Hypothesis, domain: str) -> None:
@@ -66,13 +56,13 @@ def _require(h: Hypothesis, domain: str) -> None:
         )
 
 
-def extension_matrix(pool: Sequence[Hypothesis], cache: EvalCache | None = None) -> np.ndarray:
-    """(S, 100) membership of 1..100 in each hypothesis's extension;
-    column x - 1 is number x, rows of unparsed hypotheses are 0."""
-    cache = cache or EvalCache()
+def extension_matrix(pool: Sequence[Hypothesis]) -> np.ndarray:
+    """(S, 100) membership of 1..100 in each hypothesis's extension,
+    computed once per program (`ConceptProgram.extension`); column
+    x - 1 is number x, rows of unparsed hypotheses are 0."""
     out = np.zeros((len(pool), 100))
     for i, h in enumerate(pool):
-        ext = cache.extension(h)
+        ext = EvalCache.extension(h)
         out[i, np.fromiter(ext, int, len(ext)) - 1] = 1.0
     return out
 
@@ -118,15 +108,10 @@ def _number_logliks(ext: np.ndarray, examples: NumberExampleSet, epsilon: float)
     return _weighted_loglik(p, np.ones(len(examples)))
 
 
-def number_loglikelihood(
-    h: Hypothesis,
-    examples: NumberExampleSet,
-    epsilon: float,
-    cache: EvalCache | None = None,
-) -> float:
+def number_loglikelihood(h: Hypothesis, examples: NumberExampleSet, epsilon: float) -> float:
     """Sum of per-example log-likelihoods; -inf only when epsilon == 0
     and some example falls outside the extension."""
-    return float(_number_logliks(extension_matrix([h], cache), examples, epsilon)[0])
+    return float(_number_logliks(extension_matrix([h]), examples, epsilon)[0])
 
 
 def pool_number_logliks(
@@ -136,8 +121,9 @@ def pool_number_logliks(
     cache: EvalCache | None = None,
 ) -> np.ndarray:
     """Per-hypothesis log-likelihood vector; unparsed entries get the
-    NEG_LARGE sentinel so downstream arithmetic stays finite."""
-    return _pool_vector(pool, _number_logliks(extension_matrix(pool, cache), examples, epsilon))
+    NEG_LARGE sentinel so downstream arithmetic stays finite. `cache`
+    is not read; it is accepted for callers that pass an `EvalCache`."""
+    return _pool_vector(pool, _number_logliks(extension_matrix(pool), examples, epsilon))
 
 
 def _response_probs(truth: np.ndarray, trials: Sequence[Trial], epsilon: float, alpha: float):
@@ -147,11 +133,8 @@ def _response_probs(truth: np.ndarray, trials: Sequence[Trial], epsilon: float, 
     return np.where(labels, p_positive, 1.0 - p_positive)
 
 
-def trial_response_prob(
-    h: Hypothesis, t: Trial, epsilon: float, alpha: float, cache: EvalCache | None = None
-) -> float:
-    """Probability assigned to the observed label of one trial. `cache`
-    is not consulted; the rule's compiled program is."""
+def trial_response_prob(h: Hypothesis, t: Trial, epsilon: float, alpha: float) -> float:
+    """Probability assigned to the observed label of one trial."""
     return float(_response_probs(truth_matrix([h], [t]), [t], epsilon, alpha)[0, 0])
 
 
@@ -175,7 +158,6 @@ def decayed_sequence_loglik(
     epsilon: float,
     alpha: float,
     beta: float,
-    cache: EvalCache | None = None,
 ) -> float:
     """Memory-decayed log-likelihood of an ordered trial sequence."""
     return float(_shape_logliks([h], trials, epsilon, alpha, beta)[0])
@@ -187,7 +169,6 @@ def pool_shape_logliks(
     epsilon: float,
     alpha: float,
     beta: float,
-    cache: EvalCache | None = None,
 ) -> np.ndarray:
     """Per-rule decayed log-likelihood vector, NEG_LARGE for unparsed
     rules and impossible sequences."""

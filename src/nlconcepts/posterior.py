@@ -31,6 +31,15 @@ class MissingLogQ(ValueError):
     """Importance weighting needs every proposal's log q."""
 
 
+def proposal_logq(pool: Sequence[Hypothesis]) -> np.ndarray:
+    """Each hypothesis's proposal log-prob log q(C|X); MissingLogQ
+    names the first hypothesis without one."""
+    for h in pool:
+        if h.proposal_logprob is None:
+            raise MissingLogQ(f"hypothesis {h.nl_text!r} lacks a proposal log-prob")
+    return np.array([h.proposal_logprob for h in pool])
+
+
 @dataclass
 class PosteriorState:
     pool: List[Hypothesis]
@@ -160,10 +169,7 @@ def importance_weights(
     """Importance weights w ~ p(C) p(X|C) / q(C|X); no deduplication."""
     pool = list(pool)
     loglik = _logliks(pool, loglik)
-    for h in pool:
-        if h.proposal_logprob is None:
-            raise MissingLogQ(f"hypothesis {h.nl_text!r} lacks a proposal log-prob")
-    log_q = np.array([h.proposal_logprob for h in pool])
+    log_q = proposal_logq(pool)
     log_prior = np.array([prior_logweight(prior, h) for h in pool])
     return _weigh(pool, len(pool), log_prior + loglik - log_q, 1.0)
 
@@ -181,22 +187,16 @@ def predict_membership(
     state: PosteriorState, x_test: int, cache: EvalCache | None = None
 ) -> float:
     """Posterior predictive probability that x_test belongs to the
-    latent concept."""
+    latent concept. `cache` is not read; it is accepted for callers
+    that pass an `EvalCache`."""
     _require_weights(state)
     if not 1 <= x_test <= 100:
         return 0.0
-    return float(state.weights @ extension_matrix(state.pool, cache)[:, x_test - 1])
+    return float(state.weights @ extension_matrix(state.pool)[:, x_test - 1])
 
 
-def predict_response(
-    state: PosteriorState,
-    t: Trial,
-    epsilon: float,
-    alpha: float,
-    cache: EvalCache | None = None,
-) -> float:
-    """Expected probability of a positive response on trial t. `cache`
-    is not consulted; the rules' compiled programs are."""
+def predict_response(state: PosteriorState, t: Trial, epsilon: float, alpha: float) -> float:
+    """Expected probability of a positive response on trial t."""
     _require_weights(state)
     per_hyp = (1.0 - epsilon) * truth_matrix(state.pool, [t])[:, 0] + epsilon * alpha
     return float(state.weights @ per_hyp)

@@ -396,6 +396,17 @@ def test_error_exits_nonzero(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("prior,flag", [("tuned", "--params"), ("external", "--scores")])
+def test_infer_prior_without_its_input_is_a_usage_error(prior, flag, fixtures_dir, capsys):
+    """The tuned prior reads --params and the external prior --scores:
+    without it, infer exits 2 and names the flag."""
+    pool = str(fixtures_dir / "number_pool_size_principle.jsonl")
+    with pytest.raises(SystemExit) as err:
+        main(["infer", "--domain", "number", "--pool", pool, "--examples", "16,8", "--prior", prior])
+    assert err.value.code == 2
+    assert f"infer --prior {prior} requires {flag}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["propose", "infer"])
 @pytest.mark.parametrize("domain,flag", [("number", "--examples"), ("shape", "--curve")])
 def test_missing_domain_input_is_a_usage_error(command, domain, flag, fixtures_dir, tmp_path, capsys):

@@ -48,10 +48,9 @@ from conftest import FIXTURES, synthetic_shape_curve, synthetic_shape_pool
 DIM = 12
 
 
-def number_task(cfg=None, ext=None, cache=None, tests=None):
+def number_task(cfg=None, ext=None, tests=None):
     cfg = cfg or ExperimentConfig(domain="number", prior="tuned", feature_dim=DIM)
     ext = ext or FeatureExtractor(dim=DIM)
-    cache = cache or EvalCache()
     pool = [
         make_hypothesis("the number is even", "even(x)", "number"),
         make_hypothesis("the number is a power of 2", "power(2, x)", "number"),
@@ -59,9 +58,7 @@ def number_task(cfg=None, ext=None, cache=None, tests=None):
         make_hypothesis("nonsense", "???", "number"),
     ]
     tests = tests or [(32, 0.85, "t32"), (10, 0.55, "t10"), (97, 0.08, "t97")]
-    return build_number_task(
-        cfg, pool, NumberExampleSet([2, 4, 8, 16]), tests, ext, cache
-    )
+    return build_number_task(cfg, pool, NumberExampleSet([2, 4, 8, 16]), tests, ext)
 
 
 def shape_task(cfg=None, ext=None, cache=None):
@@ -287,11 +284,8 @@ def test_fit_is_deterministic():
 def test_all_unparsed_number_pool_predicts_platt_of_half():
     cfg = ExperimentConfig(domain="number", prior="uniform", feature_dim=0)
     ext = FeatureExtractor(dim=0)
-    cache = EvalCache()
     pool = [make_hypothesis("nonsense", "???", "number")]
-    task = build_number_task(
-        cfg, pool, NumberExampleSet([5]), [(10, 0.5, "a")], ext, cache
-    )
+    task = build_number_task(cfg, pool, NumberExampleSet([5]), [(10, 0.5, "a")], ext)
     params = ModelParams(theta=np.zeros(0), platt_b=0.7)
     _, _, records = loss_and_grad(pack_params(params), [task], 0, want_grad=False)
     assert records[0][1] == pytest.approx(float(expit(0.7)))
@@ -300,7 +294,6 @@ def test_all_unparsed_number_pool_predicts_platt_of_half():
 def test_importance_weighting_task_uses_logq():
     cfg = ExperimentConfig(domain="number", weighting="importance", prior="uniform")
     ext = FeatureExtractor(dim=0)
-    cache = EvalCache()
     pool = [
         Hypothesis(
             "the number is even",
@@ -313,16 +306,14 @@ def test_importance_weighting_task_uses_logq():
             proposal_logprob=-1.0,
         ),
     ]
-    task = build_number_task(
-        cfg, pool, NumberExampleSet([2]), [(4, 0.8, "a")], ext, cache
-    )
+    task = build_number_task(cfg, pool, NumberExampleSet([2]), [(4, 0.8, "a")], ext)
     np.testing.assert_allclose(task.base_logprior, [2.0, 1.0])
     # missing logq is an error under importance weighting
     from nlconcepts.posterior import MissingLogQ
 
     bad = [make_hypothesis("the number is even", "even(x)", "number")]
-    with pytest.raises(MissingLogQ):
-        build_number_task(cfg, bad, NumberExampleSet([2]), [(4, 0.8, "a")], ext, cache)
+    with pytest.raises(MissingLogQ, match="'the number is even' lacks a proposal log-prob"):
+        build_number_task(cfg, bad, NumberExampleSet([2]), [(4, 0.8, "a")], ext)
 
 
 def fixture_number_tasks(cfg, keep=None):
@@ -336,7 +327,6 @@ def fixture_number_tasks(cfg, keep=None):
         io.load_number_judgments(FIXTURES / "number_judgments.csv"), pools
     )
     ext = FeatureExtractor(dim=cfg.feature_dim)
-    cache = EvalCache()
     tasks = []
     for set_id, group in by_set.items():
         tests = [
@@ -345,7 +335,7 @@ def fixture_number_tasks(cfg, keep=None):
         tests = [t for t in tests if keep is None or t[2] in keep]
         if tests:
             tasks.append(
-                build_number_task(cfg, pools[set_id], group[0].example_set, tests, ext, cache)
+                build_number_task(cfg, pools[set_id], group[0].example_set, tests, ext)
             )
     return tasks
 
@@ -387,16 +377,14 @@ def test_stacked_folds_match_fitting_each_fold_alone(prior):
 def test_unparsed_task_stacked_among_others_predicts_platt_of_half():
     cfg = ExperimentConfig(domain="number", prior="tuned", feature_dim=DIM)
     ext = FeatureExtractor(dim=DIM)
-    cache = EvalCache()
     dead = build_number_task(
         cfg,
         [make_hypothesis("nonsense", "???", "number")],
         NumberExampleSet([5]),
         [(10, 0.5, "dead10"), (3, 0.2, "dead3")],
         ext,
-        cache,
     )
-    others = [number_task(cfg, ext, cache), number_task(cfg, ext, cache, [(64, 0.9, "t64")])]
+    others = [number_task(cfg, ext), number_task(cfg, ext, [(64, 0.9, "t64")])]
     rng = np.random.default_rng(5)
     for _ in range(3):
         u = random_u(rng)

@@ -15,12 +15,13 @@ from nlconcepts.harness import (
     emit_learning_curves,
     emit_plot_data,
     emit_sweep_table,
+    number_tasks,
     run_number_experiment,
     run_online_experiment,
 )
 from nlconcepts.likelihood import EvalCache, pool_number_logliks, pool_shape_logliks
 from nlconcepts.posterior import dedup_pool, dedup_weights, importance_weights
-from nlconcepts.prior import FeatureExtractor, Uniform
+from nlconcepts.prior import FeatureExtractor, MissingFeature, Uniform
 from nlconcepts.types import (
     HumanNumberJudgment,
     LearningCurve,
@@ -54,10 +55,9 @@ def test_experiment_config_from_json(fixtures_dir):
 def test_build_number_task_shapes(fixtures_dir):
     cfg = ExperimentConfig(domain="number", prior="tuned", feature_dim=16)
     ext = FeatureExtractor(dim=16)
-    cache = EvalCache()
     pool = io.load_pool(fixtures_dir / "number" / "set01.jsonl", "number")
     task = build_number_task(
-        cfg, pool, NumberExampleSet([2, 4, 8, 16]), [(32, 0.9, "a"), (3, 0.1, "b")], ext, cache
+        cfg, pool, NumberExampleSet([2, 4, 8, 16]), [(32, 0.9, "a"), (3, 0.1, "b")], ext
     )
     n_unique = len({h.key for h in pool})
     assert task.features.shape == (n_unique, 16)
@@ -67,10 +67,48 @@ def test_build_number_task_shapes(fixtures_dir):
     # dedup is by text: the duplicate-meaning pair (same extension,
     # different phrasing) stays as two entries
     assert n_unique == len(pool)
-    exts = [cache.extension(h) for h in pool if h.parsed]
+    exts = [h.program.extension for h in pool if h.parsed]
     assert len(set(exts)) < len(exts)
     # one deliberately unparsed entry
     assert (~task.parsed).sum() == 1
+
+
+def test_number_tasks_keep_each_sets_own_program():
+    """Two example sets whose pools translate the same words to
+    different programs: each set's task uses its own pool's program."""
+    special = {"a": "even(x)", "b": "odd(x)"}
+    pools = {
+        set_id: [
+            io.make_hypothesis("the number is special", src, "number"),
+            io.make_hypothesis("the number is below 10", "x < 10", "number"),
+        ]
+        for set_id, src in special.items()
+    }
+    judgments = [
+        HumanNumberJudgment(NumberExampleSet(examples), 5, 0.5, set_id)
+        for set_id, examples in (("a", [2, 4]), ("b", [3, 7]))
+    ]
+    cfg = ExperimentConfig(domain="number", prior="uniform", feature_dim=0)
+    tasks = number_tasks(cfg, judgments, pools)
+    assert tasks["a"].member.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+    assert tasks["b"].member.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+    assert tasks["a"].test_member.tolist() == [[0.0, 1.0]]
+    assert tasks["b"].test_member.tolist() == [[1.0, 1.0]]
+    assert tasks["a"].inv_size[0] == tasks["b"].inv_size[0] == 1 / 50
+
+
+def test_external_prior_missing_score_raises_missing_feature(tmp_path):
+    scores = tmp_path / "scores.jsonl"
+    io.save_score_file(scores, {"the number is even": -1.0})
+    cfg = ExperimentConfig(domain="number", prior="external", scores_path=str(scores))
+    pool = [
+        io.make_hypothesis("the number is even", "even(x)", "number"),
+        io.make_hypothesis("the number is odd", "odd(x)", "number"),
+    ]
+    args = (NumberExampleSet([2]), [(4, 0.8, "a")], FeatureExtractor(dim=0))
+    assert build_number_task(cfg, pool[:1], *args).base_logprior.tolist() == [-1.0]
+    with pytest.raises(MissingFeature, match="the number is odd"):
+        build_number_task(cfg, pool, *args)
 
 
 @pytest.mark.parametrize("source", ["fixture", "synthetic"])
@@ -209,12 +247,12 @@ def test_online_experiment_per_batch_diagnostics():
     assert [row["batch"] for row in per_batch] == [1, 2, 3, 4, 5]
     # nothing is visible before batch 2
     assert per_batch[0] == {"batch": 1, "accuracy": 0.5, "map_nl": None, "ess": 0.0, "max_weight": 0.0}
-    cache, seen = EvalCache(), 0
+    seen = 0
     unique, _ = dedup_pool(pool)
     for b, (batch, row) in enumerate(zip(curve.batches, per_batch), start=1):
         visible = [h for h in unique if h.source_batch is None or h.source_batch <= b]
         loglik = pool_shape_logliks(
-            visible, curve.trials[:seen], params.epsilon, params.alpha, params.beta, cache
+            visible, curve.trials[:seen], params.epsilon, params.alpha, params.beta
         )
         state = dedup_weights(visible, Uniform(), loglik, params.temperature)
         preds = [r.prediction for r in records[seen : seen + len(batch)]]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nlconcepts.dsl
 from nlconcepts import io
 from nlconcepts.dsl import shape as shape_dsl
 from nlconcepts.io import make_hypothesis
@@ -15,13 +16,14 @@ from nlconcepts.likelihood import (
     EvalCache,
     decay_weights,
     decayed_sequence_loglik,
+    extension_matrix,
     number_loglikelihood,
     pool_number_logliks,
     pool_shape_logliks,
     trial_response_prob,
     truth_matrix,
 )
-from nlconcepts.posterior import dedup_weights, predict_response
+from nlconcepts.posterior import dedup_weights, predict_membership, predict_response
 from nlconcepts.prior import Uniform
 from nlconcepts.types import NumberExampleSet, ShapeObject, Trial
 
@@ -146,10 +148,55 @@ def test_pool_shape_logliks_marks_unparsed():
     assert out[1] == NEG_LARGE
 
 
-def test_cache_shares_entries_across_equal_text():
+def test_extension_matrix_keys_rows_by_program():
+    """Equal text with different programs gets each program's own
+    extension: the meaning is the program's, not the words'."""
+    odd = make_hypothesis("The number is even.", "odd(x)", "number")
+    assert odd.key == EVEN.key
+    rows = extension_matrix([EVEN, odd])
+    np.testing.assert_array_equal(rows[1], extension_matrix([odd])[0])
+    assert rows[0, 1] == rows[1, 0] == 1.0 and rows[0, 0] == rows[1, 1] == 0.0
     cache = EvalCache()
-    a = make_hypothesis("The number is EVEN", "even(x)", "number")
-    assert cache.extension(EVEN) is cache.extension(a)
+    assert cache.extension(EVEN) == frozenset(range(2, 101, 2))
+    assert cache.extension(odd) == frozenset(range(1, 100, 2))
+    assert cache.extension(JUNK) == frozenset() and vars(cache) == {}
+
+
+def test_extension_is_computed_once_per_program(monkeypatch):
+    computed = []
+
+    def counting_extension(expr):
+        computed.append(expr)
+        return number_extension(expr)
+
+    number_extension = nlconcepts.dsl.number_extension
+    monkeypatch.setattr(nlconcepts.dsl, "number_extension", counting_extension)
+    pool = [
+        make_hypothesis("the number is odd", "odd(x)", "number"),
+        make_hypothesis("the number is below 7", "x < 7", "number"),
+        make_hypothesis("gibberish", "???", "number"),
+    ]
+    x = NumberExampleSet([3, 5])
+    first = extension_matrix(pool)
+    loglik = pool_number_logliks(pool, x, 0.1)
+    state = dedup_weights(pool, Uniform(), loglik)
+    predicted = [predict_membership(state, t) for t in (1, 4, 9)]
+    singles = [number_loglikelihood(h, x, 0.1) for h in pool]
+    assert len(computed) == 2
+    # the memo changes no value
+    np.testing.assert_array_equal(extension_matrix(pool), first)
+    assert singles[:2] == pytest.approx(loglik[:2].tolist(), abs=1e-12)
+    assert predicted == pytest.approx((state.weights @ first[:, [0, 3, 8]]).tolist(), abs=1e-12)
+    assert len(computed) == 2
+
+
+def test_number_program_pickles_after_extension():
+    h = make_hypothesis("the number is a power of 2", "power(2, x)", "number")
+    ext = h.program.extension  # computed and memoized on the program
+    copy = pickle.loads(pickle.dumps(h))
+    assert copy == h and vars(copy.program)["extension"] == ext == frozenset({1, 2, 4, 8, 16, 32, 64})
+    with pytest.raises(DomainMismatch):
+        GT.program.extension
 
 
 def test_per_trial_calls_compile_each_rule_once(fixtures_dir, monkeypatch):

@@ -153,7 +153,7 @@ NUMBER_CASES = number_cases()
 def test_extension_matrix_matches_interpreter():
     for _, pool, _ in NUMBER_CASES:
         want = [[float(x in ext) for x in range(1, 101)] for ext in map(oracle.extension, pool)]
-        np.testing.assert_array_equal(extension_matrix(pool, EvalCache()), np.reshape(want, (-1, 100)))
+        np.testing.assert_array_equal(extension_matrix(pool), np.reshape(want, (-1, 100)))
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.02, 0.3])
@@ -163,7 +163,7 @@ def test_number_functions_match_oracle(case, epsilon):
     cache = EvalCache()
     for h in pool:
         assert_matches(
-            number_loglikelihood(h, examples, epsilon, cache),
+            number_loglikelihood(h, examples, epsilon),
             oracle.number_loglikelihood(h, examples, epsilon),
         )
     loglik = pool_number_logliks(pool, examples, epsilon, cache)
@@ -259,7 +259,7 @@ def test_shape_functions_match_oracle(case, params):
                 oracle.decayed_sequence_loglik(h, seen, eps, alpha, beta),
             )
         upcoming = trials[n_seen : n_seen + 5] or trials[-5:]
-        loglik = pool_shape_logliks(pool, seen, eps, alpha, beta, EvalCache())
+        loglik = pool_shape_logliks(pool, seen, eps, alpha, beta)
         want_loglik = oracle.pool_shape_logliks(pool, seen, eps, alpha, beta)
         assert_matches(loglik, want_loglik)
         assert_posteriors_match(

@@ -77,7 +77,6 @@ def test_number_fit_path_matches_inference_path(prior):
             group[0].example_set,
             [(j.test_number, j.mean_rating, f"{set_id}:{j.test_number}") for j in group],
             extractor,
-            cache,
         )
         for set_id, group in by_set.items()
     ]
