@@ -111,7 +111,13 @@ def build_number_task(
     example_set: NumberExampleSet,
     tests: Sequence[Tuple[int, float, str]],  # (test number, target, id)
     extractor: FeatureExtractor,
+    cache: Optional[EvalCache] = None,
 ) -> NumberTask:
+    """Compile an example set against its pool: the extension rows
+    (`likelihood.extension_matrix`) at the examples and test numbers,
+    1/|C| and the prior pieces. `cache` is not read; extensions are
+    memoized on each program, and callers such as
+    `fixtures/make_fixtures.py` still pass an `EvalCache`."""
     if cfg.weighting == "importance":
         unique = list(pool)
         log_q = proposal_logq(unique)

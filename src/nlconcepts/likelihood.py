@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dsl import NUMBER, SHAPE, ConceptProgram, DomainMismatch
+from .dsl import SHAPE, ConceptProgram, DomainMismatch
 from .dsl.shape import encode_trials
 from .types import Hypothesis, NumberExampleSet, Trial
 
@@ -38,15 +38,13 @@ NEG_LARGE = -1e18  # finite stand-in for log(0) inside optimization
 
 class EvalCache:
     """A hypothesis's number extension, memoized on its program
-    (`ConceptProgram.extension`), empty if unparsed. It holds no state:
-    equal text with different programs never shares an extension."""
+    (`ConceptProgram.extension`, which raises `DomainMismatch` on a
+    shape rule), empty if unparsed. It holds no state: equal text with
+    different programs never shares an extension."""
 
     @staticmethod
     def extension(h: Hypothesis) -> frozenset:
-        if not h.parsed:
-            return frozenset()
-        _require(h, NUMBER)
-        return h.program.extension
+        return h.program.extension if h.parsed else frozenset()
 
 
 def _require(h: Hypothesis, domain: str) -> None:
@@ -62,7 +60,7 @@ def extension_matrix(pool: Sequence[Hypothesis]) -> np.ndarray:
     x - 1 is number x, rows of unparsed hypotheses are 0."""
     out = np.zeros((len(pool), 100))
     for i, h in enumerate(pool):
-        ext = EvalCache.extension(h)
+        ext = h.program.extension if h.parsed else frozenset()
         out[i, np.fromiter(ext, int, len(ext)) - 1] = 1.0
     return out
 

@@ -73,6 +73,19 @@ def test_build_number_task_shapes(fixtures_dir):
     assert (~task.parsed).sum() == 1
 
 
+def test_build_number_task_accepts_a_positional_cache(fixtures_dir):
+    """fixtures/make_fixtures.py passes an EvalCache as the sixth
+    argument; it is accepted and does not change the task."""
+    cfg = ExperimentConfig(domain="number", prior="tuned", feature_dim=16)
+    ext = FeatureExtractor(dim=16)
+    pool = io.load_pool(fixtures_dir / "number" / "set01.jsonl", "number")
+    args = (cfg, pool, NumberExampleSet([2, 4, 8, 16]), [(32, 0.9, "a")], ext)
+    with_cache = build_number_task(*args, EvalCache())
+    without = build_number_task(*args)
+    for field in ("features", "base_logprior", "member", "inv_size", "test_member"):
+        np.testing.assert_array_equal(getattr(with_cache, field), getattr(without, field))
+
+
 def test_number_tasks_keep_each_sets_own_program():
     """Two example sets whose pools translate the same words to
     different programs: each set's task uses its own pool's program."""
