@@ -105,8 +105,14 @@ def _cmd_translate(args) -> int:
     return 0
 
 
+class UsageError(Exception):
+    """An argument combination the parser cannot reject by itself."""
+
+
 def _cmd_infer(args) -> int:
     params = _load_params(args.params) if args.params else ModelParams()
+    if args.prior == "tuned" and not len(params.theta):
+        raise UsageError(f"infer --prior tuned needs a non-empty theta in --params {args.params}")
     cfg = harness.ExperimentConfig(args.domain, prior=args.prior, scores_path=args.scores or "")
     prior = harness.prior_spec_for(cfg, params, FeatureExtractor(dim=len(params.theta)))
     if args.domain == "number":
@@ -313,6 +319,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit:
         raise
+    except UsageError as exc:
+        parser.error(str(exc))
     except Exception as exc:  # surface a one-line error, nonzero exit
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -26,9 +26,9 @@ class DomainMismatch(TypeError):
 
 @dataclass(frozen=True)
 class ConceptProgram:
-    """A parsed rule tagged with the domain it belongs to. It memoizes
-    its compiled meaning: `extension` in the number domain, `truth` in
-    the shape domain."""
+    """A parsed rule tagged with the domain it belongs to. A number
+    concept memoizes its extension; a shape rule keeps nothing, since
+    `shape.truth_values` evaluates it on a curve's trials directly."""
 
     domain: str  # NUMBER or SHAPE
     expr: object
@@ -44,19 +44,6 @@ class ConceptProgram:
         if self.domain != NUMBER:
             raise DomainMismatch(f"only number concepts have an extension, not {self.domain}")
         return number_extension(self.expr)
-
-    @cached_property
-    def truth(self):
-        """The shape rule compiled once (`shape.compile_shape`): a
-        function from `shape.encode_trials` arrays to the (K,) bool
-        truth vector. It lives as long as the program does."""
-        if self.domain != SHAPE:
-            raise DomainMismatch(f"only shape rules compile to a truth function, not {self.domain}")
-        return shape_dsl.compile_shape(self.expr)
-
-    def __getstate__(self):
-        # the compiled closure does not pickle; it is rebuilt on demand
-        return {k: v for k, v in vars(self).items() if k != "truth"}
 
 
 def parse_concept(src: str, domain: str) -> ConceptProgram:

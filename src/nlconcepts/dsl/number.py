@@ -112,29 +112,27 @@ PREDICATES = {
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op><=|>=|==|!=|[-+*^<>=(){},%.]))"
+    r"|(?P<op><=|>=|==|!=|[-+*^<>=(){},%.])|(?P<bad>\S))"
 )
 
 _CMP_CANON = {"=": "==", "%": "mod"}
 
 
 def _tokenize(src: str):
+    """(kind, value, position) tokens and a final eof. A token's
+    position is where the whitespace before it starts."""
     tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        if not m or m.end() == m.start():
-            if src[pos:].strip():
-                raise DslSyntaxError(f"unexpected character {src[pos:].strip()[0]!r}", pos)
-            break
-        if m.group("num") is not None:
-            tokens.append(("num", int(m.group("num")), m.start()))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name"), m.start()))
+    for m in _TOKEN.finditer(src):
+        kind = m.lastgroup
+        text = m.group(kind)
+        if kind == "num":
+            tokens.append(("num", int(text), m.start()))
+        elif kind == "name":
+            tokens.append(("name", text, m.start()))
+        elif kind == "op":
+            tokens.append(("op", _CMP_CANON.get(text, text), m.start()))
         else:
-            op = _CMP_CANON.get(m.group("op"), m.group("op"))
-            tokens.append(("op", op, m.start()))
-        pos = m.end()
+            raise DslSyntaxError(f"unexpected character {text!r}", m.start())
     tokens.append(("eof", None, len(src)))
     return tokens
 

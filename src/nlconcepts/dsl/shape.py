@@ -1,4 +1,4 @@
-"""Parser, evaluator and compiler for the logical shape-concept language.
+"""Parser and evaluators for the logical shape-concept language.
 
 Rules classify a test object (`this`) relative to the other objects in
 its batch. Available sets: `others` (batch minus one occurrence of the
@@ -19,11 +19,11 @@ shapes support equality only; sizes and counts support ordering), so
 evaluation is total for any batch of 1-5 objects.
 
 Two evaluators share these semantics. `eval_shape` walks the tree for
-one trial; it is the reference interpreter. `compile_shape` turns a
-rule into an array program over all trials of a curve at once, encoded
-by `encode_trials`: each bound variable adds a broadcast axis, and
+one trial; it is the reference interpreter. `truth_values` walks it
+once for all trials of a curve, encoded by `encode_trials`, with numpy
+arrays as values: each bound variable adds a broadcast axis, and
 quantifiers and `count` reduce it. The truth matrix the model fits and
-predicts from (`harness.build_shape_task`) comes from compiled rules.
+predicts from (`harness.build_shape_task`) comes from `truth_values`.
 """
 
 from __future__ import annotations
@@ -301,16 +301,17 @@ def eval_shape(expr, test: ShapeObject, batch) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Compilation to array programs
+# Evaluation over arrays
 #
 # The semantics of eval_shape over all K trials of a curve at once. An
 # expression under d binders works on arrays of d + 1 axes: axis 0 is the
 # trial and axis i the variable of the i-th enclosing binder, over the 5
 # batch slots or the 3 values of a feature set. Quantifiers and count
 # reduce the last axis, so every value broadcasts against the others.
+# Constants are numpy scalars: `~` of a Python bool is an int.
 
 MAX_OBJECTS = 5
-# Largest intermediate of a compiled rule, in array cells (8 MiB of int64)
+# Largest intermediate of a rule's evaluation, in array cells (8 MiB of int64)
 CELL_BUDGET = 1 << 20
 
 _DOMAIN_SIZE = {
@@ -347,7 +348,7 @@ def _codes(obj: ShapeObject):
 
 
 def encode_trials(trials) -> TrialArrays:
-    """Encode a curve's trials for the functions compile_shape returns."""
+    """Encode a curve's trials for truth_values."""
     features = np.zeros((3, len(trials), MAX_OBJECTS), dtype=np.int64)
     this = np.zeros((3, len(trials)), dtype=np.int64)
     valid = np.zeros((len(trials), MAX_OBJECTS), dtype=bool)
@@ -362,75 +363,61 @@ def encode_trials(trials) -> TrialArrays:
     return TrialArrays(*features, valid, others, *this)
 
 
-_FIELD = {name: i for i, name in enumerate(TrialArrays._fields)}
-
-
-def _slots(field: str, axis: int, depth: int):
+def _slots(a: TrialArrays, field: str, axis: int, depth: int):
     """A (K, 5) field viewed with its slots on `axis`, for a value
     under `depth` binders."""
-    i = _FIELD[field]
     index = (slice(None),) + (None,) * (axis - 1) + (slice(None),) + (None,) * (depth - axis)
-    return lambda a: a[i][index]
+    return getattr(a, field)[index]
 
 
-def _compile_binder(node, env, depth):
+def _binder(node, a, env, depth):
     """(body, domain mask) of a quantifier or count, on a new last axis."""
     axis = depth + 1
-    body = _compile_bool(node.body, {**env, node.var: axis}, axis)
+    body = _array_bool(node.body, a, {**env, node.var: axis}, axis)
     if node.domain in OBJECT_SETS:
-        return body, _slots(node.domain, axis, axis)
-    ones = np.ones((1,) * axis + (_DOMAIN_SIZE[node.domain],), dtype=bool)
-    return body, lambda a: ones
+        return body, _slots(a, node.domain, axis, axis)
+    return body, np.ones((1,) * axis + (_DOMAIN_SIZE[node.domain],), dtype=bool)
 
 
-def _compile_value(node, env, depth):
+def _array_value(node, a, env, depth):
     if isinstance(node, Const):
-        code = np.int64(node.value if node.kind == "int" else _CODES[node.kind][node.value])
-        return lambda a: code
+        return np.int64(node.value if node.kind == "int" else _CODES[node.kind][node.value])
     if isinstance(node, VarRef):
         axis = env[node.name]
-        values = _FEATURE_VALUES[node.kind].reshape((1,) * axis + (-1,) + (1,) * (depth - axis))
-        return lambda a: values
+        return _FEATURE_VALUES[node.kind].reshape((1,) * axis + (-1,) + (1,) * (depth - axis))
     if isinstance(node, Accessor):
         axis = env[node.var]
         if axis == 0:
-            i, index = _FIELD[f"this_{node.field}"], (slice(None),) + (None,) * depth
-            return lambda a: a[i][index]
-        return _slots(node.field, axis, depth)
+            return getattr(a, "this_" + node.field)[(slice(None),) + (None,) * depth]
+        return _slots(a, node.field, axis, depth)
     if isinstance(node, Count):
-        body, mask = _compile_binder(node, env, depth)
-        return lambda a: (body(a) & mask(a)).sum(axis=-1)
+        body, mask = _binder(node, a, env, depth)
+        return (body & mask).sum(axis=-1)
     raise AssertionError(node)
 
 
-def _compile_bool(node, env, depth):
+def _array_bool(node, a, env, depth):
     if isinstance(node, BoolLit):
-        value = np.bool_(node.value)
-        return lambda a: value
+        return np.bool_(node.value)
     if isinstance(node, BoolOp):
-        left = _compile_bool(node.left, env, depth)
-        right = _compile_bool(node.right, env, depth)
-        if node.op == "and":
-            return lambda a: left(a) & right(a)
-        return lambda a: left(a) | right(a)
+        left = _array_bool(node.left, a, env, depth)
+        right = _array_bool(node.right, a, env, depth)
+        return left & right if node.op == "and" else left | right
     if isinstance(node, Not):
-        arg = _compile_bool(node.arg, env, depth)
-        return lambda a: ~arg(a)
+        return ~_array_bool(node.arg, a, env, depth)
     if isinstance(node, Cmp):
-        compare = _COMPARE[node.op]
-        left = _compile_value(node.left, env, depth)
-        right = _compile_value(node.right, env, depth)
-        return lambda a: compare(left(a), right(a))
+        left = _array_value(node.left, a, env, depth)
+        return _COMPARE[node.op](left, _array_value(node.right, a, env, depth))
     if isinstance(node, Quant):
-        body, mask = _compile_binder(node, env, depth)
+        body, mask = _binder(node, a, env, depth)
         if node.quantifier == "exists":
-            return lambda a: (body(a) & mask(a)).any(axis=-1)
-        return lambda a: (body(a) | ~mask(a)).all(axis=-1)
+            return (body & mask).any(axis=-1)
+        return (body | ~mask).all(axis=-1)
     raise TypeError(f"not a boolean expression: {node!r}")
 
 
 def _cells(node) -> int:
-    """Cells per trial of the largest intermediate of a compiled rule."""
+    """Cells per trial of the largest intermediate of a rule's evaluation."""
     if isinstance(node, (Quant, Count)):
         return _DOMAIN_SIZE[node.domain] * _cells(node.body)
     if isinstance(node, (Cmp, BoolOp)):
@@ -440,26 +427,21 @@ def _cells(node) -> int:
     return 1
 
 
-def compile_shape(expr):
-    """Compile a parsed rule into a function from encode_trials' arrays
-    to the (K,) bool vector of eval_shape's value on each trial.
+def truth_values(expr, arrays: TrialArrays) -> np.ndarray:
+    """eval_shape's value of a parsed rule on each trial encoded by
+    encode_trials, as a (K,) bool vector.
 
     Trials are evaluated in chunks so that no intermediate holds more
     than CELL_BUDGET cells. A chunk holds at least one trial, so the
     budget does not bound a rule whose nested binders span more cells
     than that for one trial (nine nested object binders do: 5^9).
     """
-    program = _compile_bool(expr, {"this": 0}, 0)
     step = max(1, CELL_BUDGET // _cells(expr))
-
-    def truth(arrays: TrialArrays) -> np.ndarray:
-        out = np.empty(len(arrays.all), dtype=bool)
-        for lo in range(0, len(out), step):
-            chunk = TrialArrays(*(a[lo : lo + step] for a in arrays))
-            out[lo : lo + step] = np.reshape(program(chunk), -1)
-        return out
-
-    return truth
+    out = np.empty(len(arrays.all), dtype=bool)
+    for lo in range(0, len(out), step):
+        chunk = arrays if step >= len(out) else TrialArrays(*(a[lo : lo + step] for a in arrays))
+        out[lo : lo + step] = _array_bool(expr, chunk, {"this": 0}, 0)
+    return out
 
 
 # ---------------------------------------------------------------------------

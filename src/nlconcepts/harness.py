@@ -82,13 +82,14 @@ class ExperimentConfig:
         return cls(fit=fit_cfg, params=params, **raw)
 
 
-def _prior_pieces(cfg: ExperimentConfig, pool: Sequence[Hypothesis], extractor):
-    """(features or None, base log-prior vector) for a deduped pool."""
+def _prior_pieces(cfg: ExperimentConfig, pool: Sequence[Hypothesis], extractor, scores=None):
+    """(features or None, base log-prior vector) for a deduped pool;
+    the external prior reads `cfg.scores_path` unless given `scores`."""
     if cfg.prior == "tuned":
         features = extractor.matrix(pool) if pool else np.zeros((0, extractor.dim))
         return features, np.zeros(len(pool))
     if cfg.prior == "external":
-        prior = External(io.load_score_file(cfg.scores_path))
+        prior = External(io.load_score_file(cfg.scores_path) if scores is None else scores)
         return None, np.array([prior_logweight(prior, h) for h in pool])
     return None, np.zeros(len(pool))
 
@@ -112,11 +113,13 @@ def build_number_task(
     tests: Sequence[Tuple[int, float, str]],  # (test number, target, id)
     extractor: FeatureExtractor,
     cache: Optional[EvalCache] = None,
+    scores: Optional[Dict[str, float]] = None,
 ) -> NumberTask:
     """Compile an example set against its pool: the extension rows
     (`likelihood.extension_matrix`) at the examples and test numbers,
-    1/|C| and the prior pieces. `cache` is not read; extensions are
-    memoized on each program, and callers such as
+    1/|C| and the prior pieces. `scores` are the external prior's, read
+    from `cfg.scores_path` when None. `cache` is not read; extensions
+    are memoized on each program, and callers such as
     `fixtures/make_fixtures.py` still pass an `EvalCache`."""
     if cfg.weighting == "importance":
         unique = list(pool)
@@ -124,7 +127,7 @@ def build_number_task(
     else:
         unique, _ = dedup_pool(pool)
         log_q = np.zeros(len(unique))
-    features, base = _prior_pieces(cfg, unique, extractor)
+    features, base = _prior_pieces(cfg, unique, extractor, scores)
     base = base - log_q
     parsed = np.array([h.parsed for h in unique])
     ext = extension_matrix(unique)
@@ -225,11 +228,12 @@ def number_tasks(
     if pools is None:
         pools = _load_number_pools(cfg)
     extractor = FeatureExtractor(dim=cfg.feature_dim)
+    scores = io.load_score_file(cfg.scores_path) if cfg.prior == "external" else None
     tasks = {}
     for set_id, group in group_judgments(judgments, pools).items():
         tests = [(j.test_number, j.mean_rating, f"{set_id}:{j.test_number}") for j in group]
         example_set = group[0].example_set
-        tasks[set_id] = build_number_task(cfg, pools[set_id], example_set, tests, extractor)
+        tasks[set_id] = build_number_task(cfg, pools[set_id], example_set, tests, extractor, scores=scores)
     return tasks
 
 

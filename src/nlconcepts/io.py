@@ -39,36 +39,45 @@ from .types import (
 
 
 def load_pool(path, domain: str) -> List[Hypothesis]:
-    """Load a hypothesis pool, compiling each rule's DSL source.
+    """Load a hypothesis pool, parsing each distinct DSL source once per
+    call: rows with equal `dsl` share one program, and so its memoized
+    number extension.
 
     Rules that fail to parse are kept as Unparsed so the pool size still
     matches the proposal budget.
     """
+    programs = {}  # DSL source -> ConceptProgram or Unparsed
     out = []
     for line in Path(path).read_text().splitlines():
         if not line.strip():
             continue
         row = json.loads(line)
+        src = row.get("dsl", "")
+        if src not in programs:
+            programs[src] = _parse_program(src, domain)
         out.append(
-            make_hypothesis(
-                row["nl"],
-                row.get("dsl", ""),
-                domain,
-                logq=row.get("logq"),
-                batch=row.get("batch"),
+            Hypothesis(
+                nl_text=canonicalize_nl(row["nl"]),
+                program=programs[src],
+                proposal_logprob=row.get("logq"),
+                source_batch=row.get("batch"),
             )
         )
     return out
 
 
-def make_hypothesis(nl, dsl_src, domain, logq=None, batch=None) -> Hypothesis:
+def _parse_program(src: str, domain: str):
+    """The parsed program, or Unparsed when the source does not parse."""
     try:
-        program = parse_concept(dsl_src, domain)
+        return parse_concept(src, domain)
     except DslSyntaxError:
-        program = Unparsed(dsl_src)
+        return Unparsed(src)
+
+
+def make_hypothesis(nl, dsl_src, domain, logq=None, batch=None) -> Hypothesis:
     return Hypothesis(
         nl_text=canonicalize_nl(nl),
-        program=program,
+        program=_parse_program(dsl_src, domain),
         proposal_logprob=logq,
         source_batch=batch,
     )

@@ -17,9 +17,9 @@ weight 1.
 
 Each domain compiles a pool once against its data: `extension_matrix`
 gives every hypothesis's extension as a row over 1..100, `truth_matrix`
-every rule's truth value on each trial, from compiled rules. The
-public functions below are array formulas over those matrices, and
-`harness` builds the tasks that fitting, online evaluation and the
+every rule's truth value on each trial, evaluated over the encoded
+trials. The public functions below are array formulas over those
+matrices, and `harness` builds the tasks that fitting, online evaluation and the
 baselines run on from the same two matrices.
 """
 
@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .dsl import SHAPE, ConceptProgram, DomainMismatch
-from .dsl.shape import encode_trials
+from .dsl.shape import encode_trials, truth_values
 from .types import Hypothesis, NumberExampleSet, Trial
 
 NEG_LARGE = -1e18  # finite stand-in for log(0) inside optimization
@@ -66,17 +66,16 @@ def extension_matrix(pool: Sequence[Hypothesis]) -> np.ndarray:
 
 
 def truth_matrix(pool: Sequence[Hypothesis], trials: Sequence[Trial]) -> np.ndarray:
-    """(S, K) truth value of each shape rule on each trial, from rules
-    compiled to array programs over the encoded trials (each program
-    compiles once, `ConceptProgram.truth`); rows of unparsed rules are
-    0."""
+    """(S, K) truth value of each shape rule on each trial, each row one
+    array evaluation of the rule over the encoded trials
+    (`shape.truth_values`); rows of unparsed rules are 0."""
     for h in pool:
         _require(h, SHAPE)
     arrays = encode_trials(list(trials))
     out = np.zeros((len(pool), len(arrays.all)))
     for i, h in enumerate(pool):
         if h.parsed:
-            out[i] = h.program.truth(arrays)
+            out[i] = truth_values(h.program.expr, arrays)
     return out
 
 

@@ -6,7 +6,6 @@ threads, and use as cache keys.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence, Tuple
@@ -19,8 +18,6 @@ SIZES = (1, 2, 3)
 
 SIZE_NAMES = {1: "small", 2: "medium", 3: "large"}
 
-_WS_RUN = re.compile(r"\s+")
-
 
 def canonicalize_nl(text: str) -> str:
     """Normalize a natural-language rule for deduplication.
@@ -28,7 +25,7 @@ def canonicalize_nl(text: str) -> str:
     Lowercase, strip, collapse internal whitespace, drop one trailing
     period. Idempotent.
     """
-    out = _WS_RUN.sub(" ", text.strip()).lower()
+    out = " ".join(text.split()).lower()
     if out.endswith("."):
         out = out[:-1].rstrip()
     return out

@@ -6,25 +6,73 @@ extension and truth matrices. This module computes them one hypothesis,
 one example and one trial at a time, through the interpreters
 (`number_extension`, `eval_shape`) and log-sum-exp, so the parity tests
 compare the library against an independent reference. It imports only
-the interpreters, the prior, the sentinel constants and the
-PosteriorState container from the library.
+the interpreters, the DSL's syntax error, the prior, the sentinel
+constants and the PosteriorState container from the library.
 
 `shape_forward_dense` is the reference for the library's shape kernel
 (`fit.shape_forward`): the same forward pass and gradient written over
 dense (S, K) arrays of q, r and log r, valid for any truth values.
+
+`tokenize` is the reference for the DSL tokenizer
+(`dsl.number._tokenize`): one regex match per token from the current
+position, and an error at the first position no token matches.
+`canonicalize_nl` is the regex form of `types.canonicalize_nl`.
 """
 
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 from scipy.special import logsumexp
 
-from nlconcepts.dsl import eval_shape, number_extension
+from nlconcepts.dsl import DslSyntaxError, eval_shape, number_extension
 from nlconcepts.likelihood import NEG_LARGE
 from nlconcepts.posterior import ZERO_CUTOFF, DegenerateState, MissingLogQ, PosteriorState
 from nlconcepts.prior import prior_logweight
+
+
+_TOKEN = re.compile(
+    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op><=|>=|==|!=|[-+*^<>=(){},%.]))"
+)
+_CMP_CANON = {"=": "==", "%": "mod"}
+
+
+def tokenize(src: str):
+    tokens = []
+    pos = 0
+    while pos < len(src):
+        m = _TOKEN.match(src, pos)
+        if not m or m.end() == m.start():
+            if src[pos:].strip():
+                raise DslSyntaxError(f"unexpected character {src[pos:].strip()[0]!r}", pos)
+            break
+        if m.group("num") is not None:
+            tokens.append(("num", int(m.group("num")), m.start()))
+        elif m.group("name") is not None:
+            tokens.append(("name", m.group("name"), m.start()))
+        else:
+            op = _CMP_CANON.get(m.group("op"), m.group("op"))
+            tokens.append(("op", op, m.start()))
+        pos = m.end()
+    tokens.append(("eof", None, len(src)))
+    return tokens
+
+
+_WS_RUN = re.compile(r"\s+")
+
+
+def canonicalize_nl(text: str) -> str:
+    out = _WS_RUN.sub(" ", text.strip()).lower()
+    if out.endswith("."):
+        out = out[:-1].rstrip()
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Interpreters
 
 
 def extension(h) -> frozenset:

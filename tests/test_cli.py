@@ -407,6 +407,21 @@ def test_infer_prior_without_its_input_is_a_usage_error(prior, flag, fixtures_di
     assert f"infer --prior {prior} requires {flag}" in capsys.readouterr().err
 
 
+def test_infer_tuned_prior_with_an_empty_theta_is_a_usage_error(fixtures_dir, tmp_path, capsys):
+    """A parameter file from a uniform-prior fit has no theta for the
+    tuned prior to weigh features by: infer exits 2 and says so."""
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"theta": [], "epsilon": 0.1}))
+    pool = str(fixtures_dir / "number_pool_size_principle.jsonl")
+    argv = ["infer", "--domain", "number", "--pool", pool, "--examples", "16,8"]
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--prior", "tuned", "--params", str(params)])
+    assert err.value.code == 2
+    assert "infer --prior tuned needs a non-empty theta" in capsys.readouterr().err
+    # the same file serves the uniform prior
+    assert main(argv + ["--params", str(params)]) == 0
+
+
 @pytest.mark.parametrize("command", ["propose", "infer"])
 @pytest.mark.parametrize("domain,flag", [("number", "--examples"), ("shape", "--curve")])
 def test_missing_domain_input_is_a_usage_error(command, domain, flag, fixtures_dir, tmp_path, capsys):

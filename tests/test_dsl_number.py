@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -9,8 +10,11 @@ from nlconcepts.dsl import (
     number_extension,
     parse_concept,
 )
-from nlconcepts.dsl.generate import number_predicates, random_number_expr
-from nlconcepts.dsl.number import parse_number_concept
+from nlconcepts.dsl.generate import number_predicates, random_number_expr, random_shape_expr
+from nlconcepts.dsl.number import _tokenize, format_number_concept, parse_number_concept
+from nlconcepts.dsl.shape import format_shape_concept
+
+import oracle
 
 
 def ext(src):
@@ -129,3 +133,57 @@ def test_format_round_trip_fuzzed():
         reparsed = parse_concept(text, "number")
         assert number_extension(reparsed.expr) == number_extension(expr), text
         assert format_concept(reparsed) == text, text
+
+
+def _tokens_or_error(tokenize, src):
+    try:
+        return tokenize(src)
+    except DslSyntaxError as err:
+        return ("error", str(err), err.pos)
+
+
+TOKENIZER_EDGE_CASES = [
+    "",
+    "   ",
+    "2x",
+    "x ? 3",
+    "x < 3   ",
+    "x < 3\n\t",
+    "\u0663 < x",
+    "x\u00a0<\u20093",
+    "x !< 3",
+    "x = 3 and x % 2 == 0",
+    "in_set({1, 2, 3}, x)",
+    "this.color==green",
+    "  ?",
+    "x < 3 \u00b2",
+    "caf\u00e9(x)",
+    "12345678901234567890 > x",
+]
+
+
+def test_tokenizer_matches_the_reference(fixtures_dir):
+    """The one-pass tokenizer gives the reference's tokens, or its error
+    message and position, on every source."""
+    sources = list(TOKENIZER_EDGE_CASES)
+    for path in sorted(fixtures_dir.rglob("*.jsonl")):
+        sources += [json.loads(line)["dsl"] for line in path.read_text().splitlines() if line.strip()]
+    for path in sorted((fixtures_dir / "replay").glob("*.json")):
+        sources += [c["text"] for c in json.loads(path.read_text())["completions"]]
+    rng = random.Random(11)
+    for _ in range(2000):
+        src = format_shape_concept(random_shape_expr(rng, rng.randint(0, 3)))
+        sources += [src] + [src[:i] for i in range(0, len(src), 5)]
+        i = rng.randrange(len(src) + 1)
+        sources.append(src[:i] + rng.choice("?!@$;' \u00e9\u0663\u00a0") + src[i:])
+    for _ in range(200):
+        sources.append(format_number_concept(random_number_expr(rng, 3)))
+    assert len(sources) > 10000
+    for src in sources:
+        assert _tokens_or_error(_tokenize, src) == _tokens_or_error(oracle.tokenize, src), repr(src)
+    errors = [src for src in sources if _tokens_or_error(oracle.tokenize, src)[0] == "error"]
+    assert len(errors) > 1000
+    # positions count from the whitespace before a token, errors included
+    assert _tokenize("2x") == [("num", 2, 0), ("name", "x", 1), ("eof", None, 2)]
+    assert _tokenize("\u0663 < x")[:2] == [("num", 3, 0), ("op", "<", 1)]
+    assert _tokens_or_error(_tokenize, "x ? 3") == ("error", "unexpected character '?' (at position 1)", 1)

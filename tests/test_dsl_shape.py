@@ -15,10 +15,10 @@ from nlconcepts.dsl import shape as shape_dsl
 from nlconcepts.dsl.generate import random_shape_expr
 from nlconcepts.dsl.shape import (
     _eval_bool,
-    compile_shape,
     encode_trials,
     format_shape_concept,
     parse_shape_concept,
+    truth_values,
 )
 from nlconcepts.harness import ExperimentConfig, build_shape_task
 from nlconcepts.posterior import dedup_pool
@@ -242,8 +242,8 @@ def _small_batch_trials():
     return trials
 
 
-def _assert_compiled_matches(expr, trials, arrays=None):
-    got = compile_shape(expr)(encode_trials(trials) if arrays is None else arrays)
+def _assert_array_eval_matches(expr, trials, arrays=None):
+    got = truth_values(expr, encode_trials(trials) if arrays is None else arrays)
     want = [eval_shape(expr, t.test, t.batch) for t in trials]
     assert got.dtype == bool and got.shape == (len(trials),)
     assert got.tolist() == want, format_shape_concept(expr)
@@ -254,7 +254,7 @@ def test_compiled_matches_interpreter_on_fuzzed_rules():
     arrays = encode_trials(trials)
     rng = random.Random(5)
     for _ in range(1000):
-        _assert_compiled_matches(random_shape_expr(rng, rng.randint(0, 4)), trials, arrays)
+        _assert_array_eval_matches(random_shape_expr(rng, rng.randint(0, 4)), trials, arrays)
 
 
 EDGE_CASES = [
@@ -283,7 +283,7 @@ EDGE_CASES = [
 
 @pytest.mark.parametrize("src", EDGE_CASES)
 def test_compiled_matches_interpreter_on_edge_cases(src):
-    _assert_compiled_matches(parse_shape_concept(src), _small_batch_trials())
+    _assert_array_eval_matches(parse_shape_concept(src), _small_batch_trials())
 
 
 DEEP_RULE = (
@@ -298,10 +298,10 @@ def test_deep_rule_is_evaluated_in_chunks_within_the_cell_budget():
     trials = _fuzzed_trials(400, seed=3)
     assert len(trials) * 5**6 > 5 * shape_dsl.CELL_BUDGET
     expr = parse_shape_concept(DEEP_RULE)
-    truth, arrays = compile_shape(expr), encode_trials(trials)
+    arrays = encode_trials(trials)
     tracemalloc.start()
     try:
-        got = truth(arrays)
+        got = truth_values(expr, arrays)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -317,7 +317,7 @@ def test_chunked_evaluation_matches_interpreter(monkeypatch):
     arrays = encode_trials(trials)
     rng = random.Random(9)
     for _ in range(100):
-        _assert_compiled_matches(random_shape_expr(rng, 3), trials, arrays)
+        _assert_array_eval_matches(random_shape_expr(rng, 3), trials, arrays)
 
 
 def test_build_shape_task_consist_matches_interpreter():

@@ -15,6 +15,7 @@ from nlconcepts.harness import (
     emit_learning_curves,
     emit_plot_data,
     emit_sweep_table,
+    group_judgments,
     number_tasks,
     run_number_experiment,
     run_online_experiment,
@@ -122,6 +123,40 @@ def test_external_prior_missing_score_raises_missing_feature(tmp_path):
     assert build_number_task(cfg, pool[:1], *args).base_logprior.tolist() == [-1.0]
     with pytest.raises(MissingFeature, match="the number is odd"):
         build_number_task(cfg, pool, *args)
+
+
+def test_number_tasks_read_the_score_file_once(fixtures_dir, tmp_path, monkeypatch):
+    """Under the external prior, the score file is read once for all
+    eight fixture sets, and each task is the one its set's builder
+    makes on its own."""
+    cfg = ExperimentConfig.from_json(fixtures_dir / "configs" / "number_tuned.json")
+    cfg = dataclasses.replace(
+        cfg,
+        prior="external",
+        scores_path=str(tmp_path / "scores.jsonl"),
+        data_path=str(fixtures_dir / "number_judgments.csv"),
+        pools={k: str(fixtures_dir / "number" / f"{k}.jsonl") for k in cfg.pools},
+    )
+    pools = {k: io.load_pool(path, "number") for k, path in cfg.pools.items()}
+    nl = {h.key for pool in pools.values() for h in pool}
+    io.save_score_file(cfg.scores_path, {key: -len(key) / 10 for key in sorted(nl)})
+    reads = []
+    load_score_file = io.load_score_file
+    monkeypatch.setattr(io, "load_score_file", lambda path: reads.append(path) or load_score_file(path))
+    tasks = number_tasks(cfg, None, None)
+    assert len(tasks) == 8 and reads == [cfg.scores_path]
+    extractor = FeatureExtractor(dim=cfg.feature_dim)
+    for set_id, group in group_judgments(io.load_number_judgments(cfg.data_path)).items():
+        tests = [(j.test_number, j.mean_rating, f"{set_id}:{j.test_number}") for j in group]
+        alone = build_number_task(cfg, pools[set_id], group[0].example_set, tests, extractor)
+        task = tasks[set_id]
+        for field in dataclasses.fields(task):
+            got, want = getattr(task, field.name), getattr(alone, field.name)
+            if isinstance(want, np.ndarray):
+                np.testing.assert_array_equal(got, want)
+            else:
+                assert got == want, field.name
+    assert len(reads) == 1 + len(tasks)
 
 
 @pytest.mark.parametrize("source", ["fixture", "synthetic"])

@@ -29,6 +29,34 @@ def test_pool_round_trip(tmp_path):
     assert loaded[1].source_batch == 3
 
 
+def test_pool_load_parses_each_distinct_source_once(tmp_path, monkeypatch):
+    """Rows with equal DSL share one program within a load, broken ones
+    too; a second load parses afresh and shares nothing with the first."""
+    path = tmp_path / "pool.jsonl"
+    rows = [
+        ("the number is even", "even(x)", 1),
+        ("an even number", "even(x)", 2),
+        ("broken", "???", None),
+        ("also broken", "???", None),
+        ("the number is odd", "odd(x)", 2),
+        ("even", "even(x)", 3),
+    ]
+    path.write_text("".join(json.dumps({"nl": nl, "dsl": dsl, "batch": b}) + "\n" for nl, dsl, b in rows))
+    parsed = []
+    parse_concept = io.parse_concept
+    monkeypatch.setattr(io, "parse_concept", lambda src, domain: parsed.append(src) or parse_concept(src, domain))
+    first, second = io.load_pool(path, "number"), io.load_pool(path, "number")
+    assert parsed == ["even(x)", "???", "odd(x)"] * 2
+    for pool in (first, second):
+        assert [h.nl_text for h in pool] == [nl for nl, _, _ in rows]
+        assert [h.source_batch for h in pool] == [b for _, _, b in rows]
+        assert pool[0].program is pool[1].program is pool[5].program
+        assert pool[2].program is pool[3].program and not pool[2].parsed
+        assert pool[4].program is not pool[0].program
+        assert pool[0].program == io.make_hypothesis("x", "even(x)", "number").program
+    assert not {id(h.program) for h in first} & {id(h.program) for h in second}
+
+
 def test_pool_load_skips_blank_lines(tmp_path):
     path = tmp_path / "pool.jsonl"
     path.write_text('{"nl": "the number is even", "dsl": "even(x)"}\n\n')

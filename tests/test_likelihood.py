@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import nlconcepts.dsl
 from nlconcepts import io
-from nlconcepts.dsl import shape as shape_dsl
 from nlconcepts.io import make_hypothesis
 from nlconcepts.likelihood import (
     NEG_LARGE,
@@ -199,15 +198,7 @@ def test_number_program_pickles_after_extension():
         GT.program.extension
 
 
-def test_per_trial_calls_compile_each_rule_once(fixtures_dir, monkeypatch):
-    compiled = []
-
-    def counting_compile(expr):
-        compiled.append(expr)
-        return compile_shape(expr)
-
-    compile_shape = shape_dsl.compile_shape
-    monkeypatch.setattr(shape_dsl, "compile_shape", counting_compile)
+def test_per_trial_calls_match_one_call_over_all_trials(fixtures_dir):
     pool = io.load_pool(fixtures_dir / "shape" / "green_triangles_pool.jsonl", "shape")
     curve = io.load_learning_curve(fixtures_dir / "shape" / "green_triangles_curve.json")
     assert len(curve.trials) == 64
@@ -215,18 +206,17 @@ def test_per_trial_calls_compile_each_rule_once(fixtures_dir, monkeypatch):
     i = next(i for i, h in enumerate(pool) if h.parsed)
     predicted = [predict_response(state, t, 0.1, 0.5) for t in curve.trials]
     probs = [trial_response_prob(pool[i], t, 0.1, 0.5) for t in curve.trials]
-    assert len(compiled) == sum(h.parsed for h in pool)
-    # the memo changes no value: one call over all trials agrees
     p_positive = 0.9 * truth_matrix(pool, curve.trials) + 0.1 * 0.5
     assert predicted == pytest.approx(p_positive.T @ state.weights, abs=1e-12)
     labels = np.array([t.label for t in curve.trials])
     assert probs == pytest.approx(np.where(labels, p_positive[i], 1 - p_positive[i]), abs=1e-12)
-    assert len(compiled) == sum(h.parsed for h in pool)
+    # evaluation leaves nothing on the programs
+    assert all(vars(h.program).keys() == {"domain", "expr"} for h in pool if h.parsed)
 
 
-def test_program_with_a_compiled_rule_pickles():
-    GT.program.truth  # compiled and memoized on the program
-    copy = pickle.loads(pickle.dumps(GT))
-    assert copy == GT and "truth" not in vars(copy.program)
+def test_shape_program_pickles_after_evaluation():
     trials = [Trial([TRI, CIR], TRI, True), Trial([TRI, CIR], CIR, False)]
+    assert truth_matrix([GT], trials).tolist() == [[1.0, 0.0]]
+    copy = pickle.loads(pickle.dumps(GT))
+    assert copy == GT and vars(copy.program).keys() == {"domain", "expr"}
     assert truth_matrix([copy], trials).tolist() == [[1.0, 0.0]]

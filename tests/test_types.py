@@ -1,3 +1,6 @@
+import random
+import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +21,8 @@ from nlconcepts.types import (
 )
 from nlconcepts.io import make_hypothesis
 
+import oracle
+
 
 def test_canonicalize_nl():
     assert canonicalize_nl("  The Number   is EVEN. ") == "the number is even"
@@ -27,6 +32,23 @@ def test_canonicalize_nl():
     assert canonicalize_nl(s) == s
     # only one trailing period is dropped
     assert canonicalize_nl("etc..") == "etc."
+
+
+def test_canonicalize_nl_matches_the_regex_form():
+    """str.split and the regex \\s agree on whitespace, so the split form
+    equals the regex form on every whitespace code point and on fuzzed
+    text."""
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    spaces = sorted(set(re.findall(r"\s", every)))
+    assert spaces == [c for c in every if c.isspace()] and len(spaces) > 20
+    for ch in spaces:
+        for text in (f"a{ch}b", f"{ch}A.{ch}", f"x {ch}.", f"{ch * 3}Hi{ch}", ch):
+            assert canonicalize_nl(text) == oracle.canonicalize_nl(text), repr(text)
+    rng = random.Random(4)
+    alphabet = spaces + list("aBc.. \u0130\u00df\u03a3")
+    for _ in range(5000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+        assert canonicalize_nl(text) == oracle.canonicalize_nl(text), repr(text)
 
 
 def test_hypothesis_key_and_parsed():
