@@ -24,14 +24,14 @@ from .fit import (
 from .harness import (
     ExperimentConfig,
     PredictionRecord,
-    build_shape_task,
     group_judgments,
     map_rules,
     number_tasks,
+    online_metrics,
     run_number_experiment,
+    shape_tasks,
 )
 from .posterior import platt
-from .prior import FeatureExtractor
 from .propose.prompts import serialize_numbers, serialize_shape_batches
 from .types import Hypothesis, LearningCurve, ModelParams
 
@@ -135,12 +135,9 @@ def latent_language_shape(
     noise model, eps * alpha while no rule is visible. Returns (metrics,
     records, per-curve chosen NL per batch, None where no rule is visible)."""
     params = replace(cfg.params or ModelParams(), temperature=1.0)
-    uniform = replace(cfg, prior="uniform")
-    extractor = FeatureExtractor(dim=cfg.feature_dim)
     records: List[PredictionRecord] = []
     chosen: Dict[str, List[Optional[str]]] = {}
-    for curve in curves:
-        task = build_shape_task(uniform, pools[curve.concept_id], curve, extractor)
+    for curve, task in zip(curves, shape_tasks(replace(cfg, prior="uniform"), curves, pools)):
         _, weights, _ = shape_forward(task, params)
         best = map_rules(task, weights)
         chosen[curve.concept_id] = [None if s is None else task.names[s] for s in best]
@@ -152,14 +149,7 @@ def latent_language_shape(
             PredictionRecord(i, float(p), h, "holdout")
             for i, p, h in zip(task.ids, preds, curve.human_positive_rate)
         )
-    labels = [t.label for curve in curves for t in curve.trials]
-    metrics = {
-        "accuracy": float(
-            np.mean([(r.prediction >= 0.5) == y for r, y in zip(records, labels)])
-        ),
-        "n_trials": len(records),
-    }
-    return metrics, records, chosen
+    return online_metrics(records, curves), records, chosen
 
 
 # ---------------------------------------------------------------------------
@@ -250,32 +240,20 @@ def direct_llm_shape(curves: Sequence[LearningCurve], backend):
     """Per-trial yes/no querying for the logical domain; returns
     (metrics, records) with raw sample ratios as predictions."""
     records: List[PredictionRecord] = []
-    labels: List[bool] = []
     for curve in curves:
         trial_index = 0
         for b, batch in enumerate(curve.batches):
             for t in batch:
                 prompt = direct_shape_prompt(curve.batches[:b], batch, t.test)
                 ratio = yes_no_ratio(_direct_samples(backend, prompt))
-                human = (
-                    curve.human_positive_rate[trial_index]
-                    if trial_index < len(curve.human_positive_rate)
-                    else None
-                )
+                human = curve.human_positive_rate[trial_index]
                 records.append(
                     PredictionRecord(
                         f"{curve.concept_id}:{trial_index}", ratio, human, "holdout"
                     )
                 )
-                labels.append(t.label)
                 trial_index += 1
-    metrics = {
-        "accuracy": float(
-            np.mean([(r.prediction >= 0.5) == y for r, y in zip(records, labels)])
-        ),
-        "n_trials": len(records),
-    }
-    return metrics, records
+    return online_metrics(records, curves), records
 
 
 # ---------------------------------------------------------------------------

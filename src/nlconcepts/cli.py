@@ -18,6 +18,7 @@ import numpy as np
 from . import baselines, harness, io
 from .dsl import NUMBER as NUMBER_DOMAIN
 from .dsl import SHAPE as SHAPE_DOMAIN
+from .fit import fit_params
 from .likelihood import pool_number_logliks, pool_shape_logliks
 from .posterior import dedup_weights
 from .prior import FeatureExtractor
@@ -137,14 +138,12 @@ def _cmd_fit(args) -> int:
         metrics, records, verbalizations = harness.run_number_experiment(cfg)
         (out_dir / "topk.json").write_text(json.dumps(verbalizations, indent=2))
     else:
-        curves, pools = harness.load_curves(cfg), harness.load_shape_pools(cfg)
-        result = harness.fit_online_params(cfg, curves, pools)
-        (out_dir / "params.json").write_text(
-            json.dumps(_dump_params(result.params), indent=2)
-        )
-        metrics, records, details = harness.run_online_experiment(
-            cfg, curves, pools, result.params
-        )
+        # the fitted model is the evaluated one: both read the same tasks
+        curves = harness.load_curves(cfg)
+        tasks = harness.shape_tasks(cfg, curves, harness.load_shape_pools(cfg))
+        params = fit_params(cfg.fit, tasks, harness.default_params(cfg)).params
+        (out_dir / "params.json").write_text(json.dumps(_dump_params(params), indent=2))
+        metrics, records, details = harness.evaluate_online(curves, tasks, params)
         harness.emit_learning_curves(details, out_dir / "learning_curves.csv")
     harness.emit_plot_data(records, out_dir / "predictions.csv")
     (out_dir / "metrics.json").write_text(json.dumps(metrics, indent=2))

@@ -498,18 +498,17 @@ def fit_params(
     config: FitConfig,
     train_tasks,
     init: ModelParams,
-    holdout_tasks: Sequence = (),
     train_rows: Optional[np.ndarray] = None,
 ):
     """Full-batch Adam on the trainable unconstrained parameters.
 
-    Deterministic given (config, tasks, init); holdout predictions are
-    produced with the final parameters only. With `train_rows`, an
+    Deterministic given (config, tasks, init). With `train_rows`, an
     (F, N) bool mask over the rows of `train_tasks`, F fits from `init`
     run as one loop over an (F, P) parameter stack; fit f's loss counts
     the rows it marks, its holdout predictions are the rows it leaves
-    out (in row order), and a list of the F results is returned
-    (`holdout_tasks` is not used then).
+    out (in row order, at its final parameters), and a list of the F
+    results is returned. Without it, one fit counts every row, holds
+    none out, and its result is returned alone.
     """
     dim = len(init.theta)
     batch = stack_tasks(train_tasks)
@@ -535,11 +534,9 @@ def fit_params(
                 eps=config.adam_eps,
             )
     traces = np.array(losses).T.tolist()
-    if train_rows is None:
-        _, _, holdout = loss_and_grad(stack[0], holdout_tasks, dim, want_grad=False)
-        return FitResult(_unpack(stack[0], dim), traces[0], holdout)
-    _, _, pred = loss_and_grad(stack, batch, dim, want_grad=False, rows=rows)
-    return [
+    # no closing forward pass when no fit holds a row out
+    pred = None if rows.all() else loss_and_grad(stack, batch, dim, want_grad=False, rows=rows)[2]
+    results = [
         FitResult(
             _unpack(u, dim),
             trace,
@@ -547,3 +544,4 @@ def fit_params(
         )
         for f, (u, trace, train) in enumerate(zip(stack, traces, rows))
     ]
+    return results[0] if train_rows is None else results

@@ -155,14 +155,16 @@ def build_shape_task(
     extractor: FeatureExtractor,
     cache: Optional[EvalCache] = None,
     targets: str = "human",  # "human" rates or "labels" (tune for accuracy)
+    scores: Optional[Dict[str, float]] = None,
 ) -> ShapeTask:
     """Compile a curve against its deduplicated pool: the truth matrix
     of its rules on the curve's trials (`likelihood.truth_matrix`), the
-    batches the trials fall in and the rules visible at each. `cache`
-    is not read; callers pass an `EvalCache` positionally, which
-    would otherwise bind to `targets`."""
+    batches the trials fall in and the rules visible at each. `scores`
+    are the external prior's, read from `cfg.scores_path` when None.
+    `cache` is not read; callers pass an `EvalCache` positionally,
+    which would otherwise bind to `targets`."""
     unique, _ = dedup_pool(pool)
-    features, base = _prior_pieces(cfg, unique, extractor)
+    features, base = _prior_pieces(cfg, unique, extractor, scores)
     trials = curve.trials
     # a rule joins at its source batch (numbered from 1); unparsed ones never do
     joins = np.array([(h.source_batch or 0) if h.parsed else np.inf for h in unique])
@@ -308,33 +310,48 @@ def load_shape_pools(cfg: ExperimentConfig) -> Dict[str, List[Hypothesis]]:
     return {cid: io.load_pool(path, SHAPE_DOMAIN) for cid, path in cfg.pools.items()}
 
 
-def run_online_experiment(
+def shape_tasks(
     cfg: ExperimentConfig,
-    curves: Optional[Sequence[LearningCurve]] = None,
-    pools: Optional[Dict[str, List[Hypothesis]]] = None,
-    params: Optional[ModelParams] = None,
-):
-    """Online protocol: per batch, extend the pool with that batch's
-    proposals, weigh by the decayed likelihood of all *previous* trials,
-    and predict each trial in the batch before its label is revealed.
-    Each curve is one forward pass over its compiled task (the model
-    the fit optimizes, with the gradient off).
+    curves: Sequence[LearningCurve],
+    pools: Dict[str, List[Hypothesis]],
+    targets: str = "human",
+) -> List[ShapeTask]:
+    """Each curve compiled against its pool, in curve order, with one
+    read of the external prior's score file: the tasks that fitting,
+    online evaluation and the latent-language baseline all read."""
+    extractor = FeatureExtractor(dim=cfg.feature_dim)
+    scores = io.load_score_file(cfg.scores_path) if cfg.prior == "external" else None
+    return [
+        build_shape_task(cfg, pools[c.concept_id], c, extractor, targets=targets, scores=scores)
+        for c in curves
+    ]
+
+
+def online_metrics(records: Sequence[PredictionRecord], curves: Sequence[LearningCurve]) -> Dict:
+    """Accuracy of predictions thresholded at 0.5 against the trial
+    labels, records in curve and trial order."""
+    labels = [t.label for curve in curves for t in curve.trials]
+    return {
+        "accuracy": float(np.mean([(r.prediction >= 0.5) == y for r, y in zip(records, labels)])),
+        "n_trials": len(records),
+    }
+
+
+def evaluate_online(curves: Sequence[LearningCurve], tasks: Sequence[ShapeTask], params: ModelParams):
+    """Online protocol over compiled tasks (`shape_tasks`): per batch,
+    weigh the rules visible so far by the decayed likelihood of all
+    *previous* trials, and predict each trial in the batch before its
+    label is revealed. Each curve is one forward pass over its task
+    (the model the fit optimizes, with the gradient off).
 
     Returns (metrics, records, per-curve details); each detail's
     `per_batch` rows give the batch's accuracy, its MAP rule (None when
     no rule is visible), and the effective sample size and largest
     weight of the posterior it was predicted from.
     """
-    if curves is None:
-        curves = load_curves(cfg)
-    if pools is None:
-        pools = load_shape_pools(cfg)
-    params = params or cfg.params or default_params(cfg)
-    extractor = FeatureExtractor(dim=cfg.feature_dim)
     records: List[PredictionRecord] = []
     details = {}
-    for curve in curves:
-        task = build_shape_task(cfg, pools[curve.concept_id], curve, extractor)
+    for curve, task in zip(curves, tasks):
         preds, weights, _ = shape_forward(task, params)
         correct = (preds >= 0.5) == (task.labels > 0)
         curve_records = [
@@ -355,20 +372,28 @@ def run_online_experiment(
             "per_batch": per_batch,
             "records": curve_records,
         }
-    labels = [
-        bool(t.label) for curve in curves for t in curve.trials
-    ]
-    preds = [r.prediction for r in records]
-    metrics = {
-        "accuracy": float(
-            np.mean([(p >= 0.5) == y for p, y in zip(preds, labels)])
-        ),
-        "n_trials": len(records),
-    }
-    humans = [r.human for r in records if r.human is not None]
-    if len(humans) == len(records) and len(set(humans)) > 1:
-        metrics["r2_vs_human"] = r_squared(preds, humans)
+    metrics = online_metrics(records, curves)
+    humans = [r.human for r in records]
+    if len(set(humans)) > 1:
+        metrics["r2_vs_human"] = r_squared([r.prediction for r in records], humans)
     return metrics, records, details
+
+
+def run_online_experiment(
+    cfg: ExperimentConfig,
+    curves: Optional[Sequence[LearningCurve]] = None,
+    pools: Optional[Dict[str, List[Hypothesis]]] = None,
+    params: Optional[ModelParams] = None,
+):
+    """`evaluate_online` of the curves compiled by `shape_tasks` at
+    `params`, else `cfg.params`, else the default parameters; curves
+    and pools are loaded from `cfg` when None."""
+    if curves is None:
+        curves = load_curves(cfg)
+    if pools is None:
+        pools = load_shape_pools(cfg)
+    params = params or cfg.params or default_params(cfg)
+    return evaluate_online(curves, shape_tasks(cfg, curves, pools), params)
 
 
 def fit_online_params(
@@ -378,13 +403,8 @@ def fit_online_params(
     targets: str = "human",
 ) -> FitResult:
     """Fit epsilon/alpha/beta/temperature (and theta under a tuned
-    prior) against the learning curves."""
-    extractor = FeatureExtractor(dim=cfg.feature_dim)
-    tasks = [
-        build_shape_task(cfg, pools[c.concept_id], c, extractor, targets=targets)
-        for c in curves
-    ]
-    return fit_params(cfg.fit, tasks, default_params(cfg))
+    prior) against the learning curves, compiled by `shape_tasks`."""
+    return fit_params(cfg.fit, shape_tasks(cfg, curves, pools, targets), default_params(cfg))
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ import shutil
 import numpy as np
 import pytest
 
-from nlconcepts import io
+from nlconcepts import harness, io
 from nlconcepts.baselines import DIRECT_PARAMS, direct_shape_prompt
-from nlconcepts.cli import _load_params, main
+from nlconcepts.cli import _dump_params, _load_params, main
 from nlconcepts.likelihood import pool_number_logliks
 from nlconcepts.posterior import dedup_weights
 from nlconcepts.prior import FeatureExtractor, Tuned, Uniform
@@ -274,6 +274,38 @@ def test_fit_shape_writes_outputs(fixtures_dir, tmp_path):
     assert (out_dir / "learning_curves.csv").exists()
     params = json.loads((out_dir / "params.json").read_text())
     assert 0.0 < params["epsilon"] < 1.0
+
+
+def test_fit_shape_builds_each_curve_once(fixtures_dir, tmp_path, monkeypatch):
+    """`fit` on the shape fixture config compiles each curve once, fits
+    and evaluates those tasks, and writes what fitting with
+    `fit_online_params` and then evaluating with `run_online_experiment`
+    give."""
+    raw = json.loads((fixtures_dir / "configs" / "shape_online.json").read_text())
+    raw["data_path"] = str(fixtures_dir / "shape")
+    raw["pools"] = {cid: str(fixtures_dir.parent / path) for cid, path in raw["pools"].items()}
+    path = tmp_path / "shape_online.json"
+    path.write_text(json.dumps(raw))
+    builds = []
+    build_shape_task = harness.build_shape_task
+    monkeypatch.setattr(
+        harness, "build_shape_task", lambda *a, **k: builds.append(a[2].concept_id) or build_shape_task(*a, **k)
+    )
+    out_dir = tmp_path / "out"
+    assert main(["fit", "--config", str(path), "--out-dir", str(out_dir)]) == 0
+    cfg = harness.ExperimentConfig.from_json(path)
+    curves, pools = harness.load_curves(cfg), harness.load_shape_pools(cfg)
+    assert builds == [c.concept_id for c in curves]
+    params = harness.fit_online_params(cfg, curves, pools).params
+    metrics, records, details = harness.run_online_experiment(cfg, curves, pools, params)
+    want = tmp_path / "want"
+    want.mkdir()
+    (want / "params.json").write_text(json.dumps(_dump_params(params), indent=2))
+    harness.emit_plot_data(records, want / "predictions.csv")
+    harness.emit_learning_curves(details, want / "learning_curves.csv")
+    (want / "metrics.json").write_text(json.dumps(metrics, indent=2))
+    for name in ("params.json", "predictions.csv", "learning_curves.csv", "metrics.json"):
+        assert (out_dir / name).read_bytes() == (want / name).read_bytes(), name
 
 
 def test_eval_requires_params(fixtures_dir, tmp_path):

@@ -274,11 +274,13 @@ def test_fit_is_deterministic():
     task = number_task()
     init = ModelParams(theta=np.zeros(DIM), epsilon=0.5, alpha=0.5, beta=1.0)
     cfg = FitConfig(epochs=50)
-    r1 = fit_params(cfg, [task], init, holdout_tasks=[task])
-    r2 = fit_params(cfg, [task], init, holdout_tasks=[task])
+    r1 = fit_params(cfg, [task], init)
+    r2 = fit_params(cfg, [task], init)
     np.testing.assert_array_equal(r1.params.theta, r2.params.theta)
     assert r1.loss_trace == r2.loss_trace
-    assert r1.holdout_predictions == r2.holdout_predictions
+    h1 = loss_and_grad(pack_params(r1.params), [task], DIM, want_grad=False)[2]
+    h2 = loss_and_grad(pack_params(r2.params), [task], DIM, want_grad=False)[2]
+    assert h1 == h2
 
 
 def test_all_unparsed_number_pool_predicts_platt_of_half():
@@ -353,18 +355,19 @@ def test_stacked_folds_match_fitting_each_fold_alone(prior):
     stacked = fit_params(fit_cfg, batch, default_params(cfg), train_rows=rows)
     assert len(stacked) == len(folds) + 1
     for (train, holdout), result in zip(folds, stacked):
-        alone = fit_params(
-            fit_cfg,
-            fixture_number_tasks(cfg, set(train)),
-            default_params(cfg),
-            holdout_tasks=fixture_number_tasks(cfg, set(holdout)),
+        alone = fit_params(fit_cfg, fixture_number_tasks(cfg, set(train)), default_params(cfg))
+        _, _, alone_holdout = loss_and_grad(
+            pack_params(alone.params),
+            fixture_number_tasks(cfg, set(holdout)),
+            len(alone.params.theta),
+            want_grad=False,
         )
         assert [d for d, _, _ in result.holdout_predictions] == [
-            d for d, _, _ in alone.holdout_predictions
+            d for d, _, _ in alone_holdout
         ]
         gaps = [
             abs(a[1] - b[1])
-            for a, b in zip(result.holdout_predictions, alone.holdout_predictions)
+            for a, b in zip(result.holdout_predictions, alone_holdout)
         ]
         assert max(gaps) <= 1e-10
         np.testing.assert_allclose(result.loss_trace, alone.loss_trace, rtol=1e-10)

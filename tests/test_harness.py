@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nlconcepts import io
+from nlconcepts.baselines import latent_language_shape
 from nlconcepts.fit import FitConfig
 from nlconcepts.harness import (
     ExperimentConfig,
@@ -15,10 +16,12 @@ from nlconcepts.harness import (
     emit_learning_curves,
     emit_plot_data,
     emit_sweep_table,
+    fit_online_params,
     group_judgments,
     number_tasks,
     run_number_experiment,
     run_online_experiment,
+    shape_tasks,
 )
 from nlconcepts.likelihood import EvalCache, pool_number_logliks, pool_shape_logliks
 from nlconcepts.posterior import dedup_pool, dedup_weights, importance_weights
@@ -157,6 +160,42 @@ def test_number_tasks_read_the_score_file_once(fixtures_dir, tmp_path, monkeypat
             else:
                 assert got == want, field.name
     assert len(reads) == 1 + len(tasks)
+
+
+def test_shape_experiments_read_the_score_file_once(fixtures_dir, tmp_path, monkeypatch):
+    """Under the external prior, `shape_tasks` reads the score file once
+    for two curves and builds each task as `build_shape_task` does on
+    its own; the fit and online evaluation read it once each, and the
+    latent-language baseline, which forces the uniform prior, not at all."""
+    curve = load_fixture_curve(fixtures_dir)
+    twin = LearningCurve("green_triangles_twin", curve.ground_truth_nl, curve.batches, curve.human_positive_rate)
+    pool = load_fixture_pool(fixtures_dir)
+    curves, pools = [curve, twin], {curve.concept_id: pool, twin.concept_id: pool}
+    cfg = ExperimentConfig(
+        domain="shape",
+        prior="external",
+        feature_dim=0,
+        scores_path=str(tmp_path / "scores.jsonl"),
+        fit=FitConfig(epochs=3, trainable=("epsilon", "alpha", "beta", "temperature")),
+    )
+    io.save_score_file(cfg.scores_path, {key: -len(key) / 10 for key in sorted({h.key for h in pool})})
+    reads = []
+    load_score_file = io.load_score_file
+    monkeypatch.setattr(io, "load_score_file", lambda path: reads.append(path) or load_score_file(path))
+    tasks = shape_tasks(cfg, curves, pools)
+    assert len(tasks) == 2 and reads == [cfg.scores_path]
+    for c, task in zip(curves, tasks):
+        alone = build_shape_task(cfg, pool, c, FeatureExtractor(dim=cfg.feature_dim))
+        for field in dataclasses.fields(task):
+            got, want = getattr(task, field.name), getattr(alone, field.name)
+            if isinstance(want, np.ndarray):
+                np.testing.assert_array_equal(got, want)
+            else:
+                assert got == want, field.name
+    for experiment, n_reads in ((fit_online_params, 1), (run_online_experiment, 1), (latent_language_shape, 0)):
+        reads.clear()
+        experiment(cfg, curves, pools)
+        assert len(reads) == n_reads, experiment.__name__
 
 
 @pytest.mark.parametrize("source", ["fixture", "synthetic"])
