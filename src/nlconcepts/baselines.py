@@ -139,10 +139,13 @@ def latent_language_shape(
     chosen: Dict[str, List[Optional[str]]] = {}
     for curve, task in zip(curves, shape_tasks(replace(cfg, prior="uniform"), curves, pools)):
         _, weights, _ = shape_forward(task, params)
-        best = map_rules(task, weights)
+        best = map_rules(task, weights[:, task.rule_class])
         chosen[curve.concept_id] = [None if s is None else task.names[s] for s in best]
         truth = np.array(
-            [0.0 if best[b] is None else task.consist[best[b], k] for k, b in enumerate(task.batch)]
+            [
+                0.0 if best[b] is None else task.consist[task.rule_class[best[b]], k]
+                for k, b in enumerate(task.batch)
+            ]
         )
         preds = (1.0 - params.epsilon) * truth + params.epsilon * params.alpha
         records.extend(

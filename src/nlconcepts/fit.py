@@ -125,30 +125,40 @@ class ShapeTask:
     """One learning curve compiled against its deduplicated pool of S
     rules: K trials in B batches, each trial one prediction row.
 
+    Rules the posterior cannot tell apart are compiled once. A class is
+    a set of rules with the same truth row, the same first visible
+    batch, the same base log-prior and, under a tuned prior, the same
+    feature row; each of its `count[g]` rules gets the same weight. The
+    G classes are numbered in the order of their first rule, and
+    `rule_class` maps each rule to its class.
+
     `consist` must hold only 0.0 and 1.0: `shape_forward` is affine in
     it. Building a task checks this once and raises ValueError naming
     the curve otherwise."""
 
-    features: Optional[np.ndarray]  # (S, D); None under a non-tuned prior
-    base_logprior: np.ndarray  # (S,)
-    consist: np.ndarray  # (S, K) rule truth value per trial, 0.0 or 1.0
+    features: Optional[np.ndarray]  # (G, D); None under a non-tuned prior
+    base_logprior: np.ndarray  # (G,)
+    consist: np.ndarray  # (G, K) truth value of the class's rules per trial, 0.0 or 1.0
     labels: np.ndarray  # (K,) observed Y
     batch: np.ndarray  # (K,) batch index of each trial, from 0
-    visible: np.ndarray  # (B, S) rule parsed and joined by batch b
+    visible: np.ndarray  # (B, G) the class's rules parsed and joined by batch b
     targets: np.ndarray  # (K,)
     ids: List[str]
     names: List[str]  # (S,) NL text of each rule
+    rule_class: np.ndarray  # (S,) class of each rule
+    count: np.ndarray  # (G,) rules in each class
 
     domain: str = "shape"
 
     def __post_init__(self):
         bad = (self.consist != 0.0) & (self.consist != 1.0)
         if bad.any():
-            s, k = np.argwhere(bad)[0]
+            g, k = np.argwhere(bad)[0]
             curve = self.ids[k].rpartition(":")[0]
+            rule = self.names[int(np.argmax(self.rule_class == g))]
             raise ValueError(
                 f"shape task {curve!r}: truth matrix must hold only 0 and 1, "
-                f"found {float(self.consist[s, k])!r} for rule {self.names[s]!r} on trial {k}"
+                f"found {float(self.consist[g, k])!r} for rule {rule!r} on trial {k}"
             )
 
 
@@ -291,22 +301,29 @@ def shape_forward(task: ShapeTask, params: ModelParams):
     is predicted as sum_s w[b(k), s] q[s, k], which is eps * alpha at a
     batch where no rule is visible.
 
+    The rules of a class (`ShapeTask`) share their score, so the pass
+    runs over the G classes: each rule of class g weighs
+    p[b, g] = e[b, g] / sum_h count[h] e[b, h], and the class as a
+    whole W = p * count, which stands in for the rule weights in every
+    sum over rules below. No array of the pass has a column per rule.
+
     `task.consist` must hold only 0 and 1 (ShapeTask checks it). Then
-    q[s, k] = (1 - eps) c[s, k] + eps alpha, the probability r[s, k] of
-    the observed label and log r[s, k] are all affine in c: each equals
-    a0[k] + c[s, k] (a1[k] - a0[k]), with per-trial coefficients from
+    q[g, k] = (1 - eps) c[g, k] + eps alpha, the probability r[g, k] of
+    the observed label and log r[g, k] are all affine in c: each equals
+    a0[k] + c[g, k] (a1[k] - a0[k]), with per-trial coefficients from
     eps, alpha and label k. So the log-likelihoods of all batches are
     D @ log r0 + (D * (log r1 - log r0)) @ c^T. The first term is the
-    same for every rule of a batch: the softmax cancels it, and so does
+    same for every class of a batch: the softmax cancels it, and so does
     the gradient, whose rows in the log-weights sum to zero. c enters
     the pass and its gradient only through four products (the second
-    term, w @ c, g @ c^T and d(log weights) @ c), and the gradients in
-    eps, alpha and beta are per-trial sums of the last one; no (S, K)
+    term, W @ c, g @ c^T and d(log weights) @ c), and the gradients in
+    eps, alpha and beta are per-trial sums of the last one; no (G, K)
     array is built.
 
-    Returns (predictions (K,), weights (B, S), backward), where
-    backward(d(loss)/d(prediction)) gives the loss gradient in
-    (theta or None, epsilon, alpha, beta, temperature).
+    Returns (predictions (K,), per-rule weights of each class (B, G),
+    backward), where backward(d(loss)/d(prediction)) gives the loss
+    gradient in (theta or None, epsilon, alpha, beta, temperature). The
+    weights of the rules themselves are `p[:, task.rule_class]`.
     """
     eps, alpha, beta, temp = params.epsilon, params.alpha, params.beta, params.temperature
     c = task.consist
@@ -326,8 +343,9 @@ def shape_forward(task: ShapeTask, params: ModelParams):
     past = lag > 0
     lag = np.where(past, lag, 1).astype(float)
     decay = np.where(past, lag**-beta, 0.0)  # D (B, K)
-    score = (log_prior + (decay * delta_log_r) @ c.T) / temp  # (B, S), up to a constant per batch
-    w = softmax_masked(score, task.visible)
+    score = (log_prior + (decay * delta_log_r) @ c.T) / temp  # (B, G), up to a constant per batch
+    p = softmax_masked(score, task.visible, task.count)
+    w = p * task.count  # (B, G) weight of each class
     now = (task.batch, np.arange(n_trials))
     mean_truth = (w @ c)[now]  # (K,) zero where nothing is visible
     pred = (1.0 - eps) * mean_truth + eps * alpha
@@ -335,9 +353,9 @@ def shape_forward(task: ShapeTask, params: ModelParams):
     def backward(dl_dpred):
         g = np.zeros((n_batches, n_trials))
         g[now] = dl_dpred
-        # d(loss)/d score[b, s] sums g_k w[b, s] (q[s, k] - pred_k) over
-        # batch b's trials k, where q[s, k] - pred_k = (1 - eps) (c[s, k] - mean_k);
-        # d_unnorm is that over T, the gradient in the log-weights (B, S)
+        # d(loss)/d score[b, j] of class j sums g_k w[b, j] (q[j, k] - pred_k) over
+        # batch b's trials k, where q[j, k] - pred_k = (1 - eps) (c[j, k] - mean_k);
+        # d_unnorm is that over T, the gradient in the log-weights (B, G)
         d_unnorm = (1.0 - eps) / temp * w * (g @ c.T - (g @ mean_truth)[:, None])
         d_theta = None if task.features is None else d_unnorm.sum(axis=0) @ task.features
         # per trial, d(loss)/d log r summed over the rules true on it; over
@@ -354,7 +372,7 @@ def shape_forward(task: ShapeTask, params: ModelParams):
         d_temp = -np.vdot(d_unnorm, score)
         return d_theta, d_eps, d_alpha, d_beta, d_temp
 
-    return pred, w, backward
+    return pred, p, backward
 
 
 def _shape_rows(task: ShapeTask, u, dim, grad, train):

@@ -159,26 +159,46 @@ def build_shape_task(
 ) -> ShapeTask:
     """Compile a curve against its deduplicated pool: the truth matrix
     of its rules on the curve's trials (`likelihood.truth_matrix`), the
-    batches the trials fall in and the rules visible at each. `scores`
-    are the external prior's, read from `cfg.scores_path` when None.
-    `cache` is not read; callers pass an `EvalCache` positionally,
-    which would otherwise bind to `targets`."""
+    batches the trials fall in and the rules visible at each, kept once
+    per class of rules the posterior cannot tell apart (`ShapeTask`).
+    `scores` are the external prior's, read from `cfg.scores_path` when
+    None. `cache` is not read; callers pass an `EvalCache`
+    positionally, which would otherwise bind to `targets`."""
     unique, _ = dedup_pool(pool)
     features, base = _prior_pieces(cfg, unique, extractor, scores)
     trials = curve.trials
-    # a rule joins at its source batch (numbered from 1); unparsed ones never do
-    joins = np.array([(h.source_batch or 0) if h.parsed else np.inf for h in unique])
+    n_batches = len(curve.batches)
+    truth = truth_matrix(unique, trials)
+    # the first batch (from 1) a rule is visible at: its source batch, or
+    # batch 1 without one; an unparsed rule never joins
+    never = n_batches + 1
+    joins = [min(max(h.source_batch or 1, 1), never) if h.parsed else never for h in unique]
+    # two bits per truth value, c != 0 and c != 1: rules merge only on
+    # equal 0/1 rows, and a value in between stays for ShapeTask to reject
+    bits = np.packbits(np.concatenate([truth != 0.0, truth != 1.0], axis=1), axis=1)
+    keys = [[row.tobytes() for row in bits], joins, base.tolist()]
+    if features is not None:
+        keys.append([row.tobytes() for row in features])
+    classes: Dict[tuple, int] = {}  # key -> class, numbered in the order of first rules
+    first, rule_class = [], []  # the first rule of each class, the class of each rule
+    for s, key in enumerate(zip(*keys)):
+        if key not in classes:
+            classes[key] = len(first)
+            first.append(s)
+        rule_class.append(classes[key])
     rates = curve.human_positive_rate if targets == "human" else [t.label for t in trials]
     return ShapeTask(
-        features=features,
-        base_logprior=base,
-        consist=truth_matrix(unique, trials),
+        features=None if features is None else features[first],
+        base_logprior=base[first],
+        consist=truth[first],
         labels=np.array([float(t.label) for t in trials]),
-        batch=np.repeat(np.arange(len(curve.batches)), [len(b) for b in curve.batches]),
-        visible=joins <= np.arange(1, len(curve.batches) + 1)[:, None],
+        batch=np.repeat(np.arange(n_batches), [len(b) for b in curve.batches]),
+        visible=np.array(joins)[first] <= np.arange(1, n_batches + 1)[:, None],
         targets=np.array(rates, dtype=float),
         ids=[f"{curve.concept_id}:{k}" for k in range(len(trials))],
         names=[h.nl_text for h in unique],
+        rule_class=np.array(rule_class, dtype=int),
+        count=np.bincount(rule_class, minlength=len(first)),
     )
 
 
@@ -205,17 +225,25 @@ def group_judgments(judgments: Sequence[HumanNumberJudgment], pools=None):
 
 
 def _load_number_pools(cfg: ExperimentConfig) -> Dict[str, List[Hypothesis]]:
+    """Every entry of each example set's pool file, by set id."""
     from .propose.backends import EmptyPool
 
     if not cfg.pools:
         raise EmptyPool("no pool sources configured")
-    pools = {}
-    for set_id, path in cfg.pools.items():
-        pool = io.load_pool(path, NUMBER_DOMAIN)[: cfg.budget]
-        if not pool:
-            raise EmptyPool(path)
-        pools[set_id] = pool
-    return pools
+    return {set_id: io.load_pool(path, NUMBER_DOMAIN) for set_id, path in cfg.pools.items()}
+
+
+def _first_proposals(
+    cfg: ExperimentConfig, pools: Dict[str, List[Hypothesis]], budget: int
+) -> Dict[str, List[Hypothesis]]:
+    """The first `budget` entries of each pool; EmptyPool names the
+    pool file of the first set left with none."""
+    from .propose.backends import EmptyPool
+
+    for set_id, pool in pools.items():
+        if not pool[:budget]:
+            raise EmptyPool(cfg.pools[set_id])
+    return {set_id: pool[:budget] for set_id, pool in pools.items()}
 
 
 def number_tasks(
@@ -228,7 +256,7 @@ def number_tasks(
     if judgments is None:
         judgments = io.load_number_judgments(cfg.data_path)
     if pools is None:
-        pools = _load_number_pools(cfg)
+        pools = _first_proposals(cfg, _load_number_pools(cfg), cfg.budget)
     extractor = FeatureExtractor(dim=cfg.feature_dim)
     scores = io.load_score_file(cfg.scores_path) if cfg.prior == "external" else None
     tasks = {}
@@ -292,8 +320,8 @@ def number_top_verbalizations(
 
 
 def map_rules(task: ShapeTask, weights: np.ndarray) -> List[Optional[int]]:
-    """Per batch, the first rule of largest weight; None where no rule
-    is visible."""
+    """Per batch, the first rule of largest weight, from the rule
+    weights (B, S); None where no rule is visible."""
     return [int(np.argmax(w)) if v.any() else None for w, v in zip(weights, task.visible)]
 
 
@@ -352,12 +380,13 @@ def evaluate_online(curves: Sequence[LearningCurve], tasks: Sequence[ShapeTask],
     records: List[PredictionRecord] = []
     details = {}
     for curve, task in zip(curves, tasks):
-        preds, weights, _ = shape_forward(task, params)
+        preds, class_weights, _ = shape_forward(task, params)
+        weights = class_weights[:, task.rule_class]
         correct = (preds >= 0.5) == (task.labels > 0)
-        curve_records = [
+        records.extend(
             PredictionRecord(i, float(p), h, "holdout")
             for i, p, h in zip(task.ids, preds, curve.human_positive_rate)
-        ]
+        )
         per_batch = [
             {
                 "batch": b + 1,
@@ -367,11 +396,7 @@ def evaluate_online(curves: Sequence[LearningCurve], tasks: Sequence[ShapeTask],
             }
             for b, (s, w) in enumerate(zip(map_rules(task, weights), weights))
         ]
-        records.extend(curve_records)
-        details[curve.concept_id] = {
-            "per_batch": per_batch,
-            "records": curve_records,
-        }
+        details[curve.concept_id] = {"per_batch": per_batch}
     metrics = online_metrics(records, curves)
     humans = [r.human for r in records]
     if len(set(humans)) > 1:
@@ -460,14 +485,16 @@ def budget_sweep(
 
     A seed only reshuffles the CV folds: the pool at each budget is
     always the first `budget` lines of the same pool files, so proposals
-    are never resampled."""
+    are never resampled. Each pool file is read once."""
     judgments = io.load_number_judgments(cfg.data_path)
+    full = _load_number_pools(cfg)
     rows = []
     for budget in budgets:
+        pools = _first_proposals(cfg, full, budget)
         r2s = []
         for seed in seeds:
             run_cfg = replace(cfg, budget=budget, seed=seed)
-            metrics, _, _ = run_number_experiment(run_cfg, judgments=judgments)
+            metrics, _, _ = run_number_experiment(run_cfg, judgments=judgments, pools=pools)
             r2s.append(metrics["holdout_r2"])
         r2s = np.array(r2s)
         sem = float(r2s.std(ddof=1) / math.sqrt(len(r2s))) if len(r2s) > 1 else 0.0

@@ -107,13 +107,15 @@ def weight_diagnostics(weights) -> Dict[str, float]:
     }
 
 
-def softmax_masked(scores: np.ndarray, alive: np.ndarray) -> np.ndarray:
+def softmax_masked(scores: np.ndarray, alive: np.ndarray, count=None) -> np.ndarray:
     """Softmax over the last axis among `alive` entries; all zeros where
-    nothing is alive."""
+    nothing is alive. With `count`, entry g stands for count[g] entries
+    of equal score: the result is the weight of each of them, and it
+    times `count` sums to 1."""
     shifted = np.where(alive, scores, -np.inf)
     top = shifted.max(axis=-1, keepdims=True, initial=-np.inf)
     e = np.exp(shifted - np.where(np.isfinite(top), top, 0.0))
-    total = e.sum(axis=-1, keepdims=True)
+    total = (e if count is None else e * count).sum(axis=-1, keepdims=True)
     return np.divide(e, total, out=np.zeros_like(e), where=total > 0)
 
 

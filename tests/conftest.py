@@ -67,3 +67,24 @@ def synthetic_shape_pool():
         ("it is garbled", "exists(o in", 2),  # never parses
     ]
     return [make_hypothesis(nl, src, "shape", batch=b) for nl, src, b in rules]
+
+
+def exchangeable_shape_pool():
+    """Rules on `synthetic_shape_curve` that share truth rows: different
+    NL with equal DSL, equal truth rows from different DSL (the curve's
+    objects are green, blue or yellow), equal and different joins (no
+    source batch joins at batch 1), and two rows that never parse."""
+    rules = [
+        ("it is green", "this.color == green", 2),
+        ("it is a green thing", "this.color == green", 2),
+        ("its colour is green", "this.color == green", 3),
+        ("it is neither blue nor yellow", "not this.color == blue and not this.color == yellow", 2),
+        ("it is a triangle", "this.shape == triangle", None),
+        ("it is triangular", "this.shape == triangle", 1),
+        ("it is large", "this.size >= 2", 4),
+        ("it sparkles", "this.sparkle ==", None),  # never parses
+        ("it is the largest", "forall(o in others, o.size <= this.size)", 5),
+        ("it is garbled", "exists(o in", 2),  # never parses
+        ("it is not blue", "not this.color == blue", 1),
+    ]
+    return [make_hypothesis(nl, src, "shape", batch=b) for nl, src, b in rules]

@@ -11,7 +11,8 @@ constants and the PosteriorState container from the library.
 
 `shape_forward_dense` is the reference for the library's shape kernel
 (`fit.shape_forward`): the same forward pass and gradient written over
-dense (S, K) arrays of q, r and log r, valid for any truth values.
+dense (S, K) arrays of q, r and log r, valid for any truth values, one
+row per rule of `rule_level(task)`.
 
 `tokenize` is the reference for the DSL tokenizer
 (`dsl.number._tokenize`): one regex match per token from the current
@@ -21,6 +22,7 @@ position, and an error at the first position no token matches.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 
@@ -216,6 +218,21 @@ def _softmax_rows(scores, alive):
         if live.any():
             out[b, live] = np.exp(x[live] - logsumexp(x[live]))
     return out
+
+
+def rule_level(task):
+    """A shape task with one class per rule: every class array of `task`
+    gathered by its `rule_class`."""
+    rule_class = task.rule_class
+    return dataclasses.replace(
+        task,
+        features=None if task.features is None else task.features[rule_class],
+        base_logprior=task.base_logprior[rule_class],
+        consist=task.consist[rule_class],
+        visible=task.visible[:, rule_class],
+        rule_class=np.arange(len(rule_class)),
+        count=np.ones(len(rule_class), dtype=int),
+    )
 
 
 def _dense_terms(task, params):

@@ -331,6 +331,7 @@ def test_build_shape_task_consist_matches_interpreter():
             for h in unique
         ]
     )
-    np.testing.assert_array_equal(task.consist, want)
+    # each rule's row is its class's row
+    np.testing.assert_array_equal(task.consist[task.rule_class], want)
     unparsed = [i for i, h in enumerate(unique) if not h.parsed]
-    assert len(unparsed) == 2 and not task.consist[unparsed].any()
+    assert len(unparsed) == 2 and not task.consist[task.rule_class[unparsed]].any()

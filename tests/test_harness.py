@@ -7,10 +7,11 @@ import pytest
 
 from nlconcepts import io
 from nlconcepts.baselines import latent_language_shape
-from nlconcepts.fit import FitConfig
+from nlconcepts.fit import FitConfig, shape_forward
 from nlconcepts.harness import (
     ExperimentConfig,
     PredictionRecord,
+    budget_sweep,
     build_number_task,
     build_shape_task,
     emit_learning_curves,
@@ -34,7 +35,7 @@ from nlconcepts.types import (
     Trial,
 )
 
-from conftest import synthetic_shape_curve, synthetic_shape_pool
+from conftest import exchangeable_shape_pool, synthetic_shape_curve, synthetic_shape_pool
 
 
 def load_fixture_curve(fixtures_dir):
@@ -222,6 +223,29 @@ def test_shape_task_rejects_a_truth_value_between_zero_and_one(fixtures_dir):
         dataclasses.replace(task, consist=consist)
 
 
+def test_shape_task_rejects_a_truth_value_between_zero_and_one_in_a_class(monkeypatch):
+    """A rule whose truth row holds 0.5 where an otherwise equal rule
+    holds 1 is not merged into that rule's class, so the check sees it."""
+    import nlconcepts.harness as harness
+
+    curve = synthetic_shape_curve()
+    pool = [
+        io.make_hypothesis("it is green", "this.color == green", "shape"),
+        io.make_hypothesis("it is a green thing", "this.color == green", "shape"),
+    ]
+    truth_matrix = harness.truth_matrix
+
+    def half_true(rules, trials):
+        truth = truth_matrix(rules, trials)
+        truth[1, 0] *= 0.5
+        return truth
+
+    monkeypatch.setattr(harness, "truth_matrix", half_true)
+    cfg = ExperimentConfig(domain="shape", prior="uniform", feature_dim=0)
+    with pytest.raises(ValueError, match=r"found 0\.5 for rule 'it is a green thing' on trial 0"):
+        build_shape_task(cfg, pool, curve, FeatureExtractor(dim=0))
+
+
 def test_build_shape_task_masks_respect_source_batch(fixtures_dir):
     cfg = ExperimentConfig(domain="shape", prior="uniform", feature_dim=0)
     ext = FeatureExtractor(dim=0)
@@ -249,6 +273,92 @@ def test_build_shape_task_masks_respect_source_batch(fixtures_dir):
     sizes = [len(b) for b in curve.batches]
     assert task.batch.tolist() == [b for b, n in enumerate(sizes) for _ in range(n)]
     assert np.flatnonzero(task.batch == task.batch[-1])[0] == sum(sizes[:-1])
+
+
+def test_shape_task_classes_follow_the_prior(fixtures_dir):
+    """Rules merge into one class when nothing the posterior reads tells
+    them apart: equal external scores merge, distinct tuned features
+    do not, and without a merge there is one class per rule."""
+    curve = synthetic_shape_curve()
+    pool = [
+        io.make_hypothesis("it is green", "this.color == green", "shape"),
+        io.make_hypothesis("it is a green thing", "this.color == green", "shape"),
+    ]
+    external = ExperimentConfig(domain="shape", prior="external", feature_dim=0)
+    for scores, count in (([-1.0, -1.0], [2]), ([-1.0, -2.0], [1, 1])):
+        by_key = {h.key: score for h, score in zip(pool, scores)}
+        task = build_shape_task(external, pool, curve, FeatureExtractor(dim=0), scores=by_key)
+        assert task.count.tolist() == count, scores
+        assert task.base_logprior[task.rule_class].tolist() == scores
+    tuned = ExperimentConfig(domain="shape", prior="tuned", feature_dim=16)
+    task = build_shape_task(tuned, pool, curve, FeatureExtractor(dim=16))
+    assert task.count.tolist() == [1, 1] and task.rule_class.tolist() == [0, 1]
+    assert not np.array_equal(task.features[0], task.features[1])
+
+    cfg = ExperimentConfig.from_json(fixtures_dir / "configs" / "shape_online.json")
+    pool = load_fixture_pool(fixtures_dir)
+    task = build_shape_task(cfg, pool, load_fixture_curve(fixtures_dir), FeatureExtractor(dim=0))
+    assert len(task.names) == len(pool) == 10
+    assert task.count.tolist() == [1] * 10
+    assert task.rule_class.tolist() == list(range(10))
+
+
+def test_map_rule_of_tied_classes_is_the_earlier_rule():
+    """At batch 2 "small and green" and "green" agree on every earlier
+    trial, so their classes tie exactly; the MAP rule is the earlier of
+    the two, although the class of "green" holds two rules."""
+    cfg = ExperimentConfig(domain="shape", prior="uniform", feature_dim=0)
+    curve = synthetic_shape_curve()
+    rules = [
+        ("it is blue", "this.color == blue"),
+        ("it is small and green", "this.color == green and this.size == 1"),
+        ("it is green", "this.color == green"),
+        ("it is a green thing", "this.color == green"),
+    ]
+    pool = [io.make_hypothesis(nl, src, "shape") for nl, src in rules]
+    task = build_shape_task(cfg, pool, curve, FeatureExtractor(dim=0))
+    assert task.rule_class.tolist() == [0, 1, 2, 2]
+    params = ModelParams(theta=np.zeros(0), epsilon=0.1, alpha=0.5, beta=1.0)
+    _, p, _ = shape_forward(task, params)
+    assert p[1, 1] == p[1, 2] > p[1, 0]
+    assert p[1, 2] * task.count[2] > p[1, 1] * task.count[1]
+    _, _, details = run_online_experiment(cfg, [curve], {curve.concept_id: pool}, params)
+    per_batch = details[curve.concept_id]["per_batch"]
+    assert per_batch[1]["map_nl"] == "it is small and green"
+    assert per_batch[1]["max_weight"] == p[1, 1]
+    _, _, chosen = latent_language_shape(cfg, [curve], {curve.concept_id: pool})
+    assert chosen[curve.concept_id][1] == "it is small and green"
+
+
+def test_budget_sweep_loads_each_pool_once(fixtures_dir, monkeypatch):
+    """The sweep reads every pool file once and its rows equal the
+    per-budget experiments, each of which reads its own pools."""
+    cfg = ExperimentConfig.from_json(fixtures_dir / "configs" / "number_uniform.json")
+    cfg.fit = FitConfig(epochs=5, trainable=("epsilon", "platt"))
+    cfg.data_path = str(fixtures_dir / "number_judgments.csv")
+    cfg.pools = {k: str(fixtures_dir / "number" / f"{k}.jsonl") for k in cfg.pools}
+    budgets, seeds = (2, 4), (0, 1)
+    want = []
+    for budget in budgets:
+        runs = [run_number_experiment(dataclasses.replace(cfg, budget=budget, seed=s)) for s in seeds]
+        r2s = np.array([metrics["holdout_r2"] for metrics, _, _ in runs])
+        sem = float(r2s.std(ddof=1) / np.sqrt(len(r2s)))
+        want.append({"budget": budget, "mean_r2": float(r2s.mean()), "sem_r2": sem, "n_runs": 2})
+    loads = []
+    load_pool = io.load_pool
+    monkeypatch.setattr(io, "load_pool", lambda *a, **k: loads.append(a) or load_pool(*a, **k))
+    assert budget_sweep(cfg, budgets, seeds) == want
+    assert sorted(str(a[0]) for a in loads) == sorted(cfg.pools.values())
+
+
+def test_budget_sweep_rejects_an_empty_budget(fixtures_dir):
+    from nlconcepts.propose.backends import EmptyPool
+
+    cfg = ExperimentConfig.from_json(fixtures_dir / "configs" / "number_uniform.json")
+    cfg.data_path = str(fixtures_dir / "number_judgments.csv")
+    cfg.pools = {k: str(fixtures_dir / "number" / f"{k}.jsonl") for k in cfg.pools}
+    with pytest.raises(EmptyPool, match="set01"):
+        budget_sweep(cfg, (0,), (0,))
 
 
 def test_run_number_experiment_with_fixed_params(fixtures_dir):
@@ -413,9 +523,7 @@ def test_emit_plot_data(tmp_path):
 
 
 def test_emit_learning_curves_and_sweep_table(tmp_path):
-    details = {
-        "c1": {"per_batch": [{"batch": 1, "accuracy": 0.5, "map_nl": "rule"}], "records": []}
-    }
+    details = {"c1": {"per_batch": [{"batch": 1, "accuracy": 0.5, "map_nl": "rule"}]}}
     emit_learning_curves(details, tmp_path / "lc.csv")
     rows = list(csv.DictReader((tmp_path / "lc.csv").open()))
     assert rows[0]["concept_id"] == "c1"

@@ -34,7 +34,7 @@ from nlconcepts.prior import FeatureExtractor
 from nlconcepts.types import ModelParams
 
 import oracle
-from conftest import FIXTURES, synthetic_shape_curve, synthetic_shape_pool
+from conftest import FIXTURES, exchangeable_shape_pool, synthetic_shape_curve, synthetic_shape_pool
 
 TOL = 1e-12
 DIM = 16
@@ -210,17 +210,43 @@ def kernel_tasks():
         yield seed, build_shape_task(cfg, pool, curve, FeatureExtractor(dim=DIM))
 
 
-def test_shape_kernel_matches_dense_reference():
-    """`fit.shape_forward` against `oracle.shape_forward_dense` on every
-    combination of eps, alpha in {1e-300, 0.3, 1 - 1e-16}, beta in
-    {0, 1, 8} and T in {1e-3, 1, 50}: predictions and weights within
-    1e-12 and gradients within 1e-9 of each magnitude, every output
-    finite. Both kernels round; where T = 1e-3 or the clip edges make a
-    log-weight large, each tolerance also allows the summation bound
-    2 (K + 2) u z (u the unit roundoff, z the largest tempered
-    log-weight magnitude, `oracle.shape_forward_magnitudes`), and no
-    gradient is held closer than the smallest normal number."""
+def assert_kernel_matches_dense(task, params, dl_dpred, at):
+    """`fit.shape_forward` on a compiled task against
+    `oracle.shape_forward_dense` on its rule-level expansion: every
+    output finite, predictions and rule weights within 1e-12 and
+    gradients within 1e-9 of each magnitude. Both kernels round; where
+    T = 1e-3 or the clip edges make a log-weight large, each tolerance
+    also allows the summation bound 2 (K + 2) u z (u the unit roundoff,
+    z the largest tempered log-weight magnitude,
+    `oracle.shape_forward_magnitudes`), and no gradient is held closer
+    than the smallest normal number."""
     u, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    rules = oracle.rule_level(task)
+    pred, p, backward = shape_forward(task, params)
+    w = p[:, task.rule_class]
+    want_pred, want_w, want_backward = oracle.shape_forward_dense(rules, params)
+    z, scale = oracle.shape_forward_magnitudes(rules, params, dl_dpred)
+    rounding = 2 * (len(task.labels) + 2) * u * z
+    assert np.isfinite(pred).all() and np.isfinite(w).all(), at
+    assert np.all(np.abs(pred - want_pred) <= 1e-12 + rounding), at
+    assert np.all(np.abs(w - want_w) <= 1e-12 + rounding * want_w), at
+    grads = backward(dl_dpred)
+    for name, got, want, mag in zip(
+        ("theta", "eps", "alpha", "beta", "T"), grads, want_backward(dl_dpred), scale
+    ):
+        if want is None:  # no theta without a tuned prior
+            assert got is None, at
+            continue
+        assert np.isfinite(got).all(), f"{name} at {at}"
+        # below the smallest normal number no digit is significant
+        bound = np.maximum((1e-9 + rounding) * np.maximum(np.abs(want), mag), tiny)
+        assert np.all(np.abs(got - want) <= bound), f"{name} at {at}: {got} vs {want}"
+
+
+def test_shape_kernel_matches_dense_reference():
+    """`assert_kernel_matches_dense` on every combination of eps, alpha
+    in {1e-300, 0.3, 1 - 1e-16}, beta in {0, 1, 8} and T in
+    {1e-3, 1, 50}."""
     empty_batches = 0
     for seed, task in kernel_tasks():
         empty_batches += int((~task.visible.any(axis=1)).sum())
@@ -230,22 +256,37 @@ def test_shape_kernel_matches_dense_reference():
         for eps, alpha, beta, temp in KERNEL_GRID:
             params = ModelParams(theta=theta, epsilon=eps, alpha=alpha, beta=beta, temperature=temp)
             at = f"seed {seed}, K = {len(task.labels)}, params {(eps, alpha, beta, temp)}"
-            pred, w, backward = shape_forward(task, params)
-            want_pred, want_w, want_backward = oracle.shape_forward_dense(task, params)
-            z, scale = oracle.shape_forward_magnitudes(task, params, dl_dpred)
-            rounding = 2 * (len(task.labels) + 2) * u * z
-            assert np.isfinite(pred).all() and np.isfinite(w).all(), at
-            assert np.all(np.abs(pred - want_pred) <= 1e-12 + rounding), at
-            assert np.all(np.abs(w - want_w) <= 1e-12 + rounding * want_w), at
-            grads = backward(dl_dpred)
-            for name, got, want, mag in zip(
-                ("theta", "eps", "alpha", "beta", "T"), grads, want_backward(dl_dpred), scale
-            ):
-                assert np.isfinite(got).all(), f"{name} at {at}"
-                # below the smallest normal number no digit is significant
-                bound = np.maximum((1e-9 + rounding) * np.maximum(np.abs(want), mag), tiny)
-                assert np.all(np.abs(got - want) <= bound), f"{name} at {at}: {got} vs {want}"
+            assert_kernel_matches_dense(task, params, dl_dpred, at)
     assert empty_batches
+
+
+@pytest.mark.parametrize("prior", ["uniform", "external"])
+def test_shape_kernel_over_classes_matches_dense_reference_over_rules(prior):
+    """Rules that share a truth row, a join batch and a base log-prior
+    are one class of the compiled task; the kernel over the classes
+    gives the predictions, gradients and rule weights of the dense
+    reference over the rules."""
+    cfg = config("shape", prior)
+    pool, curve = exchangeable_shape_pool(), synthetic_shape_curve()
+    # equal scores keep the classes of the uniform prior, except for the
+    # first two rules, which the external prior tells apart
+    scores = {h.key: -1.0 for h in pool}
+    scores[pool[1].key] = -2.5
+    task = build_shape_task(cfg, pool, curve, FeatureExtractor(dim=0), scores=scores)
+    want_classes = [[0, 1, 3], [2], [4, 5], [6], [7, 9], [8], [10]]
+    if prior == "external":
+        want_classes = [[0, 3], [1]] + want_classes[1:]
+    assert [np.flatnonzero(task.rule_class == g).tolist() for g in range(len(task.count))] == want_classes
+    assert task.count.tolist() == [len(c) for c in want_classes]
+    rng = np.random.default_rng(15)
+    dl_dpred = rng.normal(size=len(curve.trials))
+    grid = [random_params(rng, 0) for _ in range(3)] + [ModelParams(**p) for p in SPECIAL_PARAMS]
+    for eps, alpha, beta, temp in KERNEL_GRID[::5]:
+        grid.append(ModelParams(epsilon=eps, alpha=alpha, beta=beta, temperature=temp))
+    for params in grid:
+        assert_kernel_matches_dense(task, params, dl_dpred, f"{prior}, {params}")
+    if prior == "uniform":
+        assert_shape_paths_match_oracle(cfg, pool, curve, grid[0])
 
 
 # ---------------------------------------------------------------------------
