@@ -8,7 +8,6 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import expit, logit
 
 from . import io
 from .fit import (
@@ -31,7 +30,7 @@ from .harness import (
     run_number_experiment,
     shape_tasks,
 )
-from .posterior import platt
+from .posterior import expit, logit, platt
 from .propose.prompts import serialize_numbers, serialize_shape_batches
 from .types import Hypothesis, LearningCurve, ModelParams
 
@@ -112,7 +111,7 @@ def latent_language_number(
     Returns (metrics, records, chosen NL per set)."""
     tasks = number_tasks(replace(cfg, prior="uniform", weighting="dedup"), judgments, pools)
     params = ModelParams(epsilon=cfg.params.epsilon if cfg.params is not None else 0.1)
-    weights, _, _ = number_weights(pack_params(params)[None], stack_tasks(list(tasks.values())), 0)
+    weights = number_weights(pack_params(params)[None], stack_tasks(list(tasks.values())), 0)[0]
     raw_by_id: Dict[str, Tuple[float, float]] = {}
     chosen: Dict[str, str] = {}
     for (set_id, task), w in zip(tasks.items(), weights[0]):

@@ -24,9 +24,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import expit, logit
 
-from .posterior import softmax_masked
+from .posterior import expit, logit, softmax_masked
 from .types import ModelParams
 
 ALL_PARAM_GROUPS = ("theta", "epsilon", "alpha", "beta", "temperature", "platt")
@@ -60,7 +59,11 @@ class DegenerateTargets(ValueError):
 def reparam(unconstrained: float, kind: str) -> float:
     """Map an unconstrained value into its legal range."""
     if kind == "unit_interval":
-        return float(expit(unconstrained))
+        # the C library's exp, as in scipy.special.expit: bit-identical to it
+        try:
+            return 1.0 / (1.0 + math.exp(-unconstrained))
+        except OverflowError:  # exp(-u) beyond the largest float: 1 / inf
+            return 0.0
     if kind == "positive":
         return float(np.exp(np.clip(unconstrained, -700, 700)))
     raise ValueError(f"unknown reparam kind {kind!r}")
@@ -235,8 +238,9 @@ def pack_params(params: ModelParams) -> np.ndarray:
 def number_weights(stack, batch: TaskBatch, dim):
     """Posterior weights (F, T, S) of every number task under each
     parameter vector of `stack`, with the log-weights (log prior + log
-    likelihood) they are the tempered softmax of and each inside
-    example's likelihood g_in (both (F, T, S))."""
+    likelihood) they are the tempered softmax of, each inside example's
+    likelihood g_in (both (F, T, S)), and epsilon and the temperature
+    (both (F, 1, 1))."""
     eps = expit(stack[:, dim])[:, None, None]
     temp = np.exp(np.clip(stack[:, dim + 3], -700, 700))[:, None, None]
     log_prior = batch.base_logprior
@@ -248,13 +252,13 @@ def number_weights(stack, batch: TaskBatch, dim):
     loglik = batch.n_inside * np.log(np.maximum(g_in, 1e-300))
     loglik = loglik + batch.n_outside * np.log(np.maximum(g_out, 1e-300))
     log_unnorm = log_prior + np.where(batch.alive, loglik, 0.0)
-    return softmax_masked(log_unnorm / temp, batch.alive), log_unnorm, g_in
+    return softmax_masked(log_unnorm / temp, batch.alive), log_unnorm, g_in, eps, temp
 
 
 def _number_rows(stack, batch: TaskBatch, dim, rows, grad):
     """(loss (F,) over each fit's `rows`, predictions (F, N)) of the
     number rows; adds d(loss)/du into grad (F, P) when given."""
-    w, log_unnorm, g_in = number_weights(stack, batch, dim)
+    w, log_unnorm, g_in, eps, temp = number_weights(stack, batch, dim)
     a, b = stack[:, dim + 4, None], stack[:, dim + 5, None]
     alive = batch.alive
 
@@ -278,8 +282,6 @@ def _number_rows(stack, batch: TaskBatch, dim, rows, grad):
         # dp_n/ds_s = w_s (t_ns - p_n); collapse over each task's rows
         per_row = (batch.test_member - p_raw[:, :, None]) * w_rows * dl_dp[:, :, None]
         one_hot = np.eye(len(alive))[batch.row_task]  # (N, T)
-        eps = expit(stack[:, dim])[:, None, None]
-        temp = np.exp(np.clip(stack[:, dim + 3], -700, 700))[:, None, None]
         g_out = eps / 100.0
         coeff = np.einsum("fns,nt->fts", per_row, one_hot) / temp  # (F, T, S)
         if batch.features is not None:

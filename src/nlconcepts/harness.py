@@ -311,7 +311,7 @@ def number_top_verbalizations(
     """Highest-weight hypotheses per example set: the posterior weights
     the model predicts from at `params`, read off `batch`, the tasks
     compiled together."""
-    weights, _, _ = number_weights(pack_params(params)[None], batch, len(params.theta))
+    weights = number_weights(pack_params(params)[None], batch, len(params.theta))[0]
     out = {}
     for (set_id, task), w in zip(tasks.items(), weights[0]):
         order = np.argsort(-w[: len(task.names)], kind="stable")[:top_k]

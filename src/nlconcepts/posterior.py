@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .likelihood import NEG_LARGE, EvalCache, extension_matrix, truth_matrix
 from .prior import prior_logweight
@@ -202,6 +201,18 @@ def predict_response(state: PosteriorState, t: Trial, epsilon: float, alpha: flo
     _require_weights(state)
     per_hyp = (1.0 - epsilon) * truth_matrix(state.pool, [t])[:, 0] + epsilon * alpha
     return float(state.weights @ per_hyp)
+
+
+def expit(x):
+    """The logistic 1 / (1 + exp(-x)), elementwise. exp's argument is
+    capped at 709 so it never overflows: below x = -709 the result
+    stays at expit(-709), about 1.2e-308."""
+    return 1.0 / (1.0 + np.exp(np.minimum(-x, 709.0)))
+
+
+def logit(p):
+    """log(p / (1 - p)), elementwise: the inverse of expit on (0, 1)."""
+    return np.log(p / (1.0 - p))
 
 
 def platt(p: float, a: float, b: float) -> float:

@@ -3,6 +3,8 @@
 Credentials come from the INDUCT_API_KEY environment variable; the
 endpoint and model name come from configuration. Failed requests are
 retried up to 5 times with jittered exponential backoff starting at 1s.
+`requests` is imported only by a client that makes its own session or
+posts a request, so a replay-only run never loads it.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ import os
 import random
 import time
 from typing import Dict, List, Optional
-
-import requests
 
 API_KEY_VAR = "INDUCT_API_KEY"
 
@@ -42,9 +42,15 @@ class ChatClient:
         self.max_retries = max_retries
         self.backoff = backoff
         self.timeout = timeout
-        self.session = session or requests.Session()
+        if session is None:
+            import requests
+
+            session = requests.Session()
+        self.session = session
 
     def _post(self, path: str, payload: Dict) -> Dict:
+        import requests
+
         url = self.endpoint.rstrip("/") + path
         headers = {"Authorization": f"Bearer {self.api_key}"}
         last_error = None

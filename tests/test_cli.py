@@ -1,10 +1,14 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nlconcepts
 from nlconcepts import harness, io
 from nlconcepts.baselines import DIRECT_PARAMS, direct_shape_prompt
 from nlconcepts.cli import _dump_params, _load_params, main
@@ -469,3 +473,18 @@ def test_missing_domain_input_is_a_usage_error(command, domain, flag, fixtures_d
     assert err.value.code == 2
     assert f"{command} --domain {domain} requires {flag}" in capsys.readouterr().err
     assert not (tmp_path / "pool.jsonl").exists()
+
+
+def test_import_loads_neither_scipy_nor_requests():
+    """A fresh interpreter that imports the CLI, the harness and propose
+    loads neither scipy nor requests: the library's logistic is numpy's,
+    and only live LM calls import requests."""
+    code = (
+        "import sys, nlconcepts.cli, nlconcepts.harness, nlconcepts.propose; "
+        "heavy = sorted({'scipy', 'requests'} & set(sys.modules)); assert not heavy, heavy"
+    )
+    src = str(Path(nlconcepts.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in [src, os.environ.get("PYTHONPATH")] if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

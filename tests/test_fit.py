@@ -167,6 +167,21 @@ def test_reparam():
         reparam(0.0, "banana")
 
 
+def test_reparam_unit_interval_is_scipy_expit_bitwise():
+    rng = np.random.default_rng(3)
+    sweep = np.concatenate(
+        [
+            np.linspace(-800.0, 800.0, 16_001),
+            rng.normal(0.0, 20.0, 20_000),
+            [-745.2, -709.9, -709.7, np.inf, -np.inf, np.nan],
+        ]
+    )
+    got = [reparam(u, "unit_interval") for u in sweep]
+    assert all(type(g) is float for g in got)
+    np.testing.assert_array_equal(got, expit(sweep))
+    assert [reparam(float(u), "unit_interval") for u in sweep[::100]] == got[::100]
+
+
 def test_pack_unpack_round_trip():
     from nlconcepts.fit import _unpack
 

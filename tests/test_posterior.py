@@ -1,9 +1,11 @@
 import itertools
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
+from scipy import special
 
 from nlconcepts.io import make_hypothesis
 from nlconcepts.likelihood import EvalCache, pool_number_logliks
@@ -13,7 +15,9 @@ from nlconcepts.posterior import (
     PosteriorState,
     dedup_pool,
     dedup_weights,
+    expit,
     importance_weights,
+    logit,
     platt,
     predict_membership,
     predict_response,
@@ -235,3 +239,65 @@ def test_platt_identity_and_monotone():
     assert platt(0.5, 2.0, 1.0) == pytest.approx(1 / (1 + math.exp(-1.0)))
     # clamping keeps extreme inputs finite
     assert 0.0 < platt(0.0, 1.0, 0.0) < platt(1.0, 1.0, 0.0) < 1.0
+
+
+# ---------------------------------------------------------------------------
+# expit and logit, with scipy.special as the oracle
+
+
+def test_expit_within_two_ulp_of_scipy():
+    # numpy's exp and the C library's differ by up to an ulp. Where
+    # 2^53 <= exp(-x) < 2^54, adding 1 rounds a tie to even, which can
+    # double that ulp in the denominator: 4 ulp of the result there.
+    lo, hi = -54 * math.log(2.0), -53 * math.log(2.0)
+    rng = np.random.default_rng(0)
+    x = np.concatenate(
+        [
+            rng.uniform(-700.0, 700.0, 100_000),
+            rng.normal(0.0, 10.0, 100_000),
+            rng.uniform(lo, hi, 20_000),
+            np.linspace(-700.0, 700.0, 100_001),
+        ]
+    )
+    want = special.expit(x)
+    ulps = np.abs(expit(x) - want) / np.spacing(want)
+    tie = (x > lo) & (x <= hi)
+    assert tie.sum() >= 20_000
+    assert ulps[~tie].max() <= 2
+    assert ulps[tie].max() <= 4
+
+
+def test_expit_beyond_700_and_nan():
+    rng = np.random.default_rng(1)
+    big = rng.uniform(700.0, 1e4, 10_000)
+    x = np.concatenate([big, -big, [709.0, -709.0, 745.5, -745.5, np.inf, -np.inf]])
+    assert np.abs(expit(x) - special.expit(x)).max() <= 1e-300
+    assert np.isnan(expit(np.array([np.nan, 0.0]))[0])
+    assert math.isnan(expit(math.nan))
+
+
+@pytest.mark.parametrize("x", [800.0, -800.0, math.inf, -math.inf])
+def test_expit_raises_no_warning_at_extremes(x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert 0.0 <= expit(x) <= 1.0
+        got = expit(np.array([x, -x]))
+    assert got.sum() == pytest.approx(1.0)
+
+
+def test_logit_matches_scipy():
+    rng = np.random.default_rng(2)
+    p = np.concatenate(
+        [
+            rng.uniform(1e-6, 1.0 - 1e-6, 100_000),
+            10.0 ** rng.uniform(-6.0, -0.3, 50_000),
+            1.0 - 10.0 ** rng.uniform(-6.0, -0.3, 50_000),
+            np.linspace(1e-6, 1.0 - 1e-6, 100_001),
+        ]
+    )
+    want = special.logit(p)
+    err = np.abs(logit(p) - want)
+    # within 1e-15, or one ulp where an ulp is more (|logit| >= 8): numpy's
+    # log and the C library's differ by up to an ulp
+    assert np.all(err <= np.maximum(1e-15, np.spacing(np.abs(want))))
+    assert np.abs(expit(logit(p)) - p).max() < 1e-15

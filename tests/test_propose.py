@@ -6,6 +6,7 @@ import sys
 import threading
 
 import pytest
+import requests
 
 from nlconcepts.dsl import format_concept
 from nlconcepts.propose import (
@@ -366,6 +367,30 @@ def test_client_retries_then_fails(monkeypatch):
     # jittered exponential backoff starting at ~1s
     assert all(s > 0 for s in sleeps)
     assert sleeps[1] > sleeps[0] * 0.5
+
+
+class RaisingSession:
+    """A session whose every request fails before a response arrives."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.calls += 1
+        raise requests.ConnectionError(f"connection to {url} refused")
+
+
+def test_client_retries_network_errors_then_fails(monkeypatch):
+    import nlconcepts.propose.client as client_mod
+
+    sleeps = []
+    monkeypatch.setattr(client_mod.time, "sleep", sleeps.append)
+    session = RaisingSession()
+    client = ChatClient("https://x.test/v1", "m", api_key="k", max_retries=3, session=session)
+    with pytest.raises(BackendUnavailable, match="connection to .* refused"):
+        client.complete("p")
+    assert session.calls == 3
+    assert len(sleeps) == 2  # no sleep after the final attempt
 
 
 def test_client_recovers_after_transient_error(monkeypatch):
