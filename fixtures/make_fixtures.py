@@ -36,7 +36,6 @@ from nlconcepts.harness import (  # noqa: E402
     build_number_task,
     run_online_experiment,
 )
-from nlconcepts.likelihood import EvalCache  # noqa: E402
 from nlconcepts.prior import FeatureExtractor  # noqa: E402
 from nlconcepts.propose.backends import (  # noqa: E402
     _request_params,
@@ -165,14 +164,13 @@ def make_true_theta(rng, pools):
 def make_number_judgments(base_sets, pools, tests, theta):
     cfg = ExperimentConfig(domain="number", prior="tuned", feature_dim=FEATURE_DIM)
     ext = FeatureExtractor(dim=FEATURE_DIM)
-    cache = EvalCache()
     params = ModelParams(theta=theta, **TRUE_PARAMS)
     u = pack_params(params)
     judgments = []
     for set_id, examples in base_sets.items():
         example_set = NumberExampleSet(examples)
         test_list = [(t, 0.0, f"{set_id}:{t}") for t in tests[set_id]]
-        task = build_number_task(cfg, pools[set_id], example_set, test_list, ext, cache)
+        task = build_number_task(cfg, pools[set_id], example_set, test_list, ext)
         _, _, records = loss_and_grad(u, [task], FEATURE_DIM, want_grad=False)
         for (datum_id, pred, _), t in zip(records, tests[set_id]):
             judgments.append(

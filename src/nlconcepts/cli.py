@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +19,8 @@ import numpy as np
 from . import baselines, harness, io
 from .dsl import NUMBER as NUMBER_DOMAIN
 from .dsl import SHAPE as SHAPE_DOMAIN
-from .fit import fit_params
-from .likelihood import pool_number_logliks, pool_shape_logliks
-from .posterior import dedup_weights
+from .fit import fit_params, number_weights, pack_params, shape_forward, stack_tasks
+from .posterior import dedup_pool, posterior_state
 from .prior import FeatureExtractor
 from .propose import (
     ChatClient,
@@ -112,21 +112,31 @@ class UsageError(Exception):
 
 def _cmd_infer(args) -> int:
     params = _load_params(args.params) if args.params else ModelParams()
-    if args.prior == "tuned" and not len(params.theta):
+    dim = len(params.theta)
+    if args.prior == "tuned" and not dim:
         raise UsageError(f"infer --prior tuned needs a non-empty theta in --params {args.params}")
-    cfg = harness.ExperimentConfig(args.domain, prior=args.prior, scores_path=args.scores or "")
-    prior = harness.prior_spec_for(cfg, params, FeatureExtractor(dim=len(params.theta)))
+    scores = args.scores or ""
+    cfg = harness.ExperimentConfig(args.domain, prior=args.prior, scores_path=scores, feature_dim=dim)
+    extractor = FeatureExtractor(dim=dim)
     if args.domain == "number":
         pool = io.load_pool(args.pool, NUMBER_DOMAIN)
-        examples = _parse_examples(args.examples)
-        loglik = pool_number_logliks(pool, examples, params.epsilon)
+        task = harness.build_number_task(cfg, pool, _parse_examples(args.examples), [], extractor)
+        weights = number_weights(pack_params(params)[None], stack_tasks([task]), dim)[0][0, 0]
+        alive = task.parsed
     else:
         pool = io.load_pool(args.pool, SHAPE_DOMAIN)
         curve = io.load_learning_curve(args.curve)
-        trials = [t for b in curve.batches[: args.upto_batch] for t in b]
-        loglik = pool_shape_logliks(pool, trials, params.epsilon, params.alpha, params.beta)
-    state = dedup_weights(pool, prior, loglik, params.temperature)
-    print(state.to_json())
+        b, n_batches = args.upto_batch, len(curve.batches)
+        if not 0 <= b <= n_batches:
+            raise UsageError(f"infer --upto-batch must lie in 0..{n_batches} for {args.curve}")
+        if b == n_batches:  # every batch seen: every parsed rule is visible
+            pool = [replace(h, source_batch=None) for h in pool]
+        task = harness.build_shape_task(cfg, pool, curve, extractor)
+        # the weights before batch b + 1 of the online model, and after the last batch
+        task = replace(task, visible=np.vstack([task.visible, task.visible[-1:]]))
+        weights = shape_forward(task, params)[1][b, task.rule_class]
+        alive = task.visible[b, task.rule_class]
+    print(posterior_state(dedup_pool(pool)[0], len(pool), weights, alive).to_json())
     return 0
 
 
@@ -259,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", help="learning-curve JSON (shape domain)")
     p.add_argument("--upto-batch", type=int, default=0)
     p.add_argument("--params", help="fitted parameter JSON")
-    p.add_argument("--prior", choices=("uniform", "tuned", "external"), default="uniform")
+    p.add_argument("--prior", choices=harness.PRIORS, default="uniform")
     p.add_argument("--scores", help="score file for the external prior")
     p.set_defaults(func=_cmd_infer)
 
@@ -318,7 +328,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit:
         raise
-    except UsageError as exc:
+    except (UsageError, harness.ConfigError) as exc:
         parser.error(str(exc))
     except Exception as exc:  # surface a one-line error, nonzero exit
         print(f"error: {exc}", file=sys.stderr)

@@ -25,6 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .likelihood import count_logliks, label_probs
 from .posterior import expit, logit, softmax_masked
 from .types import ModelParams
 
@@ -238,27 +239,24 @@ def pack_params(params: ModelParams) -> np.ndarray:
 def number_weights(stack, batch: TaskBatch, dim):
     """Posterior weights (F, T, S) of every number task under each
     parameter vector of `stack`, with the log-weights (log prior + log
-    likelihood) they are the tempered softmax of, each inside example's
-    likelihood g_in (both (F, T, S)), and epsilon and the temperature
-    (both (F, 1, 1))."""
+    likelihood, `likelihood.count_logliks`) they are the tempered
+    softmax of, the likelihoods g_in (F, T, S) and g_out (F, 1, 1) of one
+    example inside and outside each extension, and epsilon and the
+    temperature (both (F, 1, 1))."""
     eps = expit(stack[:, dim])[:, None, None]
     temp = np.exp(np.clip(stack[:, dim + 3], -700, 700))[:, None, None]
     log_prior = batch.base_logprior
     if batch.features is not None:
         log_prior = log_prior + np.einsum("tsd,fd->fts", batch.features, stack[:, :dim])
-    # per-example likelihood terms, for examples inside and outside C
-    g_in = (1.0 - eps) * batch.inv_size + eps / 100.0
-    g_out = eps / 100.0
-    loglik = batch.n_inside * np.log(np.maximum(g_in, 1e-300))
-    loglik = loglik + batch.n_outside * np.log(np.maximum(g_out, 1e-300))
+    loglik, g_in, g_out = count_logliks(batch.n_inside, batch.n_outside, batch.inv_size, eps)
     log_unnorm = log_prior + np.where(batch.alive, loglik, 0.0)
-    return softmax_masked(log_unnorm / temp, batch.alive), log_unnorm, g_in, eps, temp
+    return softmax_masked(log_unnorm / temp, batch.alive), log_unnorm, g_in, g_out, eps, temp
 
 
 def _number_rows(stack, batch: TaskBatch, dim, rows, grad):
     """(loss (F,) over each fit's `rows`, predictions (F, N)) of the
     number rows; adds d(loss)/du into grad (F, P) when given."""
-    w, log_unnorm, g_in, eps, temp = number_weights(stack, batch, dim)
+    w, log_unnorm, g_in, g_out, eps, temp = number_weights(stack, batch, dim)
     a, b = stack[:, dim + 4, None], stack[:, dim + 5, None]
     alive = batch.alive
 
@@ -282,7 +280,6 @@ def _number_rows(stack, batch: TaskBatch, dim, rows, grad):
         # dp_n/ds_s = w_s (t_ns - p_n); collapse over each task's rows
         per_row = (batch.test_member - p_raw[:, :, None]) * w_rows * dl_dp[:, :, None]
         one_hot = np.eye(len(alive))[batch.row_task]  # (N, T)
-        g_out = eps / 100.0
         coeff = np.einsum("fns,nt->fts", per_row, one_hot) / temp  # (F, T, S)
         if batch.features is not None:
             grad[:, :dim] += np.einsum("fts,tsd->fd", coeff, batch.features)
@@ -313,7 +310,9 @@ def shape_forward(task: ShapeTask, params: ModelParams):
     q[g, k] = (1 - eps) c[g, k] + eps alpha, the probability r[g, k] of
     the observed label and log r[g, k] are all affine in c: each equals
     a0[k] + c[g, k] (a1[k] - a0[k]), with per-trial coefficients from
-    eps, alpha and label k. So the log-likelihoods of all batches are
+    eps, alpha and label k. With r0 and r1 the label probabilities of a
+    rule false or true on each trial (`likelihood.label_probs`), the
+    log-likelihoods of all batches are
     D @ log r0 + (D * (log r1 - log r0)) @ c^T. The first term is the
     same for every class of a batch: the softmax cancels it, and so does
     the gradient, whose rows in the log-weights sum to zero. c enters
@@ -334,11 +333,7 @@ def shape_forward(task: ShapeTask, params: ModelParams):
     if task.features is not None:
         log_prior = log_prior + task.features @ params.theta
     sign = np.where(task.labels > 0, 1.0, -1.0)
-    # P(Y = 1) under a rule false (q0) or true (q1) on a trial, and r0, r1
-    # the probabilities of each trial's observed label
-    q0, q1 = eps * alpha, (1.0 - eps) + eps * alpha
-    r0 = np.where(sign > 0, q0, 1.0 - q0)
-    r1 = np.where(sign > 0, q1, 1.0 - q1)
+    r0, r1 = label_probs(task.labels, eps, alpha)
     delta_log_r = np.log(np.maximum(r1, 1e-300)) - np.log(np.maximum(r0, 1e-300))  # (K,)
     # lag[b, k] = K_b - k, how far trial k lies behind the start of batch b
     lag = np.searchsorted(task.batch, np.arange(n_batches))[:, None] - np.arange(n_trials)

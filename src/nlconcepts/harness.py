@@ -54,6 +54,13 @@ class PredictionRecord:
             raise ValueError("prediction must be finite")
 
 
+class ConfigError(ValueError):
+    """An experiment configuration no run can use."""
+
+
+PRIORS = ("uniform", "tuned", "external")
+
+
 @dataclass
 class ExperimentConfig:
     domain: str  # "number" | "shape"
@@ -69,6 +76,17 @@ class ExperimentConfig:
     out_dir: str = ""
     seed: int = 0
     k_folds: int = 10
+
+    def __post_init__(self):
+        choices = {"domain": ("number", "shape"), "prior": PRIORS, "weighting": ("dedup", "importance")}
+        for name, allowed in choices.items():
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"{name} must be one of {allowed}, not {getattr(self, name)!r}")
+        for name, least in (("budget", 1), ("k_folds", 2)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, not {getattr(self, name)}")
+        if self.domain == SHAPE_DOMAIN and self.weighting == "importance":
+            raise ConfigError("importance weighting needs the number domain")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -112,15 +130,12 @@ def build_number_task(
     example_set: NumberExampleSet,
     tests: Sequence[Tuple[int, float, str]],  # (test number, target, id)
     extractor: FeatureExtractor,
-    cache: Optional[EvalCache] = None,
     scores: Optional[Dict[str, float]] = None,
 ) -> NumberTask:
     """Compile an example set against its pool: the extension rows
     (`likelihood.extension_matrix`) at the examples and test numbers,
     1/|C| and the prior pieces. `scores` are the external prior's, read
-    from `cfg.scores_path` when None. `cache` is not read; extensions
-    are memoized on each program, and callers such as
-    `fixtures/make_fixtures.py` still pass an `EvalCache`."""
+    from `cfg.scores_path` when None."""
     if cfg.weighting == "importance":
         unique = list(pool)
         log_q = proposal_logq(unique)
@@ -129,7 +144,7 @@ def build_number_task(
         log_q = np.zeros(len(unique))
     features, base = _prior_pieces(cfg, unique, extractor, scores)
     base = base - log_q
-    parsed = np.array([h.parsed for h in unique])
+    parsed = np.array([h.parsed for h in unique], dtype=bool)
     ext = extension_matrix(unique)
     sizes = ext.sum(axis=1)
     inv_size = np.divide(1.0, sizes, out=np.zeros_like(sizes), where=sizes > 0)

@@ -11,7 +11,6 @@ Learning curve: JSON with concept_id, ground_truth_nl, batches (lists of
 {"shape","color","size","label"} objects) and human_positive_rate per
 trial.
 
-Feature file: JSON Lines {"nl": str, "vec": [D floats]}.
 Score file: JSON Lines {"nl": str, "logp": float}.
 """
 
@@ -21,8 +20,6 @@ import csv
 import json
 from pathlib import Path
 from typing import Dict, List
-
-import numpy as np
 
 from .dsl import DslSyntaxError, parse_concept
 from .types import (
@@ -180,15 +177,6 @@ def save_learning_curve(path, curve: LearningCurve) -> None:
             indent=2,
         )
     )
-
-
-def load_feature_file(path) -> Dict[str, np.ndarray]:
-    table = {}
-    for line in Path(path).read_text().splitlines():
-        if line.strip():
-            row = json.loads(line)
-            table[canonicalize_nl(row["nl"])] = np.asarray(row["vec"], dtype=float)
-    return table
 
 
 def load_score_file(path) -> Dict[str, float]:

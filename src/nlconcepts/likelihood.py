@@ -1,26 +1,25 @@
-"""Domain likelihoods.
+"""Domain likelihoods, each defined once.
 
 Number domain: examples are drawn uniformly from the concept's
 extension with probability (1 - epsilon), otherwise uniformly from
-1..100, so each example contributes
-
-    log[(1 - epsilon) * 1[x in C] / |C| + epsilon / 100]
-
-This is what produces the size principle: among consistent concepts,
-smaller extensions score higher.
+1..100, so an example has probability g_in = (1 - epsilon) / |C| +
+epsilon / 100 inside C and g_out = epsilon / 100 outside it
+(`count_logliks`). This is what produces the size principle: among
+consistent concepts, smaller extensions score higher.
 
 Shape domain: responses follow the concept with probability
-(1 - epsilon) and otherwise guess positive at base rate alpha. Older
-trials are down-weighted by a power-law memory decay: trial k of K gets
-weight (1 + K - k) ** -beta, so the most recent trial always has
-weight 1.
+(1 - epsilon) and otherwise guess positive at base rate alpha
+(`label_probs`). Older trials are down-weighted by a power-law memory
+decay: trial k of K gets weight (1 + K - k) ** -beta, so the most
+recent trial always has weight 1.
 
 Each domain compiles a pool once against its data: `extension_matrix`
 gives every hypothesis's extension as a row over 1..100, `truth_matrix`
 every rule's truth value on each trial, evaluated over the encoded
-trials. The public functions below are array formulas over those
-matrices, and `harness` builds the tasks that fitting, online evaluation and the
-baselines run on from the same two matrices.
+trials. `harness` compiles the tasks of inference, fitting, online
+evaluation and the baselines from them; `fit.number_weights`,
+`fit.shape_forward` and the public functions below all score with
+`count_logliks` and `label_probs`.
 """
 
 from __future__ import annotations
@@ -79,15 +78,22 @@ def truth_matrix(pool: Sequence[Hypothesis], trials: Sequence[Trial]) -> np.ndar
     return out
 
 
-def _weighted_loglik(p: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Per row, sum_k weights[k] log p[:, k]; -inf for a row where some
-    p <= 0, whatever its weight. Terms are added in column order, as a
-    loop over examples or trials adds them: a dot product rounds
-    differently and can reorder rules whose log-likelihoods tie in
-    exact arithmetic."""
-    terms = weights * np.log(np.where(p > 0.0, p, 1.0))
-    total = np.cumsum(terms, axis=1)[:, -1] if terms.shape[1] else np.zeros(len(p))
-    return np.where((p <= 0.0).any(axis=1), -np.inf, total)
+def count_logliks(n_inside, n_outside, inv_size, epsilon):
+    """(n_in log g_in + n_out log g_out, g_in, g_out), elementwise; each
+    log is floored at log 1e-300, so no examples at probability 0 add 0."""
+    g_in = (1.0 - epsilon) * inv_size + epsilon / 100.0
+    g_out = epsilon / 100.0
+    loglik = n_inside * np.log(np.maximum(g_in, 1e-300))
+    loglik = loglik + n_outside * np.log(np.maximum(g_out, 1e-300))
+    return loglik, g_in, g_out
+
+
+def label_probs(labels: np.ndarray, epsilon, alpha):
+    """(r0, r1), each (K,): the probability of each trial's observed
+    label under a rule false (r0) or true (r1) on the trial."""
+    q0, q1 = epsilon * alpha, (1.0 - epsilon) + epsilon * alpha
+    positive = labels > 0
+    return np.where(positive, q0, 1.0 - q0), np.where(positive, q1, 1.0 - q1)
 
 
 def _pool_vector(pool: Sequence[Hypothesis], loglik: np.ndarray) -> np.ndarray:
@@ -97,18 +103,21 @@ def _pool_vector(pool: Sequence[Hypothesis], loglik: np.ndarray) -> np.ndarray:
     return np.where(parsed & (loglik > -np.inf), loglik, NEG_LARGE)
 
 
-def _number_logliks(ext: np.ndarray, examples: NumberExampleSet, epsilon: float) -> np.ndarray:
-    member = ext[:, np.array(examples.examples) - 1]  # (S, N)
-    size = ext.sum(axis=1, keepdims=True)
-    inside = np.divide(1.0 - epsilon, size, out=np.zeros_like(size), where=size > 0)
-    p = member * inside + epsilon / 100.0
-    return _weighted_loglik(p, np.ones(len(examples)))
+def _number_logliks(pool, examples: NumberExampleSet, epsilon: float) -> np.ndarray:
+    """-inf where an example outside the extension has probability 0."""
+    ext = extension_matrix(pool)
+    sizes = ext.sum(axis=1)
+    inv_size = np.divide(1.0, sizes, out=np.zeros_like(sizes), where=sizes > 0)
+    n_inside = ext[:, np.array(examples.examples) - 1].sum(axis=1)
+    n_outside = len(examples) - n_inside
+    loglik, _, g_out = count_logliks(n_inside, n_outside, inv_size, epsilon)
+    return np.where((n_outside > 0) & (g_out <= 0.0), -np.inf, loglik)
 
 
 def number_loglikelihood(h: Hypothesis, examples: NumberExampleSet, epsilon: float) -> float:
-    """Sum of per-example log-likelihoods; -inf only when epsilon == 0
-    and some example falls outside the extension."""
-    return float(_number_logliks(extension_matrix([h]), examples, epsilon)[0])
+    """Log-likelihood of the examples; -inf only when epsilon == 0 and
+    some example falls outside the extension."""
+    return float(_number_logliks([h], examples, epsilon)[0])
 
 
 def pool_number_logliks(
@@ -120,19 +129,13 @@ def pool_number_logliks(
     """Per-hypothesis log-likelihood vector; unparsed entries get the
     NEG_LARGE sentinel so downstream arithmetic stays finite. `cache`
     is not read; it is accepted for callers that pass an `EvalCache`."""
-    return _pool_vector(pool, _number_logliks(extension_matrix(pool), examples, epsilon))
-
-
-def _response_probs(truth: np.ndarray, trials: Sequence[Trial], epsilon: float, alpha: float):
-    """(S, K) probability of each trial's observed label under each rule."""
-    p_positive = (1.0 - epsilon) * truth + epsilon * alpha
-    labels = np.array([t.label for t in trials], dtype=bool)
-    return np.where(labels, p_positive, 1.0 - p_positive)
+    return _pool_vector(pool, _number_logliks(pool, examples, epsilon))
 
 
 def trial_response_prob(h: Hypothesis, t: Trial, epsilon: float, alpha: float) -> float:
     """Probability assigned to the observed label of one trial."""
-    return float(_response_probs(truth_matrix([h], [t]), [t], epsilon, alpha)[0, 0])
+    r0, r1 = label_probs(np.array([t.label]), epsilon, alpha)
+    return float(r1[0] if truth_matrix([h], [t])[0, 0] else r0[0])
 
 
 def decay_weights(n_trials: int, beta: float) -> np.ndarray:
@@ -143,10 +146,14 @@ def decay_weights(n_trials: int, beta: float) -> np.ndarray:
     return lag**-beta
 
 
-def _shape_logliks(pool, trials, epsilon, alpha, beta) -> np.ndarray:
+def _decayed_logliks(pool, trials, epsilon, alpha, beta) -> np.ndarray:
+    """Per rule, sum_k w_k log r_k with decay weights w; -inf where some
+    trial has probability 0, whatever its weight."""
     trials = list(trials)
-    p = _response_probs(truth_matrix(pool, trials), trials, epsilon, alpha)
-    return _weighted_loglik(p, decay_weights(len(trials), beta))
+    r0, r1 = label_probs(np.array([t.label for t in trials], dtype=bool), epsilon, alpha)
+    r = np.where(truth_matrix(pool, trials) > 0.0, r1, r0)
+    loglik = np.log(np.maximum(r, 1e-300)) @ decay_weights(len(trials), beta)
+    return np.where((r <= 0.0).any(axis=1), -np.inf, loglik)
 
 
 def decayed_sequence_loglik(
@@ -157,7 +164,7 @@ def decayed_sequence_loglik(
     beta: float,
 ) -> float:
     """Memory-decayed log-likelihood of an ordered trial sequence."""
-    return float(_shape_logliks([h], trials, epsilon, alpha, beta)[0])
+    return float(_decayed_logliks([h], trials, epsilon, alpha, beta)[0])
 
 
 def pool_shape_logliks(
@@ -169,4 +176,4 @@ def pool_shape_logliks(
 ) -> np.ndarray:
     """Per-rule decayed log-likelihood vector, NEG_LARGE for unparsed
     rules and impossible sequences."""
-    return _pool_vector(pool, _shape_logliks(pool, trials, epsilon, alpha, beta))
+    return _pool_vector(pool, _decayed_logliks(pool, trials, epsilon, alpha, beta))

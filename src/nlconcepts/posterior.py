@@ -118,12 +118,10 @@ def softmax_masked(scores: np.ndarray, alive: np.ndarray, count=None) -> np.ndar
     return np.divide(e, total, out=np.zeros_like(e), where=total > 0)
 
 
-def _weigh(kept: List[Hypothesis], n_proposals: int, log_unnorm, temperature: float):
-    """The posterior over `kept`, drawn from `n_proposals` proposals:
-    softmax of log_unnorm / T over the entries above ZERO_CUTOFF,
-    degenerate when there are none."""
-    alive = log_unnorm > ZERO_CUTOFF
-    weights = softmax_masked(log_unnorm / temperature, alive)
+def posterior_state(kept: List[Hypothesis], n_proposals: int, weights, alive) -> PosteriorState:
+    """The posterior over `kept`, drawn from `n_proposals` proposals,
+    with its diagnostics: `weights` are nonzero only where `alive` is
+    set, and the state is degenerate when nothing is."""
     diagnostics = {
         "proposals": n_proposals,
         "unique": len(kept),
@@ -133,6 +131,12 @@ def _weigh(kept: List[Hypothesis], n_proposals: int, log_unnorm, temperature: fl
         **weight_diagnostics(weights),
     }
     return PosteriorState(kept, weights, not alive.any(), diagnostics)
+
+
+def _weigh(kept: List[Hypothesis], n_proposals: int, log_unnorm, temperature: float):
+    """Softmax of log_unnorm / T over the entries above ZERO_CUTOFF."""
+    alive = log_unnorm > ZERO_CUTOFF
+    return posterior_state(kept, n_proposals, softmax_masked(log_unnorm / temperature, alive), alive)
 
 
 def _logliks(pool: Sequence[Hypothesis], loglik) -> np.ndarray:

@@ -1,17 +1,16 @@
 """Priors over natural-language hypotheses.
 
 Three kinds: uniform, tuned log-linear over text features, and external
-(precomputed log-scores, e.g. from an LM scoring pass). The feature
-extractor is pluggable: the default is a deterministic hashed
-bag-of-tokens (words + word bigrams, signed hashing, L2-normalized),
-and precomputed embeddings can be loaded from a feature file instead.
+(precomputed log-scores, e.g. from an LM scoring pass). The features
+are a deterministic hashed bag-of-tokens (words + word bigrams, signed
+hashing, L2-normalized).
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -24,7 +23,7 @@ HASH_SEED = 20240613
 
 
 class MissingFeature(KeyError):
-    """An external feature/score file lacks an entry for a hypothesis."""
+    """An external score file lacks an entry for a hypothesis."""
 
 
 def _hash_token(token: str, seed: int) -> int:
@@ -53,33 +52,17 @@ def extract_features(
 
 
 class FeatureExtractor:
-    """Caching front-end over hashed or file-backed features."""
+    """Caching front-end over the hashed features."""
 
-    def __init__(
-        self,
-        dim: int = FEATURE_DIM,
-        seed: int = HASH_SEED,
-        table: Optional[Dict[str, np.ndarray]] = None,
-    ):
+    def __init__(self, dim: int = FEATURE_DIM, seed: int = HASH_SEED):
         self.dim = dim
         self.seed = seed
-        self.table = table  # canonical NL -> vector; None = hashed features
         self._cache: Dict[str, np.ndarray] = {}
 
     def __call__(self, nl_text: str) -> np.ndarray:
         key = canonicalize_nl(nl_text)
         if key not in self._cache:
-            if self.table is not None:
-                if key not in self.table:
-                    raise MissingFeature(key)
-                vec = np.asarray(self.table[key], dtype=float)
-                if vec.shape != (self.dim,):
-                    raise ValueError(
-                        f"feature vector for {key!r} has dim {vec.shape}, want {self.dim}"
-                    )
-            else:
-                vec = extract_features(key, self.dim, self.seed)
-            self._cache[key] = vec
+            self._cache[key] = extract_features(key, self.dim, self.seed)
         return self._cache[key]
 
     def matrix(self, hypotheses) -> np.ndarray:
@@ -109,9 +92,6 @@ class Tuned:
 @dataclass(frozen=True)
 class External:
     scores: Dict[str, float]  # canonical NL -> log-probability
-
-
-PriorSpec = object  # Uniform | Tuned | External
 
 
 def prior_logweight(spec, h: Hypothesis) -> float:

@@ -12,11 +12,14 @@ import nlconcepts
 from nlconcepts import harness, io
 from nlconcepts.baselines import DIRECT_PARAMS, direct_shape_prompt
 from nlconcepts.cli import _dump_params, _load_params, main
+from nlconcepts.fit import number_weights, pack_params, shape_forward, stack_tasks
 from nlconcepts.likelihood import pool_number_logliks
-from nlconcepts.posterior import dedup_weights
+from nlconcepts.posterior import dedup_pool, dedup_weights
 from nlconcepts.prior import FeatureExtractor, Tuned, Uniform
 from nlconcepts.propose import ReplayStore
-from nlconcepts.types import NumberExampleSet
+from nlconcepts.types import ModelParams, NumberExampleSet
+
+from conftest import synthetic_shape_curve, synthetic_shape_pool
 
 
 def test_infer_number(fixtures_dir, capsys):
@@ -90,6 +93,89 @@ def test_infer_shape(fixtures_dir, capsys):
         "something is positive if it is a green triangle"
     )
 
+
+
+def _infer_json(argv, capsys):
+    assert main(["infer"] + argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def _write_params(tmp_path, params):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(_dump_params(params)))
+    return path
+
+
+@pytest.mark.parametrize("source", ["fixture", "synthetic"])
+def test_infer_shape_reads_the_online_models_weights(source, fixtures_dir, tmp_path, capsys):
+    """`infer --upto-batch b` prints the weights the online model
+    predicts batch b + 1 from (`shape_forward`'s p[b, rule_class]),
+    honouring the rules' source batches; after every batch, every
+    parsed rule has weight."""
+    if source == "fixture":
+        pool_path = fixtures_dir / "shape" / "green_triangles_pool.jsonl"
+        curve_path = fixtures_dir / "shape" / "green_triangles_curve.json"
+    else:
+        pool_path, curve_path = tmp_path / "pool.jsonl", tmp_path / "curve.json"
+        io.save_pool(pool_path, synthetic_shape_pool())
+        io.save_learning_curve(curve_path, synthetic_shape_curve())
+    params = ModelParams(epsilon=0.3, alpha=0.4, beta=1.0, temperature=1.0)
+    argv = ["--domain", "shape", "--pool", str(pool_path), "--curve", str(curve_path)]
+    argv += ["--params", str(_write_params(tmp_path, params))]
+    pool, curve = io.load_pool(pool_path, "shape"), io.load_learning_curve(curve_path)
+    cfg = harness.ExperimentConfig("shape")
+    task = harness.build_shape_task(cfg, pool, curve, FeatureExtractor(dim=0))
+    _, p, _ = shape_forward(task, params)
+    unique, _ = dedup_pool(pool)
+    for b in range(len(curve.batches)):
+        got = _infer_json(argv + ["--upto-batch", str(b)], capsys)
+        weights = dict((h["nl"], h["weight"]) for h in got["hypotheses"])
+        assert [weights[h.nl_text] for h in unique] == p[b, task.rule_class].tolist(), b
+        hidden = int((~task.visible[b, task.rule_class]).sum())
+        assert got["diagnostics"]["zero_weight"] == hidden
+        assert got["degenerate"] == (hidden == len(unique))
+    if source == "synthetic":
+        assert _infer_json(argv, capsys)["degenerate"]  # nothing is visible at batch 1
+    last = _infer_json(argv + ["--upto-batch", str(len(curve.batches))], capsys)
+    weights = dict((h["nl"], h["weight"]) for h in last["hypotheses"])
+    assert [weights[h.nl_text] > 0 for h in unique] == [h.parsed for h in unique]
+    assert last["diagnostics"]["zero_weight"] == last["diagnostics"]["unparsed"]
+
+
+@pytest.mark.parametrize("prior", ["uniform", "tuned", "external"])
+@pytest.mark.parametrize("temperature", [0.3, 1.0, 3.0])
+def test_infer_number_reads_the_fit_paths_weights(prior, temperature, fixtures_dir, tmp_path, capsys):
+    """`infer --domain number` prints the posterior weights the fit
+    predicts from (`fit.number_weights`), bit for bit, under each
+    prior."""
+    pool_path = fixtures_dir / "number" / "set03.jsonl"
+    pool = io.load_pool(pool_path, "number")
+    examples = NumberExampleSet([16, 8, 2, 64])
+    rng = np.random.default_rng(16)
+    dim = 16 if prior == "tuned" else 0
+    params = ModelParams(theta=rng.normal(0, 1, dim), epsilon=0.05, temperature=temperature)
+    scores = tmp_path / "scores.jsonl"
+    io.save_score_file(scores, {h.key: float(rng.normal(0, 2)) for h in pool})
+    argv = ["--domain", "number", "--pool", str(pool_path), "--examples", "16,8,2,64"]
+    argv += ["--params", str(_write_params(tmp_path, params)), "--prior", prior, "--scores", str(scores)]
+    got = _infer_json(argv, capsys)
+
+    cfg = harness.ExperimentConfig("number", prior=prior, scores_path=str(scores), feature_dim=dim)
+    task = harness.build_number_task(cfg, pool, examples, [(3, 0.5, "t")], FeatureExtractor(dim=dim))
+    want = number_weights(pack_params(params)[None], stack_tasks([task]), dim)[0][0, 0]
+    weights = dict((h["nl"], h["weight"]) for h in got["hypotheses"])
+    assert [weights[nl] for nl in task.names] == want.tolist()
+    assert got["diagnostics"]["zero_weight"] == int((~task.parsed).sum())
+
+
+@pytest.mark.parametrize("upto", [-1, 16])
+def test_infer_upto_batch_outside_the_curve_is_a_usage_error(upto, fixtures_dir, capsys):
+    argv = ["infer", "--domain", "shape", "--pool", str(fixtures_dir / "shape" / "green_triangles_pool.jsonl")]
+    argv += ["--curve", str(fixtures_dir / "shape" / "green_triangles_curve.json"), "--upto-batch", str(upto)]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "infer --upto-batch must lie in 0..15" in capsys.readouterr().err
 
 def test_replay_list_and_show(fixtures_dir, capsys):
     rc = main(["replay", "list", "--store", str(fixtures_dir / "replay")])
@@ -251,6 +337,14 @@ def test_fit_number_writes_outputs(fixtures_dir, tmp_path, capsys):
     metrics = json.loads((out_dir / "metrics.json").read_text())
     assert metrics["n_predictions"] == 12
 
+
+def test_fit_with_an_unknown_prior_is_a_usage_error(fixtures_dir, tmp_path, capsys):
+    cfg = _tiny_number_config(fixtures_dir, tmp_path, prior="tunde")
+    with pytest.raises(SystemExit) as err:
+        main(["fit", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert err.value.code == 2
+    assert "prior must be one of" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 def _shape_config(fixtures_dir, tmp_path):
     cfg = {

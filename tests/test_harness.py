@@ -9,6 +9,7 @@ from nlconcepts import io
 from nlconcepts.baselines import latent_language_shape
 from nlconcepts.fit import FitConfig, shape_forward
 from nlconcepts.harness import (
+    ConfigError,
     ExperimentConfig,
     PredictionRecord,
     budget_sweep,
@@ -76,19 +77,6 @@ def test_build_number_task_shapes(fixtures_dir):
     assert len(set(exts)) < len(exts)
     # one deliberately unparsed entry
     assert (~task.parsed).sum() == 1
-
-
-def test_build_number_task_accepts_a_positional_cache(fixtures_dir):
-    """fixtures/make_fixtures.py passes an EvalCache as the sixth
-    argument; it is accepted and does not change the task."""
-    cfg = ExperimentConfig(domain="number", prior="tuned", feature_dim=16)
-    ext = FeatureExtractor(dim=16)
-    pool = io.load_pool(fixtures_dir / "number" / "set01.jsonl", "number")
-    args = (cfg, pool, NumberExampleSet([2, 4, 8, 16]), [(32, 0.9, "a")], ext)
-    with_cache = build_number_task(*args, EvalCache())
-    without = build_number_task(*args)
-    for field in ("features", "base_logprior", "member", "inv_size", "test_member"):
-        np.testing.assert_array_equal(getattr(with_cache, field), getattr(without, field))
 
 
 def test_number_tasks_keep_each_sets_own_program():
@@ -548,3 +536,23 @@ def test_number_experiment_short_fit_is_deterministic(fixtures_dir):
     assert [(r.datum_id, r.prediction) for r in r1] == [
         (r.datum_id, r.prediction) for r in r2
     ]
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        (dict(domain="nubmer"), "domain must be one of"),
+        (dict(prior="tunde"), "prior must be one of"),
+        (dict(weighting="importanse"), "weighting must be one of"),
+        (dict(budget=-3), "budget must be >= 1"),
+        (dict(k_folds=1), "k_folds must be >= 2"),
+        (dict(domain="shape", weighting="importance"), "importance weighting needs the number domain"),
+    ],
+)
+def test_experiment_config_refuses_what_no_run_can_use(fields, message):
+    """A value no run can use is refused when the config is made, so a
+    typo cannot silently run another model."""
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(**{"domain": "number", **fields})
+    with pytest.raises(ConfigError, match=message):
+        dataclasses.replace(ExperimentConfig("number"), **fields)

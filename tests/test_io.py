@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 from nlconcepts import io
@@ -94,13 +93,6 @@ def test_learning_curve_round_trip(tmp_path):
     # every trial in a batch shares the full batch as context
     assert loaded.batches[0][0].batch == (a, b)
     assert loaded.batches[0][1].batch == (a, b)
-
-
-def test_feature_file(tmp_path):
-    path = tmp_path / "feat.jsonl"
-    path.write_text(json.dumps({"nl": "The number is EVEN", "vec": [1, 0, 0]}) + "\n")
-    table = io.load_feature_file(path)
-    np.testing.assert_array_equal(table["the number is even"], [1, 0, 0])
 
 
 def test_score_file_round_trip(tmp_path):

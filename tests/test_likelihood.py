@@ -220,3 +220,32 @@ def test_shape_program_pickles_after_evaluation():
     copy = pickle.loads(pickle.dumps(GT))
     assert copy == GT and vars(copy.program).keys() == {"domain", "expr"}
     assert truth_matrix([copy], trials).tolist() == [[1.0, 0.0]]
+
+
+def test_pool_number_logliks_tie_exactly_on_equal_counts():
+    """Hypotheses with equal |C| and an equal number of examples inside
+    tie in exact arithmetic, and their log-likelihoods are bitwise
+    equal: {1, 61, 62, 63} and {3, 61, 62, 63} on 1, 2, 3, and every
+    group of random small extensions."""
+    x = NumberExampleSet([1, 2, 3])
+    pair = [
+        make_hypothesis("one and the sixties", "in_set({1, 61, 62, 63}, x)", "number"),
+        make_hypothesis("three and the sixties", "in_set({3, 61, 62, 63}, x)", "number"),
+    ]
+    a, b = pool_number_logliks(pair, x, 0.02)
+    assert a == b
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        examples = NumberExampleSet(rng.choice(np.arange(1, 11), rng.integers(1, 5), replace=False))
+        pool = [
+            make_hypothesis(f"rule {i}", f"in_set({{{', '.join(map(str, sorted(ext)))}}}, x)", "number")
+            for i, ext in enumerate(
+                rng.choice(np.arange(1, 16), rng.integers(1, 6), replace=False) for _ in range(12)
+            )
+        ]
+        loglik = pool_number_logliks(pool, examples, float(rng.choice([0.02, 0.3])))
+        groups = {}
+        for h, ll in zip(pool, loglik):
+            ext = h.program.extension
+            groups.setdefault((len(ext), len(ext & set(examples.examples))), set()).add(ll)
+        assert all(len(values) == 1 for values in groups.values()), groups

@@ -57,17 +57,6 @@ def test_extractor_caching_and_dim():
     assert ext("the number is even") is v  # cached object
 
 
-def test_extractor_table_mode():
-    table = {"the number is even": np.ones(4)}
-    ext = FeatureExtractor(dim=4, table=table)
-    np.testing.assert_array_equal(ext("The number is EVEN"), np.ones(4))
-    with pytest.raises(MissingFeature):
-        ext("unknown rule")
-    bad = FeatureExtractor(dim=5, table=table)
-    with pytest.raises(ValueError):
-        bad("the number is even")
-
-
 def test_extractor_matrix():
     ext = FeatureExtractor(dim=16)
     pool = [h(), h("the number is odd", "odd(x)")]
