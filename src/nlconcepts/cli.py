@@ -55,9 +55,7 @@ def _add_backend_flags(p, backends=("static", "replay", "live")):
 
 
 def _load_params(path) -> ModelParams:
-    raw = json.loads(Path(path).read_text())
-    raw["theta"] = np.asarray(raw.get("theta", []), dtype=float)
-    return ModelParams(**raw)
+    return harness.params_from_json(json.loads(Path(path).read_text()))
 
 
 def _dump_params(params: ModelParams) -> dict:
@@ -72,6 +70,17 @@ def _dump_params(params: ModelParams) -> dict:
     }
 
 
+class UsageError(Exception):
+    """An argument combination the parser cannot reject by itself."""
+
+
+def _upto_batch(args, curve) -> int:
+    """`--upto-batch`, checked to lie in 0..B for the curve's B batches."""
+    if not 0 <= args.upto_batch <= len(curve.batches):
+        raise UsageError(f"{args.command} --upto-batch must lie in 0..{len(curve.batches)} for {args.curve}")
+    return args.upto_batch
+
+
 def _cmd_propose(args) -> int:
     if args.domain == "number":
         examples = _parse_examples(args.examples)
@@ -79,9 +88,9 @@ def _cmd_propose(args) -> int:
         domain = NUMBER_DOMAIN
     else:
         curve = io.load_learning_curve(args.curve)
-        batches = curve.batches[: args.upto_batch]
-        req_domain = "shape_first_batch" if args.upto_batch <= 1 else "shape_first_order"
-        examples = None if req_domain == "shape_first_batch" else batches
+        b = _upto_batch(args, curve)
+        req_domain = "shape_first_batch" if b <= 1 else "shape_first_order"
+        examples = None if req_domain == "shape_first_batch" else curve.batches[:b]
         domain = SHAPE_DOMAIN
     req = ProposalRequest(
         domain=req_domain,
@@ -106,10 +115,6 @@ def _cmd_translate(args) -> int:
     return 0
 
 
-class UsageError(Exception):
-    """An argument combination the parser cannot reject by itself."""
-
-
 def _cmd_infer(args) -> int:
     params = _load_params(args.params) if args.params else ModelParams()
     dim = len(params.theta)
@@ -126,10 +131,8 @@ def _cmd_infer(args) -> int:
     else:
         pool = io.load_pool(args.pool, SHAPE_DOMAIN)
         curve = io.load_learning_curve(args.curve)
-        b, n_batches = args.upto_batch, len(curve.batches)
-        if not 0 <= b <= n_batches:
-            raise UsageError(f"infer --upto-batch must lie in 0..{n_batches} for {args.curve}")
-        if b == n_batches:  # every batch seen: every parsed rule is visible
+        b = _upto_batch(args, curve)
+        if b == len(curve.batches):  # every batch seen: every parsed rule is visible
             pool = [replace(h, source_batch=None) for h in pool]
         task = harness.build_shape_task(cfg, pool, curve, extractor)
         # the weights before batch b + 1 of the online model, and after the last batch

@@ -18,6 +18,11 @@ Grammar (see grammars/number.ebnf):
     power   = primary [ "^" integer ]
     primary = integer | "x" | "(" arith ")"
 
+`or`/`and` and `+ - * mod` are parsed by precedence climbing over the
+tables the formatter reads (`_BOOL_PREC`, `_ARITH_PREC`), all left
+associative. The shape language (`shape.py`) extends this parser and
+shares its boolean layer, `Cmp` node, `COMPARE` table and formatter.
+
 Conventions (these matter for concepts like "powers of two"):
   * prime(1) is false.
   * power(b, x) is true iff x = b^k for some integer k >= 0, so
@@ -26,6 +31,7 @@ Conventions (these matter for concepts like "powers of two"):
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Tuple
@@ -117,6 +123,19 @@ _TOKEN = re.compile(
 
 _CMP_CANON = {"=": "==", "%": "mod"}
 
+COMPARE = {
+    "<": operator.lt,
+    "<=": operator.le,
+    "==": operator.eq,
+    "!=": operator.ne,
+    ">=": operator.ge,
+    ">": operator.gt,
+}
+
+# binding strength of the binary operators, for the parser and the formatter
+_BOOL_PREC = {"or": 1, "and": 2}
+_ARITH_PREC = {"+": 1, "-": 1, "*": 2, "mod": 2, "^": 3}
+
 
 def _tokenize(src: str):
     """(kind, value, position) tokens and a final eof. A token's
@@ -143,6 +162,15 @@ class _Parser:
         self.tokens = _tokenize(src)
         self.i = 0
 
+    @classmethod
+    def parse(cls, src: str):
+        """The expression that is the whole of `src`."""
+        parser = cls(src)
+        node = parser.parse_expr()
+        if parser.peek()[0] != "eof":
+            parser.fail(f"trailing input {parser.peek()[1]!r}")
+        return node
+
     def peek(self):
         return self.tokens[self.i]
 
@@ -163,18 +191,11 @@ class _Parser:
 
     # booleans ------------------------------------------------------------
 
-    def parse_expr(self):
-        node = self.parse_and()
-        while self.peek()[:2] == ("name", "or"):
-            self.next()
-            node = BoolOp("or", node, self.parse_and())
-        return node
-
-    def parse_and(self):
+    def parse_expr(self, min_prec=1):
         node = self.parse_unary()
-        while self.peek()[:2] == ("name", "and"):
-            self.next()
-            node = BoolOp("and", node, self.parse_unary())
+        while _BOOL_PREC.get(self.peek()[1], 0) >= min_prec:
+            op = self.next()[1]
+            node = BoolOp(op, node, self.parse_expr(_BOOL_PREC[op] + 1))
         return node
 
     def parse_unary(self):
@@ -200,16 +221,12 @@ class _Parser:
             try:
                 node = self.parse_expr()
                 self.expect("op", ")")
-                if self._at_cmp():
+                if self.peek()[1] in COMPARE:
                     raise DslSyntaxError("arith context", pos)
                 return node
             except DslSyntaxError:
                 self.i = saved
         return self.parse_comparison()
-
-    def _at_cmp(self):
-        kind, value, _ = self.peek()
-        return kind == "op" and value in ("<", "<=", "==", "!=", ">=", ">")
 
     def parse_pred(self):
         _, name, _ = self.next()
@@ -239,10 +256,10 @@ class _Parser:
 
     def parse_comparison(self):
         left = self.parse_arith()
-        if not self._at_cmp():
+        if self.peek()[1] not in COMPARE:
             self.fail("expected a comparison operator")
         node = None
-        while self._at_cmp():
+        while self.peek()[1] in COMPARE:
             op = self.next()[1]
             right = self.parse_arith()
             link = Cmp(op, left, right)
@@ -252,18 +269,12 @@ class _Parser:
 
     # arithmetic ----------------------------------------------------------
 
-    def parse_arith(self):
-        node = self.parse_term()
-        while self.peek()[0] == "op" and self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
-            node = Arith(op, node, self.parse_term())
-        return node
-
-    def parse_term(self):
+    def parse_arith(self, min_prec=1):
         node = self.parse_power()
-        while self.peek()[0] == "op" and self.peek()[1] in ("*", "mod") or self.peek()[:2] == ("name", "mod"):
+        # ^ binds in parse_power: it takes one integer exponent and does not chain
+        while min_prec <= _ARITH_PREC.get(self.peek()[1], 0) < _ARITH_PREC["^"]:
             op = self.next()[1]
-            node = Arith("mod" if op == "mod" else op, node, self.parse_power())
+            node = Arith(op, node, self.parse_arith(_ARITH_PREC[op] + 1))
         return node
 
     def parse_power(self):
@@ -289,11 +300,7 @@ class _Parser:
 
 def parse_number_concept(src: str):
     """Parse a number-concept expression; raises DslSyntaxError on failure."""
-    parser = _Parser(src)
-    node = parser.parse_expr()
-    if parser.peek()[0] != "eof":
-        parser.fail(f"trailing input {parser.peek()[1]!r}")
-    return node
+    return _Parser.parse(src)
 
 
 # ---------------------------------------------------------------------------
@@ -401,16 +408,7 @@ def eval_number(expr, x: int) -> bool:
     if isinstance(expr, Not):
         return not eval_number(expr.arg, x)
     if isinstance(expr, Cmp):
-        a = _eval_arith(expr.left, x)
-        b = _eval_arith(expr.right, x)
-        return {
-            "<": a < b,
-            "<=": a <= b,
-            "==": a == b,
-            "!=": a != b,
-            ">=": a >= b,
-            ">": a > b,
-        }[expr.op]
+        return COMPARE[expr.op](_eval_arith(expr.left, x), _eval_arith(expr.right, x))
     if isinstance(expr, Pred):
         return _eval_pred(expr.name, expr.args, x)
     if isinstance(expr, InSet):
@@ -425,9 +423,6 @@ def number_extension(expr) -> frozenset:
 
 # ---------------------------------------------------------------------------
 # Formatting (minimal parenthesization, round-trips through the parser)
-
-_BOOL_PREC = {"or": 1, "and": 2}
-_ARITH_PREC = {"+": 1, "-": 1, "*": 2, "mod": 2, "^": 3}
 
 
 def _fmt_arith(node, parent_prec=0) -> str:
@@ -444,18 +439,28 @@ def _fmt_arith(node, parent_prec=0) -> str:
     return f"({text})" if prec < parent_prec else text
 
 
-def format_number_concept(node, parent_prec=0) -> str:
+def format_bool(node, leaf, parent_prec=0) -> str:
+    """`and`, `or`, `not` and literals of either language, with `leaf`
+    formatting every other node."""
     if isinstance(node, BoolLit):
         return "true" if node.value else "false"
     if isinstance(node, BoolOp):
         prec = _BOOL_PREC[node.op]
         text = (
-            f"{format_number_concept(node.left, prec)} {node.op} "
-            f"{format_number_concept(node.right, prec + 1)}"
+            f"{format_bool(node.left, leaf, prec)} {node.op} "
+            f"{format_bool(node.right, leaf, prec + 1)}"
         )
         return f"({text})" if prec < parent_prec else text
     if isinstance(node, Not):
-        return f"not {format_number_concept(node.arg, 3)}"
+        return f"not {format_bool(node.arg, leaf, 3)}"
+    return leaf(node)
+
+
+def format_number_concept(node) -> str:
+    return format_bool(node, _fmt_number_leaf)
+
+
+def _fmt_number_leaf(node) -> str:
     if isinstance(node, Cmp):
         return f"{_fmt_arith(node.left)} {node.op} {_fmt_arith(node.right)}"
     if isinstance(node, Pred):

@@ -28,14 +28,13 @@ predicts from (`harness.build_shape_task`) comes from `truth_values`.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from ..types import COLORS, SHAPES, SIZES, ShapeObject
-from .number import BoolLit, BoolOp, DslSyntaxError, Not
+from .number import COMPARE, BoolLit, BoolOp, Cmp, DslSyntaxError, Not, format_bool
 from .number import _Parser as _BoolParser
 
 KEYWORDS = {"forall", "exists", "count", "in", "and", "or", "not", "true", "false"}
@@ -77,13 +76,6 @@ class Quant:
     body: object
 
 
-@dataclass(frozen=True)
-class Cmp:
-    op: str
-    left: object
-    right: object
-
-
 def _value_kind(node) -> str:
     if isinstance(node, Const):
         return node.kind
@@ -115,10 +107,14 @@ class _Parser(_BoolParser):
             self.next()
             return BoolLit(value == "true")
         if kind == "name" and value in ("forall", "exists"):
-            return self.parse_quant()
+            self.next()
+            return Quant(value, *self.parse_binder())
         return self.parse_comparison()
 
-    def _bind(self):
+    def parse_binder(self):
+        """`(var in domain, body)` after forall, exists or count, as
+        (var, domain, body); var is bound in body only."""
+        self.expect("op", "(")
         _, var, pos = self.expect("name")
         if var in KEYWORDS or var in OBJECT_SETS or var in FEATURE_SETS:
             raise DslSyntaxError(f"{var!r} cannot be a variable name", pos)
@@ -130,30 +126,18 @@ class _Parser(_BoolParser):
             var_kind = FEATURE_SETS[dom]
         else:
             raise DslSyntaxError(f"unknown set {dom!r}", dpos)
-        shadowed = self.env.get(var)
-        self.env[var] = var_kind
-        return var, dom, shadowed
-
-    def _unbind(self, var, shadowed):
-        if shadowed is None:
-            del self.env[var]
-        else:
-            self.env[var] = shadowed
-
-    def parse_quant(self):
-        quantifier = self.next()[1]
-        self.expect("op", "(")
-        var, dom, shadowed = self._bind()
         self.expect("op", ",")
+        outer = self.env
+        self.env = {**outer, var: var_kind}
         body = self.parse_expr()
-        self._unbind(var, shadowed)
+        self.env = outer
         self.expect("op", ")")
-        return Quant(quantifier, var, dom, body)
+        return var, dom, body
 
     def parse_comparison(self):
         left = self.parse_value()
-        kind, op, pos = self.next()
-        if kind != "op" or op not in ("<", "<=", "==", "!=", ">=", ">"):
+        _, op, pos = self.next()
+        if op not in COMPARE:
             raise DslSyntaxError(f"expected a comparison operator, found {op!r}", pos)
         right = self.parse_value()
         lk, rk = _value_kind(left), _value_kind(right)
@@ -172,13 +156,7 @@ class _Parser(_BoolParser):
         if kind != "name":
             raise DslSyntaxError(f"unexpected token {value!r}", pos)
         if value == "count":
-            self.expect("op", "(")
-            var, dom, shadowed = self._bind()
-            self.expect("op", ",")
-            body = self.parse_expr()
-            self._unbind(var, shadowed)
-            self.expect("op", ")")
-            return Count(var, dom, body)
+            return Count(*self.parse_binder())
         if value in SHAPES:
             return Const("shape", value)
         if value in COLORS:
@@ -201,11 +179,7 @@ class _Parser(_BoolParser):
 
 def parse_shape_concept(src: str):
     """Parse and type-check a shape-concept rule."""
-    parser = _Parser(src)
-    node = parser.parse_expr()
-    if parser.peek()[0] != "eof":
-        parser.fail(f"trailing input {parser.peek()[1]!r}")
-    return node
+    return _Parser.parse(src)
 
 
 # ---------------------------------------------------------------------------
@@ -227,15 +201,6 @@ def _domain_values(dom, context):
 
 
 _MISSING = object()
-
-_COMPARE = {
-    "<": operator.lt,
-    "<=": operator.le,
-    "==": operator.eq,
-    "!=": operator.ne,
-    ">=": operator.ge,
-    ">": operator.gt,
-}
 
 
 def _restore(context, var, shadowed):
@@ -275,7 +240,7 @@ def _eval_bool(node, context) -> bool:
     if isinstance(node, Not):
         return not _eval_bool(node.arg, context)
     if isinstance(node, Cmp):
-        return _COMPARE[node.op](_eval_value(node.left, context), _eval_value(node.right, context))
+        return COMPARE[node.op](_eval_value(node.left, context), _eval_value(node.right, context))
     if isinstance(node, Quant):
         # forall stops at the first False, exists at the first True
         decisive = node.quantifier == "exists"
@@ -407,7 +372,7 @@ def _array_bool(node, a, env, depth):
         return ~_array_bool(node.arg, a, env, depth)
     if isinstance(node, Cmp):
         left = _array_value(node.left, a, env, depth)
-        return _COMPARE[node.op](left, _array_value(node.right, a, env, depth))
+        return COMPARE[node.op](left, _array_value(node.right, a, env, depth))
     if isinstance(node, Quant):
         body, mask = _binder(node, a, env, depth)
         if node.quantifier == "exists":
@@ -447,8 +412,6 @@ def truth_values(expr, arrays: TrialArrays) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Formatting
 
-_PREC = {"or": 1, "and": 2}
-
 
 def _fmt_value(node) -> str:
     if isinstance(node, Const):
@@ -462,18 +425,11 @@ def _fmt_value(node) -> str:
     raise AssertionError(node)
 
 
-def format_shape_concept(node, parent_prec=0) -> str:
-    if isinstance(node, BoolLit):
-        return "true" if node.value else "false"
-    if isinstance(node, BoolOp):
-        prec = _PREC[node.op]
-        text = (
-            f"{format_shape_concept(node.left, prec)} {node.op} "
-            f"{format_shape_concept(node.right, prec + 1)}"
-        )
-        return f"({text})" if prec < parent_prec else text
-    if isinstance(node, Not):
-        return f"not {format_shape_concept(node.arg, 3)}"
+def format_shape_concept(node) -> str:
+    return format_bool(node, _fmt_shape_leaf)
+
+
+def _fmt_shape_leaf(node) -> str:
     if isinstance(node, Cmp):
         return f"{_fmt_value(node.left)} {node.op} {_fmt_value(node.right)}"
     if isinstance(node, Quant):

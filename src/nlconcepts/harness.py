@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -58,6 +58,19 @@ class ConfigError(ValueError):
     """An experiment configuration no run can use."""
 
 
+def _known_keys(cls, raw: dict, where: str, extra=()) -> dict:
+    """`raw`, or a ConfigError naming each key that is not a field of `cls`."""
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)} - set(extra))
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
+    return raw
+
+
+def params_from_json(raw: dict) -> ModelParams:
+    """ModelParams from their JSON object (`cli._dump_params`'s form)."""
+    return ModelParams(**_known_keys(ModelParams, raw, "params"))
+
+
 PRIORS = ("uniform", "tuned", "external")
 
 
@@ -90,13 +103,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        raw = json.loads(Path(path).read_text())
-        fit_cfg = FitConfig(**raw.pop("fit", {}))
+        raw = _known_keys(cls, json.loads(Path(path).read_text()), "config", extra=("trainable",))
+        fit_cfg = FitConfig(**_known_keys(FitConfig, raw.pop("fit", {}), "fit"))
         if "trainable" in raw:
             fit_cfg = replace(fit_cfg, trainable=tuple(raw.pop("trainable")))
         params = raw.pop("params", None)
         if params is not None:
-            params = ModelParams(**{k: (np.asarray(v) if k == "theta" else v) for k, v in params.items()})
+            params = params_from_json(params)
         return cls(fit=fit_cfg, params=params, **raw)
 
 
@@ -169,7 +182,6 @@ def build_shape_task(
     curve: LearningCurve,
     extractor: FeatureExtractor,
     cache: Optional[EvalCache] = None,
-    targets: str = "human",  # "human" rates or "labels" (tune for accuracy)
     scores: Optional[Dict[str, float]] = None,
 ) -> ShapeTask:
     """Compile a curve against its deduplicated pool: the truth matrix
@@ -177,8 +189,8 @@ def build_shape_task(
     batches the trials fall in and the rules visible at each, kept once
     per class of rules the posterior cannot tell apart (`ShapeTask`).
     `scores` are the external prior's, read from `cfg.scores_path` when
-    None. `cache` is not read; callers pass an `EvalCache`
-    positionally, which would otherwise bind to `targets`."""
+    None. `cache` is not read; it stays for callers that pass an
+    `EvalCache` positionally."""
     unique, _ = dedup_pool(pool)
     features, base = _prior_pieces(cfg, unique, extractor, scores)
     trials = curve.trials
@@ -201,7 +213,6 @@ def build_shape_task(
             classes[key] = len(first)
             first.append(s)
         rule_class.append(classes[key])
-    rates = curve.human_positive_rate if targets == "human" else [t.label for t in trials]
     return ShapeTask(
         features=None if features is None else features[first],
         base_logprior=base[first],
@@ -209,7 +220,7 @@ def build_shape_task(
         labels=np.array([float(t.label) for t in trials]),
         batch=np.repeat(np.arange(n_batches), [len(b) for b in curve.batches]),
         visible=np.array(joins)[first] <= np.arange(1, n_batches + 1)[:, None],
-        targets=np.array(rates, dtype=float),
+        targets=np.array(curve.human_positive_rate, dtype=float),
         ids=[f"{curve.concept_id}:{k}" for k in range(len(trials))],
         names=[h.nl_text for h in unique],
         rule_class=np.array(rule_class, dtype=int),
@@ -357,7 +368,6 @@ def shape_tasks(
     cfg: ExperimentConfig,
     curves: Sequence[LearningCurve],
     pools: Dict[str, List[Hypothesis]],
-    targets: str = "human",
 ) -> List[ShapeTask]:
     """Each curve compiled against its pool, in curve order, with one
     read of the external prior's score file: the tasks that fitting,
@@ -365,7 +375,7 @@ def shape_tasks(
     extractor = FeatureExtractor(dim=cfg.feature_dim)
     scores = io.load_score_file(cfg.scores_path) if cfg.prior == "external" else None
     return [
-        build_shape_task(cfg, pools[c.concept_id], c, extractor, targets=targets, scores=scores)
+        build_shape_task(cfg, pools[c.concept_id], c, extractor, scores=scores)
         for c in curves
     ]
 
@@ -440,11 +450,10 @@ def fit_online_params(
     cfg: ExperimentConfig,
     curves: Sequence[LearningCurve],
     pools: Dict[str, List[Hypothesis]],
-    targets: str = "human",
 ) -> FitResult:
     """Fit epsilon/alpha/beta/temperature (and theta under a tuned
     prior) against the learning curves, compiled by `shape_tasks`."""
-    return fit_params(cfg.fit, shape_tasks(cfg, curves, pools, targets), default_params(cfg))
+    return fit_params(cfg.fit, shape_tasks(cfg, curves, pools), default_params(cfg))
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,20 @@ def test_infer_upto_batch_outside_the_curve_is_a_usage_error(upto, fixtures_dir,
     assert err.value.code == 2
     assert "infer --upto-batch must lie in 0..15" in capsys.readouterr().err
 
+
+@pytest.mark.parametrize("upto", [-1, 99])
+def test_propose_upto_batch_outside_the_curve_is_a_usage_error(upto, fixtures_dir, tmp_path, capsys):
+    """As for infer: past the curve's last batch, or before its first,
+    propose exits 2 instead of sending whatever the slice keeps."""
+    shape_dir = fixtures_dir / "shape"
+    argv = ["propose", "--domain", "shape", "--curve", str(shape_dir / "green_triangles_curve.json")]
+    argv += ["--upto-batch", str(upto), "--backend", "static", "--pool", str(shape_dir / "green_triangles_pool.jsonl")]
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--out", str(tmp_path / "pool.jsonl")])
+    assert err.value.code == 2
+    assert "propose --upto-batch must lie in 0..15" in capsys.readouterr().err
+    assert not (tmp_path / "pool.jsonl").exists()
+
 def test_replay_list_and_show(fixtures_dir, capsys):
     rc = main(["replay", "list", "--store", str(fixtures_dir / "replay")])
     assert rc == 0
@@ -344,6 +358,19 @@ def test_fit_with_an_unknown_prior_is_a_usage_error(fixtures_dir, tmp_path, caps
         main(["fit", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
     assert err.value.code == 2
     assert "prior must be one of" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section,key", [(None, "k_fold"), ("fit", "epoch")])
+def test_fit_with_an_unknown_config_key_is_a_usage_error(section, key, fixtures_dir, tmp_path, capsys):
+    path = _tiny_number_config(fixtures_dir, tmp_path)
+    cfg = json.loads(path.read_text())
+    (cfg[section] if section else cfg)[key] = 3
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(SystemExit) as err:
+        main(["fit", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+    assert err.value.code == 2
+    assert f"unknown {section or 'config'} key(s): '{key}'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 def _shape_config(fixtures_dir, tmp_path):

@@ -11,7 +11,19 @@ from nlconcepts.dsl import (
     parse_concept,
 )
 from nlconcepts.dsl.generate import number_predicates, random_number_expr, random_shape_expr
-from nlconcepts.dsl.number import _tokenize, format_number_concept, parse_number_concept
+from nlconcepts.dsl.number import (
+    Arith,
+    BoolLit,
+    BoolOp,
+    Cmp,
+    Lit,
+    Not,
+    Pred,
+    Var,
+    _tokenize,
+    format_number_concept,
+    parse_number_concept,
+)
 from nlconcepts.dsl.shape import format_shape_concept
 
 import oracle
@@ -90,6 +102,47 @@ def test_syntax_errors():
     for src in ["", "even(", "x <", "foo(x)", "even(x) and", "x 5", "this.color == green"]:
         with pytest.raises(DslSyntaxError):
             parse_number_concept(src)
+
+
+X = Var()
+
+PARSES = [
+    # and binds tighter than or; every binary operator associates left
+    ("even(x) or x < 5 and x > 2", BoolOp("or", Pred("even", (X,)), BoolOp("and", Cmp("<", X, Lit(5)), Cmp(">", X, Lit(2))))),
+    ("not x < 3 or true", BoolOp("or", Not(Cmp("<", X, Lit(3))), BoolLit(True))),
+    ("x - 1 - 2 == 0", Cmp("==", Arith("-", Arith("-", X, Lit(1)), Lit(2)), Lit(0))),
+    ("x * 2 mod 3 + 1 == 0", Cmp("==", Arith("+", Arith("mod", Arith("*", X, Lit(2)), Lit(3)), Lit(1)), Lit(0))),
+    ("x % 3 == 1", Cmp("==", Arith("mod", X, Lit(3)), Lit(1))),
+    ("x ^ 2 * 3 > 1", Cmp(">", Arith("*", Arith("^", X, Lit(2)), Lit(3)), Lit(1))),
+    ("(x + 1) * 2 > 3", Cmp(">", Arith("*", Arith("+", X, Lit(1)), Lit(2)), Lit(3))),
+    # a chain is an and of its links, grouped from the left
+    ("1 < x < 5 <= 7", BoolOp("and", BoolOp("and", Cmp("<", Lit(1), X), Cmp("<", X, Lit(5))), Cmp("<=", Lit(5), Lit(7)))),
+]
+
+
+@pytest.mark.parametrize("src,want", PARSES)
+def test_parse_pins_precedence_and_chains(src, want):
+    assert parse_number_concept(src) == want
+
+
+PARSE_ERRORS = [
+    # a parenthesized boolean cannot be compared: the ( is read as arithmetic
+    ("(even(x)) < 3", "unexpected token 'even'", 1),
+    # ^ takes one integer exponent and does not chain
+    ("x ^ 2 ^ 3 < 5", "expected a comparison operator", 5),
+    ("even(x) x", "trailing input 'x'", 7),
+    ("even(x, 2)", "even takes 1 argument(s), got 2", 10),
+    ("between(1, x)", "between takes 3 argument(s), got 2", 13),
+    ("x mod", "unexpected token None", 5),
+    ("(x < 3", "expected ')', found '<'", 2),
+]
+
+
+@pytest.mark.parametrize("src,message,pos", PARSE_ERRORS)
+def test_parse_errors_pin_message_and_position(src, message, pos):
+    with pytest.raises(DslSyntaxError) as err:
+        parse_number_concept(src)
+    assert (str(err.value), err.value.pos) == (f"{message} (at position {pos})", pos)
 
 
 def test_pred_arity_enforced():

@@ -14,6 +14,15 @@ from nlconcepts.dsl import (
 from nlconcepts.dsl import shape as shape_dsl
 from nlconcepts.dsl.generate import random_shape_expr
 from nlconcepts.dsl.shape import (
+    Accessor,
+    BoolLit,
+    BoolOp,
+    Cmp,
+    Const,
+    Count,
+    Not,
+    Quant,
+    VarRef,
     _eval_bool,
     encode_trials,
     format_shape_concept,
@@ -124,6 +133,63 @@ def test_type_errors_at_parse_time():
     for src in bad:
         with pytest.raises(DslSyntaxError):
             parse_shape_concept(src)
+
+
+def _size_is(var, n):
+    return Cmp("==", Accessor(var, "size"), Const("int", n))
+
+
+PARSES = [
+    ("true or false and not true", BoolOp("or", BoolLit(True), BoolOp("and", BoolLit(False), Not(BoolLit(True))))),
+    # an inner binder shadows the outer one in its body only
+    (
+        "exists(o in others, exists(o in all, o.size == 1) and o.size == 2)",
+        Quant("exists", "o", "others", BoolOp("and", Quant("exists", "o", "all", _size_is("o", 1)), _size_is("o", 2))),
+    ),
+    (
+        "exists(this in colors, this == green) and this.size == 1",
+        BoolOp(
+            "and",
+            Quant("exists", "this", "colors", Cmp("==", VarRef("this", "color"), Const("color", "green"))),
+            _size_is("this", 1),
+        ),
+    ),
+    (
+        "forall(o in others, count(p in all, p.size > o.size) <= 2)",
+        Quant(
+            "forall",
+            "o",
+            "others",
+            Cmp("<=", Count("p", "all", Cmp(">", Accessor("p", "size"), Accessor("o", "size"))), Const("int", 2)),
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("src,want", PARSES)
+def test_parse_pins_precedence_and_binders(src, want):
+    assert parse_shape_concept(src) == want
+
+
+PARSE_ERRORS = [
+    ("this.size == 1 this", "trailing input 'this'", 14),
+    # comparisons do not chain, and a parenthesized rule is not a value
+    ("this.size < 2 < 3", "trailing input '<'", 13),
+    ("(this.size == 1) == true", "trailing input '=='", 16),
+    ("forall(all in others, true)", "'all' cannot be a variable name", 7),
+    ("exists(q in nowhere, q.size == 1)", "unknown set 'nowhere'", 11),
+    ("exists(o in colors, o.size == 1)", "'o' is not an object variable", 22),
+    ("exists(o in all, o.size == 1) and o.size == 2", "unbound variable 'o'", 33),
+    ("this.color == 3", "cannot compare color with int", 10),
+    ("this.color < blue", "color values support == and != only", 10),
+]
+
+
+@pytest.mark.parametrize("src,message,pos", PARSE_ERRORS)
+def test_parse_errors_pin_message_and_position(src, message, pos):
+    with pytest.raises(DslSyntaxError) as err:
+        parse_shape_concept(src)
+    assert (str(err.value), err.value.pos) == (f"{message} (at position {pos})", pos)
 
 
 def test_format_round_trip_fixed():

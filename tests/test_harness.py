@@ -58,6 +58,26 @@ def test_experiment_config_from_json(fixtures_dir):
     assert cfg_u.fit.trainable == ("epsilon", "temperature", "platt")
 
 
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        ({"k_fold": 3, "seeds": [1]}, "unknown config key(s): 'k_fold', 'seeds'"),
+        ({"fit": {"epoch": 3}}, "unknown fit key(s): 'epoch'"),
+        ({"params": {"epsilon": 0.2, "epsilom": 0.1}}, "unknown params key(s): 'epsilom'"),
+    ],
+    ids=["top", "fit", "params"],
+)
+def test_config_json_refuses_unknown_keys(extra, message, fixtures_dir, tmp_path):
+    """A mistyped key is a ConfigError naming it, not a TypeError from a
+    constructor, at the top level and in each nested object."""
+    raw = json.loads((fixtures_dir / "configs" / "number_uniform.json").read_text())
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**raw, **extra}))
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_json(path)
+    assert str(err.value) == message
+
+
 def test_build_number_task_shapes(fixtures_dir):
     cfg = ExperimentConfig(domain="number", prior="tuned", feature_dim=16)
     ext = FeatureExtractor(dim=16)
