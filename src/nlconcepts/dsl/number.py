@@ -164,9 +164,14 @@ class _Parser:
 
     @classmethod
     def parse(cls, src: str):
-        """The expression that is the whole of `src`."""
+        """The expression that is the whole of `src`. A source nested
+        deeper than the interpreter's recursion limit allows is a syntax
+        error like any other."""
         parser = cls(src)
-        node = parser.parse_expr()
+        try:
+            node = parser.parse_expr()
+        except RecursionError:
+            raise DslSyntaxError("nested too deeply", parser.peek()[2]) from None
         if parser.peek()[0] != "eof":
             parser.fail(f"trailing input {parser.peek()[1]!r}")
         return node

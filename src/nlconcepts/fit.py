@@ -15,6 +15,15 @@ The unconstrained vector layout is
 Several fits (CV folds and the final fit) run as one Adam loop over an
 (F, P) stack of such vectors: they share the compiled tasks and differ
 only in the prediction rows their losses count.
+
+The number tasks of a fit are compiled once (`stack_tasks`) into
+padded per-task blocks: hypotheses as (T, S) and judgments as (T, R),
+S and R the largest pool and the most judgments of one set. Each
+task's predictions are its (F, S) weights times its (S, R) test
+membership, one product per task; the gradient collapses over a
+task's rows through the transposed product. No array of the fit has
+an axis over all judgments and one over the tasks, so memory and time
+grow linearly with the number of sets.
 """
 
 from __future__ import annotations
@@ -168,19 +177,30 @@ class ShapeTask:
 
 @dataclass
 class TaskBatch:
-    """Tasks compiled once for all forward passes of a fit: number tasks
-    stacked and zero-padded to T tasks of S hypotheses, each judgment one
-    row in task order; shape tasks as they are, their trials the rows
-    after the number rows."""
+    """Tasks compiled once for all forward passes of a fit.
 
-    features: Optional[np.ndarray]  # (T, S, D); None under a non-tuned prior
+    Number tasks are stacked and zero-padded to T tasks of S hypotheses
+    and R judgment rows: hypothesis arrays are (T, S), judgment arrays
+    (T, R), and test membership is one (R, S) block per task. Flat, the
+    number rows are the valid entries of the (T, R) blocks in row-major
+    order: task by task, each task's judgments in order. Shape tasks
+    stay as they are, their trials the rows after the number rows.
+
+    The count pieces are zero where a hypothesis is dead (unparsed or
+    padding), so it adds nothing to the likelihood or its gradient."""
+
+    features: Optional[np.ndarray]  # (D, T·S), column t·S + s; None under a non-tuned prior
     base_logprior: np.ndarray  # (T, S)
     alive: np.ndarray  # (T, S) parsed and not padding
+    any_alive: np.ndarray  # (T,) some hypothesis of the task is alive
     inv_size: np.ndarray  # (T, S)
-    n_inside: np.ndarray  # (T, S) training examples inside the extension
-    n_outside: np.ndarray  # (T, S) training examples outside it
-    test_member: np.ndarray  # (N_number, S)
-    row_task: np.ndarray  # (N_number,) task index of each number row
+    n_inside: np.ndarray  # (T, S) training examples inside the extension, 0 where dead
+    n_outside: np.ndarray  # (T, S) training examples outside it, 0 where dead
+    deps_in: np.ndarray  # (T, S) n_inside (1/100 - 1/|C|): d g_in / d eps, times n_inside
+    deps_out: np.ndarray  # (T, S) n_outside / 100: d g_out / d eps, times n_outside
+    test_member: np.ndarray  # (T, R, S) test number r of task t in hypothesis s's extension
+    row_valid: np.ndarray  # (T, R) a judgment, not padding
+    row_targets: np.ndarray  # (T, R) its target, 0 on padding
     shapes: List[ShapeTask]
     ids: List[str]  # every row
     targets: np.ndarray  # every row
@@ -193,6 +213,8 @@ def stack_tasks(tasks) -> TaskBatch:
     numbers = [t for t in tasks if t.domain == "number"]
     shapes = [t for t in tasks if t.domain != "number"]
     width = max((len(t.parsed) for t in numbers), default=0)
+    n_rows = [len(t.targets) for t in numbers]
+    height = max(n_rows, default=0)
 
     def pad(a, axis=0):
         """`a` zero-padded along `axis` (its hypotheses) to `width`."""
@@ -200,22 +222,60 @@ def stack_tasks(tasks) -> TaskBatch:
         widths[axis] = (0, width - a.shape[axis])
         return np.pad(a, widths)
 
-    n_inside = [t.member.sum(axis=1) for t in numbers]
-    test_member = [np.zeros((0, width))] + [pad(t.test_member, axis=1) for t in numbers]
-    tuned = bool(numbers) and numbers[0].features is not None  # tasks share one prior
+    alive = np.array([pad(t.parsed) for t in numbers], dtype=bool).reshape(len(numbers), width)
+    inv_size = np.array([pad(t.inv_size) for t in numbers]).reshape(alive.shape)
+    n_inside = np.array([pad(t.member.sum(axis=1)) for t in numbers]).reshape(alive.shape)
+    n_outside = np.array([t.member.shape[1] for t in numbers])[:, None] - n_inside
+    n_inside, n_outside = np.where(alive, n_inside, 0.0), np.where(alive, n_outside, 0.0)
+    row_valid = np.arange(height) < np.array(n_rows, dtype=int)[:, None]
+    test_member = np.zeros(row_valid.shape + (width,))
+    if numbers:
+        test_member[row_valid] = np.concatenate([pad(t.test_member, axis=1) for t in numbers])
+    targets = np.concatenate([np.zeros(0)] + [t.targets for t in numbers + shapes])
+    row_targets = np.zeros(row_valid.shape)
+    row_targets[row_valid] = targets[: int(row_valid.sum())]
+    features = None
+    if numbers and numbers[0].features is not None:  # tasks share one prior
+        features = np.array([pad(t.features) for t in numbers]).reshape(alive.size, -1).T.copy()
     return TaskBatch(
-        features=np.array([pad(t.features) for t in numbers]) if tuned else None,
-        base_logprior=np.array([pad(t.base_logprior) for t in numbers]),
-        alive=np.array([pad(t.parsed) for t in numbers]),
-        inv_size=np.array([pad(t.inv_size) for t in numbers]),
-        n_inside=np.array([pad(n) for n in n_inside]),
-        n_outside=np.array([pad(t.member.shape[1] - n) for t, n in zip(numbers, n_inside)]),
-        test_member=np.concatenate(test_member),
-        row_task=np.repeat(np.arange(len(numbers)), [len(t.targets) for t in numbers]),
+        features=features,
+        base_logprior=np.array([pad(t.base_logprior) for t in numbers]).reshape(alive.shape),
+        alive=alive,
+        any_alive=alive.any(axis=1),
+        inv_size=inv_size,
+        n_inside=n_inside,
+        n_outside=n_outside,
+        deps_in=n_inside * (1.0 / 100.0 - inv_size),
+        deps_out=n_outside * (1.0 / 100.0),
+        test_member=test_member,
+        row_valid=row_valid,
+        row_targets=row_targets,
         shapes=shapes,
         ids=[i for t in numbers + shapes for i in t.ids],
-        targets=np.concatenate([np.zeros(0)] + [t.targets for t in numbers + shapes]),
+        targets=targets,
     )
+
+
+@dataclass
+class FitRows:
+    """The rows each of F fits counts, laid out as the TaskBatch they
+    select from: the number rows as an (F, T, R) block, False on
+    padding, and the shape rows flat."""
+
+    number: np.ndarray  # (F, T, R) bool
+    shape_trials: np.ndarray  # (F, N_shape) bool
+
+
+def fit_rows(batch: TaskBatch, rows) -> FitRows:
+    """`rows`, an (F, N) bool mask over the N rows of `batch`, as FitRows
+    (FitRows pass through)."""
+    if isinstance(rows, FitRows):
+        return rows
+    rows = np.asarray(rows, dtype=bool)
+    n = int(batch.row_valid.sum())
+    number = np.zeros((len(rows),) + batch.row_valid.shape, dtype=bool)
+    number[:, batch.row_valid] = rows[:, :n]
+    return FitRows(number, rows[:, n:])
 
 
 def _unpack(u: np.ndarray, dim: int) -> ModelParams:
@@ -244,49 +304,54 @@ def number_weights(stack, batch: TaskBatch, dim):
     example inside and outside each extension, and epsilon and the
     temperature (both (F, 1, 1))."""
     eps = expit(stack[:, dim])[:, None, None]
-    temp = np.exp(np.clip(stack[:, dim + 3], -700, 700))[:, None, None]
+    temp = np.exp(np.minimum(np.maximum(stack[:, dim + 3], -700), 700))[:, None, None]
     log_prior = batch.base_logprior
     if batch.features is not None:
-        log_prior = log_prior + np.einsum("tsd,fd->fts", batch.features, stack[:, :dim])
+        log_prior = log_prior + (stack[:, :dim] @ batch.features).reshape((-1,) + log_prior.shape)
+    # dead hypotheses count no examples, so their log-likelihood is 0
     loglik, g_in, g_out = count_logliks(batch.n_inside, batch.n_outside, batch.inv_size, eps)
-    log_unnorm = log_prior + np.where(batch.alive, loglik, 0.0)
+    log_unnorm = log_prior + loglik
     return softmax_masked(log_unnorm / temp, batch.alive), log_unnorm, g_in, g_out, eps, temp
 
 
 def _number_rows(stack, batch: TaskBatch, dim, rows, grad):
-    """(loss (F,) over each fit's `rows`, predictions (F, N)) of the
-    number rows; adds d(loss)/du into grad (F, P) when given."""
-    w, log_unnorm, g_in, g_out, eps, temp = number_weights(stack, batch, dim)
-    a, b = stack[:, dim + 4, None], stack[:, dim + 5, None]
-    alive = batch.alive
+    """(loss (F,) over each fit's `rows`, an (F, T, R) block, and the
+    predictions (F, T, R)) of the number rows; adds d(loss)/du into
+    grad (F, P) when given.
 
-    w_rows = w[:, batch.row_task]  # (F, N, S)
-    p_raw = np.einsum("ns,fns->fn", batch.test_member, w_rows)
+    Task t's predictions are w[:, t] @ test_member[t].T, one (F, S) @
+    (S, R) product per task, and the gradient in its log-weights one
+    (F, R) @ (R, S) product."""
+    w, log_unnorm, g_in, g_out, eps, temp = number_weights(stack, batch, dim)
+    a, b = stack[:, dim + 4, None, None], stack[:, dim + 5, None, None]
+    # one product per task, in task-major order, copied back to fit-major
+    p_raw = np.ascontiguousarray((w.swapaxes(0, 1) @ batch.test_member.swapaxes(1, 2)).swapaxes(0, 1))
     # nothing parses: the noise-only prediction 0.5, through the Platt transform
-    p_raw = np.where(alive.any(axis=1)[batch.row_task], p_raw, 0.5)
-    p_c = np.clip(p_raw, 1e-6, 1.0 - 1e-6)
-    logit_p = logit(p_c)
+    p_raw = np.where(batch.any_alive[:, None], p_raw, 0.5)
+    p_c = np.minimum(np.maximum(p_raw, 1e-6), 1.0 - 1e-6)
+    q_c = 1.0 - p_c
+    logit_p = np.log(p_c / q_c)
     z = b + a * logit_p
     pred = expit(z)
-    r = batch.targets[: len(batch.row_task)]
-    loss = np.where(rows, r * _softplus(-z) + (1 - r) * _softplus(z), 0.0).sum(axis=1)
+    r = batch.row_targets
+    # r softplus(-z) + (1 - r) softplus(z), as softplus(-z) = softplus(z) - z
+    loss = np.where(rows, _softplus(z) - r * z, 0.0).sum(axis=(1, 2))
 
     if grad is not None:
-        dl_dz = np.where(rows, pred - r, 0.0)  # (F, N)
-        grad[:, dim + 4] += (dl_dz * logit_p).sum(axis=1)
-        grad[:, dim + 5] += dl_dz.sum(axis=1)
+        dl_dz = np.where(rows, pred - r, 0.0)  # (F, T, R)
+        grad[:, dim + 4] += (dl_dz * logit_p).sum(axis=(1, 2))
+        grad[:, dim + 5] += dl_dz.sum(axis=(1, 2))
         inside = (p_raw > 1e-6) & (p_raw < 1.0 - 1e-6)
-        dl_dp = np.where(inside, dl_dz * a / (p_c * (1.0 - p_c)), 0.0)
-        # dp_n/ds_s = w_s (t_ns - p_n); collapse over each task's rows
-        per_row = (batch.test_member - p_raw[:, :, None]) * w_rows * dl_dp[:, :, None]
-        one_hot = np.eye(len(alive))[batch.row_task]  # (N, T)
-        coeff = np.einsum("fns,nt->fts", per_row, one_hot) / temp  # (F, T, S)
+        dl_dp = np.where(inside, dl_dz * a / (p_c * q_c), 0.0)
+        # dp_r/ds_s = w_s (t_rs - p_r); summed over each task's rows that is
+        # w_s (dl_dp @ test_member - dl_dp . p), one (F, R) @ (R, S) per task
+        by_rows = (dl_dp.swapaxes(0, 1) @ batch.test_member).swapaxes(0, 1)  # (F, T, S)
+        coeff = w * (by_rows - (dl_dp * p_raw).sum(axis=2)[:, :, None]) / temp
         if batch.features is not None:
-            grad[:, :dim] += np.einsum("fts,tsd->fd", coeff, batch.features)
-        dll_deps = batch.n_inside * (1.0 / 100.0 - batch.inv_size) / g_in
-        dll_deps = np.where(alive, dll_deps + batch.n_outside * (1.0 / 100.0) / g_out, 0.0)
+            grad[:, :dim] += coeff.reshape(len(stack), -1) @ batch.features.T
+        dll_deps = batch.deps_in / g_in + batch.deps_out / g_out
         grad[:, dim] += (coeff * dll_deps).sum(axis=(1, 2)) * (eps * (1.0 - eps))[:, 0, 0]
-        safe_u = np.where(alive, log_unnorm, 0.0)
+        safe_u = np.where(batch.alive, log_unnorm, 0.0)
         grad[:, dim + 3] -= (coeff * safe_u).sum(axis=(1, 2))
     return loss, pred
 
@@ -404,27 +469,30 @@ def loss_and_grad(u: np.ndarray, tasks, dim: int, want_grad: bool = True, rows=N
 
     `tasks` is a sequence of tasks or a TaskBatch. `u` is one parameter
     vector (P,) or a stack (F, P); `rows`, an (F, N) bool mask over the
-    N prediction rows, picks the rows each fit's loss counts (default
-    all). Returns (loss, grad, one (id, prediction, target) per row)
-    for one vector, (loss (F,), grad (F, P), predictions (F, N)) for a
-    stack; grad is None without want_grad.
+    N prediction rows or its `fit_rows`, picks the rows each fit's loss
+    counts (default all). Returns (loss, grad, one (id, prediction,
+    target) per row) for one vector, (loss (F,), grad (F, P),
+    predictions (F, N)) for a stack; grad is None without want_grad.
     """
     batch = stack_tasks(tasks)
     stack = np.atleast_2d(u)
     if rows is None:
         rows = np.ones((len(stack), len(batch.ids)), dtype=bool)
+    rows = fit_rows(batch, rows)
     grad = np.zeros_like(stack) if want_grad else None
     loss = np.zeros(len(stack))
     pred = np.empty((len(stack), len(batch.ids)))
-    n = len(batch.row_task)
+    n = len(batch.ids) - rows.shape_trials.shape[1]  # the number rows come first
     if n:
-        loss, pred[:, :n] = _number_rows(stack, batch, dim, rows[:, :n], grad)
+        loss, number_pred = _number_rows(stack, batch, dim, rows.number, grad)
+        pred[:, :n] = number_pred[:, batch.row_valid]
+    shape_pred = pred[:, n:]
     for f in range(len(stack)):
-        col = n
+        col = 0
         for task in batch.shapes:
             end = col + len(task.ids)
-            task_loss, pred[f, col:end] = _shape_rows(
-                task, stack[f], dim, None if grad is None else grad[f], rows[f, col:end]
+            task_loss, shape_pred[f, col:end] = _shape_rows(
+                task, stack[f], dim, None if grad is None else grad[f], rows.shape_trials[f, col:end]
             )
             loss[f] += task_loss
             col = end
@@ -461,9 +529,13 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> np.ndarray:
+    """One Adam step from `u`, returned as a new array; `state.m` and
+    `state.v` are updated in place."""
     state.t += 1
-    state.m = beta1 * state.m + (1.0 - beta1) * grad
-    state.v = beta2 * state.v + (1.0 - beta2) * grad**2
+    state.m *= beta1
+    state.m += (1.0 - beta1) * grad
+    state.v *= beta2
+    state.v += (1.0 - beta2) * grad**2
     m_hat = state.m / (1.0 - beta1**state.t)
     v_hat = state.v / (1.0 - beta2**state.t)
     return u - lr * m_hat / (np.sqrt(v_hat) + eps)
@@ -528,20 +600,23 @@ def fit_params(
     dim = len(init.theta)
     batch = stack_tasks(train_tasks)
     rows = np.asarray([np.ones(len(batch.ids))] if train_rows is None else train_rows, dtype=bool)
+    compiled_rows = fit_rows(batch, rows)
     stack = np.tile(pack_params(init), (len(rows), 1))
     mask = trainable_mask(dim, config.trainable)
+    trains = bool(mask.any())
     state = AdamState.zeros(stack.shape)
     losses = []
-    for epoch in range(config.epochs if mask.any() else 1):
+    for epoch in range(config.epochs if trains else 1):
         try:
-            loss, grad, _ = loss_and_grad(stack, batch, dim, want_grad=mask.any(), rows=rows)
+            loss, grad, _ = loss_and_grad(stack, batch, dim, want_grad=trains, rows=compiled_rows)
         except NonFinite as error:
             raise NonFinite(error.folds, epoch) from None
         losses.append(loss)
-        if mask.any():
+        if trains:
+            grad *= mask  # frozen groups get no gradient
             stack = adam_step(
                 stack,
-                np.where(mask, grad, 0.0),
+                grad,
                 state,
                 lr=config.learning_rate,
                 beta1=config.adam_beta1,
@@ -550,7 +625,7 @@ def fit_params(
             )
     traces = np.array(losses).T.tolist()
     # no closing forward pass when no fit holds a row out
-    pred = None if rows.all() else loss_and_grad(stack, batch, dim, want_grad=False, rows=rows)[2]
+    pred = None if rows.all() else loss_and_grad(stack, batch, dim, want_grad=False, rows=compiled_rows)[2]
     results = [
         FitResult(
             _unpack(u, dim),

@@ -14,6 +14,10 @@ constants and the PosteriorState container from the library.
 dense (S, K) arrays of q, r and log r, valid for any truth values, one
 row per rule of `rule_level(task)`.
 
+`number_rows_dense` is the reference for the library's number kernel
+(`fit.loss_and_grad` on number tasks): the same loss, predictions and
+gradient written over dense per-row arrays of each row's task weights.
+
 `tokenize` is the reference for the DSL tokenizer
 (`dsl.number._tokenize`): one regex match per token from the current
 position, and an error at the first position no token matches.
@@ -27,7 +31,7 @@ import math
 import re
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import expit, logsumexp
 
 from nlconcepts.dsl import DslSyntaxError, eval_shape, number_extension
 from nlconcepts.likelihood import NEG_LARGE
@@ -329,3 +333,103 @@ def shape_forward_magnitudes(task, params, dl_dpred):
     d_temp = (d_score * size).sum() / temp**2
     z = float(size[task.visible].max(initial=0.0)) / temp
     return z, (d_theta, d_eps, d_alpha, d_beta, d_temp)
+
+
+# ---------------------------------------------------------------------------
+# Number kernel
+
+
+def number_rows_dense(tasks, stack, dim, rows):
+    """The number fit's loss, predictions and gradient (`fit.loss_and_grad`
+    on number tasks) as a dense pass over the judgment rows: each row
+    gathers its task's weights into (F, N, S) arrays, and the gradient
+    reaches the tasks through an (N, T) one-hot. `tasks` are
+    NumberTasks, `stack` (F, P) unconstrained vectors laid out as
+    `fit.pack_params` lays them out, `rows` (F, N) the rows each loss
+    counts, in task order.
+
+    Returns (loss (F,), predictions (F, N), grad (F, P), magnitudes
+    (F, P), z (F,)). magnitudes holds each gradient's sum with every
+    factor replaced by its magnitude, where a row's t - p counts as
+    t + p, since a kernel may sum the t and p terms apart. z is the
+    largest sum of magnitudes behind the tempered log-weight of a live
+    hypothesis, (|log prior| + |log likelihood|) / T, term by term.
+
+    The weights are the softmax shifted by the top score, as the library
+    computes them, not a log-sum-exp: the Platt gradient divides by
+    p (1 - p), so near p = 1 a relative error d in the weights becomes
+    d / (1 - p) in the gradient, up to 1e6 d."""
+    width = max(len(t.parsed) for t in tasks)
+
+    def pad(a, axis=0):
+        widths = [(0, 0)] * a.ndim
+        widths[axis] = (0, width - a.shape[axis])
+        return np.pad(a, widths)
+
+    alive = np.array([pad(t.parsed) for t in tasks], dtype=bool)
+    inv_size = np.array([pad(t.inv_size) for t in tasks])
+    n_in = np.array([pad(t.member.sum(axis=1)) for t in tasks])
+    n_out = np.array([t.member.shape[1] for t in tasks])[:, None] - n_in
+    base = np.array([pad(t.base_logprior) for t in tasks])
+    tuned = tasks[0].features is not None
+    test_member = np.concatenate([pad(t.test_member, axis=1) for t in tasks])  # (N, S)
+    row_task = np.repeat(np.arange(len(tasks)), [len(t.targets) for t in tasks])
+    r = np.concatenate([t.targets for t in tasks])
+
+    eps = expit(stack[:, dim])[:, None, None]
+    temp = np.exp(stack[:, dim + 3])[:, None, None]
+    log_prior, prior_size = base, np.abs(base)
+    if tuned:
+        features = np.array([pad(t.features) for t in tasks])  # (T, S, D)
+        log_prior = log_prior + np.einsum("tsd,fd->fts", features, stack[:, :dim])
+        prior_size = prior_size + np.einsum("tsd,fd->fts", np.abs(features), np.abs(stack[:, :dim]))
+    g_in = (1.0 - eps) * inv_size + eps / 100.0
+    g_out = eps / 100.0
+    log_g_in, log_g_out = np.log(np.maximum(g_in, 1e-300)), np.log(np.maximum(g_out, 1e-300))
+    loglik = np.where(alive, n_in * log_g_in + n_out * log_g_out, 0.0)
+    log_unnorm = log_prior + loglik
+    size = prior_size + np.where(alive, n_in * np.abs(log_g_in) + n_out * np.abs(log_g_out), 0.0)
+    z_max = np.where(alive, size / temp, 0.0).max(axis=(1, 2))
+
+    # softmax over the live hypotheses of each task, shifted by the top score
+    w = np.zeros(log_unnorm.shape)
+    for t, live in enumerate(alive):
+        if live.any():
+            scaled = log_unnorm[:, t, live] / temp[:, 0]
+            e = np.exp(scaled - scaled.max(axis=1, keepdims=True))
+            w[:, t, live] = e / e.sum(axis=1, keepdims=True)
+
+    a, b = stack[:, dim + 4, None], stack[:, dim + 5, None]
+    w_rows = w[:, row_task]  # (F, N, S)
+    p_raw = np.einsum("ns,fns->fn", test_member, w_rows)
+    p_raw = np.where(alive.any(axis=1)[row_task], p_raw, 0.5)
+    p_c = np.clip(p_raw, 1e-6, 1.0 - 1e-6)
+    logit_p = np.log(p_c / (1.0 - p_c))
+    zeta = b + a * logit_p
+    pred = expit(zeta)
+    loss = np.where(rows, r * np.logaddexp(0.0, -zeta) + (1 - r) * np.logaddexp(0.0, zeta), 0.0).sum(axis=1)
+
+    grad, mag = np.zeros(stack.shape), np.zeros(stack.shape)
+    dl_dz = np.where(rows, pred - r, 0.0)
+    grad[:, dim + 4] = (dl_dz * logit_p).sum(axis=1)
+    mag[:, dim + 4] = np.abs(dl_dz * logit_p).sum(axis=1)
+    grad[:, dim + 5] = dl_dz.sum(axis=1)
+    mag[:, dim + 5] = np.abs(dl_dz).sum(axis=1)
+    inside = (p_raw > 1e-6) & (p_raw < 1.0 - 1e-6)
+    dl_dp = np.where(inside, dl_dz * a / (p_c * (1.0 - p_c)), 0.0)
+    one_hot = np.eye(len(tasks))[row_task]  # (N, T)
+    per_row = (test_member - p_raw[:, :, None]) * w_rows * dl_dp[:, :, None]
+    coeff = np.einsum("fns,nt->fts", per_row, one_hot) / temp
+    per_row_abs = (test_member + np.abs(p_raw[:, :, None])) * w_rows * np.abs(dl_dp[:, :, None])
+    coeff_abs = np.einsum("fns,nt->fts", per_row_abs, one_hot) / temp
+    if tuned:
+        grad[:, :dim] = np.einsum("fts,tsd->fd", coeff, features)
+        mag[:, :dim] = np.einsum("fts,tsd->fd", coeff_abs, np.abs(features))
+    dll_deps = np.where(alive, n_in * (1.0 / 100.0 - inv_size) / g_in + n_out / 100.0 / g_out, 0.0)
+    dll_abs = np.where(alive, n_in * np.abs(1.0 / 100.0 - inv_size) / g_in + n_out / 100.0 / g_out, 0.0)
+    grad[:, dim] = (coeff * dll_deps).sum(axis=(1, 2)) * (eps * (1.0 - eps))[:, 0, 0]
+    mag[:, dim] = (coeff_abs * dll_abs).sum(axis=(1, 2)) * (eps * (1.0 - eps))[:, 0, 0]
+    safe_u = np.where(alive, log_unnorm, 0.0)
+    grad[:, dim + 3] = -(coeff * safe_u).sum(axis=(1, 2))
+    mag[:, dim + 3] = (coeff_abs * np.where(alive, size, 0.0)).sum(axis=(1, 2))
+    return loss, pred, grad, mag, z_max

@@ -40,6 +40,16 @@ def test_infer_number(fixtures_dir, capsys):
     assert not payload["degenerate"]
 
 
+def test_infer_number_counts_a_too_deeply_nested_rule_as_unparsed(tmp_path, capsys):
+    pool = tmp_path / "deep.jsonl"
+    pool.write_text(json.dumps({"nl": "deep", "dsl": "(" * 400 + "x" + ")" * 400 + " < 3"}) + "\n")
+    rc = main(["infer", "--domain", "number", "--pool", str(pool), "--examples", "16,8"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["degenerate"]
+    assert payload["diagnostics"]["unparsed"] == 1
+
+
 def test_infer_number_tuned_prior(fixtures_dir, capsys):
     """`infer --prior tuned` weighs the pool by the fitted theta."""
     params_path = fixtures_dir / "params_true.json"

@@ -145,6 +145,16 @@ def test_parse_errors_pin_message_and_position(src, message, pos):
     assert (str(err.value), err.value.pos) == (f"{message} (at position {pos})", pos)
 
 
+@pytest.mark.parametrize("domain,rule", [("number", "x < 3"), ("shape", "this.color == green")])
+def test_too_deep_nesting_is_a_syntax_error(domain, rule):
+    """Nesting past the interpreter's recursion limit raises
+    DslSyntaxError from the one parse entry point of both languages."""
+    with pytest.raises(DslSyntaxError, match="nested too deeply"):
+        parse_concept("(" * 400 + rule + ")" * 400, domain)
+    # within the limit, the parentheses just group
+    assert parse_concept("(" * 50 + rule + ")" * 50, domain) == parse_concept(rule, domain)
+
+
 def test_pred_arity_enforced():
     with pytest.raises(DslSyntaxError):
         parse_number_concept("even(x, 2)")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from nlconcepts.fit import (
     FitConfig,
     InvalidK,
     NonFinite,
+    NumberTask,
     adam_step,
     fit_params,
     kfold_split,
@@ -443,3 +445,46 @@ def test_non_finite_fold_is_named_with_its_epoch():
     # a fold that leaves the row out fits on its own
     (result,) = fit_params(FitConfig(epochs=5), [task], init, train_rows=rows[:1])
     assert [d for d, _, _ in result.holdout_predictions] == ["t10"]
+
+
+def synthetic_number_tasks(n_sets, seed, n_hyps=12, n_rows=6):
+    """`n_sets` tuned number tasks of random arrays, each of `n_hyps`
+    hypotheses, 4 examples and `n_rows` judgments."""
+    rng = np.random.default_rng(seed)
+    return [
+        NumberTask(
+            features=rng.normal(size=(n_hyps, DIM)),
+            base_logprior=np.zeros(n_hyps),
+            parsed=rng.random(n_hyps) < 0.9,
+            member=(rng.random((n_hyps, 4)) < 0.5).astype(float),
+            inv_size=rng.uniform(0.01, 1.0, n_hyps),
+            test_member=(rng.random((n_rows, n_hyps)) < 0.5).astype(float),
+            targets=rng.random(n_rows),
+            ids=[f"set{i}:{r}" for r in range(n_rows)],
+            names=[f"h{h}" for h in range(n_hyps)],
+        )
+        for i in range(n_sets)
+    ]
+
+
+def test_task_batch_and_epoch_memory_grow_linearly_with_the_sets():
+    """Three times the sets, of equal S and R, take at most 3.3 times
+    the compiled bytes and the peak memory of one epoch: no array of
+    the fit has both a row axis over all sets and a set axis."""
+
+    def sizes(n_sets):
+        tasks = synthetic_number_tasks(n_sets, seed=n_sets)
+        batch = stack_tasks(tasks)
+        compiled = sum(a.nbytes for a in vars(batch).values() if isinstance(a, np.ndarray))
+        u = np.tile(pack_params(ModelParams(theta=np.zeros(DIM))), (3, 1))
+        tracemalloc.start()
+        try:
+            loss_and_grad(u, batch, DIM)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return compiled, peak
+
+    (small, small_peak), (large, large_peak) = sizes(100), sizes(300)
+    assert large <= 3.3 * small
+    assert large_peak <= 3.3 * small_peak

@@ -99,3 +99,15 @@ def test_score_file_round_trip(tmp_path):
     path = tmp_path / "scores.jsonl"
     io.save_score_file(path, {"the number is even": -2.5})
     assert io.load_score_file(path) == {"the number is even": -2.5}
+
+
+@pytest.mark.parametrize("domain", ["number", "shape"])
+def test_pool_load_marks_a_too_deeply_nested_rule_unparsed(tmp_path, domain):
+    """A source nested past the recursion limit is a parse failure, not
+    a crash of the load."""
+    deep = "(" * 400 + "x" + ")" * 400 + " < 3"
+    path = tmp_path / "pool.jsonl"
+    path.write_text(json.dumps({"nl": "deep", "dsl": deep}) + "\n")
+    (h,) = io.load_pool(path, domain)
+    assert not h.parsed
+    assert h.program.source == deep

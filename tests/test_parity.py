@@ -31,7 +31,7 @@ from nlconcepts.io import make_hypothesis
 from nlconcepts.likelihood import EvalCache, pool_number_logliks
 from nlconcepts.posterior import ZERO_CUTOFF, dedup_pool, dedup_weights, platt, predict_membership
 from nlconcepts.prior import FeatureExtractor
-from nlconcepts.types import ModelParams
+from nlconcepts.types import ModelParams, NumberExampleSet
 
 import oracle
 from conftest import FIXTURES, exchangeable_shape_pool, synthetic_shape_curve, synthetic_shape_pool
@@ -287,6 +287,72 @@ def test_shape_kernel_over_classes_matches_dense_reference_over_rules(prior):
         assert_kernel_matches_dense(task, params, dl_dpred, f"{prior}, {params}")
     if prior == "uniform":
         assert_shape_paths_match_oracle(cfg, pool, curve, grid[0])
+
+
+# ---------------------------------------------------------------------------
+# The number kernel against its dense reference
+
+NUMBER_KERNEL_GRID = list(itertools.product((1e-300, 0.3, EDGE), (1e-3, 1.0, 50.0)))
+
+
+def number_kernel_tasks(prior, keep):
+    """The fixture example sets compiled under `prior`, set i keeping
+    the judgments keep(i, its judgments) picks, with a set whose one
+    rule never parses placed third."""
+    cfg = config("number", prior)
+    extractor = FeatureExtractor(dim=cfg.feature_dim)
+    pools = fixture_number_pools()
+    rng = np.random.default_rng(16)
+    dead = [make_hypothesis("nonsense", "???", "number")]
+    scores = {h.key: float(rng.normal(-2.0, 1.0)) for pool in [*pools.values(), dead] for h in pool}
+    by_set = group_judgments(io.load_number_judgments(FIXTURES / "number_judgments.csv"), pools)
+    tasks = []
+    for i, (set_id, group) in enumerate(by_set.items()):
+        tests = [(j.test_number, j.mean_rating, f"{set_id}:{j.test_number}") for j in keep(i, group)]
+        tasks.append(build_number_task(cfg, pools[set_id], group[0].example_set, tests, extractor, scores))
+    tasks.insert(2, build_number_task(
+        cfg, dead, NumberExampleSet([5]), [(10, 0.5, "dead:10"), (3, 0.2, "dead:3")], extractor, scores
+    ))
+    return tasks
+
+
+@pytest.mark.parametrize("prior", ["uniform", "tuned", "external"])
+@pytest.mark.parametrize("counts", ["equal", "unequal"])
+def test_number_kernel_matches_dense_reference(prior, counts):
+    """`fit.loss_and_grad` on number tasks against
+    `oracle.number_rows_dense`, for three fits with random row masks,
+    at random parameters and at every combination of eps in
+    {1e-300, 0.3, 1 - 1e-16} and T in {1e-3, 1, 50}: predictions within
+    1e-12, losses within 1e-12 of their value and gradients within 1e-9
+    of each magnitude. As in `assert_kernel_matches_dense`, where
+    T = 1e-3 makes a log-weight large, each tolerance also allows the
+    summation bound 2 (D + 4) u z (u the unit roundoff, z the largest
+    tempered log-weight magnitude), and no gradient is held closer than
+    the smallest normal number."""
+    keep = (lambda i, group: group) if counts == "equal" else (lambda i, group: group[: 1 + i % len(group)])
+    tasks = number_kernel_tasks(prior, keep)
+    dim = DIM if prior == "tuned" else 0
+    n_rows = sum(len(t.targets) for t in tasks)
+    if counts == "unequal":
+        assert len({len(t.targets) for t in tasks}) > 2
+    u, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    rng = np.random.default_rng(17)
+    grid = [random_params(rng, dim) for _ in range(3)]
+    for eps, temp in NUMBER_KERNEL_GRID:
+        grid.append(ModelParams(theta=rng.normal(0, 0.5, dim), epsilon=eps, temperature=temp, platt_a=1.3, platt_b=-0.2))
+    for params in grid:
+        stack = np.tile(pack_params(params), (3, 1))
+        stack[1:, dim + 4 :] += rng.normal(0, 0.3, (2, 2))  # other Platt parameters per fit
+        rows = rng.random((3, n_rows)) < 0.8
+        loss, grad, pred = loss_and_grad(stack, tasks, dim, rows=rows)
+        want_loss, want_pred, want_grad, mag, z = oracle.number_rows_dense(tasks, stack, dim, rows)
+        rounding = (2 * (dim + 4) * u * z)[:, None]
+        at = f"{prior}, {counts}, {params}"
+        assert np.isfinite(pred).all() and np.isfinite(grad).all(), at
+        assert np.all(np.abs(pred - want_pred) <= 1e-12 + rounding), at
+        assert np.all(np.abs(loss - want_loss) <= (1e-12 + rounding[:, 0]) * want_loss), at
+        bound = np.maximum((1e-9 + rounding) * np.maximum(np.abs(want_grad), mag), tiny)
+        assert np.all(np.abs(grad - want_grad) <= bound), f"{at}: {grad} vs {want_grad}"
 
 
 # ---------------------------------------------------------------------------

@@ -502,6 +502,19 @@ def test_translate_unparseable_yields_unparsed(tmp_path):
     assert program.source == "cursed(x"
 
 
+def test_translate_too_deeply_nested_yields_unparsed(tmp_path):
+    store = ReplayStore(tmp_path / "rs")
+    from nlconcepts.propose.backends import translation_prompt
+    from nlconcepts.types import Unparsed
+
+    deep = "(" * 400 + "x" + ")" * 400 + " < 3"
+    t_params = {"temperature": 0.0, "n": 1, "max_tokens": 128, "stop": "\n"}
+    store.record(translation_prompt("the number is deep", "number"), t_params, [{"text": deep, "logprob": None}])
+    program = translate_nl_to_dsl("the number is deep", "number", ReplayBackend(store))
+    assert isinstance(program, Unparsed)
+    assert program.source == deep
+
+
 def test_score_prompt_strips_domain_prefix():
     prefix, continuation = score_prompt("The number is EVEN.", "number")
     assert continuation == "even"
