@@ -1,8 +1,10 @@
 """Number Game walkthrough: posterior over natural-language hypotheses.
 
 Given a handful of example numbers, we weigh a pool of candidate
-concepts by prior x likelihood and read off the posterior predictive
-membership probability for new numbers. The likelihood embeds the size
+concepts by prior x likelihood (`harness.infer_number`, the posterior
+`nlconcepts infer` prints) and read off the posterior predictive
+membership probability for new numbers from the concepts' extensions
+(`likelihood.extension_matrix`). The likelihood embeds the size
 principle: smaller consistent concepts explain the data better, so
 [16, 8, 2, 64] pulls sharply toward "power of 2" over plain "even".
 
@@ -12,10 +14,9 @@ Run from the repository root:  python3 demos/number_game.py
 from pathlib import Path
 
 from nlconcepts import io
-from nlconcepts.likelihood import pool_number_logliks
-from nlconcepts.posterior import dedup_weights, predict_membership
-from nlconcepts.prior import Uniform
-from nlconcepts.types import NumberExampleSet
+from nlconcepts.harness import ExperimentConfig, infer_number
+from nlconcepts.likelihood import extension_matrix
+from nlconcepts.types import ModelParams, NumberExampleSet
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -23,15 +24,15 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 def show_posterior(examples, epsilon=0.02):
     pool = io.load_pool(FIXTURES / "number_pool_size_principle.jsonl", "number")
     x = NumberExampleSet(examples)
-    loglik = pool_number_logliks(pool, x, epsilon)
-    state = dedup_weights(pool, Uniform(), loglik)
+    state = infer_number(ExperimentConfig("number"), pool, x, ModelParams(epsilon=epsilon))
+    member = extension_matrix(state.pool)  # (hypotheses, 100): is x in each concept
 
     print(f"examples: {list(x.examples)}   (epsilon = {epsilon})")
     order = state.weights.argsort()[::-1]
     for i in order:
         print(f"  p = {state.weights[i]:.4f}  {state.pool[i].nl_text}")
     for test in (32, 12, 23, 87):
-        p = predict_membership(state, test)
+        p = state.weights @ member[:, test - 1]
         print(f"  P({test} in concept) = {p:.4f}")
     print()
 

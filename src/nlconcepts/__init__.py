@@ -12,22 +12,10 @@ Two experimental domains are included: the Number Game (concepts over
 """
 
 from .fit import FitConfig, FitResult, fit_params, kfold_split, r_squared
-from .likelihood import (
-    EvalCache,
-    decayed_sequence_loglik,
-    number_loglikelihood,
-    pool_number_logliks,
-    pool_shape_logliks,
-)
-from .posterior import (
-    PosteriorState,
-    dedup_pool,
-    dedup_weights,
-    importance_weights,
-    predict_membership,
-    predict_response,
-)
-from .prior import External, FeatureExtractor, Tuned, Uniform, extract_features
+from .harness import infer_number, infer_shape
+from .likelihood import EvalCache
+from .posterior import PosteriorState, dedup_pool
+from .prior import FeatureExtractor, extract_features
 from .types import (
     Hypothesis,
     HumanNumberJudgment,
@@ -45,7 +33,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EvalCache",
-    "External",
     "FeatureExtractor",
     "FitConfig",
     "FitResult",
@@ -57,22 +44,14 @@ __all__ = [
     "PosteriorState",
     "ShapeObject",
     "Trial",
-    "Tuned",
-    "Uniform",
     "Unparsed",
     "canonicalize_nl",
-    "decayed_sequence_loglik",
     "dedup_pool",
-    "dedup_weights",
     "extract_features",
     "fit_params",
-    "importance_weights",
+    "infer_number",
+    "infer_shape",
     "kfold_split",
-    "number_loglikelihood",
-    "pool_number_logliks",
-    "pool_shape_logliks",
-    "predict_membership",
-    "predict_response",
     "r_squared",
     "shape_universe",
     "__version__",

@@ -14,14 +14,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import baselines, harness, io
 from .dsl import NUMBER as NUMBER_DOMAIN
 from .dsl import SHAPE as SHAPE_DOMAIN
-from .fit import fit_params, number_weights, pack_params, shape_forward, stack_tasks
-from .posterior import dedup_pool, posterior_state
-from .prior import FeatureExtractor
+from .fit import fit_params
 from .propose import (
     ChatClient,
     ProposalRequest,
@@ -122,24 +118,14 @@ def _cmd_infer(args) -> int:
         raise UsageError(f"infer --prior tuned needs a non-empty theta in --params {args.params}")
     scores = args.scores or ""
     cfg = harness.ExperimentConfig(args.domain, prior=args.prior, scores_path=scores, feature_dim=dim)
-    extractor = FeatureExtractor(dim=dim)
     if args.domain == "number":
         pool = io.load_pool(args.pool, NUMBER_DOMAIN)
-        task = harness.build_number_task(cfg, pool, _parse_examples(args.examples), [], extractor)
-        weights = number_weights(pack_params(params)[None], stack_tasks([task]), dim)[0][0, 0]
-        alive = task.parsed
+        state = harness.infer_number(cfg, pool, _parse_examples(args.examples), params)
     else:
         pool = io.load_pool(args.pool, SHAPE_DOMAIN)
         curve = io.load_learning_curve(args.curve)
-        b = _upto_batch(args, curve)
-        if b == len(curve.batches):  # every batch seen: every parsed rule is visible
-            pool = [replace(h, source_batch=None) for h in pool]
-        task = harness.build_shape_task(cfg, pool, curve, extractor)
-        # the weights before batch b + 1 of the online model, and after the last batch
-        task = replace(task, visible=np.vstack([task.visible, task.visible[-1:]]))
-        weights = shape_forward(task, params)[1][b, task.rule_class]
-        alive = task.visible[b, task.rule_class]
-    print(posterior_state(dedup_pool(pool)[0], len(pool), weights, alive).to_json())
+        state = harness.infer_shape(cfg, pool, curve, _upto_batch(args, curve), params)
+    print(state.to_json())
     return 0
 
 
@@ -167,7 +153,8 @@ def _cmd_fit(args) -> int:
 def _cmd_eval(args) -> int:
     cfg = harness.ExperimentConfig.from_json(args.config)
     if args.params:
-        cfg.params = _load_params(args.params)
+        # through the constructor's checks: a tuned prior's theta must have feature_dim entries
+        cfg = replace(cfg, params=_load_params(args.params))
     if cfg.params is None:
         raise SystemExit("eval requires fitted parameters (config or --params)")
     out_dir = Path(args.out_dir or cfg.out_dir or ".")

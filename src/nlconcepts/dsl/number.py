@@ -22,6 +22,11 @@ Grammar (see grammars/number.ebnf):
 tables the formatter reads (`_BOOL_PREC`, `_ARITH_PREC`), all left
 associative. The shape language (`shape.py`) extends this parser and
 shares its boolean layer, `Cmp` node, `COMPARE` table and formatter.
+A source whose tree is more than `MAX_DEPTH` nodes deep is a syntax
+error ("nested too deeply"), as is one nested past the parser's own
+recursion limit: evaluating, formatting, comparing and pickling a tree
+all recurse once or more per level, and chains of `or`, `and`, `+`,
+`-`, `*` or `mod` build depth without deepening the parse.
 
 Conventions (these matter for concepts like "powers of two"):
   * prime(1) is false.
@@ -33,7 +38,7 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from typing import Tuple
 
 SAT = 10**9  # arithmetic saturation bound
@@ -136,6 +141,24 @@ COMPARE = {
 _BOOL_PREC = {"or": 1, "and": 2}
 _ARITH_PREC = {"+": 1, "-": 1, "*": 2, "mod": 2, "^": 3}
 
+# the deepest tree a parse returns, in nodes on a path from the root
+MAX_DEPTH = 200
+
+
+def _depth(node) -> int:
+    """Nodes on the longest path down from `node`, counted without
+    recursion; a node's children are its dataclass fields, alone or in
+    a tuple."""
+    deepest, stack = 0, [(node, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        for value in vars(node).values():
+            for child in value if isinstance(value, tuple) else (value,):
+                if is_dataclass(child):
+                    stack.append((child, depth + 1))
+    return deepest
+
 
 def _tokenize(src: str):
     """(kind, value, position) tokens and a final eof. A token's
@@ -165,8 +188,8 @@ class _Parser:
     @classmethod
     def parse(cls, src: str):
         """The expression that is the whole of `src`. A source nested
-        deeper than the interpreter's recursion limit allows is a syntax
-        error like any other."""
+        deeper than the interpreter's recursion limit allows, or whose
+        tree is deeper than MAX_DEPTH, is a syntax error like any other."""
         parser = cls(src)
         try:
             node = parser.parse_expr()
@@ -174,6 +197,9 @@ class _Parser:
             raise DslSyntaxError("nested too deeply", parser.peek()[2]) from None
         if parser.peek()[0] != "eof":
             parser.fail(f"trailing input {parser.peek()[1]!r}")
+        # a tree has at most two nodes per token, so short sources skip the walk
+        if 2 * len(parser.tokens) > MAX_DEPTH and _depth(node) > MAX_DEPTH:
+            raise DslSyntaxError("nested too deeply", 0)
         return node
 
     def peek(self):

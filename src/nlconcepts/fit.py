@@ -34,7 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .likelihood import count_logliks, label_probs
+from .likelihood import count_logliks, decay_weights, label_probs
 from .posterior import expit, logit, softmax_masked
 from .types import ModelParams
 
@@ -403,8 +403,11 @@ def shape_forward(task: ShapeTask, params: ModelParams):
     # lag[b, k] = K_b - k, how far trial k lies behind the start of batch b
     lag = np.searchsorted(task.batch, np.arange(n_batches))[:, None] - np.arange(n_trials)
     past = lag > 0
-    lag = np.where(past, lag, 1).astype(float)
-    decay = np.where(past, lag**-beta, 0.0)  # D (B, K)
+    lag = np.where(past, lag, 1)
+    # D (B, K): lag^-beta where trial k is past, read off the decay weights
+    # of all K trials (decay_weights(K, beta)[K - lag]), and 0 elsewhere
+    decay = np.where(past, decay_weights(n_trials, beta)[n_trials - lag], 0.0)
+    lag = lag.astype(float)
     score = (log_prior + (decay * delta_log_r) @ c.T) / temp  # (B, G), up to a constant per batch
     p = softmax_masked(score, task.visible, task.count)
     w = p * task.count  # (B, G) weight of each class

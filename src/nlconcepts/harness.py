@@ -1,5 +1,7 @@
 """End-to-end experiments: Number Game fits and online logical
-concept learning, plus tidy CSV emission for downstream plotting."""
+concept learning, the posterior of one pool (`infer_number`,
+`infer_shape`), all over the tasks compiled here, plus tidy CSV
+emission for downstream plotting."""
 
 from __future__ import annotations
 
@@ -31,8 +33,8 @@ from .fit import (
     stack_tasks,
 )
 from .likelihood import EvalCache, extension_matrix, truth_matrix
-from .posterior import dedup_pool, proposal_logq, weight_diagnostics
-from .prior import FEATURE_DIM, External, FeatureExtractor, Tuned, Uniform, prior_logweight
+from .posterior import PosteriorState, dedup_pool, posterior_state, proposal_logq, weight_diagnostics
+from .prior import FEATURE_DIM, FeatureExtractor, MissingFeature
 from .types import (
     HumanNumberJudgment,
     Hypothesis,
@@ -74,6 +76,15 @@ def params_from_json(raw: dict) -> ModelParams:
 PRIORS = ("uniform", "tuned", "external")
 
 
+def _check_theta(cfg: ExperimentConfig, params: Optional[ModelParams]) -> None:
+    """ConfigError unless a tuned prior's theta has `feature_dim` entries."""
+    if cfg.prior == "tuned" and params is not None and len(params.theta) != cfg.feature_dim:
+        raise ConfigError(
+            f"params theta has {len(params.theta)} entries; "
+            f"the tuned prior needs feature_dim = {cfg.feature_dim}"
+        )
+
+
 @dataclass
 class ExperimentConfig:
     domain: str  # "number" | "shape"
@@ -100,6 +111,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be >= {least}, not {getattr(self, name)}")
         if self.domain == SHAPE_DOMAIN and self.weighting == "importance":
             raise ConfigError("importance weighting needs the number domain")
+        _check_theta(self, self.params)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -115,22 +127,19 @@ class ExperimentConfig:
 
 def _prior_pieces(cfg: ExperimentConfig, pool: Sequence[Hypothesis], extractor, scores=None):
     """(features or None, base log-prior vector) for a deduped pool;
-    the external prior reads `cfg.scores_path` unless given `scores`."""
+    the external prior reads `cfg.scores_path` unless given `scores`,
+    and MissingFeature names the first canonical NL it has no score for."""
     if cfg.prior == "tuned":
         features = extractor.matrix(pool) if pool else np.zeros((0, extractor.dim))
         return features, np.zeros(len(pool))
     if cfg.prior == "external":
-        prior = External(io.load_score_file(cfg.scores_path) if scores is None else scores)
-        return None, np.array([prior_logweight(prior, h) for h in pool])
+        if scores is None:
+            scores = io.load_score_file(cfg.scores_path)
+        missing = next((h.key for h in pool if h.key not in scores), None)
+        if missing is not None:
+            raise MissingFeature(missing)
+        return None, np.array([scores[h.key] for h in pool], dtype=float)
     return None, np.zeros(len(pool))
-
-
-def prior_spec_for(cfg: ExperimentConfig, params: ModelParams, extractor):
-    if cfg.prior == "tuned":
-        return Tuned(params.theta, extractor)
-    if cfg.prior == "external":
-        return External(io.load_score_file(cfg.scores_path))
-    return Uniform()
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +240,54 @@ def build_shape_task(
 def default_params(cfg: ExperimentConfig) -> ModelParams:
     dim = cfg.feature_dim if cfg.prior == "tuned" else 0
     return ModelParams(theta=np.zeros(dim), epsilon=0.5, alpha=0.5, beta=1.0)
+
+
+# ---------------------------------------------------------------------------
+# Inference
+
+
+def infer_number(
+    cfg: ExperimentConfig,
+    pool: Sequence[Hypothesis],
+    examples: NumberExampleSet,
+    params: ModelParams,
+) -> PosteriorState:
+    """The posterior over a number pool given the examples, at `params`:
+    the example set compiled alone (`build_number_task`) and weighed by
+    the fit's forward pass (`fit.number_weights`). It spans the pool's
+    first occurrences under dedup weighting and every entry under
+    importance weighting; unparsed entries get weight 0."""
+    _check_theta(cfg, params)
+    task = build_number_task(cfg, pool, examples, [], FeatureExtractor(dim=cfg.feature_dim))
+    weights = number_weights(pack_params(params)[None], stack_tasks([task]), len(params.theta))[0][0, 0]
+    kept = list(pool) if cfg.weighting == "importance" else dedup_pool(pool)[0]
+    return posterior_state(kept, len(pool), weights, task.parsed)
+
+
+def infer_shape(
+    cfg: ExperimentConfig,
+    pool: Sequence[Hypothesis],
+    curve: LearningCurve,
+    upto_batch: int,
+    params: ModelParams,
+) -> PosteriorState:
+    """The posterior over a shape pool after the curve's first
+    `upto_batch` batches (0..B), at `params`: the weights the online
+    model predicts batch upto_batch + 1 from (`fit.shape_forward`), and
+    after the last batch the weights of every parsed rule. A rule joins
+    at its source batch; unparsed and not yet visible rules get weight 0."""
+    n_batches = len(curve.batches)
+    if not 0 <= upto_batch <= n_batches:
+        raise ValueError(f"upto_batch must lie in 0..{n_batches}, not {upto_batch}")
+    _check_theta(cfg, params)
+    if upto_batch == n_batches:  # every batch seen: every parsed rule is visible
+        pool = [replace(h, source_batch=None) for h in pool]
+    task = build_shape_task(cfg, pool, curve, FeatureExtractor(dim=cfg.feature_dim))
+    # one more row of visible rules: the weights after the last batch
+    task = replace(task, visible=np.vstack([task.visible, task.visible[-1:]]))
+    weights = shape_forward(task, params)[1][upto_batch, task.rule_class]
+    alive = task.visible[upto_batch, task.rule_class]
+    return posterior_state(dedup_pool(pool)[0], len(pool), weights, alive)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
-"""Monte Carlo posterior machinery over hypothesis pools.
+"""The posterior over a hypothesis pool, as the compiled tasks give it.
 
 Two weighting schemes: deduplicated prior-times-likelihood weights (the
 default, usable with proposal sources that hide their sample
-probabilities) and classic importance weights (requires per-sample log
-q). Both are a masked softmax of the unnormalized log-weights, the one
-`fit` computes its posteriors with; a learnable temperature
-exponentiates the unnormalized weights by 1/T. Predictions read
-membership off `likelihood.extension_matrix` and truth values off
+probabilities; `dedup_pool`) and classic importance weights, which
+divide by each proposal's probability (`proposal_logq`). Both are a
+masked softmax of the tempered log-weights (`softmax_masked`), which
+`fit.number_weights` and `fit.shape_forward` compute for inference,
+fitting and the baselines alike; `posterior_state` wraps one row of
+them with its diagnostics. Predictions read membership off
+`likelihood.extension_matrix` and truth values off
 `likelihood.truth_matrix`.
 """
 
@@ -18,12 +20,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from .likelihood import NEG_LARGE, EvalCache, extension_matrix, truth_matrix
-from .prior import prior_logweight
-from .types import Hypothesis, Trial
-
-# unnormalized log-weights at or below this are treated as zero weight
-ZERO_CUTOFF = NEG_LARGE / 2
+from .types import Hypothesis
 
 
 class MissingLogQ(ValueError):
@@ -56,9 +53,6 @@ class PosteriorState:
             if abs(self.weights.sum() - 1.0) > 1e-9:
                 raise ValueError("weights must sum to 1")
 
-    def map_hypothesis(self) -> Hypothesis:
-        return self.pool[int(np.argmax(self.weights))]
-
     def to_json(self) -> str:
         order = np.argsort(-self.weights, kind="stable")
         return json.dumps(
@@ -74,25 +68,18 @@ class PosteriorState:
         )
 
 
-def _first_occurrences(pool: Sequence[Hypothesis]):
-    """(pool index of each canonical NL's first entry, in pool order;
-    how many entries share that NL)."""
-    first: Dict[str, int] = {}
-    counts: Dict[str, int] = {}  # keys in the same order as `first`
-    for i, h in enumerate(pool):
-        first.setdefault(h.key, i)
-        counts[h.key] = counts.get(h.key, 0) + 1
-    return np.array(list(first.values()), dtype=int), np.array(list(counts.values()), dtype=int)
-
-
 def dedup_pool(pool: Sequence[Hypothesis]):
     """Merge duplicates by canonical NL, keeping the first occurrence.
 
     Returns (unique_pool, counts) where counts[i] is the multiplicity of
     unique hypothesis i in the input.
     """
-    first, counts = _first_occurrences(pool)
-    return [pool[i] for i in first], counts
+    first: Dict[str, Hypothesis] = {}
+    counts: Dict[str, int] = {}  # keys in the same order as `first`
+    for h in pool:
+        first.setdefault(h.key, h)
+        counts[h.key] = counts.get(h.key, 0) + 1
+    return list(first.values()), np.array(list(counts.values()), dtype=int)
 
 
 def weight_diagnostics(weights) -> Dict[str, float]:
@@ -131,80 +118,6 @@ def posterior_state(kept: List[Hypothesis], n_proposals: int, weights, alive) ->
         **weight_diagnostics(weights),
     }
     return PosteriorState(kept, weights, not alive.any(), diagnostics)
-
-
-def _weigh(kept: List[Hypothesis], n_proposals: int, log_unnorm, temperature: float):
-    """Softmax of log_unnorm / T over the entries above ZERO_CUTOFF."""
-    alive = log_unnorm > ZERO_CUTOFF
-    return posterior_state(kept, n_proposals, softmax_masked(log_unnorm / temperature, alive), alive)
-
-
-def _logliks(pool: Sequence[Hypothesis], loglik) -> np.ndarray:
-    loglik = np.asarray(loglik, dtype=float)
-    if len(loglik) != len(pool):
-        raise ValueError("one log-likelihood per pool member required")
-    return loglik
-
-
-def dedup_weights(
-    pool: Sequence[Hypothesis],
-    prior,
-    loglik: Sequence[float],
-    temperature: float = 1.0,
-) -> PosteriorState:
-    """Deduplicated posterior weights: w ~ (p(C) p(X|C)) ** (1/T).
-
-    `loglik` gives one log-likelihood per *input* pool entry; duplicate
-    entries must carry equal values (they describe the same utterance),
-    and the first occurrence's is used.
-    """
-    if temperature <= 0:
-        raise ValueError("temperature must be > 0")
-    pool = list(pool)
-    loglik = _logliks(pool, loglik)
-    first, _ = _first_occurrences(pool)
-    unique = [pool[i] for i in first]
-    log_prior = np.array([prior_logweight(prior, h) for h in unique])
-    return _weigh(unique, len(pool), log_prior + loglik[first], temperature)
-
-
-def importance_weights(
-    pool: Sequence[Hypothesis], prior, loglik: Sequence[float]
-) -> PosteriorState:
-    """Importance weights w ~ p(C) p(X|C) / q(C|X); no deduplication."""
-    pool = list(pool)
-    loglik = _logliks(pool, loglik)
-    log_q = proposal_logq(pool)
-    log_prior = np.array([prior_logweight(prior, h) for h in pool])
-    return _weigh(pool, len(pool), log_prior + loglik - log_q, 1.0)
-
-
-class DegenerateState(ValueError):
-    pass
-
-
-def _require_weights(state: PosteriorState) -> None:
-    if state.degenerate:
-        raise DegenerateState("all pool hypotheses have zero weight")
-
-
-def predict_membership(
-    state: PosteriorState, x_test: int, cache: EvalCache | None = None
-) -> float:
-    """Posterior predictive probability that x_test belongs to the
-    latent concept. `cache` is not read; it is accepted for callers
-    that pass an `EvalCache`."""
-    _require_weights(state)
-    if not 1 <= x_test <= 100:
-        return 0.0
-    return float(state.weights @ extension_matrix(state.pool)[:, x_test - 1])
-
-
-def predict_response(state: PosteriorState, t: Trial, epsilon: float, alpha: float) -> float:
-    """Expected probability of a positive response on trial t."""
-    _require_weights(state)
-    per_hyp = (1.0 - epsilon) * truth_matrix(state.pool, [t])[:, 0] + epsilon * alpha
-    return float(state.weights @ per_hyp)
 
 
 def expit(x):

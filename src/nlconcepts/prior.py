@@ -1,20 +1,22 @@
-"""Priors over natural-language hypotheses.
+"""Features of the priors over natural-language hypotheses.
 
-Three kinds: uniform, tuned log-linear over text features, and external
-(precomputed log-scores, e.g. from an LM scoring pass). The features
-are a deterministic hashed bag-of-tokens (words + word bigrams, signed
+Three priors (`harness.PRIORS`): uniform, tuned log-linear over text
+features (log prior theta . phi(C)), and external (precomputed
+log-scores, e.g. from an LM scoring pass, keyed by canonical NL). The
+compiled tasks hold each as a base log-prior vector plus, for the tuned
+prior, the feature rows (`harness._prior_pieces`). The features are a
+deterministic hashed bag-of-tokens (words + word bigrams, signed
 hashing, L2-normalized).
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from typing import Dict
 
 import numpy as np
 
-from .types import Hypothesis, canonicalize_nl
+from .types import canonicalize_nl
 
 FEATURE_DIM = 384
 
@@ -68,41 +70,3 @@ class FeatureExtractor:
     def matrix(self, hypotheses) -> np.ndarray:
         """Stacked feature matrix, one row per hypothesis."""
         return np.stack([self(h.nl_text) for h in hypotheses])
-
-
-@dataclass(frozen=True)
-class Uniform:
-    pass
-
-
-@dataclass(frozen=True)
-class Tuned:
-    theta: np.ndarray
-    extractor: FeatureExtractor = field(default_factory=FeatureExtractor)
-
-    def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
-        object.__setattr__(self, "theta", theta)
-        if theta.shape != (self.extractor.dim,):
-            raise ValueError(
-                f"theta has dim {theta.shape}, extractor expects {self.extractor.dim}"
-            )
-
-
-@dataclass(frozen=True)
-class External:
-    scores: Dict[str, float]  # canonical NL -> log-probability
-
-
-def prior_logweight(spec, h: Hypothesis) -> float:
-    """Unnormalized log prior weight; normalization happens over a pool."""
-    if isinstance(spec, Uniform):
-        return 0.0
-    if isinstance(spec, Tuned):
-        return float(spec.theta @ spec.extractor(h.nl_text))
-    if isinstance(spec, External):
-        key = h.key
-        if key not in spec.scores:
-            raise MissingFeature(key)
-        return float(spec.scores[key])
-    raise TypeError(f"unknown prior spec {spec!r}")

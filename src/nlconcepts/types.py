@@ -210,14 +210,3 @@ class ModelParams:
             raise ValueError("beta must be >= 0")
         if self.temperature <= 0.0:
             raise ValueError("temperature must be > 0")
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            theta=self.theta.copy(),
-            epsilon=self.epsilon,
-            alpha=self.alpha,
-            beta=self.beta,
-            temperature=self.temperature,
-            platt_a=self.platt_a,
-            platt_b=self.platt_b,
-        )

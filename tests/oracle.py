@@ -1,13 +1,17 @@
-"""Per-hypothesis reference implementation of the likelihoods, the
-posterior weights and the predictions.
+"""Per-hypothesis reference implementation of the priors, the
+likelihoods, the posterior weights and the predictions.
 
 The library computes all of these as array formulas over compiled
-extension and truth matrices. This module computes them one hypothesis,
-one example and one trial at a time, through the interpreters
-(`number_extension`, `eval_shape`) and log-sum-exp, so the parity tests
-compare the library against an independent reference. It imports only
-the interpreters, the DSL's syntax error, the prior, the sentinel
-constants and the PosteriorState container from the library.
+tasks (`harness.infer_number`, `harness.infer_shape` and the fit's
+forward passes). This module computes them one hypothesis, one example
+and one trial at a time, through the interpreters (`number_extension`,
+`eval_shape`) and log-sum-exp, so the parity tests compare the library
+against an independent reference. Its own sentinels mark impossible
+data: -inf log-likelihoods become NEG_LARGE, and log-weights at or
+below ZERO_CUTOFF get weight 0, so epsilon = 0 is a case it can weigh.
+It imports only the interpreters, the DSL's syntax error, the hashed
+features, the two errors a pool can raise and the PosteriorState
+container from the library.
 
 `shape_forward_dense` is the reference for the library's shape kernel
 (`fit.shape_forward`): the same forward pass and gradient written over
@@ -34,9 +38,15 @@ import numpy as np
 from scipy.special import expit, logsumexp
 
 from nlconcepts.dsl import DslSyntaxError, eval_shape, number_extension
-from nlconcepts.likelihood import NEG_LARGE
-from nlconcepts.posterior import ZERO_CUTOFF, DegenerateState, MissingLogQ, PosteriorState
-from nlconcepts.prior import prior_logweight
+from nlconcepts.posterior import MissingLogQ, PosteriorState
+from nlconcepts.prior import MissingFeature, extract_features
+
+NEG_LARGE = -1e18  # finite stand-in for the log-likelihood of impossible data
+ZERO_CUTOFF = NEG_LARGE / 2  # log-weights at or below this get weight 0
+
+
+class DegenerateState(ValueError):
+    """A prediction from a posterior in which every weight is 0."""
 
 
 _TOKEN = re.compile(
@@ -90,6 +100,30 @@ def trial_member(h, t) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Priors
+
+
+def prior_of(kind, theta=(), scores=None):
+    """The unnormalized log prior weight of a hypothesis, as a function
+    of it: 0 under the uniform prior, theta . phi(h) under the tuned one
+    (phi the hashed features of h's text, len(theta) buckets), and the
+    score of h's canonical text under the external one (MissingFeature
+    names a text without one)."""
+    if kind == "uniform":
+        return lambda h: 0.0
+    if kind == "tuned":
+        theta = np.asarray(theta, dtype=float)
+        return lambda h: float(theta @ extract_features(h.nl_text, len(theta)))
+
+    def external(h):
+        if h.key not in scores:
+            raise MissingFeature(h.key)
+        return float(scores[h.key])
+
+    return external
+
+
+# ---------------------------------------------------------------------------
 # Likelihoods
 
 
@@ -138,6 +172,21 @@ def pool_shape_logliks(pool, trials, epsilon, alpha, beta) -> np.ndarray:
     return _pool_vector(pool, lambda h: decayed_sequence_loglik(h, trials, epsilon, alpha, beta))
 
 
+def online_shape_logliks(pool, curve, upto_batch, epsilon, alpha, beta) -> np.ndarray:
+    """Per pool entry, the decayed log-likelihood of the trials of the
+    curve's first `upto_batch` batches, NEG_LARGE for an entry not yet
+    visible: before the last batch an entry joins at its source batch
+    (batch 1 without one), after it every entry is visible."""
+    seen = [t for batch in curve.batches[:upto_batch] for t in batch]
+    every = upto_batch == len(curve.batches)
+    return _pool_vector(
+        pool,
+        lambda h: decayed_sequence_loglik(h, seen, epsilon, alpha, beta)
+        if every or (h.source_batch or 1) <= upto_batch + 1
+        else -math.inf,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Posterior weights
 
@@ -176,7 +225,7 @@ def dedup_weights(pool, prior, loglik, temperature=1.0) -> PosteriorState:
             seen.add(h.key)
             unique.append(h)
             unique_ll.append(ll)
-    log_unnorm = np.array([prior_logweight(prior, h) + ll for h, ll in zip(unique, unique_ll)])
+    log_unnorm = np.array([prior(h) + ll for h, ll in zip(unique, unique_ll)])
     return _state(unique, len(pool), log_unnorm, temperature)
 
 
@@ -185,7 +234,7 @@ def importance_weights(pool, prior, loglik) -> PosteriorState:
     for h, ll in zip(pool, loglik):
         if h.proposal_logprob is None:
             raise MissingLogQ(h.nl_text)
-        log_unnorm.append(prior_logweight(prior, h) + ll - h.proposal_logprob)
+        log_unnorm.append(prior(h) + ll - h.proposal_logprob)
     return _state(list(pool), len(pool), np.array(log_unnorm), 1.0)
 
 

@@ -19,12 +19,13 @@ from nlconcepts.dsl import eval_shape, parse_concept
 from nlconcepts.fit import loss_and_grad
 from nlconcepts.harness import (
     ExperimentConfig,
+    infer_number,
+    infer_shape,
     run_number_experiment,
     run_online_experiment,
 )
-from nlconcepts.likelihood import EvalCache, decay_weights, pool_number_logliks
-from nlconcepts.posterior import dedup_weights, platt, predict_membership
-from nlconcepts.prior import Uniform
+from nlconcepts.likelihood import EvalCache, decay_weights, extension_matrix
+from nlconcepts.posterior import platt
 from nlconcepts.types import (
     LearningCurve,
     ModelParams,
@@ -64,6 +65,17 @@ def uniform_run():
     return metrics, records, time.monotonic() - start
 
 
+def _infer_number(pool, x, eps, temperature=1.0):
+    """The posterior `nlconcepts infer` prints, under the uniform prior."""
+    params = ModelParams(epsilon=eps, temperature=temperature)
+    return infer_number(ExperimentConfig(domain="number"), pool, x, params)
+
+
+def _membership(state, t):
+    """P(t in concept) under the posterior."""
+    return float(state.weights @ extension_matrix(state.pool)[:, t - 1])
+
+
 def test_01_exact_bayes_oracle():
     start = time.monotonic()
     sources = [
@@ -84,8 +96,7 @@ def test_01_exact_bayes_oracle():
         x = NumberExampleSet(examples)
         cache = EvalCache()
         # library path
-        ll = pool_number_logliks(pool, x, eps, cache)
-        state = dedup_weights(pool, Uniform(), ll, 1.0)
+        state = _infer_number(pool, x, eps, 1.0)
         # exhaustive enumeration oracle
         unnorm = []
         for h in pool:
@@ -101,7 +112,7 @@ def test_01_exact_bayes_oracle():
             enum = sum(
                 w for w, h in zip(expected, pool) if t in cache.extension(h)
             )
-            assert abs(predict_membership(state, t, cache) - enum) <= 1e-12
+            assert abs(_membership(state, t) - enum) <= 1e-12
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
     print(f"\nACCEPTANCE 1 PASS: exact-Bayes oracle, max err <= 1e-12 ({elapsed:.2f}s)")
@@ -110,12 +121,10 @@ def test_01_exact_bayes_oracle():
 def test_02_size_principle():
     start = time.monotonic()
     pool = io.load_pool(FIXTURES / "number_pool_size_principle.jsonl", "number")
-    cache = EvalCache()
     x = NumberExampleSet([16, 8, 2, 64])
-    ll = pool_number_logliks(pool, x, 0.02, cache)
-    state = dedup_weights(pool, Uniform(), ll, 1.0)
-    p32 = predict_membership(state, 32, cache)
-    p23 = predict_membership(state, 23, cache)
+    state = _infer_number(pool, x, 0.02, 1.0)
+    p32 = _membership(state, 32)
+    p23 = _membership(state, 23)
     assert p32 >= 0.9, p32
     assert p23 <= 0.01, p23
     elapsed = time.monotonic() - start
@@ -189,21 +198,33 @@ def test_06_likelihood_laws():
         np.testing.assert_array_equal(w, exact)  # formula holds exactly
         assert np.all(np.diff(w) >= 0)  # monotone in recency
         assert w[-1] == 1.0
-    # beta = 0 reduces the decayed sum to the iid sum
-    from nlconcepts.likelihood import decayed_sequence_loglik, trial_response_prob
+    # beta = 0: the compiled posterior after the last trial is the softmax
+    # of each rule's iid sum of log P(label), computed trial by trial
     import math
 
-    gt = io.make_hypothesis(
-        "something is positive if it is green", "this.color == green", "shape"
-    )
+    pool = [
+        io.make_hypothesis("something is positive if it is green", "this.color == green", "shape"),
+        io.make_hypothesis("something is positive if it is small", "this.size == 1", "shape"),
+        io.make_hypothesis("something is positive if it is a circle", "this.shape == circle", "shape"),
+    ]
     universe = shape_universe()
     trials = [
         Trial([universe[i], universe[(i + 5) % 27]], universe[i], bool(i % 2))
         for i in range(0, 20, 2)
     ]
-    decayed = decayed_sequence_loglik(gt, trials, 0.2, 0.4, beta=0.0)
-    iid = sum(math.log(trial_response_prob(gt, t, 0.2, 0.4)) for t in trials)
-    assert abs(decayed - iid) <= 1e-12
+    curve = LearningCurve("c", pool[0].nl_text, [trials[:4], trials[4:]], [0.5] * len(trials))
+    params = ModelParams(epsilon=0.2, alpha=0.4, beta=0.0)
+    state = infer_shape(ExperimentConfig(domain="shape"), pool, curve, 2, params)
+    iid = []
+    for h in pool:
+        total = 0.0
+        for t in trials:
+            p_positive = 0.8 * eval_shape(h.program.expr, t.test, t.batch) + 0.2 * 0.4
+            total += math.log(p_positive if t.label else 1.0 - p_positive)
+        iid.append(total)
+    top = max(iid)
+    expected = np.exp(np.array(iid) - top) / sum(math.exp(v - top) for v in iid)
+    assert np.abs(state.weights - expected).max() <= 1e-12
     print("\nACCEPTANCE 6 PASS: decay weight laws over 1000 random (K, beta)")
 
 
@@ -278,13 +299,11 @@ def test_09_calibration_identities():
     for p in np.linspace(0.001, 0.999, 23):
         assert abs(platt(float(p), 1.0, 0.0) - p) <= 1e-9
     pool = io.load_pool(FIXTURES / "number_pool_size_principle.jsonl", "number")
-    cache = EvalCache()
     x = NumberExampleSet([16, 8, 2, 64])
-    ll = pool_number_logliks(pool, x, 0.02, cache)
-    w1 = dedup_weights(pool, Uniform(), ll, 1.0).weights
-    base = dedup_weights(pool, Uniform(), ll).weights
+    w1 = _infer_number(pool, x, 0.02, 1.0).weights
+    base = infer_number(ExperimentConfig(domain="number"), pool, x, ModelParams(epsilon=0.02)).weights
     np.testing.assert_array_equal(w1, base)  # T=1 changes nothing
-    hot = dedup_weights(pool, Uniform(), ll, 1e9).weights
+    hot = _infer_number(pool, x, 0.02, 1e9).weights
     support = hot[hot > 0]
     assert np.abs(support - 1.0 / len(support)).max() <= 1e-6
     print("\nACCEPTANCE 9 PASS: Platt identity, T=1 no-op, T=1e9 uniform")

@@ -13,12 +13,12 @@ from nlconcepts import harness, io
 from nlconcepts.baselines import DIRECT_PARAMS, direct_shape_prompt
 from nlconcepts.cli import _dump_params, _load_params, main
 from nlconcepts.fit import number_weights, pack_params, shape_forward, stack_tasks
-from nlconcepts.likelihood import pool_number_logliks
-from nlconcepts.posterior import dedup_pool, dedup_weights
-from nlconcepts.prior import FeatureExtractor, Tuned, Uniform
+from nlconcepts.posterior import dedup_pool
+from nlconcepts.prior import FeatureExtractor
 from nlconcepts.propose import ReplayStore
 from nlconcepts.types import ModelParams, NumberExampleSet
 
+import oracle
 from conftest import synthetic_shape_curve, synthetic_shape_pool
 
 
@@ -50,6 +50,18 @@ def test_infer_number_counts_a_too_deeply_nested_rule_as_unparsed(tmp_path, caps
     assert payload["diagnostics"]["unparsed"] == 1
 
 
+def test_infer_number_counts_a_too_long_operator_chain_as_unparsed(tmp_path, capsys):
+    """A chain of 3000 additions parses into a tree 3001 nodes deep: a
+    syntax error, so the rule is unparsed and infer exits 0."""
+    pool = tmp_path / "long.jsonl"
+    pool.write_text(json.dumps({"nl": "long", "dsl": "x" + " + x" * 3000 + " < 3"}) + "\n")
+    rc = main(["infer", "--domain", "number", "--pool", str(pool), "--examples", "2,4"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["degenerate"]
+    assert payload["diagnostics"]["unparsed"] == 1
+
+
 def test_infer_number_tuned_prior(fixtures_dir, capsys):
     """`infer --prior tuned` weighs the pool by the fitted theta."""
     params_path = fixtures_dir / "params_true.json"
@@ -73,14 +85,13 @@ def test_infer_number_tuned_prior(fixtures_dir, capsys):
     got = json.loads(capsys.readouterr().out)["hypotheses"]
     params = _load_params(params_path)
     pool = io.load_pool(pool_path, "number")
-    loglik = pool_number_logliks(pool, NumberExampleSet([2, 4, 8, 16]), params.epsilon)
-    prior = Tuned(params.theta, FeatureExtractor(dim=len(params.theta)))
-    state = dedup_weights(pool, prior, loglik, params.temperature)
+    loglik = oracle.pool_number_logliks(pool, NumberExampleSet([2, 4, 8, 16]), params.epsilon)
+    state = oracle.dedup_weights(pool, oracle.prior_of("tuned", params.theta), loglik, params.temperature)
     want = json.loads(state.to_json())["hypotheses"]
     assert [h["nl"] for h in got] == [h["nl"] for h in want]
     np.testing.assert_allclose([h["weight"] for h in got], [h["weight"] for h in want], atol=1e-12)
-    uniform = dedup_weights(pool, Uniform(), loglik, params.temperature)
-    assert got[0]["nl"] != uniform.map_hypothesis().nl_text
+    uniform = oracle.dedup_weights(pool, oracle.prior_of("uniform"), loglik, params.temperature)
+    assert got[0]["nl"] != uniform.pool[int(np.argmax(uniform.weights))].nl_text
 
 
 def test_infer_shape(fixtures_dir, capsys):
@@ -461,6 +472,25 @@ def test_eval_with_params(fixtures_dir, tmp_path):
     assert rc == 0
     metrics = json.loads((out_dir / "metrics.json").read_text())
     assert metrics["holdout_r2"] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("domain", ["number", "shape"])
+def test_eval_with_a_theta_of_the_wrong_length_is_a_usage_error(domain, fixtures_dir, tmp_path, capsys):
+    """Under the tuned prior, --params whose theta length is not the
+    config's feature_dim exits 2 with a message naming both."""
+    if domain == "number":
+        path = _tiny_number_config(fixtures_dir, tmp_path, prior="tuned")
+    else:
+        path = _shape_config(fixtures_dir, tmp_path)
+        cfg = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(cfg, prior="tuned", feature_dim=64)))
+    params = _write_params(tmp_path, ModelParams(theta=np.zeros(5)))
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--config", str(path), "--params", str(params), "--out-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "theta has 5 entries" in err and "feature_dim = 64" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_baseline_latent(fixtures_dir, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from nlconcepts.dsl.number import (
     BoolLit,
     BoolOp,
     Cmp,
+    MAX_DEPTH,
     Lit,
     Not,
     Pred,
@@ -153,6 +155,37 @@ def test_too_deep_nesting_is_a_syntax_error(domain, rule):
         parse_concept("(" * 400 + rule + ")" * 400, domain)
     # within the limit, the parentheses just group
     assert parse_concept("(" * 50 + rule + ")" * 50, domain) == parse_concept(rule, domain)
+
+
+# (domain, the source of a chain n operators long)
+CHAINS = {
+    "plus": ("number", lambda n: "x" + " + x" * n + " < 3"),
+    "times": ("number", lambda n: "x" + " * x" * n + " < 3"),
+    "mod": ("number", lambda n: "x" + " mod 7" * n + " < 3"),
+    "or": ("number", lambda n: "x < 3" + " or x < 3" * n),
+    "and": ("number", lambda n: "x < 3" + " and even(x)" * n),
+    "compare": ("number", lambda n: "x" + " < x" * n),
+    "not": ("number", lambda n: "not " * n + "x < 3"),
+    "shape-or": ("shape", lambda n: "this.color == green" + " or this.size >= 2" * n),
+    "shape-and": ("shape", lambda n: "this.color == green" + " and this.size >= 2" * n),
+}
+
+
+@pytest.mark.parametrize("domain,chain", CHAINS.values(), ids=list(CHAINS))
+def test_long_operator_chain_is_a_syntax_error(domain, chain):
+    """A chain of operators parses without deep recursion, but its tree
+    is about as deep as the chain is long. Past MAX_DEPTH nodes it is
+    "nested too deeply", so evaluating, formatting and pickling a rule
+    never recurse past the interpreter's limit."""
+    with pytest.raises(DslSyntaxError, match="nested too deeply"):
+        parse_concept(chain(3000), domain)
+    with pytest.raises(DslSyntaxError, match="nested too deeply"):
+        parse_concept(chain(MAX_DEPTH), domain)
+    program = parse_concept(chain(MAX_DEPTH // 2), domain)
+    assert parse_concept(format_concept(program), domain) == program
+    assert pickle.loads(pickle.dumps(program)) == program
+    if domain == "number":
+        assert number_extension(program.expr) <= set(range(1, 101))
 
 
 def test_pred_arity_enforced():

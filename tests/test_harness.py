@@ -25,9 +25,9 @@ from nlconcepts.harness import (
     run_online_experiment,
     shape_tasks,
 )
-from nlconcepts.likelihood import EvalCache, pool_number_logliks, pool_shape_logliks
-from nlconcepts.posterior import dedup_pool, dedup_weights, importance_weights
-from nlconcepts.prior import FeatureExtractor, MissingFeature, Uniform
+from nlconcepts.likelihood import EvalCache
+from nlconcepts.posterior import dedup_pool
+from nlconcepts.prior import FeatureExtractor, MissingFeature
 from nlconcepts.types import (
     HumanNumberJudgment,
     LearningCurve,
@@ -36,6 +36,7 @@ from nlconcepts.types import (
     Trial,
 )
 
+import oracle
 from conftest import exchangeable_shape_pool, synthetic_shape_curve, synthetic_shape_pool
 
 
@@ -418,8 +419,8 @@ def test_top_verbalizations_under_importance_weighting_correct_for_q():
         "the number is even",
         "the number is even",
     ]
-    loglik = pool_number_logliks(pool, example_set, params.epsilon)
-    want = importance_weights(pool, Uniform(), loglik)
+    loglik = oracle.pool_number_logliks(pool, example_set, params.epsilon)
+    want = oracle.importance_weights(pool, oracle.prior_of("uniform"), loglik)
     order = np.argsort(-want.weights, kind="stable")
     assert [nl for nl, _ in tops["importance"]] == [pool[i].nl_text for i in order]
     got = [w for _, w in tops["importance"]]
@@ -443,7 +444,7 @@ def test_online_experiment_results(fixtures_dir):
 
 def test_online_experiment_per_batch_diagnostics():
     """Each batch reports the accuracy, MAP rule, effective sample size
-    and largest weight of the posterior the scalar functions give."""
+    and largest weight of the posterior the reference functions give."""
     cfg = ExperimentConfig(domain="shape", prior="uniform", feature_dim=0)
     params = ModelParams(theta=np.zeros(0), epsilon=0.1, alpha=0.4, beta=0.8, temperature=0.7)
     curve, pool = synthetic_shape_curve(), synthetic_shape_pool()
@@ -456,16 +457,16 @@ def test_online_experiment_per_batch_diagnostics():
     unique, _ = dedup_pool(pool)
     for b, (batch, row) in enumerate(zip(curve.batches, per_batch), start=1):
         visible = [h for h in unique if h.source_batch is None or h.source_batch <= b]
-        loglik = pool_shape_logliks(
+        loglik = oracle.pool_shape_logliks(
             visible, curve.trials[:seen], params.epsilon, params.alpha, params.beta
         )
-        state = dedup_weights(visible, Uniform(), loglik, params.temperature)
+        state = oracle.dedup_weights(visible, oracle.prior_of("uniform"), loglik, params.temperature)
         preds = [r.prediction for r in records[seen : seen + len(batch)]]
         assert row["accuracy"] == np.mean([(p >= 0.5) == t.label for p, t in zip(preds, batch)])
         seen += len(batch)
         if state.degenerate:
             continue
-        assert row["map_nl"] == state.map_hypothesis().nl_text
+        assert row["map_nl"] == state.pool[int(np.argmax(state.weights))].nl_text
         assert row["ess"] == pytest.approx(state.diagnostics["ess"], rel=1e-12)
         assert row["max_weight"] == pytest.approx(state.diagnostics["max_weight"], rel=1e-12)
         assert 1.0 <= row["ess"] <= sum(h.parsed for h in visible)

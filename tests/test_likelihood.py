@@ -9,22 +9,18 @@ from hypothesis import strategies as st
 import nlconcepts.dsl
 from nlconcepts import io
 from nlconcepts.io import make_hypothesis
+from nlconcepts.fit import number_weights, pack_params, stack_tasks
+from nlconcepts.harness import ExperimentConfig, build_number_task, infer_number, infer_shape
 from nlconcepts.likelihood import (
-    NEG_LARGE,
     DomainMismatch,
     EvalCache,
     decay_weights,
-    decayed_sequence_loglik,
     extension_matrix,
-    number_loglikelihood,
-    pool_number_logliks,
-    pool_shape_logliks,
-    trial_response_prob,
+    label_probs,
     truth_matrix,
 )
-from nlconcepts.posterior import dedup_weights, predict_membership, predict_response
-from nlconcepts.prior import Uniform
-from nlconcepts.types import NumberExampleSet, ShapeObject, Trial
+from nlconcepts.prior import FeatureExtractor
+from nlconcepts.types import LearningCurve, ModelParams, NumberExampleSet, ShapeObject, Trial
 
 
 EVEN = make_hypothesis("the number is even", "even(x)", "number")
@@ -40,41 +36,55 @@ TRI = ShapeObject("triangle", "green", 1)
 CIR = ShapeObject("circle", "blue", 2)
 
 
+def logliks(pool, examples, epsilon):
+    """Each hypothesis's log-likelihood of the examples as the number
+    model weighs it: `fit.number_weights`' log-weights under the uniform
+    prior, whose log prior is 0."""
+    task = build_number_task(ExperimentConfig("number"), pool, examples, [], FeatureExtractor(dim=0))
+    return number_weights(pack_params(ModelParams(epsilon=epsilon))[None], stack_tasks([task]), 0)[1][0, 0]
+
+
+def response_probs(h, trials, epsilon, alpha):
+    """The probability of each trial's label under rule h."""
+    r0, r1 = label_probs(np.array([t.label for t in trials]), epsilon, alpha)
+    return np.where(truth_matrix([h], trials)[0] > 0, r1, r0)
+
+
 def test_number_likelihood_size_principle():
     x = NumberExampleSet([2, 4, 8, 16])
     # both consistent; the smaller extension (|pow2| = 7) scores higher
-    assert number_loglikelihood(POW2, x, 0.02) > number_loglikelihood(EVEN, x, 0.02)
+    pow2, even = logliks([POW2, EVEN], x, 0.02)
+    assert pow2 > even
 
 
 def test_number_likelihood_exact_value():
     x = NumberExampleSet([2, 4])
     eps = 0.1
     per = (1 - eps) / 50 + eps / 100
-    assert number_loglikelihood(EVEN, x, eps) == pytest.approx(2 * math.log(per))
+    assert logliks([EVEN], x, eps)[0] == pytest.approx(2 * math.log(per))
     # inconsistent example mixes in only the noise term
     x2 = NumberExampleSet([2, 3])
-    assert number_loglikelihood(EVEN, x2, eps) == pytest.approx(
+    assert logliks([EVEN], x2, eps)[0] == pytest.approx(
         math.log(per) + math.log(eps / 100)
     )
-
-
-def test_number_likelihood_zero_epsilon_inconsistent_is_neg_inf():
-    x = NumberExampleSet([3])
-    assert number_loglikelihood(EVEN, x, 0.0) == -math.inf
 
 
 def test_empty_extension_hypothesis():
     empty = make_hypothesis("impossible", "false", "number")
     x = NumberExampleSet([5])
     # indicator-first: empty extension leaves only the noise floor
-    assert number_loglikelihood(empty, x, 0.1) == pytest.approx(math.log(0.001))
+    assert logliks([empty], x, 0.1)[0] == pytest.approx(math.log(0.001))
 
 
 def test_unparsed_gets_sentinel_in_pool_vector():
+    """An unparsed hypothesis counts no examples, so its log-weight stays
+    finite, and it is dead: the posterior gives it weight 0."""
     x = NumberExampleSet([2, 4])
-    out = pool_number_logliks([EVEN, JUNK], x, 0.1)
-    assert out[1] == NEG_LARGE
+    out = logliks([EVEN, JUNK], x, 0.1)
+    assert out[1] == 0.0
     assert np.isfinite(out).all()
+    state = infer_number(ExperimentConfig("number"), [EVEN, JUNK], x, ModelParams(epsilon=0.1))
+    assert state.weights.tolist() == [1.0, 0.0]
 
 
 def test_domain_mismatch_raises():
@@ -82,18 +92,15 @@ def test_domain_mismatch_raises():
     with pytest.raises(DomainMismatch):
         cache.extension(GT)
     with pytest.raises(DomainMismatch):
-        pool_shape_logliks([EVEN], [Trial([TRI], TRI, True)], 0.1, 0.5, 1.0)
+        truth_matrix([EVEN], [Trial([TRI], TRI, True)])
 
 
 def test_trial_response_prob():
     t_pos = Trial([TRI, CIR], TRI, True)
     t_neg = Trial([TRI, CIR], CIR, False)
     eps, alpha = 0.2, 0.4
-    assert trial_response_prob(GT, t_pos, eps, alpha) == pytest.approx(
-        (1 - eps) + eps * alpha
-    )
-    assert trial_response_prob(GT, t_neg, eps, alpha) == pytest.approx(
-        1 - eps * alpha
+    assert response_probs(GT, [t_pos, t_neg], eps, alpha) == pytest.approx(
+        [(1 - eps) + eps * alpha, 1 - eps * alpha]
     )
 
 
@@ -115,22 +122,38 @@ def test_decay_weights_properties(k, beta):
     assert np.all(np.diff(w) >= 0)
 
 
+SHAPE_POOL = [
+    GT,
+    make_hypothesis("something is positive if it is green", "this.color == green", "shape"),
+    make_hypothesis("something is positive if it is blue", "this.color == blue", "shape"),
+]
+
+
 def test_beta_zero_reduces_to_iid_sum():
+    """At beta = 0 the posterior after the last trial is the softmax of
+    each rule's i.i.d. sum of log P(label)."""
     trials = [
         Trial([TRI, CIR], TRI, True),
         Trial([TRI, CIR], CIR, False),
         Trial([TRI, CIR], TRI, False),
     ]
     eps, alpha = 0.15, 0.3
-    decayed = decayed_sequence_loglik(GT, trials, eps, alpha, beta=0.0)
-    iid = sum(
-        math.log(trial_response_prob(GT, t, eps, alpha)) for t in trials
-    )
-    assert decayed == pytest.approx(iid, abs=1e-12)
+    curve = LearningCurve("c", GT.nl_text, [trials[:1], trials[1:]], [0.5] * 3)
+    params = ModelParams(epsilon=eps, alpha=alpha, beta=0.0)
+    state = infer_shape(ExperimentConfig("shape"), SHAPE_POOL, curve, 2, params)
+    iid = np.array([np.log(response_probs(h, trials, eps, alpha)).sum() for h in SHAPE_POOL])
+    expected = np.exp(iid - iid.max()) / np.exp(iid - iid.max()).sum()
+    np.testing.assert_allclose(state.weights, expected, rtol=0, atol=1e-12)
 
 
 def test_empty_trial_sequence_is_zero():
-    assert decayed_sequence_loglik(GT, [], 0.1, 0.5, 1.0) == 0.0
+    """Before any trial every decayed log-likelihood is 0: the posterior
+    is the prior over the rules visible at batch 1."""
+    curve = LearningCurve("c", GT.nl_text, [[Trial([TRI, CIR], TRI, True)]], [0.5])
+    params = ModelParams(epsilon=0.1, alpha=0.5, beta=1.0)
+    state = infer_shape(ExperimentConfig("shape"), SHAPE_POOL, curve, 0, params)
+    np.testing.assert_array_equal(state.weights, np.full(3, 1.0 / 3.0))
+    assert decay_weights(0, 1.0).shape == (0,)
 
 
 def test_domain_mismatch_is_the_dsl_error():
@@ -140,11 +163,14 @@ def test_domain_mismatch_is_the_dsl_error():
 
 
 def test_pool_shape_logliks_marks_unparsed():
+    """An unparsed shape rule is never visible: it gets weight 0 after
+    any number of batches."""
     junk = make_hypothesis("mystery", "???", "shape")
-    trials = [Trial([TRI], TRI, True)]
-    out = pool_shape_logliks([GT, junk], trials, 0.1, 0.5, 1.0)
-    assert out[0] > NEG_LARGE
-    assert out[1] == NEG_LARGE
+    curve = LearningCurve("c", GT.nl_text, [[Trial([TRI], TRI, True)]], [0.5])
+    for upto in (0, 1):
+        state = infer_shape(ExperimentConfig("shape"), [GT, junk], curve, upto, ModelParams())
+        assert state.weights.tolist() == [1.0, 0.0]
+        assert state.diagnostics["unparsed"] == 1
 
 
 def test_extension_matrix_keys_rows_by_program():
@@ -177,15 +203,15 @@ def test_extension_is_computed_once_per_program(monkeypatch):
     ]
     x = NumberExampleSet([3, 5])
     first = extension_matrix(pool)
-    loglik = pool_number_logliks(pool, x, 0.1)
-    state = dedup_weights(pool, Uniform(), loglik)
-    predicted = [predict_membership(state, t) for t in (1, 4, 9)]
-    singles = [number_loglikelihood(h, x, 0.1) for h in pool]
+    state = infer_number(ExperimentConfig("number"), pool, x, ModelParams(epsilon=0.1))
+    predicted = state.weights @ extension_matrix(state.pool)[:, [0, 3, 8]]
+    loglik = logliks(pool, x, 0.1)
     assert len(computed) == 2
     # the memo changes no value
     np.testing.assert_array_equal(extension_matrix(pool), first)
-    assert singles[:2] == pytest.approx(loglik[:2].tolist(), abs=1e-12)
-    assert predicted == pytest.approx((state.weights @ first[:, [0, 3, 8]]).tolist(), abs=1e-12)
+    sizes = first[:2].sum(axis=1)
+    assert loglik[:2].tolist() == pytest.approx(2 * np.log(0.9 / sizes + 0.001), abs=1e-12)
+    assert predicted.tolist() == pytest.approx((state.weights @ first[:, [0, 3, 8]]).tolist(), abs=1e-12)
     assert len(computed) == 2
 
 
@@ -202,14 +228,13 @@ def test_per_trial_calls_match_one_call_over_all_trials(fixtures_dir):
     pool = io.load_pool(fixtures_dir / "shape" / "green_triangles_pool.jsonl", "shape")
     curve = io.load_learning_curve(fixtures_dir / "shape" / "green_triangles_curve.json")
     assert len(curve.trials) == 64
-    state = dedup_weights(pool, Uniform(), np.zeros(len(pool)))
     i = next(i for i, h in enumerate(pool) if h.parsed)
-    predicted = [predict_response(state, t, 0.1, 0.5) for t in curve.trials]
-    probs = [trial_response_prob(pool[i], t, 0.1, 0.5) for t in curve.trials]
+    per_trial = np.hstack([truth_matrix(pool, [t]) for t in curve.trials])
+    np.testing.assert_array_equal(per_trial, truth_matrix(pool, curve.trials))
+    probs = np.concatenate([response_probs(pool[i], [t], 0.1, 0.5) for t in curve.trials])
     p_positive = 0.9 * truth_matrix(pool, curve.trials) + 0.1 * 0.5
-    assert predicted == pytest.approx(p_positive.T @ state.weights, abs=1e-12)
     labels = np.array([t.label for t in curve.trials])
-    assert probs == pytest.approx(np.where(labels, p_positive[i], 1 - p_positive[i]), abs=1e-12)
+    assert probs.tolist() == pytest.approx(np.where(labels, p_positive[i], 1 - p_positive[i]), abs=1e-12)
     # evaluation leaves nothing on the programs
     assert all(vars(h.program).keys() == {"domain", "expr"} for h in pool if h.parsed)
 
@@ -224,15 +249,16 @@ def test_shape_program_pickles_after_evaluation():
 
 def test_pool_number_logliks_tie_exactly_on_equal_counts():
     """Hypotheses with equal |C| and an equal number of examples inside
-    tie in exact arithmetic, and their log-likelihoods are bitwise
-    equal: {1, 61, 62, 63} and {3, 61, 62, 63} on 1, 2, 3, and every
-    group of random small extensions."""
+    tie in exact arithmetic, and the log-likelihoods the number model
+    weighs them by are bitwise equal: {1, 61, 62, 63} and
+    {3, 61, 62, 63} on 1, 2, 3, and every group of random small
+    extensions."""
     x = NumberExampleSet([1, 2, 3])
     pair = [
         make_hypothesis("one and the sixties", "in_set({1, 61, 62, 63}, x)", "number"),
         make_hypothesis("three and the sixties", "in_set({3, 61, 62, 63}, x)", "number"),
     ]
-    a, b = pool_number_logliks(pair, x, 0.02)
+    a, b = logliks(pair, x, 0.02)
     assert a == b
     rng = np.random.default_rng(17)
     for _ in range(40):
@@ -243,7 +269,7 @@ def test_pool_number_logliks_tie_exactly_on_equal_counts():
                 rng.choice(np.arange(1, 16), rng.integers(1, 6), replace=False) for _ in range(12)
             )
         ]
-        loglik = pool_number_logliks(pool, examples, float(rng.choice([0.02, 0.3])))
+        loglik = logliks(pool, examples, float(rng.choice([0.02, 0.3])))
         groups = {}
         for h, ll in zip(pool, loglik):
             ext = h.program.extension

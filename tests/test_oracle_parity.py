@@ -1,14 +1,16 @@
-"""The public likelihood and posterior functions against the reference.
+"""The compiled inference path against the reference.
 
-Every public function of `likelihood` and `posterior` that reads the
-compiled extension and truth matrices must agree with its
-per-hypothesis counterpart in `oracle` within 1e-12, with -inf and
-NEG_LARGE in identical places, and must raise DegenerateState exactly
-when the reference does. Cases: the number fixtures, the shape fixture
-and the synthetic shape pool, plus epsilon = 0 with consistent and
-inconsistent hypotheses, an empty extension, unparsed and duplicate
-entries, all-dead pools, beta = 0 and a beta for which every decay
-weight but the last underflows to 0.
+`harness.infer_number` and `harness.infer_shape`, the posterior that
+`nlconcepts infer` prints, must agree with the per-hypothesis posterior
+of `oracle` within 1e-12: the same pool, weights and diagnostics, and
+degenerate exactly when the reference is. Each is checked under the
+uniform, tuned and external priors at two temperatures, numbers under
+importance weighting too, with the predictions read off the weights.
+Cases: the number fixtures, the shape fixture and the synthetic shape
+pool at every number of batches seen (0..B), plus an empty extension,
+unparsed and duplicate entries, all-dead pools, beta = 0 and a beta
+for which every decay weight but the last underflows to 0. The
+compiled extension and truth matrices match the interpreters.
 """
 
 from dataclasses import replace
@@ -17,42 +19,23 @@ import numpy as np
 import pytest
 
 from nlconcepts import io
-from nlconcepts.likelihood import (
-    NEG_LARGE,
-    EvalCache,
-    decay_weights,
-    decayed_sequence_loglik,
-    extension_matrix,
-    number_loglikelihood,
-    pool_number_logliks,
-    pool_shape_logliks,
-    trial_response_prob,
-    truth_matrix,
-)
-from nlconcepts.posterior import (
-    DegenerateState,
-    dedup_weights,
-    importance_weights,
-    predict_membership,
-    predict_response,
-)
-from nlconcepts.prior import External, Uniform
-from nlconcepts.types import NumberExampleSet
+from nlconcepts.harness import ExperimentConfig, infer_number, infer_shape
+from nlconcepts.likelihood import decay_weights, extension_matrix, truth_matrix
+from nlconcepts.prior import MissingFeature
+from nlconcepts.types import ModelParams, NumberExampleSet
 
 import oracle
 from conftest import FIXTURES, synthetic_shape_curve, synthetic_shape_pool
 
 TOL = 1e-12
+DIM = 16
 
 
 def assert_matches(got, want):
-    """Equal shapes, sentinels in the same places, the rest within TOL."""
+    """Equal shapes, every entry within TOL."""
     got, want = np.atleast_1d(np.asarray(got, float)), np.atleast_1d(np.asarray(want, float))
     assert got.shape == want.shape
-    for sentinel in (-np.inf, NEG_LARGE):
-        np.testing.assert_array_equal(got == sentinel, want == sentinel)
-    finite = (want != -np.inf) & (want != NEG_LARGE)
-    gap = np.abs(got[finite] - want[finite])
+    gap = np.abs(got - want)
     assert np.all(gap <= TOL), gap.max()
 
 
@@ -65,45 +48,38 @@ def assert_states_match(got, want):
         assert abs(got.diagnostics[key] - value) <= TOL * max(1.0, abs(value)), key
 
 
-def priors(pool):
-    """Uniform, and external scores that differ per canonical NL."""
+def assert_predictions_match(got, want, predict, predict_oracle):
+    """`predict(got)` against `predict_oracle(want)`; a degenerate
+    posterior has no weight to predict from."""
+    if want.degenerate:
+        assert not got.weights.any()
+        with pytest.raises(oracle.DegenerateState):
+            predict_oracle(want)
+    else:
+        assert_matches(predict(got), predict_oracle(want))
+
+
+def priors(pool, tmp_path):
+    """(ExperimentConfig keywords, theta, reference prior) of the uniform
+    prior, a tuned one, and external scores that differ per canonical NL."""
     rng = np.random.default_rng(len(pool))
-    return [Uniform(), External({h.key: float(rng.normal(0, 2)) for h in pool})]
+    theta = rng.normal(0, 1.0, DIM)
+    scores = {h.key: float(rng.normal(0, 2)) for h in pool}
+    path = tmp_path / "scores.jsonl"
+    io.save_score_file(path, scores)
+    return [
+        (dict(prior="uniform", feature_dim=0), np.zeros(0), oracle.prior_of("uniform")),
+        (dict(prior="tuned", feature_dim=DIM), theta, oracle.prior_of("tuned", theta)),
+        (
+            dict(prior="external", scores_path=str(path), feature_dim=0),
+            np.zeros(0),
+            oracle.prior_of("external", scores=scores),
+        ),
+    ]
 
 
 def with_logq(pool):
     return [replace(h, proposal_logprob=-0.3 * i) for i, h in enumerate(pool)]
-
-
-def assert_posteriors_match(pool, loglik, want_loglik, predict, predict_oracle):
-    """dedup and importance weights under each prior and temperature,
-    then `predict(state)` against `predict_oracle(state)`."""
-    states = []
-    for prior in priors(pool):
-        for temperature in (1.0, 0.3):
-            states.append(
-                (
-                    dedup_weights(pool, prior, loglik, temperature),
-                    oracle.dedup_weights(pool, prior, want_loglik, temperature),
-                )
-            )
-        weighted = with_logq(pool)
-        states.append(
-            (
-                importance_weights(weighted, prior, loglik),
-                oracle.importance_weights(weighted, prior, want_loglik),
-            )
-        )
-    for got, want in states:
-        assert_states_match(got, want)
-        if want.degenerate:
-            with pytest.raises(DegenerateState):
-                predict(got)
-            with pytest.raises(DegenerateState):
-                predict_oracle(want)
-        else:
-            assert_matches(predict(got), predict_oracle(want))
-    return states
 
 
 # ---------------------------------------------------------------------------
@@ -156,42 +132,56 @@ def test_extension_matrix_matches_interpreter():
         np.testing.assert_array_equal(extension_matrix(pool), np.reshape(want, (-1, 100)))
 
 
-@pytest.mark.parametrize("epsilon", [0.0, 0.02, 0.3])
+def membership(state, tests):
+    """P(x in concept) for each test number x, read off the posterior
+    weights and the extension matrix."""
+    return state.weights @ extension_matrix(state.pool)[:, [x - 1 for x in tests]]
+
+
+@pytest.mark.parametrize("epsilon", [0.02, 0.3])
 @pytest.mark.parametrize("case", NUMBER_CASES, ids=[c[0] for c in NUMBER_CASES])
-def test_number_functions_match_oracle(case, epsilon):
+def test_number_functions_match_oracle(case, epsilon, tmp_path):
     _, pool, examples = case
-    cache = EvalCache()
-    for h in pool:
-        assert_matches(
-            number_loglikelihood(h, examples, epsilon),
-            oracle.number_loglikelihood(h, examples, epsilon),
-        )
-    loglik = pool_number_logliks(pool, examples, epsilon, cache)
-    want_loglik = oracle.pool_number_logliks(pool, examples, epsilon)
-    assert_matches(loglik, want_loglik)
     tests = (1, 2, 16, 23, 64, 99, 100)
-    assert_posteriors_match(
-        pool,
-        loglik,
-        want_loglik,
-        lambda s: [predict_membership(s, x, cache) for x in tests],
-        lambda s: [oracle.predict_membership(s, x) for x in tests],
-    )
+    want_loglik = oracle.pool_number_logliks(pool, examples, epsilon)
+
+    def predict_oracle(s):
+        return [oracle.predict_membership(s, x) for x in tests]
+
+    for kwargs, theta, prior in priors(pool, tmp_path):
+        for temperature in (1.0, 0.3):
+            params = ModelParams(theta=theta, epsilon=epsilon, temperature=temperature)
+            got = infer_number(ExperimentConfig("number", **kwargs), pool, examples, params)
+            want = oracle.dedup_weights(pool, prior, want_loglik, temperature)
+            assert_states_match(got, want)
+            assert_predictions_match(got, want, lambda s: membership(s, tests), predict_oracle)
+        weighted = with_logq(pool)
+        cfg = ExperimentConfig("number", weighting="importance", **kwargs)
+        got = infer_number(cfg, weighted, examples, ModelParams(theta=theta, epsilon=epsilon))
+        want = oracle.importance_weights(weighted, prior, want_loglik)
+        assert_states_match(got, want)
+        assert_predictions_match(got, want, lambda s: membership(s, tests), predict_oracle)
 
 
 def test_number_edge_cases_are_covered():
-    """epsilon = 0: consistent hypotheses stay finite (no 0 * log 0),
-    inconsistent ones and unparsed ones get the sentinel; the empty
-    extension is finite only with noise; the all-dead pool is
+    """With noise, every parsed entry of the edge pool keeps a positive
+    weight (the empty extension and the inconsistent ones included), the
+    unparsed one none, and the duplicate merges; the all-dead pool is
     degenerate."""
-    x = NumberExampleSet([2, 4, 8])
-    ll = pool_number_logliks(EDGE_NUMBER_POOL, x, 0.0)
-    assert np.isfinite(ll).all()
-    assert (ll > NEG_LARGE).tolist() == [True, True, False, False, False, True, True, False]
-    assert number_loglikelihood(EDGE_NUMBER_POOL[2], x, 0.0) == -np.inf
-    assert np.isfinite(number_loglikelihood(EDGE_NUMBER_POOL[2], x, 0.1))
-    ll = pool_number_logliks(DEAD_NUMBER_POOL, x, 0.1)
-    assert dedup_weights(DEAD_NUMBER_POOL, Uniform(), ll).degenerate
+    cfg, params, x = ExperimentConfig("number"), ModelParams(epsilon=0.1), NumberExampleSet([2, 4, 8])
+    state = infer_number(cfg, EDGE_NUMBER_POOL, x, params)
+    assert (state.weights > 0).tolist() == [h.parsed for h in state.pool]
+    assert [state.diagnostics[k] for k in ("duplicates_merged", "unparsed", "zero_weight")] == [1, 1, 1]
+    state = infer_number(cfg, DEAD_NUMBER_POOL, x, params)
+    assert state.degenerate and not state.weights.any()
+
+
+def test_external_prior_without_a_pool_entry_raises_missing_feature(tmp_path):
+    path = tmp_path / "scores.jsonl"
+    io.save_score_file(path, {h.key: -1.0 for h in EDGE_NUMBER_POOL[:-1]})
+    cfg = ExperimentConfig("number", prior="external", scores_path=str(path))
+    with pytest.raises(MissingFeature, match="the number is 100"):
+        infer_number(cfg, EDGE_NUMBER_POOL, NumberExampleSet([2]), ModelParams())
 
 
 # ---------------------------------------------------------------------------
@@ -209,23 +199,22 @@ def shape_cases():
     fixture_curve = io.load_learning_curve(FIXTURES / "shape" / "green_triangles_curve.json")
     fixture_pool = io.load_pool(FIXTURES / "shape" / "green_triangles_pool.jsonl", "shape")
     synthetic = synthetic_shape_curve()
+    # a rule whose source batch lies past the curve's 5: visible only after the last batch
+    late = S("it is small", "this.size == 1", batch=7)
     return [
         ("fixture", fixture_pool, fixture_curve),
-        ("synthetic", synthetic_shape_pool(), synthetic),
+        ("synthetic", synthetic_shape_pool() + [late], synthetic),
         ("dead", DEAD_SHAPE_POOL, synthetic),
     ]
 
 
 SHAPE_CASES = shape_cases()
-# (epsilon, alpha, beta): noisy, noiseless, no decay, and decay that
-# underflows to 0 for every trial but the last, with and without noise
-# (noiseless, a zero-probability trial stays fatal at weight 0)
+# (epsilon, alpha, beta): noisy, no decay, and decay that underflows to 0
+# for every trial but the last
 SHAPE_PARAMS = [
     (0.1, 0.4, 0.7),
-    (0.0, 0.5, 1.0),
     (0.2, 0.6, 0.0),
     (0.05, 0.3, 2000.0),
-    (0.0, 0.5, 2000.0),
 ]
 
 
@@ -242,42 +231,42 @@ def test_large_beta_underflows():
 
 @pytest.mark.parametrize("params", SHAPE_PARAMS, ids=lambda p: "-".join(f"{v:g}" for v in p))
 @pytest.mark.parametrize("case", SHAPE_CASES, ids=[c[0] for c in SHAPE_CASES])
-def test_shape_functions_match_oracle(case, params):
+def test_shape_functions_match_oracle(case, params, tmp_path):
+    """The posterior after each number of batches seen, 0..B, and the
+    responses it predicts for the next batch (the last after all B)."""
     _, pool, curve = case
     eps, alpha, beta = params
-    trials = curve.trials
-    for h in pool:
-        for t in trials:
-            assert_matches(
-                trial_response_prob(h, t, eps, alpha), oracle.trial_response_prob(h, t, eps, alpha)
-            )
-    for n_seen in sorted({0, 1, len(curve.batches[0]), len(trials) // 2, len(trials)}):
-        seen = trials[:n_seen]
-        for h in pool:
-            assert_matches(
-                decayed_sequence_loglik(h, seen, eps, alpha, beta),
-                oracle.decayed_sequence_loglik(h, seen, eps, alpha, beta),
-            )
-        upcoming = trials[n_seen : n_seen + 5] or trials[-5:]
-        loglik = pool_shape_logliks(pool, seen, eps, alpha, beta)
-        want_loglik = oracle.pool_shape_logliks(pool, seen, eps, alpha, beta)
-        assert_matches(loglik, want_loglik)
-        assert_posteriors_match(
-            pool,
-            loglik,
-            want_loglik,
-            lambda s: [predict_response(s, t, eps, alpha) for t in upcoming],
-            lambda s: [oracle.predict_response(s, t, eps, alpha) for t in upcoming],
-        )
+    prior_cases = priors(pool, tmp_path)
+    for upto in range(len(curve.batches) + 1):
+        upcoming = curve.batches[min(upto, len(curve.batches) - 1)]
+        want_loglik = oracle.online_shape_logliks(pool, curve, upto, eps, alpha, beta)
+
+        def predict(s):
+            return s.weights @ ((1.0 - eps) * truth_matrix(s.pool, upcoming) + eps * alpha)
+
+        for kwargs, theta, prior in prior_cases:
+            for temperature in (1.0, 0.3):
+                p = ModelParams(theta=theta, epsilon=eps, alpha=alpha, beta=beta, temperature=temperature)
+                got = infer_shape(ExperimentConfig("shape", **kwargs), pool, curve, upto, p)
+                want = oracle.dedup_weights(pool, prior, want_loglik, temperature)
+                assert_states_match(got, want)
+                assert_predictions_match(
+                    got, want, predict, lambda s: [oracle.predict_response(s, t, eps, alpha) for t in upcoming]
+                )
 
 
 def test_shape_edge_cases_are_covered():
-    """epsilon = 0 leaves the consistent rule finite and the others
-    NEG_LARGE; the all-dead pool is degenerate."""
+    """With little noise, the posterior after the last batch sits on the
+    rules consistent with every trial, the planted rule among them; the
+    all-dead pool is degenerate after any number of batches."""
     _, pool, curve = SHAPE_CASES[0]
-    ll = pool_shape_logliks(pool, curve.trials, 0.0, 0.5, 1.0)
-    consistent = [h.nl_text for h, v in zip(pool, ll) if v > NEG_LARGE]
-    assert consistent and len(consistent) < len(pool)
-    assert curve.ground_truth_nl in consistent
-    ll = pool_shape_logliks(DEAD_SHAPE_POOL, curve.trials, 0.1, 0.5, 1.0)
-    assert dedup_weights(DEAD_SHAPE_POOL, Uniform(), ll).degenerate
+    cfg, params = ExperimentConfig("shape"), ModelParams(epsilon=1e-6, alpha=0.5, beta=0.0)
+    state = infer_shape(cfg, pool, curve, len(curve.batches), params)
+    labels = np.array([t.label for t in curve.trials], dtype=float)
+    consistent = (truth_matrix(state.pool, curve.trials) == labels).all(axis=1)
+    assert consistent.any() and not consistent.all()
+    assert curve.ground_truth_nl in [h.nl_text for h, c in zip(state.pool, consistent) if c]
+    assert state.weights[~consistent].sum() < 1e-4
+    for upto in range(len(curve.batches) + 1):
+        state = infer_shape(cfg, DEAD_SHAPE_POOL, curve, upto, params)
+        assert state.degenerate and not state.weights.any()

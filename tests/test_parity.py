@@ -1,10 +1,11 @@
 """The model that is fit is the model that is evaluated.
 
 For random parameters, every prediction of the fit path
-(`fit.loss_and_grad`) must equal the inference path's prediction for
-the same datum within 1e-12, in both domains. The shape paths, top-k
-verbalizations and the latent-language baselines are checked against
-the per-hypothesis reference in `oracle`, rebuilt batch by batch.
+(`fit.loss_and_grad`) must equal the prediction of the per-hypothesis
+inference in `oracle` for the same datum within 1e-12, in both
+domains. The shape paths, top-k verbalizations and the latent-language
+baselines are checked against the same reference, rebuilt batch by
+batch.
 """
 
 import itertools
@@ -23,13 +24,12 @@ from nlconcepts.harness import (
     build_number_task,
     build_shape_task,
     group_judgments,
-    prior_spec_for,
     run_number_experiment,
     run_online_experiment,
 )
 from nlconcepts.io import make_hypothesis
-from nlconcepts.likelihood import EvalCache, pool_number_logliks
-from nlconcepts.posterior import ZERO_CUTOFF, dedup_pool, dedup_weights, platt, predict_membership
+from nlconcepts.likelihood import EvalCache
+from nlconcepts.posterior import dedup_pool, platt
 from nlconcepts.prior import FeatureExtractor
 from nlconcepts.types import ModelParams, NumberExampleSet
 
@@ -58,11 +58,15 @@ def config(domain, prior):
     )
 
 
+def oracle_prior(cfg, params):
+    """The reference prior of `cfg` at `params` (uniform or tuned)."""
+    return oracle.prior_of(cfg.prior, params.theta)
+
+
 @pytest.mark.parametrize("prior", ["uniform", "tuned"])
 def test_number_fit_path_matches_inference_path(prior):
     cfg = config("number", prior)
     extractor = FeatureExtractor(dim=cfg.feature_dim)
-    cache = EvalCache()
     pools = {
         f"set{i:02d}": io.load_pool(FIXTURES / "number" / f"set{i:02d}.jsonl", "number")
         for i in range(1, 9)
@@ -87,14 +91,14 @@ def test_number_fit_path_matches_inference_path(prior):
             pack_params(params), tasks, cfg.feature_dim, want_grad=False
         )
         fit_path = {datum_id: pred for datum_id, pred, _ in records}
-        prior_spec = prior_spec_for(cfg, params, extractor)
+        prior = oracle_prior(cfg, params)
         n_checked = 0
         for set_id, group in by_set.items():
             pool = pools[set_id]
-            loglik = pool_number_logliks(pool, group[0].example_set, params.epsilon, cache)
-            state = dedup_weights(pool, prior_spec, loglik, params.temperature)
+            loglik = oracle.pool_number_logliks(pool, group[0].example_set, params.epsilon)
+            state = oracle.dedup_weights(pool, prior, loglik, params.temperature)
             for j in group:
-                p = predict_membership(state, j.test_number, cache)
+                p = oracle.predict_membership(state, j.test_number)
                 want = platt(p, params.platt_a, params.platt_b)
                 got = fit_path[f"{set_id}:{j.test_number}"]
                 assert abs(got - want) <= TOL, (set_id, j.test_number, got, want)
@@ -106,8 +110,7 @@ def scalar_online_predictions(cfg, pool, curve, params):
     """The online protocol from the reference functions: before each
     batch, the visible rules' decayed log-likelihoods of all earlier
     trials, deduplicated weights, then each trial's expected response."""
-    extractor = FeatureExtractor(dim=cfg.feature_dim)
-    prior = prior_spec_for(cfg, params, extractor)
+    prior = oracle_prior(cfg, params)
     unique, _ = dedup_pool(pool)
     preds, seen = [], 0
     for b, batch in enumerate(curve.batches, start=1):
@@ -392,13 +395,12 @@ def test_number_top_verbalizations_match_dedup_weights(prior, setting):
     judgments = io.load_number_judgments(cfg.data_path)
     _, _, top = run_number_experiment(cfg, judgments=judgments, pools=pools)
 
-    extractor = FeatureExtractor(dim=cfg.feature_dim)
-    prior_spec = prior_spec_for(cfg, params, extractor)
+    prior = oracle_prior(cfg, params)
     assert set(top) == set(pools)
     for set_id, group in group_judgments(judgments, pools).items():
         pool = pools[set_id]
         loglik = oracle.pool_number_logliks(pool, group[0].example_set, params.epsilon)
-        state = oracle.dedup_weights(pool, prior_spec, loglik, params.temperature)
+        state = oracle.dedup_weights(pool, prior, loglik, params.temperature)
         order = np.argsort(-state.weights, kind="stable")[:5]
         assert [nl for nl, _ in top[set_id]] == [state.pool[i].nl_text for i in order]
         gaps = [abs(w - state.weights[i]) for (_, w), i in zip(top[set_id], order)]
@@ -407,7 +409,7 @@ def test_number_top_verbalizations_match_dedup_weights(prior, setting):
 
 def first_argmax(pool, loglik):
     """Index of the first parsed maximum-likelihood entry, or None."""
-    alive = np.array([h.parsed for h in pool], dtype=bool) & (loglik > ZERO_CUTOFF)
+    alive = np.array([h.parsed for h in pool], dtype=bool) & (loglik > oracle.ZERO_CUTOFF)
     if not alive.any():
         return None
     return int(np.argmax(np.where(alive, loglik, -np.inf)))

@@ -7,24 +7,24 @@ import numpy as np
 import pytest
 from scipy import special
 
+from nlconcepts import io
+from nlconcepts.fit import shape_forward
+from nlconcepts.harness import ExperimentConfig, build_shape_task, infer_number
 from nlconcepts.io import make_hypothesis
-from nlconcepts.likelihood import EvalCache, pool_number_logliks
+from nlconcepts.likelihood import extension_matrix
 from nlconcepts.posterior import (
-    DegenerateState,
     MissingLogQ,
     PosteriorState,
     dedup_pool,
-    dedup_weights,
     expit,
-    importance_weights,
     logit,
     platt,
-    predict_membership,
-    predict_response,
     weight_diagnostics,
 )
-from nlconcepts.prior import External, Uniform
-from nlconcepts.types import Hypothesis, NumberExampleSet, ShapeObject, Trial, Unparsed
+from nlconcepts.prior import FeatureExtractor
+from nlconcepts.types import Hypothesis, LearningCurve, ModelParams, NumberExampleSet, ShapeObject, Trial
+
+import oracle
 
 
 def H(nl, dsl, logq=None):
@@ -41,53 +41,51 @@ POOL = [
 X = NumberExampleSet([16, 8, 2, 64])
 
 
-def posterior(pool, x, eps=0.02, temperature=1.0, prior=None):
-    cache = EvalCache()
-    ll = pool_number_logliks(pool, x, eps, cache)
-    return dedup_weights(pool, prior or Uniform(), ll, temperature), cache
+def posterior(pool, x, eps=0.02, temperature=1.0, cfg=None):
+    """`infer_number` under the uniform prior, unless `cfg` says otherwise."""
+    params = ModelParams(epsilon=eps, temperature=temperature)
+    return infer_number(cfg or ExperimentConfig("number"), pool, x, params)
 
 
 def exhaustive_bayes(pool, x, eps):
     """Direct enumeration oracle over the (small, complete) pool."""
-    cache = EvalCache()
     weights = []
     for h in pool:
-        ext = cache.extension(h)
+        ext = h.program.extension
         w = 1.0  # uniform prior
         for xi in x.examples:
             inside = (1 - eps) / len(ext) if xi in ext else 0.0
             w *= inside + eps / 100.0
         weights.append(w)
     total = sum(weights)
-    return [w / total for w in weights], cache
+    return [w / total for w in weights]
 
 
 def test_matches_exhaustive_bayes():
-    state, cache = posterior(POOL, X)
-    expected, _ = exhaustive_bayes(POOL, X, 0.02)
+    state = posterior(POOL, X)
+    expected = exhaustive_bayes(POOL, X, 0.02)
     np.testing.assert_allclose(state.weights, expected, atol=1e-12)
+    member = extension_matrix(state.pool)
     for t in (32, 23, 57, 64):
-        enum = sum(
-            w for w, h in zip(expected, POOL) if t in cache.extension(h)
-        )
-        assert predict_membership(state, t, cache) == pytest.approx(enum, abs=1e-12)
+        enum = sum(w for w, h in zip(expected, POOL) if t in h.program.extension)
+        assert state.weights @ member[:, t - 1] == pytest.approx(enum, abs=1e-12)
 
 
 def test_example_order_does_not_matter():
-    base, _ = posterior(POOL, X)
+    base = posterior(POOL, X)
     for perm in itertools.permutations([16, 8, 2, 64]):
-        state, _ = posterior(POOL, NumberExampleSet(perm))
+        state = posterior(POOL, NumberExampleSet(perm))
         np.testing.assert_allclose(state.weights, base.weights, atol=1e-12)
 
 
 def test_pool_order_permutation_consistency():
     rng = random.Random(3)
-    base, cache = posterior(POOL, X)
+    base = posterior(POOL, X)
     by_key = dict(zip((h.key for h in base.pool), base.weights))
     for _ in range(5):
         shuffled = POOL[:]
         rng.shuffle(shuffled)
-        state, _ = posterior(shuffled, X)
+        state = posterior(shuffled, X)
         for h, w in zip(state.pool, state.weights):
             assert w == pytest.approx(by_key[h.key], abs=1e-12)
 
@@ -102,18 +100,16 @@ def test_dedup_pool_merges_by_canonical_text():
 
 
 def test_duplicates_do_not_change_dedup_weights():
-    state, _ = posterior(POOL, X)
+    state = posterior(POOL, X)
     dup = POOL + [POOL[0], POOL[0], POOL[1]]
-    cache = EvalCache()
-    ll = pool_number_logliks(dup, X, 0.02, cache)
-    state2 = dedup_weights(dup, Uniform(), ll, 1.0)
+    state2 = posterior(dup, X)
     np.testing.assert_allclose(state2.weights, state.weights, atol=1e-12)
     assert state2.diagnostics["duplicates_merged"] == 3
 
 
 def test_unparsed_kept_with_zero_weight():
     pool = POOL + [H("gibberish", "???")]
-    state, _ = posterior(pool, X)
+    state = posterior(pool, X)
     assert len(state.pool) == 5
     assert state.weights[-1] == 0.0
     assert state.diagnostics["unparsed"] == 1
@@ -129,41 +125,44 @@ def test_weight_diagnostics_effective_sample_size():
         assert uniform["max_weight"] == pytest.approx(1.0 / n)
     assert weight_diagnostics(np.zeros(3)) == {"ess": 0.0, "max_weight": 0.0}
     # the posterior reports them alongside its other diagnostics
-    state, _ = posterior(POOL, X)
+    state = posterior(POOL, X)
     assert state.diagnostics["ess"] == pytest.approx(1.0 / np.sum(state.weights**2))
     assert state.diagnostics["max_weight"] == state.weights.max()
 
 
 def test_degenerate_pool():
     pool = [H("gibberish", "???"), H("also gibberish", "????")]
-    state, cache = posterior(pool, X)
+    state = posterior(pool, X)
     assert state.degenerate
-    with pytest.raises(DegenerateState):
-        predict_membership(state, 10, cache)
+    assert not state.weights.any()
+    assert state.diagnostics["zero_weight"] == 2
 
 
 def test_temperature_identity_and_flattening():
-    state_t1, _ = posterior(POOL, X, temperature=1.0)
-    base, _ = posterior(POOL, X)
+    state_t1 = posterior(POOL, X, temperature=1.0)
+    base = posterior(POOL, X)
     np.testing.assert_allclose(state_t1.weights, base.weights)
-    hot, _ = posterior(POOL, X, temperature=1e9)
+    hot = posterior(POOL, X, temperature=1e9)
     support = hot.weights[hot.weights > 0]
     np.testing.assert_allclose(support, 1.0 / len(support), atol=1e-6)
-    cold, _ = posterior(POOL, X, temperature=1e-2)
+    cold = posterior(POOL, X, temperature=1e-2)
     assert cold.weights.max() > base.weights.max()
 
 
-def test_temperature_applies_to_unnormalized_product():
+def test_temperature_applies_to_unnormalized_product(tmp_path):
     # w ~ (prior * lik)^(1/T), not a Platt-style output transform
-    prior = External({h.key: -float(i) for i, h in enumerate(POOL)})
-    cache = EvalCache()
-    ll = pool_number_logliks(POOL, X, 0.02, cache)
+    scores = tmp_path / "scores.jsonl"
+    io.save_score_file(scores, {h.key: -float(i) for i, h in enumerate(POOL)})
+    ll = oracle.pool_number_logliks(POOL, X, 0.02)
     T = 2.5
-    state = dedup_weights(POOL, prior, ll, T)
+    state = posterior(POOL, X, temperature=T, cfg=ExperimentConfig("number", prior="external", scores_path=str(scores)))
     logs = np.array([-float(i) for i in range(len(POOL))]) + ll
     expected = np.exp(logs / T)
     expected /= expected.sum()
     np.testing.assert_allclose(state.weights, expected, atol=1e-12)
+
+
+IMPORTANCE = ExperimentConfig("number", weighting="importance")
 
 
 def test_importance_weights():
@@ -171,9 +170,8 @@ def test_importance_weights():
         H("the number is a power of 2", "power(2, x)", logq=-1.0),
         H("the number is even", "even(x)", logq=-3.0),
     ]
-    cache = EvalCache()
-    ll = pool_number_logliks(pool, X, 0.02, cache)
-    state = importance_weights(pool, Uniform(), ll)
+    ll = oracle.pool_number_logliks(pool, X, 0.02)
+    state = posterior(pool, X, cfg=IMPORTANCE)
     expected = np.exp(ll - np.array([-1.0, -3.0]))
     expected /= expected.sum()
     np.testing.assert_allclose(state.weights, expected, atol=1e-12)
@@ -181,7 +179,7 @@ def test_importance_weights():
 
 def test_importance_weights_require_logq():
     with pytest.raises(MissingLogQ):
-        importance_weights(POOL, Uniform(), np.zeros(len(POOL)))
+        posterior(POOL, X, cfg=IMPORTANCE)
 
 
 def test_importance_weights_keep_duplicates():
@@ -189,14 +187,15 @@ def test_importance_weights_keep_duplicates():
         H("the number is even", "even(x)", logq=-1.0),
         H("the number is even", "even(x)", logq=-1.0),
     ]
-    cache = EvalCache()
-    ll = pool_number_logliks(pool, X, 0.5, cache)
-    state = importance_weights(pool, Uniform(), ll)
+    state = posterior(pool, X, eps=0.5, cfg=IMPORTANCE)
     assert len(state.pool) == 2
     np.testing.assert_allclose(state.weights, [0.5, 0.5])
 
 
 def test_predict_response():
+    """A trial's prediction is the posterior expectation of each rule's
+    response probability (1 - eps) member + eps alpha, under the weights
+    before its batch."""
     gt = make_hypothesis(
         "something is positive if it is a green triangle",
         "this.color == green and this.shape == triangle",
@@ -205,14 +204,18 @@ def test_predict_response():
     other = make_hypothesis(
         "something is positive if it is green", "this.color == green", "shape"
     )
-    state = PosteriorState([gt, other], np.array([0.75, 0.25]))
     tri = ShapeObject("triangle", "green", 1)
     circle = ShapeObject("circle", "green", 2)
     t = Trial([tri, circle], circle, False)
+    curve = LearningCurve("c", gt.nl_text, [[t], [t]], [0.1, 0.2])
+    task = build_shape_task(ExperimentConfig("shape"), [gt, other], curve, FeatureExtractor(dim=0))
     eps, alpha = 0.2, 0.5
+    pred, p, _ = shape_forward(task, ModelParams(epsilon=eps, alpha=alpha, beta=0.5))
+    # batch 1's "no" has probability 1 - eps alpha under gt, eps alpha under other
+    np.testing.assert_allclose(p[1, task.rule_class], [0.9, 0.1], atol=1e-12)
     # per-hypothesis response prob is (1-eps)*member + eps*alpha
-    expected = 0.75 * (eps * alpha) + 0.25 * ((1 - eps) + eps * alpha)
-    assert predict_response(state, t, eps, alpha) == pytest.approx(expected)
+    expected = 0.9 * (eps * alpha) + 0.1 * ((1 - eps) + eps * alpha)
+    assert pred[1] == pytest.approx(expected)
 
 
 def test_state_validation():
@@ -223,8 +226,8 @@ def test_state_validation():
 
 
 def test_map_and_json_ordering():
-    state, _ = posterior(POOL, X)
-    assert state.map_hypothesis().nl_text == "the number is a power of 2"
+    state = posterior(POOL, X)
+    assert state.pool[int(np.argmax(state.weights))].nl_text == "the number is a power of 2"
     import json
 
     payload = json.loads(state.to_json())

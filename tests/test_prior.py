@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
+from nlconcepts.harness import ConfigError, ExperimentConfig, build_number_task
 from nlconcepts.io import make_hypothesis
 from nlconcepts.prior import (
     FEATURE_DIM,
-    External,
     FeatureExtractor,
     MissingFeature,
-    Tuned,
-    Uniform,
     extract_features,
-    prior_logweight,
 )
+from nlconcepts.types import ModelParams, NumberExampleSet
 
 
 def h(nl="the number is even", dsl="even(x)"):
@@ -64,25 +62,39 @@ def test_extractor_matrix():
     assert m.shape == (2, 16)
 
 
+def compiled_prior(pool, params, **cfg):
+    """The log prior of each hypothesis in a compiled number task, as
+    the forward pass reads it: the base log-prior plus, under the tuned
+    prior, the features times theta."""
+    cfg = ExperimentConfig("number", **cfg)
+    task = build_number_task(cfg, pool, NumberExampleSet([1]), [], FeatureExtractor(dim=cfg.feature_dim))
+    if task.features is None:
+        return task.base_logprior
+    return task.base_logprior + task.features @ params.theta
+
+
 def test_uniform_prior():
-    assert prior_logweight(Uniform(), h()) == 0.0
+    pool = [h(), h("the number is odd", "odd(x)")]
+    assert compiled_prior(pool, ModelParams()).tolist() == [0.0, 0.0]
 
 
 def test_tuned_prior_is_linear_in_theta():
     ext = FeatureExtractor(dim=16)
     theta = np.arange(16, dtype=float)
-    spec = Tuned(theta, ext)
+    got = compiled_prior([h()], ModelParams(theta=theta), prior="tuned", feature_dim=16)
     expected = float(theta @ ext("the number is even"))
-    assert prior_logweight(spec, h()) == pytest.approx(expected)
+    assert got[0] == pytest.approx(expected)
 
 
 def test_tuned_prior_dim_mismatch():
-    with pytest.raises(ValueError):
-        Tuned(np.zeros(8), FeatureExtractor(dim=16))
+    with pytest.raises(ConfigError, match="8 entries.*feature_dim = 16"):
+        ExperimentConfig("number", prior="tuned", feature_dim=16, params=ModelParams(theta=np.zeros(8)))
 
 
-def test_external_prior():
-    spec = External({"the number is even": -2.5})
-    assert prior_logweight(spec, h()) == -2.5
-    with pytest.raises(MissingFeature):
-        prior_logweight(spec, h("the number is odd", "odd(x)"))
+def test_external_prior(tmp_path):
+    path = tmp_path / "scores.jsonl"
+    path.write_text('{"nl": "The number is EVEN.", "logp": -2.5}\n')
+    cfg = dict(prior="external", scores_path=str(path))
+    assert compiled_prior([h()], ModelParams(), **cfg).tolist() == [-2.5]
+    with pytest.raises(MissingFeature, match="the number is odd"):
+        compiled_prior([h(), h("the number is odd", "odd(x)")], ModelParams(), **cfg)
