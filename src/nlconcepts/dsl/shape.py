@@ -335,16 +335,26 @@ def _slots(a: TrialArrays, field: str, axis: int, depth: int):
     return getattr(a, field)[index]
 
 
-def _binder(node, a, env, depth):
-    """(body, domain mask) of a quantifier or count, on a new last axis."""
+class _OverBudget(Exception):
+    """An intermediate of a multi-trial evaluation would exceed CELL_BUDGET cells."""
+
+
+def _binder(node, a, env, depth, cells):
+    """(body, domain mask) of a quantifier or count, on a new last axis.
+    `cells` counts the cells per trial of the values under the enclosing
+    binders; an evaluation of more than one trial whose intermediates
+    would outgrow the budget stops with _OverBudget before building them."""
     axis = depth + 1
-    body = _array_bool(node.body, a, {**env, node.var: axis}, axis)
+    cells *= _DOMAIN_SIZE[node.domain]
+    if len(a.all) > 1 and len(a.all) * cells > CELL_BUDGET:
+        raise _OverBudget
+    body = _array_bool(node.body, a, {**env, node.var: axis}, axis, cells)
     if node.domain in OBJECT_SETS:
         return body, _slots(a, node.domain, axis, axis)
     return body, np.ones((1,) * axis + (_DOMAIN_SIZE[node.domain],), dtype=bool)
 
 
-def _array_value(node, a, env, depth):
+def _array_value(node, a, env, depth, cells):
     if isinstance(node, Const):
         return np.int64(node.value if node.kind == "int" else _CODES[node.kind][node.value])
     if isinstance(node, VarRef):
@@ -356,25 +366,25 @@ def _array_value(node, a, env, depth):
             return getattr(a, "this_" + node.field)[(slice(None),) + (None,) * depth]
         return _slots(a, node.field, axis, depth)
     if isinstance(node, Count):
-        body, mask = _binder(node, a, env, depth)
+        body, mask = _binder(node, a, env, depth, cells)
         return (body & mask).sum(axis=-1)
     raise AssertionError(node)
 
 
-def _array_bool(node, a, env, depth):
+def _array_bool(node, a, env, depth, cells):
     if isinstance(node, BoolLit):
         return np.bool_(node.value)
     if isinstance(node, BoolOp):
-        left = _array_bool(node.left, a, env, depth)
-        right = _array_bool(node.right, a, env, depth)
+        left = _array_bool(node.left, a, env, depth, cells)
+        right = _array_bool(node.right, a, env, depth, cells)
         return left & right if node.op == "and" else left | right
     if isinstance(node, Not):
-        return ~_array_bool(node.arg, a, env, depth)
+        return ~_array_bool(node.arg, a, env, depth, cells)
     if isinstance(node, Cmp):
-        left = _array_value(node.left, a, env, depth)
-        return COMPARE[node.op](left, _array_value(node.right, a, env, depth))
+        left = _array_value(node.left, a, env, depth, cells)
+        return COMPARE[node.op](left, _array_value(node.right, a, env, depth, cells))
     if isinstance(node, Quant):
-        body, mask = _binder(node, a, env, depth)
+        body, mask = _binder(node, a, env, depth, cells)
         if node.quantifier == "exists":
             return (body & mask).any(axis=-1)
         return (body | ~mask).all(axis=-1)
@@ -400,12 +410,21 @@ def truth_values(expr, arrays: TrialArrays) -> np.ndarray:
     than CELL_BUDGET cells. A chunk holds at least one trial, so the
     budget does not bound a rule whose nested binders span more cells
     than that for one trial (nine nested object binders do: 5^9).
+    All trials form one chunk when the budget allows: the evaluation
+    tries that first and walks the rule for its chunk size (`_cells`)
+    only when it stops at a binder the budget does not allow.
     """
-    step = max(1, CELL_BUDGET // _cells(expr))
     out = np.empty(len(arrays.all), dtype=bool)
+    if len(out) <= CELL_BUDGET:
+        try:
+            out[:] = _array_bool(expr, arrays, {"this": 0}, 0, 1)
+            return out
+        except _OverBudget:
+            pass
+    step = max(1, CELL_BUDGET // _cells(expr))
     for lo in range(0, len(out), step):
-        chunk = arrays if step >= len(out) else TrialArrays(*(a[lo : lo + step] for a in arrays))
-        out[lo : lo + step] = _array_bool(expr, chunk, {"this": 0}, 0)
+        chunk = TrialArrays(*(a[lo : lo + step] for a in arrays))
+        out[lo : lo + step] = _array_bool(expr, chunk, {"this": 0}, 0, 1)
     return out
 
 

@@ -24,17 +24,26 @@ membership, one product per task; the gradient collapses over a
 task's rows through the transposed product. No array of the fit has
 an axis over all judgments and one over the tasks, so memory and time
 grow linearly with the number of sets.
+
+A shape task compiles, once when it is built, every array of the
+forward pass that depends on its trials and batches alone (`ShapeTask`).
+An epoch reads epsilon, alpha, beta and T as scalars straight off the
+unconstrained vector, as `_unpack` would, and runs `shape_pass` with
+them; the cross-entropy and its derivative come from one call
+(`bce_loss_and_slope`), against targets masked once per fit
+(`FitRows`). Online evaluation, inference and the latent-language
+baseline run the same pass at a `ModelParams` (`shape_forward`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .likelihood import count_logliks, decay_weights, label_probs
+from .likelihood import count_logliks, decay_weights, positive_probs
 from .posterior import expit, logit, softmax_masked
 from .types import ModelParams
 
@@ -75,15 +84,27 @@ def reparam(unconstrained: float, kind: str) -> float:
         except OverflowError:  # exp(-u) beyond the largest float: 1 / inf
             return 0.0
     if kind == "positive":
-        return float(np.exp(np.clip(unconstrained, -700, 700)))
+        # min and max keep a NaN, as np.clip does, at a fraction of its cost
+        return float(np.exp(min(max(unconstrained, -700.0), 700.0)))
     raise ValueError(f"unknown reparam kind {kind!r}")
 
 
-def weighted_bce_loss(pred, r, delta: float = 1e-6):
-    """-[r log pred + (1-r) log(1-pred)], with pred clamped away from
-    0 and 1; elementwise on arrays."""
-    pred = np.clip(pred, delta, 1.0 - delta)
-    return -(r * np.log(pred) + (1.0 - r) * np.log(1.0 - pred))
+# the temperatures exp(-700) and exp(700), the range of "positive" reparam
+_T_MIN, _T_MAX = reparam(-700.0, "positive"), reparam(700.0, "positive")
+
+
+def bce_loss_and_slope(pred, yes, no, delta: float = 1e-6):
+    """The binary cross-entropy -sum(yes log p + no log(1 - p)) of the
+    predictions `pred` clamped to p in [delta, 1 - delta], and its
+    derivative in each prediction, 0 where the clamp holds it. `yes` is
+    the target where a row counts and `no` one minus it, both 0 where
+    it does not."""
+    p = np.minimum(np.maximum(pred, delta), 1.0 - delta)
+    q = 1.0 - p
+    loss = -(np.dot(yes, np.log(p)) + np.dot(no, np.log(q)))
+    # d/dp of -(r log p + (1 - r) log q) is (1 - r) / q - r / p
+    slope = np.where((pred > delta) & (pred < 1.0 - delta), no / q - yes / p, 0.0)
+    return float(loss), slope
 
 
 def kfold_split(ids: Sequence, k: int, seed: int) -> List[Tuple[list, list]]:
@@ -147,7 +168,17 @@ class ShapeTask:
 
     `consist` must hold only 0.0 and 1.0: `shape_forward` is affine in
     it. Building a task checks this once and raises ValueError naming
-    the curve otherwise."""
+    the curve otherwise.
+
+    Building a task also compiles the constants every forward pass over
+    it reads, which depend on the labels, the batches and the number B
+    of rows of `visible` alone (the fields after `domain`). With
+    lag[b, k] = K_b - k, how far trial k lies behind the start of batch
+    b (K_b trials come before it), they are: which trials lie before
+    each batch, where `decay_weights(K, beta)` holds lag^-beta, log lag,
+    and the sums over a trial's label that the gradient takes.
+    `dataclasses.replace` compiles them again, as for the extra row of
+    visible rules of `harness.infer_shape`."""
 
     features: Optional[np.ndarray]  # (G, D); None under a non-tuned prior
     base_logprior: np.ndarray  # (G,)
@@ -163,6 +194,14 @@ class ShapeTask:
 
     domain: str = "shape"
 
+    by_label: np.ndarray = field(init=False, repr=False)  # (K, 2) 1.0 where the label is negative, positive
+    past: np.ndarray = field(init=False, repr=False)  # (B, K) lag[b, k] > 0: trial k comes before batch b
+    decay_index: np.ndarray = field(init=False, repr=False)  # (B, K) K - lag where past, else K - 1
+    log_lag: np.ndarray = field(init=False, repr=False)  # (B, K) log lag where past, else 0
+    label_sums: np.ndarray = field(init=False, repr=False)  # (B·K, 4) by_label, then log_lag times it
+    now: np.ndarray = field(init=False, repr=False)  # (K,) flat index batch[k]·K + k into a (B, K) array
+    in_batch: np.ndarray = field(init=False, repr=False)  # (B, K) 1.0 where batch[k] = b
+
     def __post_init__(self):
         bad = (self.consist != 0.0) & (self.consist != 1.0)
         if bad.any():
@@ -173,6 +212,19 @@ class ShapeTask:
                 f"shape task {curve!r}: truth matrix must hold only 0 and 1, "
                 f"found {float(self.consist[g, k])!r} for rule {rule!r} on trial {k}"
             )
+        n_batches, n_trials = self.visible.shape[0], len(self.labels)
+        positive = self.labels > 0
+        self.by_label = np.stack([~positive, positive], axis=1).astype(float)
+        lag = np.searchsorted(self.batch, np.arange(n_batches))[:, None] - np.arange(n_trials)
+        self.past = lag > 0
+        lag = np.where(self.past, lag, 1)
+        self.decay_index = n_trials - lag
+        self.log_lag = np.log(lag.astype(float))
+        by_trial = np.broadcast_to(self.by_label, lag.shape + (2,))
+        lagged = self.log_lag[:, :, None] * by_trial
+        self.label_sums = np.concatenate([by_trial, lagged], axis=2).reshape(-1, 4)
+        self.now = self.batch * n_trials + np.arange(n_trials)
+        self.in_batch = (self.batch == np.arange(n_batches)[:, None]).astype(float)
 
 
 @dataclass
@@ -260,10 +312,11 @@ def stack_tasks(tasks) -> TaskBatch:
 class FitRows:
     """The rows each of F fits counts, laid out as the TaskBatch they
     select from: the number rows as an (F, T, R) block, False on
-    padding, and the shape rows flat."""
+    padding, and the shape rows flat, as the targets their loss reads."""
 
     number: np.ndarray  # (F, T, R) bool
-    shape_trials: np.ndarray  # (F, N_shape) bool
+    shape_yes: np.ndarray  # (F, N_shape) a shape row's target where the fit counts it, else 0
+    shape_no: np.ndarray  # (F, N_shape) one minus that target where the fit counts it, else 0
 
 
 def fit_rows(batch: TaskBatch, rows) -> FitRows:
@@ -275,7 +328,8 @@ def fit_rows(batch: TaskBatch, rows) -> FitRows:
     n = int(batch.row_valid.sum())
     number = np.zeros((len(rows),) + batch.row_valid.shape, dtype=bool)
     number[:, batch.row_valid] = rows[:, :n]
-    return FitRows(number, rows[:, n:])
+    shape_rows, targets = rows[:, n:], batch.targets[n:]
+    return FitRows(number, np.where(shape_rows, targets, 0.0), np.where(shape_rows, 1.0 - targets, 0.0))
 
 
 def _unpack(u: np.ndarray, dim: int) -> ModelParams:
@@ -357,6 +411,19 @@ def _number_rows(stack, batch: TaskBatch, dim, rows, grad):
 
 
 def shape_forward(task: ShapeTask, params: ModelParams):
+    """`shape_pass` at `params`: the forward pass of online evaluation,
+    inference and the latent-language baseline. The temperature is
+    clamped to [exp(-700), exp(700)], the rule of the number pass, which
+    clamps log T to [-700, 700] (`pack_params`, then `number_weights`)."""
+    temp = min(max(params.temperature, _T_MIN), _T_MAX)
+    return shape_pass(task, params.theta, params.epsilon, params.alpha, params.beta, temp)
+
+
+def _floored_log(x: float) -> float:
+    return math.log(max(x, 1e-300))
+
+
+def shape_pass(task: ShapeTask, theta, eps: float, alpha: float, beta: float, temp: float):
     """One forward pass of the online model over a compiled curve.
 
     Before batch b, rule s scores (log prior + decayed log-likelihood of
@@ -376,90 +443,89 @@ def shape_forward(task: ShapeTask, params: ModelParams):
     the observed label and log r[g, k] are all affine in c: each equals
     a0[k] + c[g, k] (a1[k] - a0[k]), with per-trial coefficients from
     eps, alpha and label k. With r0 and r1 the label probabilities of a
-    rule false or true on each trial (`likelihood.label_probs`), the
+    rule false or true on each trial (`likelihood.positive_probs`), the
     log-likelihoods of all batches are
     D @ log r0 + (D * (log r1 - log r0)) @ c^T. The first term is the
     same for every class of a batch: the softmax cancels it, and so does
     the gradient, whose rows in the log-weights sum to zero. c enters
     the pass and its gradient only through four products (the second
     term, W @ c, g @ c^T and d(log weights) @ c), and the gradients in
-    eps, alpha and beta are per-trial sums of the last one; no (G, K)
-    array is built.
+    eps, alpha and beta are per-label sums of the last one; no (G, K)
+    array is built. r0 and r1 take one value per label, so they and
+    their logs are scalars, and the arrays that depend on the batches
+    alone are the task's compiled constants.
 
-    Returns (predictions (K,), per-rule weights of each class (B, G),
-    backward), where backward(d(loss)/d(prediction)) gives the loss
-    gradient in (theta or None, epsilon, alpha, beta, temperature). The
-    weights of the rules themselves are `p[:, task.rule_class]`.
+    eps, alpha, beta and T are scalars and theta the prior's weights
+    (read only under a tuned prior). Returns (predictions (K,),
+    per-rule weights of each class (B, G), backward), where
+    backward(d(loss)/d(prediction)) gives the loss gradient in (theta or
+    None, epsilon, alpha, beta, temperature). The weights of the rules
+    themselves are `p[:, task.rule_class]`.
     """
-    eps, alpha, beta, temp = params.epsilon, params.alpha, params.beta, params.temperature
     c = task.consist
-    n_batches, n_trials = task.visible.shape[0], len(task.labels)
     log_prior = task.base_logprior
     if task.features is not None:
-        log_prior = log_prior + task.features @ params.theta
-    sign = np.where(task.labels > 0, 1.0, -1.0)
-    r0, r1 = label_probs(task.labels, eps, alpha)
-    delta_log_r = np.log(np.maximum(r1, 1e-300)) - np.log(np.maximum(r0, 1e-300))  # (K,)
-    # lag[b, k] = K_b - k, how far trial k lies behind the start of batch b
-    lag = np.searchsorted(task.batch, np.arange(n_batches))[:, None] - np.arange(n_trials)
-    past = lag > 0
-    lag = np.where(past, lag, 1)
+        log_prior = log_prior + task.features @ theta
+    q0, q1 = positive_probs(eps, alpha)
+    # a negative and a positive label's probability under a false (r0) and a true (r1) rule
+    r0, r1 = (1.0 - q0, q0), (1.0 - q1, q1)
+    delta = [_floored_log(b) - _floored_log(a) for a, b in zip(r0, r1)]
+    delta_log_r = task.by_label @ delta  # (K,) log r1 - log r0 of each trial's label
     # D (B, K): lag^-beta where trial k is past, read off the decay weights
     # of all K trials (decay_weights(K, beta)[K - lag]), and 0 elsewhere
-    decay = np.where(past, decay_weights(n_trials, beta)[n_trials - lag], 0.0)
-    lag = lag.astype(float)
+    decay = np.where(task.past, decay_weights(len(task.labels), beta)[task.decay_index], 0.0)
     score = (log_prior + (decay * delta_log_r) @ c.T) / temp  # (B, G), up to a constant per batch
     p = softmax_masked(score, task.visible, task.count)
     w = p * task.count  # (B, G) weight of each class
-    now = (task.batch, np.arange(n_trials))
-    mean_truth = (w @ c)[now]  # (K,) zero where nothing is visible
+    mean_truth = (w @ c).take(task.now)  # (K,) zero where nothing is visible
     pred = (1.0 - eps) * mean_truth + eps * alpha
 
     def backward(dl_dpred):
-        g = np.zeros((n_batches, n_trials))
-        g[now] = dl_dpred
+        g = task.in_batch * dl_dpred  # (B, K) dl_dpred[k] at (batch[k], k)
         # d(loss)/d score[b, j] of class j sums g_k w[b, j] (q[j, k] - pred_k) over
         # batch b's trials k, where q[j, k] - pred_k = (1 - eps) (c[j, k] - mean_k);
         # d_unnorm is that over T, the gradient in the log-weights (B, G)
-        d_unnorm = (1.0 - eps) / temp * w * (g @ c.T - (g @ mean_truth)[:, None])
+        d_unnorm = g @ c.T - (g @ mean_truth)[:, None]
+        d_unnorm *= w
+        d_unnorm *= (1.0 - eps) / temp
         d_theta = None if task.features is None else d_unnorm.sum(axis=0) @ task.features
         # per trial, d(loss)/d log r summed over the rules true on it; over
-        # the false ones it is the negative, as the rows of d_unnorm sum to zero
-        on_true = d_unnorm @ c  # (B, K)
-        true_rules = (decay * on_true).sum(axis=0)
+        # the false ones it is the negative, as the rows of d_unnorm sum to zero.
+        # Decayed and summed over the batches and the trials of each label,
+        # then also weighted by log lag (the derivative of D in beta):
+        decayed_true = (decay * (d_unnorm @ c)).ravel()
+        true_neg, true_pos, lagged_neg, lagged_pos = (decayed_true @ task.label_sums).tolist()
         # d log r / d q = sign / r, zero where r was clipped
-        inv_r0 = np.divide(sign, r0, out=np.zeros_like(r0), where=r0 > 1e-300)
-        inv_r1 = np.divide(sign, r1, out=np.zeros_like(r1), where=r1 > 1e-300)
-        d_q0, d_q1 = -inv_r0 @ true_rules, inv_r1 @ true_rules
+        inv_r0 = [s / r if r > 1e-300 else 0.0 for s, r in zip((-1.0, 1.0), r0)]
+        inv_r1 = [s / r if r > 1e-300 else 0.0 for s, r in zip((-1.0, 1.0), r1)]
+        d_q0 = -(inv_r0[0] * true_neg + inv_r0[1] * true_pos)
+        d_q1 = inv_r1[0] * true_neg + inv_r1[1] * true_pos
         d_eps = dl_dpred @ (alpha - mean_truth) + alpha * d_q0 + (alpha - 1.0) * d_q1
         d_alpha = eps * (dl_dpred.sum() + d_q0 + d_q1)
-        d_beta = -((np.log(lag) * decay * on_true).sum(axis=0) @ delta_log_r)
+        d_beta = -(lagged_neg * delta[0] + lagged_pos * delta[1])
         d_temp = -np.vdot(d_unnorm, score)
         return d_theta, d_eps, d_alpha, d_beta, d_temp
 
     return pred, p, backward
 
 
-def _shape_rows(task: ShapeTask, u, dim, grad, train):
-    """(loss over the `train` trials, every trial's prediction) of one
-    curve; adds d(loss)/du into grad (P,) when given."""
-    params = _unpack(u, dim)
-    pred, _, backward = shape_forward(task, params)
-    target = task.targets
-    loss = float(np.where(train, weighted_bce_loss(pred, target), 0.0).sum())
+def _shape_rows(task: ShapeTask, u, dim, grad, yes, no):
+    """(loss over the trials `yes` and `no` count, every trial's
+    prediction) of one curve, with eps, alpha, beta and T read off the
+    unconstrained vector u (P,) as `_unpack` reads them; adds
+    d(loss)/du into grad (P,) when given."""
+    eps, alpha = reparam(u[dim], "unit_interval"), reparam(u[dim + 1], "unit_interval")
+    beta, temp = reparam(u[dim + 2], "positive"), reparam(u[dim + 3], "positive")
+    pred, _, backward = shape_pass(task, u[:dim], eps, alpha, beta, temp)
+    loss, slope = bce_loss_and_slope(pred, yes, no)
     if grad is not None:
-        p_c = np.clip(pred, 1e-6, 1.0 - 1e-6)
-        inside = train & (pred > 1e-6) & (pred < 1.0 - 1e-6)
-        d_theta, d_eps, d_alpha, d_beta, d_temp = backward(
-            np.where(inside, (p_c - target) / (p_c * (1.0 - p_c)), 0.0)
-        )
+        d_theta, d_eps, d_alpha, d_beta, d_temp = backward(slope)
         if d_theta is not None:
             grad[:dim] += d_theta
-        eps, alpha = params.epsilon, params.alpha
         grad[dim] += d_eps * eps * (1.0 - eps)
         grad[dim + 1] += d_alpha * alpha * (1.0 - alpha)
-        grad[dim + 2] += d_beta * params.beta
-        grad[dim + 3] += d_temp * params.temperature
+        grad[dim + 2] += d_beta * beta
+        grad[dim + 3] += d_temp * temp
     return loss, pred
 
 
@@ -485,7 +551,7 @@ def loss_and_grad(u: np.ndarray, tasks, dim: int, want_grad: bool = True, rows=N
     grad = np.zeros_like(stack) if want_grad else None
     loss = np.zeros(len(stack))
     pred = np.empty((len(stack), len(batch.ids)))
-    n = len(batch.ids) - rows.shape_trials.shape[1]  # the number rows come first
+    n = len(batch.ids) - rows.shape_yes.shape[1]  # the number rows come first
     if n:
         loss, number_pred = _number_rows(stack, batch, dim, rows.number, grad)
         pred[:, :n] = number_pred[:, batch.row_valid]
@@ -495,7 +561,12 @@ def loss_and_grad(u: np.ndarray, tasks, dim: int, want_grad: bool = True, rows=N
         for task in batch.shapes:
             end = col + len(task.ids)
             task_loss, shape_pred[f, col:end] = _shape_rows(
-                task, stack[f], dim, None if grad is None else grad[f], rows.shape_trials[f, col:end]
+                task,
+                stack[f],
+                dim,
+                None if grad is None else grad[f],
+                rows.shape_yes[f, col:end],
+                rows.shape_no[f, col:end],
             )
             loss[f] += task_loss
             col = end

@@ -9,9 +9,9 @@ consistent concepts, smaller extensions score higher.
 
 Shape domain: responses follow the concept with probability
 (1 - epsilon) and otherwise guess positive at base rate alpha
-(`label_probs`). Older trials are down-weighted by a power-law memory
-decay: trial k of K gets weight (1 + K - k) ** -beta, so the most
-recent trial always has weight 1 (`decay_weights`).
+(`positive_probs`). Older trials are down-weighted by a power-law
+memory decay: trial k of K gets weight (1 + K - k) ** -beta, so the
+most recent trial always has weight 1 (`decay_weights`).
 
 Each domain compiles a pool once against its data: `extension_matrix`
 gives every hypothesis's extension as a row over 1..100, `truth_matrix`
@@ -86,12 +86,10 @@ def count_logliks(n_inside, n_outside, inv_size, epsilon):
     return loglik, g_in, g_out
 
 
-def label_probs(labels: np.ndarray, epsilon, alpha):
-    """(r0, r1), each (K,): the probability of each trial's observed
-    label under a rule false (r0) or true (r1) on the trial."""
-    q0, q1 = epsilon * alpha, (1.0 - epsilon) + epsilon * alpha
-    positive = labels > 0
-    return np.where(positive, q0, 1.0 - q0), np.where(positive, q1, 1.0 - q1)
+def positive_probs(epsilon, alpha):
+    """(q0, q1): the probability of a positive response under a rule
+    false (q0) or true (q1) on the trial."""
+    return epsilon * alpha, (1.0 - epsilon) + epsilon * alpha
 
 
 def decay_weights(n_trials: int, beta: float) -> np.ndarray:

@@ -47,6 +47,8 @@ class PosteriorState:
         self.weights = np.asarray(self.weights, dtype=float)
         if len(self.weights) != len(self.pool):
             raise ValueError("one weight per pool member required")
+        if not np.isfinite(self.weights).all():  # NaN fails both checks below
+            raise ValueError("weights must be finite")
         if not self.degenerate:
             if np.any(self.weights < 0):
                 raise ValueError("weights must be non-negative")
@@ -98,11 +100,14 @@ def softmax_masked(scores: np.ndarray, alive: np.ndarray, count=None) -> np.ndar
     nothing is alive. With `count`, entry g stands for count[g] entries
     of equal score: the result is the weight of each of them, and it
     times `count` sums to 1."""
+    # the reductions and ufuncs are called directly: on the small arrays
+    # of a fit epoch, the wrappers of max, sum and zeros_like cost more
     shifted = np.where(alive, scores, -np.inf)
-    top = shifted.max(axis=-1, keepdims=True, initial=-np.inf)
-    e = np.exp(shifted - np.where(np.isfinite(top), top, 0.0))
-    total = (e if count is None else e * count).sum(axis=-1, keepdims=True)
-    return np.divide(e, total, out=np.zeros_like(e), where=total > 0)
+    top = np.maximum.reduce(shifted, axis=-1, keepdims=True, initial=-np.inf)
+    shifted -= np.where(np.isfinite(top), top, 0.0)
+    e = np.exp(shifted, out=shifted)
+    total = np.add.reduce(e if count is None else e * count, axis=-1, keepdims=True)
+    return np.divide(e, total, out=np.zeros(e.shape), where=total > 0)
 
 
 def posterior_state(kept: List[Hypothesis], n_proposals: int, weights, alive) -> PosteriorState:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -161,6 +162,49 @@ def test_infer_shape_reads_the_online_models_weights(source, fixtures_dir, tmp_p
     weights = dict((h["nl"], h["weight"]) for h in last["hypotheses"])
     assert [weights[h.nl_text] > 0 for h in unique] == [h.parsed for h in unique]
     assert last["diagnostics"]["zero_weight"] == last["diagnostics"]["unparsed"]
+
+
+def _strict_json(text):
+    """JSON that holds no NaN or Infinity."""
+
+    def refuse(constant):
+        raise ValueError(f"non-finite {constant} in the output")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_infer_shape_at_a_tiny_temperature_clamps_it_as_the_number_pass_does(fixtures_dir, tmp_path, capsys):
+    """Both domains divide by the temperature clamped to exp(-700), so a
+    subnormal one gives the posterior at exp(-700): finite weights that
+    sum to 1, where dividing by 1e-320 overflowed into NaN weights."""
+    shape_dir = fixtures_dir / "shape"
+    argv = ["--domain", "shape", "--pool", str(shape_dir / "green_triangles_pool.jsonl")]
+    argv += ["--curve", str(shape_dir / "green_triangles_curve.json"), "--upto-batch", "3"]
+    outputs = []
+    for temperature in (1e-320, math.exp(-700.0)):
+        params = ModelParams(epsilon=0.3, alpha=0.4, beta=1.0, temperature=temperature)
+        assert main(["infer"] + argv + ["--params", str(_write_params(tmp_path, params))]) == 0
+        outputs.append(_strict_json(capsys.readouterr().out))
+    tiny, bound = outputs
+    assert tiny == bound
+    weights = [h["weight"] for h in tiny["hypotheses"]]
+    assert sum(weights) == pytest.approx(1.0) and min(weights) >= 0.0
+    assert math.isfinite(tiny["diagnostics"]["max_weight"])
+    # the number pass at the same temperature
+    pool = fixtures_dir / "number_pool_size_principle.jsonl"
+    params = _write_params(tmp_path, ModelParams(temperature=1e-320))
+    got = _infer_json(["--domain", "number", "--pool", str(pool), "--examples", "16,8,2,64", "--params", str(params)], capsys)
+    assert got["hypotheses"][0]["weight"] == 1.0
+
+
+def test_eval_shape_at_a_tiny_temperature_predicts_finite_values(fixtures_dir, tmp_path):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"epsilon": 0.3, "alpha": 0.4, "beta": 1.0, "temperature": 1e-320}))
+    cfg = _shape_config(fixtures_dir, tmp_path)
+    out_dir = tmp_path / "eval"
+    assert main(["eval", "--config", str(cfg), "--params", str(params), "--out-dir", str(out_dir)]) == 0
+    metrics = _strict_json((out_dir / "metrics.json").read_text())
+    assert metrics["n_trials"] == 64 and 0.0 <= metrics["accuracy"] <= 1.0
 
 
 @pytest.mark.parametrize("prior", ["uniform", "tuned", "external"])

@@ -30,6 +30,8 @@ from nlconcepts.dsl.shape import (
     truth_values,
 )
 from nlconcepts.harness import ExperimentConfig, build_shape_task
+from nlconcepts.io import make_hypothesis
+from nlconcepts.likelihood import truth_matrix
 from nlconcepts.posterior import dedup_pool
 from nlconcepts.prior import FeatureExtractor
 from nlconcepts.types import ShapeObject, Trial, shape_universe
@@ -401,3 +403,27 @@ def test_build_shape_task_consist_matches_interpreter():
     np.testing.assert_array_equal(task.consist[task.rule_class], want)
     unparsed = [i for i, h in enumerate(unique) if not h.parsed]
     assert len(unparsed) == 2 and not task.consist[task.rule_class[unparsed]].any()
+
+
+@pytest.mark.parametrize("budget", [None, 10])
+def test_truth_matrix_walks_a_rule_for_its_chunk_bound_only_when_it_chunks(budget, monkeypatch):
+    """A build of a pool's truth matrix evaluates each rule over all
+    trials at once, walking no rule for its chunk bound, while the
+    budget allows; under a budget of a few cells, fewer than the trials,
+    every rule is walked and split into chunks. Either way its rows
+    equal the interpreter's."""
+    if budget is not None:
+        monkeypatch.setattr(shape_dsl, "CELL_BUDGET", budget)
+    trials = _fuzzed_trials(40, seed=10)
+    rng = random.Random(11)
+    srcs = [format_shape_concept(random_shape_expr(rng, rng.randint(0, 3))) for _ in range(60)]
+    pool = [make_hypothesis(f"rule {i}", src, "shape") for i, src in enumerate(srcs)]
+    pool.append(make_hypothesis("garbled", "exists(o in", "shape"))
+    walked = []
+    real = shape_dsl._cells
+    monkeypatch.setattr(shape_dsl, "_cells", lambda node: walked.append(node) or real(node))
+    got = truth_matrix(pool, trials)
+    roots = [h.program.expr for h in pool if h.parsed]
+    assert [e for e in walked if any(e is r for r in roots)] == ([] if budget is None else roots)
+    want = [[float(h.parsed and eval_shape(h.program.expr, t.test, t.batch)) for t in trials] for h in pool]
+    assert got.tolist() == want

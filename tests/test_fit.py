@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -13,7 +14,9 @@ from nlconcepts.fit import (
     InvalidK,
     NonFinite,
     NumberTask,
+    ShapeTask,
     adam_step,
+    bce_loss_and_slope,
     fit_params,
     kfold_split,
     loss_and_grad,
@@ -22,7 +25,6 @@ from nlconcepts.fit import (
     reparam,
     stack_tasks,
     trainable_mask,
-    weighted_bce_loss,
 )
 from nlconcepts.harness import (
     ExperimentConfig,
@@ -33,7 +35,7 @@ from nlconcepts.harness import (
     run_number_experiment,
 )
 from nlconcepts.io import make_hypothesis
-from nlconcepts.likelihood import EvalCache
+from nlconcepts.likelihood import EvalCache, decay_weights
 from nlconcepts.prior import FeatureExtractor
 from nlconcepts.types import (
     Hypothesis,
@@ -206,11 +208,29 @@ def test_pack_unpack_round_trip():
     assert q.platt_b == p.platt_b
 
 
-def test_weighted_bce_loss():
-    assert weighted_bce_loss(0.5, 0.5) == pytest.approx(math.log(2))
-    assert weighted_bce_loss(1.0, 1.0) == pytest.approx(-math.log(1 - 1e-6))
-    # clamp keeps pred=0 finite
-    assert math.isfinite(weighted_bce_loss(0.0, 1.0))
+def test_bce_loss_and_slope():
+    def bce(pred, r, counted=True):
+        return bce_loss_and_slope(np.array([pred]), np.array([r * counted]), np.array([(1 - r) * counted]))
+
+    assert bce(0.5, 0.5)[0] == pytest.approx(math.log(2))
+    assert bce(1.0, 1.0)[0] == pytest.approx(-math.log(1 - 1e-6))
+    # clamp keeps pred=0 finite, and its slope 0
+    loss, slope = bce(0.0, 1.0)
+    assert math.isfinite(loss) and slope.tolist() == [0.0]
+    # inside the clamp the slope is (p - r) / (p (1 - p)); a row not counted adds nothing
+    assert bce(0.3, 0.8)[1][0] == pytest.approx((0.3 - 0.8) / (0.3 * 0.7))
+    assert bce(0.3, 0.8, counted=False) == (0.0, pytest.approx([0.0]))
+    rng = np.random.default_rng(4)
+    pred, r = rng.uniform(0.01, 0.99, 20), rng.uniform(0.0, 1.0, 20)
+    loss, slope = bce_loss_and_slope(pred, r, 1.0 - r)
+    h = 1e-6
+    for k in range(20):
+        up, dn = pred.copy(), pred.copy()
+        up[k] += h
+        dn[k] -= h
+        fd = (bce_loss_and_slope(up, r, 1.0 - r)[0] - bce_loss_and_slope(dn, r, 1.0 - r)[0]) / (2 * h)
+        assert slope[k] == pytest.approx(fd, rel=1e-5)
+    assert loss == pytest.approx(-np.sum(r * np.log(pred) + (1 - r) * np.log(1 - pred)))
 
 
 def test_kfold_split_laws():
@@ -488,3 +508,127 @@ def test_task_batch_and_epoch_memory_grow_linearly_with_the_sets():
     (small, small_peak), (large, large_peak) = sizes(100), sizes(300)
     assert large <= 3.3 * small
     assert large_peak <= 3.3 * small_peak
+
+
+# ---------------------------------------------------------------------------
+# The compiled constants of a shape task
+
+
+def fuzzed_shape_curve(rng, n_batches):
+    """A curve of `n_batches` batches of 0 to 4 trials (an empty batch
+    included), objects and labels drawn by `rng`."""
+    objects = [
+        ShapeObject(shape, color, size)
+        for shape in ("triangle", "circle", "rectangle")
+        for color in ("green", "blue", "yellow")
+        for size in (1, 2, 3)
+    ]
+    batches = []
+    for _ in range(n_batches):
+        batch = [objects[i] for i in rng.choice(len(objects), size=rng.integers(1, 5))]
+        n_trials = int(rng.integers(0, 5))
+        tests = [batch[int(rng.integers(len(batch)))] for _ in range(n_trials)]
+        batches.append([Trial(batch, test, bool(rng.random() < 0.5)) for test in tests])
+    n_trials = sum(len(b) for b in batches)
+    return LearningCurve("fuzz", "fuzzed", batches, rng.uniform(0.0, 1.0, n_trials))
+
+
+def fresh_constants(task, beta):
+    """The shape pass's per-curve arrays, derived from the labels, the
+    batches and the rows of `visible` as each pass derived them before
+    they were compiled: (sign, past, D, log lag, the predictions' index
+    (batch, trial))."""
+    n_batches, n_trials = task.visible.shape[0], len(task.labels)
+    sign = np.where(task.labels > 0, 1.0, -1.0)
+    lag = np.searchsorted(task.batch, np.arange(n_batches))[:, None] - np.arange(n_trials)
+    past = lag > 0
+    lag = np.where(past, lag, 1)
+    decay = np.where(past, decay_weights(n_trials, beta)[n_trials - lag], 0.0)
+    return sign, past, decay, np.log(lag.astype(float)), (task.batch, np.arange(n_trials))
+
+
+def assert_constants_match_fresh(task):
+    n_batches, n_trials = task.visible.shape[0], len(task.labels)
+    assert task.past.shape == task.log_lag.shape == task.in_batch.shape == (n_batches, n_trials)
+    for beta in (0.0, 0.37, 1.0, 8.0):
+        sign, past, decay, log_lag, now = fresh_constants(task, beta)
+        np.testing.assert_array_equal(task.past, past)
+        # the decay stays the decay_weights lookup, bit for bit
+        got = np.where(task.past, decay_weights(n_trials, beta)[task.decay_index], 0.0)
+        np.testing.assert_array_equal(got, decay)
+    np.testing.assert_array_equal(task.by_label @ [-1.0, 1.0], sign)
+    np.testing.assert_array_equal(task.log_lag, log_lag)
+    sums = task.label_sums.reshape(n_batches, n_trials, 4)
+    np.testing.assert_array_equal(sums[..., :2], np.broadcast_to(task.by_label, sums[..., :2].shape))
+    np.testing.assert_array_equal(sums[..., 2:], log_lag[:, :, None] * task.by_label)
+    rng = np.random.default_rng(n_trials)
+    x = rng.normal(size=(n_batches, n_trials))
+    np.testing.assert_array_equal(x.take(task.now), x[now])
+    dl = rng.normal(size=n_trials)
+    g = np.zeros((n_batches, n_trials))
+    g[now] = dl
+    np.testing.assert_array_equal(task.in_batch * dl, g)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_shape_task_constants_match_fresh_derivation(seed):
+    """On fuzzed curves of 1 to 15 batches, after `replace` with an extra
+    row of visible rules (as `infer_shape` adds), and on a 1-batch curve,
+    the compiled constants equal the arrays each pass derived before."""
+    rng = np.random.default_rng(seed)
+    cfg = ExperimentConfig(domain="shape", prior="uniform")
+    n_batches = [1, 2, 5, 9, 15, 15][seed]
+    curve = fuzzed_shape_curve(rng, n_batches)
+    task = build_shape_task(cfg, synthetic_shape_pool(), curve, FeatureExtractor(dim=0))
+    assert task.visible.shape[0] == n_batches
+    assert_constants_match_fresh(task)
+    wider = dataclasses.replace(task, visible=np.vstack([task.visible, task.visible[-1:]]))
+    assert wider.past.shape[0] == n_batches + 1 and wider.past[-1].all()
+    assert_constants_match_fresh(wider)
+    if n_batches == 1:  # nothing lies before the only batch
+        assert not task.past.any() and not task.log_lag.any()
+
+
+def synthetic_shape_task(n_classes, seed, n_batches=5, n_trials=200):
+    """A uniform-prior shape task of `n_classes` random classes, one rule
+    each, on `n_trials` trials in `n_batches` equal batches."""
+    rng = np.random.default_rng(seed)
+    return ShapeTask(
+        features=None,
+        base_logprior=np.zeros(n_classes),
+        consist=(rng.random((n_classes, n_trials)) < 0.5).astype(float),
+        labels=(rng.random(n_trials) < 0.5).astype(float),
+        batch=np.repeat(np.arange(n_batches), n_trials // n_batches),
+        visible=np.sort(rng.random((n_batches, n_classes)) < 0.7, axis=0),
+        targets=rng.random(n_trials),
+        ids=[f"curve:{k}" for k in range(n_trials)],
+        names=[f"rule {g}" for g in range(n_classes)],
+        rule_class=np.arange(n_classes),
+        count=np.ones(n_classes, dtype=int),
+    )
+
+
+def test_shape_epoch_memory_grows_linearly_with_the_classes():
+    """Three times the classes take at most 3.3 times the peak memory of
+    one epoch, the compiled constants do not grow with them, and the
+    epoch stays below the bytes of one (G, K) array: the pass builds
+    only (B, G) and (B, K) arrays, here B = 5 and K = 200."""
+
+    def sizes(n_classes):
+        task = synthetic_shape_task(n_classes, seed=n_classes)
+        compiled = sum(a.nbytes for a in (task.by_label, task.past, task.decay_index,
+                                          task.log_lag, task.label_sums, task.now, task.in_batch))
+        batch = stack_tasks([task])
+        u = pack_params(ModelParams(epsilon=0.2, alpha=0.4, beta=0.8, temperature=0.7))
+        tracemalloc.start()
+        try:
+            loss_and_grad(u, batch, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return compiled, peak, task.consist.nbytes
+
+    (small, small_peak, _), (large, large_peak, large_truth) = sizes(300), sizes(900)
+    assert large == small
+    assert large_peak <= 3.3 * small_peak
+    assert large_peak < large_truth

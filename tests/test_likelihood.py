@@ -16,7 +16,7 @@ from nlconcepts.likelihood import (
     EvalCache,
     decay_weights,
     extension_matrix,
-    label_probs,
+    positive_probs,
     truth_matrix,
 )
 from nlconcepts.prior import FeatureExtractor
@@ -46,8 +46,9 @@ def logliks(pool, examples, epsilon):
 
 def response_probs(h, trials, epsilon, alpha):
     """The probability of each trial's label under rule h."""
-    r0, r1 = label_probs(np.array([t.label for t in trials]), epsilon, alpha)
-    return np.where(truth_matrix([h], trials)[0] > 0, r1, r0)
+    q0, q1 = positive_probs(epsilon, alpha)
+    q = np.where(truth_matrix([h], trials)[0] > 0, q1, q0)
+    return np.where(np.array([t.label for t in trials]), q, 1.0 - q)
 
 
 def test_number_likelihood_size_principle():

@@ -225,6 +225,16 @@ def test_state_validation():
         PosteriorState(POOL[:2], np.array([1.5, -0.5]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_state_rejects_non_finite_weights(bad, degenerate):
+    # NaN fails both "< 0" and "sum far from 1", so it needs its own check
+    with pytest.raises(ValueError, match="finite"):
+        PosteriorState(POOL[:3], np.array([bad, bad, bad]), degenerate)
+    with pytest.raises(ValueError, match="finite"):
+        PosteriorState(POOL[:2], np.array([1.0, bad]), degenerate)
+
+
 def test_map_and_json_ordering():
     state = posterior(POOL, X)
     assert state.pool[int(np.argmax(state.weights))].nl_text == "the number is a power of 2"
