@@ -6,11 +6,12 @@ renders each rule into the formal DSL so it can be executed. Every
 model call is content-addressed by its prompt and sampling parameters
 and recorded, so an experiment can be replayed byte-for-byte without
 network access. This demo runs entirely from the recorded store shipped
-in fixtures/replay: ReplayBackend(store) has no client, so a request the
-store lacks raises ReplayMiss. To record fresh calls, pass a ChatClient
-as well, ReplayBackend(store, ChatClient(endpoint, model)), with an API
-key in the INDUCT_API_KEY environment variable; each response is then
-written to the store before it is used.
+in fixtures/replay, one append-only log (fixtures/replay/entries.log):
+ReplayBackend(store) has no client, so a request the store lacks raises
+ReplayMiss. To record fresh calls, pass a ChatClient as well,
+ReplayBackend(store, ChatClient(endpoint, model)), with an API key in
+the INDUCT_API_KEY environment variable; each response is then appended
+to the store's log before it is used.
 
 Run from the repository root:  python3 demos/propose_replay.py
 """

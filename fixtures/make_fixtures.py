@@ -12,7 +12,7 @@ Outputs (all under fixtures/):
     known parameter vector (params_true.json)
   * shape/green_triangles_curve.json  -- 15-batch online episode
   * shape/green_triangles_pool.jsonl  -- scripted per-batch proposals
-  * replay/*.json                     -- recorded completions for the
+  * replay/entries.log                -- recorded completions for the
     replay-backed proposal pipeline
   * configs/*.json                    -- sample experiment configs
 """
@@ -42,7 +42,7 @@ from nlconcepts.propose.backends import (  # noqa: E402
     translation_prompt,
 )
 from nlconcepts.propose.prompts import ProposalRequest, build_prompt  # noqa: E402
-from nlconcepts.propose.replay import ReplayStore  # noqa: E402
+from nlconcepts.propose.replay import LOG_NAME, ReplayStore  # noqa: E402
 from nlconcepts.types import (  # noqa: E402
     HumanNumberJudgment,
     LearningCurve,
@@ -269,9 +269,7 @@ def check_green_triangles(curve, pool):
 
 def make_replay_store():
     store_dir = ROOT / "replay"
-    if store_dir.exists():
-        for p in store_dir.glob("*.json"):
-            p.unlink()
+    (store_dir / LOG_NAME).unlink(missing_ok=True)
     store = ReplayStore(store_dir)
     examples = NumberExampleSet([16, 8, 2, 64])
     req = ProposalRequest(domain="number", examples=examples, budget=5, seed=0)

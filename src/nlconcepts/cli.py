@@ -27,6 +27,7 @@ from .propose import (
     propose,
     translate_pool,
 )
+from .propose.replay import LOG_NAME, migrate
 from .types import ModelParams, NumberExampleSet
 
 
@@ -171,15 +172,25 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_replay(args) -> int:
+    if args.action == "migrate":
+        count = migrate(args.target)
+        print(f"migrated {count} entries into {Path(args.target) / LOG_NAME}")
+        return 0
     store = ReplayStore(args.store)
     if args.action == "list":
         for key in store.keys():
             print(key)
-    elif args.action == "gc":
-        for name in store.gc():
-            print(f"removed {name}")
+    elif args.action == "verify":
+        report = store.verify()
+        for mismatch in report.mismatches:
+            print(mismatch)
+        print(
+            f"{report.records} records, {report.duplicates} duplicate keys, "
+            f"{report.torn_bytes} torn bytes, {len(report.mismatches)} mismatches"
+        )
+        return 1 if report.mismatches else 0
     else:
-        print(json.dumps(store.entry(args.key), indent=2))
+        print(json.dumps(store.entry(args.target), indent=2))
     return 0
 
 
@@ -274,9 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("replay", help="inspect the replay store or remove stale temp files")
-    p.add_argument("action", choices=("list", "show", "gc"))
-    p.add_argument("key", nargs="?")
+    p = sub.add_parser("replay", help="inspect, verify or migrate a replay store")
+    p.add_argument("action", choices=("list", "show", "verify", "migrate"))
+    p.add_argument("target", nargs="?", metavar="KEY|DIR", help="the key to show, or the store directory to migrate")
     p.add_argument("--store", default="replay")
     p.set_defaults(func=_cmd_replay)
 
@@ -302,6 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
 # and each non-uniform prior's for `infer`
 _DOMAIN_INPUT = {"number": "examples", "shape": "curve"}
 _PRIOR_INPUT = {"tuned": "params", "external": "scores"}
+# the positional argument of each `replay` action that takes one
+_REPLAY_ARG = {"show": "key", "migrate": "directory"}
 
 
 def main(argv=None) -> int:
@@ -312,8 +325,8 @@ def main(argv=None) -> int:
     prior_input = _PRIOR_INPUT.get(getattr(args, "prior", None))
     if args.command == "infer" and prior_input and getattr(args, prior_input) is None:
         parser.error(f"infer --prior {args.prior} requires --{prior_input}")
-    if args.command == "replay" and args.action == "show" and args.key is None:
-        parser.error("replay show requires the key argument")
+    if args.command == "replay" and args.target is None and args.action in _REPLAY_ARG:
+        parser.error(f"replay {args.action} requires the {_REPLAY_ARG[args.action]} argument")
     try:
         return args.func(args)
     except SystemExit:

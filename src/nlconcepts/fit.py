@@ -177,8 +177,7 @@ class ShapeTask:
     b (K_b trials come before it), they are: which trials lie before
     each batch, where `decay_weights(K, beta)` holds lag^-beta, log lag,
     and the sums over a trial's label that the gradient takes.
-    `dataclasses.replace` compiles them again, as for the extra row of
-    visible rules of `harness.infer_shape`."""
+    `dataclasses.replace` compiles them again."""
 
     features: Optional[np.ndarray]  # (G, D); None under a non-tuned prior
     base_logprior: np.ndarray  # (G,)

@@ -192,14 +192,18 @@ def build_shape_task(
     extractor: FeatureExtractor,
     cache: Optional[EvalCache] = None,
     scores: Optional[Dict[str, float]] = None,
+    *,
+    after_last: bool = False,
 ) -> ShapeTask:
     """Compile a curve against its deduplicated pool: the truth matrix
     of its rules on the curve's trials (`likelihood.truth_matrix`), the
     batches the trials fall in and the rules visible at each, kept once
     per class of rules the posterior cannot tell apart (`ShapeTask`).
-    `scores` are the external prior's, read from `cfg.scores_path` when
-    None. `cache` is not read; it stays for callers that pass an
-    `EvalCache` positionally."""
+    With `after_last`, `visible` has one more row, the rules visible
+    after the last batch, as `infer_shape` reads them. `scores` are the
+    external prior's, read from `cfg.scores_path` when None. `cache` is
+    not read; it stays for callers that pass an `EvalCache`
+    positionally."""
     unique, _ = dedup_pool(pool)
     features, base = _prior_pieces(cfg, unique, extractor, scores)
     trials = curve.trials
@@ -222,13 +226,16 @@ def build_shape_task(
             classes[key] = len(first)
             first.append(s)
         rule_class.append(classes[key])
+    visible = np.array(joins)[first] <= np.arange(1, n_batches + 1)[:, None]
+    if after_last:  # after the last batch, the rules visible at it
+        visible = np.vstack([visible, visible[-1:]])
     return ShapeTask(
         features=None if features is None else features[first],
         base_logprior=base[first],
         consist=truth[first],
         labels=np.array([float(t.label) for t in trials]),
         batch=np.repeat(np.arange(n_batches), [len(b) for b in curve.batches]),
-        visible=np.array(joins)[first] <= np.arange(1, n_batches + 1)[:, None],
+        visible=visible,
         targets=np.array(curve.human_positive_rate, dtype=float),
         ids=[f"{curve.concept_id}:{k}" for k in range(len(trials))],
         names=[h.nl_text for h in unique],
@@ -282,9 +289,7 @@ def infer_shape(
     _check_theta(cfg, params)
     if upto_batch == n_batches:  # every batch seen: every parsed rule is visible
         pool = [replace(h, source_batch=None) for h in pool]
-    task = build_shape_task(cfg, pool, curve, FeatureExtractor(dim=cfg.feature_dim))
-    # one more row of visible rules: the weights after the last batch
-    task = replace(task, visible=np.vstack([task.visible, task.visible[-1:]]))
+    task = build_shape_task(cfg, pool, curve, FeatureExtractor(dim=cfg.feature_dim), after_last=True)
     weights = shape_forward(task, params)[1][upto_batch, task.rule_class]
     alive = task.visible[upto_batch, task.rule_class]
     return posterior_state(dedup_pool(pool)[0], len(pool), weights, alive)

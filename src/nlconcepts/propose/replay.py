@@ -5,31 +5,57 @@ the exact prompt plus sampling parameters, so any experiment can later
 be re-run offline, byte for byte. The store is append-only; lookups are
 exact.
 
-Each entry is one compact JSON file, `<key>.json`. `record` writes it
-to a temp file `.<key>.<pid>.<thread id>.tmp` in the store directory
-and hard-links that to `<key>.json`. The link is atomic and fails when
-the key exists, so a reader sees a whole entry or none, and the first
-write wins across threads and processes without a lock. A writer that
-dies before the link leaves only its temp file behind; `gc` (the CLI's
-`replay gc`) removes the temp files whose writer process is gone. No
-file is fsynced: a process crash cannot tear an entry, a power loss
-can. The directory is created by the first `record`, so reading a
-missing store creates nothing.
+A store is a directory holding one file, `entries.log`, a sequence of
+records. Each record is a fixed-width ASCII header line,
+
+    <key> <request length> <completions length> <crc32 of the body>\\n
+
+(64 hex digits, two 10-digit decimals and 8 hex digits), then the body:
+the request, exactly the bytes `fingerprint` hashes, followed by the
+completions as compact JSON.
+
+Each `ReplayStore` keeps an index from key to record, built by reading
+headers only. A lookup that hits reads the record's body with one
+`os.pread`, checks its CRC and decodes the completions alone. A miss
+first catches the index up with what other writers appended since; a
+log that was replaced or shrank is indexed again from the start.
+
+`record` holds an exclusive `fcntl.flock` on the log while it catches
+up, skips a key the log already holds (the first write wins, across
+threads and processes), truncates a torn tail and appends the record
+in one `O_APPEND` write. Catching up takes the lock shared, so it never
+sees a record half written. A torn tail is what a writer that died
+mid-write leaves: readers do not see it, and the next writer removes
+it. No record is fsynced: a process crash can tear only the tail, a
+power loss can lose or corrupt recent records, which a CRC mismatch
+then shows (`CorruptEntry`). A store used across `fork` reopens its log
+in the child, so parent and child never share one lock. The directory
+and its log are created by the first `record`, so reading a missing
+store creates nothing.
+
+Stores of the earlier layout, one `<key>.json` file per entry, are
+converted in place by `migrate` (`nlconcepts replay migrate DIR`).
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import os
 import re
 import threading
+import weakref
+import zlib
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-# a record's temp file: .<key>.<pid>.<thread id>.tmp
-_TEMP_NAME = re.compile(r"\.[0-9a-f]{64}\.(\d+)\.\d+\.tmp")
+LOG_NAME = "entries.log"
+HEADER_LEN = 96
+_HEADER = re.compile(rb"([0-9a-f]{64}) ([0-9]{10}) ([0-9]{10}) ([0-9a-f]{8})\n")
+# the earlier layout: one entry per file, and a writer's temp file
+_V2_ENTRY = re.compile(r"[0-9a-f]{64}\.json")
+_V2_TEMP = re.compile(r"\.[0-9a-f]{64}\.\d+\.\d+\.tmp")
 
 
 class ReplayMiss(KeyError):
@@ -45,100 +71,336 @@ class ReplayMiss(KeyError):
 
 
 class CorruptEntry(ValueError):
-    """A recorded entry that cannot be read back, e.g. a truncated write."""
+    """A recorded entry that cannot be read back, e.g. a flipped byte."""
+
+
+class UnmigratedStore(ValueError):
+    """A store directory in the earlier one-file-per-entry layout."""
+
+
+def _request_bytes(prompt: str, params: Dict) -> bytes:
+    return json.dumps({"prompt": prompt, "params": params}, sort_keys=True).encode("utf-8")
 
 
 def fingerprint(prompt: str, params: Dict) -> str:
-    payload = json.dumps({"prompt": prompt, "params": params}, sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_request_bytes(prompt, params)).hexdigest()
 
 
-def _pid_alive(pid: int) -> bool:
-    if os.name != "posix":  # on Windows, os.kill(pid, 0) sends CTRL_C_EVENT
-        raise OSError("checking for a writer process needs POSIX signals")
-    try:
-        os.kill(pid, 0)  # signal 0: an existence check, nothing is sent
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # it exists, owned by another user
-        pass
-    return True
+@dataclass
+class LogReport:
+    """What `ReplayStore.verify` found in a log."""
+
+    records: int = 0  # whole records
+    duplicates: int = 0  # records of a key an earlier record holds; the first wins
+    torn_bytes: int = 0  # bytes after the last whole record
+    mismatches: List[str] = field(default_factory=list)  # records that fail their key or CRC
 
 
 class ReplayStore:
-    """Directory of JSON files, one per recorded request."""
+    """One append-only log of recorded requests, indexed in memory."""
 
     def __init__(self, root):
         self.root = Path(root)
         self._dir = os.fspath(self.root)
+        self._log = os.path.join(self._dir, LOG_NAME)
+        self._reset()
 
-    def _path(self, key: str) -> str:
-        return os.path.join(self._dir, f"{key}.json")
+    def _reset(self) -> None:
+        self._pid = os.getpid()
+        self._lock = threading.Lock()  # guards everything below
+        # the open log, read-only until the first record; the index is
+        # empty while it is None
+        self._fd: Optional[int] = None
+        self._writable = False
+        self._closer = None  # closes self._fd when the store is collected
+        self._file = None  # (st_dev, st_ino) of the open log
+        # key -> (body offset, request length, completions length, crc)
+        self._index: Dict[str, Tuple[int, int, int, int]] = {}
+        self._size = 0  # end of the last whole record indexed
 
-    def _read(self, key: str) -> Optional[Dict]:
-        path = self._path(key)
+    def _check_fork(self) -> None:
+        """Forget a descriptor and lock inherited across fork; the
+        inherited descriptor shares its flock with the parent's."""
+        if self._pid != os.getpid():
+            if self._closer is not None:
+                self._closer()  # the child's copy only
+            self._reset()
+
+    def close(self) -> None:
+        """Close the log; the store reopens and indexes it when used again."""
+        self._check_fork()
+        with self._lock:
+            self._forget()
+
+    def _forget(self) -> None:
+        """Close the log and empty the index."""
+        if self._closer is not None:
+            self._closer()
+        self._fd, self._writable, self._closer = None, False, None
+        self._file, self._index, self._size = None, {}, 0
+
+    # -- the log file ----------------------------------------------------
+
+    def _open(self, write: bool) -> Optional[int]:
+        """Under self._lock: a descriptor of the log, writable when
+        `write`, which creates the log; None when there is no log to
+        read. Opening another file than the index describes empties it."""
+        if self._fd is not None and (self._writable or not write):
+            return self._fd
         try:
-            with open(path, "rb") as f:
-                data = f.read()
+            fd = os.open(self._log, os.O_RDWR | os.O_APPEND if write else os.O_RDONLY)
         except FileNotFoundError:
-            return None
+            self._refuse_v2()
+            if not write:
+                return None
+            os.makedirs(self._dir, exist_ok=True)
+            fd = os.open(self._log, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+        st = os.fstat(fd)
+        if (st.st_dev, st.st_ino) != self._file:
+            self._forget()
+            self._file = (st.st_dev, st.st_ino)
+        elif self._closer is not None:  # the read-only descriptor this one replaces
+            self._closer()
+        self._fd, self._writable = fd, write
+        self._closer = weakref.finalize(self, os.close, fd)
+        return fd
+
+    def _refuse_v2(self) -> None:
         try:
-            return json.loads(data)
-        except ValueError as exc:
-            raise CorruptEntry(f"replay entry {key} is unreadable ({path}): {exc}") from exc
+            names = os.listdir(self._dir)
+        except FileNotFoundError:
+            return
+        if any(_V2_ENTRY.fullmatch(name) for name in names):
+            raise UnmigratedStore(
+                f"replay store {self.root} holds <key>.json entries of the earlier layout and "
+                f"no {LOG_NAME}; convert it with `nlconcepts replay migrate {self.root}`"
+            )
+
+    def _locked(self, write: bool) -> Tuple[Optional[int], int]:
+        """Under self._lock: the log's descriptor with its flock held,
+        exclusive when `write`, shared otherwise, once the path still
+        names the file it is open on, and the log's size; (None, 0) when
+        there is no log."""
+        import fcntl
+
+        while True:
+            fd = self._open(write)
+            if fd is None:
+                return None, 0
+            fcntl.flock(fd, fcntl.LOCK_EX if write else fcntl.LOCK_SH)
+            same = False
+            try:
+                st = os.stat(self._log)
+                same = (st.st_dev, st.st_ino) == self._file
+            except FileNotFoundError:
+                pass
+            finally:
+                if not same:
+                    fcntl.flock(fd, fcntl.LOCK_UN)
+            if same:
+                return fd, st.st_size
+            self._forget()  # removed or replaced: open what the path names now
+
+    def _catch_up(self, fd: int, size: int) -> None:
+        """Under the flock: index the whole records appended since the
+        last catch-up to a log of `size` bytes."""
+        if size < self._size:  # shrank: index it again
+            self._index, self._size = {}, 0
+        offset = self._size
+        while True:
+            header = self._header(fd, offset, size)
+            if header is None:
+                break
+            key, request_len, completions_len, crc = header
+            self._index.setdefault(key, (offset + HEADER_LEN, request_len, completions_len, crc))
+            offset += HEADER_LEN + request_len + completions_len
+        self._size = offset
+
+    def _header(self, fd: int, offset: int, size: int):
+        """(key, request length, completions length, crc) of the record
+        at `offset`, or None where no whole record starts there."""
+        if offset + HEADER_LEN > size:
+            return None
+        match = _HEADER.fullmatch(os.pread(fd, HEADER_LEN, offset))
+        if match is None:
+            raise CorruptEntry(f"replay log {self._log} has no record header at byte {offset}")
+        request_len, completions_len = int(match[2]), int(match[3])
+        if offset + HEADER_LEN + request_len + completions_len > size:
+            return None
+        return match[1].decode("ascii"), request_len, completions_len, int(match[4], 16)
+
+    # -- reading ---------------------------------------------------------
+
+    def _find(self, key: str) -> Optional[Tuple[bytes, int]]:
+        """(body, request length) of the key's record, None on a miss."""
+        self._check_fork()
+        with self._lock:
+            where = self._index.get(key)
+            if where is None:
+                self._refresh()
+                where = self._index.get(key)
+                if where is None:
+                    return None
+            offset, request_len, completions_len, crc = where
+            body = os.pread(self._fd, request_len + completions_len, offset)
+        if len(body) != request_len + completions_len:
+            raise CorruptEntry(f"replay entry {key} in {self._log} is cut short")
+        if zlib.crc32(body) != crc:
+            raise CorruptEntry(f"replay entry {key} in {self._log} fails its CRC check")
+        return body, request_len
+
+    def _refresh(self) -> None:
+        """Under self._lock: catch the index up with the log."""
+        import fcntl
+
+        fd, size = self._locked(write=False)
+        if fd is None:  # no log (any more)
+            return
+        try:
+            self._catch_up(fd, size)
+        finally:
+            fcntl.flock(fd, fcntl.LOCK_UN)
 
     def get(self, prompt: str, params: Dict) -> Optional[List]:
-        entry = self._read(fingerprint(prompt, params))
-        return None if entry is None else entry["completions"]
+        found = self._find(fingerprint(prompt, params))
+        return None if found is None else json.loads(found[0][found[1]:])
 
     def lookup(self, prompt: str, params: Dict) -> List:
-        return self.entry(fingerprint(prompt, params))["completions"]
+        key = fingerprint(prompt, params)
+        found = self._find(key)
+        if found is None:
+            raise ReplayMiss(key, self.root)
+        return json.loads(found[0][found[1]:])
+
+    def entry(self, key: str) -> Dict:
+        found = self._find(key)
+        if found is None:
+            raise ReplayMiss(key, self.root)
+        body, request_len = found
+        request = json.loads(body[:request_len])
+        return {
+            "prompt": request["prompt"],
+            "params": request["params"],
+            "completions": json.loads(body[request_len:]),
+        }
+
+    def keys(self) -> List[str]:
+        self._check_fork()
+        with self._lock:
+            self._refresh()
+            return sorted(self._index)
+
+    # -- writing ---------------------------------------------------------
 
     def record(self, prompt: str, params: Dict, completions: List) -> str:
         """Store completions for a request; first write wins."""
-        key = fingerprint(prompt, params)
-        data = json.dumps(
-            {"prompt": prompt, "params": params, "completions": completions},
-            separators=(",", ":"),
-        ).encode("utf-8")
-        temp = os.path.join(self._dir, f".{key}.{os.getpid()}.{threading.get_ident()}.tmp")
-        try:
-            try:
-                f = open(temp, "wb")
-            except FileNotFoundError:  # the first record creates the store
-                os.makedirs(self._dir, exist_ok=True)
-                f = open(temp, "wb")
-            with f:
-                f.write(data)
-            with contextlib.suppress(FileExistsError):  # an earlier write won
-                os.link(temp, self._path(key))
-        finally:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(temp)
+        request = _request_bytes(prompt, params)
+        key = hashlib.sha256(request).hexdigest()
+        self._append(key, request, json.dumps(completions, separators=(",", ":")).encode("utf-8"))
         return key
 
-    def keys(self) -> List[str]:
-        return sorted(p.stem for p in self.root.glob("*.json"))
+    def _append(self, key: str, request: bytes, completions: bytes) -> None:
+        import fcntl
 
-    def entry(self, key: str) -> Dict:
-        entry = self._read(key)
-        if entry is None:
-            raise ReplayMiss(key, self.root)
-        return entry
+        body = request + completions
+        crc = zlib.crc32(body)
+        data = b"%s %010d %010d %08x\n" % (key.encode("ascii"), len(request), len(completions), crc) + body
+        self._check_fork()
+        with self._lock:
+            fd, size = self._locked(write=True)
+            try:
+                self._catch_up(fd, size)
+                if key in self._index:  # an earlier write won
+                    return
+                if size > self._size:  # a torn tail: the start of a record whose writer died
+                    os.ftruncate(fd, self._size)
+                written = os.write(fd, data)
+                if written != len(data):
+                    os.ftruncate(fd, self._size)
+                    raise OSError(f"short write to {self._log}: {written} of {len(data)} bytes")
+                self._index[key] = (self._size + HEADER_LEN, len(request), len(completions), crc)
+                self._size += len(data)
+            finally:
+                fcntl.flock(fd, fcntl.LOCK_UN)
 
-    def gc(self) -> List[str]:
-        """Remove the temp files whose writer process no longer exists
-        on this host; returns their names. A live writer's temp file is
-        kept."""
+    # -- checking --------------------------------------------------------
+
+    def verify(self) -> LogReport:
+        """Read every record: recompute its key from its request and
+        check its CRC, and count duplicate keys and torn bytes."""
+        import fcntl
+
+        self._check_fork()
+        report = LogReport()
+        seen = set()
+        with self._lock:
+            fd, size = self._locked(write=False)
+            if fd is None:
+                return report
+            try:
+                offset = 0
+                while True:
+                    try:
+                        header = self._header(fd, offset, size)
+                    except CorruptEntry as exc:
+                        report.mismatches.append(str(exc))
+                        break
+                    if header is None:
+                        report.torn_bytes = size - offset
+                        break
+                    key, request_len, completions_len, crc = header
+                    body = os.pread(fd, request_len + completions_len, offset + HEADER_LEN)
+                    if hashlib.sha256(body[:request_len]).hexdigest() != key:
+                        report.mismatches.append(f"record at byte {offset}: key {key} is not its request's")
+                    elif zlib.crc32(body) != crc:
+                        report.mismatches.append(f"record at byte {offset}: key {key} fails its CRC check")
+                    report.records += 1
+                    report.duplicates += key in seen
+                    seen.add(key)
+                    offset += HEADER_LEN + len(body)
+            finally:
+                fcntl.flock(fd, fcntl.LOCK_UN)
+        return report
+
+
+def migrate(root) -> int:
+    """Convert a store of the earlier layout, one `<key>.json` file per
+    entry, in place: every entry is appended to the log (the log's own
+    record of a key wins), then the entry files and any writer's temp
+    files are removed. Returns the number of entries converted. An
+    entry that does not parse, or whose name is not its request's key,
+    raises CorruptEntry before anything is written."""
+    root = Path(root)
+    try:
+        names = sorted(os.listdir(root))
+    except FileNotFoundError:
+        return 0
+    entries = []
+    for name in names:
+        if not _V2_ENTRY.fullmatch(name):
+            continue
+        path = root / name
         try:
-            names = sorted(os.listdir(self._dir))
-        except FileNotFoundError:
-            return []
-        removed = []
-        for name in names:
-            match = _TEMP_NAME.fullmatch(name)
-            if match and not _pid_alive(int(match[1])):
-                with contextlib.suppress(FileNotFoundError):
-                    os.unlink(os.path.join(self._dir, name))
-                removed.append(name)
-        return removed
+            entry = json.loads(path.read_bytes())
+            request = _request_bytes(entry["prompt"], entry["params"])
+            completions = json.dumps(entry["completions"], separators=(",", ":")).encode("utf-8")
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CorruptEntry(f"replay entry {path} is unreadable: {exc!r}") from exc
+        key = hashlib.sha256(request).hexdigest()
+        if f"{key}.json" != name:
+            raise CorruptEntry(f"replay entry {path} holds the request of key {key}")
+        entries.append((key, request, completions))
+    if not entries:
+        return 0
+    # with the log in place the store no longer reads as unmigrated
+    os.close(os.open(root / LOG_NAME, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666))
+    store = ReplayStore(root)
+    try:
+        for key, request, completions in entries:
+            store._append(key, request, completions)
+    finally:
+        store.close()
+    for name in names:
+        if _V2_ENTRY.fullmatch(name) or _V2_TEMP.fullmatch(name):
+            os.unlink(root / name)
+    return len(entries)

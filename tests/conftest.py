@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -88,3 +89,11 @@ def exchangeable_shape_pool():
         ("it is not blue", "not this.color == blue", 1),
     ]
     return [make_hypothesis(nl, src, "shape", batch=b) for nl, src, b in rules]
+
+
+def write_v2_store(store, root: Path) -> None:
+    """Write every entry of `store` as a store of the earlier layout:
+    one indented `<key>.json` file per entry, which `migrate` converts."""
+    root.mkdir(parents=True)
+    for key in store.keys():
+        (root / f"{key}.json").write_text(json.dumps(store.entry(key), indent=2))

@@ -1,7 +1,6 @@
 import json
 import math
 import os
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +19,7 @@ from nlconcepts.propose import ReplayStore
 from nlconcepts.types import ModelParams, NumberExampleSet
 
 import oracle
-from conftest import synthetic_shape_curve, synthetic_shape_pool
+from conftest import synthetic_shape_curve, synthetic_shape_pool, write_v2_store
 
 
 def test_infer_number(fixtures_dir, capsys):
@@ -278,22 +277,35 @@ def test_replay_list_on_a_missing_store_creates_nothing(tmp_path, capsys):
     store = tmp_path / "missing"
     assert main(["replay", "list", "--store", str(store)]) == 0
     assert capsys.readouterr().out == ""
-    assert main(["replay", "gc", "--store", str(store)]) == 0
+    assert main(["replay", "verify", "--store", str(store)]) == 0
+    assert capsys.readouterr().out == "0 records, 0 duplicate keys, 0 torn bytes, 0 mismatches\n"
     assert not store.exists()
 
 
-def test_replay_gc_keeps_entries_and_live_temp_files(fixtures_dir, tmp_path, capsys):
+def test_replay_migrate_then_verify_round_trip_the_fixture_entries(fixtures_dir, tmp_path, capsys):
+    fixtures = ReplayStore(fixtures_dir / "replay")
     store = tmp_path / "rs"
-    shutil.copytree(fixtures_dir / "replay", store)
+    write_v2_store(fixtures, store)
+    (store / f".{fixtures.keys()[0]}.123.1.tmp").write_text("{")  # a dead writer's temp file
+    # the earlier layout is refused, with the command that converts it
+    assert main(["replay", "list", "--store", str(store)]) == 1
+    assert f"nlconcepts replay migrate {store}" in capsys.readouterr().err
+    assert main(["replay", "migrate", str(store)]) == 0
+    assert capsys.readouterr().out == f"migrated 5 entries into {store / 'entries.log'}\n"
+    assert os.listdir(store) == ["entries.log"]
+    assert main(["replay", "verify", "--store", str(store)]) == 0
+    assert capsys.readouterr().out == "5 records, 0 duplicate keys, 0 torn bytes, 0 mismatches\n"
     assert main(["replay", "list", "--store", str(store)]) == 0
-    keys = capsys.readouterr().out
-    live = f".{keys.split()[0]}.{os.getpid()}.1.tmp"
-    (store / live).write_text("{")
-    assert main(["replay", "gc", "--store", str(store)]) == 0
-    assert capsys.readouterr().out == ""
-    assert main(["replay", "list", "--store", str(store)]) == 0
-    assert capsys.readouterr().out == keys and len(keys.split()) == 5
-    assert (store / live).exists()
+    keys = capsys.readouterr().out.split()
+    assert keys == fixtures.keys()
+    migrated = ReplayStore(store)
+    assert [migrated.entry(k) for k in keys] == [fixtures.entry(k) for k in keys]
+    # a flipped byte is a mismatch, and verify exits 1
+    log = bytearray((store / "entries.log").read_bytes())
+    log[-2] ^= 0x01
+    (store / "entries.log").write_bytes(bytes(log))
+    assert main(["replay", "verify", "--store", str(store)]) == 1
+    assert "1 mismatches" in capsys.readouterr().out
 
 
 def test_propose_translate_pipeline_reproducible(fixtures_dir, tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from nlconcepts import io
 from nlconcepts.baselines import latent_language_shape
-from nlconcepts.fit import FitConfig, shape_forward
+from nlconcepts.fit import FitConfig, ShapeTask, shape_forward
 from nlconcepts.harness import (
     ConfigError,
     ExperimentConfig,
@@ -20,6 +20,7 @@ from nlconcepts.harness import (
     emit_sweep_table,
     fit_online_params,
     group_judgments,
+    infer_shape,
     number_tasks,
     run_number_experiment,
     run_online_experiment,
@@ -577,3 +578,34 @@ def test_experiment_config_refuses_what_no_run_can_use(fields, message):
         ExperimentConfig(**{"domain": "number", **fields})
     with pytest.raises(ConfigError, match=message):
         dataclasses.replace(ExperimentConfig("number"), **fields)
+
+
+def test_infer_shape_compiles_its_task_once(fixtures_dir, monkeypatch):
+    """`build_shape_task(..., after_last=True)` adds the row of rules
+    visible after the last batch, so `infer_shape` compiles one task;
+    its weights are the bytes of a task built and then replaced with
+    that row."""
+    pool = io.load_pool(fixtures_dir / "shape" / "green_triangles_pool.jsonl", "shape")
+    curve = io.load_learning_curve(fixtures_dir / "shape" / "green_triangles_curve.json")
+    cfg = ExperimentConfig("shape")
+    params = ModelParams(epsilon=0.3, alpha=0.4, beta=1.0, temperature=1.0)
+    post_init = ShapeTask.__post_init__
+    compiled = []
+
+    def counted(task):
+        compiled.append(task)
+        post_init(task)
+
+    n_batches = len(curve.batches)
+    for upto in range(n_batches + 1):
+        compiled.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(ShapeTask, "__post_init__", counted)
+            state = infer_shape(cfg, pool, curve, upto, params)
+        assert len(compiled) == 1
+        source = [dataclasses.replace(h, source_batch=None) for h in pool] if upto == n_batches else pool
+        task = build_shape_task(cfg, source, curve, FeatureExtractor(dim=0))
+        task = dataclasses.replace(task, visible=np.vstack([task.visible, task.visible[-1:]]))
+        assert np.array_equal(compiled[0].visible, task.visible)
+        weights = shape_forward(task, params)[1][upto, task.rule_class]
+        assert state.weights.tobytes() == weights.tobytes()

@@ -1,9 +1,10 @@
+import hashlib
 import json
 import multiprocessing
 import os
-import subprocess
 import sys
 import threading
+import zlib
 
 import pytest
 import requests
@@ -19,6 +20,7 @@ from nlconcepts.propose import (
     ReplayStore,
     StaticPoolBackend,
     TemplateMismatch,
+    UnmigratedStore,
     build_prompt,
     fingerprint,
     parse_rule_lines,
@@ -30,7 +32,10 @@ from nlconcepts.propose import (
 )
 from nlconcepts.propose.backends import EmptyPool, score_prompt
 from nlconcepts.propose.client import BackendUnavailable
+from nlconcepts.propose.replay import HEADER_LEN, LOG_NAME, LogReport, migrate
 from nlconcepts.types import NumberExampleSet, ShapeObject, Trial
+
+from conftest import write_v2_store
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +168,16 @@ def test_replay_store_round_trip(tmp_path):
     assert store.get("prompt", {"n": 1}) == completions
 
 
+def _log(root):
+    return root / LOG_NAME
+
+
 def test_truncated_entry_raises_corrupt_entry(tmp_path):
-    store = ReplayStore(tmp_path / "rs")
+    root = tmp_path / "rs"
+    store = ReplayStore(root)
     key = store.record("prompt", {"n": 1}, [{"text": "even", "logprob": -1.0}])
-    path = tmp_path / "rs" / f"{key}.json"
-    text = path.read_text()
-    path.write_text(text[: len(text) // 2])  # a write cut off halfway
+    data = _log(root).read_bytes()
+    _log(root).write_bytes(data[: len(data) // 2])  # the log cut off under an indexed entry
     for read in (
         lambda: store.get("prompt", {"n": 1}),
         lambda: store.lookup("prompt", {"n": 1}),
@@ -177,23 +186,51 @@ def test_truncated_entry_raises_corrupt_entry(tmp_path):
         with pytest.raises(CorruptEntry) as err:
             read()
         assert isinstance(err.value, ValueError)
-        assert key in str(err.value) and str(path) in str(err.value)
+        assert key in str(err.value) and str(_log(root)) in str(err.value)
+    # a store that indexes the cut log finds a torn tail and no entry
+    assert ReplayStore(root).get("prompt", {"n": 1}) is None
+
+
+def test_flipped_body_byte_raises_corrupt_entry(tmp_path):
+    root = tmp_path / "rs"
+    key = ReplayStore(root).record("prompt", {"n": 1}, [{"text": "even", "logprob": -1.0}])
+    whole = _log(root).read_bytes()
+    for at in (HEADER_LEN + 3, len(whole) - 3):  # in the request, in the completions
+        flipped = bytearray(whole)
+        flipped[at] ^= 0x01
+        _log(root).write_bytes(bytes(flipped))
+        store = ReplayStore(root)
+        assert store.keys() == [key]  # the header still indexes it
+        for read in (
+            lambda: store.get("prompt", {"n": 1}),
+            lambda: store.lookup("prompt", {"n": 1}),
+            lambda: store.entry(key),
+        ):
+            with pytest.raises(CorruptEntry) as err:
+                read()
+            assert isinstance(err.value, ValueError)
+            assert key in str(err.value) and str(_log(root)) in str(err.value)
+        assert len(store.verify().mismatches) == 1
 
 
 def test_record_writes_one_compact_entry_and_fixture_entries_still_read(tmp_path, fixtures_dir):
     store = ReplayStore(tmp_path / "rs")
     entry = {"prompt": "prompt", "params": {"n": 1}, "completions": [{"text": "é", "logprob": -1.0}]}
     key = store.record(entry["prompt"], entry["params"], entry["completions"])
-    assert os.listdir(tmp_path / "rs") == [f"{key}.json"]
-    text = (tmp_path / "rs" / f"{key}.json").read_text()
-    assert text == json.dumps(entry, separators=(",", ":"))
+    assert os.listdir(tmp_path / "rs") == [LOG_NAME]
+    # the request is stored as exactly the bytes its key hashes
+    request = json.dumps({"prompt": "prompt", "params": {"n": 1}}, sort_keys=True).encode()
+    completions = json.dumps(entry["completions"], separators=(",", ":")).encode()
+    header = f"{key} {len(request):010d} {len(completions):010d} {zlib.crc32(request + completions):08x}\n"
+    assert len(header) == HEADER_LEN
+    assert _log(tmp_path / "rs").read_bytes() == header.encode() + request + completions
+    assert hashlib.sha256(request).hexdigest() == key
     assert store.entry(key) == entry
-    # the shipped fixtures are indented, and read the same way
     fixtures = ReplayStore(fixtures_dir / "replay")
+    assert len(fixtures.keys()) == 5
     for key in fixtures.keys():
-        text = (fixtures_dir / "replay" / f"{key}.json").read_text()
-        assert "\n  " in text
-        raw = json.loads(text)
+        raw = fixtures.entry(key)
+        assert fingerprint(raw["prompt"], raw["params"]) == key
         assert fixtures.lookup(raw["prompt"], raw["params"]) == raw["completions"]
 
 
@@ -204,48 +241,110 @@ def test_reading_a_missing_store_creates_nothing(tmp_path):
         store.lookup("prompt", {"n": 1})
     assert store.get("prompt", {"n": 1}) is None
     assert store.keys() == []
-    assert store.gc() == []
+    assert store.verify() == LogReport()
     assert not (tmp_path / "missing").exists()
     # the first record creates it, parents included
     key = store.record("prompt", {"n": 1}, [])
     assert store.keys() == [key]
 
 
-def _temp_files(root):
-    return sorted(n for n in os.listdir(root) if n.endswith(".tmp"))
-
-
-def _dead_pid() -> int:
-    child = subprocess.Popen([sys.executable, "-c", ""])
-    child.wait()  # reaped: the pid no longer exists
-    return child.pid
-
-
-def test_gc_removes_dead_writers_temp_files_and_keeps_live_ones(tmp_path):
-    store = ReplayStore(tmp_path / "rs")
-    key = store.record("prompt", {"n": 1}, [{"text": "even", "logprob": -1.0}])
-    dead = f".{key}.{_dead_pid()}.1.tmp"
-    live = f".{key}.{os.getpid()}.2.tmp"
-    for name in (dead, live):
-        (tmp_path / "rs" / name).write_text('{"prompt": "cut off')
-    (tmp_path / "rs" / "notes.tmp").write_text("not a record's temp file")
-    assert store.keys() == [key]
-    assert store.gc() == [dead]
-    assert _temp_files(tmp_path / "rs") == sorted([live, "notes.tmp"])
-    assert store.gc() == []
-    assert store.keys() == [key]
-
-
-def _record_race(root, barrier, worker, keys):
+def test_a_store_of_the_earlier_layout_names_the_migrate_command(tmp_path, fixtures_dir):
+    root = tmp_path / "v2"
+    write_v2_store(ReplayStore(fixtures_dir / "replay"), root)
+    names = sorted(os.listdir(root))
     store = ReplayStore(root)
+    for use in (
+        lambda: store.lookup("prompt", {"n": 1}),
+        lambda: store.get("prompt", {"n": 1}),
+        store.keys,
+        lambda: store.record("prompt", {"n": 1}, []),
+    ):
+        with pytest.raises(UnmigratedStore, match=f"nlconcepts replay migrate {root}"):
+            use()
+    assert sorted(os.listdir(root)) == names
+
+
+def test_migrate_refuses_a_damaged_entry_before_writing(tmp_path, fixtures_dir):
+    root = tmp_path / "v2"
+    write_v2_store(ReplayStore(fixtures_dir / "replay"), root)
+    for damage in ('{"prompt": "cut off', json.dumps({"prompt": "p", "params": {}, "completions": []})):
+        victim = sorted(root.iterdir())[-1]
+        victim.write_text(damage)
+        names = sorted(os.listdir(root))
+        with pytest.raises(CorruptEntry, match=str(victim)):
+            migrate(root)
+        assert sorted(os.listdir(root)) == names
+
+
+def test_a_replaced_log_is_indexed_again(tmp_path):
+    root, other = tmp_path / "rs", tmp_path / "other"
+    store = ReplayStore(root)
+    store.record("first", {"n": 1}, [{"text": "first", "logprob": None}])
+    ReplayStore(other).record("second", {"n": 1}, [{"text": "second", "logprob": None}])
+    os.replace(_log(other), _log(root))
+    # a miss finds the new file, whose index has only its own records
+    assert store.lookup("second", {"n": 1}) == [{"text": "second", "logprob": None}]
+    assert store.get("first", {"n": 1}) is None
+    store.record("first", {"n": 1}, [{"text": "again", "logprob": None}])
+    assert ReplayStore(root).lookup("first", {"n": 1}) == [{"text": "again", "logprob": None}]
+    assert ReplayStore(root).verify() == LogReport(records=2)
+
+
+def test_a_log_cut_inside_its_last_record_reads_back_every_earlier_entry(tmp_path):
+    def completions(i):
+        return [{"text": f"rule {i}", "logprob": -1.0}]
+
+    whole = ReplayStore(tmp_path / "whole")
+    for i in range(3):
+        whole.record(f"prompt {i}", {"n": 1}, completions(i))
+    data = _log(tmp_path / "whole").read_bytes()
+    last = data.index(fingerprint("prompt 2", {"n": 1}).encode())  # the last record's start
+    ReplayStore(tmp_path / "next").record("prompt 3", {"n": 1}, completions(3))
+    next_record = _log(tmp_path / "next").read_bytes()
+    earlier = sorted(fingerprint(f"prompt {i}", {"n": 1}) for i in range(2))
+    for cut in range(last, len(data)):
+        root = tmp_path / f"cut{cut}"
+        root.mkdir()
+        _log(root).write_bytes(data[:cut])
+        store = ReplayStore(root)
+        assert store.keys() == earlier
+        for i in range(2):
+            assert store.lookup(f"prompt {i}", {"n": 1}) == completions(i)
+        assert store.get("prompt 2", {"n": 1}) is None
+        assert store.verify() == LogReport(records=2, torn_bytes=cut - last)
+        # the next record truncates the torn tail before it appends
+        store.record("prompt 3", {"n": 1}, completions(3))
+        assert _log(root).read_bytes() == data[:last] + next_record
+        store.close()
+
+
+def test_a_thousand_stores_leak_no_file_descriptor(tmp_path):
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("counting open descriptors needs /proc/self/fd")
+    ReplayStore(tmp_path / "rs").record("prompt", {"n": 1}, [])
+    before = len(os.listdir("/proc/self/fd"))
+    for i in range(1000):
+        store = ReplayStore(tmp_path / "rs")
+        store.record(f"prompt {i % 10}", {"n": 1}, [])
+        assert store.lookup("prompt", {"n": 1}) == []
+    del store
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
+def _record_keys(store, barrier, worker, keys):
     barrier.wait()
     for i in range(keys):
         store.record(f"prompt {i}", {"n": 1}, [{"text": f"worker {worker}", "logprob": None}])
 
 
+def _record_race(root, barrier, worker, keys):
+    _record_keys(ReplayStore(root), barrier, worker, keys)
+
+
 def _check_one_whole_entry_per_key(root, keys):
     store = ReplayStore(root)
-    assert sorted(os.listdir(root)) == sorted(f"{k}.json" for k in store.keys())
+    assert os.listdir(root) == [LOG_NAME]
+    assert store.verify() == LogReport(records=keys)  # no duplicate, torn or mismatched record
     assert len(store.keys()) == keys
     for i in range(keys):
         (completion,) = store.lookup(f"prompt {i}", {"n": 1})
@@ -266,17 +365,32 @@ def test_two_processes_recording_the_same_keys_leave_one_whole_entry_each(tmp_pa
     _check_one_whole_entry_per_key(tmp_path / "rs", 40)
 
 
-def test_two_threads_recording_the_same_keys_leave_one_whole_entry_each(tmp_path):
-    barrier = threading.Barrier(2)
+def test_a_store_used_across_fork_by_parent_and_child_leaves_one_entry_per_key(tmp_path):
+    store = ReplayStore(tmp_path / "rs")
+    # the log is open, and indexed, when the child is forked
+    store.record("prompt 0", {"n": 1}, [{"text": "worker 0", "logprob": None}])
+    mp = multiprocessing.get_context("fork")
+    barrier = mp.Barrier(2)
+    child = mp.Process(target=_record_keys, args=(store, barrier, 1, 40))
+    child.start()
+    _record_keys(store, barrier, 0, 40)
+    child.join(60)
+    assert (child.is_alive(), child.exitcode) == (False, 0)
+    _check_one_whole_entry_per_key(tmp_path / "rs", 40)
+
+
+def _race_threads(stores):
+    """Thread w records the keys into stores[w], switching as often as it can."""
+    barrier = threading.Barrier(len(stores))
     errors = []
 
     def run(worker):
         try:
-            _record_race(tmp_path / "rs", barrier, worker, 40)
+            _record_keys(stores[worker], barrier, worker % 2, 40)
         except BaseException as exc:  # surfaced below
             errors.append(exc)
 
-    threads = [threading.Thread(target=run, args=(w,)) for w in range(2)]
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(len(stores))]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as possible
     try:
@@ -288,22 +402,37 @@ def test_two_threads_recording_the_same_keys_leave_one_whole_entry_each(tmp_path
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
+
+
+def test_two_threads_recording_the_same_keys_leave_one_whole_entry_each(tmp_path):
+    _race_threads([ReplayStore(tmp_path / "rs") for _ in range(2)])
     _check_one_whole_entry_per_key(tmp_path / "rs", 40)
 
 
-def test_failed_link_propagates_and_leaves_no_entry_or_temp_file(tmp_path, monkeypatch):
+def test_threads_sharing_one_store_leave_one_whole_entry_each(tmp_path):
+    store = ReplayStore(tmp_path / "rs")
+    _race_threads([store] * 4)
+    _check_one_whole_entry_per_key(tmp_path / "rs", 40)
+
+
+def test_a_short_append_propagates_and_leaves_no_entry(tmp_path, monkeypatch):
     store = ReplayStore(tmp_path / "rs")
     store.record("other", {"n": 1}, [])
+    before = _log(tmp_path / "rs").read_bytes()
+    write = os.write
 
-    def link(src, dst):
-        raise OSError(5, "simulated failure between the temp write and the link")
+    def short_write(fd, data):  # a full disk cuts the record off halfway
+        return write(fd, data[: len(data) // 2])
 
-    monkeypatch.setattr(os, "link", link)
-    with pytest.raises(OSError, match="simulated failure"):
+    monkeypatch.setattr(os, "write", short_write)
+    with pytest.raises(OSError, match="short write"):
         store.record("prompt", {"n": 1}, [{"text": "even", "logprob": -1.0}])
-    assert os.listdir(tmp_path / "rs") == [f"{fingerprint('other', {'n': 1})}.json"]
+    monkeypatch.undo()
+    assert _log(tmp_path / "rs").read_bytes() == before
     with pytest.raises(ReplayMiss):
         store.lookup("prompt", {"n": 1})
+    store.record("prompt", {"n": 1}, [{"text": "even", "logprob": -1.0}])
+    assert ReplayStore(tmp_path / "rs").lookup("prompt", {"n": 1}) == [{"text": "even", "logprob": -1.0}]
 
 
 # ---------------------------------------------------------------------------
