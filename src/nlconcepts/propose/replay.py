@@ -8,7 +8,7 @@ exact.
 A store is a directory holding one file, `entries.log`, a sequence of
 records. Each record is a fixed-width ASCII header line,
 
-    <key> <request length> <completions length> <crc32 of the body>\\n
+    <key> <request length> <completions length> <crc32 of key and body>\\n
 
 (64 hex digits, two 10-digit decimals and 8 hex digits), then the body:
 the request, exactly the bytes `fingerprint` hashes, followed by the
@@ -18,7 +18,10 @@ Each `ReplayStore` keeps an index from key to record, built by reading
 headers only. A lookup that hits reads the record's body with one
 `os.pread`, checks its CRC and decodes the completions alone. A miss
 first catches the index up with what other writers appended since; a
-log that was replaced or shrank is indexed again from the start.
+log that was replaced or shrank is indexed again from the start. A hit
+reads the file the index was built from: after the log is replaced, a
+store keeps serving the records of the old file until a miss indexes
+the new one.
 
 `record` holds an exclusive `fcntl.flock` on the log while it catches
 up, skips a key the log already holds (the first write wins, across
@@ -26,9 +29,13 @@ threads and processes), truncates a torn tail and appends the record
 in one `O_APPEND` write. Catching up takes the lock shared, so it never
 sees a record half written. A torn tail is what a writer that died
 mid-write leaves: readers do not see it, and the next writer removes
-it. No record is fsynced: a process crash can tear only the tail, a
+it. Any bytes after the last whole record that hold no whole record,
+the zero-filled tail a power loss can leave for one, count as a torn
+tail. No record is fsynced: a process crash can tear only the tail, a
 power loss can lose or corrupt recent records, which a CRC mismatch
-then shows (`CorruptEntry`). A store used across `fork` reopens its log
+then shows (`CorruptEntry`). Damage followed by a whole record is not a
+torn tail: the records before it still read, but a miss or a `record`
+raises `CorruptEntry`, and `nlconcepts replay verify` reports it. A store used across `fork` reopens its log
 in the child, so parent and child never share one lock. The directory
 and its log are created by the first `record`, so reading a missing
 store creates nothing.
@@ -86,6 +93,10 @@ def fingerprint(prompt: str, params: Dict) -> str:
     return hashlib.sha256(_request_bytes(prompt, params)).hexdigest()
 
 
+def _crc(key: str, body: bytes) -> int:
+    return zlib.crc32(body, zlib.crc32(key.encode("ascii")))
+
+
 @dataclass
 class LogReport:
     """What `ReplayStore.verify` found in a log."""
@@ -93,7 +104,8 @@ class LogReport:
     records: int = 0  # whole records
     duplicates: int = 0  # records of a key an earlier record holds; the first wins
     torn_bytes: int = 0  # bytes after the last whole record
-    mismatches: List[str] = field(default_factory=list)  # records that fail their key or CRC
+    # records that fail their key or CRC, and damage before a whole record
+    mismatches: List[str] = field(default_factory=list)
 
 
 class ReplayStore:
@@ -206,28 +218,33 @@ class ReplayStore:
         last catch-up to a log of `size` bytes."""
         if size < self._size:  # shrank: index it again
             self._index, self._size = {}, 0
-        offset = self._size
-        while True:
-            header = self._header(fd, offset, size)
-            if header is None:
-                break
-            key, request_len, completions_len, crc = header
+        for offset, key, request_len, completions_len, crc in self._records(fd, self._size, size):
             self._index.setdefault(key, (offset + HEADER_LEN, request_len, completions_len, crc))
-            offset += HEADER_LEN + request_len + completions_len
-        self._size = offset
+            self._size = offset + HEADER_LEN + request_len + completions_len
 
-    def _header(self, fd: int, offset: int, size: int):
-        """(key, request length, completions length, crc) of the record
-        at `offset`, or None where no whole record starts there."""
-        if offset + HEADER_LEN > size:
-            return None
-        match = _HEADER.fullmatch(os.pread(fd, HEADER_LEN, offset))
-        if match is None:
-            raise CorruptEntry(f"replay log {self._log} has no record header at byte {offset}")
-        request_len, completions_len = int(match[2]), int(match[3])
-        if offset + HEADER_LEN + request_len + completions_len > size:
-            return None
-        return match[1].decode("ascii"), request_len, completions_len, int(match[4], 16)
+    def _records(self, fd: int, offset: int, size: int):
+        """Yield (offset, key, request length, completions length, crc)
+        of each whole record from `offset` on in a log of `size` bytes,
+        up to a torn tail. Bytes that are no whole record but are
+        followed by one raise CorruptEntry."""
+        while offset + HEADER_LEN <= size:
+            match = _HEADER.fullmatch(os.pread(fd, HEADER_LEN, offset))
+            if match is None:
+                break
+            request_len, completions_len = int(match[2]), int(match[3])
+            end = offset + HEADER_LEN + request_len + completions_len
+            if end > size:
+                break
+            yield offset, match[1].decode("ascii"), request_len, completions_len, int(match[4], 16)
+            offset = end
+        if offset < size:
+            tail = os.pread(fd, size - offset, offset)
+            for match in _HEADER.finditer(tail):
+                if match.end() + int(match[2]) + int(match[3]) <= len(tail):
+                    raise CorruptEntry(
+                        f"replay log {self._log} is damaged at byte {offset}, before the whole record "
+                        f"at byte {offset + match.start()}; see `nlconcepts replay verify {self.root}`"
+                    )
 
     # -- reading ---------------------------------------------------------
 
@@ -237,7 +254,11 @@ class ReplayStore:
         with self._lock:
             where = self._index.get(key)
             if where is None:
-                self._refresh()
+                try:
+                    self._refresh()
+                except CorruptEntry:
+                    if key not in self._index:  # the records before damage still read
+                        raise
                 where = self._index.get(key)
                 if where is None:
                     return None
@@ -245,7 +266,7 @@ class ReplayStore:
             body = os.pread(self._fd, request_len + completions_len, offset)
         if len(body) != request_len + completions_len:
             raise CorruptEntry(f"replay entry {key} in {self._log} is cut short")
-        if zlib.crc32(body) != crc:
+        if _crc(key, body) != crc:
             raise CorruptEntry(f"replay entry {key} in {self._log} fails its CRC check")
         return body, request_len
 
@@ -303,7 +324,7 @@ class ReplayStore:
         import fcntl
 
         body = request + completions
-        crc = zlib.crc32(body)
+        crc = _crc(key, body)
         data = b"%s %010d %010d %08x\n" % (key.encode("ascii"), len(request), len(completions), crc) + body
         self._check_fork()
         with self._lock:
@@ -337,27 +358,21 @@ class ReplayStore:
             fd, size = self._locked(write=False)
             if fd is None:
                 return report
+            end = 0  # of the last whole record
             try:
-                offset = 0
-                while True:
-                    try:
-                        header = self._header(fd, offset, size)
-                    except CorruptEntry as exc:
-                        report.mismatches.append(str(exc))
-                        break
-                    if header is None:
-                        report.torn_bytes = size - offset
-                        break
-                    key, request_len, completions_len, crc = header
+                for offset, key, request_len, completions_len, crc in self._records(fd, 0, size):
+                    end = offset + HEADER_LEN + request_len + completions_len
                     body = os.pread(fd, request_len + completions_len, offset + HEADER_LEN)
                     if hashlib.sha256(body[:request_len]).hexdigest() != key:
                         report.mismatches.append(f"record at byte {offset}: key {key} is not its request's")
-                    elif zlib.crc32(body) != crc:
+                    elif _crc(key, body) != crc:
                         report.mismatches.append(f"record at byte {offset}: key {key} fails its CRC check")
                     report.records += 1
                     report.duplicates += key in seen
                     seen.add(key)
-                    offset += HEADER_LEN + len(body)
+                report.torn_bytes = size - end
+            except CorruptEntry as exc:
+                report.mismatches.append(str(exc))
             finally:
                 fcntl.flock(fd, fcntl.LOCK_UN)
         return report

@@ -11,6 +11,7 @@ from nlconcepts.dsl import (
     number_extension,
     parse_concept,
 )
+from nlconcepts.propose import ReplayStore
 from nlconcepts.dsl.generate import number_predicates, random_number_expr, random_shape_expr
 from nlconcepts.dsl.number import (
     Arith,
@@ -264,8 +265,9 @@ def test_tokenizer_matches_the_reference(fixtures_dir):
     sources = list(TOKENIZER_EDGE_CASES)
     for path in sorted(fixtures_dir.rglob("*.jsonl")):
         sources += [json.loads(line)["dsl"] for line in path.read_text().splitlines() if line.strip()]
-    for path in sorted((fixtures_dir / "replay").glob("*.json")):
-        sources += [c["text"] for c in json.loads(path.read_text())["completions"]]
+    replay = ReplayStore(fixtures_dir / "replay")
+    assert len(replay.keys()) == 5
+    sources += [c["text"] for key in replay.keys() for c in replay.entry(key)["completions"]]
     rng = random.Random(11)
     for _ in range(2000):
         src = format_shape_concept(random_shape_expr(rng, rng.randint(0, 3)))

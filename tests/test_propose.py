@@ -213,6 +213,20 @@ def test_flipped_body_byte_raises_corrupt_entry(tmp_path):
         assert len(store.verify().mismatches) == 1
 
 
+def test_the_crc_covers_the_key(tmp_path):
+    root = tmp_path / "rs"
+    key = ReplayStore(root).record("prompt", {"n": 1}, [{"text": "even", "logprob": -1.0}])
+    data = bytearray(_log(root).read_bytes())
+    data[0:1] = b"0" if data[0:1] != b"0" else b"1"  # another key, still a valid header
+    _log(root).write_bytes(bytes(data))
+    store = ReplayStore(root)
+    (flipped,) = store.keys()
+    assert flipped != key and store.get("prompt", {"n": 1}) is None
+    with pytest.raises(CorruptEntry, match="fails its CRC check"):
+        store.entry(flipped)
+    assert len(store.verify().mismatches) == 1
+
+
 def test_record_writes_one_compact_entry_and_fixture_entries_still_read(tmp_path, fixtures_dir):
     store = ReplayStore(tmp_path / "rs")
     entry = {"prompt": "prompt", "params": {"n": 1}, "completions": [{"text": "é", "logprob": -1.0}]}
@@ -221,7 +235,7 @@ def test_record_writes_one_compact_entry_and_fixture_entries_still_read(tmp_path
     # the request is stored as exactly the bytes its key hashes
     request = json.dumps({"prompt": "prompt", "params": {"n": 1}}, sort_keys=True).encode()
     completions = json.dumps(entry["completions"], separators=(",", ":")).encode()
-    header = f"{key} {len(request):010d} {len(completions):010d} {zlib.crc32(request + completions):08x}\n"
+    header = f"{key} {len(request):010d} {len(completions):010d} {zlib.crc32(key.encode() + request + completions):08x}\n"
     assert len(header) == HEADER_LEN
     assert _log(tmp_path / "rs").read_bytes() == header.encode() + request + completions
     assert hashlib.sha256(request).hexdigest() == key
@@ -282,6 +296,8 @@ def test_a_replaced_log_is_indexed_again(tmp_path):
     store.record("first", {"n": 1}, [{"text": "first", "logprob": None}])
     ReplayStore(other).record("second", {"n": 1}, [{"text": "second", "logprob": None}])
     os.replace(_log(other), _log(root))
+    # a hit reads the file the index was built from
+    assert store.lookup("first", {"n": 1}) == [{"text": "first", "logprob": None}]
     # a miss finds the new file, whose index has only its own records
     assert store.lookup("second", {"n": 1}) == [{"text": "second", "logprob": None}]
     assert store.get("first", {"n": 1}) is None
@@ -316,6 +332,55 @@ def test_a_log_cut_inside_its_last_record_reads_back_every_earlier_entry(tmp_pat
         store.record("prompt 3", {"n": 1}, completions(3))
         assert _log(root).read_bytes() == data[:last] + next_record
         store.close()
+
+
+def _three_records(root):
+    store = ReplayStore(root)
+    for i in range(3):
+        store.record(f"prompt {i}", {"n": 1}, [{"text": f"rule {i}", "logprob": -1.0}])
+    store.close()
+    return _log(root).read_bytes()
+
+
+def test_a_zero_filled_tail_is_a_torn_tail(tmp_path):
+    root = tmp_path / "rs"
+    data = _three_records(root)
+    for tail in (b"\0" * (2 * HEADER_LEN + 5), b"\0" * 7, b"not a record header\n" * 10):
+        _log(root).write_bytes(data + tail)
+        store = ReplayStore(root)
+        assert len(store.keys()) == 3
+        for i in range(3):
+            assert store.lookup(f"prompt {i}", {"n": 1}) == [{"text": f"rule {i}", "logprob": -1.0}]
+        assert store.get("prompt 3", {"n": 1}) is None
+        assert store.verify() == LogReport(records=3, torn_bytes=len(tail))
+        # the next record truncates the tail before it appends
+        store.record("prompt 3", {"n": 1}, [])
+        assert _log(root).read_bytes().startswith(data + fingerprint("prompt 3", {"n": 1}).encode())
+        assert ReplayStore(root).verify() == LogReport(records=4)
+        store.close()
+
+
+def test_damage_before_a_whole_record_keeps_earlier_entries_and_refuses_to_record(tmp_path):
+    root = tmp_path / "rs"
+    data = _three_records(root)
+    second = data.index(fingerprint("prompt 1", {"n": 1}).encode())
+    damaged = data[:second] + b"\0" * HEADER_LEN + data[second + HEADER_LEN :]
+    _log(root).write_bytes(damaged)
+    store = ReplayStore(root)
+    # what precedes the damage still reads
+    assert store.lookup("prompt 0", {"n": 1}) == [{"text": "rule 0", "logprob": -1.0}]
+    for use in (
+        store.keys,
+        lambda: store.get("prompt 2", {"n": 1}),
+        lambda: store.record("prompt 3", {"n": 1}, []),
+    ):
+        with pytest.raises(CorruptEntry, match=f"damaged at byte {second}.*nlconcepts replay verify {root}"):
+            use()
+    assert store.lookup("prompt 0", {"n": 1}) == [{"text": "rule 0", "logprob": -1.0}]
+    assert _log(root).read_bytes() == damaged
+    report = store.verify()
+    assert (report.records, report.torn_bytes, len(report.mismatches)) == (1, 0, 1)
+    assert f"damaged at byte {second}" in report.mismatches[0]
 
 
 def test_a_thousand_stores_leak_no_file_descriptor(tmp_path):
