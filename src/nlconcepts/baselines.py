@@ -1,28 +1,25 @@
 """Comparison systems: latent-language maximum likelihood, directly
 querying the LM with yes/no questions, and the unconditioned-proposal
-ablation."""
+ablation.
+
+The number baselines hold their raw predictions (the chosen
+hypothesis's membership, or the LM's yes/no ratio) as one-hypothesis
+`NumberTask`s and Platt-calibrate them by the model's own
+cross-validated fit (`harness.cross_validate`)."""
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from . import io
-from .fit import (
-    AdamState,
-    adam_step,
-    kfold_split,
-    number_weights,
-    pack_params,
-    r_squared,
-    shape_forward,
-    stack_tasks,
-)
+from .fit import FitConfig, NumberTask, number_weights, pack_params, shape_forward, stack_tasks
 from .harness import (
     ExperimentConfig,
     PredictionRecord,
+    cross_validate,
     group_judgments,
     map_rules,
     number_tasks,
@@ -30,7 +27,6 @@ from .harness import (
     run_number_experiment,
     shape_tasks,
 )
-from .posterior import expit, logit, platt
 from .propose.prompts import serialize_numbers, serialize_shape_batches
 from .types import Hypothesis, LearningCurve, ModelParams
 
@@ -46,51 +42,32 @@ class NoViableHypothesis(RuntimeError):
 # ---------------------------------------------------------------------------
 # Shared Platt calibration (logistic regression on the raw prediction)
 
-
-def fit_platt(raw: Sequence[float], targets: Sequence[float], epochs: int = 1000,
-              lr: float = 0.001) -> Tuple[float, float]:
-    """Fit (a, b) of expit(b + a*logit(p)) by full-batch Adam on BCE."""
-    raw = np.clip(np.asarray(raw, dtype=float), 1e-6, 1.0 - 1e-6)
-    targets = np.asarray(targets, dtype=float)
-    x = logit(raw)
-    u = np.array([1.0, 0.0])  # a, b
-    state = AdamState.zeros(2)
-    for _ in range(epochs):
-        pred = expit(u[1] + u[0] * x)
-        dl_dz = pred - targets
-        grad = np.array([float(dl_dz @ x), float(dl_dz.sum())])
-        u = adam_step(u, grad, state, lr=lr)
-    return float(u[0]), float(u[1])
+# the calibration fit of every number baseline, whatever the config's `fit`
+_PLATT_FIT = FitConfig(learning_rate=0.001, epochs=1000, trainable=("platt",))
 
 
-def _calibrated_records(
-    raw_by_id: Dict[str, Tuple[float, float]],  # id -> (raw pred, human)
-    k_folds: int,
-    seed: int,
-) -> List[PredictionRecord]:
-    """Cross-validated Platt calibration of raw predictions."""
-    ids = list(raw_by_id)
-    records = []
-    for train_ids, holdout_ids in kfold_split(ids, min(k_folds, len(ids)), seed):
-        a, b = fit_platt(
-            [raw_by_id[i][0] for i in train_ids],
-            [raw_by_id[i][1] for i in train_ids],
-        )
-        for i in holdout_ids:
-            raw, human = raw_by_id[i]
-            records.append(
-                PredictionRecord(i, platt(raw, a, b), human, "holdout")
-            )
-    return records
+def _raw_task(raw: Sequence[float], targets: Sequence[float], ids: Sequence[str]) -> NumberTask:
+    """One hypothesis whose test membership is the raw prediction of
+    each row, in [0, 1]: its weight is 1, so the pass predicts
+    platt(raw)."""
+    return NumberTask(
+        features=None,
+        base_logprior=np.zeros(1),
+        parsed=np.ones(1, dtype=bool),
+        member=np.zeros((1, 0)),
+        inv_size=np.ones(1),
+        test_member=np.asarray(raw, dtype=float)[:, None],
+        targets=np.asarray(targets, dtype=float),
+        ids=list(ids),
+        names=["raw prediction"],
+    )
 
 
-def _r2_metrics(records: Sequence[PredictionRecord]) -> Dict[str, float]:
-    return {
-        "holdout_r2": r_squared(
-            [r.prediction for r in records], [r.human for r in records]
-        ),
-        "n_predictions": len(records),
-    }
+def _calibrate(cfg: ExperimentConfig, tasks: Sequence[NumberTask]):
+    """(metrics, records) of the raw tasks' Platt fit, cross-validated
+    over `cfg`'s folds and seed."""
+    platt_cfg = ExperimentConfig("number", fit=_PLATT_FIT, seed=cfg.seed, k_folds=cfg.k_folds)
+    return cross_validate(platt_cfg, tasks)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -112,16 +89,15 @@ def latent_language_number(
     tasks = number_tasks(replace(cfg, prior="uniform", weighting="dedup"), judgments, pools)
     params = ModelParams(epsilon=cfg.params.epsilon if cfg.params is not None else 0.1)
     weights = number_weights(pack_params(params)[None], stack_tasks(list(tasks.values())), 0)[0]
-    raw_by_id: Dict[str, Tuple[float, float]] = {}
+    raw_tasks = []
     chosen: Dict[str, str] = {}
     for (set_id, task), w in zip(tasks.items(), weights[0]):
         if not task.parsed.any():
             raise NoViableHypothesis(f"pool for {set_id} has no parsed hypothesis")
         best = int(np.argmax(w))
         chosen[set_id] = task.names[best]
-        raw_by_id.update(zip(task.ids, zip(task.test_member[:, best], task.targets)))
-    records = _calibrated_records(raw_by_id, cfg.k_folds, cfg.seed)
-    return _r2_metrics(records), records, chosen
+        raw_tasks.append(_raw_task(task.test_member[:, best], task.targets, task.ids))
+    return (*_calibrate(cfg, raw_tasks), chosen)
 
 
 def latent_language_shape(
@@ -228,14 +204,15 @@ def direct_llm_number(cfg: ExperimentConfig, backend, judgments=None):
     p(yes) from 10 temperature-1 samples, then Platt-calibrate."""
     if judgments is None:
         judgments = io.load_number_judgments(cfg.data_path)
-    raw_by_id: Dict[str, Tuple[float, float]] = {}
+    tasks = []
     for set_id, group in group_judgments(judgments).items():
-        for j in group:
-            prompt = direct_number_prompt(j.example_set, j.test_number)
-            ratio = yes_no_ratio(_direct_samples(backend, prompt))
-            raw_by_id[f"{set_id}:{j.test_number}"] = (ratio, j.mean_rating)
-    records = _calibrated_records(raw_by_id, cfg.k_folds, cfg.seed)
-    return _r2_metrics(records), records
+        ratios = [
+            yes_no_ratio(_direct_samples(backend, direct_number_prompt(j.example_set, j.test_number)))
+            for j in group
+        ]
+        ids = [f"{set_id}:{j.test_number}" for j in group]
+        tasks.append(_raw_task(ratios, [j.mean_rating for j in group], ids))
+    return _calibrate(cfg, tasks)
 
 
 def direct_llm_shape(curves: Sequence[LearningCurve], backend):

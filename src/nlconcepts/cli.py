@@ -130,25 +130,33 @@ def _cmd_infer(args) -> int:
     return 0
 
 
-def _cmd_fit(args) -> int:
-    cfg = harness.ExperimentConfig.from_json(args.config)
+def _write_results(args, cfg, metrics, records, details=None, **json_files) -> int:
+    """Write each keyword's object as <name>.json, the learning curves
+    of `details` when given, predictions.csv and metrics.json into the
+    output directory, made if missing; print the metrics."""
     out_dir = Path(args.out_dir or cfg.out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    if cfg.domain == "number":
-        metrics, records, verbalizations = harness.run_number_experiment(cfg)
-        (out_dir / "topk.json").write_text(json.dumps(verbalizations, indent=2))
-    else:
-        # the fitted model is the evaluated one: both read the same tasks
-        curves = harness.load_curves(cfg)
-        tasks = harness.shape_tasks(cfg, curves, harness.load_shape_pools(cfg))
-        params = fit_params(cfg.fit, tasks, harness.default_params(cfg)).params
-        (out_dir / "params.json").write_text(json.dumps(_dump_params(params), indent=2))
-        metrics, records, details = harness.evaluate_online(curves, tasks, params)
+    for name, obj in json_files.items():
+        (out_dir / f"{name}.json").write_text(json.dumps(obj, indent=2))
+    if details is not None:
         harness.emit_learning_curves(details, out_dir / "learning_curves.csv")
     harness.emit_plot_data(records, out_dir / "predictions.csv")
     (out_dir / "metrics.json").write_text(json.dumps(metrics, indent=2))
     print(json.dumps(metrics, indent=2))
     return 0
+
+
+def _cmd_fit(args) -> int:
+    cfg = harness.ExperimentConfig.from_json(args.config)
+    if cfg.domain == "number":
+        metrics, records, verbalizations = harness.run_number_experiment(cfg)
+        return _write_results(args, cfg, metrics, records, topk=verbalizations)
+    # the fitted model is the evaluated one: both read the same tasks
+    curves = harness.load_curves(cfg)
+    tasks = harness.shape_tasks(cfg, curves, harness.load_shape_pools(cfg))
+    params = fit_params(cfg.fit, tasks, harness.default_params(cfg)).params
+    metrics, records, details = harness.evaluate_online(curves, tasks, params)
+    return _write_results(args, cfg, metrics, records, details, params=_dump_params(params))
 
 
 def _cmd_eval(args) -> int:
@@ -157,18 +165,13 @@ def _cmd_eval(args) -> int:
         # through the constructor's checks: a tuned prior's theta must have feature_dim entries
         cfg = replace(cfg, params=_load_params(args.params))
     if cfg.params is None:
-        raise SystemExit("eval requires fitted parameters (config or --params)")
-    out_dir = Path(args.out_dir or cfg.out_dir or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+        raise UsageError("eval requires fitted parameters (config or --params)")
     if cfg.domain == "number":
         metrics, records, _ = harness.run_number_experiment(cfg)
+        details = None
     else:
         metrics, records, details = harness.run_online_experiment(cfg)
-        harness.emit_learning_curves(details, out_dir / "learning_curves.csv")
-    harness.emit_plot_data(records, out_dir / "predictions.csv")
-    (out_dir / "metrics.json").write_text(json.dumps(metrics, indent=2))
-    print(json.dumps(metrics, indent=2))
-    return 0
+    return _write_results(args, cfg, metrics, records, details)
 
 
 def _cmd_replay(args) -> int:
@@ -199,8 +202,6 @@ def _cmd_baseline(args) -> int:
     shape = cfg.domain == SHAPE_DOMAIN
     if args.kind == "ablation" and shape:
         raise ValueError(f"ablation needs a number config; {args.config} has domain {cfg.domain!r}")
-    out_dir = Path(args.out_dir or cfg.out_dir or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.kind == "latent":
         if shape:
             metrics, records, chosen = baselines.latent_language_shape(
@@ -208,21 +209,18 @@ def _cmd_baseline(args) -> int:
             )
         else:
             metrics, records, chosen = baselines.latent_language_number(cfg)
-        (out_dir / "chosen.json").write_text(json.dumps(chosen, indent=2))
-    elif args.kind == "llm":
+        return _write_results(args, cfg, metrics, records, chosen=chosen)
+    if args.kind == "llm":
         backend = ReplayBackend(ReplayStore(args.store))
         if shape:
             metrics, records = baselines.direct_llm_shape(harness.load_curves(cfg), backend)
         else:
             metrics, records = baselines.direct_llm_number(cfg, backend)
-    else:  # ablation
-        if not args.shared_pool:
-            raise SystemExit("ablation requires --shared-pool")
-        metrics, records, _ = baselines.no_proposal_ablation(cfg, args.shared_pool)
-    harness.emit_plot_data(records, out_dir / "predictions.csv")
-    (out_dir / "metrics.json").write_text(json.dumps(metrics, indent=2))
-    print(json.dumps(metrics, indent=2))
-    return 0
+        return _write_results(args, cfg, metrics, records)
+    if not args.shared_pool:
+        raise UsageError("baseline ablation requires --shared-pool")
+    metrics, records, _ = baselines.no_proposal_ablation(cfg, args.shared_pool)
+    return _write_results(args, cfg, metrics, records)
 
 
 def _cmd_sweep(args) -> int:
@@ -329,8 +327,6 @@ def main(argv=None) -> int:
         parser.error(f"replay {args.action} requires the {_REPLAY_ARG[args.action]} argument")
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except (UsageError, harness.ConfigError) as exc:
         parser.error(str(exc))
     except Exception as exc:  # surface a one-line error, nonzero exit

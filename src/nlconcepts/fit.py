@@ -138,7 +138,10 @@ class NumberTask:
     """All judgments sharing one training example set.
 
     member[s, k] = 1 if training example k lies in hypothesis s's
-    extension; test_member[i, s] likewise for test number i.
+    extension; test_member[i, s] likewise for test number i. The pass
+    is linear in test_member, so a column may also hold a raw
+    prediction in [0, 1]: the weight of a task's one parsed hypothesis
+    is 1, so it predicts platt(raw), as the number baselines use it.
     """
 
     features: Optional[np.ndarray]  # (S, D); None under a non-tuned prior
@@ -642,11 +645,6 @@ class FitResult:
     params: ModelParams
     loss_trace: List[float]
     holdout_predictions: List[Tuple[str, float, float]]  # (id, pred, target)
-
-    def holdout_r2(self) -> float:
-        preds = [p for _, p, _ in self.holdout_predictions]
-        targets = [t for _, _, t in self.holdout_predictions]
-        return r_squared(preds, targets)
 
 
 def trainable_mask(dim: int, groups: Sequence[str]) -> np.ndarray:

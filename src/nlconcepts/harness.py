@@ -366,6 +366,18 @@ def run_number_experiment(
     """
     tasks = number_tasks(cfg, judgments, pools)
     batch = stack_tasks(list(tasks.values()))
+    metrics, records, final_params = cross_validate(cfg, batch)
+    verbalizations = number_top_verbalizations(tasks, batch, final_params)
+    return metrics, records, verbalizations
+
+
+def cross_validate(cfg: ExperimentConfig, tasks):
+    """Holdout predictions of number tasks (a sequence or their
+    TaskBatch): at `cfg.params` when given, else from `cfg.k_folds`
+    folds fit by `cfg.fit`, all folds and the final fit on every row
+    run as one stacked fit. Returns (metrics dict, prediction records,
+    the final parameters)."""
+    batch = stack_tasks(tasks)
     if cfg.params is not None:
         final_params = cfg.params
         u = pack_params(final_params)
@@ -386,8 +398,7 @@ def run_number_experiment(
         "holdout_r2": r_squared(preds, targets),
         "n_predictions": len(records),
     }
-    verbalizations = number_top_verbalizations(tasks, batch, final_params)
-    return metrics, records, verbalizations
+    return metrics, records, final_params
 
 
 def number_top_verbalizations(

@@ -10,8 +10,8 @@ against an independent reference. Its own sentinels mark impossible
 data: -inf log-likelihoods become NEG_LARGE, and log-weights at or
 below ZERO_CUTOFF get weight 0, so epsilon = 0 is a case it can weigh.
 It imports only the interpreters, the DSL's syntax error, the hashed
-features, the two errors a pool can raise and the PosteriorState
-container from the library.
+features, the two errors a pool can raise, the PosteriorState
+container and the fold partition (`kfold_split`) from the library.
 
 `shape_forward_dense` is the reference for the library's shape kernel
 (`fit.shape_forward`): the same forward pass and gradient written over
@@ -21,6 +21,10 @@ row per rule of `rule_level(task)`.
 `number_rows_dense` is the reference for the library's number kernel
 (`fit.loss_and_grad` on number tasks): the same loss, predictions and
 gradient written over dense per-row arrays of each row's task weights.
+
+`platt_cv` is the reference for the number baselines' calibration
+(`harness.cross_validate` over one-hypothesis raw tasks): one Adam
+loop over the Platt pair (a, b) per fold, on scalars and dot products.
 
 `tokenize` is the reference for the DSL tokenizer
 (`dsl.number._tokenize`): one regex match per token from the current
@@ -38,6 +42,7 @@ import numpy as np
 from scipy.special import expit, logsumexp
 
 from nlconcepts.dsl import DslSyntaxError, eval_shape, number_extension
+from nlconcepts.fit import kfold_split
 from nlconcepts.posterior import MissingLogQ, PosteriorState
 from nlconcepts.prior import MissingFeature, extract_features
 
@@ -482,3 +487,43 @@ def number_rows_dense(tasks, stack, dim, rows):
     grad[:, dim + 3] = -(coeff * safe_u).sum(axis=(1, 2))
     mag[:, dim + 3] = (coeff_abs * np.where(alive, size, 0.0)).sum(axis=(1, 2))
     return loss, pred, grad, mag, z_max
+
+
+# ---------------------------------------------------------------------------
+# Platt calibration
+
+
+def fit_platt(raw, targets, epochs=1000, lr=0.001):
+    """(a, b) of expit(b + a logit(p)) fit from (1, 0) by full-batch
+    Adam (betas 0.9, 0.999, eps 1e-8) on the summed cross-entropy, the
+    raw predictions clamped to [1e-6, 1 - 1e-6]."""
+    p = np.clip(np.asarray(raw, dtype=float), 1e-6, 1.0 - 1e-6)
+    x, r = np.log(p / (1.0 - p)), np.asarray(targets, dtype=float)
+    u, m, v = np.array([1.0, 0.0]), np.zeros(2), np.zeros(2)
+    for t in range(1, epochs + 1):
+        dl_dz = expit(u[1] + u[0] * x) - r
+        grad = np.array([float(dl_dz @ x), float(dl_dz.sum())])
+        m = 0.9 * m + 0.1 * grad
+        v = 0.999 * v + 0.001 * grad**2
+        u = u - lr * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+    return float(u[0]), float(u[1])
+
+
+def platt_cv(rows, k_folds, seed):
+    """Cross-validated Platt calibration of raw predictions. `rows` are
+    (id, raw prediction, human) in row order; the folds are
+    `kfold_split`'s over the ids, and a fold holds out every row whose
+    id it draws. Returns (id, calibrated prediction, human) per held-out
+    row: fold after fold, each fold's rows in row order."""
+    ids = [i for i, _, _ in rows]
+    out = []
+    for _, holdout in kfold_split(ids, min(k_folds, len(ids)), seed):
+        holdout = set(holdout)
+        held = [i in holdout for i in ids]
+        train = [row for row, h in zip(rows, held) if not h]
+        a, b = fit_platt([raw for _, raw, _ in train], [human for _, _, human in train])
+        for (i, raw, human), h in zip(rows, held):
+            if h:
+                p = min(max(raw, 1e-6), 1.0 - 1e-6)
+                out.append((i, float(expit(b + a * math.log(p / (1.0 - p)))), human))
+    return out

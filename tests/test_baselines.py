@@ -6,16 +6,16 @@ from nlconcepts import io
 from nlconcepts.baselines import (
     AllSamplesDiscarded,
     NoViableHypothesis,
+    _raw_task,
     direct_llm_number,
     direct_number_prompt,
     direct_shape_prompt,
-    fit_platt,
     latent_language_number,
     latent_language_shape,
     no_proposal_ablation,
     yes_no_ratio,
 )
-from nlconcepts.fit import FitConfig
+from nlconcepts.fit import FitConfig, fit_params
 from nlconcepts.harness import ExperimentConfig
 from nlconcepts.io import make_hypothesis
 from nlconcepts.posterior import platt
@@ -27,7 +27,12 @@ def test_fit_platt_recovers_known_transform():
     raw = rng.uniform(0.05, 0.95, 200)
     a_true, b_true = 1.8, -0.6
     targets = expit(b_true + a_true * logit(raw))
-    a, b = fit_platt(raw, targets, epochs=4000, lr=0.01)
+    # one hypothesis whose membership is the raw prediction: the model's
+    # fit with only the Platt pair trainable is a logistic regression on logit(raw)
+    task = _raw_task(raw, targets, [str(i) for i in range(len(raw))])
+    fit = FitConfig(learning_rate=0.01, epochs=4000, trainable=("platt",))
+    params = fit_params(fit, [task], ModelParams()).params
+    a, b = params.platt_a, params.platt_b
     assert a == pytest.approx(a_true, abs=0.05)
     assert b == pytest.approx(b_true, abs=0.05)
     assert platt(0.5, a, b) == pytest.approx(expit(b_true), abs=0.01)

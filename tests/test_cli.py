@@ -510,10 +510,13 @@ def test_fit_shape_builds_each_curve_once(fixtures_dir, tmp_path, monkeypatch):
         assert (out_dir / name).read_bytes() == (want / name).read_bytes(), name
 
 
-def test_eval_requires_params(fixtures_dir, tmp_path):
+def test_eval_requires_params(fixtures_dir, tmp_path, capsys):
     cfg = _tiny_number_config(fixtures_dir, tmp_path)
-    with pytest.raises(SystemExit):
-        main(["eval", "--config", str(cfg)])
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "eval requires fitted parameters" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_with_params(fixtures_dir, tmp_path):
@@ -574,6 +577,15 @@ def test_baseline_ablation(fixtures_dir, tmp_path):
     )
     assert rc == 0
     assert (out_dir / "metrics.json").exists()
+
+
+def test_baseline_ablation_requires_shared_pool(fixtures_dir, tmp_path, capsys):
+    cfg = _tiny_number_config(fixtures_dir, tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["baseline", "ablation", "--config", str(cfg), "--out-dir", str(tmp_path / "ablation")])
+    assert exc.value.code == 2
+    assert "baseline ablation requires --shared-pool" in capsys.readouterr().err
+    assert not (tmp_path / "ablation").exists()
 
 
 def test_baseline_latent_shape(fixtures_dir, tmp_path):

@@ -5,7 +5,8 @@ For random parameters, every prediction of the fit path
 inference in `oracle` for the same datum within 1e-12, in both
 domains. The shape paths, top-k verbalizations and the latent-language
 baselines are checked against the same reference, rebuilt batch by
-batch.
+batch, and the number baselines' calibration against its scalar
+cross-validated Platt fit (`oracle.platt_cv`).
 """
 
 import itertools
@@ -15,10 +16,10 @@ import numpy as np
 import pytest
 
 from nlconcepts import io
-from nlconcepts.baselines import _calibrated_records, latent_language_number, latent_language_shape
+from nlconcepts.baselines import direct_llm_number, direct_number_prompt, latent_language_number, latent_language_shape
 from nlconcepts.dsl.generate import random_shape_expr
 from nlconcepts.dsl.shape import format_shape_concept
-from nlconcepts.fit import _unpack, loss_and_grad, pack_params, shape_forward
+from nlconcepts.fit import _unpack, loss_and_grad, pack_params, r_squared, shape_forward
 from nlconcepts.harness import (
     ExperimentConfig,
     build_number_task,
@@ -424,7 +425,7 @@ def test_latent_language_number_matches_scalar_oracle(epsilon):
     metrics, records, chosen = latent_language_number(cfg, judgments=judgments, pools=pools)
 
     eps = 0.1 if params is None else params.epsilon
-    raw_by_id, want_chosen = {}, {}
+    rows, want_chosen = [], {}
     for set_id, group in group_judgments(judgments, pools).items():
         pool, _ = dedup_pool(pools[set_id])
         loglik = oracle.pool_number_logliks(pool, group[0].example_set, eps)
@@ -432,11 +433,44 @@ def test_latent_language_number_matches_scalar_oracle(epsilon):
         want_chosen[set_id] = best.nl_text
         for j in group:
             raw = float(j.test_number in oracle.extension(best))
-            raw_by_id[f"{set_id}:{j.test_number}"] = (raw, j.mean_rating)
-    want = _calibrated_records(raw_by_id, cfg.k_folds, cfg.seed)
+            rows.append((f"{set_id}:{j.test_number}", raw, j.mean_rating))
+    want = oracle.platt_cv(rows, cfg.k_folds, cfg.seed)
     assert chosen == want_chosen
-    assert [r.datum_id for r in records] == [r.datum_id for r in want]
-    assert max(abs(r.prediction - w.prediction) for r, w in zip(records, want)) <= TOL
+    assert [r.datum_id for r in records] == [i for i, _, _ in want]
+    assert max(abs(r.prediction - p) for r, (_, p, _) in zip(records, want)) <= TOL
+    assert metrics["n_predictions"] == 48
+
+
+class RatioBackend:
+    """Answers each direct query with (test number mod 11) yeses out of
+    ten, so the yes/no ratios run from 0.0 to 1.0."""
+
+    def __init__(self, judgments):
+        self.n_yes = {direct_number_prompt(j.example_set, j.test_number): j.test_number % 11 for j in judgments}
+
+    def completions(self, prompt, params):
+        n_yes = self.n_yes[prompt]
+        return [{"text": "yes" if k < n_yes else "no", "logprob": None} for k in range(params["n"])]
+
+
+@pytest.mark.parametrize("seed, k_folds", [(0, 10), (1, 3)])
+def test_direct_llm_number_matches_scalar_oracle(seed, k_folds):
+    cfg = fixture_number_config("uniform", None)
+    cfg.seed, cfg.k_folds = seed, k_folds
+    judgments = io.load_number_judgments(cfg.data_path)
+    metrics, records = direct_llm_number(cfg, RatioBackend(judgments), judgments=judgments)
+
+    rows = [
+        (f"{set_id}:{j.test_number}", (j.test_number % 11) / 10, j.mean_rating)
+        for set_id, group in group_judgments(judgments).items()
+        for j in group
+    ]
+    assert {0.0, 1.0} <= {raw for _, raw, _ in rows}  # the clamp at both ends is exercised
+    want = oracle.platt_cv(rows, k_folds, seed)
+    assert [r.datum_id for r in records] == [i for i, _, _ in want]
+    assert max(abs(r.prediction - p) for r, (_, p, _) in zip(records, want)) <= TOL
+    want_r2 = r_squared([p for _, p, _ in want], [h for _, _, h in want])
+    assert abs(metrics["holdout_r2"] - want_r2) <= TOL
     assert metrics["n_predictions"] == 48
 
 
