@@ -192,6 +192,9 @@ def _cmd_replay(args) -> int:
             f"{report.torn_bytes} torn bytes, {len(report.mismatches)} mismatches"
         )
         return 1 if report.mismatches else 0
+    elif args.action == "repair":
+        kept, dropped = store.repair()
+        print(f"kept {kept} records, dropped {dropped} bytes")
     else:
         print(json.dumps(store.entry(args.target), indent=2))
     return 0
@@ -283,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("replay", help="inspect, verify or migrate a replay store")
-    p.add_argument("action", choices=("list", "show", "verify", "migrate"))
+    p = sub.add_parser("replay", help="inspect, verify, repair or migrate a replay store")
+    p.add_argument("action", choices=("list", "show", "verify", "repair", "migrate"))
     p.add_argument("target", nargs="?", metavar="KEY|DIR", help="the key to show, or the store directory to migrate")
     p.add_argument("--store", default="replay")
     p.set_defaults(func=_cmd_replay)
@@ -325,6 +328,8 @@ def main(argv=None) -> int:
         parser.error(f"infer --prior {args.prior} requires --{prior_input}")
     if args.command == "replay" and args.target is None and args.action in _REPLAY_ARG:
         parser.error(f"replay {args.action} requires the {_REPLAY_ARG[args.action]} argument")
+    if args.command == "replay" and args.target is not None and args.action not in _REPLAY_ARG:
+        parser.error(f"replay {args.action} takes no positional argument; name the store with --store")
     try:
         return args.func(args)
     except (UsageError, harness.ConfigError) as exc:

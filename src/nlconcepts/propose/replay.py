@@ -12,7 +12,10 @@ records. Each record is a fixed-width ASCII header line,
 
 (64 hex digits, two 10-digit decimals and 8 hex digits), then the body:
 the request, exactly the bytes `fingerprint` hashes, followed by the
-completions as compact JSON.
+completions as compact UTF-8 JSON (`orjson`). JSON has no NaN or
+infinity, so `record` refuses completions holding one (`ValueError`);
+records an earlier version wrote with `NaN` or `Infinity` tokens still
+read back.
 
 Each `ReplayStore` keeps an index from key to record, built by reading
 headers only. A lookup that hits reads the record's body with one
@@ -35,7 +38,9 @@ tail. No record is fsynced: a process crash can tear only the tail, a
 power loss can lose or corrupt recent records, which a CRC mismatch
 then shows (`CorruptEntry`). Damage followed by a whole record is not a
 torn tail: the records before it still read, but a miss or a `record`
-raises `CorruptEntry`, and `nlconcepts replay verify` reports it. A store used across `fork` reopens its log
+raises `CorruptEntry`, and `nlconcepts replay verify` reports it.
+`nlconcepts replay repair` then rewrites the log with every record
+that still holds its entry. A store used across `fork` reopens its log
 in the child, so parent and child never share one lock. The directory
 and its log are created by the first `record`, so reading a missing
 store creates nothing.
@@ -97,6 +102,45 @@ def _crc(key: str, body: bytes) -> int:
     return zlib.crc32(body, zlib.crc32(key.encode("ascii")))
 
 
+def _encode(completions: List) -> bytes:
+    """Completions as compact UTF-8 JSON. orjson writes a NaN or an
+    infinity as null, so completions whose JSON holds a null must read
+    back equal; a non-finite number raises ValueError."""
+    import orjson  # loaded by the store's first use, not by importing the library
+
+    data = orjson.dumps(completions)
+    if b"null" in data and orjson.loads(data) != completions:
+        raise ValueError(
+            "completions do not read back as recorded; JSON has no NaN or infinity, "
+            f"which would be stored as null: {completions!r:.200}"
+        )
+    return data
+
+
+def _decode(data: bytes):
+    """The JSON value of a record's bytes."""
+    import orjson
+
+    try:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError:
+        # the NaN and Infinity tokens of records the stdlib encoder wrote
+        return json.loads(data)
+
+
+def _problem(key: str, body: bytes, request_len: int, crc: int) -> Optional[str]:
+    """Why a whole record does not hold the entry of its key, or None."""
+    if hashlib.sha256(body[:request_len]).hexdigest() != key:
+        return f"key {key} is not its request's"
+    if _crc(key, body) != crc:
+        return f"key {key} fails its CRC check"
+    try:
+        _decode(body[request_len:])
+    except ValueError as exc:
+        return f"key {key} holds completions that do not decode: {exc}"
+    return None
+
+
 @dataclass
 class LogReport:
     """What `ReplayStore.verify` found in a log."""
@@ -104,7 +148,8 @@ class LogReport:
     records: int = 0  # whole records
     duplicates: int = 0  # records of a key an earlier record holds; the first wins
     torn_bytes: int = 0  # bytes after the last whole record
-    # records that fail their key or CRC, and damage before a whole record
+    # records that fail their key or CRC or whose completions do not
+    # decode, and damage before a whole record
     mismatches: List[str] = field(default_factory=list)
 
 
@@ -243,7 +288,8 @@ class ReplayStore:
                 if match.end() + int(match[2]) + int(match[3]) <= len(tail):
                     raise CorruptEntry(
                         f"replay log {self._log} is damaged at byte {offset}, before the whole record "
-                        f"at byte {offset + match.start()}; see `nlconcepts replay verify {self.root}`"
+                        f"at byte {offset + match.start()}; see `nlconcepts replay verify --store {self.root}`, "
+                        f"then `nlconcepts replay repair --store {self.root}`"
                     )
 
     # -- reading ---------------------------------------------------------
@@ -284,25 +330,25 @@ class ReplayStore:
 
     def get(self, prompt: str, params: Dict) -> Optional[List]:
         found = self._find(fingerprint(prompt, params))
-        return None if found is None else json.loads(found[0][found[1]:])
+        return None if found is None else _decode(found[0][found[1]:])
 
     def lookup(self, prompt: str, params: Dict) -> List:
         key = fingerprint(prompt, params)
         found = self._find(key)
         if found is None:
             raise ReplayMiss(key, self.root)
-        return json.loads(found[0][found[1]:])
+        return _decode(found[0][found[1]:])
 
     def entry(self, key: str) -> Dict:
         found = self._find(key)
         if found is None:
             raise ReplayMiss(key, self.root)
         body, request_len = found
-        request = json.loads(body[:request_len])
+        request = _decode(body[:request_len])
         return {
             "prompt": request["prompt"],
             "params": request["params"],
-            "completions": json.loads(body[request_len:]),
+            "completions": _decode(body[request_len:]),
         }
 
     def keys(self) -> List[str]:
@@ -317,7 +363,7 @@ class ReplayStore:
         """Store completions for a request; first write wins."""
         request = _request_bytes(prompt, params)
         key = hashlib.sha256(request).hexdigest()
-        self._append(key, request, json.dumps(completions, separators=(",", ":")).encode("utf-8"))
+        self._append(key, request, _encode(completions))
         return key
 
     def _append(self, key: str, request: bytes, completions: bytes) -> None:
@@ -347,8 +393,9 @@ class ReplayStore:
     # -- checking --------------------------------------------------------
 
     def verify(self) -> LogReport:
-        """Read every record: recompute its key from its request and
-        check its CRC, and count duplicate keys and torn bytes."""
+        """Read every record: recompute its key from its request, check
+        its CRC and decode its completions, and count duplicate keys and
+        torn bytes."""
         import fcntl
 
         self._check_fork()
@@ -363,10 +410,9 @@ class ReplayStore:
                 for offset, key, request_len, completions_len, crc in self._records(fd, 0, size):
                     end = offset + HEADER_LEN + request_len + completions_len
                     body = os.pread(fd, request_len + completions_len, offset + HEADER_LEN)
-                    if hashlib.sha256(body[:request_len]).hexdigest() != key:
-                        report.mismatches.append(f"record at byte {offset}: key {key} is not its request's")
-                    elif _crc(key, body) != crc:
-                        report.mismatches.append(f"record at byte {offset}: key {key} fails its CRC check")
+                    problem = _problem(key, body, request_len, crc)
+                    if problem is not None:
+                        report.mismatches.append(f"record at byte {offset}: {problem}")
                     report.records += 1
                     report.duplicates += key in seen
                     seen.add(key)
@@ -376,6 +422,49 @@ class ReplayStore:
             finally:
                 fcntl.flock(fd, fcntl.LOCK_UN)
         return report
+
+    def repair(self) -> Tuple[int, int]:
+        """Rewrite the log with the records that hold their entry: each
+        whole record, wherever it starts, whose key is its request's,
+        whose CRC matches and whose completions decode; the first
+        record of a key wins. Returns (records kept, bytes dropped); a
+        log with nothing to drop is left as it is."""
+        import fcntl
+
+        self._check_fork()
+        with self._lock:
+            if not os.path.exists(self._log):
+                self._refuse_v2()
+                return 0, 0
+            fd, size = self._locked(write=True)
+            try:
+                data = os.pread(fd, size, 0)
+                kept, seen = [], set()
+                match = _HEADER.search(data)
+                while match is not None:
+                    key, request_len = match[1].decode("ascii"), int(match[2])
+                    end = match.end() + request_len + int(match[3])
+                    body = data[match.end() : end]
+                    if end > len(data) or _problem(key, body, request_len, int(match[4], 16)) is not None:
+                        match = _HEADER.search(data, match.start() + 1)
+                        continue
+                    if key not in seen:
+                        seen.add(key)
+                        kept.append(data[match.start() : end])
+                    match = _HEADER.search(data, end)
+                log = b"".join(kept)
+                if len(log) < size:
+                    # other stores see the new file at their next miss or record
+                    tmp = self._log + ".repair"
+                    with open(tmp, "wb") as out:
+                        out.write(log)
+                        out.flush()
+                        os.fsync(out.fileno())
+                    os.replace(tmp, self._log)
+            finally:
+                fcntl.flock(fd, fcntl.LOCK_UN)
+                self._forget()
+        return len(kept), size - len(log)
 
 
 def migrate(root) -> int:
@@ -396,9 +485,9 @@ def migrate(root) -> int:
             continue
         path = root / name
         try:
-            entry = json.loads(path.read_bytes())
+            entry = _decode(path.read_bytes())
             request = _request_bytes(entry["prompt"], entry["params"])
-            completions = json.dumps(entry["completions"], separators=(",", ":")).encode("utf-8")
+            completions = _encode(entry["completions"])
         except (ValueError, KeyError, TypeError) as exc:
             raise CorruptEntry(f"replay entry {path} is unreadable: {exc!r}") from exc
         key = hashlib.sha256(request).hexdigest()

@@ -16,6 +16,7 @@ from nlconcepts.fit import number_weights, pack_params, shape_forward, stack_tas
 from nlconcepts.posterior import dedup_pool
 from nlconcepts.prior import FeatureExtractor
 from nlconcepts.propose import ReplayStore
+from nlconcepts.propose.replay import HEADER_LEN
 from nlconcepts.types import ModelParams, NumberExampleSet
 
 import oracle
@@ -273,6 +274,16 @@ def test_replay_show_without_a_key_is_a_usage_error(fixtures_dir, capsys):
     assert "replay show requires the key argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("action", ["list", "verify", "repair"])
+def test_replay_action_on_the_store_refuses_a_positional_directory(action, fixtures_dir, capsys):
+    """The store is named by --store; a directory given as the positional
+    argument would leave the action on the default store."""
+    with pytest.raises(SystemExit) as err:
+        main(["replay", action, str(fixtures_dir / "replay")])
+    assert err.value.code == 2
+    assert f"replay {action} takes no positional argument" in capsys.readouterr().err
+
+
 def test_replay_list_on_a_missing_store_creates_nothing(tmp_path, capsys):
     store = tmp_path / "missing"
     assert main(["replay", "list", "--store", str(store)]) == 0
@@ -306,6 +317,27 @@ def test_replay_migrate_then_verify_round_trip_the_fixture_entries(fixtures_dir,
     (store / "entries.log").write_bytes(bytes(log))
     assert main(["replay", "verify", "--store", str(store)]) == 1
     assert "1 mismatches" in capsys.readouterr().out
+
+
+def test_replay_repair_salvages_the_records_after_a_damaged_header(fixtures_dir, tmp_path, capsys):
+    log = (fixtures_dir / "replay" / "entries.log").read_bytes()
+    store = tmp_path / "rs"
+    store.mkdir()
+    second = HEADER_LEN + int(log[65:75]) + int(log[76:86])  # the first record's end
+    damaged = bytearray(log)
+    damaged[second + 70] = ord("x")  # a non-digit in the second record's request length
+    (store / "entries.log").write_bytes(bytes(damaged))
+    assert main(["replay", "list", "--store", str(store)]) == 1
+    assert f"damaged at byte {second}" in capsys.readouterr().err
+    assert main(["replay", "repair", "--store", str(store)]) == 0
+    dropped = len(log) - (store / "entries.log").stat().st_size
+    assert capsys.readouterr().out == f"kept 4 records, dropped {dropped} bytes\n"
+    assert main(["replay", "list", "--store", str(store)]) == 0
+    keys = capsys.readouterr().out.split()
+    second_key = log[second : second + 64].decode()
+    assert keys == sorted(set(ReplayStore(fixtures_dir / "replay").keys()) - {second_key})
+    assert main(["replay", "verify", "--store", str(store)]) == 0
+    assert capsys.readouterr().out == "4 records, 0 duplicate keys, 0 torn bytes, 0 mismatches\n"
 
 
 def test_propose_translate_pipeline_reproducible(fixtures_dir, tmp_path, capsys):
@@ -707,10 +739,11 @@ def test_missing_domain_input_is_a_usage_error(command, domain, flag, fixtures_d
 def test_import_loads_neither_scipy_nor_requests():
     """A fresh interpreter that imports the CLI, the harness and propose
     loads neither scipy nor requests: the library's logistic is numpy's,
-    and only live LM calls import requests."""
+    and only live LM calls import requests. Nor does it load orjson,
+    which only the replay store's codec imports."""
     code = (
         "import sys, nlconcepts.cli, nlconcepts.harness, nlconcepts.propose; "
-        "heavy = sorted({'scipy', 'requests'} & set(sys.modules)); assert not heavy, heavy"
+        "heavy = sorted({'scipy', 'requests', 'orjson'} & set(sys.modules)); assert not heavy, heavy"
     )
     src = str(Path(nlconcepts.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in [src, os.environ.get("PYTHONPATH")] if p)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import sys
@@ -234,7 +235,8 @@ def test_record_writes_one_compact_entry_and_fixture_entries_still_read(tmp_path
     assert os.listdir(tmp_path / "rs") == [LOG_NAME]
     # the request is stored as exactly the bytes its key hashes
     request = json.dumps({"prompt": "prompt", "params": {"n": 1}}, sort_keys=True).encode()
-    completions = json.dumps(entry["completions"], separators=(",", ":")).encode()
+    # the completions as compact JSON, non-ASCII text as raw UTF-8
+    completions = '[{"text":"é","logprob":-1.0}]'.encode("utf-8")
     header = f"{key} {len(request):010d} {len(completions):010d} {zlib.crc32(key.encode() + request + completions):08x}\n"
     assert len(header) == HEADER_LEN
     assert _log(tmp_path / "rs").read_bytes() == header.encode() + request + completions
@@ -248,6 +250,59 @@ def test_record_writes_one_compact_entry_and_fixture_entries_still_read(tmp_path
         assert fixtures.lookup(raw["prompt"], raw["params"]) == raw["completions"]
 
 
+def _raw_record(prompt, params, completions: bytes) -> bytes:
+    """A record of `completions` bytes, written the way the log lays one out."""
+    request = json.dumps({"prompt": prompt, "params": params}, sort_keys=True).encode()
+    key = hashlib.sha256(request).hexdigest()
+    crc = zlib.crc32(key.encode() + request + completions)
+    return f"{key} {len(request):010d} {len(completions):010d} {crc:08x}\n".encode() + request + completions
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("-inf"), float("inf")])
+def test_record_refuses_a_non_finite_number_and_leaves_the_log_unchanged(tmp_path, bad):
+    store = ReplayStore(tmp_path / "rs")
+    store.record("other", {"n": 1}, [{"text": "odd", "logprob": None}])
+    before = _log(tmp_path / "rs").read_bytes()
+    for completions in ([{"text": "even", "logprob": bad}], [{"text": "even", "logprob": None}, bad]):
+        with pytest.raises(ValueError, match="NaN or infinity"):
+            store.record("prompt", {"n": 1}, completions)
+    assert _log(tmp_path / "rs").read_bytes() == before
+    assert store.get("prompt", {"n": 1}) is None
+    # a null that is a None is recorded as one
+    store.record("prompt", {"n": 1}, [{"text": "even", "logprob": None}])
+    assert ReplayStore(tmp_path / "rs").lookup("prompt", {"n": 1}) == [{"text": "even", "logprob": None}]
+
+
+def test_a_record_in_the_stdlib_encoding_reads_back_equal(tmp_path):
+    root = tmp_path / "rs"
+    root.mkdir()
+    # json.dumps(..., separators=(",", ":")) as an earlier version wrote it:
+    # escaped non-ASCII, an exponent with its sign, and non-finite tokens
+    old = rb'[{"text":"\u00e9","logprob":1e+16},{"text":"nan","logprob":NaN},{"text":"inf","logprob":-Infinity}]'
+    _log(root).write_bytes(_raw_record("prompt", {"n": 1}, old))
+    store = ReplayStore(root)
+    for completions in (
+        store.lookup("prompt", {"n": 1}),
+        store.get("prompt", {"n": 1}),
+        store.entry(fingerprint("prompt", {"n": 1}))["completions"],
+    ):
+        first, nan, inf = completions
+        assert first == {"text": "é", "logprob": 1e16}
+        assert nan["text"] == "nan" and math.isnan(nan["logprob"])
+        assert inf == {"text": "inf", "logprob": -math.inf}
+    assert store.verify() == LogReport(records=1)
+
+
+def test_verify_reports_completions_that_do_not_decode(tmp_path):
+    root = tmp_path / "rs"
+    root.mkdir()
+    # key and CRC match, but the completions are cut off
+    _log(root).write_bytes(_raw_record("prompt", {"n": 1}, b'[{"text":"ev'))
+    report = ReplayStore(root).verify()
+    assert report.records == 1 and len(report.mismatches) == 1
+    assert "record at byte 0: " in report.mismatches[0] and "do not decode" in report.mismatches[0]
+
+
 def test_reading_a_missing_store_creates_nothing(tmp_path):
     root = tmp_path / "missing" / "rs"
     store = ReplayStore(root)
@@ -256,6 +311,7 @@ def test_reading_a_missing_store_creates_nothing(tmp_path):
     assert store.get("prompt", {"n": 1}) is None
     assert store.keys() == []
     assert store.verify() == LogReport()
+    assert store.repair() == (0, 0)
     assert not (tmp_path / "missing").exists()
     # the first record creates it, parents included
     key = store.record("prompt", {"n": 1}, [])
@@ -281,8 +337,13 @@ def test_a_store_of_the_earlier_layout_names_the_migrate_command(tmp_path, fixtu
 def test_migrate_refuses_a_damaged_entry_before_writing(tmp_path, fixtures_dir):
     root = tmp_path / "v2"
     write_v2_store(ReplayStore(fixtures_dir / "replay"), root)
-    for damage in ('{"prompt": "cut off', json.dumps({"prompt": "p", "params": {}, "completions": []})):
-        victim = sorted(root.iterdir())[-1]
+    victim = sorted(root.iterdir())[-1]
+    non_finite = dict(json.loads(victim.read_text()), completions=[{"text": "even", "logprob": float("nan")}])
+    for damage in (
+        '{"prompt": "cut off',
+        json.dumps({"prompt": "p", "params": {}, "completions": []}),
+        json.dumps(non_finite),  # its name is its key, but JSON holds no NaN
+    ):
         victim.write_text(damage)
         names = sorted(os.listdir(root))
         with pytest.raises(CorruptEntry, match=str(victim)):
@@ -374,13 +435,54 @@ def test_damage_before_a_whole_record_keeps_earlier_entries_and_refuses_to_recor
         lambda: store.get("prompt 2", {"n": 1}),
         lambda: store.record("prompt 3", {"n": 1}, []),
     ):
-        with pytest.raises(CorruptEntry, match=f"damaged at byte {second}.*nlconcepts replay verify {root}"):
+        with pytest.raises(
+            CorruptEntry,
+            match=f"damaged at byte {second}.*nlconcepts replay verify --store {root}.*"
+            f"nlconcepts replay repair --store {root}",
+        ):
             use()
     assert store.lookup("prompt 0", {"n": 1}) == [{"text": "rule 0", "logprob": -1.0}]
     assert _log(root).read_bytes() == damaged
     report = store.verify()
     assert (report.records, report.torn_bytes, len(report.mismatches)) == (1, 0, 1)
     assert f"damaged at byte {second}" in report.mismatches[0]
+    # repair keeps the records on either side of the damage
+    third = data.index(fingerprint("prompt 2", {"n": 1}).encode())
+    assert store.repair() == (2, third - second)
+    assert _log(root).read_bytes() == data[:second] + data[third:]
+    assert ReplayStore(root).verify() == LogReport(records=2)
+    for i in (0, 2):
+        assert store.lookup(f"prompt {i}", {"n": 1}) == [{"text": f"rule {i}", "logprob": -1.0}]
+    store.record("prompt 3", {"n": 1}, [])
+    assert ReplayStore(root).verify() == LogReport(records=3)
+
+
+def test_repair_keeps_the_first_whole_record_of_each_key(tmp_path):
+    root = tmp_path / "rs"
+    data = _three_records(root)
+    ReplayStore(tmp_path / "dup").record("prompt 0", {"n": 1}, [{"text": "later", "logprob": None}])
+    duplicate = _log(tmp_path / "dup").read_bytes()
+    flipped = bytearray(data)
+    flipped[-3] ^= 0x01  # the last record fails its CRC
+    tail = duplicate[: HEADER_LEN + 5]  # a torn tail
+    second = data.index(fingerprint("prompt 1", {"n": 1}).encode())
+    third = data.index(fingerprint("prompt 2", {"n": 1}).encode())
+    # a record cut short, then whole records of the keys before a torn tail
+    _log(root).write_bytes(duplicate + data[: second - 7] + bytes(flipped) + tail)
+    store = ReplayStore(root)
+    with pytest.raises(CorruptEntry):
+        store.keys()
+    size = _log(root).stat().st_size
+    assert store.repair() == (2, size - len(duplicate) - (third - second))
+    assert _log(root).read_bytes() == duplicate + data[second:third]
+    assert store.lookup("prompt 0", {"n": 1}) == [{"text": "later", "logprob": None}]
+    assert store.lookup("prompt 1", {"n": 1}) == [{"text": "rule 1", "logprob": -1.0}]
+    assert store.get("prompt 2", {"n": 1}) is None
+    # a log with nothing to drop is left as it is
+    inode = _log(root).stat().st_ino
+    assert store.repair() == (2, 0)
+    assert _log(root).stat().st_ino == inode
+    assert os.listdir(root) == [LOG_NAME]
 
 
 def test_a_thousand_stores_leak_no_file_descriptor(tmp_path):
