@@ -314,7 +314,11 @@ def make_configs():
     }
     (ROOT / "configs" / "number_uniform.json").write_text(
         json.dumps(
-            {**common, "prior": "uniform", "trainable": ["epsilon", "temperature", "platt"]},
+            {
+                **common,
+                "prior": "uniform",
+                "fit": {**common["fit"], "trainable": ["epsilon", "temperature", "platt"]},
+            },
             indent=2,
         )
     )

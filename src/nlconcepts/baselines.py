@@ -43,7 +43,7 @@ class NoViableHypothesis(RuntimeError):
 # Shared Platt calibration (logistic regression on the raw prediction)
 
 # the calibration fit of every number baseline, whatever the config's `fit`
-_PLATT_FIT = FitConfig(learning_rate=0.001, epochs=1000, trainable=("platt",))
+_PLATT_FIT = FitConfig(learning_rate=0.01, epochs=1000, trainable=("platt",))
 
 
 def _raw_task(raw: Sequence[float], targets: Sequence[float], ids: Sequence[str]) -> NumberTask:
@@ -106,9 +106,10 @@ def latent_language_shape(
     pools: Dict[str, List[Hypothesis]],
 ):
     """Online MLE: each batch keeps only the visible rule that best
-    explains the previous trials. Predictions use the usual response
-    noise model, eps * alpha while no rule is visible. Returns (metrics,
-    records, per-curve chosen NL per batch, None where no rule is visible)."""
+    explains the previous trials, and predicts through the model's pass
+    (`shape_forward`) with that rule's class alone visible, so eps * alpha
+    where no rule is visible. Returns (metrics, records, per-curve chosen
+    NL per batch, None where no rule is visible)."""
     params = replace(cfg.params or ModelParams(), temperature=1.0)
     records: List[PredictionRecord] = []
     chosen: Dict[str, List[Optional[str]]] = {}
@@ -116,13 +117,11 @@ def latent_language_shape(
         _, weights, _ = shape_forward(task, params)
         best = map_rules(task, weights[:, task.rule_class])
         chosen[curve.concept_id] = [None if s is None else task.names[s] for s in best]
-        truth = np.array(
-            [
-                0.0 if best[b] is None else task.consist[task.rule_class[best[b]], k]
-                for k, b in enumerate(task.batch)
-            ]
-        )
-        preds = (1.0 - params.epsilon) * truth + params.epsilon * params.alpha
+        only = np.zeros_like(task.visible)
+        for b, s in enumerate(best):
+            if s is not None:
+                only[b, task.rule_class[s]] = True
+        preds = shape_forward(replace(task, visible=only), params)[0]
         records.extend(
             PredictionRecord(i, float(p), h, "holdout")
             for i, p, h in zip(task.ids, preds, curve.human_positive_rate)

@@ -15,9 +15,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import baselines, harness, io
-from .dsl import NUMBER as NUMBER_DOMAIN
 from .dsl import SHAPE as SHAPE_DOMAIN
-from .fit import fit_params
+from .fit import fit_params, stack_tasks
 from .propose import (
     ChatClient,
     ProposalRequest,
@@ -55,18 +54,6 @@ def _load_params(path) -> ModelParams:
     return harness.params_from_json(json.loads(Path(path).read_text()))
 
 
-def _dump_params(params: ModelParams) -> dict:
-    return {
-        "theta": [float(x) for x in params.theta],
-        "epsilon": params.epsilon,
-        "alpha": params.alpha,
-        "beta": params.beta,
-        "temperature": params.temperature,
-        "platt_a": params.platt_a,
-        "platt_b": params.platt_b,
-    }
-
-
 class UsageError(Exception):
     """An argument combination the parser cannot reject by itself."""
 
@@ -82,13 +69,11 @@ def _cmd_propose(args) -> int:
     if args.domain == "number":
         examples = _parse_examples(args.examples)
         req_domain = "ablation_unconditioned" if args.unconditioned else "number"
-        domain = NUMBER_DOMAIN
     else:
         curve = io.load_learning_curve(args.curve)
         b = _upto_batch(args, curve)
         req_domain = "shape_first_batch" if b <= 1 else "shape_first_order"
         examples = None if req_domain == "shape_first_batch" else curve.batches[:b]
-        domain = SHAPE_DOMAIN
     req = ProposalRequest(
         domain=req_domain,
         examples=examples,
@@ -96,16 +81,15 @@ def _cmd_propose(args) -> int:
         temperature=args.temperature,
         seed=args.seed,
     )
-    pool = propose(req, _make_backend(args, domain))
+    pool = propose(req, _make_backend(args, args.domain))
     io.save_pool(args.out, pool)
     print(f"wrote {len(pool)} hypotheses to {args.out}")
     return 0
 
 
 def _cmd_translate(args) -> int:
-    domain = NUMBER_DOMAIN if args.domain == "number" else SHAPE_DOMAIN
-    pool = io.load_pool(args.infile, domain)
-    translated = translate_pool(pool, domain, _make_backend(args, domain))
+    pool = io.load_pool(args.infile, args.domain)
+    translated = translate_pool(pool, args.domain, _make_backend(args, args.domain))
     io.save_pool(args.out, translated)
     n_parsed = sum(1 for h in translated if h.parsed)
     print(f"translated {len(translated)} hypotheses ({n_parsed} parsed) to {args.out}")
@@ -119,11 +103,10 @@ def _cmd_infer(args) -> int:
         raise UsageError(f"infer --prior tuned needs a non-empty theta in --params {args.params}")
     scores = args.scores or ""
     cfg = harness.ExperimentConfig(args.domain, prior=args.prior, scores_path=scores, feature_dim=dim)
+    pool = io.load_pool(args.pool, args.domain)
     if args.domain == "number":
-        pool = io.load_pool(args.pool, NUMBER_DOMAIN)
         state = harness.infer_number(cfg, pool, _parse_examples(args.examples), params)
     else:
-        pool = io.load_pool(args.pool, SHAPE_DOMAIN)
         curve = io.load_learning_curve(args.curve)
         state = harness.infer_shape(cfg, pool, curve, _upto_batch(args, curve), params)
     print(state.to_json())
@@ -148,15 +131,18 @@ def _write_results(args, cfg, metrics, records, details=None, **json_files) -> i
 
 def _cmd_fit(args) -> int:
     cfg = harness.ExperimentConfig.from_json(args.config)
-    if cfg.domain == "number":
-        metrics, records, verbalizations = harness.run_number_experiment(cfg)
-        return _write_results(args, cfg, metrics, records, topk=verbalizations)
     # the fitted model is the evaluated one: both read the same tasks
+    if cfg.domain == "number":
+        tasks = harness.number_tasks(cfg, None, None)
+        batch = stack_tasks(list(tasks.values()))
+        metrics, records, params = harness.cross_validate(cfg, batch)
+        topk = harness.number_top_verbalizations(tasks, batch, params)
+        return _write_results(args, cfg, metrics, records, topk=topk, params=harness.params_to_json(params))
     curves = harness.load_curves(cfg)
     tasks = harness.shape_tasks(cfg, curves, harness.load_shape_pools(cfg))
     params = fit_params(cfg.fit, tasks, harness.default_params(cfg)).params
     metrics, records, details = harness.evaluate_online(curves, tasks, params)
-    return _write_results(args, cfg, metrics, records, details, params=_dump_params(params))
+    return _write_results(args, cfg, metrics, records, details, params=harness.params_to_json(params))
 
 
 def _cmd_eval(args) -> int:

@@ -97,7 +97,7 @@ class _Parser(_BoolParser):
         self.env = {"this": "object"}
 
     def parse_atom(self):
-        kind, value, pos = self.peek()
+        kind, value, _ = self.peek()
         if kind == "op" and value == "(":
             self.next()
             node = self.parse_expr()

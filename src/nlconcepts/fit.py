@@ -625,12 +625,10 @@ def adam_step(
 class FitConfig:
     learning_rate: float = 0.001
     epochs: int = 1000
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     trainable: Tuple[str, ...] = ("theta", "epsilon", "temperature", "platt")
 
     def __post_init__(self):
+        self.trainable = tuple(self.trainable)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if self.epochs < 1:
@@ -658,7 +656,8 @@ def fit_params(
     init: ModelParams,
     train_rows: Optional[np.ndarray] = None,
 ):
-    """Full-batch Adam on the trainable unconstrained parameters.
+    """Full-batch Adam (`adam_step`'s betas and eps, the config's
+    learning rate) on the trainable unconstrained parameters.
 
     Deterministic given (config, tasks, init). With `train_rows`, an
     (F, N) bool mask over the rows of `train_tasks`, F fits from `init`
@@ -685,15 +684,7 @@ def fit_params(
         losses.append(loss)
         if trains:
             grad *= mask  # frozen groups get no gradient
-            stack = adam_step(
-                stack,
-                grad,
-                state,
-                lr=config.learning_rate,
-                beta1=config.adam_beta1,
-                beta2=config.adam_beta2,
-                eps=config.adam_eps,
-            )
+            stack = adam_step(stack, grad, state, lr=config.learning_rate)
     traces = np.array(losses).T.tolist()
     # no closing forward pass when no fit holds a row out
     pred = None if rows.all() else loss_and_grad(stack, batch, dim, want_grad=False, rows=compiled_rows)[2]

@@ -5,7 +5,6 @@ emission for downstream plotting."""
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
@@ -60,17 +59,24 @@ class ConfigError(ValueError):
     """An experiment configuration no run can use."""
 
 
-def _known_keys(cls, raw: dict, where: str, extra=()) -> dict:
+def _known_keys(cls, raw: dict, where: str) -> dict:
     """`raw`, or a ConfigError naming each key that is not a field of `cls`."""
-    unknown = sorted(set(raw) - {f.name for f in fields(cls)} - set(extra))
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
     return raw
 
 
 def params_from_json(raw: dict) -> ModelParams:
-    """ModelParams from their JSON object (`cli._dump_params`'s form)."""
+    """ModelParams from their JSON object (`params_to_json`'s form)."""
     return ModelParams(**_known_keys(ModelParams, raw, "params"))
+
+
+def params_to_json(params: ModelParams) -> dict:
+    """The JSON object of `params`: each field by name, theta as a list."""
+    raw = {f.name: getattr(params, f.name) for f in fields(ModelParams)}
+    raw["theta"] = [float(x) for x in params.theta]
+    return raw
 
 
 PRIORS = ("uniform", "tuned", "external")
@@ -115,10 +121,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        raw = _known_keys(cls, json.loads(Path(path).read_text()), "config", extra=("trainable",))
+        raw = _known_keys(cls, json.loads(Path(path).read_text()), "config")
         fit_cfg = FitConfig(**_known_keys(FitConfig, raw.pop("fit", {}), "fit"))
-        if "trainable" in raw:
-            fit_cfg = replace(fit_cfg, trainable=tuple(raw.pop("trainable")))
         params = raw.pop("params", None)
         if params is not None:
             params = params_from_json(params)
@@ -537,39 +541,24 @@ def emit_plot_data(records: Sequence[PredictionRecord], path) -> None:
     """Tidy CSV of predictions vs. human values, one row per datum."""
     if not records:
         raise ValueError("no records to emit")
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["datum_id", "prediction", "human", "split"])
-        for r in records:
-            writer.writerow(
-                [
-                    r.datum_id,
-                    f"{r.prediction:.10f}",
-                    "" if r.human is None else f"{r.human:.10f}",
-                    r.split,
-                ]
-            )
+    rows = ([r.datum_id, f"{r.prediction:.10f}", "" if r.human is None else f"{r.human:.10f}", r.split] for r in records)
+    io.write_csv(path, ["datum_id", "prediction", "human", "split"], rows)
 
 
 def emit_learning_curves(details: Dict, path) -> None:
     """Per-batch accuracy and MAP verbalization, 15 rows per concept."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["concept_id", "batch", "accuracy", "map_nl"])
-        for cid, info in details.items():
-            for row in info["per_batch"]:
-                writer.writerow([cid, row["batch"], f"{row['accuracy']:.10f}", row["map_nl"] or ""])
+    rows = (
+        [cid, row["batch"], f"{row['accuracy']:.10f}", row["map_nl"] or ""]
+        for cid, info in details.items()
+        for row in info["per_batch"]
+    )
+    io.write_csv(path, ["concept_id", "batch", "accuracy", "map_nl"], rows)
 
 
 def emit_sweep_table(rows: Sequence[Dict], path) -> None:
     """Budget-sweep results: mean and SEM of holdout R^2 per budget."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["budget", "mean_r2", "sem_r2", "n_runs"])
-        for row in rows:
-            writer.writerow(
-                [row["budget"], f"{row['mean_r2']:.10f}", f"{row['sem_r2']:.10f}", row["n_runs"]]
-            )
+    table = ([row["budget"], f"{row['mean_r2']:.10f}", f"{row['sem_r2']:.10f}", row["n_runs"]] for row in rows)
+    io.write_csv(path, ["budget", "mean_r2", "sem_r2", "n_runs"], table)
 
 
 def budget_sweep(

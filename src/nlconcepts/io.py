@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, Iterable, List, Sequence
 
 from .dsl import DslSyntaxError, parse_concept
 from .types import (
@@ -120,18 +120,19 @@ def load_number_judgments(path) -> List[HumanNumberJudgment]:
 def save_number_judgments(path, judgments: List[HumanNumberJudgment]) -> None:
     """Inverse of load_number_judgments; ratings are written back on the
     raw 1-7 scale."""
+    rows = (
+        [j.set_id, ";".join(map(str, j.example_set.examples)), j.test_number, f"{j.mean_rating * 6.0 + 1.0:.6f}"]
+        for j in judgments
+    )
+    write_csv(path, ["set_id", "examples", "test_number", "mean_rating"], rows)
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A CSV file of the header row, then `rows`."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["set_id", "examples", "test_number", "mean_rating"])
-        for j in judgments:
-            writer.writerow(
-                [
-                    j.set_id,
-                    ";".join(str(x) for x in j.example_set.examples),
-                    j.test_number,
-                    f"{j.mean_rating * 6.0 + 1.0:.6f}",
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def load_learning_curve(path) -> LearningCurve:

@@ -53,11 +53,11 @@ def _require(h: Hypothesis, domain: str) -> None:
 
 def extension_matrix(pool: Sequence[Hypothesis]) -> np.ndarray:
     """(S, 100) membership of 1..100 in each hypothesis's extension,
-    computed once per program (`ConceptProgram.extension`); column
+    computed once per program (`EvalCache.extension`); column
     x - 1 is number x, rows of unparsed hypotheses are 0."""
     out = np.zeros((len(pool), 100))
     for i, h in enumerate(pool):
-        ext = h.program.extension if h.parsed else frozenset()
+        ext = EvalCache.extension(h)
         out[i, np.fromiter(ext, int, len(ext)) - 1] = 1.0
     return out
 

@@ -509,19 +509,20 @@ def fit_platt(raw, targets, epochs=1000, lr=0.001):
     return float(u[0]), float(u[1])
 
 
-def platt_cv(rows, k_folds, seed):
+def platt_cv(rows, k_folds, seed, lr):
     """Cross-validated Platt calibration of raw predictions. `rows` are
     (id, raw prediction, human) in row order; the folds are
     `kfold_split`'s over the ids, and a fold holds out every row whose
     id it draws. Returns (id, calibrated prediction, human) per held-out
-    row: fold after fold, each fold's rows in row order."""
+    row: fold after fold, each fold's rows in row order. Each fold's
+    `fit_platt` runs at learning rate `lr`."""
     ids = [i for i, _, _ in rows]
     out = []
     for _, holdout in kfold_split(ids, min(k_folds, len(ids)), seed):
         holdout = set(holdout)
         held = [i in holdout for i in ids]
         train = [row for row, h in zip(rows, held) if not h]
-        a, b = fit_platt([raw for _, raw, _ in train], [human for _, _, human in train])
+        a, b = fit_platt([raw for _, raw, _ in train], [human for _, _, human in train], lr=lr)
         for (i, raw, human), h in zip(rows, held):
             if h:
                 p = min(max(raw, 1e-6), 1.0 - 1e-6)

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import expit, logit
 
-from nlconcepts import io
+from nlconcepts import baselines, io
 from nlconcepts.baselines import (
     AllSamplesDiscarded,
     NoViableHypothesis,
@@ -86,6 +88,17 @@ def test_latent_language_number_runs(fixtures_dir):
     assert all(0.0 <= r.prediction <= 1.0 for r in records)
     # a single-hypothesis point estimate underfits graded human ratings
     assert metrics["holdout_r2"] < 0.99
+
+
+def test_number_baseline_calibration_has_converged(fixtures_dir, monkeypatch):
+    """Five times the Platt calibration's epochs give the same holdout R^2."""
+    cfg = ExperimentConfig.from_json(fixtures_dir / "configs" / "number_uniform.json")
+    cfg.data_path = str(fixtures_dir / "number_judgments.csv")
+    cfg.pools = {k: str(fixtures_dir / "number" / f"{k}.jsonl") for k in cfg.pools}
+    r2 = latent_language_number(cfg)[0]["holdout_r2"]
+    longer = replace(baselines._PLATT_FIT, epochs=5 * baselines._PLATT_FIT.epochs)
+    monkeypatch.setattr(baselines, "_PLATT_FIT", longer)
+    assert latent_language_number(cfg)[0]["holdout_r2"] == pytest.approx(r2, abs=1e-6)
 
 
 def test_latent_language_shape(fixtures_dir):

@@ -11,8 +11,9 @@ import pytest
 import nlconcepts
 from nlconcepts import harness, io
 from nlconcepts.baselines import DIRECT_PARAMS, direct_shape_prompt
-from nlconcepts.cli import _dump_params, _load_params, main
+from nlconcepts.cli import _load_params, main
 from nlconcepts.fit import number_weights, pack_params, shape_forward, stack_tasks
+from nlconcepts.harness import params_to_json
 from nlconcepts.posterior import dedup_pool
 from nlconcepts.prior import FeatureExtractor
 from nlconcepts.propose import ReplayStore
@@ -124,7 +125,7 @@ def _infer_json(argv, capsys):
 
 def _write_params(tmp_path, params):
     path = tmp_path / "params.json"
-    path.write_text(json.dumps(_dump_params(params)))
+    path.write_text(json.dumps(params_to_json(params)))
     return path
 
 
@@ -441,8 +442,7 @@ def _tiny_number_config(fixtures_dir, tmp_path, prior="uniform"):
         "prior": prior,
         "feature_dim": 64,
         "seed": 0,
-        "fit": {"epochs": 2},
-        "trainable": ["epsilon", "platt"],
+        "fit": {"epochs": 2, "trainable": ["epsilon", "platt"]},
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
@@ -459,6 +459,12 @@ def test_fit_number_writes_outputs(fixtures_dir, tmp_path, capsys):
     assert (out_dir / "topk.json").exists()
     metrics = json.loads((out_dir / "metrics.json").read_text())
     assert metrics["n_predictions"] == 12
+    # the final fit's parameters, which `eval --params` reads back
+    assert (out_dir / "params.json").exists()
+    eval_dir = tmp_path / "eval"
+    rc = main(["eval", "--config", str(cfg), "--params", str(out_dir / "params.json"), "--out-dir", str(eval_dir)])
+    assert rc == 0
+    assert json.loads((eval_dir / "metrics.json").read_text())["n_predictions"] == 12
 
 
 def test_fit_with_an_unknown_prior_is_a_usage_error(fixtures_dir, tmp_path, capsys):
@@ -534,7 +540,7 @@ def test_fit_shape_builds_each_curve_once(fixtures_dir, tmp_path, monkeypatch):
     metrics, records, details = harness.run_online_experiment(cfg, curves, pools, params)
     want = tmp_path / "want"
     want.mkdir()
-    (want / "params.json").write_text(json.dumps(_dump_params(params), indent=2))
+    (want / "params.json").write_text(json.dumps(params_to_json(params), indent=2))
     harness.emit_plot_data(records, want / "predictions.csv")
     harness.emit_learning_curves(details, want / "learning_curves.csv")
     (want / "metrics.json").write_text(json.dumps(metrics, indent=2))

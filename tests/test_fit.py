@@ -151,7 +151,8 @@ def test_gradients_match_finite_differences_shape_multibatch():
 
 
 def test_fit_config_rejects_removed_keys():
-    for key, value in (("seed", 0), ("clamp_delta", 1e-6)):
+    removed = (("seed", 0), ("clamp_delta", 1e-6), ("adam_beta1", 0.9), ("adam_beta2", 0.999), ("adam_eps", 1e-8))
+    for key, value in removed:
         with pytest.raises(TypeError, match=key):
             FitConfig(**{key: value})
 

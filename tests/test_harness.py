@@ -22,6 +22,8 @@ from nlconcepts.harness import (
     group_judgments,
     infer_shape,
     number_tasks,
+    params_from_json,
+    params_to_json,
     run_number_experiment,
     run_online_experiment,
     shape_tasks,
@@ -60,14 +62,28 @@ def test_experiment_config_from_json(fixtures_dir):
     assert cfg_u.fit.trainable == ("epsilon", "temperature", "platt")
 
 
+def test_params_json_round_trips_every_field():
+    params = ModelParams(
+        theta=np.array([0.5, -1.25, 3.0]), epsilon=0.2, alpha=0.3, beta=1.5, temperature=0.7, platt_a=2.0, platt_b=-0.4
+    )
+    names = [f.name for f in dataclasses.fields(ModelParams)]
+    assert all(getattr(params, n) != getattr(ModelParams(), n) for n in names[1:])  # theta: 3 entries, not 0
+    raw = params_to_json(params)
+    assert list(raw) == names
+    back = params_from_json(json.loads(json.dumps(raw)))
+    for name in names:
+        np.testing.assert_array_equal(getattr(back, name), getattr(params, name), err_msg=name)
+
+
 @pytest.mark.parametrize(
     "extra,message",
     [
         ({"k_fold": 3, "seeds": [1]}, "unknown config key(s): 'k_fold', 'seeds'"),
         ({"fit": {"epoch": 3}}, "unknown fit key(s): 'epoch'"),
         ({"params": {"epsilon": 0.2, "epsilom": 0.1}}, "unknown params key(s): 'epsilom'"),
+        ({"trainable": ["epsilon"]}, "unknown config key(s): 'trainable'"),
     ],
-    ids=["top", "fit", "params"],
+    ids=["top", "fit", "params", "trainable-outside-fit"],
 )
 def test_config_json_refuses_unknown_keys(extra, message, fixtures_dir, tmp_path):
     """A mistyped key is a ConfigError naming it, not a TypeError from a

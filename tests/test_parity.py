@@ -38,6 +38,8 @@ import oracle
 from conftest import FIXTURES, exchangeable_shape_pool, synthetic_shape_curve, synthetic_shape_pool
 
 TOL = 1e-12
+# the learning rate of the number baselines' Platt calibration
+PLATT_LR = 0.01
 DIM = 16
 
 
@@ -434,7 +436,7 @@ def test_latent_language_number_matches_scalar_oracle(epsilon):
         for j in group:
             raw = float(j.test_number in oracle.extension(best))
             rows.append((f"{set_id}:{j.test_number}", raw, j.mean_rating))
-    want = oracle.platt_cv(rows, cfg.k_folds, cfg.seed)
+    want = oracle.platt_cv(rows, cfg.k_folds, cfg.seed, PLATT_LR)
     assert chosen == want_chosen
     assert [r.datum_id for r in records] == [i for i, _, _ in want]
     assert max(abs(r.prediction - p) for r, (_, p, _) in zip(records, want)) <= TOL
@@ -466,7 +468,7 @@ def test_direct_llm_number_matches_scalar_oracle(seed, k_folds):
         for j in group
     ]
     assert {0.0, 1.0} <= {raw for _, raw, _ in rows}  # the clamp at both ends is exercised
-    want = oracle.platt_cv(rows, k_folds, seed)
+    want = oracle.platt_cv(rows, k_folds, seed, PLATT_LR)
     assert [r.datum_id for r in records] == [i for i, _, _ in want]
     assert max(abs(r.prediction - p) for r, (_, p, _) in zip(records, want)) <= TOL
     want_r2 = r_squared([p for _, p, _ in want], [h for _, _, h in want])
