@@ -37,11 +37,8 @@ from nlconcepts.harness import (  # noqa: E402
     run_online_experiment,
 )
 from nlconcepts.prior import FeatureExtractor  # noqa: E402
-from nlconcepts.propose.backends import (  # noqa: E402
-    _request_params,
-    translation_prompt,
-)
-from nlconcepts.propose.prompts import ProposalRequest, build_prompt  # noqa: E402
+from nlconcepts.propose.backends import TRANSLATION_PARAMS, translation_prompt  # noqa: E402
+from nlconcepts.propose.prompts import ProposalRequest, build_prompt, request_params  # noqa: E402
 from nlconcepts.propose.replay import LOG_NAME, ReplayStore  # noqa: E402
 from nlconcepts.types import (  # noqa: E402
     HumanNumberJudgment,
@@ -274,7 +271,7 @@ def make_replay_store():
     examples = NumberExampleSet([16, 8, 2, 64])
     req = ProposalRequest(domain="number", examples=examples, budget=5, seed=0)
     prompt = build_prompt(req)
-    params = _request_params(req)
+    params = request_params(req)
     completions = [
         {"text": "a power of 2", "logprob": -3.1},
         {"text": "even", "logprob": -1.9},
@@ -289,9 +286,8 @@ def make_replay_store():
         "the number is a perfect square": "square(x)",
         "the number is less than 70": "x < 70",
     }
-    t_params = {"temperature": 0.0, "n": 1, "max_tokens": 128, "stop": "\n"}
     for nl, program in translations.items():
-        store.record(translation_prompt(nl, "number"), t_params, [
+        store.record(translation_prompt(nl, "number"), TRANSLATION_PARAMS, [
             {"text": program, "logprob": None}
         ])
 

@@ -69,11 +69,11 @@ def _cmd_propose(args) -> int:
     if args.domain == "number":
         examples = _parse_examples(args.examples)
         req_domain = "ablation_unconditioned" if args.unconditioned else "number"
-    else:
+    else:  # after the first b batches; before any, the first-batch prompt
         curve = io.load_learning_curve(args.curve)
         b = _upto_batch(args, curve)
-        req_domain = "shape_first_batch" if b <= 1 else "shape_first_order"
-        examples = None if req_domain == "shape_first_batch" else curve.batches[:b]
+        req_domain = "shape_first_order" if b else "shape_first_batch"
+        examples = curve.batches[:b] if b else None
     req = ProposalRequest(
         domain=req_domain,
         examples=examples,
@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", choices=("number", "shape"), required=True)
     p.add_argument("--examples", help="comma-separated numbers (number domain)")
     p.add_argument("--curve", help="learning-curve JSON (shape domain)")
-    p.add_argument("--upto-batch", type=int, default=1)
+    p.add_argument("--upto-batch", type=int, default=0)
     p.add_argument("--budget", type=int, default=100)
     p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)

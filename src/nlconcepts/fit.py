@@ -628,6 +628,8 @@ class FitConfig:
     trainable: Tuple[str, ...] = ("theta", "epsilon", "temperature", "platt")
 
     def __post_init__(self):
+        if isinstance(self.trainable, str):
+            raise ValueError(f"trainable must be a list of group names, not the string {self.trainable!r}")
         self.trainable = tuple(self.trainable)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")

@@ -59,17 +59,21 @@ class ConfigError(ValueError):
     """An experiment configuration no run can use."""
 
 
-def _known_keys(cls, raw: dict, where: str) -> dict:
-    """`raw`, or a ConfigError naming each key that is not a field of `cls`."""
+def _from_json(cls, raw: dict, where: str):
+    """`cls(**raw)`; a key that is not a field of `cls`, or a value `cls`
+    refuses, is a ConfigError."""
     unknown = sorted(set(raw) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
-    return raw
+    try:
+        return cls(**raw)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def params_from_json(raw: dict) -> ModelParams:
     """ModelParams from their JSON object (`params_to_json`'s form)."""
-    return ModelParams(**_known_keys(ModelParams, raw, "params"))
+    return _from_json(ModelParams, raw, "params")
 
 
 def params_to_json(params: ModelParams) -> dict:
@@ -121,12 +125,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        raw = _known_keys(cls, json.loads(Path(path).read_text()), "config")
-        fit_cfg = FitConfig(**_known_keys(FitConfig, raw.pop("fit", {}), "fit"))
-        params = raw.pop("params", None)
-        if params is not None:
-            params = params_from_json(params)
-        return cls(fit=fit_cfg, params=params, **raw)
+        raw = json.loads(Path(path).read_text())
+        nested = {"fit": _from_json(FitConfig, raw.get("fit", {}), "fit")}
+        if raw.get("params") is not None:
+            nested["params"] = params_from_json(raw["params"])
+        return _from_json(cls, {**raw, **nested}, "config")
 
 
 def _prior_pieces(cfg: ExperimentConfig, pool: Sequence[Hypothesis], extractor, scores=None):

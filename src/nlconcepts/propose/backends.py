@@ -1,7 +1,11 @@
-"""Proposal providers: static pools and the replay-store LM backend.
+"""Proposal providers: static pools and the replay-store LM backend;
+NL-to-DSL translation and external prior scoring.
 
 A backend turns a ProposalRequest into a list of Hypothesis values.
-Every LM request (proposal, translation, prior score) goes through
+What a request kind means (its prompt, sampling parameters and how its
+completions read back as rules) is decided in prompts.py; the replay
+backend only fetches the completions and wraps the rules. Every LM
+request (proposal, translation, prior score) goes through
 ReplayBackend.completions, which answers from the replay store. Only a
 miss on a backend given a ChatClient reaches the API, and that response
 is recorded before use, so a run without a client replays it bitwise.
@@ -11,7 +15,7 @@ compiles them.
 
 from __future__ import annotations
 
-import math
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 from .. import io
@@ -21,19 +25,15 @@ from ..dsl import DslSyntaxError, parse_concept
 from ..types import Hypothesis, Unparsed, canonicalize_nl
 from .client import ChatClient, MissingLogprobSupport
 from .prompts import (
-    ABLATION,
-    NUMBER,
-    SHAPE_FIRST_ORDER,
-    SHAPE_PROPOSITIONAL,
+    NUMBER_RULE_PREFIX,
+    SHAPE_RULE_PREFIX,
     ProposalRequest,
     build_prompt,
-    parse_rule_lines,
-    parse_rule_list,
-    round_robin_take,
+    completion_rules,
+    request_params,
+    strip_prefix,
 )
 from .replay import ReplayStore
-
-RULES_PER_LIST = 10
 
 
 class EmptyPool(ValueError):
@@ -89,70 +89,11 @@ class ReplayBackend:
         return self.store.lookup(prompt, params)
 
     def propose(self, req: ProposalRequest) -> List[Hypothesis]:
-        completions = self.completions(build_prompt(req), _request_params(req))
-        hypotheses: List[Hypothesis] = []
-        if req.domain in (NUMBER, ABLATION):
-            for c in completions:
-                line = c["text"].splitlines()[0] if c["text"].strip() else ""
-                h = _untranslated(f"the number is {line}", logq=c.get("logprob"))
-                if h:
-                    hypotheses.append(h)
-        elif req.domain == SHAPE_FIRST_ORDER:
-            lists = [parse_rule_list(c["text"]) for c in completions]
-            for rule in round_robin_take(lists, req.budget):
-                h = _untranslated(f"something is positive if {_strip_prefix(rule)}")
-                if h:
-                    hypotheses.append(h)
-        elif req.domain == SHAPE_PROPOSITIONAL:
-            for c in completions:
-                rules = parse_rule_lines(c["text"])
-                if rules:
-                    h = _untranslated(f"something is positive if it is {rules[0]}")
-                    if h:
-                        hypotheses.append(h)
-        else:  # first batch
-            rules = parse_rule_lines(completions[0]["text"])
-            for rule in rules[: req.budget]:
-                h = _untranslated(f"something is positive if it is {rule}")
-                if h:
-                    hypotheses.append(h)
-        return hypotheses[: req.budget]
-
-
-def _request_params(req: ProposalRequest) -> Dict:
-    if req.domain in (NUMBER, ABLATION):
-        return {
-            "temperature": req.temperature,
-            "n": req.budget,
-            "max_tokens": 64,
-            "stop": "\n",
-            "logprobs": True,
-            "seed": req.seed,
-        }
-    if req.domain == SHAPE_FIRST_ORDER:
-        n_lists = math.ceil(req.budget / RULES_PER_LIST)
-        return {"temperature": req.temperature, "n": n_lists, "seed": req.seed}
-    if req.domain == SHAPE_PROPOSITIONAL:
-        return {"temperature": req.temperature, "n": req.budget, "seed": req.seed}
-    # first batch: deterministic single completion listing many rules
-    return {"temperature": 0.0, "n": 1, "seed": req.seed}
-
-
-def _untranslated(nl: str, logq=None, batch=None) -> Optional[Hypothesis]:
-    nl = canonicalize_nl(nl)
-    if not nl:
-        return None
-    return Hypothesis(
-        nl_text=nl, program=Unparsed(""), proposal_logprob=logq, source_batch=batch
-    )
-
-
-def _strip_prefix(rule: str) -> str:
-    lowered = rule.lower()
-    prefix = "something is positive if"
-    if lowered.startswith(prefix):
-        return rule[len(prefix):].strip()
-    return rule
+        completions = self.completions(build_prompt(req), request_params(req))
+        return [
+            Hypothesis(nl, Unparsed(""), proposal_logprob=logq, source_batch=req.source_batch)
+            for nl, logq in completion_rules(req, completions)
+        ]
 
 
 def propose(req: ProposalRequest, backend) -> List[Hypothesis]:
@@ -212,6 +153,10 @@ Rule: {nl}
 Program:"""
 
 
+# translation is deterministic: one greedy line per rule
+TRANSLATION_PARAMS = {"temperature": 0.0, "n": 1, "max_tokens": 128, "stop": "\n"}
+
+
 def translation_prompt(nl: str, domain: str) -> str:
     nl = canonicalize_nl(nl)
     if domain == NUMBER_DOMAIN:
@@ -227,8 +172,7 @@ def translate_nl_to_dsl(nl: str, domain: str, backend) -> object:
     Parse failures are not errors: they yield an Unparsed program.
     """
     prompt = translation_prompt(nl, domain)
-    params = {"temperature": 0.0, "n": 1, "max_tokens": 128, "stop": "\n"}
-    text = backend.completions(prompt, params)[0]["text"].strip()
+    text = backend.completions(prompt, TRANSLATION_PARAMS)[0]["text"].strip()
     source = text.splitlines()[0].strip() if text else ""
     try:
         return parse_concept(source, domain)
@@ -237,18 +181,7 @@ def translate_nl_to_dsl(nl: str, domain: str, backend) -> object:
 
 
 def translate_pool(pool: Sequence[Hypothesis], domain: str, backend) -> List[Hypothesis]:
-    out = []
-    for h in pool:
-        program = translate_nl_to_dsl(h.nl_text, domain, backend)
-        out.append(
-            Hypothesis(
-                nl_text=h.nl_text,
-                program=program,
-                proposal_logprob=h.proposal_logprob,
-                source_batch=h.source_batch,
-            )
-        )
-    return out
+    return [replace(h, program=translate_nl_to_dsl(h.nl_text, domain, backend)) for h in pool]
 
 
 # ---------------------------------------------------------------------------
@@ -270,17 +203,8 @@ def score_prompt(nl: str, domain: str):
     """(prefix, continuation) pair whose continuation gets scored."""
     nl = canonicalize_nl(nl)
     if domain == NUMBER_DOMAIN:
-        body = _strip_number_prefix(nl)
-        return NUMBER_SCORE_PREFIX, body
-    body = _strip_prefix(nl).strip()
-    return SHAPE_SCORE_PREFIX, body
-
-
-def _strip_number_prefix(nl: str) -> str:
-    prefix = "the number is"
-    if nl.startswith(prefix):
-        return nl[len(prefix):].strip()
-    return nl
+        return NUMBER_SCORE_PREFIX, strip_prefix(nl, NUMBER_RULE_PREFIX)
+    return SHAPE_SCORE_PREFIX, strip_prefix(nl, SHAPE_RULE_PREFIX)
 
 
 def score_nl_prior(nl_list: Sequence[str], domain: str, backend) -> Dict[str, float]:

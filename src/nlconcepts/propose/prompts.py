@@ -1,4 +1,8 @@
-"""Prompt templates and completion parsing for the proposal backends.
+"""What each proposal request kind means, decided in one place: its
+prompt (`build_prompt`), its sampling parameters (`request_params`),
+how its completions read back as rules (`completion_rules`), and the
+batch its rules join the posterior at (`ProposalRequest.source_batch`).
+A backend only fetches completions and wraps the rules as hypotheses.
 
 Templates are instantiated byte-exactly: golden-file tests pin their
 rendered form. Example serialization conventions:
@@ -12,11 +16,12 @@ rendered form. Example serialization conventions:
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..types import SIZE_NAMES, NumberExampleSet, Trial
+from ..types import SIZE_NAMES, NumberExampleSet, Trial, canonicalize_nl
 
 NUMBER = "number"
 SHAPE_PROPOSITIONAL = "shape_propositional"
@@ -25,6 +30,12 @@ SHAPE_FIRST_BATCH = "shape_first_batch"
 ABLATION = "ablation_unconditioned"
 
 DOMAINS = (NUMBER, SHAPE_PROPOSITIONAL, SHAPE_FIRST_ORDER, SHAPE_FIRST_BATCH, ABLATION)
+
+RULES_PER_LIST = 10  # the rules one first-order completion is asked for
+
+# the words every rule of a domain starts with
+NUMBER_RULE_PREFIX = "the number is"
+SHAPE_RULE_PREFIX = "something is positive if"
 
 
 class TemplateMismatch(KeyError):
@@ -44,6 +55,14 @@ class ProposalRequest:
             raise TemplateMismatch(f"unknown domain {self.domain!r}")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
+
+    @property
+    def source_batch(self) -> Optional[int]:
+        """The batch a shape proposal's rules join the posterior at, the
+        one after the batches its prompt shows; None for numbers."""
+        if self.domain in (SHAPE_FIRST_ORDER, SHAPE_PROPOSITIONAL):
+            return len(self.examples) + 1
+        return 1 if self.domain == SHAPE_FIRST_BATCH else None
 
 
 NUMBER_TEMPLATE = """\
@@ -199,9 +218,57 @@ def build_prompt(req: ProposalRequest) -> str:
         return PROPOSITIONAL_TEMPLATE.format(
             examples=serialize_truth_tables(req.examples)
         )
-    if req.domain == SHAPE_FIRST_BATCH:
-        return FIRST_BATCH_TEMPLATE
-    raise TemplateMismatch(f"unknown domain {req.domain!r}")
+    return FIRST_BATCH_TEMPLATE
+
+
+def request_params(req: ProposalRequest) -> Dict:
+    """The sampling parameters of a request, part of its replay key."""
+    if req.domain in (NUMBER, ABLATION):
+        return {
+            "temperature": req.temperature,
+            "n": req.budget,
+            "max_tokens": 64,
+            "stop": "\n",
+            "logprobs": True,
+            "seed": req.seed,
+        }
+    if req.domain == SHAPE_FIRST_ORDER:
+        n_lists = math.ceil(req.budget / RULES_PER_LIST)
+        return {"temperature": req.temperature, "n": n_lists, "seed": req.seed}
+    if req.domain == SHAPE_PROPOSITIONAL:
+        return {"temperature": req.temperature, "n": req.budget, "seed": req.seed}
+    # first batch: deterministic single completion listing many rules
+    return {"temperature": 0.0, "n": 1, "seed": req.seed}
+
+
+def completion_rules(req: ProposalRequest, completions: Sequence[Dict]) -> List[Tuple[str, Optional[float]]]:
+    """The first req.budget rules a request's completions propose, as
+    (canonical NL, proposal log-prob) pairs: a number completion's first
+    line, with its log-prob; the first-order lists taken round robin; the
+    first rule of each propositional completion that holds one; the rules
+    of the one first-batch completion. Shape rules carry no log-prob."""
+    if req.domain in (NUMBER, ABLATION):
+        lines = [c["text"].splitlines()[0] if c["text"].strip() else "" for c in completions]
+        rules = [(f"{NUMBER_RULE_PREFIX} {line}", c.get("logprob")) for line, c in zip(lines, completions)]
+    elif req.domain == SHAPE_FIRST_ORDER:
+        lists = [parse_rule_list(c["text"]) for c in completions]
+        taken = round_robin_take(lists, req.budget)
+        rules = [(f"{SHAPE_RULE_PREFIX} {strip_prefix(rule, SHAPE_RULE_PREFIX)}", None) for rule in taken]
+    else:
+        if req.domain == SHAPE_PROPOSITIONAL:
+            taken = [rule for c in completions for rule in parse_rule_lines(c["text"])[:1]]
+        else:  # first batch
+            taken = parse_rule_lines(completions[0]["text"])
+        rules = [(f"{SHAPE_RULE_PREFIX} it is {rule}", None) for rule in taken]
+    return [(canonicalize_nl(nl), logq) for nl, logq in rules[: req.budget]]
+
+
+def strip_prefix(text: str, prefix: str) -> str:
+    """`text` after a leading lower-case `prefix`, matched
+    case-insensitively and stripped; `text` itself without it."""
+    if text.lower().startswith(prefix):
+        return text[len(prefix):].strip()
+    return text
 
 
 _NUMBERED = re.compile(r"^\s*\d+\.\s*(.+?)\s*$")

@@ -16,7 +16,8 @@ from nlconcepts.fit import number_weights, pack_params, shape_forward, stack_tas
 from nlconcepts.harness import params_to_json
 from nlconcepts.posterior import dedup_pool
 from nlconcepts.prior import FeatureExtractor
-from nlconcepts.propose import ReplayStore
+from nlconcepts.propose import ProposalRequest, ReplayStore, build_prompt
+from nlconcepts.propose.prompts import request_params
 from nlconcepts.propose.replay import HEADER_LEN
 from nlconcepts.types import ModelParams, NumberExampleSet
 
@@ -257,6 +258,30 @@ def test_propose_upto_batch_outside_the_curve_is_a_usage_error(upto, fixtures_di
     assert "propose --upto-batch must lie in 0..15" in capsys.readouterr().err
     assert not (tmp_path / "pool.jsonl").exists()
 
+
+@pytest.mark.parametrize("upto", [0, 1, 3])
+def test_shape_propose_after_b_batches_writes_source_batch_b_plus_1(upto, fixtures_dir, tmp_path):
+    """`propose --upto-batch b` sends the prompt that shows the curve's
+    first b batches (the first-batch prompt for b = 0), and every rule
+    it writes joins the posterior at batch b + 1, the first it predicts."""
+    curve_path = fixtures_dir / "shape" / "green_triangles_curve.json"
+    curve = io.load_learning_curve(curve_path)
+    if upto:
+        req = ProposalRequest("shape_first_order", curve.batches[:upto], budget=3)
+        completions = [{"text": "1. Something is positive if it is green.\n2. it is small.\n3. it is big.", "logprob": None}]
+    else:
+        req = ProposalRequest("shape_first_batch", None, budget=3)
+        completions = [{"text": "Rule: green.\nRule: small.\nRule: a circle.", "logprob": None}]
+    ReplayStore(tmp_path / "store").record(build_prompt(req), request_params(req), completions)
+    argv = ["propose", "--domain", "shape", "--curve", str(curve_path), "--budget", "3"]
+    argv += ["--backend", "replay", "--store", str(tmp_path / "store"), "--out", str(tmp_path / "pool.jsonl")]
+    if upto:  # the default is 0
+        argv += ["--upto-batch", str(upto)]
+    assert main(argv) == 0
+    rows = [json.loads(line) for line in (tmp_path / "pool.jsonl").read_text().splitlines()]
+    assert len(rows) == 3
+    assert [row["batch"] for row in rows] == [upto + 1] * 3
+
 def test_replay_list_and_show(fixtures_dir, capsys):
     rc = main(["replay", "list", "--store", str(fixtures_dir / "replay")])
     assert rc == 0
@@ -476,17 +501,44 @@ def test_fit_with_an_unknown_prior_is_a_usage_error(fixtures_dir, tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("section,key", [(None, "k_fold"), ("fit", "epoch")])
-def test_fit_with_an_unknown_config_key_is_a_usage_error(section, key, fixtures_dir, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "section,key,value,message",
+    [
+        pytest.param(None, "k_fold", 3, "unknown config key(s): 'k_fold'", id="None-k_fold"),
+        pytest.param("fit", "epoch", 3, "unknown fit key(s): 'epoch'", id="fit-epoch"),
+        pytest.param("fit", "learning_rate", 0, "learning_rate must be > 0", id="fit-learning_rate"),
+        pytest.param("fit", "epochs", 0, "epochs must be >= 1", id="fit-epochs"),
+        pytest.param("fit", "trainable", "epsilon", "trainable must be a list of group names", id="fit-trainable"),
+        pytest.param("params", "epsilon", 2, "epsilon must lie in (0,1)", id="params-epsilon"),
+    ],
+)
+def test_fit_with_an_unknown_config_key_is_a_usage_error(section, key, value, message, fixtures_dir, tmp_path, capsys):
+    """An unknown key, or a value the fit settings or the parameters
+    refuse, exits 2 like every other config error."""
     path = _tiny_number_config(fixtures_dir, tmp_path)
     cfg = json.loads(path.read_text())
-    (cfg[section] if section else cfg)[key] = 3
+    (cfg.setdefault(section, {}) if section else cfg)[key] = value
     path.write_text(json.dumps(cfg))
     with pytest.raises(SystemExit) as err:
         main(["fit", "--config", str(path), "--out-dir", str(tmp_path / "out")])
     assert err.value.code == 2
-    assert f"unknown {section or 'config'} key(s): '{key}'" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "infer"])
+def test_a_params_file_the_parameters_refuse_is_a_usage_error(command, fixtures_dir, tmp_path, capsys):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"epsilon": 2}))
+    if command == "eval":
+        argv = ["eval", "--config", str(_tiny_number_config(fixtures_dir, tmp_path)), "--out-dir", str(tmp_path / "out")]
+    else:
+        argv = ["infer", "--domain", "number", "--pool", str(fixtures_dir / "number_pool_size_principle.jsonl")]
+        argv += ["--examples", "16,8"]
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--params", str(params)])
+    assert err.value.code == 2
+    assert "epsilon must lie in (0,1)" in capsys.readouterr().err
 
 def _shape_config(fixtures_dir, tmp_path):
     cfg = {

@@ -293,6 +293,9 @@ def test_fit_config_validation():
         FitConfig(epochs=0)
     with pytest.raises(ValueError):
         FitConfig(trainable=("theta", "banana"))
+    # a string is one name, not a list of one-letter groups
+    with pytest.raises(ValueError, match="trainable must be a list of group names, not the string 'epsilon'"):
+        FitConfig(trainable="epsilon")
 
 
 def test_fit_reduces_loss_and_respects_mask():

@@ -31,8 +31,9 @@ from nlconcepts.propose import (
     score_nl_prior,
     translate_nl_to_dsl,
 )
-from nlconcepts.propose.backends import EmptyPool, score_prompt
+from nlconcepts.propose.backends import TRANSLATION_PARAMS, EmptyPool, score_prompt, translation_prompt
 from nlconcepts.propose.client import BackendUnavailable
+from nlconcepts.propose.prompts import completion_rules, request_params
 from nlconcepts.propose.replay import HEADER_LEN, LOG_NAME, LogReport, migrate
 from nlconcepts.types import NumberExampleSet, ShapeObject, Trial
 
@@ -139,6 +140,95 @@ def test_round_robin_take():
     assert round_robin_take(lists, 5) == ["a1", "b1", "c1", "a2", "c2"]
     assert round_robin_take(lists, 2) == ["a1", "b1"]
     assert round_robin_take(lists, 99) == ["a1", "b1", "c1", "a2", "c2", "a3"]
+
+
+# ---------------------------------------------------------------------------
+# Reading a request's completions back as rules, per kind, with no store
+
+
+def _texts(*texts, logprob=None):
+    return [{"text": t, "logprob": logprob} for t in texts]
+
+
+@pytest.mark.parametrize("kind,examples", [("number", NumberExampleSet([2, 4])), ("ablation_unconditioned", None)])
+def test_number_completions_read_back_as_their_first_lines_with_their_logprobs(kind, examples):
+    """One rule per completion, the first line behind "the number is",
+    with the completion's log-prob; an empty or blank text keeps the
+    bare prefix, and a text that starts with a newline an empty line."""
+    req = ProposalRequest(kind, examples, budget=10)
+    completions = [
+        {"text": " a power of 2\nchatter", "logprob": -3.5},
+        {"text": "", "logprob": -1.0},
+        {"text": "  \n ", "logprob": None},
+        {"text": "\nEVEN.", "logprob": -2.0},
+    ]
+    assert completion_rules(req, completions) == [
+        ("the number is a power of 2", -3.5),
+        ("the number is", -1.0),
+        ("the number is", None),
+        ("the number is", -2.0),
+    ]
+    assert len(completion_rules(ProposalRequest(kind, examples, budget=2), completions)) == 2
+
+
+def test_first_order_completions_read_back_round_robin_within_the_budget():
+    """Rule i of every list before rule i + 1 of any; the prefix each
+    rule restates is stripped whatever its case, then put back once."""
+    completions = _texts(
+        "1. Something is positive if it is green.\n2. SOMETHING IS POSITIVE IF it is big.\n3. it is small.",
+        "1. it is a circle.",
+        "no list here",
+        logprob=-9.0,
+    )
+    rules = completion_rules(ProposalRequest("shape_first_order", _mini_batches(), budget=10), completions)
+    assert rules == [
+        ("something is positive if it is green", None),
+        ("something is positive if it is a circle", None),
+        ("something is positive if it is big", None),
+        ("something is positive if it is small", None),
+    ]
+    three = completion_rules(ProposalRequest("shape_first_order", _mini_batches(), budget=3), completions)
+    assert three == rules[:3]
+
+
+def test_propositional_completions_read_back_as_the_first_rule_of_each():
+    completions = _texts("Rule: a triangle.\nRule: not blue.", "no rule at all", "rule: Green.", logprob=-1.0)
+    rules = completion_rules(ProposalRequest("shape_propositional", _mini_batches(), budget=10), completions)
+    assert rules == [
+        ("something is positive if it is a triangle", None),
+        ("something is positive if it is green", None),
+    ]
+
+
+def test_first_batch_completion_reads_back_its_rules_up_to_the_budget():
+    completion = _texts("\n".join(f"Rule: size is {i}." for i in range(1, 8)))
+    rules = completion_rules(ProposalRequest("shape_first_batch", None, budget=5), completion)
+    assert rules == [(f"something is positive if it is size is {i}", None) for i in range(1, 6)]
+
+
+@pytest.mark.parametrize("budget,n_lists", [(1, 1), (10, 1), (11, 2), (100, 10)])
+def test_request_params_of_each_kind(budget, n_lists):
+    """The sampling parameters each kind sends, pinned: they are part of
+    every replay key, so a change would miss every recorded store."""
+    number = {"temperature": 0.7, "n": budget, "max_tokens": 64, "stop": "\n", "logprobs": True, "seed": 3}
+    want = [
+        ("number", NumberExampleSet([2, 4]), number),
+        ("ablation_unconditioned", None, number),
+        ("shape_first_order", _mini_batches(), {"temperature": 0.7, "n": n_lists, "seed": 3}),
+        ("shape_propositional", _mini_batches(), {"temperature": 0.7, "n": budget, "seed": 3}),
+        ("shape_first_batch", None, {"temperature": 0.0, "n": 1, "seed": 3}),
+    ]
+    for kind, examples, params in want:
+        req = ProposalRequest(kind, examples, budget=budget, temperature=0.7, seed=3)
+        assert request_params(req) == params, kind
+
+
+def test_shape_proposals_join_at_the_batch_after_those_their_prompt_shows():
+    assert ProposalRequest("shape_first_batch", None, budget=3).source_batch == 1
+    for kind in ("shape_first_order", "shape_propositional"):
+        assert ProposalRequest(kind, _mini_batches(), budget=3).source_batch == 3
+    assert ProposalRequest("number", NumberExampleSet([2]), budget=3).source_batch is None
+    assert ProposalRequest("ablation_unconditioned", None, budget=3).source_batch is None
 
 
 # ---------------------------------------------------------------------------
@@ -783,12 +873,9 @@ def test_replay_backend_misses_unseen_requests(fixtures_dir):
 
 def test_translate_unparseable_yields_unparsed(tmp_path):
     store = ReplayStore(tmp_path / "rs")
-    from nlconcepts.propose.backends import translation_prompt
-
-    t_params = {"temperature": 0.0, "n": 1, "max_tokens": 128, "stop": "\n"}
     store.record(
         translation_prompt("the number is cursed", "number"),
-        t_params,
+        TRANSLATION_PARAMS,
         [{"text": "cursed(x", "logprob": None}],
     )
     from nlconcepts.types import Unparsed
@@ -800,12 +887,10 @@ def test_translate_unparseable_yields_unparsed(tmp_path):
 
 def test_translate_too_deeply_nested_yields_unparsed(tmp_path):
     store = ReplayStore(tmp_path / "rs")
-    from nlconcepts.propose.backends import translation_prompt
     from nlconcepts.types import Unparsed
 
     deep = "(" * 400 + "x" + ")" * 400 + " < 3"
-    t_params = {"temperature": 0.0, "n": 1, "max_tokens": 128, "stop": "\n"}
-    store.record(translation_prompt("the number is deep", "number"), t_params, [{"text": deep, "logprob": None}])
+    store.record(translation_prompt("the number is deep", "number"), TRANSLATION_PARAMS, [{"text": deep, "logprob": None}])
     program = translate_nl_to_dsl("the number is deep", "number", ReplayBackend(store))
     assert isinstance(program, Unparsed)
     assert program.source == deep
