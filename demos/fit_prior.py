@@ -14,7 +14,7 @@ This takes a few seconds. Run from the repository root:
 import json
 from pathlib import Path
 
-from nlconcepts.harness import ExperimentConfig, run_number_experiment
+from nlconcepts.harness import ExperimentConfig, run_experiment
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -23,12 +23,12 @@ def run(config_name):
     cfg = ExperimentConfig.from_json(FIXTURES / "configs" / config_name)
     cfg.data_path = str(FIXTURES / "number_judgments.csv")
     cfg.pools = {k: str(FIXTURES / "number" / f"{k}.jsonl") for k in cfg.pools}
-    return run_number_experiment(cfg)
+    return run_experiment(cfg)
 
 
 def main():
-    uniform_metrics, _, _ = run("number_uniform.json")
-    tuned_metrics, _, verbalizations = run("number_tuned.json")
+    uniform_metrics = run("number_uniform.json").metrics
+    tuned_metrics, _, verbalizations, _ = run("number_tuned.json")
     print(json.dumps({
         "uniform_holdout_r2": round(uniform_metrics["holdout_r2"], 4),
         "tuned_holdout_r2": round(tuned_metrics["holdout_r2"], 4),

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from nlconcepts import io
-from nlconcepts.harness import ExperimentConfig, run_online_experiment
+from nlconcepts.harness import ExperimentConfig, run_experiment
 from nlconcepts.types import ModelParams
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -26,7 +26,7 @@ def main():
     cfg = ExperimentConfig(domain="shape", prior="uniform", feature_dim=0)
     params = ModelParams(theta=np.zeros(0), epsilon=0.05, alpha=0.5, beta=0.5)
 
-    metrics, records, details = run_online_experiment(
+    metrics, records, details, _ = run_experiment(
         cfg, [curve], {"green_triangles": pool}, params
     )
     print(f"ground truth: {curve.ground_truth_nl}")

@@ -34,7 +34,7 @@ from nlconcepts.fit import loss_and_grad, pack_params  # noqa: E402
 from nlconcepts.harness import (  # noqa: E402
     ExperimentConfig,
     build_number_task,
-    run_online_experiment,
+    run_experiment,
 )
 from nlconcepts.prior import FeatureExtractor  # noqa: E402
 from nlconcepts.propose.backends import TRANSLATION_PARAMS, translation_prompt  # noqa: E402
@@ -249,9 +249,7 @@ def check_green_triangles(curve, pool):
     params = ModelParams(
         theta=np.zeros(0), epsilon=0.05, alpha=0.5, beta=0.5, temperature=1.0
     )
-    metrics, _, details = run_online_experiment(
-        cfg, curves=[curve], pools={"green_triangles": pool}, params=params
-    )
+    details = run_experiment(cfg, [curve], {"green_triangles": pool}, params).details
     per_batch = details["green_triangles"]["per_batch"]
     final_acc = per_batch[-1]["accuracy"]
     maps = [row["map_nl"] for row in per_batch]

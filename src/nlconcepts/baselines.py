@@ -24,7 +24,7 @@ from .harness import (
     map_rules,
     number_tasks,
     online_metrics,
-    run_number_experiment,
+    run_experiment,
     shape_tasks,
 )
 from .propose.prompts import serialize_numbers, serialize_shape_batches
@@ -66,8 +66,7 @@ def _raw_task(raw: Sequence[float], targets: Sequence[float], ids: Sequence[str]
 def _calibrate(cfg: ExperimentConfig, tasks: Sequence[NumberTask]):
     """(metrics, records) of the raw tasks' Platt fit, cross-validated
     over `cfg`'s folds and seed."""
-    platt_cfg = ExperimentConfig("number", fit=_PLATT_FIT, seed=cfg.seed, k_folds=cfg.k_folds)
-    return cross_validate(platt_cfg, tasks)[:2]
+    return cross_validate(replace(cfg, fit=_PLATT_FIT, params=None, prior="uniform"), tasks)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -249,4 +248,4 @@ def no_proposal_ablation(cfg: ExperimentConfig, shared_pool_path, judgments=None
     pools = {
         set_id: list(shared) for set_id in group_judgments(judgments)
     }
-    return run_number_experiment(cfg, judgments=judgments, pools=pools)
+    return run_experiment(cfg, judgments, pools)[:3]

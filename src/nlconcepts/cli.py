@@ -16,7 +16,6 @@ from pathlib import Path
 
 from . import baselines, harness, io
 from .dsl import SHAPE as SHAPE_DOMAIN
-from .fit import fit_params, stack_tasks
 from .propose import (
     ChatClient,
     ProposalRequest,
@@ -129,35 +128,23 @@ def _write_results(args, cfg, metrics, records, details=None, **json_files) -> i
     return 0
 
 
-def _cmd_fit(args) -> int:
+def _cmd_run(args) -> int:
+    """`fit` and `eval`: the config's experiment at the parameters of
+    `--params`, else the config's, else fitted (`fit` only). Writes the
+    parameters, the top verbalizations (numbers) or the learning curves
+    (shapes), the predictions and the metrics."""
     cfg = harness.ExperimentConfig.from_json(args.config)
-    # the fitted model is the evaluated one: both read the same tasks
-    if cfg.domain == "number":
-        tasks = harness.number_tasks(cfg, None, None)
-        batch = stack_tasks(list(tasks.values()))
-        metrics, records, params = harness.cross_validate(cfg, batch)
-        topk = harness.number_top_verbalizations(tasks, batch, params)
-        return _write_results(args, cfg, metrics, records, topk=topk, params=harness.params_to_json(params))
-    curves = harness.load_curves(cfg)
-    tasks = harness.shape_tasks(cfg, curves, harness.load_shape_pools(cfg))
-    params = fit_params(cfg.fit, tasks, harness.default_params(cfg)).params
-    metrics, records, details = harness.evaluate_online(curves, tasks, params)
-    return _write_results(args, cfg, metrics, records, details, params=harness.params_to_json(params))
-
-
-def _cmd_eval(args) -> int:
-    cfg = harness.ExperimentConfig.from_json(args.config)
-    if args.params:
-        # through the constructor's checks: a tuned prior's theta must have feature_dim entries
-        cfg = replace(cfg, params=_load_params(args.params))
-    if cfg.params is None:
-        raise UsageError("eval requires fitted parameters (config or --params)")
-    if cfg.domain == "number":
-        metrics, records, _ = harness.run_number_experiment(cfg)
-        details = None
-    else:
-        metrics, records, details = harness.run_online_experiment(cfg)
-    return _write_results(args, cfg, metrics, records, details)
+    if args.command == "eval":
+        if args.params:
+            # through the constructor's checks: a tuned prior's theta must have feature_dim entries
+            cfg = replace(cfg, params=_load_params(args.params))
+        if cfg.params is None:
+            raise UsageError("eval requires fitted parameters (config or --params)")
+    metrics, records, details, params = harness.run_experiment(cfg)
+    files = {"params": harness.params_to_json(params)}
+    if cfg.domain == SHAPE_DOMAIN:
+        return _write_results(args, cfg, metrics, records, details, **files)
+    return _write_results(args, cfg, metrics, records, topk=details, **files)
 
 
 def _cmd_replay(args) -> int:
@@ -214,6 +201,8 @@ def _cmd_baseline(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = harness.ExperimentConfig.from_json(args.config)
+    if cfg.domain == SHAPE_DOMAIN:  # before any data file is read
+        raise ValueError(f"sweep needs a number config; {args.config} has domain {cfg.domain!r}")
     budgets = [int(x) for x in args.budgets.split(",")]
     seeds = [int(x) for x in args.seeds.split(",")]
     rows = harness.budget_sweep(cfg, budgets, seeds)
@@ -264,13 +253,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit parameters to human data")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir")
-    p.set_defaults(func=_cmd_fit)
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("eval", help="evaluate with fixed parameters")
     p.add_argument("--config", required=True)
     p.add_argument("--params")
     p.add_argument("--out-dir")
-    p.set_defaults(func=_cmd_eval)
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("replay", help="inspect, verify, repair or migrate a replay store")
     p.add_argument("action", choices=("list", "show", "verify", "repair", "migrate"))

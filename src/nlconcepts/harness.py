@@ -1,7 +1,8 @@
-"""End-to-end experiments: Number Game fits and online logical
-concept learning, the posterior of one pool (`infer_number`,
-`infer_shape`), all over the tasks compiled here, plus tidy CSV
-emission for downstream plotting."""
+"""End-to-end experiments over the tasks compiled here: `run_experiment`,
+the one experiment path of both domains, the posterior of one pool
+(`infer_number`, `infer_shape`), and tidy CSV emission for plotting.
+`run_number_experiment`, `run_online_experiment` and
+`fit_online_params` stay only because the benchmark calls them."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -362,20 +363,9 @@ def number_tasks(
     return tasks
 
 
-def run_number_experiment(
-    cfg: ExperimentConfig,
-    judgments: Optional[Sequence[HumanNumberJudgment]] = None,
-    pools: Optional[Dict[str, List[Hypothesis]]] = None,
-):
-    """Cross-validated Number Game fit.
-
-    Returns (metrics dict, prediction records, per-set top verbalizations).
-    """
-    tasks = number_tasks(cfg, judgments, pools)
-    batch = stack_tasks(list(tasks.values()))
-    metrics, records, final_params = cross_validate(cfg, batch)
-    verbalizations = number_top_verbalizations(tasks, batch, final_params)
-    return metrics, records, verbalizations
+def run_number_experiment(cfg: ExperimentConfig, judgments=None, pools=None):
+    """(metrics, records, per-set top verbalizations) of `run_experiment`."""
+    return run_experiment(cfg, judgments, pools)[:3]
 
 
 def cross_validate(cfg: ExperimentConfig, tasks):
@@ -509,21 +499,10 @@ def evaluate_online(curves: Sequence[LearningCurve], tasks: Sequence[ShapeTask],
     return metrics, records, details
 
 
-def run_online_experiment(
-    cfg: ExperimentConfig,
-    curves: Optional[Sequence[LearningCurve]] = None,
-    pools: Optional[Dict[str, List[Hypothesis]]] = None,
-    params: Optional[ModelParams] = None,
-):
-    """`evaluate_online` of the curves compiled by `shape_tasks` at
-    `params`, else `cfg.params`, else the default parameters; curves
-    and pools are loaded from `cfg` when None."""
-    if curves is None:
-        curves = load_curves(cfg)
-    if pools is None:
-        pools = load_shape_pools(cfg)
-    params = params or cfg.params or default_params(cfg)
-    return evaluate_online(curves, shape_tasks(cfg, curves, pools), params)
+def run_online_experiment(cfg: ExperimentConfig, curves=None, pools=None, params=None):
+    """(metrics, records, details) of `run_experiment` at `params`, else
+    `cfg.params`, else the default parameters: it never fits."""
+    return run_experiment(cfg, curves, pools, params or cfg.params or default_params(cfg))[:3]
 
 
 def fit_online_params(
@@ -534,6 +513,36 @@ def fit_online_params(
     """Fit epsilon/alpha/beta/temperature (and theta under a tuned
     prior) against the learning curves, compiled by `shape_tasks`."""
     return fit_params(cfg.fit, shape_tasks(cfg, curves, pools), default_params(cfg))
+
+
+# ---------------------------------------------------------------------------
+# The experiment
+
+
+class ExperimentResult(NamedTuple):
+    metrics: Dict
+    records: List[PredictionRecord]
+    details: Dict  # numbers: top verbalizations per set; shapes: per-batch rows per curve
+    params: ModelParams
+
+
+def run_experiment(cfg: ExperimentConfig, data=None, pools=None, params=None) -> ExperimentResult:
+    """The judgments or learning curves in `data` compiled once against
+    `pools`, both loaded from `cfg` when None, and predicted at `params`,
+    else `cfg.params`, else at parameters fit by the stacked k-fold fit
+    of `cross_validate` (numbers, held-out predictions) or by one
+    in-sample fit (shapes, predicted online by `evaluate_online`)."""
+    if params is not None:  # through the constructor's check of theta
+        cfg = replace(cfg, params=params)
+    if cfg.domain == NUMBER_DOMAIN:
+        tasks = number_tasks(cfg, data, pools)
+        batch = stack_tasks(list(tasks.values()))
+        metrics, records, params = cross_validate(cfg, batch)
+        return ExperimentResult(metrics, records, number_top_verbalizations(tasks, batch, params), params)
+    curves = load_curves(cfg) if data is None else data
+    tasks = shape_tasks(cfg, curves, load_shape_pools(cfg) if pools is None else pools)
+    params = cfg.params or fit_params(cfg.fit, tasks, default_params(cfg)).params
+    return ExperimentResult(*evaluate_online(curves, tasks, params), params)
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +592,7 @@ def budget_sweep(
         r2s = []
         for seed in seeds:
             run_cfg = replace(cfg, budget=budget, seed=seed)
-            metrics, _, _ = run_number_experiment(run_cfg, judgments=judgments, pools=pools)
-            r2s.append(metrics["holdout_r2"])
+            r2s.append(run_experiment(run_cfg, judgments, pools).metrics["holdout_r2"])
         r2s = np.array(r2s)
         sem = float(r2s.std(ddof=1) / math.sqrt(len(r2s))) if len(r2s) > 1 else 0.0
         rows.append(

@@ -244,12 +244,13 @@ def request_params(req: ProposalRequest) -> Dict:
 def completion_rules(req: ProposalRequest, completions: Sequence[Dict]) -> List[Tuple[str, Optional[float]]]:
     """The first req.budget rules a request's completions propose, as
     (canonical NL, proposal log-prob) pairs: a number completion's first
-    line, with its log-prob; the first-order lists taken round robin; the
-    first rule of each propositional completion that holds one; the rules
-    of the one first-batch completion. Shape rules carry no log-prob."""
+    line unless blank, with its log-prob; the first-order lists taken
+    round robin; the first rule of each propositional completion that
+    holds one; the rules of the one first-batch completion. Shape rules
+    carry no log-prob."""
     if req.domain in (NUMBER, ABLATION):
-        lines = [c["text"].splitlines()[0] if c["text"].strip() else "" for c in completions]
-        rules = [(f"{NUMBER_RULE_PREFIX} {line}", c.get("logprob")) for line, c in zip(lines, completions)]
+        lines = [(c["text"].splitlines() or [""])[0] for c in completions]
+        rules = [(f"{NUMBER_RULE_PREFIX} {s}", c.get("logprob")) for s, c in zip(lines, completions) if s.strip()]
     elif req.domain == SHAPE_FIRST_ORDER:
         lists = [parse_rule_list(c["text"]) for c in completions]
         taken = round_robin_take(lists, req.budget)

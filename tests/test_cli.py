@@ -600,6 +600,39 @@ def test_fit_shape_builds_each_curve_once(fixtures_dir, tmp_path, monkeypatch):
         assert (out_dir / name).read_bytes() == (want / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("domain", ["number", "shape"])
+def test_fit_at_the_configs_params_writes_them(domain, fixtures_dir, tmp_path):
+    """A config that holds `params` is evaluated at them, in either
+    domain: `fit` writes exactly those values, with no fit."""
+    path = _tiny_number_config(fixtures_dir, tmp_path) if domain == "number" else _shape_config(fixtures_dir, tmp_path)
+    given = {"epsilon": 0.2, "alpha": 0.45, "beta": 0.3, "temperature": 0.6}
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), params=given)))
+    out_dir = tmp_path / "out"
+    assert main(["fit", "--config", str(path), "--out-dir", str(out_dir)]) == 0
+    assert json.loads((out_dir / "params.json").read_text()) == params_to_json(ModelParams(**given))
+
+
+@pytest.mark.parametrize(
+    "domain,same",
+    [
+        ("number", ["params.json", "topk.json"]),
+        ("shape", ["params.json", "learning_curves.csv", "predictions.csv", "metrics.json"]),
+    ],
+)
+def test_eval_at_the_fits_params_writes_the_fits_outputs(domain, same, fixtures_dir, tmp_path):
+    """`eval --params` at what `fit` wrote writes the same files. Shape
+    predictions are in-sample, so every file matches; number
+    predictions are the fit's held-out ones, so only the parameters and
+    the top verbalizations do."""
+    path = _tiny_number_config(fixtures_dir, tmp_path) if domain == "number" else _shape_config(fixtures_dir, tmp_path)
+    fit_dir, eval_dir = tmp_path / "fit", tmp_path / "eval"
+    assert main(["fit", "--config", str(path), "--out-dir", str(fit_dir)]) == 0
+    argv = ["eval", "--config", str(path), "--params", str(fit_dir / "params.json"), "--out-dir", str(eval_dir)]
+    assert main(argv) == 0
+    for name in same:
+        assert (eval_dir / name).read_bytes() == (fit_dir / name).read_bytes(), name
+
+
 def test_eval_requires_params(fixtures_dir, tmp_path, capsys):
     cfg = _tiny_number_config(fixtures_dir, tmp_path)
     with pytest.raises(SystemExit) as exc:
@@ -722,6 +755,16 @@ def test_baseline_ablation_rejects_shape_config(fixtures_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "'shape'" in err
     assert not (tmp_path / "ablation").exists()
+
+
+def test_sweep_rejects_shape_config(fixtures_dir, tmp_path, capsys):
+    """One line naming the domain, before any data file is read: read as
+    number judgments, the shape data directory would fail otherwise."""
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(_shape_config(fixtures_dir, tmp_path)), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "sweep needs a number config" in err and "'shape'" in err
+    assert not out.exists()
 
 
 def test_sweep(fixtures_dir, tmp_path, capsys):

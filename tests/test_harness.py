@@ -15,15 +15,19 @@ from nlconcepts.harness import (
     budget_sweep,
     build_number_task,
     build_shape_task,
+    default_params,
     emit_learning_curves,
     emit_plot_data,
     emit_sweep_table,
     fit_online_params,
     group_judgments,
     infer_shape,
+    load_curves,
+    load_shape_pools,
     number_tasks,
     params_from_json,
     params_to_json,
+    run_experiment,
     run_number_experiment,
     run_online_experiment,
     shape_tasks,
@@ -385,6 +389,29 @@ def test_budget_sweep_rejects_an_empty_budget(fixtures_dir):
     cfg.pools = {k: str(fixtures_dir / "number" / f"{k}.jsonl") for k in cfg.pools}
     with pytest.raises(EmptyPool, match="set01"):
         budget_sweep(cfg, (0,), (0,))
+
+
+def _fixture_config(fixtures_dir, name):
+    """A fixture config with its data and pool paths made absolute."""
+    cfg = ExperimentConfig.from_json(fixtures_dir / "configs" / name)
+    root = fixtures_dir.parent
+    return dataclasses.replace(
+        cfg, data_path=str(root / cfg.data_path), pools={k: str(root / v) for k, v in cfg.pools.items()}
+    )
+
+
+@pytest.mark.parametrize("name", ["number_tuned.json", "number_uniform.json"])
+def test_run_number_experiment_is_the_runner(name, fixtures_dir):
+    cfg = _fixture_config(fixtures_dir, name)
+    assert run_number_experiment(cfg) == run_experiment(cfg)[:3]
+
+
+def test_run_online_experiment_is_the_runner_and_never_fits(fixtures_dir):
+    cfg = _fixture_config(fixtures_dir, "shape_online.json")
+    curves, pools = load_curves(cfg), load_shape_pools(cfg)
+    params = ModelParams(epsilon=0.2, alpha=0.45, beta=0.3, temperature=0.6)
+    assert run_online_experiment(cfg, curves, pools, params) == run_experiment(cfg, curves, pools, params)[:3]
+    assert run_online_experiment(cfg) == run_experiment(cfg, params=default_params(cfg))[:3]
 
 
 def test_run_number_experiment_with_fixed_params(fixtures_dir):

@@ -153,22 +153,28 @@ def _texts(*texts, logprob=None):
 @pytest.mark.parametrize("kind,examples", [("number", NumberExampleSet([2, 4])), ("ablation_unconditioned", None)])
 def test_number_completions_read_back_as_their_first_lines_with_their_logprobs(kind, examples):
     """One rule per completion, the first line behind "the number is",
-    with the completion's log-prob; an empty or blank text keeps the
-    bare prefix, and a text that starts with a newline an empty line."""
+    with the completion's log-prob; a completion whose first line is
+    blank (an empty or blank text, or one that starts with a newline)
+    proposes no rule, and the budget counts the rules kept."""
     req = ProposalRequest(kind, examples, budget=10)
     completions = [
         {"text": " a power of 2\nchatter", "logprob": -3.5},
         {"text": "", "logprob": -1.0},
         {"text": "  \n ", "logprob": None},
         {"text": "\nEVEN.", "logprob": -2.0},
+        {"text": "Even.\n", "logprob": -1.5},
+        {"text": " \t", "logprob": -0.5},
+        {"text": "less than 10", "logprob": None},
     ]
     assert completion_rules(req, completions) == [
         ("the number is a power of 2", -3.5),
-        ("the number is", -1.0),
-        ("the number is", None),
-        ("the number is", -2.0),
+        ("the number is even", -1.5),
+        ("the number is less than 10", None),
     ]
-    assert len(completion_rules(ProposalRequest(kind, examples, budget=2), completions)) == 2
+    assert completion_rules(ProposalRequest(kind, examples, budget=2), completions) == [
+        ("the number is a power of 2", -3.5),
+        ("the number is even", -1.5),
+    ]
 
 
 def test_first_order_completions_read_back_round_robin_within_the_budget():
