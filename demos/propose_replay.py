@@ -6,7 +6,8 @@ renders each rule into the formal DSL so it can be executed. Every
 model call is content-addressed by its prompt and sampling parameters
 and recorded, so an experiment can be replayed byte-for-byte without
 network access. This demo runs entirely from the recorded store shipped
-in fixtures/replay, one append-only log (fixtures/replay/entries.log):
+in fixtures/replay, one append-only log (fixtures/replay/entries.v3.log,
+each record keyed by the sha256 of its request's sorted-key orjson bytes):
 ReplayBackend(store) has no client, so a request the store lacks raises
 ReplayMiss. To record fresh calls, pass a ChatClient as well,
 ReplayBackend(store, ChatClient(endpoint, model)), with an API key in

@@ -12,8 +12,9 @@ Outputs (all under fixtures/):
     known parameter vector (params_true.json)
   * shape/green_triangles_curve.json  -- 15-batch online episode
   * shape/green_triangles_pool.jsonl  -- scripted per-batch proposals
-  * replay/entries.log                -- recorded completions for the
-    replay-backed proposal pipeline
+  * replay/entries.v3.log             -- recorded completions for the
+    replay-backed proposal pipeline, one append-only log keyed by the
+    sha256 of each request's sorted-key orjson bytes (key v3)
   * configs/*.json                    -- sample experiment configs
 """
 

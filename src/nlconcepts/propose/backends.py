@@ -60,7 +60,8 @@ class ReplayBackend:
     completion otherwise), the response is recorded, and what the store
     then holds is returned: when another writer recorded the request
     first, its completions win, so every run sees what a later
-    client-less run on the same store replays.
+    client-less run on the same store replays. Each call encodes and
+    keys its request once.
     """
 
     def __init__(self, store: ReplayStore, client: Optional[ChatClient] = None):
@@ -70,23 +71,20 @@ class ReplayBackend:
     def completions(self, prompt: str, params: Dict) -> List[Dict]:
         if self.client is None:
             return self.store.lookup(prompt, params)
-        cached = self.store.get(prompt, params)
-        if cached is not None:
-            return cached
+        return self.store.get_or_record(prompt, params, lambda: self._ask(prompt, params))
+
+    def _ask(self, prompt: str, params: Dict) -> List[Dict]:
         if params.get("mode") == "score":
             logprob = self.client.score(params["prefix"], params["continuation"])
-            completions = [{"text": params["continuation"], "logprob": logprob}]
-        else:
-            completions = self.client.complete(
-                prompt,
-                temperature=params["temperature"],
-                n=params["n"],
-                max_tokens=params.get("max_tokens", 512),
-                stop=params.get("stop"),
-                logprobs=params.get("logprobs", False),
-            )
-        self.store.record(prompt, params, completions)
-        return self.store.lookup(prompt, params)
+            return [{"text": params["continuation"], "logprob": logprob}]
+        return self.client.complete(
+            prompt,
+            temperature=params["temperature"],
+            n=params["n"],
+            max_tokens=params.get("max_tokens", 512),
+            stop=params.get("stop"),
+            logprobs=params.get("logprobs", False),
+        )
 
     def propose(self, req: ProposalRequest) -> List[Hypothesis]:
         completions = self.completions(build_prompt(req), request_params(req))

@@ -5,8 +5,8 @@ the exact prompt plus sampling parameters, so any experiment can later
 be re-run offline, byte for byte. The store is append-only; lookups are
 exact.
 
-A store is a directory holding one file, `entries.log`, a sequence of
-records. Each record is a fixed-width ASCII header line,
+A store is a directory holding one file, `entries.v3.log`, a sequence
+of records. Each record is a fixed-width ASCII header line,
 
     <key> <request length> <completions length> <crc32 of key and body>\\n
 
@@ -16,6 +16,15 @@ completions as compact UTF-8 JSON (`orjson`). JSON has no NaN or
 infinity, so `record` refuses completions holding one (`ValueError`);
 records an earlier version wrote with `NaN` or `Infinity` tokens still
 read back.
+
+The key (v3) is the sha256 of the request bytes
+`orjson.dumps({"params": params, "prompt": prompt}, option=OPT_SORT_KEYS)`:
+compact UTF-8 JSON with the keys sorted at every depth. orjson writes a
+NaN or an infinity as `null`, which would give the request the key of
+one holding `None`, so a non-finite number anywhere in the params
+raises `ValueError`; a params key that is not a str, or a prompt that
+is not valid UTF-8 (a lone surrogate), raises `TypeError`. Either is
+raised before anything is read or written.
 
 Each `ReplayStore` keeps an index from key to record, built by reading
 headers only. A lookup that hits reads the record's body with one
@@ -45,14 +54,19 @@ in the child, so parent and child never share one lock. The directory
 and its log are created by the first `record`, so reading a missing
 store creates nothing.
 
-Stores of the earlier layout, one `<key>.json` file per entry, are
-converted in place by `migrate` (`nlconcepts replay migrate DIR`).
+Stores of the earlier layouts, a v2 log `entries.log` (keyed by the
+stdlib `json.dumps(sort_keys=True)` of the request) or one `<key>.json`
+file per entry, are refused (`UnmigratedStore`) until `migrate`
+(`nlconcepts replay migrate DIR`) converts them in place. The v3 log
+has its own name because a v2 header does not carry its version: read
+as v3, a v2 log would miss on every lookup.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import threading
@@ -60,12 +74,13 @@ import weakref
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-LOG_NAME = "entries.log"
+LOG_NAME = "entries.v3.log"
 HEADER_LEN = 96
 _HEADER = re.compile(rb"([0-9a-f]{64}) ([0-9]{10}) ([0-9]{10}) ([0-9a-f]{8})\n")
-# the earlier layout: one entry per file, and a writer's temp file
+# the earlier layouts: the v2 log, or one entry per file and a writer's temp file
+_V2_LOG_NAME = "entries.log"
 _V2_ENTRY = re.compile(r"[0-9a-f]{64}\.json")
 _V2_TEMP = re.compile(r"\.[0-9a-f]{64}\.\d+\.\d+\.tmp")
 
@@ -87,15 +102,42 @@ class CorruptEntry(ValueError):
 
 
 class UnmigratedStore(ValueError):
-    """A store directory in the earlier one-file-per-entry layout."""
+    """A store directory in an earlier layout, which `migrate` converts."""
 
 
 def _request_bytes(prompt: str, params: Dict) -> bytes:
-    return json.dumps({"prompt": prompt, "params": params}, sort_keys=True).encode("utf-8")
+    """The v3 request bytes: `orjson.dumps({"params": params, "prompt":
+    prompt}, option=OPT_SORT_KEYS)`, built from the two parts so that
+    only the short params are searched for a `null`."""
+    import orjson  # loaded by the store's first use, not by importing the library
+
+    encoded = orjson.dumps(params, option=orjson.OPT_SORT_KEYS)
+    if b"null" in encoded and _non_finite(params):
+        raise ValueError(
+            f"request params hold a NaN or an infinity, which would be keyed as null: {params!r:.200}"
+        )
+    return b'{"params":%b,"prompt":%b}' % (encoded, orjson.dumps(prompt))
+
+
+def _non_finite(value) -> bool:
+    """Whether a float NaN or infinity is anywhere in a JSON value."""
+    if isinstance(value, float):
+        return not math.isfinite(value)
+    if isinstance(value, dict):
+        return any(map(_non_finite, value.values()))
+    if isinstance(value, (list, tuple)):
+        return any(map(_non_finite, value))
+    return False
 
 
 def fingerprint(prompt: str, params: Dict) -> str:
     return hashlib.sha256(_request_bytes(prompt, params)).hexdigest()
+
+
+def _request_of(request: bytes) -> Tuple[str, Dict]:
+    """The (prompt, params) a record's request bytes hold."""
+    decoded = _decode(request)
+    return decoded["prompt"], decoded["params"]
 
 
 def _crc(key: str, body: bytes) -> int:
@@ -128,17 +170,68 @@ def _decode(data: bytes):
         return json.loads(data)
 
 
-def _problem(key: str, body: bytes, request_len: int, crc: int) -> Optional[str]:
-    """Why a whole record does not hold the entry of its key, or None."""
+def _damage(key: str, body: bytes, request_len: int, crc: int) -> Optional[str]:
+    """Why a whole record, of any version, does not hold the entry of
+    its key, or None."""
     if hashlib.sha256(body[:request_len]).hexdigest() != key:
         return f"key {key} is not its request's"
     if _crc(key, body) != crc:
         return f"key {key} fails its CRC check"
     try:
+        _request_of(body[:request_len])
+    except (ValueError, KeyError, TypeError) as exc:
+        return f"key {key} holds a request that does not decode: {exc!r}"
+    try:
         _decode(body[request_len:])
     except ValueError as exc:
         return f"key {key} holds completions that do not decode: {exc}"
     return None
+
+
+def _problem(key: str, body: bytes, request_len: int, crc: int) -> Optional[str]:
+    """Why a whole record of a v3 log does not hold the entry of its
+    key, or why no lookup reaches it, or None. A record's request hashes
+    to its key, yet is unreachable, when it is not the v3 encoding of
+    its own prompt and params, as a v2 record is."""
+    problem = _damage(key, body, request_len, crc)
+    if problem is not None:
+        return problem
+    request = body[:request_len]
+    try:
+        reachable = _request_bytes(*_request_of(request)) == request
+    except (ValueError, TypeError):
+        reachable = False
+    if not reachable:
+        return (
+            f"key {key} holds a request that is not the v3 encoding of its prompt and params, "
+            "so no lookup reaches it"
+        )
+    return None
+
+
+def _records(fd: int, offset: int, size: int, log: str, advice: str):
+    """Yield (offset, key, request length, completions length, crc) of
+    each whole record from `offset` on in a log of `size` bytes, up to a
+    torn tail. Bytes that are no whole record but are followed by one
+    raise CorruptEntry, naming the log and ending with `advice`."""
+    while offset + HEADER_LEN <= size:
+        match = _HEADER.fullmatch(os.pread(fd, HEADER_LEN, offset))
+        if match is None:
+            break
+        request_len, completions_len = int(match[2]), int(match[3])
+        end = offset + HEADER_LEN + request_len + completions_len
+        if end > size:
+            break
+        yield offset, match[1].decode("ascii"), request_len, completions_len, int(match[4], 16)
+        offset = end
+    if offset < size:
+        tail = os.pread(fd, size - offset, offset)
+        for match in _HEADER.finditer(tail):
+            if match.end() + int(match[2]) + int(match[3]) <= len(tail):
+                raise CorruptEntry(
+                    f"replay log {log} is damaged at byte {offset}, before the whole record "
+                    f"at byte {offset + match.start()}{advice}"
+                )
 
 
 @dataclass
@@ -148,8 +241,10 @@ class LogReport:
     records: int = 0  # whole records
     duplicates: int = 0  # records of a key an earlier record holds; the first wins
     torn_bytes: int = 0  # bytes after the last whole record
-    # records that fail their key or CRC or whose completions do not
-    # decode, and damage before a whole record
+    # records that fail their key or CRC, whose request or completions
+    # do not decode, or whose request is not the v3 encoding of its
+    # prompt and params, so no lookup reaches it; and damage before a
+    # whole record
     mismatches: List[str] = field(default_factory=list)
 
 
@@ -160,6 +255,10 @@ class ReplayStore:
         self.root = Path(root)
         self._dir = os.fspath(self.root)
         self._log = os.path.join(self._dir, LOG_NAME)
+        self._advice = (
+            f"; see `nlconcepts replay verify --store {self.root}`, "
+            f"then `nlconcepts replay repair --store {self.root}`"
+        )
         self._reset()
 
     def _reset(self) -> None:
@@ -227,10 +326,11 @@ class ReplayStore:
             names = os.listdir(self._dir)
         except FileNotFoundError:
             return
-        if any(_V2_ENTRY.fullmatch(name) for name in names):
+        if any(name == _V2_LOG_NAME or _V2_ENTRY.fullmatch(name) for name in names):
             raise UnmigratedStore(
-                f"replay store {self.root} holds <key>.json entries of the earlier layout and "
-                f"no {LOG_NAME}; convert it with `nlconcepts replay migrate {self.root}`"
+                f"replay store {self.root} is in an earlier layout ({_V2_LOG_NAME} or <key>.json "
+                f"entries) and holds no {LOG_NAME}; convert it with "
+                f"`nlconcepts replay migrate {self.root}`"
             )
 
     def _locked(self, write: bool) -> Tuple[Optional[int], int]:
@@ -263,34 +363,10 @@ class ReplayStore:
         last catch-up to a log of `size` bytes."""
         if size < self._size:  # shrank: index it again
             self._index, self._size = {}, 0
-        for offset, key, request_len, completions_len, crc in self._records(fd, self._size, size):
+        records = _records(fd, self._size, size, self._log, self._advice)
+        for offset, key, request_len, completions_len, crc in records:
             self._index.setdefault(key, (offset + HEADER_LEN, request_len, completions_len, crc))
             self._size = offset + HEADER_LEN + request_len + completions_len
-
-    def _records(self, fd: int, offset: int, size: int):
-        """Yield (offset, key, request length, completions length, crc)
-        of each whole record from `offset` on in a log of `size` bytes,
-        up to a torn tail. Bytes that are no whole record but are
-        followed by one raise CorruptEntry."""
-        while offset + HEADER_LEN <= size:
-            match = _HEADER.fullmatch(os.pread(fd, HEADER_LEN, offset))
-            if match is None:
-                break
-            request_len, completions_len = int(match[2]), int(match[3])
-            end = offset + HEADER_LEN + request_len + completions_len
-            if end > size:
-                break
-            yield offset, match[1].decode("ascii"), request_len, completions_len, int(match[4], 16)
-            offset = end
-        if offset < size:
-            tail = os.pread(fd, size - offset, offset)
-            for match in _HEADER.finditer(tail):
-                if match.end() + int(match[2]) + int(match[3]) <= len(tail):
-                    raise CorruptEntry(
-                        f"replay log {self._log} is damaged at byte {offset}, before the whole record "
-                        f"at byte {offset + match.start()}; see `nlconcepts replay verify --store {self.root}`, "
-                        f"then `nlconcepts replay repair --store {self.root}`"
-                    )
 
     # -- reading ---------------------------------------------------------
 
@@ -344,12 +420,8 @@ class ReplayStore:
         if found is None:
             raise ReplayMiss(key, self.root)
         body, request_len = found
-        request = _decode(body[:request_len])
-        return {
-            "prompt": request["prompt"],
-            "params": request["params"],
-            "completions": _decode(body[request_len:]),
-        }
+        prompt, params = _request_of(body[:request_len])
+        return {"prompt": prompt, "params": params, "completions": _decode(body[request_len:])}
 
     def keys(self) -> List[str]:
         self._check_fork()
@@ -365,6 +437,21 @@ class ReplayStore:
         key = hashlib.sha256(request).hexdigest()
         self._append(key, request, _encode(completions))
         return key
+
+    def get_or_record(self, prompt: str, params: Dict, fetch: Callable[[], List]) -> List:
+        """The completions recorded for a request; on a miss, those
+        `fetch()` returns, recorded first. What the store then holds is
+        returned: when another writer recorded the request first, its
+        completions win. The request is encoded and keyed once."""
+        request = _request_bytes(prompt, params)
+        key = hashlib.sha256(request).hexdigest()
+        found = self._find(key)
+        if found is None:
+            self._append(key, request, _encode(fetch()))
+            found = self._find(key)
+            if found is None:  # the log was replaced meanwhile
+                raise ReplayMiss(key, self.root)
+        return _decode(found[0][found[1]:])
 
     def _append(self, key: str, request: bytes, completions: bytes) -> None:
         import fcntl
@@ -394,8 +481,9 @@ class ReplayStore:
 
     def verify(self) -> LogReport:
         """Read every record: recompute its key from its request, check
-        its CRC and decode its completions, and count duplicate keys and
-        torn bytes."""
+        its CRC, decode its request and completions and check that the
+        request is the v3 encoding of its prompt and params, and count
+        duplicate keys and torn bytes."""
         import fcntl
 
         self._check_fork()
@@ -407,7 +495,8 @@ class ReplayStore:
                 return report
             end = 0  # of the last whole record
             try:
-                for offset, key, request_len, completions_len, crc in self._records(fd, 0, size):
+                records = _records(fd, 0, size, self._log, self._advice)
+                for offset, key, request_len, completions_len, crc in records:
                     end = offset + HEADER_LEN + request_len + completions_len
                     body = os.pread(fd, request_len + completions_len, offset + HEADER_LEN)
                     problem = _problem(key, body, request_len, crc)
@@ -425,10 +514,10 @@ class ReplayStore:
 
     def repair(self) -> Tuple[int, int]:
         """Rewrite the log with the records that hold their entry: each
-        whole record, wherever it starts, whose key is its request's,
-        whose CRC matches and whose completions decode; the first
-        record of a key wins. Returns (records kept, bytes dropped); a
-        log with nothing to drop is left as it is."""
+        whole record, wherever it starts, that `verify` finds no
+        mismatch in; the first record of a key wins. Returns (records
+        kept, bytes dropped); a log with nothing to drop is left as it
+        is."""
         import fcntl
 
         self._check_fork()
@@ -468,43 +557,83 @@ class ReplayStore:
 
 
 def migrate(root) -> int:
-    """Convert a store of the earlier layout, one `<key>.json` file per
-    entry, in place: every entry is appended to the log (the log's own
-    record of a key wins), then the entry files and any writer's temp
-    files are removed. Returns the number of entries converted. An
-    entry that does not parse, or whose name is not its request's key,
-    raises CorruptEntry before anything is written."""
+    """Convert a store of the earlier layouts in place: the records of a
+    v2 log (`entries.log`) in order, then the `<key>.json` entries, are
+    re-keyed from their prompt and params and appended to the v3 log
+    (the log's own record of a key wins, and so does the first record of
+    a key among them); then the old log, the entry files and any
+    writer's temp files are removed. A v2 record's completions are
+    copied byte for byte, so those with stdlib `NaN` tokens still read
+    back. Returns the number of entries converted. A record or entry
+    that does not hold its entry or has no v3 key, or damage in the v2
+    log before its torn tail, raises CorruptEntry before anything is
+    written."""
     root = Path(root)
     try:
         names = sorted(os.listdir(root))
     except FileNotFoundError:
         return 0
-    entries = []
+    entries: Dict[str, Tuple[bytes, bytes]] = {}  # v3 key -> (request, completions)
+
+    def convert(where, prompt, params, completions: bytes) -> None:
+        try:
+            request = _request_bytes(prompt, params)
+        except (ValueError, TypeError) as exc:
+            raise CorruptEntry(f"replay entry {where} has no v3 key: {exc}") from exc
+        entries.setdefault(hashlib.sha256(request).hexdigest(), (request, completions))
+
+    if _V2_LOG_NAME in names:
+        for where, prompt, params, completions in _v2_log_entries(root / _V2_LOG_NAME):
+            convert(where, prompt, params, completions)
     for name in names:
         if not _V2_ENTRY.fullmatch(name):
             continue
         path = root / name
         try:
             entry = _decode(path.read_bytes())
-            request = _request_bytes(entry["prompt"], entry["params"])
+            prompt, params = entry["prompt"], entry["params"]
             completions = _encode(entry["completions"])
+            name_is_key = f"{_v2_fingerprint(prompt, params)}.json" == name
         except (ValueError, KeyError, TypeError) as exc:
             raise CorruptEntry(f"replay entry {path} is unreadable: {exc!r}") from exc
-        key = hashlib.sha256(request).hexdigest()
-        if f"{key}.json" != name:
-            raise CorruptEntry(f"replay entry {path} holds the request of key {key}")
-        entries.append((key, request, completions))
-    if not entries:
-        return 0
-    # with the log in place the store no longer reads as unmigrated
-    os.close(os.open(root / LOG_NAME, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666))
-    store = ReplayStore(root)
-    try:
-        for key, request, completions in entries:
-            store._append(key, request, completions)
-    finally:
-        store.close()
+        if not name_is_key:
+            raise CorruptEntry(f"replay entry {path} holds the request of another key")
+        convert(path, prompt, params, completions)
+    if entries:
+        # with the log in place the store no longer reads as unmigrated
+        os.close(os.open(root / LOG_NAME, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666))
+        store = ReplayStore(root)
+        try:
+            for key, (request, completions) in entries.items():
+                store._append(key, request, completions)
+        finally:
+            store.close()
     for name in names:
-        if _V2_ENTRY.fullmatch(name) or _V2_TEMP.fullmatch(name):
+        if name == _V2_LOG_NAME or _V2_ENTRY.fullmatch(name) or _V2_TEMP.fullmatch(name):
             os.unlink(root / name)
     return len(entries)
+
+
+def _v2_fingerprint(prompt: str, params: Dict) -> str:
+    """The key an earlier layout gave a request."""
+    request = json.dumps({"prompt": prompt, "params": params}, sort_keys=True)
+    return hashlib.sha256(request.encode("utf-8")).hexdigest()
+
+
+def _v2_log_entries(path: Path):
+    """Yield (where, prompt, params, completions bytes) of each record of
+    a v2 log, up to its torn tail. A record that does not hold its entry,
+    or damage before a whole record, raises CorruptEntry."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        size = os.fstat(fd).st_size
+        advice = "; migrate converts no damaged log"
+        for offset, key, request_len, completions_len, crc in _records(fd, 0, size, path, advice):
+            body = os.pread(fd, request_len + completions_len, offset + HEADER_LEN)
+            where = f"at byte {offset} of {path}"
+            problem = _damage(key, body, request_len, crc)
+            if problem is not None:
+                raise CorruptEntry(f"replay entry {where}: {problem}")
+            yield (where, *_request_of(body[:request_len]), body[request_len:])
+    finally:
+        os.close(fd)

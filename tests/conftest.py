@@ -1,5 +1,7 @@
+import hashlib
 import json
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -91,9 +93,24 @@ def exchangeable_shape_pool():
     return [make_hypothesis(nl, src, "shape", batch=b) for nl, src, b in rules]
 
 
+def v2_request_bytes(prompt, params) -> bytes:
+    """A request as the earlier layouts encoded and keyed it."""
+    return json.dumps({"prompt": prompt, "params": params}, sort_keys=True).encode("utf-8")
+
+
+def log_record(request: bytes, completions: bytes) -> bytes:
+    """A log record of the request and completions bytes, keyed by the
+    sha256 of the request: the record layout the v2 and v3 logs share."""
+    key = hashlib.sha256(request).hexdigest()
+    crc = zlib.crc32(key.encode() + request + completions)
+    return f"{key} {len(request):010d} {len(completions):010d} {crc:08x}\n".encode() + request + completions
+
+
 def write_v2_store(store, root: Path) -> None:
-    """Write every entry of `store` as a store of the earlier layout:
-    one indented `<key>.json` file per entry, which `migrate` converts."""
+    """Write every entry of `store` as a store of the earliest layout:
+    one indented `<v2 key>.json` file per entry, which `migrate` converts."""
     root.mkdir(parents=True)
     for key in store.keys():
-        (root / f"{key}.json").write_text(json.dumps(store.entry(key), indent=2))
+        entry = store.entry(key)
+        v2_key = hashlib.sha256(v2_request_bytes(entry["prompt"], entry["params"])).hexdigest()
+        (root / f"{v2_key}.json").write_text(json.dumps(entry, indent=2))

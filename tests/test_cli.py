@@ -18,7 +18,7 @@ from nlconcepts.posterior import dedup_pool
 from nlconcepts.prior import FeatureExtractor
 from nlconcepts.propose import ProposalRequest, ReplayStore, build_prompt
 from nlconcepts.propose.prompts import request_params
-from nlconcepts.propose.replay import HEADER_LEN
+from nlconcepts.propose.replay import HEADER_LEN, LOG_NAME
 from nlconcepts.types import ModelParams, NumberExampleSet
 
 import oracle
@@ -328,8 +328,8 @@ def test_replay_migrate_then_verify_round_trip_the_fixture_entries(fixtures_dir,
     assert main(["replay", "list", "--store", str(store)]) == 1
     assert f"nlconcepts replay migrate {store}" in capsys.readouterr().err
     assert main(["replay", "migrate", str(store)]) == 0
-    assert capsys.readouterr().out == f"migrated 5 entries into {store / 'entries.log'}\n"
-    assert os.listdir(store) == ["entries.log"]
+    assert capsys.readouterr().out == f"migrated 5 entries into {store / LOG_NAME}\n"
+    assert os.listdir(store) == [LOG_NAME]
     assert main(["replay", "verify", "--store", str(store)]) == 0
     assert capsys.readouterr().out == "5 records, 0 duplicate keys, 0 torn bytes, 0 mismatches\n"
     assert main(["replay", "list", "--store", str(store)]) == 0
@@ -338,25 +338,25 @@ def test_replay_migrate_then_verify_round_trip_the_fixture_entries(fixtures_dir,
     migrated = ReplayStore(store)
     assert [migrated.entry(k) for k in keys] == [fixtures.entry(k) for k in keys]
     # a flipped byte is a mismatch, and verify exits 1
-    log = bytearray((store / "entries.log").read_bytes())
+    log = bytearray((store / LOG_NAME).read_bytes())
     log[-2] ^= 0x01
-    (store / "entries.log").write_bytes(bytes(log))
+    (store / LOG_NAME).write_bytes(bytes(log))
     assert main(["replay", "verify", "--store", str(store)]) == 1
     assert "1 mismatches" in capsys.readouterr().out
 
 
 def test_replay_repair_salvages_the_records_after_a_damaged_header(fixtures_dir, tmp_path, capsys):
-    log = (fixtures_dir / "replay" / "entries.log").read_bytes()
+    log = (fixtures_dir / "replay" / LOG_NAME).read_bytes()
     store = tmp_path / "rs"
     store.mkdir()
     second = HEADER_LEN + int(log[65:75]) + int(log[76:86])  # the first record's end
     damaged = bytearray(log)
     damaged[second + 70] = ord("x")  # a non-digit in the second record's request length
-    (store / "entries.log").write_bytes(bytes(damaged))
+    (store / LOG_NAME).write_bytes(bytes(damaged))
     assert main(["replay", "list", "--store", str(store)]) == 1
     assert f"damaged at byte {second}" in capsys.readouterr().err
     assert main(["replay", "repair", "--store", str(store)]) == 0
-    dropped = len(log) - (store / "entries.log").stat().st_size
+    dropped = len(log) - (store / LOG_NAME).stat().st_size
     assert capsys.readouterr().out == f"kept 4 records, dropped {dropped} bytes\n"
     assert main(["replay", "list", "--store", str(store)]) == 0
     keys = capsys.readouterr().out.split()

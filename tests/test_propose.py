@@ -7,9 +7,11 @@ import sys
 import threading
 import zlib
 
+import orjson
 import pytest
 import requests
 
+import nlconcepts.propose.replay as replay_module
 from nlconcepts.dsl import format_concept
 from nlconcepts.propose import (
     ChatClient,
@@ -37,7 +39,7 @@ from nlconcepts.propose.prompts import completion_rules, request_params
 from nlconcepts.propose.replay import HEADER_LEN, LOG_NAME, LogReport, migrate
 from nlconcepts.types import NumberExampleSet, ShapeObject, Trial
 
-from conftest import write_v2_store
+from conftest import log_record, v2_request_bytes, write_v2_store
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +252,99 @@ def test_fingerprint_sensitivity():
     assert fingerprint("p", {"a": 1, "b": 2}) == fingerprint("p", {"b": 2, "a": 1})
 
 
+def test_the_v3_request_bytes_and_key_are_pinned(tmp_path):
+    # a non-ASCII prompt; nested params, unsorted, of every JSON scalar type
+    prompt = "Règle : le nombre est ≥ 10 — “pair”\n"
+    params = {
+        "temperature": 0.7,
+        "n": 3,
+        "stop": ["\n", "Rule:"],
+        "logprobs": True,
+        "extra": {"z": None, "a": -1.5e-7, "m": False},
+    }
+    request = (
+        '{"params":{"extra":{"a":-1.5e-7,"m":false,"z":null},"logprobs":true,"n":3,'
+        '"stop":["\\n","Rule:"],"temperature":0.7},'
+        '"prompt":"Règle : le nombre est ≥ 10 — “pair”\\n"}'
+    ).encode("utf-8")
+    key = "ed4e3f934049c33cf7175847133f5c5f55c6a4aef0dc8c0acdd0bf922dd8a6ef"
+    assert orjson.dumps({"params": params, "prompt": prompt}, option=orjson.OPT_SORT_KEYS) == request
+    assert hashlib.sha256(request).hexdigest() == key
+    assert fingerprint(prompt, params) == key
+    store = ReplayStore(tmp_path / "rs")
+    assert store.record(prompt, params, []) == key
+    assert _log(tmp_path / "rs").read_bytes()[HEADER_LEN:] == request + b"[]"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("where", ["top", "list", "nested"])
+def test_a_non_finite_param_raises_before_anything_is_written(tmp_path, bad, where):
+    params = {
+        "top": {"n": 1, "temperature": bad},
+        "list": {"n": 1, "stop": [None, bad]},
+        "nested": {"n": 1, "extra": {"a": [{"b": bad}], "z": None}},
+    }[where]
+    root = tmp_path / "rs"
+    store = ReplayStore(root)
+    for use in (
+        lambda: fingerprint("prompt", params),
+        lambda: store.record("prompt", params, []),
+        lambda: store.get("prompt", params),
+        lambda: store.lookup("prompt", params),
+        lambda: store.get_or_record("prompt", params, lambda: []),
+    ):
+        with pytest.raises(ValueError, match="NaN or an infinity"):
+            use()
+    assert not root.exists()
+    # orjson would write it as null, the key of a None
+    assert fingerprint("prompt", {"n": 1, "temperature": None}) != fingerprint("prompt", {"n": 1})
+
+
+@pytest.mark.parametrize(
+    "prompt, params",
+    [
+        ("prompt", {1: "a non-str key"}),
+        ("prompt", {"nested": {("a", "tuple"): 1}}),
+        ("a lone surrogate \ud800", {"n": 1}),
+        ("prompt", {"stop": "\udfff"}),
+    ],
+)
+def test_a_non_str_params_key_or_a_prompt_not_in_utf8_raises_type_error(tmp_path, prompt, params):
+    root = tmp_path / "rs"
+    store = ReplayStore(root)
+    for use in (
+        lambda: fingerprint(prompt, params),
+        lambda: store.record(prompt, params, []),
+        lambda: store.lookup(prompt, params),
+    ):
+        with pytest.raises(TypeError):
+            use()
+    assert not root.exists()
+
+
+def test_verify_reports_a_record_no_lookup_reaches(tmp_path):
+    root = tmp_path / "rs"
+    store = ReplayStore(root)
+    store.record("prompt 0", {"n": 1}, [])
+    # a record in the v2 encoding: its request hashes to its key, but no
+    # lookup of its prompt and params computes that key
+    v2 = log_record(v2_request_bytes("prompt 1", {"n": 1}), b"[]")
+    start = _log(root).stat().st_size
+    with open(_log(root), "ab") as log:
+        log.write(v2)
+    report = store.verify()
+    assert (report.records, report.duplicates, report.torn_bytes) == (2, 0, 0)
+    (mismatch,) = report.mismatches
+    assert mismatch.startswith(f"record at byte {start}: ")
+    assert "not the v3 encoding of its prompt and params" in mismatch
+    assert store.get("prompt 1", {"n": 1}) is None
+    assert len(store.keys()) == 2  # the header still indexes it
+    # repair drops it, and the prompt can be recorded under its v3 key
+    assert store.repair() == (1, len(v2))
+    store.record("prompt 1", {"n": 1}, [])
+    assert ReplayStore(root).verify() == LogReport(records=2)
+
+
 def test_replay_store_round_trip(tmp_path):
     store = ReplayStore(tmp_path / "rs")
     completions = [{"text": "even", "logprob": -1.0}]
@@ -330,7 +425,7 @@ def test_record_writes_one_compact_entry_and_fixture_entries_still_read(tmp_path
     key = store.record(entry["prompt"], entry["params"], entry["completions"])
     assert os.listdir(tmp_path / "rs") == [LOG_NAME]
     # the request is stored as exactly the bytes its key hashes
-    request = json.dumps({"prompt": "prompt", "params": {"n": 1}}, sort_keys=True).encode()
+    request = b'{"params":{"n":1},"prompt":"prompt"}'
     # the completions as compact JSON, non-ASCII text as raw UTF-8
     completions = '[{"text":"é","logprob":-1.0}]'.encode("utf-8")
     header = f"{key} {len(request):010d} {len(completions):010d} {zlib.crc32(key.encode() + request + completions):08x}\n"
@@ -348,10 +443,8 @@ def test_record_writes_one_compact_entry_and_fixture_entries_still_read(tmp_path
 
 def _raw_record(prompt, params, completions: bytes) -> bytes:
     """A record of `completions` bytes, written the way the log lays one out."""
-    request = json.dumps({"prompt": prompt, "params": params}, sort_keys=True).encode()
-    key = hashlib.sha256(request).hexdigest()
-    crc = zlib.crc32(key.encode() + request + completions)
-    return f"{key} {len(request):010d} {len(completions):010d} {crc:08x}\n".encode() + request + completions
+    request = orjson.dumps({"params": params, "prompt": prompt}, option=orjson.OPT_SORT_KEYS)
+    return log_record(request, completions)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("-inf"), float("inf")])
@@ -445,6 +538,83 @@ def test_migrate_refuses_a_damaged_entry_before_writing(tmp_path, fixtures_dir):
         with pytest.raises(CorruptEntry, match=str(victim)):
             migrate(root)
         assert sorted(os.listdir(root)) == names
+
+
+def _write_v2_log(root, entries) -> bytes:
+    """A v2 log `entries.log` of (prompt, params, completions bytes)
+    entries, keyed as the earlier layout keyed them."""
+    root.mkdir(parents=True, exist_ok=True)
+    data = b"".join(log_record(v2_request_bytes(prompt, params), c) for prompt, params, c in entries)
+    (root / "entries.log").write_bytes(data)
+    return data
+
+
+_V2_ENTRIES = [
+    (
+        "prompt é",
+        {"n": 2, "temperature": 1.0, "stop": "\n"},
+        b'[{"text":"even","logprob":-1.5},{"text":"odd","logprob":null}]',
+    ),
+    # the stdlib tokens an earlier writer left: escaped non-ASCII, NaN and -Infinity
+    ("prompt 1", {"n": 1}, rb'[{"text":"\u00e9","logprob":NaN},{"text":"inf","logprob":-Infinity}]'),
+    ("prompt 2", {"n": 1, "extra": {"b": [1, 2.5], "a": None}}, b"[]"),
+]
+
+
+def test_migrate_rekeys_a_v2_log_and_copies_its_completions_bytes(tmp_path):
+    root = tmp_path / "rs"
+    _write_v2_log(root, _V2_ENTRIES)
+    with pytest.raises(UnmigratedStore, match=f"entries.log.*nlconcepts replay migrate {root}"):
+        ReplayStore(root).keys()
+    assert migrate(root) == 3
+    assert os.listdir(root) == [LOG_NAME]
+    store = ReplayStore(root)
+    log = _log(root).read_bytes()
+    for prompt, params, completions in _V2_ENTRIES:
+        # stdlib json reads the NaN and -Infinity tokens; compare through it
+        assert json.dumps(store.lookup(prompt, params)) == json.dumps(json.loads(completions))
+        assert completions in log
+    assert store.verify() == LogReport(records=3)
+    # a migrated store migrates no entry, and its log is left as it is
+    assert migrate(root) == 0
+    assert _log(root).read_bytes() == log
+
+
+def test_migrate_keeps_the_v3_logs_record_and_the_first_of_a_key(tmp_path, fixtures_dir):
+    root = tmp_path / "rs"
+    write_v2_store(ReplayStore(fixtures_dir / "replay"), root)
+    prompt, params, _ = _V2_ENTRIES[0]
+    later = log_record(v2_request_bytes(prompt, params), b'[{"text":"later","logprob":null}]')
+    data = _write_v2_log(root, _V2_ENTRIES)
+    (root / "entries.log").write_bytes(data + later + later[: HEADER_LEN + 3])  # a torn tail
+    ReplayStore(tmp_path / "v3").record("prompt 2", _V2_ENTRIES[2][1], [{"text": "v3", "logprob": None}])
+    os.replace(_log(tmp_path / "v3"), _log(root))
+    assert migrate(root) == 3 + 5
+    assert os.listdir(root) == [LOG_NAME]
+    store = ReplayStore(root)
+    assert store.lookup(prompt, params) == json.loads(_V2_ENTRIES[0][2])
+    assert store.lookup("prompt 2", _V2_ENTRIES[2][1]) == [{"text": "v3", "logprob": None}]
+    fixtures = ReplayStore(fixtures_dir / "replay")
+    assert [store.entry(k) for k in fixtures.keys()] == [fixtures.entry(k) for k in fixtures.keys()]
+    assert store.verify() == LogReport(records=3 + 5)
+
+
+def test_migrate_refuses_a_damaged_v2_log_before_writing(tmp_path):
+    root = tmp_path / "rs"
+    data = _write_v2_log(root, _V2_ENTRIES)
+    first = log_record(v2_request_bytes(*_V2_ENTRIES[0][:2]), _V2_ENTRIES[0][2])
+    for damaged, where in (
+        # a flipped request byte, then a header zeroed before a whole record
+        (data[: HEADER_LEN + 2] + b"x" + data[HEADER_LEN + 3 :], "entry at byte 0 of .*is not its request's"),
+        (
+            data[: len(first)] + b"\0" * HEADER_LEN + data[len(first) + HEADER_LEN :],
+            f"damaged at byte {len(first)}",
+        ),
+    ):
+        (root / "entries.log").write_bytes(damaged)
+        with pytest.raises(CorruptEntry, match=where):
+            migrate(root)
+        assert os.listdir(root) == ["entries.log"]
 
 
 def test_a_replaced_log_is_indexed_again(tmp_path):
@@ -982,6 +1152,25 @@ def test_live_miss_calls_client_once_and_records(tmp_path):
     replayed = ReplayBackend(store)
     assert replayed.completions(entry["prompt"], entry["params"]) == entry["completions"]
     assert _summary(propose(_number_request(), replayed)) == _summary(pool)
+
+
+def test_a_live_miss_encodes_its_request_once(tmp_path, monkeypatch):
+    encodes = []
+    encode = replay_module._request_bytes
+
+    def counted(prompt, params):
+        encodes.append(prompt)
+        return encode(prompt, params)
+
+    monkeypatch.setattr(replay_module, "_request_bytes", counted)
+    client = FakeClient()
+    backend = ReplayBackend(ReplayStore(tmp_path / "rs"), client)
+    prompt, params = build_prompt(_number_request()), request_params(_number_request())
+    completions = backend.completions(prompt, params)
+    assert len(client.complete_calls) == 1
+    assert encodes == [prompt]  # not one each to get, record and read back
+    assert backend.completions(prompt, params) == completions
+    assert encodes == [prompt] * 2
 
 
 def test_live_writer_that_loses_the_race_returns_the_winners_completions(tmp_path):
