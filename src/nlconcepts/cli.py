@@ -25,7 +25,6 @@ from .propose import (
     propose,
     translate_pool,
 )
-from .propose.replay import LOG_NAME, migrate
 from .types import ModelParams, NumberExampleSet
 
 
@@ -112,11 +111,11 @@ def _cmd_infer(args) -> int:
     return 0
 
 
-def _write_results(args, cfg, metrics, records, details=None, **json_files) -> int:
+def _write_results(args, metrics, records, details=None, **json_files) -> int:
     """Write each keyword's object as <name>.json, the learning curves
     of `details` when given, predictions.csv and metrics.json into the
     output directory, made if missing; print the metrics."""
-    out_dir = Path(args.out_dir or cfg.out_dir or ".")
+    out_dir = Path(args.out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, obj in json_files.items():
         (out_dir / f"{name}.json").write_text(json.dumps(obj, indent=2))
@@ -143,15 +142,11 @@ def _cmd_run(args) -> int:
     metrics, records, details, params = harness.run_experiment(cfg)
     files = {"params": harness.params_to_json(params)}
     if cfg.domain == SHAPE_DOMAIN:
-        return _write_results(args, cfg, metrics, records, details, **files)
-    return _write_results(args, cfg, metrics, records, topk=details, **files)
+        return _write_results(args, metrics, records, details, **files)
+    return _write_results(args, metrics, records, topk=details, **files)
 
 
 def _cmd_replay(args) -> int:
-    if args.action == "migrate":
-        count = migrate(args.target)
-        print(f"migrated {count} entries into {Path(args.target) / LOG_NAME}")
-        return 0
     store = ReplayStore(args.store)
     if args.action == "list":
         for key in store.keys():
@@ -185,18 +180,18 @@ def _cmd_baseline(args) -> int:
             )
         else:
             metrics, records, chosen = baselines.latent_language_number(cfg)
-        return _write_results(args, cfg, metrics, records, chosen=chosen)
+        return _write_results(args, metrics, records, chosen=chosen)
     if args.kind == "llm":
         backend = ReplayBackend(ReplayStore(args.store))
         if shape:
             metrics, records = baselines.direct_llm_shape(harness.load_curves(cfg), backend)
         else:
             metrics, records = baselines.direct_llm_number(cfg, backend)
-        return _write_results(args, cfg, metrics, records)
+        return _write_results(args, metrics, records)
     if not args.shared_pool:
         raise UsageError("baseline ablation requires --shared-pool")
     metrics, records, _ = baselines.no_proposal_ablation(cfg, args.shared_pool)
-    return _write_results(args, cfg, metrics, records)
+    return _write_results(args, metrics, records)
 
 
 def _cmd_sweep(args) -> int:
@@ -261,9 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir")
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("replay", help="inspect, verify, repair or migrate a replay store")
-    p.add_argument("action", choices=("list", "show", "verify", "repair", "migrate"))
-    p.add_argument("target", nargs="?", metavar="KEY|DIR", help="the key to show, or the store directory to migrate")
+    p = sub.add_parser("replay", help="inspect, verify or repair a replay store")
+    p.add_argument("action", choices=("list", "show", "verify", "repair"))
+    p.add_argument("target", nargs="?", metavar="KEY", help="the key to show")
     p.add_argument("--store", default="replay")
     p.set_defaults(func=_cmd_replay)
 
@@ -290,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 _DOMAIN_INPUT = {"number": "examples", "shape": "curve"}
 _PRIOR_INPUT = {"tuned": "params", "external": "scores"}
 # the positional argument of each `replay` action that takes one
-_REPLAY_ARG = {"show": "key", "migrate": "directory"}
+_REPLAY_ARG = {"show": "key"}
 
 
 def main(argv=None) -> int:

@@ -108,7 +108,6 @@ class ExperimentConfig:
     feature_dim: int = FEATURE_DIM
     fit: FitConfig = field(default_factory=FitConfig)
     params: Optional[ModelParams] = None  # skip fitting if provided
-    out_dir: str = ""
     seed: int = 0
     k_folds: int = 10
 

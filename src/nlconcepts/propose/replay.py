@@ -54,12 +54,12 @@ in the child, so parent and child never share one lock. The directory
 and its log are created by the first `record`, so reading a missing
 store creates nothing.
 
-Stores of the earlier layouts, a v2 log `entries.log` (keyed by the
-stdlib `json.dumps(sort_keys=True)` of the request) or one `<key>.json`
-file per entry, are refused (`UnmigratedStore`) until `migrate`
-(`nlconcepts replay migrate DIR`) converts them in place. The v3 log
-has its own name because a v2 header does not carry its version: read
-as v3, a v2 log would miss on every lookup.
+This version reads only `entries.v3.log`. A store directory that holds
+an earlier layout instead, a v2 log `entries.log` (keyed by the stdlib
+`json.dumps(sort_keys=True)` of the request) or one `<key>.json` file
+per entry, is refused (`UnmigratedStore`): a v2 header does not carry
+its version, so read as v3 such a store would miss on every lookup.
+`nlconcepts replay migrate` at commit 444a717 converts it.
 """
 
 from __future__ import annotations
@@ -79,10 +79,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 LOG_NAME = "entries.v3.log"
 HEADER_LEN = 96
 _HEADER = re.compile(rb"([0-9a-f]{64}) ([0-9]{10}) ([0-9]{10}) ([0-9a-f]{8})\n")
-# the earlier layouts: the v2 log, or one entry per file and a writer's temp file
+# the earlier layouts, which are refused: the v2 log, or one entry per file
 _V2_LOG_NAME = "entries.log"
 _V2_ENTRY = re.compile(r"[0-9a-f]{64}\.json")
-_V2_TEMP = re.compile(r"\.[0-9a-f]{64}\.\d+\.\d+\.tmp")
 
 
 class ReplayMiss(KeyError):
@@ -102,7 +101,7 @@ class CorruptEntry(ValueError):
 
 
 class UnmigratedStore(ValueError):
-    """A store directory in an earlier layout, which `migrate` converts."""
+    """A store directory in an earlier layout, which this version does not read."""
 
 
 def _request_bytes(prompt: str, params: Dict) -> bytes:
@@ -170,35 +169,26 @@ def _decode(data: bytes):
         return json.loads(data)
 
 
-def _damage(key: str, body: bytes, request_len: int, crc: int) -> Optional[str]:
-    """Why a whole record, of any version, does not hold the entry of
-    its key, or None."""
+def _problem(key: str, body: bytes, request_len: int, crc: int) -> Optional[str]:
+    """Why a whole record does not hold the entry of its key, or why no
+    lookup reaches it, or None. A record's request hashes to its key,
+    yet is unreachable, when it is not the v3 encoding of its own prompt
+    and params, as a v2 record is."""
     if hashlib.sha256(body[:request_len]).hexdigest() != key:
         return f"key {key} is not its request's"
     if _crc(key, body) != crc:
         return f"key {key} fails its CRC check"
+    request = body[:request_len]
     try:
-        _request_of(body[:request_len])
+        prompt, params = _request_of(request)
     except (ValueError, KeyError, TypeError) as exc:
         return f"key {key} holds a request that does not decode: {exc!r}"
     try:
         _decode(body[request_len:])
     except ValueError as exc:
         return f"key {key} holds completions that do not decode: {exc}"
-    return None
-
-
-def _problem(key: str, body: bytes, request_len: int, crc: int) -> Optional[str]:
-    """Why a whole record of a v3 log does not hold the entry of its
-    key, or why no lookup reaches it, or None. A record's request hashes
-    to its key, yet is unreachable, when it is not the v3 encoding of
-    its own prompt and params, as a v2 record is."""
-    problem = _damage(key, body, request_len, crc)
-    if problem is not None:
-        return problem
-    request = body[:request_len]
     try:
-        reachable = _request_bytes(*_request_of(request)) == request
+        reachable = _request_bytes(prompt, params) == request
     except (ValueError, TypeError):
         reachable = False
     if not reachable:
@@ -329,8 +319,8 @@ class ReplayStore:
         if any(name == _V2_LOG_NAME or _V2_ENTRY.fullmatch(name) for name in names):
             raise UnmigratedStore(
                 f"replay store {self.root} is in an earlier layout ({_V2_LOG_NAME} or <key>.json "
-                f"entries) and holds no {LOG_NAME}; convert it with "
-                f"`nlconcepts replay migrate {self.root}`"
+                f"entries) and holds no {LOG_NAME}, the only layout this version reads; "
+                f"`nlconcepts replay migrate {self.root}` at commit 444a717 converts it"
             )
 
     def _locked(self, write: bool) -> Tuple[Optional[int], int]:
@@ -483,7 +473,8 @@ class ReplayStore:
         """Read every record: recompute its key from its request, check
         its CRC, decode its request and completions and check that the
         request is the v3 encoding of its prompt and params, and count
-        duplicate keys and torn bytes."""
+        duplicate keys and torn bytes. Damage before a whole record is
+        reported, and the records from that one on are read too."""
         import fcntl
 
         self._check_fork()
@@ -495,19 +486,26 @@ class ReplayStore:
                 return report
             end = 0  # of the last whole record
             try:
-                records = _records(fd, 0, size, self._log, self._advice)
-                for offset, key, request_len, completions_len, crc in records:
-                    end = offset + HEADER_LEN + request_len + completions_len
-                    body = os.pread(fd, request_len + completions_len, offset + HEADER_LEN)
-                    problem = _problem(key, body, request_len, crc)
-                    if problem is not None:
-                        report.mismatches.append(f"record at byte {offset}: {problem}")
-                    report.records += 1
-                    report.duplicates += key in seen
-                    seen.add(key)
+                while True:
+                    try:
+                        records = _records(fd, end, size, self._log, "")
+                        for offset, key, request_len, completions_len, crc in records:
+                            end = offset + HEADER_LEN + request_len + completions_len
+                            body = os.pread(fd, request_len + completions_len, offset + HEADER_LEN)
+                            problem = _problem(key, body, request_len, crc)
+                            if problem is not None:
+                                report.mismatches.append(f"record at byte {offset}: {problem}")
+                            report.records += 1
+                            report.duplicates += key in seen
+                            seen.add(key)
+                        break
+                    except CorruptEntry as exc:
+                        report.mismatches.append(str(exc))
+                        # read on from the first whole record after the damage
+                        tail = os.pread(fd, size - end, end)
+                        whole = (m for m in _HEADER.finditer(tail) if m.end() + int(m[2]) + int(m[3]) <= len(tail))
+                        end += next(whole).start()
                 report.torn_bytes = size - end
-            except CorruptEntry as exc:
-                report.mismatches.append(str(exc))
             finally:
                 fcntl.flock(fd, fcntl.LOCK_UN)
         return report
@@ -555,85 +553,3 @@ class ReplayStore:
                 self._forget()
         return len(kept), size - len(log)
 
-
-def migrate(root) -> int:
-    """Convert a store of the earlier layouts in place: the records of a
-    v2 log (`entries.log`) in order, then the `<key>.json` entries, are
-    re-keyed from their prompt and params and appended to the v3 log
-    (the log's own record of a key wins, and so does the first record of
-    a key among them); then the old log, the entry files and any
-    writer's temp files are removed. A v2 record's completions are
-    copied byte for byte, so those with stdlib `NaN` tokens still read
-    back. Returns the number of entries converted. A record or entry
-    that does not hold its entry or has no v3 key, or damage in the v2
-    log before its torn tail, raises CorruptEntry before anything is
-    written."""
-    root = Path(root)
-    try:
-        names = sorted(os.listdir(root))
-    except FileNotFoundError:
-        return 0
-    entries: Dict[str, Tuple[bytes, bytes]] = {}  # v3 key -> (request, completions)
-
-    def convert(where, prompt, params, completions: bytes) -> None:
-        try:
-            request = _request_bytes(prompt, params)
-        except (ValueError, TypeError) as exc:
-            raise CorruptEntry(f"replay entry {where} has no v3 key: {exc}") from exc
-        entries.setdefault(hashlib.sha256(request).hexdigest(), (request, completions))
-
-    if _V2_LOG_NAME in names:
-        for where, prompt, params, completions in _v2_log_entries(root / _V2_LOG_NAME):
-            convert(where, prompt, params, completions)
-    for name in names:
-        if not _V2_ENTRY.fullmatch(name):
-            continue
-        path = root / name
-        try:
-            entry = _decode(path.read_bytes())
-            prompt, params = entry["prompt"], entry["params"]
-            completions = _encode(entry["completions"])
-            name_is_key = f"{_v2_fingerprint(prompt, params)}.json" == name
-        except (ValueError, KeyError, TypeError) as exc:
-            raise CorruptEntry(f"replay entry {path} is unreadable: {exc!r}") from exc
-        if not name_is_key:
-            raise CorruptEntry(f"replay entry {path} holds the request of another key")
-        convert(path, prompt, params, completions)
-    if entries:
-        # with the log in place the store no longer reads as unmigrated
-        os.close(os.open(root / LOG_NAME, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666))
-        store = ReplayStore(root)
-        try:
-            for key, (request, completions) in entries.items():
-                store._append(key, request, completions)
-        finally:
-            store.close()
-    for name in names:
-        if name == _V2_LOG_NAME or _V2_ENTRY.fullmatch(name) or _V2_TEMP.fullmatch(name):
-            os.unlink(root / name)
-    return len(entries)
-
-
-def _v2_fingerprint(prompt: str, params: Dict) -> str:
-    """The key an earlier layout gave a request."""
-    request = json.dumps({"prompt": prompt, "params": params}, sort_keys=True)
-    return hashlib.sha256(request.encode("utf-8")).hexdigest()
-
-
-def _v2_log_entries(path: Path):
-    """Yield (where, prompt, params, completions bytes) of each record of
-    a v2 log, up to its torn tail. A record that does not hold its entry,
-    or damage before a whole record, raises CorruptEntry."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        size = os.fstat(fd).st_size
-        advice = "; migrate converts no damaged log"
-        for offset, key, request_len, completions_len, crc in _records(fd, 0, size, path, advice):
-            body = os.pread(fd, request_len + completions_len, offset + HEADER_LEN)
-            where = f"at byte {offset} of {path}"
-            problem = _damage(key, body, request_len, crc)
-            if problem is not None:
-                raise CorruptEntry(f"replay entry {where}: {problem}")
-            yield (where, *_request_of(body[:request_len]), body[request_len:])
-    finally:
-        os.close(fd)

@@ -108,7 +108,7 @@ def log_record(request: bytes, completions: bytes) -> bytes:
 
 def write_v2_store(store, root: Path) -> None:
     """Write every entry of `store` as a store of the earliest layout:
-    one indented `<v2 key>.json` file per entry, which `migrate` converts."""
+    one indented `<v2 key>.json` file per entry, which a store refuses."""
     root.mkdir(parents=True)
     for key in store.keys():
         entry = store.entry(key)

@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import sys
 import threading
 import zlib
@@ -36,7 +37,7 @@ from nlconcepts.propose import (
 from nlconcepts.propose.backends import TRANSLATION_PARAMS, EmptyPool, score_prompt, translation_prompt
 from nlconcepts.propose.client import BackendUnavailable
 from nlconcepts.propose.prompts import completion_rules, request_params
-from nlconcepts.propose.replay import HEADER_LEN, LOG_NAME, LogReport, migrate
+from nlconcepts.propose.replay import HEADER_LEN, LOG_NAME, LogReport
 from nlconcepts.types import NumberExampleSet, ShapeObject, Trial
 
 from conftest import log_record, v2_request_bytes, write_v2_store
@@ -508,113 +509,29 @@ def test_reading_a_missing_store_creates_nothing(tmp_path):
 
 
 def test_a_store_of_the_earlier_layout_names_the_migrate_command(tmp_path, fixtures_dir):
-    root = tmp_path / "v2"
-    write_v2_store(ReplayStore(fixtures_dir / "replay"), root)
-    names = sorted(os.listdir(root))
-    store = ReplayStore(root)
-    for use in (
-        lambda: store.lookup("prompt", {"n": 1}),
-        lambda: store.get("prompt", {"n": 1}),
-        store.keys,
-        lambda: store.record("prompt", {"n": 1}, []),
-    ):
-        with pytest.raises(UnmigratedStore, match=f"nlconcepts replay migrate {root}"):
-            use()
-    assert sorted(os.listdir(root)) == names
-
-
-def test_migrate_refuses_a_damaged_entry_before_writing(tmp_path, fixtures_dir):
-    root = tmp_path / "v2"
-    write_v2_store(ReplayStore(fixtures_dir / "replay"), root)
-    victim = sorted(root.iterdir())[-1]
-    non_finite = dict(json.loads(victim.read_text()), completions=[{"text": "even", "logprob": float("nan")}])
-    for damage in (
-        '{"prompt": "cut off',
-        json.dumps({"prompt": "p", "params": {}, "completions": []}),
-        json.dumps(non_finite),  # its name is its key, but JSON holds no NaN
-    ):
-        victim.write_text(damage)
-        names = sorted(os.listdir(root))
-        with pytest.raises(CorruptEntry, match=str(victim)):
-            migrate(root)
-        assert sorted(os.listdir(root)) == names
-
-
-def _write_v2_log(root, entries) -> bytes:
-    """A v2 log `entries.log` of (prompt, params, completions bytes)
-    entries, keyed as the earlier layout keyed them."""
-    root.mkdir(parents=True, exist_ok=True)
-    data = b"".join(log_record(v2_request_bytes(prompt, params), c) for prompt, params, c in entries)
-    (root / "entries.log").write_bytes(data)
-    return data
-
-
-_V2_ENTRIES = [
-    (
-        "prompt é",
-        {"n": 2, "temperature": 1.0, "stop": "\n"},
-        b'[{"text":"even","logprob":-1.5},{"text":"odd","logprob":null}]',
-    ),
-    # the stdlib tokens an earlier writer left: escaped non-ASCII, NaN and -Infinity
-    ("prompt 1", {"n": 1}, rb'[{"text":"\u00e9","logprob":NaN},{"text":"inf","logprob":-Infinity}]'),
-    ("prompt 2", {"n": 1, "extra": {"b": [1, 2.5], "a": None}}, b"[]"),
-]
-
-
-def test_migrate_rekeys_a_v2_log_and_copies_its_completions_bytes(tmp_path):
-    root = tmp_path / "rs"
-    _write_v2_log(root, _V2_ENTRIES)
-    with pytest.raises(UnmigratedStore, match=f"entries.log.*nlconcepts replay migrate {root}"):
-        ReplayStore(root).keys()
-    assert migrate(root) == 3
-    assert os.listdir(root) == [LOG_NAME]
-    store = ReplayStore(root)
-    log = _log(root).read_bytes()
-    for prompt, params, completions in _V2_ENTRIES:
-        # stdlib json reads the NaN and -Infinity tokens; compare through it
-        assert json.dumps(store.lookup(prompt, params)) == json.dumps(json.loads(completions))
-        assert completions in log
-    assert store.verify() == LogReport(records=3)
-    # a migrated store migrates no entry, and its log is left as it is
-    assert migrate(root) == 0
-    assert _log(root).read_bytes() == log
-
-
-def test_migrate_keeps_the_v3_logs_record_and_the_first_of_a_key(tmp_path, fixtures_dir):
-    root = tmp_path / "rs"
-    write_v2_store(ReplayStore(fixtures_dir / "replay"), root)
-    prompt, params, _ = _V2_ENTRIES[0]
-    later = log_record(v2_request_bytes(prompt, params), b'[{"text":"later","logprob":null}]')
-    data = _write_v2_log(root, _V2_ENTRIES)
-    (root / "entries.log").write_bytes(data + later + later[: HEADER_LEN + 3])  # a torn tail
-    ReplayStore(tmp_path / "v3").record("prompt 2", _V2_ENTRIES[2][1], [{"text": "v3", "logprob": None}])
-    os.replace(_log(tmp_path / "v3"), _log(root))
-    assert migrate(root) == 3 + 5
-    assert os.listdir(root) == [LOG_NAME]
-    store = ReplayStore(root)
-    assert store.lookup(prompt, params) == json.loads(_V2_ENTRIES[0][2])
-    assert store.lookup("prompt 2", _V2_ENTRIES[2][1]) == [{"text": "v3", "logprob": None}]
-    fixtures = ReplayStore(fixtures_dir / "replay")
-    assert [store.entry(k) for k in fixtures.keys()] == [fixtures.entry(k) for k in fixtures.keys()]
-    assert store.verify() == LogReport(records=3 + 5)
-
-
-def test_migrate_refuses_a_damaged_v2_log_before_writing(tmp_path):
-    root = tmp_path / "rs"
-    data = _write_v2_log(root, _V2_ENTRIES)
-    first = log_record(v2_request_bytes(*_V2_ENTRIES[0][:2]), _V2_ENTRIES[0][2])
-    for damaged, where in (
-        # a flipped request byte, then a header zeroed before a whole record
-        (data[: HEADER_LEN + 2] + b"x" + data[HEADER_LEN + 3 :], "entry at byte 0 of .*is not its request's"),
-        (
-            data[: len(first)] + b"\0" * HEADER_LEN + data[len(first) + HEADER_LEN :],
-            f"damaged at byte {len(first)}",
-        ),
-    ):
-        (root / "entries.log").write_bytes(damaged)
-        with pytest.raises(CorruptEntry, match=where):
-            migrate(root)
-        assert os.listdir(root) == ["entries.log"]
+    """A v2 log, or `<key>.json` entries, is refused by every entry point,
+    and nothing in the directory is created or changed."""
+    v2_log = tmp_path / "v2_log"
+    v2_log.mkdir()
+    (v2_log / "entries.log").write_bytes(log_record(v2_request_bytes("prompt", {"n": 1}), b"[]"))
+    v2_entries = tmp_path / "v2_entries"
+    write_v2_store(ReplayStore(fixtures_dir / "replay"), v2_entries)
+    for root in (v2_log, v2_entries):
+        before = {name: (root / name).read_bytes() for name in os.listdir(root)}
+        store = ReplayStore(root)
+        for use in (
+            lambda: store.lookup("prompt", {"n": 1}),
+            lambda: store.get("prompt", {"n": 1}),
+            lambda: store.entry(fingerprint("prompt", {"n": 1})),
+            store.keys,
+            lambda: store.record("prompt", {"n": 1}, []),
+            store.verify,
+            store.repair,
+        ):
+            with pytest.raises(UnmigratedStore, match=re.escape(f"`nlconcepts replay migrate {root}` at commit 444a717")):
+                use()
+        assert {name: (root / name).read_bytes() for name in os.listdir(root)} == before
+        assert LOG_NAME not in before
 
 
 def test_a_replaced_log_is_indexed_again(tmp_path):
@@ -709,11 +626,14 @@ def test_damage_before_a_whole_record_keeps_earlier_entries_and_refuses_to_recor
             use()
     assert store.lookup("prompt 0", {"n": 1}) == [{"text": "rule 0", "logprob": -1.0}]
     assert _log(root).read_bytes() == damaged
+    # verify reads on from the whole record after the damage
     report = store.verify()
-    assert (report.records, report.torn_bytes, len(report.mismatches)) == (1, 0, 1)
-    assert f"damaged at byte {second}" in report.mismatches[0]
-    # repair keeps the records on either side of the damage
+    assert (report.records, report.torn_bytes, len(report.mismatches)) == (2, 0, 1)
     third = data.index(fingerprint("prompt 2", {"n": 1}).encode())
+    assert report.mismatches[0] == (
+        f"replay log {_log(root)} is damaged at byte {second}, before the whole record at byte {third}"
+    )
+    # repair keeps the records on either side of the damage
     assert store.repair() == (2, third - second)
     assert _log(root).read_bytes() == data[:second] + data[third:]
     assert ReplayStore(root).verify() == LogReport(records=2)
@@ -721,6 +641,16 @@ def test_damage_before_a_whole_record_keeps_earlier_entries_and_refuses_to_recor
         assert store.lookup(f"prompt {i}", {"n": 1}) == [{"text": f"rule {i}", "logprob": -1.0}]
     store.record("prompt 3", {"n": 1}, [])
     assert ReplayStore(root).verify() == LogReport(records=3)
+    # a record after the damage that fails its CRC is a mismatch too, and
+    # repair drops exactly what verify reports
+    flipped = bytearray(damaged)
+    flipped[-3] ^= 0x01  # in the third record's completions
+    _log(root).write_bytes(bytes(flipped))
+    report = ReplayStore(root).verify()
+    assert (report.records, report.torn_bytes, len(report.mismatches)) == (2, 0, 2)
+    assert report.mismatches[1] == f"record at byte {third}: key {fingerprint('prompt 2', {'n': 1})} fails its CRC check"
+    assert ReplayStore(root).repair() == (1, len(data) - second)
+    assert ReplayStore(root).verify() == LogReport(records=1)
 
 
 def test_repair_keeps_the_first_whole_record_of_each_key(tmp_path):
