@@ -16,23 +16,36 @@ Several fits (CV folds and the final fit) run as one Adam loop over an
 (F, P) stack of such vectors: they share the compiled tasks and differ
 only in the prediction rows their losses count.
 
-The number tasks of a fit are compiled once (`stack_tasks`) into
-padded per-task blocks: hypotheses as (T, S) and judgments as (T, R),
-S and R the largest pool and the most judgments of one set. Each
-task's predictions are its (F, S) weights times its (S, R) test
-membership, one product per task; the gradient collapses over a
-task's rows through the transposed product. No array of the fit has
-an axis over all judgments and one over the tasks, so memory and time
-grow linearly with the number of sets.
+`fit_params` compiles, once per fit, everything an epoch reads that the
+parameters do not change:
 
-A shape task compiles, once when it is built, every array of the
-forward pass that depends on its trials and batches alone (`ShapeTask`).
-An epoch reads epsilon, alpha, beta and T as scalars straight off the
-unconstrained vector, as `_unpack` would, and runs `shape_pass` with
-them; the cross-entropy and its derivative come from one call
-(`bce_loss_and_slope`), against targets masked once per fit
-(`FitRows`). Online evaluation, inference and the latent-language
-baseline run the same pass at a `ModelParams` (`shape_forward`).
+* the tasks, as one `TaskBatch` (`stack_tasks`). Number tasks are
+  padded per-task blocks: hypotheses as T·S flat entries, S the
+  largest pool, judgments as (T, R) blocks, R the most judgments of one
+  set. A shape task compiled its own constants when it was built
+  (`ShapeTask`), among them its decay lookup: the lag of every trial
+  before every batch as an index into a table of the K decay weights
+  with a zero slot for trials not yet past;
+* every fit's rows, as one `FitRows` (`fit_rows`): the weight (1 or
+  0) of each number row in each fit and its target where the fit
+  counts it, and each shape row's targets likewise, chosen with `where`
+  so that a target a fit does not count never reaches it.
+
+An epoch is one `loss_and_grad` call on those objects, then one
+in-place `adam_step`. It runs only the work that depends on the
+parameter stack. For numbers that is the weights (`number_weights`),
+one (F, S) @ (S, R) product per task for the predictions and one
+(F, R) @ (R, S) product per task for the gradient in the log-weights,
+each reduced over the task's own rows; no array of the fit has an axis
+over all judgments and one over the tasks, so memory and time grow
+linearly with the number of sets. For a shape curve it reads epsilon,
+alpha, beta and T as scalars off the unconstrained vector, as
+`_unpack` would, raises the K lags to -beta, and runs `shape_pass`,
+whose cross-entropy and derivative come from one call
+(`bce_loss_and_slope`). Loss and gradient are checked as one finite
+sum, fold by fold only when that sum is not finite. Online evaluation,
+inference and the latent-language baseline run the same pass at a
+`ModelParams` (`shape_forward`).
 """
 
 from __future__ import annotations
@@ -43,7 +56,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .likelihood import count_logliks, decay_weights, positive_probs
+from .likelihood import count_logliks, positive_probs
 from .posterior import expit, logit, softmax_masked
 from .types import ModelParams
 
@@ -96,14 +109,14 @@ _T_MIN, _T_MAX = reparam(-700.0, "positive"), reparam(700.0, "positive")
 def bce_loss_and_slope(pred, yes, no, delta: float = 1e-6):
     """The binary cross-entropy -sum(yes log p + no log(1 - p)) of the
     predictions `pred` clamped to p in [delta, 1 - delta], and its
-    derivative in each prediction, 0 where the clamp holds it. `yes` is
+    derivative in each prediction, 0 where the clamp moves it. `yes` is
     the target where a row counts and `no` one minus it, both 0 where
     it does not."""
     p = np.minimum(np.maximum(pred, delta), 1.0 - delta)
     q = 1.0 - p
     loss = -(np.dot(yes, np.log(p)) + np.dot(no, np.log(q)))
     # d/dp of -(r log p + (1 - r) log q) is (1 - r) / q - r / p
-    slope = np.where((pred > delta) & (pred < 1.0 - delta), no / q - yes / p, 0.0)
+    slope = np.where(p == pred, no / q - yes / p, 0.0)
     return float(loss), slope
 
 
@@ -178,8 +191,10 @@ class ShapeTask:
     of rows of `visible` alone (the fields after `domain`). With
     lag[b, k] = K_b - k, how far trial k lies behind the start of batch
     b (K_b trials come before it), they are: which trials lie before
-    each batch, where `decay_weights(K, beta)` holds lag^-beta, log lag,
-    and the sums over a trial's label that the gradient takes.
+    each batch, the decay lookup (`lags`, the K lags of
+    `decay_weights(K, beta)`, and `decay_index`, where lag^-beta lies in
+    that table of K weights followed by a zero slot), log lag, and the
+    sums over a trial's label that the gradient takes.
     `dataclasses.replace` compiles them again."""
 
     features: Optional[np.ndarray]  # (G, D); None under a non-tuned prior
@@ -192,13 +207,15 @@ class ShapeTask:
     ids: List[str]
     names: List[str]  # (S,) NL text of each rule
     rule_class: np.ndarray  # (S,) class of each rule
-    count: np.ndarray  # (G,) rules in each class
+    count: np.ndarray  # (G,) rules in each class, as floats: every pass multiplies by it
 
     domain: str = "shape"
 
+    positive: np.ndarray = field(init=False, repr=False)  # (K,) the label is positive
     by_label: np.ndarray = field(init=False, repr=False)  # (K, 2) 1.0 where the label is negative, positive
     past: np.ndarray = field(init=False, repr=False)  # (B, K) lag[b, k] > 0: trial k comes before batch b
-    decay_index: np.ndarray = field(init=False, repr=False)  # (B, K) K - lag where past, else K - 1
+    lags: np.ndarray = field(init=False, repr=False)  # (K,) K, K - 1, ..., 1 as floats
+    decay_index: np.ndarray = field(init=False, repr=False)  # (B, K) K - lag where past, else K (the zero slot)
     log_lag: np.ndarray = field(init=False, repr=False)  # (B, K) log lag where past, else 0
     label_sums: np.ndarray = field(init=False, repr=False)  # (B·K, 4) by_label, then log_lag times it
     now: np.ndarray = field(init=False, repr=False)  # (K,) flat index batch[k]·K + k into a (B, K) array
@@ -214,13 +231,15 @@ class ShapeTask:
                 f"shape task {curve!r}: truth matrix must hold only 0 and 1, "
                 f"found {float(self.consist[g, k])!r} for rule {rule!r} on trial {k}"
             )
+        self.count = np.asarray(self.count, dtype=float)
         n_batches, n_trials = self.visible.shape[0], len(self.labels)
-        positive = self.labels > 0
-        self.by_label = np.stack([~positive, positive], axis=1).astype(float)
+        self.positive = self.labels > 0
+        self.by_label = np.stack([~self.positive, self.positive], axis=1).astype(float)
         lag = np.searchsorted(self.batch, np.arange(n_batches))[:, None] - np.arange(n_trials)
         self.past = lag > 0
         lag = np.where(self.past, lag, 1)
-        self.decay_index = n_trials - lag
+        self.lags = np.arange(n_trials, 0, -1, dtype=float)
+        self.decay_index = np.where(self.past, n_trials - lag, n_trials)
         self.log_lag = np.log(lag.astype(float))
         by_trial = np.broadcast_to(self.by_label, lag.shape + (2,))
         lagged = self.log_lag[:, :, None] * by_trial
@@ -234,24 +253,27 @@ class TaskBatch:
     """Tasks compiled once for all forward passes of a fit.
 
     Number tasks are stacked and zero-padded to T tasks of S hypotheses
-    and R judgment rows: hypothesis arrays are (T, S), judgment arrays
-    (T, R), and test membership is one (R, S) block per task. Flat, the
-    number rows are the valid entries of the (T, R) blocks in row-major
-    order: task by task, each task's judgments in order. Shape tasks
+    and R judgment rows. Hypothesis arrays are flat over the T·S
+    entries, entry t·S + s; test membership is one (R, S) block per
+    task. Flat, the number rows are the entries of the (T, R) blocks in
+    row-major order, of which the valid ones (task by task, each
+    task's judgments in order) are the batch's number rows. Shape tasks
     stay as they are, their trials the rows after the number rows.
 
-    The count pieces are zero where a hypothesis is dead (unparsed or
-    padding), so it adds nothing to the likelihood or its gradient."""
+    The count pieces and the base log-prior are zero where a hypothesis
+    is dead (unparsed or padding), so it adds nothing to the likelihood
+    or its gradient and its log-weight stays finite."""
 
-    features: Optional[np.ndarray]  # (D, T·S), column t·S + s; None under a non-tuned prior
-    base_logprior: np.ndarray  # (T, S)
+    features: Optional[np.ndarray]  # (D, T·S); None under a non-tuned prior
+    base_logprior: np.ndarray  # (T·S,)
     alive: np.ndarray  # (T, S) parsed and not padding
     any_alive: np.ndarray  # (T,) some hypothesis of the task is alive
-    inv_size: np.ndarray  # (T, S)
-    n_inside: np.ndarray  # (T, S) training examples inside the extension, 0 where dead
-    n_outside: np.ndarray  # (T, S) training examples outside it, 0 where dead
-    deps_in: np.ndarray  # (T, S) n_inside (1/100 - 1/|C|): d g_in / d eps, times n_inside
-    deps_out: np.ndarray  # (T, S) n_outside / 100: d g_out / d eps, times n_outside
+    all_alive: bool  # every task has a live hypothesis
+    inv_size: np.ndarray  # (T·S,)
+    n_inside: np.ndarray  # (T·S,) training examples inside the extension, 0 where dead
+    n_outside: np.ndarray  # (T·S,) training examples outside it, 0 where dead
+    deps_in: np.ndarray  # (T·S,) n_inside (1/100 - 1/|C|): d g_in / d eps, times n_inside
+    deps_out: np.ndarray  # (T·S,) n_outside / 100: d g_out / d eps, times n_outside
     test_member: np.ndarray  # (T, R, S) test number r of task t in hypothesis s's extension
     row_valid: np.ndarray  # (T, R) a judgment, not padding
     row_targets: np.ndarray  # (T, R) its target, 0 on padding
@@ -276,11 +298,16 @@ def stack_tasks(tasks) -> TaskBatch:
         widths[axis] = (0, width - a.shape[axis])
         return np.pad(a, widths)
 
+    def flat(rows):
+        """One padded row per number task, as one flat (T·S,) array."""
+        return np.array([pad(r) for r in rows], dtype=float).reshape(-1)
+
     alive = np.array([pad(t.parsed) for t in numbers], dtype=bool).reshape(len(numbers), width)
-    inv_size = np.array([pad(t.inv_size) for t in numbers]).reshape(alive.shape)
-    n_inside = np.array([pad(t.member.sum(axis=1)) for t in numbers]).reshape(alive.shape)
-    n_outside = np.array([t.member.shape[1] for t in numbers])[:, None] - n_inside
-    n_inside, n_outside = np.where(alive, n_inside, 0.0), np.where(alive, n_outside, 0.0)
+    live = alive.reshape(-1)
+    inv_size = flat(t.inv_size for t in numbers)
+    n_inside = flat(t.member.sum(axis=1) for t in numbers)
+    n_outside = np.repeat([float(t.member.shape[1]) for t in numbers], width) - n_inside
+    n_inside, n_outside = np.where(live, n_inside, 0.0), np.where(live, n_outside, 0.0)
     row_valid = np.arange(height) < np.array(n_rows, dtype=int)[:, None]
     test_member = np.zeros(row_valid.shape + (width,))
     if numbers:
@@ -290,12 +317,13 @@ def stack_tasks(tasks) -> TaskBatch:
     row_targets[row_valid] = targets[: int(row_valid.sum())]
     features = None
     if numbers and numbers[0].features is not None:  # tasks share one prior
-        features = np.array([pad(t.features) for t in numbers]).reshape(alive.size, -1).T.copy()
+        features = np.array([pad(t.features) for t in numbers]).reshape(live.size, -1).T.copy()
     return TaskBatch(
         features=features,
-        base_logprior=np.array([pad(t.base_logprior) for t in numbers]).reshape(alive.shape),
+        base_logprior=np.where(live, flat(t.base_logprior for t in numbers), 0.0),
         alive=alive,
         any_alive=alive.any(axis=1),
+        all_alive=bool(alive.any(axis=1).all()),
         inv_size=inv_size,
         n_inside=n_inside,
         n_outside=n_outside,
@@ -312,26 +340,32 @@ def stack_tasks(tasks) -> TaskBatch:
 
 @dataclass
 class FitRows:
-    """The rows each of F fits counts, laid out as the TaskBatch they
-    select from: the number rows as an (F, T, R) block, False on
-    padding, and the shape rows flat, as the targets their loss reads."""
+    """The rows each of F fits counts, compiled once per fit against the
+    TaskBatch they select from: the number rows flat over its (T, R)
+    blocks, padding included, and the shape rows flat. Every target is
+    chosen with `where`, so a fit never reads a target it does not
+    count."""
 
-    number: np.ndarray  # (F, T, R) bool
+    counted: np.ndarray  # (F, T·R) 1.0 where the fit counts the number row, else 0
+    targets: np.ndarray  # (F, T·R) the row's target where the fit counts it, else 0
     shape_yes: np.ndarray  # (F, N_shape) a shape row's target where the fit counts it, else 0
     shape_no: np.ndarray  # (F, N_shape) one minus that target where the fit counts it, else 0
 
 
 def fit_rows(batch: TaskBatch, rows) -> FitRows:
-    """`rows`, an (F, N) bool mask over the N rows of `batch`, as FitRows
-    (FitRows pass through)."""
-    if isinstance(rows, FitRows):
-        return rows
+    """`rows`, an (F, N) bool mask over the N rows of `batch`, as FitRows."""
     rows = np.asarray(rows, dtype=bool)
-    n = int(batch.row_valid.sum())
-    number = np.zeros((len(rows),) + batch.row_valid.shape, dtype=bool)
-    number[:, batch.row_valid] = rows[:, :n]
+    valid = batch.row_valid.reshape(-1)
+    n = int(valid.sum())
+    number = np.zeros((len(rows), valid.size), dtype=bool)
+    number[:, valid] = rows[:, :n]
     shape_rows, targets = rows[:, n:], batch.targets[n:]
-    return FitRows(number, np.where(shape_rows, targets, 0.0), np.where(shape_rows, 1.0 - targets, 0.0))
+    return FitRows(
+        number.astype(float),
+        np.where(number, batch.row_targets.reshape(-1), 0.0),
+        np.where(shape_rows, targets, 0.0),
+        np.where(shape_rows, 1.0 - targets, 0.0),
+    )
 
 
 def _unpack(u: np.ndarray, dim: int) -> ModelParams:
@@ -356,59 +390,81 @@ def number_weights(stack, batch: TaskBatch, dim):
     """Posterior weights (F, T, S) of every number task under each
     parameter vector of `stack`, with the log-weights (log prior + log
     likelihood, `likelihood.count_logliks`) they are the tempered
-    softmax of, the likelihoods g_in (F, T, S) and g_out (F, 1, 1) of one
-    example inside and outside each extension, and epsilon and the
-    temperature (both (F, 1, 1))."""
-    eps = expit(stack[:, dim])[:, None, None]
-    temp = np.exp(np.minimum(np.maximum(stack[:, dim + 3], -700), 700))[:, None, None]
-    log_prior = batch.base_logprior
-    if batch.features is not None:
-        log_prior = log_prior + (stack[:, :dim] @ batch.features).reshape((-1,) + log_prior.shape)
+    softmax of, (F, T, S) too; then, flat over the T·S hypotheses, the
+    likelihood g_in (F, T·S) of one example inside each extension, and
+    g_out, epsilon and the temperature as (F, 1) columns."""
+    eps = expit(stack[:, dim, None])
+    temp = np.exp(np.minimum(np.maximum(stack[:, dim + 3, None], -700.0), 700.0))
     # dead hypotheses count no examples, so their log-likelihood is 0
-    loglik, g_in, g_out = count_logliks(batch.n_inside, batch.n_outside, batch.inv_size, eps)
-    log_unnorm = log_prior + loglik
-    return softmax_masked(log_unnorm / temp, batch.alive), log_unnorm, g_in, g_out, eps, temp
+    log_unnorm, g_in, g_out = count_logliks(batch.n_inside, batch.n_outside, batch.inv_size, eps)
+    log_unnorm += batch.base_logprior
+    if batch.features is not None:
+        log_unnorm += stack[:, :dim] @ batch.features
+    shape = (len(stack),) + batch.alive.shape
+    weights = softmax_masked((log_unnorm / temp).reshape(shape), batch.alive)
+    return weights, log_unnorm.reshape(shape), g_in, g_out, eps, temp
 
 
-def _number_rows(stack, batch: TaskBatch, dim, rows, grad):
-    """(loss (F,) over each fit's `rows`, an (F, T, R) block, and the
-    predictions (F, T, R)) of the number rows; adds d(loss)/du into
+def _number_rows(stack, batch: TaskBatch, dim, rows: FitRows, grad):
+    """(loss (F,) over the number rows each fit counts, the predictions
+    (F, T·R) of every row of the (T, R) blocks); adds d(loss)/du into
     grad (F, P) when given.
 
     Task t's predictions are w[:, t] @ test_member[t].T, one (F, S) @
     (S, R) product per task, and the gradient in its log-weights one
-    (F, R) @ (R, S) product."""
+    (F, R) @ (R, S) product; both are written fit-major, so every
+    elementwise step runs on flat (F, T·R) or (F, T·S) arrays."""
     w, log_unnorm, g_in, g_out, eps, temp = number_weights(stack, batch, dim)
-    a, b = stack[:, dim + 4, None, None], stack[:, dim + 5, None, None]
-    # one product per task, in task-major order, copied back to fit-major
-    p_raw = np.ascontiguousarray((w.swapaxes(0, 1) @ batch.test_member.swapaxes(1, 2)).swapaxes(0, 1))
-    # nothing parses: the noise-only prediction 0.5, through the Platt transform
-    p_raw = np.where(batch.any_alive[:, None], p_raw, 0.5)
+    n_fits = len(stack)
+    p_raw = np.empty((n_fits,) + batch.row_valid.shape)
+    np.matmul(w.swapaxes(0, 1), batch.test_member.swapaxes(1, 2), out=p_raw.swapaxes(0, 1))
+    if not batch.all_alive:  # nothing parses: the noise-only prediction 0.5, through the Platt transform
+        p_raw[:, ~batch.any_alive] = 0.5
+    p_raw = p_raw.reshape(n_fits, -1)
     p_c = np.minimum(np.maximum(p_raw, 1e-6), 1.0 - 1e-6)
     q_c = 1.0 - p_c
     logit_p = np.log(p_c / q_c)
-    z = b + a * logit_p
-    pred = expit(z)
-    r = batch.row_targets
-    # r softplus(-z) + (1 - r) softplus(z), as softplus(-z) = softplus(z) - z
-    loss = np.where(rows, _softplus(z) - r * z, 0.0).sum(axis=(1, 2))
+    # -z for z = b + a logit p; pred = expit(z) from exp(min(-z, 709)), as
+    # posterior.expit computes it, and softplus(z) = log1p(that) - min(-z, 709)
+    a = stack[:, dim + 4, None]
+    neg_z = logit_p * -a
+    neg_z -= stack[:, dim + 5, None]
+    capped = np.minimum(neg_z, 709.0)
+    e = np.exp(capped)
+    pred = 1.0 / (1.0 + e)
+    # r softplus(-z) + (1 - r) softplus(z) = softplus(z) - r z, on the rows each fit counts
+    row_loss = np.log1p(e)
+    row_loss -= capped
+    row_loss *= rows.counted
+    row_loss += rows.targets * neg_z
+    loss = row_loss.sum(axis=1)
 
     if grad is not None:
-        dl_dz = np.where(rows, pred - r, 0.0)  # (F, T, R)
-        grad[:, dim + 4] += (dl_dz * logit_p).sum(axis=(1, 2))
-        grad[:, dim + 5] += dl_dz.sum(axis=(1, 2))
-        inside = (p_raw > 1e-6) & (p_raw < 1.0 - 1e-6)
-        dl_dp = np.where(inside, dl_dz * a / (p_c * q_c), 0.0)
+        dl_dz = rows.counted * pred
+        dl_dz -= rows.targets
+        grad[:, dim + 4] += (dl_dz * logit_p).sum(axis=1)
+        grad[:, dim + 5] += dl_dz.sum(axis=1)
+        # d logit p / d p_raw = 1 / (p q), 0 where the clamp moves p_raw
+        dl_dp = np.where(p_c == p_raw, dl_dz, 0.0)
+        dl_dp *= a
+        dl_dp /= p_c * q_c
         # dp_r/ds_s = w_s (t_rs - p_r); summed over each task's rows that is
         # w_s (dl_dp @ test_member - dl_dp . p), one (F, R) @ (R, S) per task
-        by_rows = (dl_dp.swapaxes(0, 1) @ batch.test_member).swapaxes(0, 1)  # (F, T, S)
-        coeff = w * (by_rows - (dl_dp * p_raw).sum(axis=2)[:, :, None]) / temp
+        dl_dp = dl_dp.reshape((n_fits,) + batch.row_valid.shape)
+        coeff = np.empty(w.shape)
+        np.matmul(dl_dp.swapaxes(0, 1), batch.test_member, out=coeff.swapaxes(0, 1))
+        coeff -= (dl_dp * p_raw.reshape(dl_dp.shape)).sum(axis=2, keepdims=True)
+        coeff *= w
+        coeff = coeff.reshape(n_fits, -1)
+        coeff /= temp
         if batch.features is not None:
-            grad[:, :dim] += coeff.reshape(len(stack), -1) @ batch.features.T
-        dll_deps = batch.deps_in / g_in + batch.deps_out / g_out
-        grad[:, dim] += (coeff * dll_deps).sum(axis=(1, 2)) * (eps * (1.0 - eps))[:, 0, 0]
-        safe_u = np.where(batch.alive, log_unnorm, 0.0)
-        grad[:, dim + 3] -= (coeff * safe_u).sum(axis=(1, 2))
+            grad[:, :dim] += coeff @ batch.features.T
+        dll_deps = batch.deps_in / g_in
+        dll_deps += batch.deps_out / g_out
+        dll_deps *= coeff
+        grad[:, dim] += dll_deps.sum(axis=1) * (eps * (1.0 - eps))[:, 0]
+        # a dead hypothesis has weight 0 and a finite log-weight
+        grad[:, dim + 3] -= (coeff * log_unnorm.reshape(n_fits, -1)).sum(axis=1)
     return loss, pred
 
 
@@ -419,10 +475,6 @@ def shape_forward(task: ShapeTask, params: ModelParams):
     clamps log T to [-700, 700] (`pack_params`, then `number_weights`)."""
     temp = min(max(params.temperature, _T_MIN), _T_MAX)
     return shape_pass(task, params.theta, params.epsilon, params.alpha, params.beta, temp)
-
-
-def _floored_log(x: float) -> float:
-    return math.log(max(x, 1e-300))
 
 
 def shape_pass(task: ShapeTask, theta, eps: float, alpha: float, beta: float, temp: float):
@@ -469,13 +521,18 @@ def shape_pass(task: ShapeTask, theta, eps: float, alpha: float, beta: float, te
     if task.features is not None:
         log_prior = log_prior + task.features @ theta
     q0, q1 = positive_probs(eps, alpha)
-    # a negative and a positive label's probability under a false (r0) and a true (r1) rule
-    r0, r1 = (1.0 - q0, q0), (1.0 - q1, q1)
-    delta = [_floored_log(b) - _floored_log(a) for a, b in zip(r0, r1)]
-    delta_log_r = task.by_label @ delta  # (K,) log r1 - log r0 of each trial's label
+    # a negative label's probability under a false (r0_neg) and a true
+    # (r1_neg) rule; a positive label's are q0 and q1
+    r0_neg, r1_neg = 1.0 - q0, 1.0 - q1
+    # log r1 - log r0 of a negative and of a positive label, each log floored at log 1e-300
+    delta_neg = math.log(max(r1_neg, 1e-300)) - math.log(max(r0_neg, 1e-300))
+    delta_pos = math.log(max(q1, 1e-300)) - math.log(max(q0, 1e-300))
+    delta_log_r = np.where(task.positive, delta_pos, delta_neg)  # (K,) that of each trial's label
     # D (B, K): lag^-beta where trial k is past, read off the decay weights
-    # of all K trials (decay_weights(K, beta)[K - lag]), and 0 elsewhere
-    decay = np.where(task.past, decay_weights(len(task.labels), beta)[task.decay_index], 0.0)
+    # of all K trials (decay_weights(K, beta)), and 0 elsewhere, at the zero slot
+    decay = np.zeros(len(task.lags) + 1)
+    np.power(task.lags, -beta, out=decay[:-1])
+    decay = decay.take(task.decay_index)
     score = (log_prior + (decay * delta_log_r) @ c.T) / temp  # (B, G), up to a constant per batch
     p = softmax_masked(score, task.visible, task.count)
     w = p * task.count  # (B, G) weight of each class
@@ -497,14 +554,18 @@ def shape_pass(task: ShapeTask, theta, eps: float, alpha: float, beta: float, te
         # then also weighted by log lag (the derivative of D in beta):
         decayed_true = (decay * (d_unnorm @ c)).ravel()
         true_neg, true_pos, lagged_neg, lagged_pos = (decayed_true @ task.label_sums).tolist()
-        # d log r / d q = sign / r, zero where r was clipped
-        inv_r0 = [s / r if r > 1e-300 else 0.0 for s, r in zip((-1.0, 1.0), r0)]
-        inv_r1 = [s / r if r > 1e-300 else 0.0 for s, r in zip((-1.0, 1.0), r1)]
-        d_q0 = -(inv_r0[0] * true_neg + inv_r0[1] * true_pos)
-        d_q1 = inv_r1[0] * true_neg + inv_r1[1] * true_pos
+        # d log r / d q = -1 / r for a negative label and 1 / r for a
+        # positive one, zero where r was clipped
+        d_q0 = -(
+            (-1.0 / r0_neg if r0_neg > 1e-300 else 0.0) * true_neg
+            + (1.0 / q0 if q0 > 1e-300 else 0.0) * true_pos
+        )
+        d_q1 = (-1.0 / r1_neg if r1_neg > 1e-300 else 0.0) * true_neg + (
+            1.0 / q1 if q1 > 1e-300 else 0.0
+        ) * true_pos
         d_eps = dl_dpred @ (alpha - mean_truth) + alpha * d_q0 + (alpha - 1.0) * d_q1
         d_alpha = eps * (dl_dpred.sum() + d_q0 + d_q1)
-        d_beta = -(lagged_neg * delta[0] + lagged_pos * delta[1])
+        d_beta = -(lagged_neg * delta_neg + lagged_pos * delta_pos)
         d_temp = -np.vdot(d_unnorm, score)
         return d_theta, d_eps, d_alpha, d_beta, d_temp
 
@@ -516,8 +577,9 @@ def _shape_rows(task: ShapeTask, u, dim, grad, yes, no):
     prediction) of one curve, with eps, alpha, beta and T read off the
     unconstrained vector u (P,) as `_unpack` reads them; adds
     d(loss)/du into grad (P,) when given."""
-    eps, alpha = reparam(u[dim], "unit_interval"), reparam(u[dim + 1], "unit_interval")
-    beta, temp = reparam(u[dim + 2], "positive"), reparam(u[dim + 3], "positive")
+    eps_u, alpha_u, beta_u, temp_u = u[dim : dim + 4].tolist()
+    eps, alpha = reparam(eps_u, "unit_interval"), reparam(alpha_u, "unit_interval")
+    beta, temp = reparam(beta_u, "positive"), reparam(temp_u, "positive")
     pred, _, backward = shape_pass(task, u[:dim], eps, alpha, beta, temp)
     loss, slope = bce_loss_and_slope(pred, yes, no)
     if grad is not None:
@@ -531,10 +593,6 @@ def _shape_rows(task: ShapeTask, u, dim, grad, yes, no):
     return loss, pred
 
 
-def _softplus(x):
-    return np.logaddexp(0.0, x)
-
-
 def loss_and_grad(u: np.ndarray, tasks, dim: int, want_grad: bool = True, rows=None):
     """Total loss over all tasks and its gradient in unconstrained space.
 
@@ -545,37 +603,44 @@ def loss_and_grad(u: np.ndarray, tasks, dim: int, want_grad: bool = True, rows=N
     target) per row) for one vector, (loss (F,), grad (F, P),
     predictions (F, N)) for a stack; grad is None without want_grad.
     """
-    batch = stack_tasks(tasks)
-    stack = np.atleast_2d(u)
-    if rows is None:
-        rows = np.ones((len(stack), len(batch.ids)), dtype=bool)
-    rows = fit_rows(batch, rows)
-    grad = np.zeros_like(stack) if want_grad else None
-    loss = np.zeros(len(stack))
-    pred = np.empty((len(stack), len(batch.ids)))
-    n = len(batch.ids) - rows.shape_yes.shape[1]  # the number rows come first
-    if n:
-        loss, number_pred = _number_rows(stack, batch, dim, rows.number, grad)
-        pred[:, :n] = number_pred[:, batch.row_valid]
-    shape_pred = pred[:, n:]
-    for f in range(len(stack)):
-        col = 0
-        for task in batch.shapes:
-            end = col + len(task.ids)
-            task_loss, shape_pred[f, col:end] = _shape_rows(
-                task,
-                stack[f],
-                dim,
-                None if grad is None else grad[f],
-                rows.shape_yes[f, col:end],
-                rows.shape_no[f, col:end],
-            )
-            loss[f] += task_loss
-            col = end
-    bad = ~(np.isfinite(loss) & (grad is None or np.isfinite(grad).all(axis=1)))
-    if bad.any():
-        raise NonFinite(np.flatnonzero(bad))
-    if np.ndim(u) == 2:
+    batch = tasks if isinstance(tasks, TaskBatch) else stack_tasks(tasks)
+    one = np.ndim(u) == 1
+    stack = np.atleast_2d(u) if one else u
+    if not isinstance(rows, FitRows):
+        rows = fit_rows(batch, np.ones((len(stack), len(batch.ids)), dtype=bool) if rows is None else rows)
+    grad = np.zeros(stack.shape) if want_grad else None
+    n_shape = rows.shape_yes.shape[1]
+    n_number = len(batch.ids) - n_shape  # the number rows come first
+    pred = None
+    if n_number:
+        loss, pred = _number_rows(stack, batch, dim, rows, grad)
+        if n_number < pred.shape[1]:  # drop the padding of the (T, R) blocks
+            pred = pred[:, batch.row_valid.reshape(-1)]
+    else:
+        loss = np.zeros(len(stack))
+    if batch.shapes:
+        shape_pred = np.empty((len(stack), n_shape))
+        for f in range(len(stack)):
+            col = 0
+            for task in batch.shapes:
+                end = col + len(task.ids)
+                task_loss, shape_pred[f, col:end] = _shape_rows(
+                    task,
+                    stack[f],
+                    dim,
+                    None if grad is None else grad[f],
+                    rows.shape_yes[f, col:end],
+                    rows.shape_no[f, col:end],
+                )
+                loss[f] += task_loss
+                col = end
+        pred = shape_pred if pred is None else np.concatenate((pred, shape_pred), axis=1)
+    # one finite sum says every fold is finite; otherwise name the folds that are not
+    if not math.isfinite(np.add.reduce(loss) + (0.0 if grad is None else np.add.reduce(grad, axis=None))):
+        bad = ~(np.isfinite(loss) & (grad is None or np.isfinite(grad).all(axis=1)))
+        if bad.any():
+            raise NonFinite(np.flatnonzero(bad))
+    if not one:
         return loss, grad, pred
     records = [(i, float(p), float(t)) for i, p, t in zip(batch.ids, pred[0], batch.targets)]
     return float(loss[0]), None if grad is None else grad[0], records
@@ -605,16 +670,22 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> np.ndarray:
-    """One Adam step from `u`, returned as a new array; `state.m` and
-    `state.v` are updated in place."""
+    """One Adam step: `u`, `state.m` and `state.v` are updated in place,
+    and `u` is returned. The step is u - lr m_hat / (sqrt(v_hat) + eps),
+    with the bias-corrected moments m_hat and v_hat."""
     state.t += 1
     state.m *= beta1
     state.m += (1.0 - beta1) * grad
     state.v *= beta2
     state.v += (1.0 - beta2) * grad**2
-    m_hat = state.m / (1.0 - beta1**state.t)
-    v_hat = state.v / (1.0 - beta2**state.t)
-    return u - lr * m_hat / (np.sqrt(v_hat) + eps)
+    step = state.m / (1.0 - beta1**state.t)
+    step *= lr
+    root = state.v / (1.0 - beta2**state.t)
+    np.sqrt(root, out=root)
+    root += eps
+    step /= root
+    u -= step
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -668,6 +739,10 @@ def fit_params(
     out (in row order, at its final parameters), and a list of the F
     results is returned. Without it, one fit counts every row, holds
     none out, and its result is returned alone.
+
+    The tasks and the rows are compiled once (`stack_tasks`,
+    `fit_rows`); each epoch is one `loss_and_grad` call on them and
+    one in-place `adam_step`.
     """
     dim = len(init.theta)
     batch = stack_tasks(train_tasks)
@@ -686,7 +761,7 @@ def fit_params(
         losses.append(loss)
         if trains:
             grad *= mask  # frozen groups get no gradient
-            stack = adam_step(stack, grad, state, lr=config.learning_rate)
+            adam_step(stack, grad, state, lr=config.learning_rate)
     traces = np.array(losses).T.tolist()
     # no closing forward pass when no fit holds a row out
     pred = None if rows.all() else loss_and_grad(stack, batch, dim, want_grad=False, rows=compiled_rows)[2]

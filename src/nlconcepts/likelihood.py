@@ -11,7 +11,9 @@ Shape domain: responses follow the concept with probability
 (1 - epsilon) and otherwise guess positive at base rate alpha
 (`positive_probs`). Older trials are down-weighted by a power-law
 memory decay: trial k of K gets weight (1 + K - k) ** -beta, so the
-most recent trial always has weight 1 (`decay_weights`).
+most recent trial always has weight 1 (`decay_weights`). The shape
+pass reads these weights off a lookup its task compiles once
+(`fit.ShapeTask`), bit for bit the same.
 
 Each domain compiles a pool once against its data: `extension_matrix`
 gives every hypothesis's extension as a row over 1..100, `truth_matrix`

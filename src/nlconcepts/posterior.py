@@ -95,18 +95,24 @@ def weight_diagnostics(weights) -> Dict[str, float]:
     }
 
 
+_LOWEST = -np.finfo(float).max
+
+
 def softmax_masked(scores: np.ndarray, alive: np.ndarray, count=None) -> np.ndarray:
     """Softmax over the last axis among `alive` entries; all zeros where
     nothing is alive. With `count`, entry g stands for count[g] entries
     of equal score: the result is the weight of each of them, and it
     times `count` sums to 1."""
     # the reductions and ufuncs are called directly: on the small arrays
-    # of a fit epoch, the wrappers of max, sum and zeros_like cost more
+    # of a fit epoch, the wrappers of max, sum and zeros_like cost more.
+    # The shift starts from the lowest finite float, so a row with no
+    # finite score keeps its -inf entries, whose exp is 0
     shifted = np.where(alive, scores, -np.inf)
-    top = np.maximum.reduce(shifted, axis=-1, keepdims=True, initial=-np.inf)
-    shifted -= np.where(np.isfinite(top), top, 0.0)
+    shifted -= np.maximum.reduce(shifted, axis=-1, keepdims=True, initial=_LOWEST)
     e = np.exp(shifted, out=shifted)
     total = np.add.reduce(e if count is None else e * count, axis=-1, keepdims=True)
+    if np.minimum.reduce(total, axis=None) > 0:  # no empty row: one plain division
+        return np.divide(e, total, out=e)
     return np.divide(e, total, out=np.zeros(e.shape), where=total > 0)
 
 

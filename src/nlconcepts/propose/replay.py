@@ -59,7 +59,9 @@ an earlier layout instead, a v2 log `entries.log` (keyed by the stdlib
 `json.dumps(sort_keys=True)` of the request) or one `<key>.json` file
 per entry, is refused (`UnmigratedStore`): a v2 header does not carry
 its version, so read as v3 such a store would miss on every lookup.
-`nlconcepts replay migrate` at commit 444a717 converts it.
+`nlconcepts replay migrate` at commit 444a717 converts it. Such files
+left beside an `entries.v3.log` are not read, and `replay verify`
+reports each of them as a mismatch.
 """
 
 from __future__ import annotations
@@ -233,8 +235,8 @@ class LogReport:
     torn_bytes: int = 0  # bytes after the last whole record
     # records that fail their key or CRC, whose request or completions
     # do not decode, or whose request is not the v3 encoding of its
-    # prompt and params, so no lookup reaches it; and damage before a
-    # whole record
+    # prompt and params, so no lookup reaches it; damage before a whole
+    # record; and each file of an earlier layout beside the log
     mismatches: List[str] = field(default_factory=list)
 
 
@@ -474,7 +476,10 @@ class ReplayStore:
         its CRC, decode its request and completions and check that the
         request is the v3 encoding of its prompt and params, and count
         duplicate keys and torn bytes. Damage before a whole record is
-        reported, and the records from that one on are read too."""
+        reported, and the records from that one on are read too. A
+        leftover of an earlier layout beside the log (an `entries.log`
+        or a `<key>.json`) is a mismatch too: no lookup reaches its
+        entries."""
         import fcntl
 
         self._check_fork()
@@ -508,6 +513,12 @@ class ReplayStore:
                 report.torn_bytes = size - end
             finally:
                 fcntl.flock(fd, fcntl.LOCK_UN)
+        for name in sorted(os.listdir(self._dir)):
+            if name == _V2_LOG_NAME or _V2_ENTRY.fullmatch(name):
+                report.mismatches.append(
+                    f"{name}: an earlier layout beside {LOG_NAME}, which is the only one "
+                    f"this version reads, so no lookup reaches its entries"
+                )
         return report
 
     def repair(self) -> Tuple[int, int]:

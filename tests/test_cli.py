@@ -334,6 +334,13 @@ def test_replay_verify_and_list_a_copy_of_the_fixture_store(fixtures_dir, tmp_pa
     (store / LOG_NAME).write_bytes(bytes(log))
     assert main(["replay", "verify", "--store", str(store)]) == 1
     assert "1 mismatches" in capsys.readouterr().out
+    # a v2 log left beside the v3 log is a mismatch too, and stays as it is
+    (store / LOG_NAME).write_bytes((fixtures_dir / "replay" / LOG_NAME).read_bytes())
+    shutil.copyfile(store / LOG_NAME, store / "entries.log")
+    assert main(["replay", "verify", "--store", str(store)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("entries.log: ") and out.endswith("\n5 records, 0 duplicate keys, 0 torn bytes, 1 mismatches\n")
+    assert (store / "entries.log").read_bytes() == (store / LOG_NAME).read_bytes()
     # the converter of earlier layouts is gone
     with pytest.raises(SystemExit) as err:
         main(["replay", "migrate", str(store)])

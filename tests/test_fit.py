@@ -269,14 +269,31 @@ def test_adam_step_hand_computed():
     u = np.array([1.0, -2.0])
     grad = np.array([0.5, -1.0])
     state = AdamState.zeros(2)
+    start = u.copy()
     out = adam_step(u, grad, state, lr=0.1)
+    assert out is u  # updated in place
     # first step: m_hat = grad, v_hat = grad^2 -> step ~ lr * sign(grad)
-    expected = u - 0.1 * grad / (np.abs(grad) + 1e-8)
+    expected = start - 0.1 * grad / (np.abs(grad) + 1e-8)
     np.testing.assert_allclose(out, expected, rtol=1e-6)
     assert state.t == 1
     # second step with same gradient keeps moving the same direction
+    first = out.copy()
     out2 = adam_step(out, grad, state, lr=0.1)
-    assert out2[0] < out[0] and out2[1] > out[1]
+    assert out2[0] < first[0] and out2[1] > first[1]
+    # bit for bit the textbook step u - lr m_hat / (sqrt(v_hat) + eps)
+    rng = np.random.default_rng(6)
+    u, state = rng.normal(size=(3, 7)), AdamState.zeros((3, 7))
+    want, m, v = u.copy(), np.zeros((3, 7)), np.zeros((3, 7))
+    for t in range(1, 6):
+        grad = rng.normal(size=(3, 7)) * 10.0 ** rng.integers(-8, 3)
+        m = 0.9 * m + (1.0 - 0.9) * grad
+        v = 0.999 * v + (1.0 - 0.999) * grad**2
+        m_hat, v_hat = m / (1.0 - 0.9**t), v / (1.0 - 0.999**t)
+        want = want - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        adam_step(u, grad, state, lr=0.01)
+        np.testing.assert_array_equal(state.m, m)
+        np.testing.assert_array_equal(state.v, v)
+        np.testing.assert_array_equal(u, want)
 
 
 def test_trainable_mask():
@@ -332,6 +349,12 @@ def test_all_unparsed_number_pool_predicts_platt_of_half():
     params = ModelParams(theta=np.zeros(0), platt_b=0.7)
     _, _, records = loss_and_grad(pack_params(params), [task], 0, want_grad=False)
     assert records[0][1] == pytest.approx(float(expit(0.7)))
+    # z = platt_b far beyond exp's range: the loss softplus(z) - r z stays
+    # finite and exact, 0.5 |z| for the target 0.5 at either sign
+    for b in (-800.0, 800.0):
+        loss, grad, _ = loss_and_grad(pack_params(dataclasses.replace(params, platt_b=b)), [task], 0)
+        assert loss == pytest.approx(400.0, rel=1e-15)
+        assert grad[5] == pytest.approx(0.5 if b > 0 else -0.5, rel=1e-15)
 
 
 def test_importance_weighting_task_uses_logq():
@@ -470,6 +493,35 @@ def test_non_finite_fold_is_named_with_its_epoch():
     (result,) = fit_params(FitConfig(epochs=5), [task], init, train_rows=rows[:1])
     assert [d for d, _, _ in result.holdout_predictions] == ["t10"]
 
+    # a shape trial with a NaN target: only the folds that count it
+    shape = shape_task()
+    shape.targets[2] = np.nan
+    shape_rows = [[True, True, False, True], [True, True, True, False], [False, True, True, True], [True] * 4]
+    with pytest.raises(NonFinite) as caught:
+        fit_params(FitConfig(epochs=5), [shape], init, train_rows=shape_rows)
+    assert (caught.value.folds, caught.value.epoch) == ([1, 2, 3], 0)
+    (result,) = fit_params(FitConfig(epochs=5), [shape], init, train_rows=shape_rows[:1])
+    assert [d for d, _, _ in result.holdout_predictions] == [shape.ids[2]]
+    assert all(math.isfinite(loss) for loss in result.loss_trace)
+
+    # a mixed batch, the number rows first: fold 0 counts the NaN number
+    # row, fold 2 the NaN trial, fold 1 neither, and fold 3 both
+    mixed_rows = [
+        number + trials
+        for number, trials in (
+            ([True, True, False], [True, True, False, True]),
+            ([True, False, True], [True, True, False, False]),
+            ([False, False, True], [False, True, True, True]),
+            ([True, True, True], [True, True, True, True]),
+        )
+    ]
+    with pytest.raises(NonFinite) as caught:
+        fit_params(FitConfig(epochs=5), [task, shape], init, train_rows=mixed_rows)
+    assert (caught.value.folds, caught.value.epoch) == ([0, 2, 3], 0)
+    (result,) = fit_params(FitConfig(epochs=5), [task, shape], init, train_rows=mixed_rows[1:2])
+    assert [d for d, _, _ in result.holdout_predictions] == ["t10", shape.ids[2], shape.ids[3]]
+    assert all(math.isfinite(loss) for loss in result.loss_trace)
+
 
 def synthetic_number_tasks(n_sets, seed, n_hyps=12, n_rows=6):
     """`n_sets` tuned number tasks of random arrays, each of `n_hyps`
@@ -557,9 +609,13 @@ def assert_constants_match_fresh(task):
     for beta in (0.0, 0.37, 1.0, 8.0):
         sign, past, decay, log_lag, now = fresh_constants(task, beta)
         np.testing.assert_array_equal(task.past, past)
-        # the decay stays the decay_weights lookup, bit for bit
-        got = np.where(task.past, decay_weights(n_trials, beta)[task.decay_index], 0.0)
-        np.testing.assert_array_equal(got, decay)
+        # the decay is a lookup, bit for bit: the lags raised to -beta as the
+        # pass raises them are decay_weights(K, beta), and decay_index reads
+        # them, or slot K, a zero, where the trial is not yet past
+        table = np.zeros(n_trials + 1)
+        np.power(task.lags, -beta, out=table[:-1])
+        np.testing.assert_array_equal(table[:-1], decay_weights(n_trials, beta))
+        np.testing.assert_array_equal(table.take(task.decay_index), decay)
     np.testing.assert_array_equal(task.by_label @ [-1.0, 1.0], sign)
     np.testing.assert_array_equal(task.log_lag, log_lag)
     sums = task.label_sums.reshape(n_batches, n_trials, 4)

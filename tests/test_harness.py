@@ -406,6 +406,28 @@ def test_run_number_experiment_is_the_runner(name, fixtures_dir):
     assert run_number_experiment(cfg) == run_experiment(cfg)[:3]
 
 
+@pytest.mark.parametrize(
+    "name, r2", [("number_tuned.json", 0.9977069131873986), ("number_uniform.json", 0.6857791742188053)]
+)
+def test_number_fixture_fit_keeps_its_holdout_r2(name, r2, fixtures_dir):
+    """The stacked CV fit of each number fixture config, at its seed 0,
+    keeps the holdout R2 it has always had; the tolerance allows for
+    the last bits a BLAS build may change."""
+    cfg = _fixture_config(fixtures_dir, name)
+    assert cfg.seed == 0
+    assert run_experiment(cfg).metrics["holdout_r2"] == pytest.approx(r2, rel=0.0, abs=1e-9)
+
+
+def test_shape_fixture_fit_keeps_its_parameters(fixtures_dir):
+    """The in-sample fit of `shape_online.json` lands on the parameters
+    it has always fit, to 1e-12."""
+    params = run_experiment(_fixture_config(fixtures_dir, "shape_online.json")).params
+    got = [params.epsilon, params.alpha, params.beta, params.temperature]
+    want = [0.4749787112338355, 0.47581600815075653, 0.9022645848657168, 0.9024028486373963]
+    assert got == pytest.approx(want, rel=0.0, abs=1e-12)
+    assert (params.theta.size, params.platt_a, params.platt_b) == (0, 1.0, 0.0)
+
+
 def test_run_online_experiment_is_the_runner_and_never_fits(fixtures_dir):
     cfg = _fixture_config(fixtures_dir, "shape_online.json")
     curves, pools = load_curves(cfg), load_shape_pools(cfg)

@@ -534,6 +534,32 @@ def test_a_store_of_the_earlier_layout_names_the_migrate_command(tmp_path, fixtu
         assert LOG_NAME not in before
 
 
+def test_verify_reports_an_earlier_layout_left_beside_the_log(tmp_path, fixtures_dir):
+    """A one-record v2 `entries.log`, or a `<key>.json` entry, beside the
+    fixture's v3 log: lookups read the v3 log alone, so verify reports
+    each leftover as one mismatch, and every file stays byte for byte."""
+    v3_log = (fixtures_dir / "replay" / LOG_NAME).read_bytes()
+    v2_log = log_record(v2_request_bytes("prompt", {"n": 1}), b"[]")
+    v2_entries = tmp_path / "v2_entries"
+    write_v2_store(ReplayStore(fixtures_dir / "replay"), v2_entries)
+    v2_entry = sorted(os.listdir(v2_entries))[0]
+    for leftover, data in (("entries.log", v2_log), (v2_entry, (v2_entries / v2_entry).read_bytes())):
+        root = tmp_path / f"mixed_{leftover}"
+        root.mkdir()
+        (root / LOG_NAME).write_bytes(v3_log)
+        (root / leftover).write_bytes(data)
+        store = ReplayStore(root)
+        assert store.get("prompt", {"n": 1}) is None
+        assert store.verify() == LogReport(
+            records=5,
+            mismatches=[
+                f"{leftover}: an earlier layout beside {LOG_NAME}, which is the only one "
+                "this version reads, so no lookup reaches its entries"
+            ],
+        )
+        assert {name: (root / name).read_bytes() for name in os.listdir(root)} == {LOG_NAME: v3_log, leftover: data}
+
+
 def test_a_replaced_log_is_indexed_again(tmp_path):
     root, other = tmp_path / "rs", tmp_path / "other"
     store = ReplayStore(root)
