@@ -18,15 +18,19 @@ Grammar (see grammars/number.ebnf):
     power   = primary [ "^" integer ]
     primary = integer | "x" | "(" arith ")"
 
-`or`/`and` and `+ - * mod` are parsed by precedence climbing over the
-tables the formatter reads (`_BOOL_PREC`, `_ARITH_PREC`), all left
-associative. The shape language (`shape.py`) extends this parser and
-shares its boolean layer, `Cmp` node, `COMPARE` table and formatter.
+One `findall` of `_TOKEN` scans a source into a flat list of token
+values, which the parser reads by index; a `DslSyntaxError` scans again
+for its token's position (`_position`). `or`/`and` and `+ - * mod` are
+parsed by precedence climbing over the tables the formatter reads
+(`_BOOL_PREC`, `_ARITH_PREC`), all left associative. The shape language
+(`shape.py`) extends this parser and shares its tokens, boolean layer,
+`Cmp` node, `COMPARE` table and formatter.
 A source whose tree is more than `MAX_DEPTH` nodes deep is a syntax
-error ("nested too deeply"), as is one nested past the parser's own
-recursion limit: evaluating, formatting, comparing and pickling a tree
-all recurse once or more per level, and chains of `or`, `and`, `+`,
-`-`, `*` or `mod` build depth without deepening the parse.
+error ("nested too deeply"), as is one with more than `MAX_DEPTH`
+parentheses open at once or nested past the interpreter's recursion
+limit: evaluating, formatting, comparing and pickling a tree all
+recurse once or more per level, and chains of `or`, `and`, `+`, `-`,
+`*` or `mod` build depth without deepening the parse.
 
 Conventions (these matter for concepts like "powers of two"):
   * prime(1) is false.
@@ -141,7 +145,11 @@ COMPARE = {
 _BOOL_PREC = {"or": 1, "and": 2}
 _ARITH_PREC = {"+": 1, "-": 1, "*": 2, "mod": 2, "^": 3}
 
-# the deepest tree a parse returns, in nodes on a path from the root
+# the operator each token stands for; ^ binds in parse_arith's operands
+_CMP_OPS = {tok: _CMP_CANON.get(tok, tok) for tok in (*COMPARE, "=")}
+_ARITH_OPS = {tok: _CMP_CANON.get(tok, tok) for tok in ("+", "-", "*", "mod", "%")}
+
+# the deepest tree a parse returns (nodes from the root), and the most "(" open
 MAX_DEPTH = 200
 
 
@@ -160,173 +168,200 @@ def _depth(node) -> int:
     return deepest
 
 
-def _tokenize(src: str):
-    """(kind, value, position) tokens and a final eof. A token's
-    position is where the whitespace before it starts."""
-    tokens = []
-    for m in _TOKEN.finditer(src):
-        kind = m.lastgroup
-        text = m.group(kind)
-        if kind == "num":
-            tokens.append(("num", int(text), m.start()))
-        elif kind == "name":
-            tokens.append(("name", text, m.start()))
-        elif kind == "op":
-            tokens.append(("op", _CMP_CANON.get(text, text), m.start()))
-        else:
-            raise DslSyntaxError(f"unexpected character {text!r}", m.start())
-    tokens.append(("eof", None, len(src)))
+def _tokenize(src: str) -> list:
+    """The tokens of `src`, then None for the end: an int per number, a
+    str per name or operator as written. A stray character is an error."""
+    found = _TOKEN.findall(src)
+    tokens = [int(num) if num else name or op for num, name, op, _ in found]
+    if "" in tokens:  # the bad group matched
+        index = tokens.index("")
+        raise DslSyntaxError(f"unexpected character {found[index][3]!r}", _position(src, index))
+    tokens.append(None)
     return tokens
 
 
+def _position(src: str, index: int) -> int:
+    """Where token `index` starts, whitespace before it included; len(src) for the end."""
+    return next((m.start() for i, m in enumerate(_TOKEN.finditer(src)) if i == index), len(src))
+
+
+def _is_name(token) -> bool:
+    return type(token) is str and token.isidentifier()
+
+
+class _Fail(Exception):
+    """A syntax error as (message, token index), positioned by `parse`."""
+
+
 class _Parser:
+    """Recursive descent by index over `_tokenize`'s flat list: a method
+    call per grammar rule, none per token."""
+
     def __init__(self, src: str):
-        self.src = src
-        self.tokens = _tokenize(src)
+        self.toks = _tokenize(src)
         self.i = 0
+        self.depth = 0  # parentheses open
 
     @classmethod
     def parse(cls, src: str):
-        """The expression that is the whole of `src`. A source nested
-        deeper than the interpreter's recursion limit allows, or whose
-        tree is deeper than MAX_DEPTH, is a syntax error like any other."""
+        """The expression that is the whole of `src`. A source nested too
+        deeply (see the module docstring) is a syntax error like any other."""
         parser = cls(src)
         try:
             node = parser.parse_expr()
+            if parser.toks[parser.i] is not None:
+                parser.fail(f"trailing input {parser.shown(parser.i)!r}")
+        except _Fail as err:
+            raise DslSyntaxError(err.args[0], _position(src, err.args[1])) from None
         except RecursionError:
-            raise DslSyntaxError("nested too deeply", parser.peek()[2]) from None
-        if parser.peek()[0] != "eof":
-            parser.fail(f"trailing input {parser.peek()[1]!r}")
+            raise DslSyntaxError("nested too deeply", _position(src, parser.i)) from None
         # a tree has at most two nodes per token, so short sources skip the walk
-        if 2 * len(parser.tokens) > MAX_DEPTH and _depth(node) > MAX_DEPTH:
+        if 2 * len(parser.toks) > MAX_DEPTH and _depth(node) > MAX_DEPTH:
             raise DslSyntaxError("nested too deeply", 0)
         return node
 
-    def peek(self):
-        return self.tokens[self.i]
+    def shown(self, index):
+        """Token `index` as error messages give it."""
+        return _CMP_CANON.get(self.toks[index], self.toks[index])
 
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    def fail(self, message, index=None):
+        raise _Fail(message, self.i if index is None else index)
 
-    def expect(self, kind, value=None):
-        tok = self.next()
-        if tok[0] != kind or (value is not None and tok[1] != value):
-            want = value if value is not None else kind
-            raise DslSyntaxError(f"expected {want!r}, found {tok[1]!r}", tok[2])
-        return tok
+    def expected(self, want, index):
+        self.fail(f"expected {want!r}, found {self.shown(index)!r}", index)
 
-    def fail(self, message):
-        raise DslSyntaxError(message, self.peek()[2])
+    def open(self):
+        """Read a "(": past MAX_DEPTH open, stop as the recursion limit would."""
+        if self.toks[self.i] != "(":
+            self.expected("(", self.i)
+        if self.depth == MAX_DEPTH:
+            raise RecursionError
+        self.i, self.depth = self.i + 1, self.depth + 1
+
+    def close(self):
+        if self.toks[self.i] != ")":
+            self.expected(")", self.i)
+        self.i, self.depth = self.i + 1, self.depth - 1
 
     # booleans ------------------------------------------------------------
 
     def parse_expr(self, min_prec=1):
-        node = self.parse_unary()
-        while _BOOL_PREC.get(self.peek()[1], 0) >= min_prec:
-            op = self.next()[1]
+        toks = self.toks
+        if toks[self.i] == "not":
+            self.i += 1
+            node = Not(self.parse_expr(3))  # not binds tighter than and
+        else:
+            node = self.parse_atom()
+        while _BOOL_PREC.get(toks[self.i], 0) >= min_prec:
+            op = toks[self.i]
+            self.i += 1
             node = BoolOp(op, node, self.parse_expr(_BOOL_PREC[op] + 1))
         return node
 
-    def parse_unary(self):
-        if self.peek()[:2] == ("name", "not"):
-            self.next()
-            return Not(self.parse_unary())
-        return self.parse_atom()
-
     def parse_atom(self):
-        kind, value, pos = self.peek()
-        if kind == "name" and value in ("true", "false"):
-            self.next()
-            return BoolLit(value == "true")
-        if kind == "name" and value == "in_set":
+        toks, i = self.toks, self.i
+        token = toks[i]
+        if token == "true" or token == "false":
+            self.i = i + 1
+            return BoolLit(token == "true")
+        if token == "in_set":
             return self.parse_in_set()
-        if kind == "name" and value in PREDICATES:
+        if token in PREDICATES:
             return self.parse_pred()
-        if kind == "op" and value == "(":
+        if token == "(":
             # could be a parenthesized boolean or the start of an
             # arithmetic comparison; backtrack on comparison failure
-            saved = self.i
-            self.next()
+            depth = self.depth
+            self.open()
             try:
                 node = self.parse_expr()
-                self.expect("op", ")")
-                if self.peek()[1] in COMPARE:
-                    raise DslSyntaxError("arith context", pos)
-                return node
-            except DslSyntaxError:
-                self.i = saved
+                if toks[self.i] == ")" and toks[self.i + 1] not in _CMP_OPS:
+                    self.close()
+                    return node
+            except _Fail:
+                pass
+            self.i, self.depth = i, depth
         return self.parse_comparison()
 
     def parse_pred(self):
-        _, name, _ = self.next()
-        self.expect("op", "(")
+        name = self.toks[self.i]
+        self.i += 1
+        self.open()
         args = [self.parse_arith()]
-        while self.peek()[:2] == ("op", ","):
-            self.next()
+        while self.toks[self.i] == ",":
+            self.i += 1
             args.append(self.parse_arith())
-        self.expect("op", ")")
+        self.close()
         if len(args) != PREDICATES[name]:
             self.fail(f"{name} takes {PREDICATES[name]} argument(s), got {len(args)}")
         return Pred(name, tuple(args))
 
     def parse_in_set(self):
-        self.next()  # in_set
-        self.expect("op", "(")
-        self.expect("op", "{")
-        members = [self.expect("num")[1]]
-        while self.peek()[:2] == ("op", ","):
-            self.next()
-            members.append(self.expect("num")[1])
-        self.expect("op", "}")
-        self.expect("op", ",")
+        toks = self.toks
+        self.i += 1  # in_set
+        self.open()
+        i, members = self.i, []
+        if toks[i] != "{":
+            self.expected("{", i)
+        while not members or toks[i] == ",":
+            if type(toks[i + 1]) is not int:
+                self.expected("num", i + 1)
+            members.append(toks[i + 1])
+            i += 2
+        if toks[i] != "}":
+            self.expected("}", i)
+        if toks[i + 1] != ",":
+            self.expected(",", i + 1)
+        self.i = i + 2
         arg = self.parse_arith()
-        self.expect("op", ")")
+        self.close()
         return InSet(tuple(members), arg)
 
     def parse_comparison(self):
         left = self.parse_arith()
-        if self.peek()[1] not in COMPARE:
+        op = _CMP_OPS.get(self.toks[self.i])
+        if op is None:
             self.fail("expected a comparison operator")
         node = None
-        while self.peek()[1] in COMPARE:
-            op = self.next()[1]
+        while op is not None:
+            self.i += 1
             right = self.parse_arith()
             link = Cmp(op, left, right)
             node = link if node is None else BoolOp("and", node, link)
             left = right
+            op = _CMP_OPS.get(self.toks[self.i])
         return node
 
     # arithmetic ----------------------------------------------------------
 
     def parse_arith(self, min_prec=1):
-        node = self.parse_power()
-        # ^ binds in parse_power: it takes one integer exponent and does not chain
-        while min_prec <= _ARITH_PREC.get(self.peek()[1], 0) < _ARITH_PREC["^"]:
-            op = self.next()[1]
-            node = Arith(op, node, self.parse_arith(_ARITH_PREC[op] + 1))
-        return node
-
-    def parse_power(self):
-        node = self.parse_primary()
-        if self.peek()[:2] == ("op", "^"):
-            self.next()
-            exponent = self.expect("num")[1]
-            node = Arith("^", node, Lit(exponent))
-        return node
-
-    def parse_primary(self):
-        kind, value, pos = self.next()
-        if kind == "num":
-            return Lit(value)
-        if kind == "name" and value == "x":
-            return Var()
-        if kind == "op" and value == "(":
+        """Operands are an integer, x or a parenthesized arith, with at
+        most one `^ integer`: ^ takes one integer exponent and does not chain."""
+        toks, i = self.toks, self.i
+        token = toks[i]
+        if type(token) is int:
+            node, i = Lit(token), i + 1
+        elif token == "x":
+            node, i = Var(), i + 1
+        elif token == "(":
+            self.open()
             node = self.parse_arith()
-            self.expect("op", ")")
-            return node
-        raise DslSyntaxError(f"unexpected token {value!r}", pos)
+            self.close()
+            i = self.i
+        else:
+            self.fail(f"unexpected token {self.shown(i)!r}", i)
+        if toks[i] == "^":
+            if type(toks[i + 1]) is not int:
+                self.expected("num", i + 1)
+            node, i = Arith("^", node, Lit(toks[i + 1])), i + 2
+        op = _ARITH_OPS.get(toks[i])
+        while op is not None and _ARITH_PREC[op] >= min_prec:
+            self.i = i + 1
+            node = Arith(op, node, self.parse_arith(_ARITH_PREC[op] + 1))
+            i = self.i
+            op = _ARITH_OPS.get(toks[i])
+        self.i = i
+        return node
 
 
 def parse_number_concept(src: str):

@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..types import COLORS, SHAPES, SIZES, ShapeObject
-from .number import COMPARE, BoolLit, BoolOp, Cmp, DslSyntaxError, Not, format_bool
+from .number import COMPARE, _CMP_OPS, BoolLit, BoolOp, Cmp, Not, _is_name, format_bool
 from .number import _Parser as _BoolParser
 
 KEYWORDS = {"forall", "exists", "count", "in", "and", "or", "not", "true", "false"}
@@ -76,105 +76,110 @@ class Quant:
     body: object
 
 
+# each shape, color and size name as one node that every tree shares
+_CONSTANTS = {s: Const("shape", s) for s in SHAPES} | {c: Const("color", c) for c in COLORS}
+_CONSTANTS |= {name: Const("int", size) for name, size in SIZE_CONSTS.items()}
+
+
 def _value_kind(node) -> str:
-    if isinstance(node, Const):
-        return node.kind
-    if isinstance(node, VarRef):
-        return node.kind
     if isinstance(node, Accessor):
-        return {"shape": "shape", "color": "color", "size": "int"}[node.field]
-    if isinstance(node, Count):
-        return "int"
-    raise AssertionError(node)
+        return "int" if node.field == "size" else node.field
+    return "int" if isinstance(node, Count) else node.kind
 
 
 class _Parser(_BoolParser):
     """The number parser's tokens and boolean layer, with shape atoms
     and an environment of bound variables."""
 
-    def __init__(self, src: str):
-        super().__init__(src)
-        self.env = {"this": "object"}
+    env = {"this": "object"}  # variable -> kind; a binder replaces it, never changes it
 
     def parse_atom(self):
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "(":
-            self.next()
+        token = self.toks[self.i]
+        if token == "(":
+            self.open()
             node = self.parse_expr()
-            self.expect("op", ")")
+            self.close()
             return node
-        if kind == "name" and value in ("true", "false"):
-            self.next()
-            return BoolLit(value == "true")
-        if kind == "name" and value in ("forall", "exists"):
-            self.next()
-            return Quant(value, *self.parse_binder())
+        if token == "true" or token == "false":
+            self.i += 1
+            return BoolLit(token == "true")
+        if token == "forall" or token == "exists":
+            self.i += 1
+            return Quant(token, *self.parse_binder())
         return self.parse_comparison()
 
     def parse_binder(self):
         """`(var in domain, body)` after forall, exists or count, as
         (var, domain, body); var is bound in body only."""
-        self.expect("op", "(")
-        _, var, pos = self.expect("name")
+        toks = self.toks
+        self.open()
+        i = self.i
+        var = toks[i]
+        if not _is_name(var):
+            self.expected("name", i)
         if var in KEYWORDS or var in OBJECT_SETS or var in FEATURE_SETS:
-            raise DslSyntaxError(f"{var!r} cannot be a variable name", pos)
-        self.expect("name", "in")
-        _, dom, dpos = self.expect("name")
-        if dom in OBJECT_SETS:
-            var_kind = "object"
-        elif dom in FEATURE_SETS:
-            var_kind = FEATURE_SETS[dom]
-        else:
-            raise DslSyntaxError(f"unknown set {dom!r}", dpos)
-        self.expect("op", ",")
+            self.fail(f"{var!r} cannot be a variable name", i)
+        if toks[i + 1] != "in":
+            self.expected("in", i + 1)
+        dom = toks[i + 2]
+        var_kind = "object" if dom in OBJECT_SETS else FEATURE_SETS.get(dom)
+        if var_kind is None:
+            if not _is_name(dom):
+                self.expected("name", i + 2)
+            self.fail(f"unknown set {dom!r}", i + 2)
+        if toks[i + 3] != ",":
+            self.expected(",", i + 3)
+        self.i = i + 4
         outer = self.env
         self.env = {**outer, var: var_kind}
         body = self.parse_expr()
         self.env = outer
-        self.expect("op", ")")
+        self.close()
         return var, dom, body
 
     def parse_comparison(self):
         left = self.parse_value()
-        _, op, pos = self.next()
-        if op not in COMPARE:
-            raise DslSyntaxError(f"expected a comparison operator, found {op!r}", pos)
+        i = self.i
+        op = _CMP_OPS.get(self.toks[i])
+        if op is None:
+            self.fail(f"expected a comparison operator, found {self.shown(i)!r}", i)
+        self.i = i + 1
         right = self.parse_value()
         lk, rk = _value_kind(left), _value_kind(right)
         if lk != rk:
-            raise DslSyntaxError(f"cannot compare {lk} with {rk}", pos)
+            self.fail(f"cannot compare {lk} with {rk}", i)
         if lk in ("shape", "color") and op not in ("==", "!="):
-            raise DslSyntaxError(f"{lk} values support == and != only", pos)
-        if lk == "object":
-            raise DslSyntaxError("objects are not comparable; compare features", pos)
+            self.fail(f"{lk} values support == and != only", i)
         return Cmp(op, left, right)
 
     def parse_value(self):
-        kind, value, pos = self.next()
-        if kind == "num":
-            return Const("int", value)
-        if kind != "name":
-            raise DslSyntaxError(f"unexpected token {value!r}", pos)
-        if value == "count":
+        toks, i = self.toks, self.i
+        token = toks[i]
+        self.i = i + 1
+        if type(token) is int:
+            return Const("int", token)
+        if token == "count":
             return Count(*self.parse_binder())
-        if value in SHAPES:
-            return Const("shape", value)
-        if value in COLORS:
-            return Const("color", value)
-        if value in SIZE_CONSTS:
-            return Const("int", SIZE_CONSTS[value])
-        if value in self.env:
-            var_kind = self.env[value]
-            if var_kind == "object" or self.peek()[:2] == ("op", "."):
-                self.expect("op", ".")
-                _, field, fpos = self.expect("name")
-                if field not in ("shape", "color", "size"):
-                    raise DslSyntaxError(f"unknown field {field!r}", fpos)
-                if var_kind != "object":
-                    raise DslSyntaxError(f"{value!r} is not an object variable", fpos)
-                return Accessor(value, field)
-            return VarRef(value, var_kind)
-        raise DslSyntaxError(f"unbound variable {value!r}", pos)
+        if token in _CONSTANTS:
+            return _CONSTANTS[token]
+        var_kind = self.env.get(token)
+        if var_kind is None:
+            if not _is_name(token):
+                self.fail(f"unexpected token {self.shown(i)!r}", i)
+            self.fail(f"unbound variable {token!r}", i)
+        if var_kind != "object" and toks[i + 1] != ".":
+            return VarRef(token, var_kind)
+        if toks[i + 1] != ".":
+            self.expected(".", i + 1)
+        field = toks[i + 2]
+        if field not in ("shape", "color", "size"):
+            if not _is_name(field):
+                self.expected("name", i + 2)
+            self.fail(f"unknown field {field!r}", i + 2)
+        if var_kind != "object":
+            self.fail(f"{token!r} is not an object variable", i + 2)
+        self.i = i + 3
+        return Accessor(token, field)
 
 
 def parse_shape_concept(src: str):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Sequence
 
@@ -38,7 +39,9 @@ from .types import (
 def load_pool(path, domain: str) -> List[Hypothesis]:
     """Load a hypothesis pool, parsing each distinct DSL source once per
     call: rows with equal `dsl` share one program, and so its memoized
-    number extension.
+    number extension. Each row's text is canonicalized once, by the
+    `Hypothesis` it builds; a row whose text is not canonical (a pool
+    `save_pool` did not write) is built again from its key.
 
     Rules that fail to parse are kept as Unparsed so the pool size still
     matches the proposal budget.
@@ -52,14 +55,8 @@ def load_pool(path, domain: str) -> List[Hypothesis]:
         src = row.get("dsl", "")
         if src not in programs:
             programs[src] = _parse_program(src, domain)
-        out.append(
-            Hypothesis(
-                nl_text=canonicalize_nl(row["nl"]),
-                program=programs[src],
-                proposal_logprob=row.get("logq"),
-                source_batch=row.get("batch"),
-            )
-        )
+        h = Hypothesis(row["nl"], programs[src], row.get("logq"), row.get("batch"))
+        out.append(h if h.nl_text == h.key else replace(h, nl_text=h.key))
     return out
 
 

@@ -7,7 +7,6 @@ threads, and use as cache keys.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,7 +43,13 @@ class Unparsed:
 
 @dataclass(frozen=True)
 class Hypothesis:
-    """A candidate rule: NL text plus its compiled concept program."""
+    """A candidate rule: NL text plus its compiled concept program.
+
+    `key` is the canonical NL (`canonicalize_nl(nl_text)`), computed once
+    when the instance is built and kept in its `__dict__`: not a field,
+    so it is left out of repr, equality and hashing, and
+    `dataclasses.replace` computes it again for the new text.
+    """
 
     nl_text: str
     program: object  # ConceptProgram or Unparsed
@@ -52,13 +57,9 @@ class Hypothesis:
     source_batch: Optional[int] = None
 
     def __post_init__(self):
-        if not self.key:
+        key = self.__dict__["key"] = canonicalize_nl(self.nl_text)
+        if not key:
             raise ValueError("hypothesis text is empty after normalization")
-
-    @cached_property
-    def key(self) -> str:
-        """Canonical NL, computed once: the instance is immutable."""
-        return canonicalize_nl(self.nl_text)
 
     @property
     def parsed(self) -> bool:

@@ -841,13 +841,16 @@ def test_missing_domain_input_is_a_usage_error(command, domain, flag, fixtures_d
     assert not (tmp_path / "pool.jsonl").exists()
 
 
-def test_import_loads_neither_scipy_nor_requests():
-    """A fresh interpreter that imports the CLI, the harness and propose
-    loads neither scipy nor requests: the library's logistic is numpy's,
-    and only live LM calls import requests. Nor does it load orjson,
-    which only the replay store's codec imports."""
+def test_import_loads_neither_scipy_nor_requests(fixtures_dir):
+    """A fresh interpreter that imports the CLI, the harness and propose,
+    then loads a shape pool and a number pool, loads neither scipy nor
+    requests: the library's logistic is numpy's, and only live LM calls
+    import requests. Nor does it load orjson, which only the replay
+    store's codec imports."""
+    pools = [fixtures_dir / "shape" / "green_triangles_pool.jsonl", fixtures_dir / "number_pool_size_principle.jsonl"]
     code = (
         "import sys, nlconcepts.cli, nlconcepts.harness, nlconcepts.propose; "
+        f"from nlconcepts import io; io.load_pool({str(pools[0])!r}, 'shape'); io.load_pool({str(pools[1])!r}, 'number'); "
         "heavy = sorted({'scipy', 'requests', 'orjson'} & set(sys.modules)); assert not heavy, heavy"
     )
     src = str(Path(nlconcepts.__file__).resolve().parents[1])

@@ -23,6 +23,9 @@ from nlconcepts.dsl.number import (
     Not,
     Pred,
     Var,
+    _CMP_CANON,
+    _is_name,
+    _position,
     _tokenize,
     format_number_concept,
     parse_number_concept,
@@ -138,6 +141,15 @@ PARSE_ERRORS = [
     ("between(1, x)", "between takes 3 argument(s), got 2", 13),
     ("x mod", "unexpected token None", 5),
     ("(x < 3", "expected ')', found '<'", 2),
+    ("x ^ x < 3", "expected 'num', found 'x'", 3),
+    ("even x", "expected '(', found 'x'", 4),
+    ("even(x", "expected ')', found None", 6),
+    ("in_set x", "expected '(', found 'x'", 6),
+    ("in_set(1, x)", "expected '{', found 1", 7),
+    ("in_set({x}, x)", "expected 'num', found 'x'", 8),
+    ("in_set({1 2}, x)", "expected '}', found 2", 9),
+    ("in_set({1} x)", "expected ',', found 'x'", 10),
+    ("in_set({1}, x", "expected ')', found None", 13),
 ]
 
 
@@ -233,10 +245,22 @@ def test_format_round_trip_fuzzed():
 
 
 def _tokens_or_error(tokenize, src):
+    """The reference's (kind, value, position) tokens, or ("error",
+    message, position). The library's tokens are bare values, whose
+    positions are worked out on demand."""
     try:
-        return tokenize(src)
+        tokens = tokenize(src)
     except DslSyntaxError as err:
         return ("error", str(err), err.pos)
+    if tokenize is not _tokenize:
+        return tokens
+
+    def kind(token):
+        if token is None:
+            return "eof"
+        return "num" if type(token) is int else "name" if _is_name(token) else "op"
+
+    return [(kind(t), _CMP_CANON.get(t, t), _position(src, i)) for i, t in enumerate(tokens)]
 
 
 TOKENIZER_EDGE_CASES = [
@@ -282,6 +306,6 @@ def test_tokenizer_matches_the_reference(fixtures_dir):
     errors = [src for src in sources if _tokens_or_error(oracle.tokenize, src)[0] == "error"]
     assert len(errors) > 1000
     # positions count from the whitespace before a token, errors included
-    assert _tokenize("2x") == [("num", 2, 0), ("name", "x", 1), ("eof", None, 2)]
-    assert _tokenize("\u0663 < x")[:2] == [("num", 3, 0), ("op", "<", 1)]
+    assert _tokens_or_error(_tokenize, "2x") == [("num", 2, 0), ("name", "x", 1), ("eof", None, 2)]
+    assert _tokens_or_error(_tokenize, "\u0663 < x")[:2] == [("num", 3, 0), ("op", "<", 1)]
     assert _tokens_or_error(_tokenize, "x ? 3") == ("error", "unexpected character '?' (at position 1)", 1)

@@ -184,6 +184,21 @@ PARSE_ERRORS = [
     ("exists(o in all, o.size == 1) and o.size == 2", "unbound variable 'o'", 33),
     ("this.color == 3", "cannot compare color with int", 10),
     ("this.color < blue", "color values support == and != only", 10),
+    ("(this.size == 1", "expected ')', found None", 15),
+    ("forall o in all, true", "expected '(', found 'o'", 6),
+    ("exists(1 in all, true)", "expected 'name', found 1", 7),
+    # % is read as mod, and named so
+    ("exists(% in all, true)", "expected 'name', found 'mod'", 7),
+    ("exists(o on all, true)", "expected 'in', found 'on'", 8),
+    ("exists(o in 1, true)", "expected 'name', found 1", 11),
+    ("exists(o in all true)", "expected ',', found 'true'", 15),
+    ("exists(o in all, true", "expected ')', found None", 21),
+    ("this.size", "expected a comparison operator, found None", 9),
+    ("this.size % 2", "expected a comparison operator, found 'mod'", 9),
+    ("this.size == )", "unexpected token ')'", 12),
+    ("this == this", "expected '.', found '=='", 4),
+    ("this.1 == 1", "expected 'name', found 1", 5),
+    ("this.weight == 3", "unknown field 'weight'", 5),
 ]
 
 

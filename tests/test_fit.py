@@ -628,6 +628,10 @@ def assert_constants_match_fresh(task):
     g = np.zeros((n_batches, n_trials))
     g[now] = dl
     np.testing.assert_array_equal(task.in_batch * dl, g)
+    # the truth matrix's transpose, C-contiguous, follows a replaced truth matrix
+    for compiled in (task, dataclasses.replace(task, consist=1.0 - task.consist)):
+        np.testing.assert_array_equal(compiled.consist_t, compiled.consist.T)
+        assert compiled.consist_t.flags.c_contiguous
 
 
 @pytest.mark.parametrize("seed", range(6))

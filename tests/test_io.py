@@ -56,6 +56,17 @@ def test_pool_load_parses_each_distinct_source_once(tmp_path, monkeypatch):
     assert not {id(h.program) for h in first} & {id(h.program) for h in second}
 
 
+def test_pool_load_canonicalizes_each_rows_text(tmp_path):
+    """A row's text and key are canonical after a load, whether the
+    file's text was or not."""
+    path = tmp_path / "pool.jsonl"
+    texts = ["  The Number  is EVEN. ", "the number is even"]
+    path.write_text("".join(json.dumps({"nl": nl, "dsl": "even(x)"}) + "\n" for nl in texts))
+    pool = io.load_pool(path, "number")
+    assert [(h.nl_text, h.key) for h in pool] == [("the number is even", "the number is even")] * 2
+    assert pool[0] == pool[1]
+
+
 def test_pool_load_skips_blank_lines(tmp_path):
     path = tmp_path / "pool.jsonl"
     path.write_text('{"nl": "the number is even", "dsl": "even(x)"}\n\n')
