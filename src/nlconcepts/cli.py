@@ -28,8 +28,21 @@ from .propose import (
 from .types import ModelParams, NumberExampleSet
 
 
-def _parse_examples(text: str) -> NumberExampleSet:
-    return NumberExampleSet([int(x) for x in text.replace(",", " ").split()])
+def _ints(build=list):
+    """An argparse `type`: comma- or space-separated integers, at least
+    one, passed to `build`. A value it refuses is a usage error naming
+    the flag (exit 2)."""
+
+    def parse(text: str):
+        try:
+            values = [int(x) for x in text.replace(",", " ").split()]
+            if not values:
+                raise ValueError("needs at least one integer")
+            return build(values)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+
+    return parse
 
 
 def _make_backend(args, domain: str):
@@ -65,7 +78,7 @@ def _upto_batch(args, curve) -> int:
 
 def _cmd_propose(args) -> int:
     if args.domain == "number":
-        examples = _parse_examples(args.examples)
+        examples = args.examples
         req_domain = "ablation_unconditioned" if args.unconditioned else "number"
     else:  # after the first b batches; before any, the first-batch prompt
         curve = io.load_learning_curve(args.curve)
@@ -103,7 +116,7 @@ def _cmd_infer(args) -> int:
     cfg = harness.ExperimentConfig(args.domain, prior=args.prior, scores_path=scores, feature_dim=dim)
     pool = io.load_pool(args.pool, args.domain)
     if args.domain == "number":
-        state = harness.infer_number(cfg, pool, _parse_examples(args.examples), params)
+        state = harness.infer_number(cfg, pool, args.examples, params)
     else:
         curve = io.load_learning_curve(args.curve)
         state = harness.infer_shape(cfg, pool, curve, _upto_batch(args, curve), params)
@@ -198,9 +211,7 @@ def _cmd_sweep(args) -> int:
     cfg = harness.ExperimentConfig.from_json(args.config)
     if cfg.domain == SHAPE_DOMAIN:  # before any data file is read
         raise ValueError(f"sweep needs a number config; {args.config} has domain {cfg.domain!r}")
-    budgets = [int(x) for x in args.budgets.split(",")]
-    seeds = [int(x) for x in args.seeds.split(",")]
-    rows = harness.budget_sweep(cfg, budgets, seeds)
+    rows = harness.budget_sweep(cfg, args.budgets, args.seeds)
     harness.emit_sweep_table(rows, args.out)
     for row in rows:
         print(f"budget {row['budget']}: R^2 {row['mean_r2']:.4f} +/- {row['sem_r2']:.4f}")
@@ -216,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("propose", help="draw a hypothesis pool")
     p.add_argument("--domain", choices=("number", "shape"), required=True)
-    p.add_argument("--examples", help="comma-separated numbers (number domain)")
+    p.add_argument("--examples", type=_ints(NumberExampleSet), help="comma-separated numbers (number domain)")
     p.add_argument("--curve", help="learning-curve JSON (shape domain)")
     p.add_argument("--upto-batch", type=int, default=0)
     p.add_argument("--budget", type=int, default=100)
@@ -237,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infer", help="posterior over a hypothesis pool")
     p.add_argument("--domain", choices=("number", "shape"), required=True)
     p.add_argument("--pool", required=True)
-    p.add_argument("--examples", help="comma-separated numbers (number domain)")
+    p.add_argument("--examples", type=_ints(NumberExampleSet), help="comma-separated numbers (number domain)")
     p.add_argument("--curve", help="learning-curve JSON (shape domain)")
     p.add_argument("--upto-batch", type=int, default=0)
     p.add_argument("--params", help="fitted parameter JSON")
@@ -272,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="holdout fit vs. proposal budget")
     p.add_argument("--config", required=True)
-    p.add_argument("--budgets", default="1,3,10,30,100")
-    p.add_argument("--seeds", default="0,1,2")
+    p.add_argument("--budgets", type=_ints(), default="1,3,10,30,100")
+    p.add_argument("--seeds", type=_ints(), default="0,1,2")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
 

@@ -57,7 +57,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .likelihood import count_logliks, positive_probs
-from .posterior import expit, logit, softmax_masked
+from .posterior import PROB_CLAMP, expit, logit, softmax_masked
 from .types import ModelParams
 
 ALL_PARAM_GROUPS = ("theta", "epsilon", "alpha", "beta", "temperature", "platt")
@@ -106,13 +106,13 @@ def reparam(unconstrained: float, kind: str) -> float:
 _T_MIN, _T_MAX = reparam(-700.0, "positive"), reparam(700.0, "positive")
 
 
-def bce_loss_and_slope(pred, yes, no, delta: float = 1e-6):
+def bce_loss_and_slope(pred, yes, no):
     """The binary cross-entropy -sum(yes log p + no log(1 - p)) of the
-    predictions `pred` clamped to p in [delta, 1 - delta], and its
-    derivative in each prediction, 0 where the clamp moves it. `yes` is
-    the target where a row counts and `no` one minus it, both 0 where
+    predictions `pred` clamped to p in [PROB_CLAMP, 1 - PROB_CLAMP], and
+    its derivative in each prediction, 0 where the clamp moves it. `yes`
+    is the target where a row counts and `no` one minus it, both 0 where
     it does not."""
-    p = np.minimum(np.maximum(pred, delta), 1.0 - delta)
+    p = np.minimum(np.maximum(pred, PROB_CLAMP), 1.0 - PROB_CLAMP)
     q = 1.0 - p
     loss = -(np.dot(yes, np.log(p)) + np.dot(no, np.log(q)))
     # d/dp of -(r log p + (1 - r) log q) is (1 - r) / q - r / p
@@ -190,11 +190,11 @@ class ShapeTask:
     it reads, which depend on the labels, the batches and the number B
     of rows of `visible` alone (the fields after `domain`). With
     lag[b, k] = K_b - k, how far trial k lies behind the start of batch
-    b (K_b trials come before it), they are: which trials lie before
-    each batch, the decay lookup (`lags`, the K lags of
-    `decay_weights(K, beta)`, and `decay_index`, where lag^-beta lies in
-    that table of K weights followed by a zero slot), log lag, and the
-    sums over a trial's label that the gradient takes. `consist_t` is a
+    b (K_b trials come before it), they are: the decay lookup (`lags`,
+    the K lags of `decay_weights(K, beta)`, and `decay_index`, where
+    lag^-beta lies in that table of K weights followed by a zero slot
+    for trials not yet past), and the sums over a trial's label, plain
+    and weighted by log lag, that the gradient takes. `consist_t` is a
     C-contiguous copy of `consist.T` for the gradient's g @ c^T, which
     BLAS runs about twice as fast as with the transposed view. The
     scores keep the view: the copy rounds their sums differently, and
@@ -216,12 +216,9 @@ class ShapeTask:
     domain: str = "shape"
 
     positive: np.ndarray = field(init=False, repr=False)  # (K,) the label is positive
-    by_label: np.ndarray = field(init=False, repr=False)  # (K, 2) 1.0 where the label is negative, positive
-    past: np.ndarray = field(init=False, repr=False)  # (B, K) lag[b, k] > 0: trial k comes before batch b
     lags: np.ndarray = field(init=False, repr=False)  # (K,) K, K - 1, ..., 1 as floats
     decay_index: np.ndarray = field(init=False, repr=False)  # (B, K) K - lag where past, else K (the zero slot)
-    log_lag: np.ndarray = field(init=False, repr=False)  # (B, K) log lag where past, else 0
-    label_sums: np.ndarray = field(init=False, repr=False)  # (B·K, 4) by_label, then log_lag times it
+    label_sums: np.ndarray = field(init=False, repr=False)  # (B·K, 4) negative, positive label; those times log lag
     now: np.ndarray = field(init=False, repr=False)  # (K,) flat index batch[k]·K + k into a (B, K) array
     in_batch: np.ndarray = field(init=False, repr=False)  # (B, K) 1.0 where batch[k] = b
     consist_t: np.ndarray = field(init=False, repr=False)  # (K, G) consist.T, C-contiguous
@@ -239,15 +236,14 @@ class ShapeTask:
         self.count = np.asarray(self.count, dtype=float)
         n_batches, n_trials = self.visible.shape[0], len(self.labels)
         self.positive = self.labels > 0
-        self.by_label = np.stack([~self.positive, self.positive], axis=1).astype(float)
+        by_label = np.stack([~self.positive, self.positive], axis=1).astype(float)
         lag = np.searchsorted(self.batch, np.arange(n_batches))[:, None] - np.arange(n_trials)
-        self.past = lag > 0
-        lag = np.where(self.past, lag, 1)
+        past = lag > 0
+        lag = np.where(past, lag, 1)
         self.lags = np.arange(n_trials, 0, -1, dtype=float)
-        self.decay_index = np.where(self.past, n_trials - lag, n_trials)
-        self.log_lag = np.log(lag.astype(float))
-        by_trial = np.broadcast_to(self.by_label, lag.shape + (2,))
-        lagged = self.log_lag[:, :, None] * by_trial
+        self.decay_index = np.where(past, n_trials - lag, n_trials)
+        by_trial = np.broadcast_to(by_label, lag.shape + (2,))
+        lagged = np.log(lag.astype(float))[:, :, None] * by_trial
         self.label_sums = np.concatenate([by_trial, lagged], axis=2).reshape(-1, 4)
         self.now = self.batch * n_trials + np.arange(n_trials)
         self.in_batch = (self.batch == np.arange(n_batches)[:, None]).astype(float)
@@ -427,7 +423,7 @@ def _number_rows(stack, batch: TaskBatch, dim, rows: FitRows, grad):
     if not batch.all_alive:  # nothing parses: the noise-only prediction 0.5, through the Platt transform
         p_raw[:, ~batch.any_alive] = 0.5
     p_raw = p_raw.reshape(n_fits, -1)
-    p_c = np.minimum(np.maximum(p_raw, 1e-6), 1.0 - 1e-6)
+    p_c = np.minimum(np.maximum(p_raw, PROB_CLAMP), 1.0 - PROB_CLAMP)
     q_c = 1.0 - p_c
     logit_p = np.log(p_c / q_c)
     # -z for z = b + a logit p; pred = expit(z) from exp(min(-z, 709)), as
@@ -609,7 +605,7 @@ def loss_and_grad(u: np.ndarray, tasks, dim: int, want_grad: bool = True, rows=N
     target) per row) for one vector, (loss (F,), grad (F, P),
     predictions (F, N)) for a stack; grad is None without want_grad.
     """
-    batch = tasks if isinstance(tasks, TaskBatch) else stack_tasks(tasks)
+    batch = stack_tasks(tasks)
     one = np.ndim(u) == 1
     stack = np.atleast_2d(u) if one else u
     if not isinstance(rows, FitRows):
@@ -667,28 +663,26 @@ class AdamState:
         return cls(m=np.zeros(shape), v=np.zeros(shape))
 
 
-def adam_step(
-    u: np.ndarray,
-    grad: np.ndarray,
-    state: AdamState,
-    lr: float = 0.001,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> np.ndarray:
+# the moments' decay rates and the step's offset at the values of Kingma
+# and Ba (2015), "Adam: A Method for Stochastic Optimization"
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+def adam_step(u: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> np.ndarray:
     """One Adam step: `u`, `state.m` and `state.v` are updated in place,
     and `u` is returned. The step is u - lr m_hat / (sqrt(v_hat) + eps),
-    with the bias-corrected moments m_hat and v_hat."""
+    with the bias-corrected moments m_hat and v_hat, decay rates
+    ADAM_BETA1 and ADAM_BETA2, and eps ADAM_EPS."""
     state.t += 1
-    state.m *= beta1
-    state.m += (1.0 - beta1) * grad
-    state.v *= beta2
-    state.v += (1.0 - beta2) * grad**2
-    step = state.m / (1.0 - beta1**state.t)
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * grad
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * grad**2
+    step = state.m / (1.0 - ADAM_BETA1**state.t)
     step *= lr
-    root = state.v / (1.0 - beta2**state.t)
+    root = state.v / (1.0 - ADAM_BETA2**state.t)
     np.sqrt(root, out=root)
-    root += eps
+    root += ADAM_EPS
     step /= root
     u -= step
     return u
@@ -735,8 +729,8 @@ def fit_params(
     init: ModelParams,
     train_rows: Optional[np.ndarray] = None,
 ):
-    """Full-batch Adam (`adam_step`'s betas and eps, the config's
-    learning rate) on the trainable unconstrained parameters.
+    """Full-batch Adam (`adam_step` at the config's learning rate) on the
+    trainable unconstrained parameters.
 
     Deterministic given (config, tasks, init). With `train_rows`, an
     (F, N) bool mask over the rows of `train_tasks`, F fits from `init`

@@ -397,19 +397,19 @@ def cross_validate(cfg: ExperimentConfig, tasks):
     return metrics, records, final_params
 
 
+TOP_K = 5
+
+
 def number_top_verbalizations(
-    tasks: Dict[str, NumberTask],
-    batch: TaskBatch,
-    params: ModelParams,
-    top_k: int = 5,
+    tasks: Dict[str, NumberTask], batch: TaskBatch, params: ModelParams
 ) -> Dict[str, List[Tuple[str, float]]]:
-    """Highest-weight hypotheses per example set: the posterior weights
-    the model predicts from at `params`, read off `batch`, the tasks
-    compiled together."""
+    """The TOP_K highest-weight hypotheses per example set: the
+    posterior weights the model predicts from at `params`, read off
+    `batch`, the tasks compiled together."""
     weights = number_weights(pack_params(params)[None], batch, len(params.theta))[0]
     out = {}
     for (set_id, task), w in zip(tasks.items(), weights[0]):
-        order = np.argsort(-w[: len(task.names)], kind="stable")[:top_k]
+        order = np.argsort(-w[: len(task.names)], kind="stable")[:TOP_K]
         out[set_id] = [(task.names[i], float(w[i])) for i in order]
     return out
 
@@ -572,11 +572,7 @@ def emit_sweep_table(rows: Sequence[Dict], path) -> None:
     io.write_csv(path, ["budget", "mean_r2", "sem_r2", "n_runs"], table)
 
 
-def budget_sweep(
-    cfg: ExperimentConfig,
-    budgets: Sequence[int] = (1, 3, 10, 30, 100),
-    seeds: Sequence[int] = (0, 1, 2),
-) -> List[Dict]:
+def budget_sweep(cfg: ExperimentConfig, budgets: Sequence[int], seeds: Sequence[int]) -> List[Dict]:
     """Holdout fit quality as a function of the proposal budget,
     mean +/- SEM over seeds.
 

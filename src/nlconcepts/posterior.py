@@ -131,6 +131,11 @@ def posterior_state(kept: List[Hypothesis], n_proposals: int, weights, alive) ->
     return PosteriorState(kept, weights, not alive.any(), diagnostics)
 
 
+# a probability read through a log or a logit is first clamped to
+# [PROB_CLAMP, 1 - PROB_CLAMP], so the result stays finite
+PROB_CLAMP = 1e-6
+
+
 def expit(x):
     """The logistic 1 / (1 + exp(-x)), elementwise. exp's argument is
     capped at 709 so it never overflows: below x = -709 the result
@@ -145,5 +150,5 @@ def logit(p):
 
 def platt(p: float, a: float, b: float) -> float:
     """Two-parameter logistic recalibration; identity at a=1, b=0."""
-    p = min(max(p, 1e-6), 1.0 - 1e-6)
+    p = min(max(p, PROB_CLAMP), 1.0 - PROB_CLAMP)
     return float(expit(b + a * logit(p)))

@@ -20,30 +20,26 @@ from .types import canonicalize_nl
 
 FEATURE_DIM = 384
 
-# Fixed, published hashing seed. Changing it invalidates any saved theta.
+# Fixed, published hashing seed, the key of every token's hash. Changing
+# it invalidates any saved theta.
 HASH_SEED = 20240613
+_HASH_KEY = str(HASH_SEED).encode()
 
 
 class MissingFeature(KeyError):
     """An external score file lacks an entry for a hypothesis."""
 
 
-def _hash_token(token: str, seed: int) -> int:
-    digest = hashlib.blake2b(
-        token.encode("utf-8"), digest_size=8, key=str(seed).encode()
-    ).digest()
-    return int.from_bytes(digest, "little")
-
-
-def extract_features(
-    nl_text: str, dim: int = FEATURE_DIM, seed: int = HASH_SEED
-) -> np.ndarray:
-    """Deterministic hashed bag-of-tokens features, L2-normalized."""
+def extract_features(nl_text: str, dim: int = FEATURE_DIM) -> np.ndarray:
+    """Deterministic hashed bag-of-tokens features, L2-normalized. Each
+    word and word bigram adds a sign to a bucket, both read off its
+    8-byte blake2b hash keyed by HASH_SEED."""
     words = canonicalize_nl(nl_text).split()
-    tokens = list(words) + [f"{a}__{b}" for a, b in zip(words, words[1:])]
+    tokens = words + [f"{a}__{b}" for a, b in zip(words, words[1:])]
     vec = np.zeros(dim)
     for token in tokens:
-        h = _hash_token(token, seed)
+        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=_HASH_KEY).digest()
+        h = int.from_bytes(digest, "little")
         bucket = (h >> 1) % dim
         sign = 1.0 if h & 1 else -1.0
         vec[bucket] += sign
@@ -56,15 +52,14 @@ def extract_features(
 class FeatureExtractor:
     """Caching front-end over the hashed features."""
 
-    def __init__(self, dim: int = FEATURE_DIM, seed: int = HASH_SEED):
+    def __init__(self, dim: int = FEATURE_DIM):
         self.dim = dim
-        self.seed = seed
         self._cache: Dict[str, np.ndarray] = {}
 
     def __call__(self, nl_text: str) -> np.ndarray:
         key = canonicalize_nl(nl_text)
         if key not in self._cache:
-            self._cache[key] = extract_features(key, self.dim, self.seed)
+            self._cache[key] = extract_features(key, self.dim)
         return self._cache[key]
 
     def matrix(self, hypotheses) -> np.ndarray:

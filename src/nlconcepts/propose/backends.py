@@ -77,14 +77,7 @@ class ReplayBackend:
         if params.get("mode") == "score":
             logprob = self.client.score(params["prefix"], params["continuation"])
             return [{"text": params["continuation"], "logprob": logprob}]
-        return self.client.complete(
-            prompt,
-            temperature=params["temperature"],
-            n=params["n"],
-            max_tokens=params.get("max_tokens", 512),
-            stop=params.get("stop"),
-            logprobs=params.get("logprobs", False),
-        )
+        return self.client.complete(prompt, params)
 
     def propose(self, req: ProposalRequest) -> List[Hypothesis]:
         completions = self.completions(build_prompt(req), request_params(req))

@@ -15,6 +15,8 @@ import time
 from typing import Dict, List, Optional
 
 API_KEY_VAR = "INDUCT_API_KEY"
+# the sampling parameters a chat completion sends, in payload order
+_PAYLOAD_KEYS = ("temperature", "n", "max_tokens", "stop", "logprobs")
 
 
 class BackendUnavailable(RuntimeError):
@@ -69,27 +71,17 @@ class ChatClient:
                 time.sleep(delay)
         raise BackendUnavailable(f"request to {url} failed: {last_error}")
 
-    def complete(
-        self,
-        prompt: str,
-        temperature: float = 1.0,
-        n: int = 1,
-        max_tokens: int = 512,
-        stop: Optional[str] = None,
-        logprobs: bool = False,
-    ) -> List[Dict]:
-        """Chat completion. Returns [{"text": str, "logprob": float|None}]."""
+    def complete(self, prompt: str, params: Dict) -> List[Dict]:
+        """Chat completion at a request's sampling parameters `params`.
+        Its temperature, n, max_tokens (512 when absent), stop and
+        logprobs are sent when present; any other key, such as seed or
+        mode, is not. Returns [{"text": str, "logprob": float|None}]."""
+        sampling = {"max_tokens": 512, **params}
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
-            "temperature": temperature,
-            "n": n,
-            "max_tokens": max_tokens,
+            **{key: sampling[key] for key in _PAYLOAD_KEYS if key in sampling},
         }
-        if stop is not None:
-            payload["stop"] = stop
-        if logprobs:
-            payload["logprobs"] = True
         data = self._post("/chat/completions", payload)
         out = []
         for choice in data["choices"]:

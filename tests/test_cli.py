@@ -782,6 +782,48 @@ def test_sweep(fixtures_dir, tmp_path, capsys):
     assert "budget 2" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "command,flag,value,message",
+    [
+        ("sweep", "--budgets", "1,x", "invalid literal for int()"),
+        ("sweep", "--seeds", ",", "at least one integer"),
+        ("propose", "--examples", "16,x", "invalid literal for int()"),
+        ("infer", "--examples", "0,5", "examples must lie in 1..100"),
+    ],
+)
+def test_a_malformed_list_flag_is_a_usage_error(command, flag, value, message, fixtures_dir, tmp_path, capsys):
+    """A list of integers that does not parse, is empty or is out of
+    range exits 2 and names its flag, before any file is read."""
+    argv = {
+        "sweep": ["sweep", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "sweep.csv")],
+        "propose": ["propose", "--domain", "number", "--out", str(tmp_path / "pool.jsonl")],
+        "infer": ["infer", "--domain", "number", "--pool", str(fixtures_dir / "number_pool_size_principle.jsonl")],
+    }[command]
+    with pytest.raises(SystemExit) as err:
+        main(argv + [flag, value])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert f"argument {flag}: {value!r}" in stderr and message in stderr
+
+
+def test_list_flags_take_commas_or_spaces_and_sweep_defaults(fixtures_dir, tmp_path, capsys, monkeypatch):
+    """Comma- and space-separated examples give one posterior, and the
+    sweep runs budgets 1, 3, 10, 30, 100 at seeds 0, 1, 2 unless told
+    otherwise."""
+    pool = str(fixtures_dir / "number_pool_size_principle.jsonl")
+    outs = []
+    for examples in ("16,8,2,64", "16 8 2 64", "16, 8,2 ,64"):
+        assert main(["infer", "--domain", "number", "--pool", pool, "--examples", examples]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
+    calls = []
+    monkeypatch.setattr(harness, "budget_sweep", lambda cfg, budgets, seeds: calls.append((budgets, seeds)) or [])
+    cfg = str(_tiny_number_config(fixtures_dir, tmp_path))
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "a.csv")]) == 0
+    assert main(["sweep", "--config", cfg, "--budgets", "2 4", "--seeds", "5", "--out", str(tmp_path / "b.csv")]) == 0
+    assert calls == [([1, 3, 10, 30, 100], [0, 1, 2]), ([2, 4], [5])]
+
+
 def test_error_exits_nonzero(tmp_path, capsys):
     rc = main(
         [

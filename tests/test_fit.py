@@ -605,10 +605,11 @@ def fresh_constants(task, beta):
 
 def assert_constants_match_fresh(task):
     n_batches, n_trials = task.visible.shape[0], len(task.labels)
-    assert task.past.shape == task.log_lag.shape == task.in_batch.shape == (n_batches, n_trials)
+    assert task.decay_index.shape == task.in_batch.shape == (n_batches, n_trials)
     for beta in (0.0, 0.37, 1.0, 8.0):
         sign, past, decay, log_lag, now = fresh_constants(task, beta)
-        np.testing.assert_array_equal(task.past, past)
+        # the zero slot K is read exactly where the trial is not yet past
+        np.testing.assert_array_equal(task.decay_index < n_trials, past)
         # the decay is a lookup, bit for bit: the lags raised to -beta as the
         # pass raises them are decay_weights(K, beta), and decay_index reads
         # them, or slot K, a zero, where the trial is not yet past
@@ -616,11 +617,10 @@ def assert_constants_match_fresh(task):
         np.power(task.lags, -beta, out=table[:-1])
         np.testing.assert_array_equal(table[:-1], decay_weights(n_trials, beta))
         np.testing.assert_array_equal(table.take(task.decay_index), decay)
-    np.testing.assert_array_equal(task.by_label @ [-1.0, 1.0], sign)
-    np.testing.assert_array_equal(task.log_lag, log_lag)
+    by_label = np.stack([sign < 0, sign > 0], axis=1).astype(float)
     sums = task.label_sums.reshape(n_batches, n_trials, 4)
-    np.testing.assert_array_equal(sums[..., :2], np.broadcast_to(task.by_label, sums[..., :2].shape))
-    np.testing.assert_array_equal(sums[..., 2:], log_lag[:, :, None] * task.by_label)
+    np.testing.assert_array_equal(sums[..., :2], np.broadcast_to(by_label, sums[..., :2].shape))
+    np.testing.assert_array_equal(sums[..., 2:], log_lag[:, :, None] * by_label)
     rng = np.random.default_rng(n_trials)
     x = rng.normal(size=(n_batches, n_trials))
     np.testing.assert_array_equal(x.take(task.now), x[now])
@@ -647,10 +647,12 @@ def test_shape_task_constants_match_fresh_derivation(seed):
     assert task.visible.shape[0] == n_batches
     assert_constants_match_fresh(task)
     wider = dataclasses.replace(task, visible=np.vstack([task.visible, task.visible[-1:]]))
-    assert wider.past.shape[0] == n_batches + 1 and wider.past[-1].all()
+    n_trials = len(task.labels)
+    # every trial lies before the added batch
+    assert wider.decay_index.shape[0] == n_batches + 1 and (wider.decay_index[-1] < n_trials).all()
     assert_constants_match_fresh(wider)
-    if n_batches == 1:  # nothing lies before the only batch
-        assert not task.past.any() and not task.log_lag.any()
+    if n_batches == 1:  # nothing lies before the only batch: no decay, and log lag 0
+        assert (task.decay_index == n_trials).all() and not task.label_sums[:, 2:].any()
 
 
 def synthetic_shape_task(n_classes, seed, n_batches=5, n_trials=200):
@@ -680,8 +682,10 @@ def test_shape_epoch_memory_grows_linearly_with_the_classes():
 
     def sizes(n_classes):
         task = synthetic_shape_task(n_classes, seed=n_classes)
-        compiled = sum(a.nbytes for a in (task.by_label, task.past, task.decay_index,
-                                          task.log_lag, task.label_sums, task.now, task.in_batch))
+        compiled = sum(
+            a.nbytes
+            for a in (task.positive, task.lags, task.decay_index, task.label_sums, task.now, task.in_batch)
+        )
         batch = stack_tasks([task])
         u = pack_params(ModelParams(epsilon=0.2, alpha=0.4, beta=0.8, temperature=0.7))
         tracemalloc.start()

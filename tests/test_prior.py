@@ -30,12 +30,20 @@ def test_features_canonicalize_text():
     np.testing.assert_array_equal(a, b)
 
 
-def test_features_depend_on_seed_and_text():
+def test_features_depend_on_text():
     a = extract_features("the number is even")
     b = extract_features("the number is odd")
-    c = extract_features("the number is even", seed=999)
     assert not np.array_equal(a, b)
-    assert not np.array_equal(a, c)
+
+
+def test_features_are_pinned():
+    """The buckets and signs of a text's features, pinned: a saved theta
+    is valid only under the hashing they come from (HASH_SEED)."""
+    v = extract_features("the number is even", 64)
+    # four words and three bigrams, each in its own bucket
+    signs = {0: 1.0, 14: 1.0, 18: -1.0, 37: -1.0, 40: 1.0, 53: 1.0, 54: 1.0}
+    assert np.flatnonzero(v).tolist() == sorted(signs)
+    np.testing.assert_array_equal(v[sorted(signs)], [signs[k] * 0.3779644730092272 for k in sorted(signs)])
 
 
 def test_bigrams_distinguish_word_order():

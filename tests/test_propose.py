@@ -860,7 +860,7 @@ def test_client_complete_parses_choices():
     }
     session = FakeSession([FakeResponse(200, payload)])
     client = ChatClient("https://x.test/v1", "m", api_key="k", session=session)
-    out = client.complete("p", n=2, logprobs=True)
+    out = client.complete("p", {"n": 2, "logprobs": True})
     assert out == [
         {"text": "a power of 2", "logprob": -1.5},
         {"text": "even", "logprob": None},
@@ -871,6 +871,52 @@ def test_client_complete_parses_choices():
     assert call["json"]["n"] == 2
 
 
+def test_each_request_kind_sends_its_sampling_parameters(tmp_path):
+    """The API payload of every request kind, sent through the replay
+    backend on a miss, pinned: the request's sampling parameters as it
+    keys them, max_tokens 512 where it names none, and never its seed."""
+    from nlconcepts.baselines import _direct_samples
+
+    number = ProposalRequest("number", NumberExampleSet([16, 8, 2, 64]), budget=3, seed=7)
+    first_order = ProposalRequest("shape_first_order", _mini_batches(), budget=25, seed=7)
+    first_batch = ProposalRequest("shape_first_batch", None, budget=5, seed=7)
+    sends = [
+        (
+            build_prompt(number),
+            lambda b: propose(number, b),
+            {"logprobs": True, "max_tokens": 64, "n": 3, "stop": "\n", "temperature": 1.0},
+        ),
+        (
+            build_prompt(first_order),
+            lambda b: propose(first_order, b),
+            {"max_tokens": 512, "n": 3, "temperature": 1.0},
+        ),
+        (
+            build_prompt(first_batch),
+            lambda b: propose(first_batch, b),
+            {"max_tokens": 512, "n": 1, "temperature": 0.0},
+        ),
+        (
+            translation_prompt("the number is even", "number"),
+            lambda b: translate_nl_to_dsl("the number is even", "number", b),
+            {"max_tokens": 128, "n": 1, "stop": "\n", "temperature": 0.0},
+        ),
+        (
+            "is 3 in the concept?",
+            lambda b: _direct_samples(b, "is 3 in the concept?"),
+            {"max_tokens": 8, "n": 10, "temperature": 1.0},
+        ),
+    ]
+    for i, (prompt, send, want) in enumerate(sends):
+        session = FakeSession([FakeResponse(200, {"choices": [{"message": {"content": "1. yes"}}]})])
+        client = ChatClient("https://x.test/v1", "m", api_key="k", session=session)
+        send(ReplayBackend(ReplayStore(tmp_path / f"rs{i}"), client))
+        (payload,) = [call["json"] for call in session.calls]
+        assert payload.pop("model") == "m"
+        assert payload.pop("messages") == [{"role": "user", "content": prompt}]
+        assert payload == want, prompt
+
+
 def test_client_retries_then_fails(monkeypatch):
     import nlconcepts.propose.client as client_mod
 
@@ -879,7 +925,7 @@ def test_client_retries_then_fails(monkeypatch):
     session = FakeSession([FakeResponse(500, {})] * 5)
     client = ChatClient("https://x.test/v1", "m", api_key="k", session=session)
     with pytest.raises(BackendUnavailable):
-        client.complete("p")
+        client.complete("p", {})
     assert len(session.calls) == 5
     assert len(sleeps) == 4  # no sleep after the final attempt
     # jittered exponential backoff starting at ~1s
@@ -906,7 +952,7 @@ def test_client_retries_network_errors_then_fails(monkeypatch):
     session = RaisingSession()
     client = ChatClient("https://x.test/v1", "m", api_key="k", max_retries=3, session=session)
     with pytest.raises(BackendUnavailable, match="connection to .* refused"):
-        client.complete("p")
+        client.complete("p", {})
     assert session.calls == 3
     assert len(sleeps) == 2  # no sleep after the final attempt
 
@@ -918,7 +964,7 @@ def test_client_recovers_after_transient_error(monkeypatch):
     ok = FakeResponse(200, {"choices": [{"message": {"content": "x"}}]})
     session = FakeSession([FakeResponse(503, {}), ok])
     client = ChatClient("https://x.test/v1", "m", api_key="k", session=session)
-    assert client.complete("p")[0]["text"] == "x"
+    assert client.complete("p", {})[0]["text"] == "x"
 
 
 def test_client_score_sums_continuation_tokens():
@@ -1052,19 +1098,11 @@ class FakeClient:
         self.complete_calls = []
         self.score_calls = []
 
-    def complete(self, prompt, temperature, n, max_tokens, stop, logprobs):
-        self.complete_calls.append(
-            {
-                "n": n,
-                "temperature": temperature,
-                "max_tokens": max_tokens,
-                "stop": stop,
-                "logprobs": logprobs,
-            }
-        )
+    def complete(self, prompt, params):
+        self.complete_calls.append(params)
         return [
             {"text": self.texts[i % len(self.texts)], "logprob": self.logprob}
-            for i in range(n)
+            for i in range(params["n"])
         ]
 
     def score(self, prefix, continuation):
@@ -1087,7 +1125,7 @@ def test_live_miss_calls_client_once_and_records(tmp_path):
     client = FakeClient()
     pool = propose(_number_request(), ReplayBackend(store, client))
     assert client.complete_calls == [
-        {"n": 3, "temperature": 1.0, "max_tokens": 64, "stop": "\n", "logprobs": True}
+        {"n": 3, "temperature": 1.0, "max_tokens": 64, "stop": "\n", "logprobs": True, "seed": 0}
     ]
     assert _summary(pool) == [
         ("the number is a power of 2", -1.5),
@@ -1136,18 +1174,9 @@ def test_live_writer_that_loses_the_race_returns_the_winners_completions(tmp_pat
     class RacedClient(FakeClient):
         """Another writer records the request while this API call runs."""
 
-        def complete(self, prompt, temperature, n, **kwargs):
-            winner = [{"text": "odd", "logprob": -0.5}] * n
-            params = {
-                "temperature": temperature,
-                "n": n,
-                "max_tokens": 64,
-                "stop": "\n",
-                "logprobs": True,
-                "seed": 0,
-            }
-            store.record(prompt, params, winner)
-            return super().complete(prompt, temperature, n, **kwargs)
+        def complete(self, prompt, params):
+            store.record(prompt, params, [{"text": "odd", "logprob": -0.5}] * params["n"])
+            return super().complete(prompt, params)
 
     backend = ReplayBackend(store, RacedClient())
     pool = propose(_number_request(), backend)
