@@ -86,7 +86,7 @@ def latent_language_number(
     membership indicator through a cross-validated Platt transform.
     Returns (metrics, records, chosen NL per set)."""
     tasks = number_tasks(replace(cfg, prior="uniform", weighting="dedup"), judgments, pools)
-    params = ModelParams(epsilon=cfg.params.epsilon if cfg.params is not None else 0.1)
+    params = ModelParams(epsilon=(cfg.params or ModelParams()).epsilon)
     weights = number_weights(pack_params(params)[None], stack_tasks(list(tasks.values())), 0)[0]
     raw_tasks = []
     chosen: Dict[str, str] = {}

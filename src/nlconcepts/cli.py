@@ -85,13 +85,10 @@ def _cmd_propose(args) -> int:
         b = _upto_batch(args, curve)
         req_domain = "shape_first_order" if b else "shape_first_batch"
         examples = curve.batches[:b] if b else None
-    req = ProposalRequest(
-        domain=req_domain,
-        examples=examples,
-        budget=args.budget,
-        temperature=args.temperature,
-        seed=args.seed,
-    )
+    try:
+        req = ProposalRequest(req_domain, examples, args.budget, args.temperature, args.seed)
+    except ValueError as exc:  # a flag the request refuses, such as --budget 0
+        raise UsageError(f"propose: {exc}") from None
     pool = propose(req, _make_backend(args, args.domain))
     io.save_pool(args.out, pool)
     print(f"wrote {len(pool)} hypotheses to {args.out}")

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import number as number_dsl
-from . import shape as shape_dsl
 from .number import (
     DslSyntaxError,
     eval_number,
@@ -71,10 +69,8 @@ __all__ = [
     "format_concept",
     "format_number_concept",
     "format_shape_concept",
-    "number_dsl",
     "number_extension",
     "parse_concept",
     "parse_number_concept",
     "parse_shape_concept",
-    "shape_dsl",
 ]

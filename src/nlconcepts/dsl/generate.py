@@ -1,32 +1,19 @@
 """Random AST generators for fuzzing the parsers and evaluators.
 
-The predicate inventory comes from the shipped grammar files, so the
-fuzzers stay in sync with the documented languages.
+Number predicates are drawn from the parser's own table
+(`number.PREDICATES`); a test holds the shipped grammar file to it.
 """
 
 from __future__ import annotations
 
 import random
-import re
-from importlib import resources
 
 from ..types import COLORS, SHAPES
 from . import number as N
 from . import shape as S
 
-_PRED_LINE = re.compile(r"\(\* pred: (\w+)/(\d+) \*\)")
-
-
-def grammar_text(name: str) -> str:
-    return resources.files("nlconcepts.grammars").joinpath(f"{name}.ebnf").read_text()
-
-
-def number_predicates() -> dict:
-    """name -> arity, parsed from the published grammar."""
-    return {
-        m.group(1): int(m.group(2))
-        for m in _PRED_LINE.finditer(grammar_text("number"))
-    }
+# (name, arity) pairs, sorted so that a seed always draws the same predicates
+_NUMBER_PREDICATES = sorted(N.PREDICATES.items())
 
 
 def random_number_arith(rng: random.Random, depth: int):
@@ -40,10 +27,9 @@ def random_number_arith(rng: random.Random, depth: int):
 
 
 def random_number_expr(rng: random.Random, depth: int = 3):
-    preds = sorted(number_predicates().items())
     roll = rng.random()
     if depth <= 0 or roll < 0.35:
-        name, arity = rng.choice(preds)
+        name, arity = rng.choice(_NUMBER_PREDICATES)
         if name == "between":
             lo = rng.randint(1, 90)
             args = (N.Lit(lo), N.Lit(lo + rng.randint(0, 10)), N.Var())

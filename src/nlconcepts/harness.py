@@ -116,7 +116,7 @@ class ExperimentConfig:
         for name, allowed in choices.items():
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"{name} must be one of {allowed}, not {getattr(self, name)!r}")
-        for name, least in (("budget", 1), ("k_folds", 2)):
+        for name, least in (("budget", 1), ("k_folds", 2), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}, not {getattr(self, name)}")
         if self.domain == SHAPE_DOMAIN and self.weighting == "importance":
@@ -320,24 +320,17 @@ def group_judgments(judgments: Sequence[HumanNumberJudgment], pools=None):
 
 
 def _load_number_pools(cfg: ExperimentConfig) -> Dict[str, List[Hypothesis]]:
-    """Every entry of each example set's pool file, by set id."""
-    from .propose.backends import EmptyPool
-
-    if not cfg.pools:
-        raise EmptyPool("no pool sources configured")
-    return {set_id: io.load_pool(path, NUMBER_DOMAIN) for set_id, path in cfg.pools.items()}
-
-
-def _first_proposals(
-    cfg: ExperimentConfig, pools: Dict[str, List[Hypothesis]], budget: int
-) -> Dict[str, List[Hypothesis]]:
-    """The first `budget` entries of each pool; EmptyPool names the
-    pool file of the first set left with none."""
-    from .propose.backends import EmptyPool
-
+    """Every entry of each example set's pool file, by set id;
+    io.EmptyPool names the first file that holds none."""
+    pools = {set_id: io.load_pool(path, NUMBER_DOMAIN) for set_id, path in cfg.pools.items()}
     for set_id, pool in pools.items():
-        if not pool[:budget]:
-            raise EmptyPool(cfg.pools[set_id])
+        if not pool:
+            raise io.EmptyPool(cfg.pools[set_id])
+    return pools
+
+
+def _first_proposals(pools: Dict[str, List[Hypothesis]], budget: int) -> Dict[str, List[Hypothesis]]:
+    """The first `budget` entries of each pool."""
     return {set_id: pool[:budget] for set_id, pool in pools.items()}
 
 
@@ -351,7 +344,7 @@ def number_tasks(
     if judgments is None:
         judgments = io.load_number_judgments(cfg.data_path)
     if pools is None:
-        pools = _first_proposals(cfg, _load_number_pools(cfg), cfg.budget)
+        pools = _first_proposals(_load_number_pools(cfg), cfg.budget)
     extractor = FeatureExtractor(dim=cfg.feature_dim)
     scores = io.load_score_file(cfg.scores_path) if cfg.prior == "external" else None
     tasks = {}
@@ -578,17 +571,15 @@ def budget_sweep(cfg: ExperimentConfig, budgets: Sequence[int], seeds: Sequence[
 
     A seed only reshuffles the CV folds: the pool at each budget is
     always the first `budget` lines of the same pool files, so proposals
-    are never resampled. Each pool file is read once."""
+    are never resampled. Each pool file is read once, after every
+    budget and seed has passed the config's checks."""
+    runs = [[replace(cfg, budget=budget, seed=seed) for seed in seeds] for budget in budgets]
     judgments = io.load_number_judgments(cfg.data_path)
     full = _load_number_pools(cfg)
     rows = []
-    for budget in budgets:
-        pools = _first_proposals(cfg, full, budget)
-        r2s = []
-        for seed in seeds:
-            run_cfg = replace(cfg, budget=budget, seed=seed)
-            r2s.append(run_experiment(run_cfg, judgments, pools).metrics["holdout_r2"])
-        r2s = np.array(r2s)
+    for budget, budget_runs in zip(budgets, runs):
+        pools = _first_proposals(full, budget)
+        r2s = np.array([run_experiment(c, judgments, pools).metrics["holdout_r2"] for c in budget_runs])
         sem = float(r2s.std(ddof=1) / math.sqrt(len(r2s))) if len(r2s) > 1 else 0.0
         rows.append(
             {

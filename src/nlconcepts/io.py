@@ -2,6 +2,9 @@
 
 Hypothesis pool: JSON Lines, one object per line:
     {"nl": str, "dsl": str, "logq": float|null, "batch": int|null}
+A rule whose DSL does not parse is kept as Unparsed (`parse_program`,
+which translation uses too). A pool file that holds no hypotheses,
+where one is needed, is refused as EmptyPool.
 
 Number judgments: CSV with header set_id,examples,test_number,mean_rating
 where examples is a ';'-separated integer list and mean_rating is the
@@ -36,6 +39,13 @@ from .types import (
 )
 
 
+class EmptyPool(ValueError):
+    """A pool file with no hypothesis in it; the one argument is its path."""
+
+    def __str__(self):
+        return f"pool file {self.args[0]} holds no hypotheses"
+
+
 def load_pool(path, domain: str) -> List[Hypothesis]:
     """Load a hypothesis pool, parsing each distinct DSL source once per
     call: rows with equal `dsl` share one program, and so its memoized
@@ -54,13 +64,13 @@ def load_pool(path, domain: str) -> List[Hypothesis]:
         row = json.loads(line)
         src = row.get("dsl", "")
         if src not in programs:
-            programs[src] = _parse_program(src, domain)
+            programs[src] = parse_program(src, domain)
         h = Hypothesis(row["nl"], programs[src], row.get("logq"), row.get("batch"))
         out.append(h if h.nl_text == h.key else replace(h, nl_text=h.key))
     return out
 
 
-def _parse_program(src: str, domain: str):
+def parse_program(src: str, domain: str):
     """The parsed program, or Unparsed when the source does not parse."""
     try:
         return parse_concept(src, domain)
@@ -71,7 +81,7 @@ def _parse_program(src: str, domain: str):
 def make_hypothesis(nl, dsl_src, domain, logq=None, batch=None) -> Hypothesis:
     return Hypothesis(
         nl_text=canonicalize_nl(nl),
-        program=_parse_program(dsl_src, domain),
+        program=parse_program(dsl_src, domain),
         proposal_logprob=logq,
         source_batch=batch,
     )

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence
 from .. import io
 from ..dsl import NUMBER as NUMBER_DOMAIN
 from ..dsl import SHAPE as SHAPE_DOMAIN
-from ..dsl import DslSyntaxError, parse_concept
+from ..io import EmptyPool
 from ..types import Hypothesis, Unparsed, canonicalize_nl
 from .client import ChatClient, MissingLogprobSupport
 from .prompts import (
@@ -36,17 +36,13 @@ from .prompts import (
 from .replay import ReplayStore
 
 
-class EmptyPool(ValueError):
-    pass
-
-
 class StaticPoolBackend:
     """Serves the prefix of a fixed hypothesis file, in file order."""
 
     def __init__(self, path, domain: str):
         self.pool = io.load_pool(path, domain)
         if not self.pool:
-            raise EmptyPool(str(path))
+            raise EmptyPool(path)
 
     def propose(self, req: ProposalRequest) -> List[Hypothesis]:
         return list(self.pool[: req.budget])
@@ -158,17 +154,13 @@ def translation_prompt(nl: str, domain: str) -> str:
 
 
 def translate_nl_to_dsl(nl: str, domain: str, backend) -> object:
-    """Deterministic (temperature 0) NL-to-program translation.
-
-    Parse failures are not errors: they yield an Unparsed program.
+    """Deterministic (temperature 0) NL-to-program translation: the
+    first line of the answer, read as a pool's DSL is (`io.parse_program`),
+    so a parse failure yields an Unparsed program, not an error.
     """
     prompt = translation_prompt(nl, domain)
     text = backend.completions(prompt, TRANSLATION_PARAMS)[0]["text"].strip()
-    source = text.splitlines()[0].strip() if text else ""
-    try:
-        return parse_concept(source, domain)
-    except DslSyntaxError:
-        return Unparsed(source)
+    return io.parse_program(text.splitlines()[0].strip() if text else "", domain)
 
 
 def translate_pool(pool: Sequence[Hypothesis], domain: str, backend) -> List[Hypothesis]:

@@ -1,8 +1,10 @@
 """Minimal JSON-over-HTTPS client for an OpenAI-compatible LM API.
 
 Credentials come from the INDUCT_API_KEY environment variable; the
-endpoint and model name come from configuration. Failed requests are
-retried up to 5 times with jittered exponential backoff starting at 1s.
+endpoint and model name come from configuration. The retry policy is
+the module's own: a request is tried up to MAX_RETRIES (5) times, each
+attempt waiting at most TIMEOUT_S (120 s), with jittered exponential
+backoff starting at BACKOFF_S (1 s) between attempts.
 `requests` is imported only by a client that makes its own session or
 posts a request, so a replay-only run never loads it.
 """
@@ -15,6 +17,7 @@ import time
 from typing import Dict, List, Optional
 
 API_KEY_VAR = "INDUCT_API_KEY"
+MAX_RETRIES, BACKOFF_S, TIMEOUT_S = 5, 1.0, 120.0
 # the sampling parameters a chat completion sends, in payload order
 _PAYLOAD_KEYS = ("temperature", "n", "max_tokens", "stop", "logprobs")
 
@@ -33,17 +36,11 @@ class ChatClient:
         endpoint: str,
         model: str,
         api_key: Optional[str] = None,
-        max_retries: int = 5,
-        backoff: float = 1.0,
-        timeout: float = 120.0,
         session=None,
     ):
         self.endpoint = endpoint
         self.model = model
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_VAR, "")
-        self.max_retries = max_retries
-        self.backoff = backoff
-        self.timeout = timeout
         if session is None:
             import requests
 
@@ -56,18 +53,16 @@ class ChatClient:
         url = self.endpoint.rstrip("/") + path
         headers = {"Authorization": f"Bearer {self.api_key}"}
         last_error = None
-        for attempt in range(self.max_retries):
+        for attempt in range(MAX_RETRIES):
             try:
-                response = self.session.post(
-                    url, json=payload, headers=headers, timeout=self.timeout
-                )
+                response = self.session.post(url, json=payload, headers=headers, timeout=TIMEOUT_S)
                 if response.status_code == 200:
                     return response.json()
                 last_error = f"HTTP {response.status_code}: {response.text[:200]}"
             except requests.RequestException as exc:
                 last_error = str(exc)
-            if attempt + 1 < self.max_retries:
-                delay = self.backoff * (2**attempt) * (0.5 + random.random())
+            if attempt + 1 < MAX_RETRIES:
+                delay = BACKOFF_S * (2**attempt) * (0.5 + random.random())
                 time.sleep(delay)
         raise BackendUnavailable(f"request to {url} failed: {last_error}")
 

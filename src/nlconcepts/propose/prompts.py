@@ -54,7 +54,7 @@ class ProposalRequest:
         if self.domain not in DOMAINS:
             raise TemplateMismatch(f"unknown domain {self.domain!r}")
         if self.budget < 1:
-            raise ValueError("budget must be >= 1")
+            raise ValueError(f"budget must be >= 1, not {self.budget}")
 
     @property
     def source_batch(self) -> Optional[int]:

@@ -125,13 +125,6 @@ class Trial:
         object.__setattr__(self, "test", test)
         object.__setattr__(self, "label", bool(label))
 
-    @property
-    def others(self) -> Tuple[ShapeObject, ...]:
-        """Batch with one occurrence of the test object removed."""
-        out = list(self.batch)
-        out.remove(self.test)
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class HumanNumberJudgment:

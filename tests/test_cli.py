@@ -514,6 +514,8 @@ def test_fit_with_an_unknown_prior_is_a_usage_error(fixtures_dir, tmp_path, caps
         pytest.param("fit", "epochs", 0, "epochs must be >= 1", id="fit-epochs"),
         pytest.param("fit", "trainable", "epsilon", "trainable must be a list of group names", id="fit-trainable"),
         pytest.param("params", "epsilon", 2, "epsilon must lie in (0,1)", id="params-epsilon"),
+        # a negative seed would reach numpy's fold shuffle
+        pytest.param(None, "seed", -1, "seed must be >= 0, not -1", id="None-seed"),
     ],
 )
 def test_fit_with_an_unknown_config_key_is_a_usage_error(section, key, value, message, fixtures_dir, tmp_path, capsys):
@@ -780,6 +782,42 @@ def test_sweep(fixtures_dir, tmp_path, capsys):
     assert rc == 0
     assert out.exists()
     assert "budget 2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flag,message",
+    [
+        ("--budgets=0", "budget must be >= 1, not 0"),
+        ("--budgets=-1", "budget must be >= 1, not -1"),
+        ("--seeds=-1", "seed must be >= 0, not -1"),
+    ],
+)
+def test_sweep_below_a_least_budget_or_seed_is_a_usage_error(flag, message, fixtures_dir, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", "--config", str(_tiny_number_config(fixtures_dir, tmp_path)), flag, "--out", str(out)])
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_propose_budget_0_is_a_usage_error(fixtures_dir, tmp_path, capsys):
+    """The request's own refusal of the budget, reported as a usage error."""
+    argv = ["propose", "--domain", "number", "--examples", "16,8", "--budget", "0", "--backend", "static"]
+    argv += ["--pool", str(fixtures_dir / "number" / "set01.jsonl"), "--out", str(tmp_path / "pool.jsonl")]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "propose: budget must be >= 1, not 0" in capsys.readouterr().err
+    assert not (tmp_path / "pool.jsonl").exists()
+
+
+def test_propose_from_an_empty_pool_says_it_holds_no_hypotheses(tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("\n")
+    argv = ["propose", "--domain", "number", "--examples", "16,8", "--backend", "static", "--pool", str(empty)]
+    assert main(argv + ["--out", str(tmp_path / "pool.jsonl")]) == 1
+    assert capsys.readouterr().err == f"error: pool file {empty} holds no hypotheses\n"
 
 
 @pytest.mark.parametrize(

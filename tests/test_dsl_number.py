@@ -1,6 +1,7 @@
 import json
 import pickle
 import random
+import re
 
 import pytest
 
@@ -12,7 +13,7 @@ from nlconcepts.dsl import (
     parse_concept,
 )
 from nlconcepts.propose import ReplayStore
-from nlconcepts.dsl.generate import number_predicates, random_number_expr, random_shape_expr
+from nlconcepts.dsl.generate import random_number_expr, random_shape_expr
 from nlconcepts.dsl.number import (
     Arith,
     BoolLit,
@@ -209,9 +210,13 @@ def test_pred_arity_enforced():
 
 
 def test_grammar_file_predicates_match_implementation():
+    from importlib import resources
+
     from nlconcepts.dsl.number import PREDICATES
 
-    assert number_predicates() == PREDICATES
+    grammar = resources.files("nlconcepts.grammars").joinpath("number.ebnf").read_text()
+    documented = {name: int(arity) for name, arity in re.findall(r"\(\* pred: (\w+)/(\d+) \*\)", grammar)}
+    assert documented == PREDICATES
 
 
 def test_format_round_trip_fixed_cases():

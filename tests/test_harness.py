@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -381,14 +382,33 @@ def test_budget_sweep_loads_each_pool_once(fixtures_dir, monkeypatch):
     assert sorted(str(a[0]) for a in loads) == sorted(cfg.pools.values())
 
 
-def test_budget_sweep_rejects_an_empty_budget(fixtures_dir):
-    from nlconcepts.propose.backends import EmptyPool
+def _sweep_refusal(fixtures_dir, monkeypatch, budgets, seeds):
+    """The ConfigError of a sweep, checked to come before any pool is read."""
+    cfg = _fixture_config(fixtures_dir, "number_uniform.json")
+    loads = []
+    monkeypatch.setattr(io, "load_pool", lambda *a, **k: loads.append(a))
+    with pytest.raises(ConfigError) as err:
+        budget_sweep(cfg, budgets, seeds)
+    assert loads == []
+    return str(err.value)
 
-    cfg = ExperimentConfig.from_json(fixtures_dir / "configs" / "number_uniform.json")
-    cfg.data_path = str(fixtures_dir / "number_judgments.csv")
-    cfg.pools = {k: str(fixtures_dir / "number" / f"{k}.jsonl") for k in cfg.pools}
-    with pytest.raises(EmptyPool, match="set01"):
-        budget_sweep(cfg, (0,), (0,))
+
+def test_budget_sweep_rejects_an_empty_budget(fixtures_dir, monkeypatch):
+    """Budget 0 is the config's refusal, not a slice of empty pools."""
+    assert _sweep_refusal(fixtures_dir, monkeypatch, (10, 0), (0,)) == "budget must be >= 1, not 0"
+
+
+def test_budget_sweep_rejects_a_negative_seed(fixtures_dir, monkeypatch):
+    assert _sweep_refusal(fixtures_dir, monkeypatch, (10,), (0, -1)) == "seed must be >= 0, not -1"
+
+
+def test_budget_sweep_names_an_empty_pool_file(fixtures_dir, tmp_path):
+    cfg = _fixture_config(fixtures_dir, "number_uniform.json")
+    empty = tmp_path / "set01.jsonl"
+    empty.write_text("")
+    cfg = dataclasses.replace(cfg, pools={**cfg.pools, "set01": str(empty)})
+    with pytest.raises(io.EmptyPool, match=re.escape(f"pool file {empty} holds no hypotheses")):
+        budget_sweep(cfg, (10,), (0,))
 
 
 def _fixture_config(fixtures_dir, name):
@@ -634,6 +654,7 @@ def test_number_experiment_short_fit_is_deterministic(fixtures_dir):
         (dict(budget=-3), "budget must be >= 1"),
         (dict(k_folds=1), "k_folds must be >= 2"),
         (dict(domain="shape", weighting="importance"), "importance weighting needs the number domain"),
+        (dict(seed=-1), "seed must be >= 0, not -1"),
     ],
 )
 def test_experiment_config_refuses_what_no_run_can_use(fields, message):

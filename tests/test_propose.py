@@ -949,8 +949,9 @@ def test_client_retries_network_errors_then_fails(monkeypatch):
 
     sleeps = []
     monkeypatch.setattr(client_mod.time, "sleep", sleeps.append)
+    monkeypatch.setattr(client_mod, "MAX_RETRIES", 3)
     session = RaisingSession()
-    client = ChatClient("https://x.test/v1", "m", api_key="k", max_retries=3, session=session)
+    client = ChatClient("https://x.test/v1", "m", api_key="k", session=session)
     with pytest.raises(BackendUnavailable, match="connection to .* refused"):
         client.complete("p", {})
     assert session.calls == 3

@@ -105,11 +105,11 @@ def test_shape_universe():
     assert len(set(objs)) == 27
 
 
-def test_trial_others_removes_one_occurrence():
+def test_trial_checks_its_batch():
     a = ShapeObject("triangle", "green", 1)
     b = ShapeObject("circle", "blue", 2)
-    t = Trial([a, a, b], a, True)
-    assert t.others == (a, b)
+    t = Trial([a, a, b], a, 1)
+    assert (t.batch, t.test, t.label) == ((a, a, b), a, True)
     with pytest.raises(ValueError):
         Trial([a], b, True)  # test must occur in the batch
     with pytest.raises(ValueError):
