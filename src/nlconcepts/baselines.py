@@ -14,13 +14,13 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from . import io
 from .fit import FitConfig, NumberTask, number_weights, pack_params, shape_forward, stack_tasks
 from .harness import (
     ExperimentConfig,
     PredictionRecord,
     cross_validate,
     group_judgments,
+    load_data,
     map_rules,
     number_tasks,
     online_metrics,
@@ -101,14 +101,17 @@ def latent_language_number(
 
 def latent_language_shape(
     cfg: ExperimentConfig,
-    curves: Sequence[LearningCurve],
-    pools: Dict[str, List[Hypothesis]],
+    curves: Optional[Sequence[LearningCurve]] = None,
+    pools: Optional[Dict[str, List[Hypothesis]]] = None,
 ):
     """Online MLE: each batch keeps only the visible rule that best
     explains the previous trials, and predicts through the model's pass
     (`shape_forward`) with that rule's class alone visible, so eps * alpha
-    where no rule is visible. Returns (metrics, records, per-curve chosen
-    NL per batch, None where no rule is visible)."""
+    where no rule is visible; curves and pools are loaded from `cfg`
+    when None. Returns (metrics, records, per-curve chosen NL per batch,
+    None where no rule is visible)."""
+    if curves is None:
+        curves = load_data(cfg)
     params = replace(cfg.params or ModelParams(), temperature=1.0)
     records: List[PredictionRecord] = []
     chosen: Dict[str, List[Optional[str]]] = {}
@@ -199,9 +202,10 @@ def _direct_samples(backend, prompt: str) -> List[str]:
 
 def direct_llm_number(cfg: ExperimentConfig, backend, judgments=None):
     """Ask the LM directly whether each test number belongs, estimate
-    p(yes) from 10 temperature-1 samples, then Platt-calibrate."""
+    p(yes) from 10 temperature-1 samples, then Platt-calibrate;
+    judgments are loaded from `cfg` when None."""
     if judgments is None:
-        judgments = io.load_number_judgments(cfg.data_path)
+        judgments = load_data(cfg)
     tasks = []
     for set_id, group in group_judgments(judgments).items():
         ratios = [
@@ -213,9 +217,11 @@ def direct_llm_number(cfg: ExperimentConfig, backend, judgments=None):
     return _calibrate(cfg, tasks)
 
 
-def direct_llm_shape(curves: Sequence[LearningCurve], backend):
-    """Per-trial yes/no querying for the logical domain; returns
-    (metrics, records) with raw sample ratios as predictions."""
+def direct_llm_shape(cfg: ExperimentConfig, backend):
+    """Per-trial yes/no querying for the logical domain on the curves of
+    `cfg`; returns (metrics, records) with raw sample ratios as
+    predictions."""
+    curves = load_data(cfg)
     records: List[PredictionRecord] = []
     for curve in curves:
         trial_index = 0
@@ -241,11 +247,6 @@ def no_proposal_ablation(cfg: ExperimentConfig, shared_pool_path, judgments=None
     """Full model, but every example set draws from one shared pool of
     hypotheses proposed without conditioning on the examples."""
     if judgments is None:
-        judgments = io.load_number_judgments(cfg.data_path)
-    from .dsl import NUMBER as NUMBER_DOMAIN
-
-    shared = io.load_pool(shared_pool_path, NUMBER_DOMAIN)[: cfg.budget]
-    pools = {
-        set_id: list(shared) for set_id in group_judgments(judgments)
-    }
-    return run_experiment(cfg, judgments, pools)[:3]
+        judgments = load_data(cfg)
+    pools = {set_id: str(shared_pool_path) for set_id in group_judgments(judgments)}
+    return run_experiment(replace(cfg, pools=pools), judgments)[:3]

@@ -184,20 +184,12 @@ def _cmd_baseline(args) -> int:
     if args.kind == "ablation" and shape:
         raise ValueError(f"ablation needs a number config; {args.config} has domain {cfg.domain!r}")
     if args.kind == "latent":
-        if shape:
-            metrics, records, chosen = baselines.latent_language_shape(
-                cfg, harness.load_curves(cfg), harness.load_shape_pools(cfg)
-            )
-        else:
-            metrics, records, chosen = baselines.latent_language_number(cfg)
+        latent = baselines.latent_language_shape if shape else baselines.latent_language_number
+        metrics, records, chosen = latent(cfg)
         return _write_results(args, metrics, records, chosen=chosen)
     if args.kind == "llm":
-        backend = ReplayBackend(ReplayStore(args.store))
-        if shape:
-            metrics, records = baselines.direct_llm_shape(harness.load_curves(cfg), backend)
-        else:
-            metrics, records = baselines.direct_llm_number(cfg, backend)
-        return _write_results(args, metrics, records)
+        direct = baselines.direct_llm_shape if shape else baselines.direct_llm_number
+        return _write_results(args, *direct(cfg, ReplayBackend(ReplayStore(args.store))))
     if not args.shared_pool:
         raise UsageError("baseline ablation requires --shared-pool")
     metrics, records, _ = baselines.no_proposal_ablation(cfg, args.shared_pool)

@@ -1,5 +1,6 @@
 """End-to-end experiments over the tasks compiled here: `run_experiment`,
-the one experiment path of both domains, the posterior of one pool
+the one experiment path of both domains, which reads its data and pools
+through `load_data` and `load_pools`, the posterior of one pool
 (`infer_number`, `infer_shape`), and tidy CSV emission for plotting.
 `run_number_experiment`, `run_online_experiment` and
 `fit_online_params` stay only because the benchmark calls them."""
@@ -147,6 +148,26 @@ def _prior_pieces(cfg: ExperimentConfig, pool: Sequence[Hypothesis], extractor, 
             raise MissingFeature(missing)
         return None, np.array([scores[h.key] for h in pool], dtype=float)
     return None, np.zeros(len(pool))
+
+
+def load_data(cfg: ExperimentConfig):
+    """The judgments in the CSV `cfg.data_path` (numbers), or the
+    learning curves in the directory `cfg.data_path` by file name
+    (shapes)."""
+    if cfg.domain == NUMBER_DOMAIN:
+        return io.load_number_judgments(cfg.data_path)
+    return [io.load_learning_curve(p) for p in sorted(Path(cfg.data_path).glob("*.json"))]
+
+
+def load_pools(cfg: ExperimentConfig) -> Dict[str, List[Hypothesis]]:
+    """Every entry of each pool file in `cfg.pools`, by set or concept
+    id, each distinct file read once; io.EmptyPool names the first
+    file that holds none."""
+    by_path = {path: io.load_pool(path, cfg.domain) for path in dict.fromkeys(cfg.pools.values())}
+    empty = next((path for path, pool in by_path.items() if not pool), None)
+    if empty is not None:
+        raise io.EmptyPool(empty)
+    return {key: by_path[path] for key, path in cfg.pools.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -319,39 +340,26 @@ def group_judgments(judgments: Sequence[HumanNumberJudgment], pools=None):
     return by_set
 
 
-def _load_number_pools(cfg: ExperimentConfig) -> Dict[str, List[Hypothesis]]:
-    """Every entry of each example set's pool file, by set id;
-    io.EmptyPool names the first file that holds none."""
-    pools = {set_id: io.load_pool(path, NUMBER_DOMAIN) for set_id, path in cfg.pools.items()}
-    for set_id, pool in pools.items():
-        if not pool:
-            raise io.EmptyPool(cfg.pools[set_id])
-    return pools
-
-
-def _first_proposals(pools: Dict[str, List[Hypothesis]], budget: int) -> Dict[str, List[Hypothesis]]:
-    """The first `budget` entries of each pool."""
-    return {set_id: pool[:budget] for set_id, pool in pools.items()}
-
-
 def number_tasks(
     cfg: ExperimentConfig,
     judgments: Optional[Sequence[HumanNumberJudgment]],
     pools: Optional[Dict[str, List[Hypothesis]]],
 ) -> Dict[str, NumberTask]:
-    """Each example set's judgments compiled against its pool, by set
-    id; judgments and pools are loaded from `cfg` when None."""
+    """Each example set's judgments compiled against the first
+    `cfg.budget` entries of its pool, by set id; judgments and pools
+    are loaded from `cfg` when None."""
     if judgments is None:
-        judgments = io.load_number_judgments(cfg.data_path)
+        judgments = load_data(cfg)
     if pools is None:
-        pools = _first_proposals(_load_number_pools(cfg), cfg.budget)
+        pools = load_pools(cfg)
     extractor = FeatureExtractor(dim=cfg.feature_dim)
     scores = io.load_score_file(cfg.scores_path) if cfg.prior == "external" else None
     tasks = {}
     for set_id, group in group_judgments(judgments, pools).items():
         tests = [(j.test_number, j.mean_rating, f"{set_id}:{j.test_number}") for j in group]
         example_set = group[0].example_set
-        tasks[set_id] = build_number_task(cfg, pools[set_id], example_set, tests, extractor, scores=scores)
+        pool = pools[set_id][: cfg.budget]
+        tasks[set_id] = build_number_task(cfg, pool, example_set, tests, extractor, scores=scores)
     return tasks
 
 
@@ -417,23 +425,22 @@ def map_rules(task: ShapeTask, weights: np.ndarray) -> List[Optional[int]]:
 # Online logical concepts
 
 
-def load_curves(cfg: ExperimentConfig) -> List[LearningCurve]:
-    """The learning curves in the directory `cfg.data_path`, by file name."""
-    return [io.load_learning_curve(p) for p in sorted(Path(cfg.data_path).glob("*.json"))]
-
-
-def load_shape_pools(cfg: ExperimentConfig) -> Dict[str, List[Hypothesis]]:
-    return {cid: io.load_pool(path, SHAPE_DOMAIN) for cid, path in cfg.pools.items()}
-
-
 def shape_tasks(
     cfg: ExperimentConfig,
     curves: Sequence[LearningCurve],
-    pools: Dict[str, List[Hypothesis]],
+    pools: Optional[Dict[str, List[Hypothesis]]] = None,
 ) -> List[ShapeTask]:
     """Each curve compiled against its pool, in curve order, with one
     read of the external prior's score file: the tasks that fitting,
-    online evaluation and the latent-language baseline all read."""
+    online evaluation and the latent-language baseline all read. Pools
+    are loaded from `cfg` when None; a curve with no pool is a
+    ConfigError that names it."""
+    if pools is None:
+        pools = load_pools(cfg)
+    missing = next((c.concept_id for c in curves if c.concept_id not in pools), None)
+    if missing is not None:
+        configured = f"the pools are for {', '.join(map(repr, pools))}" if pools else "the config configures none"
+        raise ConfigError(f"curve {missing!r} has no pool; {configured}")
     extractor = FeatureExtractor(dim=cfg.feature_dim)
     scores = io.load_score_file(cfg.scores_path) if cfg.prior == "external" else None
     return [
@@ -531,8 +538,8 @@ def run_experiment(cfg: ExperimentConfig, data=None, pools=None, params=None) ->
         batch = stack_tasks(list(tasks.values()))
         metrics, records, params = cross_validate(cfg, batch)
         return ExperimentResult(metrics, records, number_top_verbalizations(tasks, batch, params), params)
-    curves = load_curves(cfg) if data is None else data
-    tasks = shape_tasks(cfg, curves, load_shape_pools(cfg) if pools is None else pools)
+    curves = load_data(cfg) if data is None else data
+    tasks = shape_tasks(cfg, curves, pools)
     params = cfg.params or fit_params(cfg.fit, tasks, default_params(cfg)).params
     return ExperimentResult(*evaluate_online(curves, tasks, params), params)
 
@@ -574,11 +581,9 @@ def budget_sweep(cfg: ExperimentConfig, budgets: Sequence[int], seeds: Sequence[
     are never resampled. Each pool file is read once, after every
     budget and seed has passed the config's checks."""
     runs = [[replace(cfg, budget=budget, seed=seed) for seed in seeds] for budget in budgets]
-    judgments = io.load_number_judgments(cfg.data_path)
-    full = _load_number_pools(cfg)
+    judgments, pools = load_data(cfg), load_pools(cfg)
     rows = []
     for budget, budget_runs in zip(budgets, runs):
-        pools = _first_proposals(full, budget)
         r2s = np.array([run_experiment(c, judgments, pools).metrics["holdout_r2"] for c in budget_runs])
         sem = float(r2s.std(ddof=1) / math.sqrt(len(r2s))) if len(r2s) > 1 else 0.0
         rows.append(

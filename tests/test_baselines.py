@@ -6,10 +6,12 @@ from scipy.special import expit, logit
 
 from nlconcepts import baselines, io
 from nlconcepts.baselines import (
+    DIRECT_PARAMS,
     AllSamplesDiscarded,
     NoViableHypothesis,
     _raw_task,
     direct_llm_number,
+    direct_llm_shape,
     direct_number_prompt,
     direct_shape_prompt,
     latent_language_number,
@@ -21,6 +23,7 @@ from nlconcepts.fit import FitConfig, fit_params
 from nlconcepts.harness import ExperimentConfig
 from nlconcepts.io import make_hypothesis
 from nlconcepts.posterior import platt
+from nlconcepts.propose import ReplayBackend, ReplayStore
 from nlconcepts.types import HumanNumberJudgment, ModelParams, NumberExampleSet, ShapeObject, Trial
 
 
@@ -159,6 +162,28 @@ def test_direct_llm_number(fixtures_dir):
     # ten samples per datum at temperature 1
     assert all(p[1]["n"] == 10 and p[1]["temperature"] == 1.0 for p in backend.prompts)
     assert len(backend.prompts) == 48
+
+
+def test_direct_llm_shape(fixtures_dir, tmp_path):
+    """One replayed query per trial of the curves in the config's data
+    directory, predicted by its raw yes ratio under the id concept:k;
+    samples that all fail the yes/no format are refused."""
+    cfg = ExperimentConfig(domain="shape", data_path=str(fixtures_dir / "shape"), feature_dim=0)
+    curve = io.load_learning_curve(fixtures_dir / "shape" / "green_triangles_curve.json")
+    store = ReplayStore(tmp_path / "store")
+    trials = [(b, batch, t) for b, batch in enumerate(curve.batches) for t in batch]
+    for k, (b, batch, t) in enumerate(trials):
+        answers = ["yes"] * (k % 11) + ["no"] * (10 - k % 11)
+        completions = [{"text": a, "logprob": None} for a in answers]
+        store.record(direct_shape_prompt(curve.batches[:b], batch, t.test), DIRECT_PARAMS, completions)
+    assert len(store.keys()) == len(trials)
+    metrics, records = direct_llm_shape(cfg, ReplayBackend(store))
+    assert metrics["n_trials"] == len(records) == len(trials)
+    assert [r.datum_id for r in records] == [f"green_triangles:{k}" for k in range(len(trials))]
+    assert [r.prediction for r in records] == [(k % 11) / 10 for k in range(len(trials))]
+    assert [r.human for r in records] == list(curve.human_positive_rate)
+    with pytest.raises(AllSamplesDiscarded):
+        direct_llm_shape(cfg, CannedBackend(["maybe", "", "perhaps"]))
 
 
 def test_no_proposal_ablation_uses_shared_pool(fixtures_dir):

@@ -592,7 +592,7 @@ def test_fit_shape_builds_each_curve_once(fixtures_dir, tmp_path, monkeypatch):
     out_dir = tmp_path / "out"
     assert main(["fit", "--config", str(path), "--out-dir", str(out_dir)]) == 0
     cfg = harness.ExperimentConfig.from_json(path)
-    curves, pools = harness.load_curves(cfg), harness.load_shape_pools(cfg)
+    curves, pools = harness.load_data(cfg), harness.load_pools(cfg)
     assert builds == [c.concept_id for c in curves]
     params = harness.fit_online_params(cfg, curves, pools).params
     metrics, records, details = harness.run_online_experiment(cfg, curves, pools, params)
@@ -818,6 +818,54 @@ def test_propose_from_an_empty_pool_says_it_holds_no_hypotheses(tmp_path, capsys
     argv = ["propose", "--domain", "number", "--examples", "16,8", "--backend", "static", "--pool", str(empty)]
     assert main(argv + ["--out", str(tmp_path / "pool.jsonl")]) == 1
     assert capsys.readouterr().err == f"error: pool file {empty} holds no hypotheses\n"
+
+
+def test_fit_shape_on_an_empty_pool_file_names_it(fixtures_dir, tmp_path, capsys):
+    """A shape config's pool file that holds no hypotheses is refused as
+    it is in a number fit."""
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    path = _shape_config(fixtures_dir, tmp_path)
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), pools={"green_triangles": str(empty)})))
+    assert main(["fit", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: pool file {empty} holds no hypotheses\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_baseline_ablation_on_an_empty_shared_pool_names_it(fixtures_dir, tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    argv = ["baseline", "ablation", "--config", str(_tiny_number_config(fixtures_dir, tmp_path))]
+    assert main(argv + ["--shared-pool", str(empty), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: pool file {empty} holds no hypotheses\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "kept,message",
+    [
+        (["green_triangles"], "curve 'other' has no pool; the pools are for 'green_triangles'"),
+        ([], "curve 'green_triangles' has no pool; the config configures none"),
+    ],
+)
+def test_fit_shape_names_a_curve_with_no_pool(kept, message, fixtures_dir, tmp_path, capsys):
+    """A curve in the data directory whose concept the config gives no
+    pool is a usage error (exit 2) that names the curve; `kept` are the
+    config's pools left in it."""
+    data = tmp_path / "curves"
+    data.mkdir()
+    raw = json.loads((fixtures_dir / "shape" / "green_triangles_curve.json").read_text())
+    for concept_id in ("green_triangles", "other"):
+        (data / f"{concept_id}_curve.json").write_text(json.dumps(dict(raw, concept_id=concept_id)))
+    path = _shape_config(fixtures_dir, tmp_path)
+    cfg = json.loads(path.read_text())
+    pools = {concept_id: cfg["pools"][concept_id] for concept_id in kept}
+    path.write_text(json.dumps(dict(cfg, data_path=str(data), pools=pools)))
+    with pytest.raises(SystemExit) as err:
+        main(["fit", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+    assert err.value.code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -23,8 +23,8 @@ from nlconcepts.harness import (
     fit_online_params,
     group_judgments,
     infer_shape,
-    load_curves,
-    load_shape_pools,
+    load_data,
+    load_pools,
     number_tasks,
     params_from_json,
     params_to_json,
@@ -450,7 +450,7 @@ def test_shape_fixture_fit_keeps_its_parameters(fixtures_dir):
 
 def test_run_online_experiment_is_the_runner_and_never_fits(fixtures_dir):
     cfg = _fixture_config(fixtures_dir, "shape_online.json")
-    curves, pools = load_curves(cfg), load_shape_pools(cfg)
+    curves, pools = load_data(cfg), load_pools(cfg)
     params = ModelParams(epsilon=0.2, alpha=0.45, beta=0.3, temperature=0.6)
     assert run_online_experiment(cfg, curves, pools, params) == run_experiment(cfg, curves, pools, params)[:3]
     assert run_online_experiment(cfg) == run_experiment(cfg, params=default_params(cfg))[:3]
