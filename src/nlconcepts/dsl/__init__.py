@@ -5,9 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .number import (
     DslSyntaxError,
     eval_number,
+    extension_values,
     format_number_concept,
     number_extension,
     parse_number_concept,
@@ -25,7 +28,9 @@ class DomainMismatch(TypeError):
 @dataclass(frozen=True)
 class ConceptProgram:
     """A parsed rule tagged with the domain it belongs to. A number
-    concept memoizes its extension; a shape rule keeps nothing, since
+    concept memoizes its truth row over 1..100, compiled by one array
+    walk of its tree (`number.extension_values`), and derives its
+    extension from that row; a shape rule keeps nothing, since
     `shape.truth_values` evaluates it on a curve's trials directly."""
 
     domain: str  # NUMBER or SHAPE
@@ -36,12 +41,26 @@ class ConceptProgram:
             raise ValueError(f"unknown domain {self.domain!r}")
 
     @cached_property
-    def extension(self) -> frozenset:
-        """The number concept's extension over 1..100, computed once
-        (`number.number_extension`)."""
+    def extension_values(self) -> np.ndarray:
+        """The number concept's (100,) truth row, entry x - 1 for number
+        x, computed once and read-only (`number.extension_values`)."""
         if self.domain != NUMBER:
             raise DomainMismatch(f"only number concepts have an extension, not {self.domain}")
-        return number_extension(self.expr)
+        row = extension_values(self.expr)
+        row.flags.writeable = False
+        return row
+
+    def __setstate__(self, state):
+        """Unpickle, keeping a memoized row read-only (numpy does not
+        pickle the flag)."""
+        vars(self).update(state)
+        if "extension_values" in state:
+            state["extension_values"].flags.writeable = False
+
+    @property
+    def extension(self) -> frozenset:
+        """The number concept's extension over 1..100, read off its row."""
+        return frozenset((np.flatnonzero(self.extension_values) + 1).tolist())
 
 
 def parse_concept(src: str, domain: str) -> ConceptProgram:
@@ -66,6 +85,7 @@ __all__ = [
     "DslSyntaxError",
     "eval_number",
     "eval_shape",
+    "extension_values",
     "format_concept",
     "format_number_concept",
     "format_shape_concept",

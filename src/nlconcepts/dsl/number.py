@@ -32,6 +32,13 @@ limit: evaluating, formatting, comparing and pickling a tree all
 recurse once or more per level, and chains of `or`, `and`, `+`, `-`,
 `*` or `mod` build depth without deepening the parse.
 
+Two evaluators share these semantics. `eval_number` walks the tree for
+one x; it is the reference interpreter, and `number_extension` collects
+its extension as a frozenset. `extension_values` walks the tree once
+for all of x = 1..100, with int64 arrays as values (`_values`,
+`_arith_values`): it gives the (100,) truth row that the likelihood's
+extension matrix stacks (`likelihood.extension_matrix`).
+
 Conventions (these matter for concepts like "powers of two"):
   * prime(1) is false.
   * power(b, x) is true iff x = b^k for some integer k >= 0, so
@@ -44,6 +51,8 @@ import operator
 import re
 from dataclasses import dataclass, is_dataclass
 from typing import Tuple
+
+import numpy as np
 
 SAT = 10**9  # arithmetic saturation bound
 
@@ -432,7 +441,11 @@ def _is_power(base: int, n: int) -> bool:
 
 
 def _eval_pred(name: str, args, x: int) -> bool:
-    vals = [_eval_arith(a, x) for a in args]
+    return _holds(name, [_eval_arith(a, x) for a in args])
+
+
+def _holds(name: str, vals) -> bool:
+    """Predicate `name` of its argument values."""
     if name == "even":
         return vals[0] % 2 == 0
     if name == "odd":
@@ -485,6 +498,97 @@ def eval_number(expr, x: int) -> bool:
 def number_extension(expr) -> frozenset:
     """The set of integers in 1..100 satisfying the expression."""
     return frozenset(x for x in range(1, 101) if eval_number(expr, x))
+
+
+# ---------------------------------------------------------------------------
+# Evaluation over 1..100 at once
+
+XS = np.arange(1, 101, dtype=np.int64)
+
+_CLIPPED = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+# predicates whose int64 form is exact on any values within +/-SAT
+_ARRAY_PREDS = {
+    "even": lambda v: v % 2 == 0,
+    "odd": lambda v: v % 2 != 0,
+    "multiple": lambda k, v: np.where(k == 0, v == 0, _mod(v, k) == 0),
+    "between": lambda lo, hi, v: (lo <= v) & (v <= hi),
+    "ends_in": lambda d, v: abs(v) % 10 == d,
+}
+
+
+class _Wide(Exception):
+    """A literal beyond +/-SAT in arithmetic, where int64 could overflow."""
+
+
+def extension_values(expr) -> np.ndarray:
+    """(100,) bool: entry x - 1 is `eval_number(expr, x)`, from one walk
+    of the tree over x = 1..100. Every value the walk computes lies
+    within +/-SAT, so a product of two stays below 2^63; a rule whose
+    arithmetic holds a literal beyond that is evaluated one x at a time."""
+    try:
+        row = np.asarray(_values(expr))
+    except _Wide:
+        row = np.array([eval_number(expr, x) for x in range(1, 101)])
+    return row if row.ndim else np.full(100, bool(row))
+
+
+def _values(expr):
+    """Truth over XS: a bool array, or one bool where it does not depend on x."""
+    if isinstance(expr, Cmp):
+        return COMPARE[expr.op](_arith_values(expr.left), _arith_values(expr.right))
+    if isinstance(expr, BoolOp):
+        combine = np.logical_and if expr.op == "and" else np.logical_or
+        return combine(_values(expr.left), _values(expr.right))
+    if isinstance(expr, Not):
+        return np.logical_not(_values(expr.arg))
+    if isinstance(expr, BoolLit):
+        return expr.value
+    if isinstance(expr, InSet) and isinstance(expr.arg, Var):
+        row = np.zeros(101, dtype=bool)  # a table over 0..100, read from 1
+        row[[m for m in expr.members if 1 <= m <= 100]] = True
+        return row[1:]
+    if isinstance(expr, Pred) and expr.name in _ARRAY_PREDS:
+        return _ARRAY_PREDS[expr.name](*map(_arith_values, expr.args))
+    # the scalar helpers, one call per value of the arguments
+    args = expr.args if isinstance(expr, Pred) else (expr.arg,)
+    cols = [(_arith_values(a) + np.zeros(100, dtype=np.int64)).tolist() for a in args]
+    if isinstance(expr, Pred):
+        return np.array([_holds(expr.name, vals) for vals in zip(*cols)])
+    return np.array([v in expr.members for v in cols[0]])
+
+
+def _arith_values(node):
+    """Values over XS: an int64 array, or one int where they do not depend on x."""
+    if isinstance(node, Lit):
+        if abs(node.value) > SAT:
+            raise _Wide
+        return node.value
+    if isinstance(node, Var):
+        return XS
+    a, b = _arith_values(node.left), _arith_values(node.right)
+    if node.op in _CLIPPED:
+        return np.clip(_CLIPPED[node.op](a, b), -SAT, SAT)
+    return _mod(a, b) if node.op == "mod" else _power(a, b)
+
+
+def _mod(a, b):
+    """a mod b with the divisor's sign, as Python's %; a mod 0 = 0."""
+    zero = b == 0
+    return np.where(zero, 0, a % np.where(zero, 1, b))
+
+
+def _power(a, e):
+    """a ^ e as `_eval_arith` computes it: at most 64 saturating
+    multiplications, each element frozen once it saturates; 0 for e < 0."""
+    a, e = np.broadcast_arrays(a, e)
+    out, live = np.ones_like(a), np.ones(a.shape, dtype=bool)
+    for k in range(min(int(e.max()), 64)):
+        live &= (k < e) & (abs(out) < SAT)
+        if not live.any():
+            break
+        out = np.where(live, np.clip(out * a, -SAT, SAT), out)
+    return np.where(e < 0, 0, out)
 
 
 # ---------------------------------------------------------------------------

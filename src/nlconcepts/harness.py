@@ -327,17 +327,22 @@ def infer_shape(
 # Number Game
 
 
-def group_judgments(judgments: Sequence[HumanNumberJudgment], pools=None):
-    """Group judgments by example set; when `pools` is given, restrict
-    to the sets a pool exists for (others cannot be modeled)."""
+def group_judgments(judgments: Sequence[HumanNumberJudgment]):
+    """Group judgments by example set, in order of first judgment."""
     by_set: Dict[str, List[HumanNumberJudgment]] = {}
     for j in judgments:
-        if pools is not None and j.set_id not in pools:
-            continue
         by_set.setdefault(j.set_id, []).append(j)
     if not by_set:
-        raise ValueError("no judgments match the configured pools")
+        raise ValueError("no judgments to model")
     return by_set
+
+
+def _require_pools(kind: str, keys, pools) -> None:
+    """ConfigError naming the first of `keys` that has no pool, and the configured pools."""
+    missing = next((key for key in keys if key not in pools), None)
+    if missing is not None:
+        configured = f"the pools are for {', '.join(map(repr, pools))}" if pools else "the config configures none"
+        raise ConfigError(f"{kind} {missing!r} has no pool; {configured}")
 
 
 def number_tasks(
@@ -347,15 +352,18 @@ def number_tasks(
 ) -> Dict[str, NumberTask]:
     """Each example set's judgments compiled against the first
     `cfg.budget` entries of its pool, by set id; judgments and pools
-    are loaded from `cfg` when None."""
+    are loaded from `cfg` when None. A set with no pool is a
+    ConfigError that names it."""
     if judgments is None:
         judgments = load_data(cfg)
     if pools is None:
         pools = load_pools(cfg)
     extractor = FeatureExtractor(dim=cfg.feature_dim)
     scores = io.load_score_file(cfg.scores_path) if cfg.prior == "external" else None
+    by_set = group_judgments(judgments)
+    _require_pools("example set", by_set, pools)
     tasks = {}
-    for set_id, group in group_judgments(judgments, pools).items():
+    for set_id, group in by_set.items():
         tests = [(j.test_number, j.mean_rating, f"{set_id}:{j.test_number}") for j in group]
         example_set = group[0].example_set
         pool = pools[set_id][: cfg.budget]
@@ -366,6 +374,13 @@ def number_tasks(
 def run_number_experiment(cfg: ExperimentConfig, judgments=None, pools=None):
     """(metrics, records, per-set top verbalizations) of `run_experiment`."""
     return run_experiment(cfg, judgments, pools)[:3]
+
+
+def fold_rows(ids: Sequence[str], holdout: Sequence[str]) -> np.ndarray:
+    """The rows a fold trains on: True where the id is not held out, by
+    set membership (numpy's set routines sort string ids)."""
+    held = set(holdout)
+    return np.array([i not in held for i in ids], dtype=bool)
 
 
 def cross_validate(cfg: ExperimentConfig, tasks):
@@ -382,7 +397,7 @@ def cross_validate(cfg: ExperimentConfig, tasks):
     else:
         # every fold and the final fit on all rows, as one stacked fit
         folds = kfold_split(batch.ids, min(cfg.k_folds, len(batch.ids)), cfg.seed)
-        rows = [np.isin(batch.ids, holdout, invert=True) for _, holdout in folds]
+        rows = [fold_rows(batch.ids, holdout) for _, holdout in folds]
         rows.append(np.ones(len(batch.ids), dtype=bool))
         *fold_results, final = fit_params(cfg.fit, batch, default_params(cfg), train_rows=rows)
         holdout = [record for result in fold_results for record in result.holdout_predictions]
@@ -437,10 +452,7 @@ def shape_tasks(
     ConfigError that names it."""
     if pools is None:
         pools = load_pools(cfg)
-    missing = next((c.concept_id for c in curves if c.concept_id not in pools), None)
-    if missing is not None:
-        configured = f"the pools are for {', '.join(map(repr, pools))}" if pools else "the config configures none"
-        raise ConfigError(f"curve {missing!r} has no pool; {configured}")
+    _require_pools("curve", (c.concept_id for c in curves), pools)
     extractor = FeatureExtractor(dim=cfg.feature_dim)
     scores = io.load_score_file(cfg.scores_path) if cfg.prior == "external" else None
     return [

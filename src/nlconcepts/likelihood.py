@@ -16,9 +16,11 @@ pass reads these weights off a lookup its task compiles once
 (`fit.ShapeTask`), bit for bit the same.
 
 Each domain compiles a pool once against its data: `extension_matrix`
-gives every hypothesis's extension as a row over 1..100, `truth_matrix`
-every rule's truth value on each trial, evaluated over the encoded
-trials. `harness` compiles the tasks of inference, fitting, online
+stacks every hypothesis's truth row over 1..100, which its program
+compiles by one array walk of the rule and memoizes
+(`ConceptProgram.extension_values`), and `truth_matrix` gives every
+rule's truth value on each trial, evaluated over the encoded trials.
+`harness` compiles the tasks of inference, fitting, online
 evaluation and the baselines from them, and `fit.number_weights` and
 `fit.shape_forward`, the one forward pass of each domain, score them
 with the functions below.
@@ -36,10 +38,10 @@ from .types import Hypothesis, Trial
 
 
 class EvalCache:
-    """A hypothesis's number extension, memoized on its program
-    (`ConceptProgram.extension`, which raises `DomainMismatch` on a
-    shape rule), empty if unparsed. It holds no state: equal text with
-    different programs never shares an extension."""
+    """A hypothesis's number extension, read off the row memoized on its
+    program (`ConceptProgram.extension`, which raises `DomainMismatch`
+    on a shape rule), empty if unparsed. It holds no state: equal text
+    with different programs never shares an extension."""
 
     @staticmethod
     def extension(h: Hypothesis) -> frozenset:
@@ -54,13 +56,14 @@ def _require(h: Hypothesis, domain: str) -> None:
 
 
 def extension_matrix(pool: Sequence[Hypothesis]) -> np.ndarray:
-    """(S, 100) membership of 1..100 in each hypothesis's extension,
-    computed once per program (`EvalCache.extension`); column
+    """(S, 100) membership of 1..100 in each hypothesis's extension: the
+    truth rows its programs compile once (`ConceptProgram.extension_values`,
+    which raises `DomainMismatch` on a shape rule), stacked; column
     x - 1 is number x, rows of unparsed hypotheses are 0."""
     out = np.zeros((len(pool), 100))
     for i, h in enumerate(pool):
-        ext = EvalCache.extension(h)
-        out[i, np.fromiter(ext, int, len(ext)) - 1] = 1.0
+        if h.parsed:
+            out[i] = h.program.extension_values
     return out
 
 

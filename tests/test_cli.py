@@ -459,9 +459,14 @@ def test_replay_miss_names_key_and_store(fixtures_dir, tmp_path, capsys):
 
 
 def _tiny_number_config(fixtures_dir, tmp_path, prior="uniform"):
+    """A config over example sets set01 and set02: their pools and the
+    judgments of those two sets alone."""
+    lines = (fixtures_dir / "number_judgments.csv").read_text().splitlines(keepends=True)
+    data = tmp_path / "judgments.csv"
+    data.write_text("".join(lines[:1] + [l for l in lines[1:] if l.startswith(("set01,", "set02,"))]))
     cfg = {
         "domain": "number",
-        "data_path": str(fixtures_dir / "number_judgments.csv"),
+        "data_path": str(data),
         "pools": {
             f"set{i:02d}": str(fixtures_dir / "number" / f"set{i:02d}.jsonl")
             for i in range(1, 3)
@@ -865,6 +870,21 @@ def test_fit_shape_names_a_curve_with_no_pool(kept, message, fixtures_dir, tmp_p
         main(["fit", "--config", str(path), "--out-dir", str(tmp_path / "out")])
     assert err.value.code == 2
     assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_fit_number_names_an_example_set_with_no_pool(fixtures_dir, tmp_path, capsys):
+    """Judgments of an example set the config gives no pool are a usage
+    error (exit 2) that names the set, not 6 of 48 predictions dropped."""
+    cfg = json.loads((fixtures_dir / "configs" / "number_uniform.json").read_text())
+    root = fixtures_dir.parent
+    pools = {k: str(root / v) for k, v in cfg["pools"].items() if k != "set08"}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(cfg, data_path=str(root / cfg["data_path"]), pools=pools)))
+    with pytest.raises(SystemExit) as err:
+        main(["fit", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+    assert err.value.code == 2
+    assert "error: example set 'set08' has no pool; the pools are for 'set01', " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -3,11 +3,13 @@ import pickle
 import random
 import re
 
+import numpy as np
 import pytest
 
 from nlconcepts.dsl import (
     DslSyntaxError,
     eval_number,
+    extension_values,
     format_concept,
     number_extension,
     parse_concept,
@@ -15,10 +17,12 @@ from nlconcepts.dsl import (
 from nlconcepts.propose import ReplayStore
 from nlconcepts.dsl.generate import random_number_expr, random_shape_expr
 from nlconcepts.dsl.number import (
+    SAT,
     Arith,
     BoolLit,
     BoolOp,
     Cmp,
+    InSet,
     MAX_DEPTH,
     Lit,
     Not,
@@ -314,3 +318,141 @@ def test_tokenizer_matches_the_reference(fixtures_dir):
     assert _tokens_or_error(_tokenize, "2x") == [("num", 2, 0), ("name", "x", 1), ("eof", None, 2)]
     assert _tokens_or_error(_tokenize, "\u0663 < x")[:2] == [("num", 3, 0), ("op", "<", 1)]
     assert _tokens_or_error(_tokenize, "x ? 3") == ("error", "unexpected character '?' (at position 1)", 1)
+
+
+# ---------------------------------------------------------------------------
+# The array evaluator against the reference interpreter
+
+
+def assert_row_matches_interpreter(expr):
+    """`extension_values` is a fresh (100,) bool row whose entry x - 1
+    is `eval_number(expr, x)`."""
+    row = extension_values(expr)
+    assert row.dtype == bool and row.shape == (100,) and row.flags.writeable
+    got = frozenset((np.flatnonzero(row) + 1).tolist())
+    assert got == number_extension(expr), format_number_concept(expr)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_extension_values_match_the_interpreter_on_fuzzed_rules(seed):
+    rng = random.Random(seed)
+    for _ in range(3000):
+        assert_row_matches_interpreter(random_number_expr(rng, rng.randint(0, 4)))
+
+
+def test_extension_values_match_the_interpreter_on_fixture_and_replay_rules(fixtures_dir):
+    paths = sorted((fixtures_dir / "number").glob("*.jsonl")) + [fixtures_dir / "number_pool_size_principle.jsonl"]
+    sources = [json.loads(line)["dsl"] for path in paths for line in path.read_text().splitlines() if line.strip()]
+    replay = ReplayStore(fixtures_dir / "replay")
+    sources += [c["text"] for key in replay.keys() for c in replay.entry(key)["completions"]]
+    parsed = []
+    for src in sources:
+        try:
+            parsed.append(parse_number_concept(src))
+        except DslSyntaxError:
+            pass
+    # 11 of 12 rules per example set parse, all 4 of the size-principle
+    # pool, and the 4 translations among the 9 replayed completions
+    assert len(parsed) == 8 * 11 + 4 + 4
+    for expr in parsed:
+        assert_row_matches_interpreter(expr)
+
+
+ARRAY_EDGE_CASES = [
+    # saturation at +/-1e9, a product of two saturated values included
+    "x * 100000000 > 999999999",
+    "(x * 1000000000) * (x * 1000000000) == 1000000000",
+    "(0 - x * 1000000000) * (x * 1000000000) == 0 - 1000000000",
+    "x * 100000 * 100000 - 1 < 1000000000",
+    "0 - 1000000000 - x == 0 - 1000000000",
+    "x * 1000000000 + 1000000000 == 1000000000",
+    # mod with negative operands, and mod 0
+    "(x - 50) mod 7 == 3",
+    "x mod (0 - 7) == 0 - 3",
+    "(0 - x) mod (0 - 3) == 0 - 1",
+    "x mod 0 == 0",
+    "x mod (x - 50) == 1",
+    "7 mod (x - 7) == 0",
+    "multiple(0, x - 50)",
+    "multiple(x mod 5, 100 - x)",
+    # ^ 0, ^ of a negative base, exponents of 64 and above
+    "x^0 == 1",
+    "0^0 == 1",
+    "(x - 1)^0 == 1",
+    "(0 - x)^3 < 0",
+    "(x - 50)^2 > 100",
+    "(0 - x)^64 == 1000000000",
+    "(0 - 2)^31 == 1000000000",
+    "(0 - 2)^31 == 0 - 1000000000",
+    "(x - 3)^63 < 0",
+    "x^64 > 5",
+    "x^65 == x^64",
+    "(x - 2)^64 == 1",
+    "(x - 2)^65 == 1",
+    "(x - 2)^66 < 0",
+    "x^1000 > 1",
+    "1^1000000000 == 1",
+    "x^10000000000 > 2",
+    # prime, power, contains_digit and the other predicates of arithmetic
+    "prime(x * x + 1)",
+    "prime(x - 50)",
+    "prime(x + 1000000)",
+    "power(2, x + 1)",
+    "power(x, 64)",
+    "power(0 - 2, x - 60)",
+    "power(x - 1, 0)",
+    "contains_digit(3, x * 7)",
+    "contains_digit(x mod 10, x * x)",
+    "contains_digit(0, 0 - x)",
+    "square(x - 50)",
+    "cube(x * x)",
+    "cube(x - 50)",
+    "even(x * x + 1)",
+    "odd(0 - x)",
+    "between(x, 2 * x, 50)",
+    "ends_in(x mod 10, x * 3)",
+    "ends_in(3, 0 - x)",
+    # in_set of arithmetic
+    "in_set({4, 9, 16}, x + 1)",
+    "in_set({0}, x mod 0)",
+    "in_set({1000000000}, x * 100000000)",
+    "in_set({1}, 1)",
+    "in_set({100000000000000000000}, x)",
+    # literals beyond +/-SAT, constants and connectives
+    "x < 100000000000000000000000",
+    "x * 4000000000000000000 == 1000000000",
+    "((0 - x) mod 4000000000) * ((0 - x) mod 4000000000) == 1000000000",
+    "(0 - x) mod 100000000000000000000 > 5",
+    "between(0, 100000000000000000000, x)",
+    "power(100000000000000000000, x)",
+    "true",
+    "false",
+    "3 < 4",
+    "even(4) and x < 9",
+    "not true or 1 < x < 10",
+    "not (x > 3 and odd(x))",
+]
+
+
+@pytest.mark.parametrize("src", ARRAY_EDGE_CASES)
+def test_extension_values_match_the_interpreter_on_edge_cases(src):
+    assert_row_matches_interpreter(parse_number_concept(src))
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        Cmp("==", Arith("^", Var(), Lit(-2)), Lit(0)),
+        Cmp(">", Arith("^", Lit(2), Var()), Lit(1000)),
+        Cmp("<", Arith("^", Arith("-", Lit(0), Lit(3)), Var()), Lit(0)),
+        Cmp("==", Arith("^", Lit(-1), Arith("-", Var(), Lit(50))), Lit(1)),
+        InSet((SAT, -SAT), Arith("*", Var(), Lit(-SAT))),
+        Pred("power", (Lit(-1), Arith("^", Lit(-1), Var()))),
+    ],
+    ids=["negative-exponent", "x-exponent", "negative-base-x-exponent", "exponents-below-0", "set-at-sat", "power-of-minus-one"],
+)
+def test_extension_values_match_the_interpreter_on_trees_no_source_spells(expr):
+    """Exponents that are negative or depend on x: the parser reads only
+    a literal `^ integer`, but a tree may hold any arithmetic there."""
+    assert_row_matches_interpreter(expr)
+

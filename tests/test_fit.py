@@ -389,9 +389,7 @@ def fixture_number_tasks(cfg, keep=None):
         f"set{i:02d}": io.load_pool(FIXTURES / "number" / f"set{i:02d}.jsonl", "number")
         for i in range(1, 9)
     }
-    by_set = group_judgments(
-        io.load_number_judgments(FIXTURES / "number_judgments.csv"), pools
-    )
+    by_set = group_judgments(io.load_number_judgments(FIXTURES / "number_judgments.csv"))
     ext = FeatureExtractor(dim=cfg.feature_dim)
     tasks = []
     for set_id, group in by_set.items():

@@ -1,14 +1,19 @@
 import csv
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nlconcepts
 from nlconcepts import io
 from nlconcepts.baselines import latent_language_shape
-from nlconcepts.fit import FitConfig, ShapeTask, shape_forward
+from nlconcepts.fit import FitConfig, ShapeTask, kfold_split, shape_forward, stack_tasks
 from nlconcepts.harness import (
     ConfigError,
     ExperimentConfig,
@@ -21,6 +26,7 @@ from nlconcepts.harness import (
     emit_plot_data,
     emit_sweep_table,
     fit_online_params,
+    fold_rows,
     group_judgments,
     infer_shape,
     load_data,
@@ -418,6 +424,56 @@ def _fixture_config(fixtures_dir, name):
     return dataclasses.replace(
         cfg, data_path=str(root / cfg.data_path), pools={k: str(root / v) for k, v in cfg.pools.items()}
     )
+
+
+@pytest.mark.parametrize("k", [2, 10])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fold_rows_equal_numpys_set_difference(seed, k, fixtures_dir):
+    """Each fold's training rows, by set membership, are numpy's
+    `isin(..., invert=True)` on the fixture judgments' ids."""
+    ids = stack_tasks(list(number_tasks(_fixture_config(fixtures_dir, "number_uniform.json"), None, None).values())).ids
+    assert len(ids) == 48
+    for _, holdout in kfold_split(ids, k, seed):
+        rows = fold_rows(ids, holdout)
+        assert rows.dtype == bool
+        np.testing.assert_array_equal(rows, np.isin(ids, holdout, invert=True))
+        assert rows.sum() == len(ids) - len(holdout)
+
+
+@pytest.mark.parametrize("pools, message", [
+    (["set01", "set02"], "example set 'set03' has no pool; the pools are for 'set01', 'set02'"),
+    ([], "example set 'set01' has no pool; the config configures none"),
+])
+def test_number_tasks_name_an_example_set_with_no_pool(pools, message, fixtures_dir):
+    """A judgment whose example set has no pool is a ConfigError that
+    names the set, not a judgment left out; without pools, grouping
+    keeps every set."""
+    cfg = _fixture_config(fixtures_dir, "number_uniform.json")
+    cfg = dataclasses.replace(cfg, pools={k: cfg.pools[k] for k in pools})
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        number_tasks(cfg, None, None)
+    judgments = load_data(cfg)
+    assert list(group_judgments(judgments)) == [f"set{i:02d}" for i in range(1, 9)]
+    with pytest.raises(ValueError, match="no judgments"):
+        group_judgments([])
+
+
+def test_number_experiment_leaves_numpy_ma_unloaded(fixtures_dir):
+    """A fresh interpreter that runs the number fixture experiment, at
+    its 10 folds and at 2, never loads numpy.ma: fold rows are cut by
+    set membership, not by numpy's set routines, which sort string ids
+    through numpy.ma."""
+    code = (
+        "import dataclasses, sys; from nlconcepts import harness; "
+        f"cfg = harness.ExperimentConfig.from_json({str(fixtures_dir / 'configs' / 'number_tuned.json')!r}); "
+        "harness.run_experiment(cfg); "
+        "harness.run_experiment(dataclasses.replace(cfg, k_folds=2, fit=dataclasses.replace(cfg.fit, epochs=2))); "
+        "assert 'numpy.ma' not in sys.modules"
+    )
+    src = str(Path(nlconcepts.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in [src, os.environ.get("PYTHONPATH")] if p))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=fixtures_dir.parent, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("name", ["number_tuned.json", "number_uniform.json"])

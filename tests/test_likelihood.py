@@ -188,15 +188,35 @@ def test_extension_matrix_keys_rows_by_program():
     assert cache.extension(JUNK) == frozenset() and vars(cache) == {}
 
 
+def test_extension_matrix_equals_the_interpreters_extensions_on_fixture_pools(fixtures_dir):
+    """On every number fixture pool, with a rule that never parses
+    added, the stacked rows are the interpreter's extensions as 0/1
+    (`number_extension`), and the unparsed rows are 0."""
+    paths = sorted((fixtures_dir / "number").glob("*.jsonl")) + [fixtures_dir / "number_pool_size_principle.jsonl"]
+    for path in paths:
+        pool = [*io.load_pool(path, "number"), JUNK]
+        want = np.zeros((len(pool), 100))
+        for i, h in enumerate(pool):
+            ext = nlconcepts.dsl.number_extension(h.program.expr) if h.parsed else frozenset()
+            want[i, [x - 1 for x in ext]] = 1.0
+        assert any(not h.parsed for h in pool[:-1]) or path.name.startswith("number_pool")
+        got = extension_matrix(pool)
+        assert got.dtype == float and got.shape == (len(pool), 100)
+        np.testing.assert_array_equal(got, want, err_msg=str(path))
+        assert not got[[i for i, h in enumerate(pool) if not h.parsed]].any()
+
+
 def test_extension_is_computed_once_per_program(monkeypatch):
+    """Each program's truth row is compiled once, however many times
+    `extension_matrix`, inference and `extension` read it."""
     computed = []
 
-    def counting_extension(expr):
+    def counting_values(expr):
         computed.append(expr)
-        return number_extension(expr)
+        return extension_values(expr)
 
-    number_extension = nlconcepts.dsl.number_extension
-    monkeypatch.setattr(nlconcepts.dsl, "number_extension", counting_extension)
+    extension_values = nlconcepts.dsl.extension_values
+    monkeypatch.setattr(nlconcepts.dsl, "extension_values", counting_values)
     pool = [
         make_hypothesis("the number is odd", "odd(x)", "number"),
         make_hypothesis("the number is below 7", "x < 7", "number"),
@@ -213,14 +233,20 @@ def test_extension_is_computed_once_per_program(monkeypatch):
     sizes = first[:2].sum(axis=1)
     assert loglik[:2].tolist() == pytest.approx(2 * np.log(0.9 / sizes + 0.001), abs=1e-12)
     assert predicted.tolist() == pytest.approx((state.weights @ first[:, [0, 3, 8]]).tolist(), abs=1e-12)
+    assert pool[0].program.extension == frozenset(range(1, 100, 2))
     assert len(computed) == 2
 
 
 def test_number_program_pickles_after_extension():
     h = make_hypothesis("the number is a power of 2", "power(2, x)", "number")
-    ext = h.program.extension  # computed and memoized on the program
+    row = h.program.extension_values  # computed and memoized on the program
+    assert not row.flags.writeable  # the memo cannot be changed in place
     copy = pickle.loads(pickle.dumps(h))
-    assert copy == h and vars(copy.program)["extension"] == ext == frozenset({1, 2, 4, 8, 16, 32, 64})
+    assert copy == h and vars(copy.program).keys() == {"domain", "expr", "extension_values"}
+    copied = vars(copy.program)["extension_values"]
+    np.testing.assert_array_equal(copied, row)
+    assert not copied.flags.writeable  # read-only again after the round trip
+    assert copy.program.extension == h.program.extension == frozenset({1, 2, 4, 8, 16, 32, 64})
     with pytest.raises(DomainMismatch):
         GT.program.extension
 

@@ -74,9 +74,7 @@ def test_number_fit_path_matches_inference_path(prior):
         f"set{i:02d}": io.load_pool(FIXTURES / "number" / f"set{i:02d}.jsonl", "number")
         for i in range(1, 9)
     }
-    by_set = group_judgments(
-        io.load_number_judgments(FIXTURES / "number_judgments.csv"), pools
-    )
+    by_set = group_judgments(io.load_number_judgments(FIXTURES / "number_judgments.csv"))
     tasks = [
         build_number_task(
             cfg,
@@ -311,7 +309,7 @@ def number_kernel_tasks(prior, keep):
     rng = np.random.default_rng(16)
     dead = [make_hypothesis("nonsense", "???", "number")]
     scores = {h.key: float(rng.normal(-2.0, 1.0)) for pool in [*pools.values(), dead] for h in pool}
-    by_set = group_judgments(io.load_number_judgments(FIXTURES / "number_judgments.csv"), pools)
+    by_set = group_judgments(io.load_number_judgments(FIXTURES / "number_judgments.csv"))
     tasks = []
     for i, (set_id, group) in enumerate(by_set.items()):
         tests = [(j.test_number, j.mean_rating, f"{set_id}:{j.test_number}") for j in keep(i, group)]
@@ -400,7 +398,7 @@ def test_number_top_verbalizations_match_dedup_weights(prior, setting):
 
     prior = oracle_prior(cfg, params)
     assert set(top) == set(pools)
-    for set_id, group in group_judgments(judgments, pools).items():
+    for set_id, group in group_judgments(judgments).items():
         pool = pools[set_id]
         loglik = oracle.pool_number_logliks(pool, group[0].example_set, params.epsilon)
         state = oracle.dedup_weights(pool, prior, loglik, params.temperature)
@@ -428,7 +426,7 @@ def test_latent_language_number_matches_scalar_oracle(epsilon):
 
     eps = 0.1 if params is None else params.epsilon
     rows, want_chosen = [], {}
-    for set_id, group in group_judgments(judgments, pools).items():
+    for set_id, group in group_judgments(judgments).items():
         pool, _ = dedup_pool(pools[set_id])
         loglik = oracle.pool_number_logliks(pool, group[0].example_set, eps)
         best = pool[first_argmax(pool, loglik)]
