@@ -195,10 +195,9 @@ class ShapeTask:
     lag^-beta lies in that table of K weights followed by a zero slot
     for trials not yet past), and the sums over a trial's label, plain
     and weighted by log lag, that the gradient takes. `consist_t` is a
-    C-contiguous copy of `consist.T` for the gradient's g @ c^T, which
-    BLAS runs about twice as fast as with the transposed view. The
-    scores keep the view: the copy rounds their sums differently, and
-    the predictions would change in their last bits.
+    C-contiguous copy of `consist.T` for the scores' (D * (log r1 -
+    log r0)) @ c^T and the gradient's g @ c^T, which BLAS runs about
+    twice as fast as with the transposed view.
     `dataclasses.replace` compiles them again."""
 
     features: Optional[np.ndarray]  # (G, D); None under a non-tuned prior
@@ -535,7 +534,7 @@ def shape_pass(task: ShapeTask, theta, eps: float, alpha: float, beta: float, te
     decay = np.zeros(len(task.lags) + 1)
     np.power(task.lags, -beta, out=decay[:-1])
     decay = decay.take(task.decay_index)
-    score = (log_prior + (decay * delta_log_r) @ c.T) / temp  # (B, G), up to a constant per batch
+    score = (log_prior + (decay * delta_log_r) @ task.consist_t) / temp  # (B, G), up to a constant per batch
     p = softmax_masked(score, task.visible, task.count)
     w = p * task.count  # (B, G) weight of each class
     mean_truth = (w @ c).take(task.now)  # (K,) zero where nothing is visible

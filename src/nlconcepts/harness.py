@@ -122,6 +122,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be >= {least}, not {getattr(self, name)}")
         if self.domain == SHAPE_DOMAIN and self.weighting == "importance":
             raise ConfigError("importance weighting needs the number domain")
+        if self.prior == "tuned" and self.feature_dim < 1:
+            raise ConfigError(f"the tuned prior needs feature_dim >= 1, not {self.feature_dim}")
         _check_theta(self, self.params)
 
     @classmethod

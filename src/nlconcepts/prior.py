@@ -6,12 +6,13 @@ log-scores, e.g. from an LM scoring pass, keyed by canonical NL). The
 compiled tasks hold each as a base log-prior vector plus, for the tuned
 prior, the feature rows (`harness._prior_pieces`). The features are a
 deterministic hashed bag-of-tokens (words + word bigrams, signed
-hashing, L2-normalized).
+hashing, L2-normalized). `hashlib`, and with it OpenSSL, is imported
+by the first feature extraction, not by importing the module, so a
+uniform or external prior never loads it.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict
 
 import numpy as np
@@ -34,6 +35,8 @@ def extract_features(nl_text: str, dim: int = FEATURE_DIM) -> np.ndarray:
     """Deterministic hashed bag-of-tokens features, L2-normalized. Each
     word and word bigram adds a sign to a bucket, both read off its
     8-byte blake2b hash keyed by HASH_SEED."""
+    import hashlib  # loaded by the first extraction, not by importing the library
+
     words = canonicalize_nl(nl_text).split()
     tokens = words + [f"{a}__{b}" for a, b in zip(words, words[1:])]
     vec = np.zeros(dim)

@@ -24,7 +24,9 @@ NaN or an infinity as `null`, which would give the request the key of
 one holding `None`, so a non-finite number anywhere in the params
 raises `ValueError`; a params key that is not a str, or a prompt that
 is not valid UTF-8 (a lone surrogate), raises `TypeError`. Either is
-raised before anything is read or written.
+raised before anything is read or written. `hashlib`, and with it
+OpenSSL, is imported by the first key computed, not by importing the
+module, as `orjson` and `fcntl` are by the store's first use.
 
 Each `ReplayStore` keeps an index from key to record, built by reading
 headers only. A lookup that hits reads the record's body with one
@@ -66,7 +68,6 @@ reports each of them as a mismatch.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -131,8 +132,15 @@ def _non_finite(value) -> bool:
     return False
 
 
+def _key(request: bytes) -> str:
+    """The key of a request's bytes: their sha256, in hex."""
+    import hashlib  # loaded by the first key computed, not by importing the library
+
+    return hashlib.sha256(request).hexdigest()
+
+
 def fingerprint(prompt: str, params: Dict) -> str:
-    return hashlib.sha256(_request_bytes(prompt, params)).hexdigest()
+    return _key(_request_bytes(prompt, params))
 
 
 def _request_of(request: bytes) -> Tuple[str, Dict]:
@@ -176,7 +184,7 @@ def _problem(key: str, body: bytes, request_len: int, crc: int) -> Optional[str]
     lookup reaches it, or None. A record's request hashes to its key,
     yet is unreachable, when it is not the v3 encoding of its own prompt
     and params, as a v2 record is."""
-    if hashlib.sha256(body[:request_len]).hexdigest() != key:
+    if _key(body[:request_len]) != key:
         return f"key {key} is not its request's"
     if _crc(key, body) != crc:
         return f"key {key} fails its CRC check"
@@ -426,7 +434,7 @@ class ReplayStore:
     def record(self, prompt: str, params: Dict, completions: List) -> str:
         """Store completions for a request; first write wins."""
         request = _request_bytes(prompt, params)
-        key = hashlib.sha256(request).hexdigest()
+        key = _key(request)
         self._append(key, request, _encode(completions))
         return key
 
@@ -436,7 +444,7 @@ class ReplayStore:
         returned: when another writer recorded the request first, its
         completions win. The request is encoded and keyed once."""
         request = _request_bytes(prompt, params)
-        key = hashlib.sha256(request).hexdigest()
+        key = _key(request)
         found = self._find(key)
         if found is None:
             self._append(key, request, _encode(fetch()))

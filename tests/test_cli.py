@@ -508,6 +508,21 @@ def test_fit_with_an_unknown_prior_is_a_usage_error(fixtures_dir, tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("dim", [0, -1])
+def test_fit_with_a_tuned_prior_of_no_features_is_a_usage_error(dim, fixtures_dir, tmp_path, monkeypatch, capsys):
+    """`number_tuned.json` at feature_dim 0 or below exits 2 naming
+    feature_dim, before any feature is hashed into no bucket."""
+    cfg = json.loads((fixtures_dir / "configs" / "number_tuned.json").read_text())
+    path = tmp_path / "tuned.json"
+    path.write_text(json.dumps(dict(cfg, feature_dim=dim)))
+    monkeypatch.chdir(fixtures_dir.parent)  # the fixture config's paths are relative to the checkout
+    with pytest.raises(SystemExit) as err:
+        main(["fit", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+    assert err.value.code == 2
+    assert f"the tuned prior needs feature_dim >= 1, not {dim}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "section,key,value,message",
     [

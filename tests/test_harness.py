@@ -458,6 +458,15 @@ def test_number_tasks_name_an_example_set_with_no_pool(pools, message, fixtures_
         group_judgments([])
 
 
+def _run_fresh(code, cwd):
+    """Run `code` in a fresh interpreter that imports this nlconcepts;
+    fail with its stderr unless it exits 0."""
+    src = str(Path(nlconcepts.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in [src, os.environ.get("PYTHONPATH")] if p))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_number_experiment_leaves_numpy_ma_unloaded(fixtures_dir):
     """A fresh interpreter that runs the number fixture experiment, at
     its 10 folds and at 2, never loads numpy.ma: fold rows are cut by
@@ -470,10 +479,28 @@ def test_number_experiment_leaves_numpy_ma_unloaded(fixtures_dir):
         "harness.run_experiment(dataclasses.replace(cfg, k_folds=2, fit=dataclasses.replace(cfg.fit, epochs=2))); "
         "assert 'numpy.ma' not in sys.modules"
     )
-    src = str(Path(nlconcepts.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in [src, os.environ.get("PYTHONPATH")] if p))
-    proc = subprocess.run([sys.executable, "-c", code], cwd=fixtures_dir.parent, env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    _run_fresh(code, cwd=fixtures_dir.parent)
+
+
+def test_shape_and_uniform_prior_runs_leave_openssl_unloaded(fixtures_dir, tmp_path):
+    """A fresh interpreter that runs the shape fixture experiment, `fit`
+    on its config and a uniform-prior number `infer` never loads
+    `_hashlib` (OpenSSL): only tuned-prior features and replay keys
+    hash, and each imports hashlib on first use. The tuned prior's
+    first feature extraction then loads it."""
+    configs = fixtures_dir / "configs"
+    pool = fixtures_dir / "number_pool_size_principle.jsonl"
+    code = (
+        "import sys; from nlconcepts import cli, harness, prior; "
+        f"harness.run_experiment(harness.ExperimentConfig.from_json({str(configs / 'shape_online.json')!r})); "
+        f"assert cli.main(['fit', '--config', {str(configs / 'shape_online.json')!r}, '--out-dir', {str(tmp_path)!r}]) == 0; "
+        f"assert cli.main(['infer', '--domain', 'number', '--pool', {str(pool)!r}, '--examples', '16,8,2,64']) == 0; "
+        "assert '_hashlib' not in sys.modules; "
+        "prior.extract_features('the number is even'); "
+        "assert '_hashlib' in sys.modules"
+    )
+    _run_fresh(code, cwd=fixtures_dir.parent)
+    assert (tmp_path / "metrics.json").exists()
 
 
 @pytest.mark.parametrize("name", ["number_tuned.json", "number_uniform.json"])
