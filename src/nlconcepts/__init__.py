@@ -11,7 +11,7 @@ Two experimental domains are included: the Number Game (concepts over
 1..100) and online learning of logical rules about colored shapes.
 """
 
-from .fit import FitConfig, FitResult, fit_params, kfold_split, r_squared
+from .fit import FitConfig, FitResult, fit_params, kfold_rows, r_squared
 from .harness import infer_number, infer_shape
 from .likelihood import EvalCache
 from .posterior import PosteriorState, dedup_pool
@@ -51,7 +51,7 @@ __all__ = [
     "fit_params",
     "infer_number",
     "infer_shape",
-    "kfold_split",
+    "kfold_rows",
     "r_squared",
     "shape_universe",
     "__version__",

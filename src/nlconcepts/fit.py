@@ -120,14 +120,17 @@ def bce_loss_and_slope(pred, yes, no):
     return float(loss), slope
 
 
-def kfold_split(ids: Sequence, k: int, seed: int) -> List[Tuple[list, list]]:
-    """Deterministic k-fold partition; fold sizes differ by at most 1."""
-    ids = list(ids)
-    if not 1 <= k <= len(ids):
-        raise InvalidK(f"k={k} incompatible with {len(ids)} ids")
-    order = np.random.default_rng(seed).permutation(len(ids))
-    folds = [[ids[idx] for idx in order[i::k]] for i in range(k)]
-    return [([x for j, f in enumerate(folds) if j != i for x in f], folds[i]) for i in range(k)]
+def kfold_rows(n: int, k: int, seed: int) -> np.ndarray:
+    """The (k, n) bool training masks of a k-fold cut of n rows: with
+    `order` the seeded permutation of the rows, fold i holds out
+    order[i::k], so each row is held out once and fold sizes differ by
+    at most 1. A k that is not an integer in 1..n is InvalidK."""
+    if not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
+        raise InvalidK(f"k={k!r} incompatible with {n} rows")
+    order = np.random.default_rng(seed).permutation(n)
+    rows = np.ones((k, n), dtype=bool)
+    rows[np.arange(n) % k, order] = False
+    return rows
 
 
 def r_squared(pred: Sequence[float], target: Sequence[float]) -> float:
@@ -167,8 +170,6 @@ class NumberTask:
     ids: List[str]
     names: List[str]  # (S,) NL text of each hypothesis
 
-    domain: str = "number"
-
 
 @dataclass
 class ShapeTask:
@@ -188,7 +189,7 @@ class ShapeTask:
 
     Building a task also compiles the constants every forward pass over
     it reads, which depend on the labels, the batches and the number B
-    of rows of `visible` alone (the fields after `domain`). With
+    of rows of `visible` alone (the fields after `count`). With
     lag[b, k] = K_b - k, how far trial k lies behind the start of batch
     b (K_b trials come before it), they are: the decay lookup (`lags`,
     the K lags of `decay_weights(K, beta)`, and `decay_index`, where
@@ -211,8 +212,6 @@ class ShapeTask:
     names: List[str]  # (S,) NL text of each rule
     rule_class: np.ndarray  # (S,) class of each rule
     count: np.ndarray  # (G,) rules in each class, as floats: every pass multiplies by it
-
-    domain: str = "shape"
 
     positive: np.ndarray = field(init=False, repr=False)  # (K,) the label is positive
     lags: np.ndarray = field(init=False, repr=False)  # (K,) K, K - 1, ..., 1 as floats
@@ -287,8 +286,8 @@ def stack_tasks(tasks) -> TaskBatch:
     """Compile tasks into one TaskBatch (a TaskBatch passes through)."""
     if isinstance(tasks, TaskBatch):
         return tasks
-    numbers = [t for t in tasks if t.domain == "number"]
-    shapes = [t for t in tasks if t.domain != "number"]
+    numbers = [t for t in tasks if isinstance(t, NumberTask)]
+    shapes = [t for t in tasks if not isinstance(t, NumberTask)]
     width = max((len(t.parsed) for t in numbers), default=0)
     n_rows = [len(t.targets) for t in numbers]
     height = max(n_rows, default=0)
@@ -701,6 +700,10 @@ class FitConfig:
         if isinstance(self.trainable, str):
             raise ValueError(f"trainable must be a list of group names, not the string {self.trainable!r}")
         self.trainable = tuple(self.trainable)
+        if isinstance(self.learning_rate, bool) or not isinstance(self.learning_rate, (int, float)):
+            raise ValueError(f"learning_rate must be a number, not {self.learning_rate!r}")
+        if isinstance(self.epochs, bool) or not isinstance(self.epochs, int):
+            raise ValueError(f"epochs must be an integer, not {self.epochs!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if self.epochs < 1:

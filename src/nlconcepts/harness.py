@@ -25,7 +25,7 @@ from .fit import (
     ShapeTask,
     TaskBatch,
     fit_params,
-    kfold_split,
+    kfold_rows,
     loss_and_grad,
     number_weights,
     pack_params,
@@ -63,13 +63,13 @@ class ConfigError(ValueError):
 
 def _from_json(cls, raw: dict, where: str):
     """`cls(**raw)`; a key that is not a field of `cls`, or a value `cls`
-    refuses, is a ConfigError."""
+    refuses or cannot compare, is a ConfigError."""
     unknown = sorted(set(raw) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
     try:
         return cls(**raw)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -118,8 +118,11 @@ class ExperimentConfig:
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"{name} must be one of {allowed}, not {getattr(self, name)!r}")
         for name, least in (("budget", 1), ("k_folds", 2), ("seed", 0)):
-            if getattr(self, name) < least:
-                raise ConfigError(f"{name} must be >= {least}, not {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, not {value!r}")
+            if value < least:
+                raise ConfigError(f"{name} must be >= {least}, not {value}")
         if self.domain == SHAPE_DOMAIN and self.weighting == "importance":
             raise ConfigError("importance weighting needs the number domain")
         if self.prior == "tuned" and self.feature_dim < 1:
@@ -330,9 +333,18 @@ def infer_shape(
 
 
 def group_judgments(judgments: Sequence[HumanNumberJudgment]):
-    """Group judgments by example set, in order of first judgment."""
+    """Group judgments by example set, in order of first judgment. A
+    test number judged twice for one set is a ConfigError that names
+    the first such `set_id:test_number`: its copies would share one
+    record id, and a fold could train on one copy and predict the
+    other."""
     by_set: Dict[str, List[HumanNumberJudgment]] = {}
+    seen = set()
     for j in judgments:
+        key = f"{j.set_id}:{j.test_number}"
+        if key in seen:
+            raise ConfigError(f"judgment {key} is repeated; each test number is judged once per example set")
+        seen.add(key)
         by_set.setdefault(j.set_id, []).append(j)
     if not by_set:
         raise ValueError("no judgments to model")
@@ -378,29 +390,21 @@ def run_number_experiment(cfg: ExperimentConfig, judgments=None, pools=None):
     return run_experiment(cfg, judgments, pools)[:3]
 
 
-def fold_rows(ids: Sequence[str], holdout: Sequence[str]) -> np.ndarray:
-    """The rows a fold trains on: True where the id is not held out, by
-    set membership (numpy's set routines sort string ids)."""
-    held = set(holdout)
-    return np.array([i not in held for i in ids], dtype=bool)
-
-
 def cross_validate(cfg: ExperimentConfig, tasks):
     """Holdout predictions of number tasks (a sequence or their
     TaskBatch): at `cfg.params` when given, else from `cfg.k_folds`
-    folds fit by `cfg.fit`, all folds and the final fit on every row
-    run as one stacked fit. Returns (metrics dict, prediction records,
-    the final parameters)."""
+    folds cut by row (`kfold_rows` at `cfg.seed`) and fit by `cfg.fit`,
+    all folds and the final fit on every row run as one stacked fit.
+    Returns (metrics dict, prediction records, the final parameters)."""
     batch = stack_tasks(tasks)
     if cfg.params is not None:
         final_params = cfg.params
         u = pack_params(final_params)
         _, _, holdout = loss_and_grad(u, batch, len(final_params.theta), want_grad=False)
     else:
+        n = len(batch.ids)
         # every fold and the final fit on all rows, as one stacked fit
-        folds = kfold_split(batch.ids, min(cfg.k_folds, len(batch.ids)), cfg.seed)
-        rows = [fold_rows(batch.ids, holdout) for _, holdout in folds]
-        rows.append(np.ones(len(batch.ids), dtype=bool))
+        rows = np.vstack([kfold_rows(n, min(cfg.k_folds, n), cfg.seed), np.ones((1, n), dtype=bool)])
         *fold_results, final = fit_params(cfg.fit, batch, default_params(cfg), train_rows=rows)
         holdout = [record for result in fold_results for record in result.holdout_predictions]
         final_params = final.params
@@ -571,7 +575,8 @@ def emit_plot_data(records: Sequence[PredictionRecord], path) -> None:
 
 
 def emit_learning_curves(details: Dict, path) -> None:
-    """Per-batch accuracy and MAP verbalization, 15 rows per concept."""
+    """Per-batch accuracy and MAP verbalization, one row per batch of
+    each concept's curve."""
     rows = (
         [cid, row["batch"], f"{row['accuracy']:.10f}", row["map_nl"] or ""]
         for cid, info in details.items()

@@ -196,6 +196,10 @@ class ModelParams:
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=float)
+        for name in ("epsilon", "alpha", "beta", "temperature", "platt_a", "platt_b"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+                raise ValueError(f"{name} must be a number, not {value!r}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0,1)")
         if not 0.0 < self.alpha < 1.0:

@@ -25,6 +25,14 @@ def repo_root():
     return REPO
 
 
+def write_repeated_judgments(path):
+    """The fixture judgments with their first row (set01, test number
+    11) appended once more, 49 rows, written to `path`; returns it."""
+    lines = (FIXTURES / "number_judgments.csv").read_text().splitlines(keepends=True)
+    path.write_text("".join(lines + lines[1:2]))
+    return path
+
+
 G1 = ShapeObject("triangle", "green", 1)
 B2 = ShapeObject("circle", "blue", 2)
 Y3 = ShapeObject("rectangle", "yellow", 3)

@@ -11,7 +11,7 @@ data: -inf log-likelihoods become NEG_LARGE, and log-weights at or
 below ZERO_CUTOFF get weight 0, so epsilon = 0 is a case it can weigh.
 It imports only the interpreters, the DSL's syntax error, the hashed
 features, the two errors a pool can raise, the PosteriorState
-container and the fold partition (`kfold_split`) from the library.
+container and the fold cut (`kfold_rows`) from the library.
 
 `shape_forward_dense` is the reference for the library's shape kernel
 (`fit.shape_forward`): the same forward pass and gradient written over
@@ -42,7 +42,7 @@ import numpy as np
 from scipy.special import expit, logsumexp
 
 from nlconcepts.dsl import DslSyntaxError, eval_shape, number_extension
-from nlconcepts.fit import kfold_split
+from nlconcepts.fit import kfold_rows
 from nlconcepts.posterior import MissingLogQ, PosteriorState
 from nlconcepts.prior import MissingFeature, extract_features
 
@@ -512,19 +512,16 @@ def fit_platt(raw, targets, epochs=1000, lr=0.001):
 def platt_cv(rows, k_folds, seed, lr):
     """Cross-validated Platt calibration of raw predictions. `rows` are
     (id, raw prediction, human) in row order; the folds are
-    `kfold_split`'s over the ids, and a fold holds out every row whose
-    id it draws. Returns (id, calibrated prediction, human) per held-out
-    row: fold after fold, each fold's rows in row order. Each fold's
-    `fit_platt` runs at learning rate `lr`."""
-    ids = [i for i, _, _ in rows]
+    `kfold_rows`'s training masks over the rows. Returns (id, calibrated
+    prediction, human) per held-out row: fold after fold, each fold's
+    rows in row order. Each fold's `fit_platt` runs at learning rate
+    `lr`."""
     out = []
-    for _, holdout in kfold_split(ids, min(k_folds, len(ids)), seed):
-        holdout = set(holdout)
-        held = [i in holdout for i in ids]
-        train = [row for row, h in zip(rows, held) if not h]
+    for trains in kfold_rows(len(rows), min(k_folds, len(rows)), seed):
+        train = [row for row, t in zip(rows, trains) if t]
         a, b = fit_platt([raw for _, raw, _ in train], [human for _, _, human in train], lr=lr)
-        for (i, raw, human), h in zip(rows, held):
-            if h:
+        for (i, raw, human), t in zip(rows, trains):
+            if not t:
                 p = min(max(raw, 1e-6), 1.0 - 1e-6)
                 out.append((i, float(expit(b + a * math.log(p / (1.0 - p)))), human))
     return out

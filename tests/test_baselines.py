@@ -20,7 +20,7 @@ from nlconcepts.baselines import (
     yes_no_ratio,
 )
 from nlconcepts.fit import FitConfig, fit_params
-from nlconcepts.harness import ExperimentConfig
+from nlconcepts.harness import ExperimentConfig, run_experiment
 from nlconcepts.io import make_hypothesis
 from nlconcepts.posterior import platt
 from nlconcepts.propose import ReplayBackend, ReplayStore
@@ -193,3 +193,24 @@ def test_no_proposal_ablation_uses_shared_pool(fixtures_dir):
         cfg, fixtures_dir / "number_pool_size_principle.jsonl"
     )
     assert metrics["n_predictions"] == 48
+
+
+def test_the_model_and_the_number_baselines_hold_out_the_same_rows(fixtures_dir):
+    """The model's CV fit, the latent-language baseline's Platt
+    calibration and the no-proposal ablation cut the same folds: on
+    `number_uniform.json` their records name the same 48 judgments in
+    the same order, fold after fold."""
+    cfg = ExperimentConfig.from_json(fixtures_dir / "configs" / "number_uniform.json")
+    root = fixtures_dir.parent
+    cfg = replace(
+        cfg,
+        data_path=str(root / cfg.data_path),
+        pools={k: str(root / v) for k, v in cfg.pools.items()},
+        fit=replace(cfg.fit, epochs=3),
+    )
+    model = [r.datum_id for r in run_experiment(cfg).records]
+    latent = [r.datum_id for r in latent_language_number(cfg)[1]]
+    ablation = [r.datum_id for r in no_proposal_ablation(cfg, fixtures_dir / "number" / "set01.jsonl")[1]]
+    assert len(model) == len(set(model)) == 48
+    assert latent == model
+    assert ablation == model

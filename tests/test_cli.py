@@ -23,7 +23,7 @@ from nlconcepts.propose.replay import HEADER_LEN, LOG_NAME
 from nlconcepts.types import ModelParams, NumberExampleSet
 
 import oracle
-from conftest import synthetic_shape_curve, synthetic_shape_pool
+from conftest import synthetic_shape_curve, synthetic_shape_pool, write_repeated_judgments
 
 
 def test_infer_number(fixtures_dir, capsys):
@@ -566,6 +566,40 @@ def test_a_params_file_the_parameters_refuse_is_a_usage_error(command, fixtures_
     assert err.value.code == 2
     assert "epsilon must lie in (0,1)" in capsys.readouterr().err
 
+@pytest.mark.parametrize(
+    "section,key,value",
+    [
+        (None, "k_folds", 2.5),
+        (None, "seed", 1.5),
+        (None, "budget", 3.5),
+        (None, "k_folds", "10"),
+        ("fit", "epochs", 2.5),
+        ("fit", "learning_rate", "0.1"),
+        ("params", "epsilon", "0.1"),
+    ],
+)
+def test_a_setting_of_the_wrong_type_is_a_usage_error(section, key, value, fixtures_dir, tmp_path, capsys):
+    """A config setting of `number_uniform.json`, or a parameter of an
+    `infer --params` file, of the wrong type exits 2 naming its key,
+    not 1 with Python's own message."""
+    if section == "params":
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({key: value}))
+        argv = ["infer", "--domain", "number", "--pool", str(fixtures_dir / "number_pool_size_principle.jsonl")]
+        argv += ["--examples", "16,8", "--params", str(path)]
+    else:
+        cfg = json.loads((fixtures_dir / "configs" / "number_uniform.json").read_text())
+        (cfg[section] if section else cfg)[key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        argv = ["fit", "--config", str(path), "--out-dir", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert f"error: {key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _shape_config(fixtures_dir, tmp_path):
     cfg = {
         "domain": "shape",
@@ -900,6 +934,27 @@ def test_fit_number_names_an_example_set_with_no_pool(fixtures_dir, tmp_path, ca
         main(["fit", "--config", str(path), "--out-dir", str(tmp_path / "out")])
     assert err.value.code == 2
     assert "error: example set 'set08' has no pool; the pools are for 'set01', " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fit"], ["baseline", "latent"], ["baseline", "llm"], ["baseline", "ablation", "--shared-pool", "fixtures/number/set01.jsonl"]],
+    ids=["fit", "latent", "llm", "ablation"],
+)
+def test_a_repeated_judgment_is_a_usage_error(argv, fixtures_dir, tmp_path, monkeypatch, capsys):
+    """`number_uniform.json` on judgments with one row repeated exits 2
+    naming the repeated `set_id:test_number`, in the model and in each
+    number baseline: its copies would share one record id."""
+    cfg = json.loads((fixtures_dir / "configs" / "number_uniform.json").read_text())
+    cfg["data_path"] = str(write_repeated_judgments(tmp_path / "judgments.csv"))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    monkeypatch.chdir(fixtures_dir.parent)  # the fixture config's pools are relative to the checkout
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--config", str(path), "--out-dir", str(tmp_path / "out")])
+    assert err.value.code == 2
+    assert "error: judgment set01:11 is repeated" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -18,7 +18,7 @@ from nlconcepts.fit import (
     adam_step,
     bce_loss_and_slope,
     fit_params,
-    kfold_split,
+    kfold_rows,
     loss_and_grad,
     pack_params,
     r_squared,
@@ -234,24 +234,45 @@ def test_bce_loss_and_slope():
     assert loss == pytest.approx(-np.sum(r * np.log(pred) + (1 - r) * np.log(1 - pred)))
 
 
-def test_kfold_split_laws():
-    ids = [f"d{i}" for i in range(23)]
-    folds = kfold_split(ids, 10, seed=0)
-    assert len(folds) == 10
-    all_holdout = [x for _, h in folds for x in h]
-    assert sorted(all_holdout) == sorted(ids)  # exact partition
-    sizes = [len(h) for _, h in folds]
+def test_kfold_rows_laws():
+    rows = kfold_rows(23, 10, seed=0)
+    assert rows.shape == (10, 23) and rows.dtype == bool
+    # an exact partition: each row is held out by one fold alone
+    np.testing.assert_array_equal((~rows).sum(axis=0), np.ones(23))
+    sizes = (~rows).sum(axis=1)
     assert max(sizes) - min(sizes) <= 1
-    for train, holdout in folds:
-        assert not set(train) & set(holdout)
-        assert sorted(train + holdout) == sorted(ids)
     # deterministic given the seed, different across seeds
-    assert folds == kfold_split(ids, 10, seed=0)
-    assert folds != kfold_split(ids, 10, seed=1)
-    with pytest.raises(InvalidK):
-        kfold_split(ids, 0, seed=0)
-    with pytest.raises(InvalidK):
-        kfold_split(ids, 24, seed=0)
+    np.testing.assert_array_equal(rows, kfold_rows(23, 10, seed=0))
+    assert (rows != kfold_rows(23, 10, seed=1)).any()
+    for k in (0, 24, "10"):
+        with pytest.raises(InvalidK):
+            kfold_rows(23, k, seed=0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_kfold_rows_hold_out_the_seeded_permutations_strides(seed):
+    """Fold i holds out exactly order[i::k] of the seeded permutation of
+    the rows, the partition the folds have always been cut by; a k that
+    is not an integer in 1..n is InvalidK, where a float would cut
+    fractional folds."""
+    for n in (1, 2, 7, 48, 61):
+        order = np.random.default_rng(seed).permutation(n)
+        for k in sorted({1, 2, 10, n} & set(range(1, n + 1))):
+            rows = kfold_rows(n, k, seed)
+            assert rows.shape == (k, n)
+            for i in range(k):
+                np.testing.assert_array_equal(np.flatnonzero(~rows[i]), np.sort(order[i::k]))
+    for k in (2.5, 0):
+        with pytest.raises(InvalidK):
+            kfold_rows(48, k, 0)
+
+
+def test_a_task_is_routed_by_its_class():
+    """A task's domain is its class: no field can send a number task
+    down the shape path."""
+    for task in (number_task(), shape_task()):
+        with pytest.raises(TypeError, match="domain"):
+            dataclasses.replace(task, domain="shape")
 
 
 def test_r_squared():
@@ -411,16 +432,16 @@ def test_stacked_folds_match_fitting_each_fold_alone(prior):
     )
     fit_cfg = FitConfig(epochs=50)
     batch = stack_tasks(fixture_number_tasks(cfg))
-    folds = kfold_split(batch.ids, 4, seed=3)
-    rows = [np.isin(batch.ids, holdout, invert=True) for _, holdout in folds]
-    rows.append(np.ones(len(batch.ids), dtype=bool))
+    folds = kfold_rows(len(batch.ids), 4, seed=3)
+    rows = np.vstack([folds, np.ones((1, len(batch.ids)), dtype=bool)])
     stacked = fit_params(fit_cfg, batch, default_params(cfg), train_rows=rows)
     assert len(stacked) == len(folds) + 1
-    for (train, holdout), result in zip(folds, stacked):
-        alone = fit_params(fit_cfg, fixture_number_tasks(cfg, set(train)), default_params(cfg))
+    for trains, result in zip(folds, stacked):
+        train = {d for d, t in zip(batch.ids, trains) if t}
+        alone = fit_params(fit_cfg, fixture_number_tasks(cfg, train), default_params(cfg))
         _, _, alone_holdout = loss_and_grad(
             pack_params(alone.params),
-            fixture_number_tasks(cfg, set(holdout)),
+            fixture_number_tasks(cfg, set(batch.ids) - train),
             len(alone.params.theta),
             want_grad=False,
         )
@@ -469,10 +490,9 @@ def test_cv_records_keep_fold_then_set_then_row_order():
     _, records, _ = run_number_experiment(cfg)
     ids = stack_tasks(fixture_number_tasks(cfg)).ids
     expected = [
-        d
-        for _, holdout in kfold_split(ids, cfg.k_folds, cfg.seed)
-        for d in ids
-        if d in holdout
+        ids[n]
+        for trains in kfold_rows(len(ids), cfg.k_folds, cfg.seed)
+        for n in np.flatnonzero(~trains)
     ]
     assert [r.datum_id for r in records] == expected
 

@@ -13,7 +13,7 @@ import pytest
 import nlconcepts
 from nlconcepts import io
 from nlconcepts.baselines import latent_language_shape
-from nlconcepts.fit import FitConfig, ShapeTask, kfold_split, shape_forward, stack_tasks
+from nlconcepts.fit import FitConfig, ShapeTask, kfold_rows, shape_forward, stack_tasks
 from nlconcepts.harness import (
     ConfigError,
     ExperimentConfig,
@@ -26,7 +26,6 @@ from nlconcepts.harness import (
     emit_plot_data,
     emit_sweep_table,
     fit_online_params,
-    fold_rows,
     group_judgments,
     infer_shape,
     load_data,
@@ -51,7 +50,7 @@ from nlconcepts.types import (
 )
 
 import oracle
-from conftest import exchangeable_shape_pool, synthetic_shape_curve, synthetic_shape_pool
+from conftest import exchangeable_shape_pool, synthetic_shape_curve, synthetic_shape_pool, write_repeated_judgments
 
 
 def load_fixture_curve(fixtures_dir):
@@ -429,15 +428,32 @@ def _fixture_config(fixtures_dir, name):
 @pytest.mark.parametrize("k", [2, 10])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_fold_rows_equal_numpys_set_difference(seed, k, fixtures_dir):
-    """Each fold's training rows, by set membership, are numpy's
-    `isin(..., invert=True)` on the fixture judgments' ids."""
-    ids = stack_tasks(list(number_tasks(_fixture_config(fixtures_dir, "number_uniform.json"), None, None).values())).ids
-    assert len(ids) == 48
-    for _, holdout in kfold_split(ids, k, seed):
-        rows = fold_rows(ids, holdout)
-        assert rows.dtype == bool
-        np.testing.assert_array_equal(rows, np.isin(ids, holdout, invert=True))
-        assert rows.sum() == len(ids) - len(holdout)
+    """Each fold's training rows (`kfold_rows`) are numpy's
+    `isin(..., invert=True)` on the fixture judgments' ids, with the
+    held-out ids those of order[i::k] of the seeded permutation."""
+    ids = np.array(stack_tasks(list(number_tasks(_fixture_config(fixtures_dir, "number_uniform.json"), None, None).values())).ids)
+    assert len(ids) == 48 and len(set(ids)) == 48
+    order = np.random.default_rng(seed).permutation(len(ids))
+    rows = kfold_rows(len(ids), k, seed)
+    assert rows.shape == (k, len(ids)) and rows.dtype == bool
+    for i in range(k):
+        holdout = ids[order[i::k]]
+        np.testing.assert_array_equal(rows[i], np.isin(ids, holdout, invert=True))
+        assert rows[i].sum() == len(ids) - len(holdout)
+
+
+def test_a_repeated_judgment_is_refused(fixtures_dir, tmp_path):
+    """A test number judged twice for one example set is a ConfigError
+    that names it, not two rows under one record id that one fold could
+    train on while another predicts them."""
+    path = write_repeated_judgments(tmp_path / "judgments.csv")
+    judgments = io.load_number_judgments(path)
+    assert len(judgments) == 49
+    with pytest.raises(ConfigError, match="judgment set01:11 is repeated"):
+        group_judgments(judgments)
+    cfg = dataclasses.replace(_fixture_config(fixtures_dir, "number_uniform.json"), data_path=str(path))
+    with pytest.raises(ConfigError, match="judgment set01:11 is repeated"):
+        number_tasks(cfg, None, None)
 
 
 @pytest.mark.parametrize("pools, message", [
@@ -747,6 +763,16 @@ def test_experiment_config_refuses_what_no_run_can_use(fields, message):
         ExperimentConfig(**{"domain": "number", **fields})
     with pytest.raises(ConfigError, match=message):
         dataclasses.replace(ExperimentConfig("number"), **fields)
+
+
+def test_a_config_value_that_cannot_compare_is_a_config_error(tmp_path):
+    """A value no check names but the constructor cannot compare, such
+    as a tuned prior's feature_dim given as a string, is a ConfigError,
+    not Python's TypeError."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"domain": "number", "prior": "tuned", "feature_dim": "16"}))
+    with pytest.raises(ConfigError, match="not supported between instances of 'str' and 'int'"):
+        ExperimentConfig.from_json(path)
 
 
 def test_infer_shape_compiles_its_task_once(fixtures_dir, monkeypatch):
