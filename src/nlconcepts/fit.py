@@ -124,10 +124,14 @@ def kfold_rows(n: int, k: int, seed: int) -> np.ndarray:
     """The (k, n) bool training masks of a k-fold cut of n rows: with
     `order` the seeded permutation of the rows, fold i holds out
     order[i::k], so each row is held out once and fold sizes differ by
-    at most 1. A k that is not an integer in 1..n is InvalidK."""
+    at most 1. `order` is numpy's `default_rng(seed).permutation(n)`,
+    computed by `pcg64.permutation` without importing `numpy.random`.
+    A k that is not an integer in 1..n is InvalidK."""
     if not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
         raise InvalidK(f"k={k!r} incompatible with {n} rows")
-    order = np.random.default_rng(seed).permutation(n)
+    from .pcg64 import permutation  # loaded by the first fold cut, not by importing the library
+
+    order = permutation(n, seed)
     rows = np.ones((k, n), dtype=bool)
     rows[np.arange(n) % k, order] = False
     return rows

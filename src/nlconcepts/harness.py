@@ -63,7 +63,10 @@ class ConfigError(ValueError):
 
 def _from_json(cls, raw: dict, where: str):
     """`cls(**raw)`; a key that is not a field of `cls`, or a value `cls`
-    refuses or cannot compare, is a ConfigError."""
+    refuses or cannot compare, is a ConfigError, and so is a `raw` that
+    is not a JSON object."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object, not {raw!r}")
     unknown = sorted(set(raw) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
@@ -117,12 +120,17 @@ class ExperimentConfig:
         for name, allowed in choices.items():
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"{name} must be one of {allowed}, not {getattr(self, name)!r}")
-        for name, least in (("budget", 1), ("k_folds", 2), ("seed", 0)):
+        for name, least in (("budget", 1), ("k_folds", 2), ("seed", 0), ("feature_dim", None)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{name} must be an integer, not {value!r}")
-            if value < least:
+            if least is not None and value < least:
                 raise ConfigError(f"{name} must be >= {least}, not {value}")
+        for name in ("data_path", "scores_path"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigError(f"{name} must be a string, not {getattr(self, name)!r}")
+        if not isinstance(self.pools, dict) or not all(isinstance(s, str) for kv in self.pools.items() for s in kv):
+            raise ConfigError(f"pools must be an object of id strings to path strings, not {self.pools!r}")
         if self.domain == SHAPE_DOMAIN and self.weighting == "importance":
             raise ConfigError("importance weighting needs the number domain")
         if self.prior == "tuned" and self.feature_dim < 1:
@@ -132,6 +140,8 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         raw = json.loads(Path(path).read_text())
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, not {raw!r}")
         nested = {"fit": _from_json(FitConfig, raw.get("fit", {}), "fit")}
         if raw.get("params") is not None:
             nested["params"] = params_from_json(raw["params"])

@@ -576,12 +576,26 @@ def test_a_params_file_the_parameters_refuse_is_a_usage_error(command, fixtures_
         ("fit", "epochs", 2.5),
         ("fit", "learning_rate", "0.1"),
         ("params", "epsilon", "0.1"),
+        (None, "feature_dim", "16"),
+        ("tuned", "feature_dim", "16"),
+        ("tuned", "feature_dim", 16.0),
+        (None, "pools", ["x"]),
+        (None, "pools", {"set01": 3}),
+        (None, "data_path", 5),
+        ("external", "scores_path", ["a"]),
+        (None, "fit", "abc"),
+        (None, "fit", None),
+        (None, "params", "xy"),
+        (None, "params", 5),
+        ("file", "config", [1, 2]),
     ],
 )
 def test_a_setting_of_the_wrong_type_is_a_usage_error(section, key, value, fixtures_dir, tmp_path, capsys):
     """A config setting of `number_uniform.json`, or a parameter of an
     `infer --params` file, of the wrong type exits 2 naming its key,
-    not 1 with Python's own message."""
+    not 1 with Python's own message. Section "tuned" or "external" sets
+    the key at the top level under that prior; "file" writes `value` as
+    the whole config."""
     if section == "params":
         path = tmp_path / "params.json"
         path.write_text(json.dumps({key: value}))
@@ -589,7 +603,12 @@ def test_a_setting_of_the_wrong_type_is_a_usage_error(section, key, value, fixtu
         argv += ["--examples", "16,8", "--params", str(path)]
     else:
         cfg = json.loads((fixtures_dir / "configs" / "number_uniform.json").read_text())
-        (cfg[section] if section else cfg)[key] = value
+        if section == "file":
+            cfg = value
+        elif section in ("tuned", "external"):
+            cfg.update({"prior": section, key: value})
+        else:
+            (cfg[section] if section else cfg)[key] = value
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
         argv = ["fit", "--config", str(path), "--out-dir", str(tmp_path / "out")]

@@ -36,6 +36,7 @@ from nlconcepts.harness import (
 )
 from nlconcepts.io import make_hypothesis
 from nlconcepts.likelihood import EvalCache, decay_weights
+from nlconcepts.pcg64 import permutation
 from nlconcepts.prior import FeatureExtractor
 from nlconcepts.types import (
     Hypothesis,
@@ -265,6 +266,18 @@ def test_kfold_rows_hold_out_the_seeded_permutations_strides(seed):
     for k in (2.5, 0):
         with pytest.raises(InvalidK):
             kfold_rows(48, k, 0)
+
+
+@pytest.mark.parametrize("seed", [*range(300), 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**200 + 12345])
+def test_permutation_is_numpys_default_rng_permutation(seed):
+    """`pcg64.permutation` is numpy's seeded permutation bit for bit,
+    at seeds of one 32-bit word and of several, the largest past the
+    four words SeedSequence's pool holds; a negative seed is a
+    ValueError, as in numpy."""
+    for n in (1, 2, 3, 7, 10, 48, 61, 100, 257, 1000):
+        assert permutation(n, seed) == np.random.default_rng(seed).permutation(n).tolist()
+    with pytest.raises(ValueError):
+        permutation(3, -1 - seed)
 
 
 def test_a_task_is_routed_by_its_class():

@@ -485,38 +485,43 @@ def _run_fresh(code, cwd):
 
 def test_number_experiment_leaves_numpy_ma_unloaded(fixtures_dir):
     """A fresh interpreter that runs the number fixture experiment, at
-    its 10 folds and at 2, never loads numpy.ma: fold rows are cut by
-    set membership, not by numpy's set routines, which sort string ids
-    through numpy.ma."""
+    its 10 folds and at 2, never loads numpy.ma, numpy.random or
+    secrets: the folds are row masks cut from `pcg64.permutation`, not
+    by numpy's set routines, which sort string ids through numpy.ma, nor
+    by numpy.random, which imports secrets and OpenSSL."""
     code = (
         "import dataclasses, sys; from nlconcepts import harness; "
         f"cfg = harness.ExperimentConfig.from_json({str(fixtures_dir / 'configs' / 'number_tuned.json')!r}); "
         "harness.run_experiment(cfg); "
         "harness.run_experiment(dataclasses.replace(cfg, k_folds=2, fit=dataclasses.replace(cfg.fit, epochs=2))); "
-        "assert 'numpy.ma' not in sys.modules"
+        "loaded = sorted({'numpy.ma', 'numpy.random', 'secrets'} & set(sys.modules)); "
+        "assert not loaded, loaded"
     )
     _run_fresh(code, cwd=fixtures_dir.parent)
 
 
 def test_shape_and_uniform_prior_runs_leave_openssl_unloaded(fixtures_dir, tmp_path):
     """A fresh interpreter that runs the shape fixture experiment, `fit`
-    on its config and a uniform-prior number `infer` never loads
-    `_hashlib` (OpenSSL): only tuned-prior features and replay keys
-    hash, and each imports hashlib on first use. The tuned prior's
-    first feature extraction then loads it."""
+    on its config, `fit` on the uniform-prior number config and a
+    uniform-prior number `infer` never loads `_hashlib` (OpenSSL): only
+    tuned-prior features and replay keys hash, and each imports hashlib
+    on first use. The tuned prior's first feature extraction then loads
+    it."""
     configs = fixtures_dir / "configs"
     pool = fixtures_dir / "number_pool_size_principle.jsonl"
+    shape_out, number_out = tmp_path / "shape", tmp_path / "number"
     code = (
         "import sys; from nlconcepts import cli, harness, prior; "
         f"harness.run_experiment(harness.ExperimentConfig.from_json({str(configs / 'shape_online.json')!r})); "
-        f"assert cli.main(['fit', '--config', {str(configs / 'shape_online.json')!r}, '--out-dir', {str(tmp_path)!r}]) == 0; "
+        f"assert cli.main(['fit', '--config', {str(configs / 'shape_online.json')!r}, '--out-dir', {str(shape_out)!r}]) == 0; "
+        f"assert cli.main(['fit', '--config', {str(configs / 'number_uniform.json')!r}, '--out-dir', {str(number_out)!r}]) == 0; "
         f"assert cli.main(['infer', '--domain', 'number', '--pool', {str(pool)!r}, '--examples', '16,8,2,64']) == 0; "
         "assert '_hashlib' not in sys.modules; "
         "prior.extract_features('the number is even'); "
         "assert '_hashlib' in sys.modules"
     )
     _run_fresh(code, cwd=fixtures_dir.parent)
-    assert (tmp_path / "metrics.json").exists()
+    assert (shape_out / "metrics.json").exists() and (number_out / "metrics.json").exists()
 
 
 @pytest.mark.parametrize("name", ["number_tuned.json", "number_uniform.json"])
@@ -766,12 +771,12 @@ def test_experiment_config_refuses_what_no_run_can_use(fields, message):
 
 
 def test_a_config_value_that_cannot_compare_is_a_config_error(tmp_path):
-    """A value no check names but the constructor cannot compare, such
-    as a tuned prior's feature_dim given as a string, is a ConfigError,
-    not Python's TypeError."""
+    """A tuned prior's feature_dim given as a string, which the
+    constructor cannot compare with 1, is a ConfigError naming
+    feature_dim, not Python's TypeError."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"domain": "number", "prior": "tuned", "feature_dim": "16"}))
-    with pytest.raises(ConfigError, match="not supported between instances of 'str' and 'int'"):
+    with pytest.raises(ConfigError, match="^feature_dim must be an integer, not '16'$"):
         ExperimentConfig.from_json(path)
 
 
