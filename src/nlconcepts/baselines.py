@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .fit import FitConfig, NumberTask, number_weights, pack_params, shape_forward, stack_tasks
+from .fit import FitConfig, NumberTask, number_weights, pack_params, rule_weights, shape_forward, stack_tasks
 from .harness import (
     ExperimentConfig,
     PredictionRecord,
@@ -106,24 +106,23 @@ def latent_language_shape(
 ):
     """Online MLE: each batch keeps only the visible rule that best
     explains the previous trials, and predicts through the model's pass
-    (`shape_forward`) with that rule's class alone visible, so eps * alpha
-    where no rule is visible; curves and pools are loaded from `cfg`
-    when None. Returns (metrics, records, per-curve chosen NL per batch,
-    None where no rule is visible)."""
+    (`shape_forward`) with that rule alone visible, a count of one in
+    its class, so eps * alpha where no rule is visible; curves and pools
+    are loaded from `cfg` when None. Returns (metrics, records,
+    per-curve chosen NL per batch, None where no rule is visible)."""
     if curves is None:
         curves = load_data(cfg)
     params = replace(cfg.params or ModelParams(), temperature=1.0)
     records: List[PredictionRecord] = []
     chosen: Dict[str, List[Optional[str]]] = {}
     for curve, task in zip(curves, shape_tasks(replace(cfg, prior="uniform"), curves, pools)):
-        _, weights, _ = shape_forward(task, params)
-        best = map_rules(task, weights[:, task.rule_class])
+        best = map_rules(*rule_weights(task, shape_forward(task, params)[1]))
         chosen[curve.concept_id] = [None if s is None else task.names[s] for s in best]
-        only = np.zeros_like(task.visible)
+        only = np.zeros_like(task.count)
         for b, s in enumerate(best):
             if s is not None:
-                only[b, task.rule_class[s]] = True
-        preds = shape_forward(replace(task, visible=only), params)[0]
+                only[b, task.rule_class[s]] = 1.0
+        preds = shape_forward(replace(task, count=only), params)[0]
         records.extend(
             PredictionRecord(i, float(p), h, "holdout")
             for i, p, h in zip(task.ids, preds, curve.human_positive_rate)

@@ -181,42 +181,44 @@ class ShapeTask:
     rules: K trials in B batches, each trial one prediction row.
 
     Rules the posterior cannot tell apart are compiled once. A class is
-    a set of rules with the same truth row, the same first visible
-    batch, the same base log-prior and, under a tuned prior, the same
-    feature row; each of its `count[g]` rules gets the same weight. The
-    G classes are numbered in the order of their first rule, and
-    `rule_class` maps each rule to its class.
+    a set of rules with the same truth row, the same base log-prior
+    and, under a tuned prior, the same feature row; each of its
+    `count[b, g]` rules visible at batch b gets the same weight there.
+    The G classes are numbered in the order of their first rule,
+    `rule_class` maps each rule to its class and `first_batch` gives the
+    batch from which the rule itself is visible (`rule_weights`).
 
     `consist` must hold only 0.0 and 1.0: `shape_forward` is affine in
     it. Building a task checks this once and raises ValueError naming
     the curve otherwise.
 
     Building a task also compiles the constants every forward pass over
-    it reads, which depend on the labels, the batches and the number B
-    of rows of `visible` alone (the fields after `count`). With
-    lag[b, k] = K_b - k, how far trial k lies behind the start of batch
-    b (K_b trials come before it), they are: the decay lookup (`lags`,
-    the K lags of `decay_weights(K, beta)`, and `decay_index`, where
-    lag^-beta lies in that table of K weights followed by a zero slot
-    for trials not yet past), and the sums over a trial's label, plain
-    and weighted by log lag, that the gradient takes. `consist_t` is a
-    C-contiguous copy of `consist.T` for the scores' (D * (log r1 -
-    log r0)) @ c^T and the gradient's g @ c^T, which BLAS runs about
-    twice as fast as with the transposed view.
-    `dataclasses.replace` compiles them again."""
+    it reads, which depend on the counts, the labels, the batches and
+    the number B of rows of `count` alone (the fields after
+    `first_batch`). `visible` is count > 0. With lag[b, k] = K_b - k,
+    how far trial k lies behind the start of batch b (K_b trials come
+    before it), they are: the decay lookup (`lags`, the K lags of
+    `decay_weights(K, beta)`, and `decay_index`, where lag^-beta lies in
+    that table of K weights followed by a zero slot for trials not yet
+    past), and the sums over a trial's label, plain and weighted by log
+    lag, that the gradient takes. `consist_t` is a C-contiguous copy of
+    `consist.T` for the scores' (D * (log r1 - log r0)) @ c^T and the
+    gradient's g @ c^T, which BLAS runs about twice as fast as with the
+    transposed view. `dataclasses.replace` compiles them again."""
 
     features: Optional[np.ndarray]  # (G, D); None under a non-tuned prior
     base_logprior: np.ndarray  # (G,)
     consist: np.ndarray  # (G, K) truth value of the class's rules per trial, 0.0 or 1.0
     labels: np.ndarray  # (K,) observed Y
     batch: np.ndarray  # (K,) batch index of each trial, from 0
-    visible: np.ndarray  # (B, G) the class's rules parsed and joined by batch b
+    count: np.ndarray  # (B, G) the class's rules visible at batch b, as floats: every pass multiplies by it
     targets: np.ndarray  # (K,)
     ids: List[str]
     names: List[str]  # (S,) NL text of each rule
     rule_class: np.ndarray  # (S,) class of each rule
-    count: np.ndarray  # (G,) rules in each class, as floats: every pass multiplies by it
+    first_batch: np.ndarray  # (S,) the row of `count` each rule is visible from; past the last if never
 
+    visible: np.ndarray = field(init=False, repr=False)  # (B, G) count > 0
     positive: np.ndarray = field(init=False, repr=False)  # (K,) the label is positive
     lags: np.ndarray = field(init=False, repr=False)  # (K,) K, K - 1, ..., 1 as floats
     decay_index: np.ndarray = field(init=False, repr=False)  # (B, K) K - lag where past, else K (the zero slot)
@@ -236,7 +238,8 @@ class ShapeTask:
                 f"found {float(self.consist[g, k])!r} for rule {rule!r} on trial {k}"
             )
         self.count = np.asarray(self.count, dtype=float)
-        n_batches, n_trials = self.visible.shape[0], len(self.labels)
+        self.visible = self.count > 0
+        n_batches, n_trials = self.count.shape[0], len(self.labels)
         self.positive = self.labels > 0
         by_label = np.stack([~self.positive, self.positive], axis=1).astype(float)
         lag = np.searchsorted(self.batch, np.arange(n_batches))[:, None] - np.arange(n_trials)
@@ -491,10 +494,11 @@ def shape_pass(task: ShapeTask, theta, eps: float, alpha: float, beta: float, te
     batch where no rule is visible.
 
     The rules of a class (`ShapeTask`) share their score, so the pass
-    runs over the G classes: each rule of class g weighs
-    p[b, g] = e[b, g] / sum_h count[h] e[b, h], and the class as a
-    whole W = p * count, which stands in for the rule weights in every
-    sum over rules below. No array of the pass has a column per rule.
+    runs over the G classes: each of the count[b, g] rules of class g
+    visible at batch b weighs p[b, g] = e[b, g] / sum_h count[b, h] e[b, h],
+    and the class as a whole W = p * count, which stands in for the rule
+    weights in every sum over rules below. No array of the pass has a
+    column per rule.
 
     `task.consist` must hold only 0 and 1 (ShapeTask checks it). Then
     q[g, k] = (1 - eps) c[g, k] + eps alpha, the probability r[g, k] of
@@ -518,7 +522,7 @@ def shape_pass(task: ShapeTask, theta, eps: float, alpha: float, beta: float, te
     per-rule weights of each class (B, G), backward), where
     backward(d(loss)/d(prediction)) gives the loss gradient in (theta or
     None, epsilon, alpha, beta, temperature). The weights of the rules
-    themselves are `p[:, task.rule_class]`.
+    themselves are `rule_weights(task, p)`.
     """
     c = task.consist
     log_prior = task.base_logprior
@@ -574,6 +578,15 @@ def shape_pass(task: ShapeTask, theta, eps: float, alpha: float, beta: float, te
         return d_theta, d_eps, d_alpha, d_beta, d_temp
 
     return pred, p, backward
+
+
+def rule_weights(task: ShapeTask, p: np.ndarray):
+    """(weights (B, S), visible (B, S)) of the rules themselves, from the
+    per-rule weights p (B, G) of their classes that `shape_pass`
+    returns: a rule weighs its class's p from its first visible batch on
+    (`ShapeTask.first_batch`), and 0 before it or if it never joins."""
+    visible = task.first_batch <= np.arange(len(p))[:, None]
+    return np.where(visible, p[:, task.rule_class], 0.0), visible
 
 
 def _shape_rows(task: ShapeTask, u, dim, grad, yes, no):

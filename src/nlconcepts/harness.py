@@ -30,6 +30,7 @@ from .fit import (
     number_weights,
     pack_params,
     r_squared,
+    rule_weights,
     shape_forward,
     stack_tasks,
 )
@@ -239,27 +240,24 @@ def build_shape_task(
     after_last: bool = False,
 ) -> ShapeTask:
     """Compile a curve against its deduplicated pool: the truth matrix
-    of its rules on the curve's trials (`likelihood.truth_matrix`), the
-    batches the trials fall in and the rules visible at each, kept once
-    per class of rules the posterior cannot tell apart (`ShapeTask`).
-    With `after_last`, `visible` has one more row, the rules visible
-    after the last batch, as `infer_shape` reads them. `scores` are the
-    external prior's, read from `cfg.scores_path` when None. `cache` is
-    not read; it stays for callers that pass an `EvalCache`
-    positionally."""
+    of its rules on the curve's trials (`likelihood.truth_matrix`), kept
+    once per class of rules the posterior cannot tell apart, the batches
+    the trials fall in, and per batch the number of each class's rules
+    visible at it (`ShapeTask`). A rule is visible from its source batch
+    on, from the first batch without one, and never when unparsed. With
+    `after_last`, `count` has one more row, the rules visible after the
+    last batch, as `infer_shape` reads them. `scores` are the external
+    prior's, read from `cfg.scores_path` when None. `cache` is not read;
+    it stays for callers that pass an `EvalCache` positionally."""
     unique, _ = dedup_pool(pool)
     features, base = _prior_pieces(cfg, unique, extractor, scores)
     trials = curve.trials
     n_batches = len(curve.batches)
     truth = truth_matrix(unique, trials)
-    # the first batch (from 1) a rule is visible at: its source batch, or
-    # batch 1 without one; an unparsed rule never joins
-    never = n_batches + 1
-    joins = [min(max(h.source_batch or 1, 1), never) if h.parsed else never for h in unique]
     # two bits per truth value, c != 0 and c != 1: rules merge only on
     # equal 0/1 rows, and a value in between stays for ShapeTask to reject
     bits = np.packbits(np.concatenate([truth != 0.0, truth != 1.0], axis=1), axis=1)
-    keys = [[row.tobytes() for row in bits], joins, base.tolist()]
+    keys = [[row.tobytes() for row in bits], base.tolist()]
     if features is not None:
         keys.append([row.tobytes() for row in features])
     classes: Dict[tuple, int] = {}  # key -> class, numbered in the order of first rules
@@ -269,21 +267,31 @@ def build_shape_task(
             classes[key] = len(first)
             first.append(s)
         rule_class.append(classes[key])
-    visible = np.array(joins)[first] <= np.arange(1, n_batches + 1)[:, None]
-    if after_last:  # after the last batch, the rules visible at it
-        visible = np.vstack([visible, visible[-1:]])
+    rule_class = np.array(rule_class, dtype=int)
+    # the row (from 0) a rule is first visible at: its source batch less
+    # one, or row 0 without one; past every row (n_batches + 1) when it
+    # never parses or joins after the last batch
+    first_batch = np.array(
+        [max(h.source_batch or 1, 1) - 1 if h.parsed else n_batches for h in unique], dtype=int
+    )
+    first_batch[first_batch >= n_batches] = n_batches + 1
+    # count[b, g]: one bincount over the (row, class) pairs of visible rules
+    n_rows, n_classes = n_batches + after_last, len(first)
+    rows = np.arange(n_rows)[:, None]
+    pairs = (rows * n_classes + rule_class)[first_batch <= rows]
+    count = np.bincount(pairs, minlength=n_rows * n_classes).reshape(n_rows, n_classes)
     return ShapeTask(
         features=None if features is None else features[first],
         base_logprior=base[first],
         consist=truth[first],
         labels=np.array([float(t.label) for t in trials]),
         batch=np.repeat(np.arange(n_batches), [len(b) for b in curve.batches]),
-        visible=visible,
+        count=count,
         targets=np.array(curve.human_positive_rate, dtype=float),
         ids=[f"{curve.concept_id}:{k}" for k in range(len(trials))],
         names=[h.nl_text for h in unique],
-        rule_class=np.array(rule_class, dtype=int),
-        count=np.bincount(rule_class, minlength=len(first)),
+        rule_class=rule_class,
+        first_batch=first_batch,
     )
 
 
@@ -333,9 +341,8 @@ def infer_shape(
     if upto_batch == n_batches:  # every batch seen: every parsed rule is visible
         pool = [replace(h, source_batch=None) for h in pool]
     task = build_shape_task(cfg, pool, curve, FeatureExtractor(dim=cfg.feature_dim), after_last=True)
-    weights = shape_forward(task, params)[1][upto_batch, task.rule_class]
-    alive = task.visible[upto_batch, task.rule_class]
-    return posterior_state(dedup_pool(pool)[0], len(pool), weights, alive)
+    weights, alive = rule_weights(task, shape_forward(task, params)[1])
+    return posterior_state(dedup_pool(pool)[0], len(pool), weights[upto_batch], alive[upto_batch])
 
 
 # ---------------------------------------------------------------------------
@@ -446,10 +453,11 @@ def number_top_verbalizations(
     return out
 
 
-def map_rules(task: ShapeTask, weights: np.ndarray) -> List[Optional[int]]:
+def map_rules(weights: np.ndarray, visible: np.ndarray) -> List[Optional[int]]:
     """Per batch, the first rule of largest weight, from the rule
-    weights (B, S); None where no rule is visible."""
-    return [int(np.argmax(w)) if v.any() else None for w, v in zip(weights, task.visible)]
+    weights and visibility (B, S) of `fit.rule_weights`; None where no
+    rule is visible."""
+    return [int(np.argmax(w)) if v.any() else None for w, v in zip(weights, visible)]
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +510,8 @@ def evaluate_online(curves: Sequence[LearningCurve], tasks: Sequence[ShapeTask],
     records: List[PredictionRecord] = []
     details = {}
     for curve, task in zip(curves, tasks):
-        preds, class_weights, _ = shape_forward(task, params)
-        weights = class_weights[:, task.rule_class]
+        preds, p, _ = shape_forward(task, params)
+        weights, visible = rule_weights(task, p)
         correct = (preds >= 0.5) == (task.labels > 0)
         records.extend(
             PredictionRecord(i, float(p), h, "holdout")
@@ -516,7 +524,7 @@ def evaluate_online(curves: Sequence[LearningCurve], tasks: Sequence[ShapeTask],
                 "map_nl": None if s is None else task.names[s],
                 **weight_diagnostics(w),
             }
-            for b, (s, w) in enumerate(zip(map_rules(task, weights), weights))
+            for b, (s, w) in enumerate(zip(map_rules(weights, visible), weights))
         ]
         details[curve.concept_id] = {"per_batch": per_batch}
     metrics = online_metrics(records, curves)

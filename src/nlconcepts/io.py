@@ -14,13 +14,16 @@ Learning curve: JSON with concept_id, ground_truth_nl, batches (lists of
 {"shape","color","size","label"} objects) and human_positive_rate per
 trial.
 
-Score file: JSON Lines {"nl": str, "logp": float}.
+Score file: JSON Lines {"nl": str, "logp": float}. A row that is not
+such an object, or whose logp is not a finite number, is refused as
+ScoreFileError.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Sequence
@@ -44,6 +47,14 @@ class EmptyPool(ValueError):
 
     def __str__(self):
         return f"pool file {self.args[0]} holds no hypotheses"
+
+
+class ScoreFileError(ValueError):
+    """A score file row that is not {"nl": str, "logp": finite number};
+    the arguments are the file, the line number (from 1) and the fault."""
+
+    def __str__(self):
+        return "score file {}, line {}: {}".format(*self.args)
 
 
 def load_pool(path, domain: str) -> List[Hypothesis]:
@@ -188,11 +199,27 @@ def save_learning_curve(path, curve: LearningCurve) -> None:
 
 
 def load_score_file(path) -> Dict[str, float]:
+    """The external prior's log-prior of each canonical NL text; a row
+    that is not {"nl": str, "logp": finite number} is a ScoreFileError
+    naming the file and the line."""
     scores = {}
-    for line in Path(path).read_text().splitlines():
-        if line.strip():
+    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
             row = json.loads(line)
-            scores[canonicalize_nl(row["nl"])] = float(row["logp"])
+        except ValueError:
+            raise ScoreFileError(path, number, "not a JSON object") from None
+        if not isinstance(row, dict) or not isinstance(row.get("nl"), str):
+            raise ScoreFileError(path, number, "no string 'nl'")
+        if "logp" not in row:
+            raise ScoreFileError(path, number, "no 'logp'")
+        logp = row["logp"]
+        if isinstance(logp, bool) or not isinstance(logp, (int, float)):
+            raise ScoreFileError(path, number, f"'logp' is not a number: {logp!r}")
+        if not math.isfinite(logp):
+            raise ScoreFileError(path, number, f"'logp' is not finite: {logp!r}")
+        scores[canonicalize_nl(row["nl"])] = float(logp)
     return scores
 
 

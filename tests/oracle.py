@@ -280,16 +280,17 @@ def _softmax_rows(scores, alive):
 
 def rule_level(task):
     """A shape task with one class per rule: every class array of `task`
-    gathered by its `rule_class`."""
+    gathered by its `rule_class`, and a count of 1 for each rule from
+    its `first_batch` on."""
     rule_class = task.rule_class
+    visible = task.first_batch <= np.arange(len(task.count))[:, None]
     return dataclasses.replace(
         task,
         features=None if task.features is None else task.features[rule_class],
         base_logprior=task.base_logprior[rule_class],
         consist=task.consist[rule_class],
-        visible=task.visible[:, rule_class],
+        count=visible.astype(float),
         rule_class=np.arange(len(rule_class)),
-        count=np.ones(len(rule_class), dtype=int),
     )
 
 

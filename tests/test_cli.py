@@ -13,7 +13,7 @@ import nlconcepts
 from nlconcepts import harness, io
 from nlconcepts.baselines import DIRECT_PARAMS, direct_shape_prompt
 from nlconcepts.cli import _load_params, main
-from nlconcepts.fit import number_weights, pack_params, shape_forward, stack_tasks
+from nlconcepts.fit import number_weights, pack_params, rule_weights, shape_forward, stack_tasks
 from nlconcepts.harness import params_to_json
 from nlconcepts.posterior import dedup_pool
 from nlconcepts.prior import FeatureExtractor
@@ -134,7 +134,7 @@ def _write_params(tmp_path, params):
 @pytest.mark.parametrize("source", ["fixture", "synthetic"])
 def test_infer_shape_reads_the_online_models_weights(source, fixtures_dir, tmp_path, capsys):
     """`infer --upto-batch b` prints the weights the online model
-    predicts batch b + 1 from (`shape_forward`'s p[b, rule_class]),
+    predicts batch b + 1 from (`rule_weights` of `shape_forward`'s p),
     honouring the rules' source batches; after every batch, every
     parsed rule has weight."""
     if source == "fixture":
@@ -150,13 +150,13 @@ def test_infer_shape_reads_the_online_models_weights(source, fixtures_dir, tmp_p
     pool, curve = io.load_pool(pool_path, "shape"), io.load_learning_curve(curve_path)
     cfg = harness.ExperimentConfig("shape")
     task = harness.build_shape_task(cfg, pool, curve, FeatureExtractor(dim=0))
-    _, p, _ = shape_forward(task, params)
+    want, visible = rule_weights(task, shape_forward(task, params)[1])
     unique, _ = dedup_pool(pool)
     for b in range(len(curve.batches)):
         got = _infer_json(argv + ["--upto-batch", str(b)], capsys)
         weights = dict((h["nl"], h["weight"]) for h in got["hypotheses"])
-        assert [weights[h.nl_text] for h in unique] == p[b, task.rule_class].tolist(), b
-        hidden = int((~task.visible[b, task.rule_class]).sum())
+        assert [weights[h.nl_text] for h in unique] == want[b].tolist(), b
+        hidden = int((~visible[b]).sum())
         assert got["diagnostics"]["zero_weight"] == hidden
         assert got["degenerate"] == (hidden == len(unique))
     if source == "synthetic":
@@ -234,6 +234,23 @@ def test_infer_number_reads_the_fit_paths_weights(prior, temperature, fixtures_d
     weights = dict((h["nl"], h["weight"]) for h in got["hypotheses"])
     assert [weights[nl] for nl in task.names] == want.tolist()
     assert got["diagnostics"]["zero_weight"] == int((~task.parsed).sum())
+
+
+def test_infer_with_a_nan_score_is_an_error_naming_the_score_file(fixtures_dir, tmp_path, capsys):
+    """A score file whose logp is NaN: infer exits 1 and names the file
+    and the line, before any weight is computed."""
+    pool_path = fixtures_dir / "shape" / "green_triangles_pool.jsonl"
+    scores = tmp_path / "scores.jsonl"
+    keys = [h.key for h in io.load_pool(pool_path, "shape")]
+    scores.write_text("".join(json.dumps({"nl": key, "logp": -1.0}) + "\n" for key in keys[1:]))
+    with scores.open("a") as f:
+        f.write(json.dumps({"nl": keys[0], "logp": math.nan}) + "\n")
+    argv = ["infer", "--domain", "shape", "--pool", str(pool_path), "--upto-batch", "2"]
+    argv += ["--curve", str(fixtures_dir / "shape" / "green_triangles_curve.json")]
+    assert main(argv + ["--prior", "external", "--scores", str(scores)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: score file {scores}, line {len(keys)}: 'logp' is not finite: nan\n"
 
 
 @pytest.mark.parametrize("upto", [-1, 16])

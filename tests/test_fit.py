@@ -622,10 +622,10 @@ def fuzzed_shape_curve(rng, n_batches):
 
 def fresh_constants(task, beta):
     """The shape pass's per-curve arrays, derived from the labels, the
-    batches and the rows of `visible` as each pass derived them before
+    batches and the rows of `count` as each pass derived them before
     they were compiled: (sign, past, D, log lag, the predictions' index
     (batch, trial))."""
-    n_batches, n_trials = task.visible.shape[0], len(task.labels)
+    n_batches, n_trials = task.count.shape[0], len(task.labels)
     sign = np.where(task.labels > 0, 1.0, -1.0)
     lag = np.searchsorted(task.batch, np.arange(n_batches))[:, None] - np.arange(n_trials)
     past = lag > 0
@@ -635,7 +635,8 @@ def fresh_constants(task, beta):
 
 
 def assert_constants_match_fresh(task):
-    n_batches, n_trials = task.visible.shape[0], len(task.labels)
+    n_batches, n_trials = task.count.shape[0], len(task.labels)
+    np.testing.assert_array_equal(task.visible, task.count > 0)
     assert task.decay_index.shape == task.in_batch.shape == (n_batches, n_trials)
     for beta in (0.0, 0.37, 1.0, 8.0):
         sign, past, decay, log_lag, now = fresh_constants(task, beta)
@@ -668,16 +669,16 @@ def assert_constants_match_fresh(task):
 @pytest.mark.parametrize("seed", range(6))
 def test_shape_task_constants_match_fresh_derivation(seed):
     """On fuzzed curves of 1 to 15 batches, after `replace` with an extra
-    row of visible rules (as `infer_shape` adds), and on a 1-batch curve,
+    row of counts (as `infer_shape` adds), and on a 1-batch curve,
     the compiled constants equal the arrays each pass derived before."""
     rng = np.random.default_rng(seed)
     cfg = ExperimentConfig(domain="shape", prior="uniform")
     n_batches = [1, 2, 5, 9, 15, 15][seed]
     curve = fuzzed_shape_curve(rng, n_batches)
     task = build_shape_task(cfg, synthetic_shape_pool(), curve, FeatureExtractor(dim=0))
-    assert task.visible.shape[0] == n_batches
+    assert task.count.shape[0] == n_batches
     assert_constants_match_fresh(task)
-    wider = dataclasses.replace(task, visible=np.vstack([task.visible, task.visible[-1:]]))
+    wider = dataclasses.replace(task, count=np.vstack([task.count, task.count[-1:]]))
     n_trials = len(task.labels)
     # every trial lies before the added batch
     assert wider.decay_index.shape[0] == n_batches + 1 and (wider.decay_index[-1] < n_trials).all()
@@ -690,18 +691,21 @@ def synthetic_shape_task(n_classes, seed, n_batches=5, n_trials=200):
     """A uniform-prior shape task of `n_classes` random classes, one rule
     each, on `n_trials` trials in `n_batches` equal batches."""
     rng = np.random.default_rng(seed)
+    consist = (rng.random((n_classes, n_trials)) < 0.5).astype(float)
+    labels = (rng.random(n_trials) < 0.5).astype(float)
+    visible = np.sort(rng.random((n_batches, n_classes)) < 0.7, axis=0)
     return ShapeTask(
         features=None,
         base_logprior=np.zeros(n_classes),
-        consist=(rng.random((n_classes, n_trials)) < 0.5).astype(float),
-        labels=(rng.random(n_trials) < 0.5).astype(float),
+        consist=consist,
+        labels=labels,
         batch=np.repeat(np.arange(n_batches), n_trials // n_batches),
-        visible=np.sort(rng.random((n_batches, n_classes)) < 0.7, axis=0),
+        count=visible.astype(float),
         targets=rng.random(n_trials),
         ids=[f"curve:{k}" for k in range(n_trials)],
         names=[f"rule {g}" for g in range(n_classes)],
         rule_class=np.arange(n_classes),
-        count=np.ones(n_classes, dtype=int),
+        first_batch=np.where(visible.any(axis=0), visible.argmax(axis=0), n_batches + 1),
     )
 
 

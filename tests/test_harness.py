@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -9,11 +10,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nlconcepts
 from nlconcepts import io
 from nlconcepts.baselines import latent_language_shape
-from nlconcepts.fit import FitConfig, ShapeTask, kfold_rows, shape_forward, stack_tasks
+from nlconcepts.dsl.generate import random_shape_expr
+from nlconcepts.dsl.shape import format_shape_concept
+from nlconcepts.fit import FitConfig, ShapeTask, kfold_rows, rule_weights, shape_forward, stack_tasks
 from nlconcepts.harness import (
     ConfigError,
     ExperimentConfig,
@@ -38,7 +43,7 @@ from nlconcepts.harness import (
     run_online_experiment,
     shape_tasks,
 )
-from nlconcepts.likelihood import EvalCache
+from nlconcepts.likelihood import EvalCache, truth_matrix
 from nlconcepts.posterior import dedup_pool
 from nlconcepts.prior import FeatureExtractor, MissingFeature
 from nlconcepts.types import (
@@ -314,7 +319,9 @@ def test_build_shape_task_masks_respect_source_batch(fixtures_dir):
 def test_shape_task_classes_follow_the_prior(fixtures_dir):
     """Rules merge into one class when nothing the posterior reads tells
     them apart: equal external scores merge, distinct tuned features
-    do not, and without a merge there is one class per rule."""
+    do not, and without a merge there is one class per rule. The batch
+    a rule joins at is not part of its class: a class counts, per
+    batch, the rules of it visible there."""
     curve = synthetic_shape_curve()
     pool = [
         io.make_hypothesis("it is green", "this.color == green", "shape"),
@@ -324,19 +331,76 @@ def test_shape_task_classes_follow_the_prior(fixtures_dir):
     for scores, count in (([-1.0, -1.0], [2]), ([-1.0, -2.0], [1, 1])):
         by_key = {h.key: score for h, score in zip(pool, scores)}
         task = build_shape_task(external, pool, curve, FeatureExtractor(dim=0), scores=by_key)
-        assert task.count.tolist() == count, scores
+        assert task.count.tolist() == [count] * len(curve.batches), scores
         assert task.base_logprior[task.rule_class].tolist() == scores
     tuned = ExperimentConfig(domain="shape", prior="tuned", feature_dim=16)
     task = build_shape_task(tuned, pool, curve, FeatureExtractor(dim=16))
-    assert task.count.tolist() == [1, 1] and task.rule_class.tolist() == [0, 1]
+    assert task.count[-1].tolist() == [1, 1] and task.rule_class.tolist() == [0, 1]
     assert not np.array_equal(task.features[0], task.features[1])
+    uniform = ExperimentConfig(domain="shape", prior="uniform", feature_dim=0)
+    joined = [dataclasses.replace(h, source_batch=b) for h, b in zip(pool, (4, 2))]
+    task = build_shape_task(uniform, joined, curve, FeatureExtractor(dim=0))
+    assert task.rule_class.tolist() == [0, 0] and task.first_batch.tolist() == [3, 1]
+    assert task.count.tolist() == [[0], [1], [1], [2], [2]]
 
     cfg = ExperimentConfig.from_json(fixtures_dir / "configs" / "shape_online.json")
     pool = load_fixture_pool(fixtures_dir)
     task = build_shape_task(cfg, pool, load_fixture_curve(fixtures_dir), FeatureExtractor(dim=0))
     assert len(task.names) == len(pool) == 10
-    assert task.count.tolist() == [1] * 10
+    assert task.count[-1].tolist() == [float(h.parsed) for h in pool]
     assert task.rule_class.tolist() == list(range(10))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    prior=st.sampled_from(["uniform", "external", "tuned"]),
+    after_last=st.booleans(),
+    data=st.data(),
+)
+def test_shape_task_classes_are_distinct_and_count_the_rules_joined(seed, prior, after_last, data):
+    """On random pools (empty, all unparsed, rules of equal truth rows
+    joining at random batches, source batches before the first batch
+    and after the last): no two classes share a truth row, base
+    log-prior and feature row; each rule's class has the rule's own;
+    count[b, g] is the number of parsed rules of class g joined by
+    batch b + 1 (the row after the last batch counting those of the
+    last); and the rule weights of a batch sum to 1 where a rule is
+    visible, else to 0."""
+    curve = synthetic_shape_curve()
+    n_batches = len(curve.batches)
+    rng = random.Random(seed)
+    pool = []
+    for i in range(data.draw(st.integers(0, 12), label="n_rules")):
+        src = format_shape_concept(random_shape_expr(rng, rng.randint(0, 2)))
+        if data.draw(st.booleans(), label="unparsed"):
+            src = "exists(o in"
+        batch = data.draw(st.one_of(st.none(), st.integers(-1, n_batches + 2)), label="batch")
+        pool.append(io.make_hypothesis(f"rule {i}: {src}", src, "shape", batch=batch))
+    cfg = ExperimentConfig(domain="shape", prior=prior, feature_dim=4 if prior == "tuned" else 0)
+    unique, _ = dedup_pool(pool)
+    scores = {h.key: float(rng.choice([-1.0, -2.0])) for h in unique}
+    extractor = FeatureExtractor(dim=cfg.feature_dim)
+    task = build_shape_task(cfg, pool, curve, extractor, scores=scores, after_last=after_last)
+
+    n_classes = task.consist.shape[0]
+    features = np.zeros((n_classes, 0)) if task.features is None else task.features
+    keys = zip(task.consist, task.base_logprior.tolist(), features)
+    assert len({(c.tobytes(), base, f.tobytes()) for c, base, f in keys}) == n_classes
+    assert np.array_equal(task.consist[task.rule_class], truth_matrix(unique, curve.trials))
+    if prior == "external":
+        assert task.base_logprior[task.rule_class].tolist() == [scores[h.key] for h in unique]
+    if prior == "tuned" and unique:
+        assert np.array_equal(task.features[task.rule_class], extractor.matrix(unique))
+    want = np.zeros((n_batches + after_last, n_classes))
+    for h, g in zip(unique, task.rule_class):
+        join = max(h.source_batch or 1, 1)
+        if h.parsed and join <= n_batches:
+            want[join - 1 :, g] += 1
+    assert task.count.tolist() == want.tolist()
+    params = ModelParams(theta=np.ones(cfg.feature_dim), epsilon=0.2, alpha=0.4, beta=1.0)
+    weights, visible = rule_weights(task, shape_forward(task, params)[1])
+    assert np.allclose(weights.sum(axis=1), visible.any(axis=1), rtol=0, atol=1e-12)
 
 
 def test_map_rule_of_tied_classes_is_the_earlier_rule():
@@ -357,7 +421,7 @@ def test_map_rule_of_tied_classes_is_the_earlier_rule():
     params = ModelParams(theta=np.zeros(0), epsilon=0.1, alpha=0.5, beta=1.0)
     _, p, _ = shape_forward(task, params)
     assert p[1, 1] == p[1, 2] > p[1, 0]
-    assert p[1, 2] * task.count[2] > p[1, 1] * task.count[1]
+    assert p[1, 2] * task.count[1, 2] > p[1, 1] * task.count[1, 1]
     _, _, details = run_online_experiment(cfg, [curve], {curve.concept_id: pool}, params)
     per_batch = details[curve.concept_id]["per_batch"]
     assert per_batch[1]["map_nl"] == "it is small and green"
@@ -805,7 +869,7 @@ def test_infer_shape_compiles_its_task_once(fixtures_dir, monkeypatch):
         assert len(compiled) == 1
         source = [dataclasses.replace(h, source_batch=None) for h in pool] if upto == n_batches else pool
         task = build_shape_task(cfg, source, curve, FeatureExtractor(dim=0))
-        task = dataclasses.replace(task, visible=np.vstack([task.visible, task.visible[-1:]]))
-        assert np.array_equal(compiled[0].visible, task.visible)
-        weights = shape_forward(task, params)[1][upto, task.rule_class]
+        task = dataclasses.replace(task, count=np.vstack([task.count, task.count[-1:]]))
+        assert np.array_equal(compiled[0].count, task.count)
+        weights = rule_weights(task, shape_forward(task, params)[1])[0][upto]
         assert state.weights.tobytes() == weights.tobytes()

@@ -112,6 +112,31 @@ def test_score_file_round_trip(tmp_path):
     assert io.load_score_file(path) == {"the number is even": -2.5}
 
 
+@pytest.mark.parametrize(
+    "row,fault",
+    [
+        ('{"logp": -1.0}', "no string 'nl'"),
+        ('["the number is odd", -1.0]', "no string 'nl'"),
+        ('{"nl": "the number is odd"}', "no 'logp'"),
+        ('{"nl": "the number is odd", "logp": "-1.0"}', "'logp' is not a number: '-1.0'"),
+        ('{"nl": "the number is odd", "logp": null}', "'logp' is not a number: None"),
+        ('{"nl": "the number is odd", "logp": true}', "'logp' is not a number: True"),
+        ('{"nl": "the number is odd", "logp": NaN}', "'logp' is not finite: nan"),
+        ('{"nl": "the number is odd", "logp": Infinity}', "'logp' is not finite: inf"),
+        ('{"nl": "the number is odd", "logp": -Infinity}', "'logp' is not finite: -inf"),
+        ('{"nl": "the number is odd", "logp":', "not a JSON object"),
+    ],
+)
+def test_score_file_row_without_a_finite_logp_is_refused(tmp_path, row, fault):
+    """A row that is not {"nl": str, "logp": finite number} is a
+    ScoreFileError naming the file and the line (blank lines count)."""
+    path = tmp_path / "scores.jsonl"
+    path.write_text('{"nl": "the number is even", "logp": -2.5}\n\n' + row + "\n")
+    with pytest.raises(io.ScoreFileError) as err:
+        io.load_score_file(path)
+    assert str(err.value) == f"score file {path}, line 3: {fault}"
+
+
 @pytest.mark.parametrize("domain", ["number", "shape"])
 def test_pool_load_marks_a_too_deeply_nested_rule_unparsed(tmp_path, domain):
     """A source nested past the recursion limit is a parse failure, not

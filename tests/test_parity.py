@@ -19,7 +19,7 @@ from nlconcepts import io
 from nlconcepts.baselines import direct_llm_number, direct_number_prompt, latent_language_number, latent_language_shape
 from nlconcepts.dsl.generate import random_shape_expr
 from nlconcepts.dsl.shape import format_shape_concept
-from nlconcepts.fit import _unpack, loss_and_grad, pack_params, r_squared, shape_forward
+from nlconcepts.fit import _unpack, loss_and_grad, pack_params, r_squared, rule_weights, shape_forward
 from nlconcepts.harness import (
     ExperimentConfig,
     build_number_task,
@@ -227,7 +227,7 @@ def assert_kernel_matches_dense(task, params, dl_dpred, at):
     u, tiny = np.finfo(float).eps, np.finfo(float).tiny
     rules = oracle.rule_level(task)
     pred, p, backward = shape_forward(task, params)
-    w = p[:, task.rule_class]
+    w = rule_weights(task, p)[0]
     want_pred, want_w, want_backward = oracle.shape_forward_dense(rules, params)
     z, scale = oracle.shape_forward_magnitudes(rules, params, dl_dpred)
     rounding = 2 * (len(task.labels) + 2) * u * z
@@ -264,33 +264,56 @@ def test_shape_kernel_matches_dense_reference():
     assert empty_batches
 
 
+def merged_shape_pool():
+    """Rules on `synthetic_shape_curve` whose classes merge across join
+    batches: one truth row joining at batches 3, 1 and 4, an all-false
+    rule and an unparsed one, whose row of zeros matches it, and rules
+    that join at the last batch and after it."""
+    rules = [
+        ("it is green", "this.color == green", 3),
+        ("it is a green thing", "this.color == green", 1),
+        ("it is green and blue", "this.color == green and this.color == blue", 2),
+        ("it shimmers", "this.shimmer ==", 1),  # never parses
+        ("it is not blue", "not this.color == blue", 5),
+        ("its colour is green", "this.color == green", 4),
+        ("it is a triangle", "this.shape == triangle", 6),  # after the last batch
+    ]
+    return [make_hypothesis(nl, src, "shape", batch=b) for nl, src, b in rules]
+
+
 @pytest.mark.parametrize("prior", ["uniform", "external"])
 def test_shape_kernel_over_classes_matches_dense_reference_over_rules(prior):
-    """Rules that share a truth row, a join batch and a base log-prior
-    are one class of the compiled task; the kernel over the classes
-    gives the predictions, gradients and rule weights of the dense
-    reference over the rules."""
+    """Rules that share a truth row and a base log-prior are one class
+    of the compiled task, whatever batches they join at; the kernel over
+    the classes gives the predictions, gradients and rule weights of the
+    dense reference over the rules. The second pool is compiled with the
+    row after the last batch, as `infer_shape` compiles it."""
     cfg = config("shape", prior)
-    pool, curve = exchangeable_shape_pool(), synthetic_shape_curve()
-    # equal scores keep the classes of the uniform prior, except for the
-    # first two rules, which the external prior tells apart
-    scores = {h.key: -1.0 for h in pool}
-    scores[pool[1].key] = -2.5
-    task = build_shape_task(cfg, pool, curve, FeatureExtractor(dim=0), scores=scores)
-    want_classes = [[0, 1, 3], [2], [4, 5], [6], [7, 9], [8], [10]]
-    if prior == "external":
-        want_classes = [[0, 3], [1]] + want_classes[1:]
-    assert [np.flatnonzero(task.rule_class == g).tolist() for g in range(len(task.count))] == want_classes
-    assert task.count.tolist() == [len(c) for c in want_classes]
+    curve = synthetic_shape_curve()
     rng = np.random.default_rng(15)
     dl_dpred = rng.normal(size=len(curve.trials))
     grid = [random_params(rng, 0) for _ in range(3)] + [ModelParams(**p) for p in SPECIAL_PARAMS]
     for eps, alpha, beta, temp in KERNEL_GRID[::5]:
         grid.append(ModelParams(epsilon=eps, alpha=alpha, beta=beta, temperature=temp))
-    for params in grid:
-        assert_kernel_matches_dense(task, params, dl_dpred, f"{prior}, {params}")
+    # equal scores keep the classes of the uniform prior, except for each
+    # pool's second rule, which the external prior tells apart
+    inputs = [
+        (exchangeable_shape_pool(), False, [[0, 1, 2, 3], [4, 5], [6], [7, 9], [8], [10]]),
+        (merged_shape_pool(), True, [[0, 1, 5], [2, 3], [4], [6]]),
+    ]
+    for pool, after_last, want_classes in inputs:
+        scores = {h.key: -1.0 for h in pool}
+        scores[pool[1].key] = -2.5
+        task = build_shape_task(cfg, pool, curve, FeatureExtractor(dim=0), scores=scores, after_last=after_last)
+        if prior == "external":
+            want_classes = [[c for c in want_classes[0] if c != 1], [1]] + want_classes[1:]
+        classes = [np.flatnonzero(task.rule_class == g).tolist() for g in range(task.consist.shape[0])]
+        assert classes == want_classes
+        for params in grid:
+            assert_kernel_matches_dense(task, params, dl_dpred, f"{prior}, {params}")
     if prior == "uniform":
-        assert_shape_paths_match_oracle(cfg, pool, curve, grid[0])
+        for pool, _, _ in inputs:
+            assert_shape_paths_match_oracle(cfg, pool, curve, grid[0])
 
 
 # ---------------------------------------------------------------------------
