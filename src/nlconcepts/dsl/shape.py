@@ -23,7 +23,11 @@ one trial; it is the reference interpreter. `truth_values` walks it
 once for all trials of a curve, encoded by `encode_trials`, with numpy
 arrays as values: each bound variable adds a broadcast axis, and
 quantifiers and `count` reduce it. The truth matrix the model fits and
-predicts from (`harness.build_shape_task`) comes from `truth_values`.
+predicts from (`harness.build_shape_task`) comes from `truth_values`,
+so its walk dispatches on each node's exact type, most frequent first,
+and calls numpy's ufuncs and their reductions directly. A quantifier
+over `colors`, `shapes` or `sizes` reduces its body with no mask: the
+set is never empty and each value on its axis is in it.
 """
 
 from __future__ import annotations
@@ -278,7 +282,8 @@ def eval_shape(expr, test: ShapeObject, batch) -> bool:
 # trial and axis i the variable of the i-th enclosing binder, over the 5
 # batch slots or the 3 values of a feature set. Quantifiers and count
 # reduce the last axis, so every value broadcasts against the others.
-# Constants are numpy scalars: `~` of a Python bool is an int.
+# Constant subtrees (`true`, `1 < 2`) stay Python or numpy scalars with
+# no axes; ufuncs take them as they take arrays.
 
 MAX_OBJECTS = 5
 # Largest intermediate of a rule's evaluation, in array cells (8 MiB of int64)
@@ -292,7 +297,8 @@ _DOMAIN_SIZE = {
     "sizes": len(SIZES),
 }
 _CODES = {"shape": {s: i for i, s in enumerate(SHAPES)}, "color": {c: i for i, c in enumerate(COLORS)}}
-_FEATURE_VALUES = {"shape": np.arange(len(SHAPES)), "color": np.arange(len(COLORS)), "int": np.array(SIZES)}
+# each feature set's values as a (1, n) row, indexed as a field's slots are
+_FEATURE_VALUES = {"shape": np.arange(len(SHAPES))[None], "color": np.arange(len(COLORS))[None], "int": np.array([SIZES])}
 
 
 class TrialArrays(NamedTuple):
@@ -333,11 +339,19 @@ def encode_trials(trials) -> TrialArrays:
     return TrialArrays(*features, valid, others, *this)
 
 
-def _slots(a: TrialArrays, field: str, axis: int, depth: int):
-    """A (K, 5) field viewed with its slots on `axis`, for a value
-    under `depth` binders."""
-    index = (slice(None),) + (None,) * (axis - 1) + (slice(None),) + (None,) * (depth - axis)
-    return getattr(a, field)[index]
+class _SlotIndex(dict):
+    """Per (axis, depth), the index that puts the slots of a (K, 5) field,
+    or the values of a (1, n) feature row, on `axis` of a value under
+    `depth` binders; axis 0 takes a (K,) field of the test object."""
+
+    def __missing__(self, key):
+        axis, depth = key
+        inner = (None,) * (axis - 1) + (slice(None),) if axis else ()
+        self[key] = index = (slice(None),) + inner + (None,) * (depth - axis)
+        return index
+
+
+_SLOTS = _SlotIndex()
 
 
 class _OverBudget(Exception):
@@ -345,54 +359,58 @@ class _OverBudget(Exception):
 
 
 def _binder(node, a, env, depth, cells):
-    """(body, domain mask) of a quantifier or count, on a new last axis.
-    `cells` counts the cells per trial of the values under the enclosing
-    binders; an evaluation of more than one trial whose intermediates
+    """(body, domain mask) of a quantifier or count, on a new last axis; a feature
+    set's mask is None. `cells` counts the cells per trial of the values under the
+    enclosing binders; an evaluation of more than one trial whose intermediates
     would outgrow the budget stops with _OverBudget before building them."""
     axis = depth + 1
     cells *= _DOMAIN_SIZE[node.domain]
     if len(a.all) > 1 and len(a.all) * cells > CELL_BUDGET:
         raise _OverBudget
     body = _array_bool(node.body, a, {**env, node.var: axis}, axis, cells)
-    if node.domain in OBJECT_SETS:
-        return body, _slots(a, node.domain, axis, axis)
-    return body, np.ones((1,) * axis + (_DOMAIN_SIZE[node.domain],), dtype=bool)
+    return body, getattr(a, node.domain)[_SLOTS[axis, axis]] if node.domain in OBJECT_SETS else None
 
 
 def _array_value(node, a, env, depth, cells):
-    if isinstance(node, Const):
-        return np.int64(node.value if node.kind == "int" else _CODES[node.kind][node.value])
-    if isinstance(node, VarRef):
-        axis = env[node.name]
-        return _FEATURE_VALUES[node.kind].reshape((1,) * axis + (-1,) + (1,) * (depth - axis))
-    if isinstance(node, Accessor):
+    kind = type(node)
+    if kind is Accessor:
         axis = env[node.var]
-        if axis == 0:
-            return getattr(a, "this_" + node.field)[(slice(None),) + (None,) * depth]
-        return _slots(a, node.field, axis, depth)
-    if isinstance(node, Count):
+        return getattr(a, node.field if axis else "this_" + node.field)[_SLOTS[axis, depth]]
+    if kind is Const:
+        return node.value if node.kind == "int" else _CODES[node.kind][node.value]
+    if kind is Count:
         body, mask = _binder(node, a, env, depth, cells)
-        return (body & mask).sum(axis=-1)
+        if mask is None:  # a feature set, which the body may not span
+            mask = np.ones((1,) * (depth + 1) + (_DOMAIN_SIZE[node.domain],), dtype=bool)
+        return np.add.reduce(np.logical_and(body, mask), axis=-1)
+    if kind is VarRef:
+        return _FEATURE_VALUES[node.kind][_SLOTS[env[node.name], depth]]
     raise AssertionError(node)
 
 
 def _array_bool(node, a, env, depth, cells):
-    if isinstance(node, BoolLit):
-        return np.bool_(node.value)
-    if isinstance(node, BoolOp):
-        left = _array_bool(node.left, a, env, depth, cells)
-        right = _array_bool(node.right, a, env, depth, cells)
-        return left & right if node.op == "and" else left | right
-    if isinstance(node, Not):
-        return ~_array_bool(node.arg, a, env, depth, cells)
-    if isinstance(node, Cmp):
+    kind = type(node)
+    if kind is Cmp:
         left = _array_value(node.left, a, env, depth, cells)
         return COMPARE[node.op](left, _array_value(node.right, a, env, depth, cells))
-    if isinstance(node, Quant):
+    if kind is BoolOp:
+        left = _array_bool(node.left, a, env, depth, cells)
+        right = _array_bool(node.right, a, env, depth, cells)
+        return np.logical_and(left, right) if node.op == "and" else np.logical_or(left, right)
+    if kind is Quant:
         body, mask = _binder(node, a, env, depth, cells)
-        if node.quantifier == "exists":
-            return (body & mask).any(axis=-1)
-        return (body | ~mask).all(axis=-1)
+        exists = node.quantifier == "exists"
+        if mask is not None:
+            if exists:
+                return np.logical_or.reduce(np.logical_and(body, mask), axis=-1)
+            return np.logical_and.reduce(np.logical_or(body, np.logical_not(mask)), axis=-1)
+        # a feature set is never empty and holds every value of its axis, so
+        # the body needs no mask (numpy reduces a 0-d constant over axis -1 to itself)
+        return np.logical_or.reduce(body, axis=-1) if exists else np.logical_and.reduce(body, axis=-1)
+    if kind is Not:
+        return np.logical_not(_array_bool(node.arg, a, env, depth, cells))
+    if kind is BoolLit:
+        return node.value
     raise TypeError(f"not a boolean expression: {node!r}")
 
 

@@ -2,9 +2,13 @@
 
 Hypothesis pool: JSON Lines, one object per line:
     {"nl": str, "dsl": str, "logq": float|null, "batch": int|null}
-A rule whose DSL does not parse is kept as Unparsed (`parse_program`,
-which translation uses too). A pool file that holds no hypotheses,
-where one is needed, is refused as EmptyPool.
+`logq` and `batch` may be left out, as null, and `dsl` too, as "" (a
+rule that does not parse). A row that is not such an object, whose
+`logq` is not a finite number, or whose `batch` is not an integer (a
+bool is neither) is refused as PoolFileError. A rule whose DSL does not
+parse is kept as Unparsed (`parse_program`, which translation uses
+too). A pool file that holds no hypotheses, where one is needed, is
+refused as EmptyPool.
 
 Number judgments: CSV with header set_id,examples,test_number,mean_rating
 where examples is a ';'-separated integer list and mean_rating is the
@@ -49,6 +53,15 @@ class EmptyPool(ValueError):
         return f"pool file {self.args[0]} holds no hypotheses"
 
 
+class PoolFileError(ValueError):
+    """A pool file row that is not {"nl": str, "dsl": str, "logq": finite
+    number|null, "batch": int|null}; the arguments are the file, the line
+    number (from 1) and the fault."""
+
+    def __str__(self):
+        return "pool file {}, line {}: {}".format(*self.args)
+
+
 class ScoreFileError(ValueError):
     """A score file row that is not {"nl": str, "logp": finite number};
     the arguments are the file, the line number (from 1) and the fault."""
@@ -65,18 +78,33 @@ def load_pool(path, domain: str) -> List[Hypothesis]:
     `save_pool` did not write) is built again from its key.
 
     Rules that fail to parse are kept as Unparsed so the pool size still
-    matches the proposal budget.
+    matches the proposal budget. A malformed row is a PoolFileError
+    naming the file and the line.
     """
     programs = {}  # DSL source -> ConceptProgram or Unparsed
     out = []
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
-        row = json.loads(line)
-        src = row.get("dsl", "")
+        try:
+            row = json.loads(line)
+        except ValueError:
+            raise PoolFileError(path, number, "not a JSON object") from None
+        if type(row) is not dict:
+            raise PoolFileError(path, number, "not a JSON object")
+        nl, src, logq, batch = row.get("nl"), row.get("dsl", ""), row.get("logq"), row.get("batch")
+        # exact type tests: JSON gives no subclasses, and a bool is no number here
+        if type(nl) is not str:
+            raise PoolFileError(path, number, "no string 'nl'")
+        if type(src) is not str:
+            raise PoolFileError(path, number, f"'dsl' is not a string: {src!r}")
+        if not (logq is None or type(logq) is int or type(logq) is float and math.isfinite(logq)):
+            raise PoolFileError(path, number, f"'logq' is not a finite number: {logq!r}")
+        if not (batch is None or type(batch) is int):
+            raise PoolFileError(path, number, f"'batch' is not an integer: {batch!r}")
         if src not in programs:
             programs[src] = parse_program(src, domain)
-        h = Hypothesis(row["nl"], programs[src], row.get("logq"), row.get("batch"))
+        h = Hypothesis(nl, programs[src], logq, batch)
         out.append(h if h.nl_text == h.key else replace(h, nl_text=h.key))
     return out
 

@@ -253,6 +253,19 @@ def test_infer_with_a_nan_score_is_an_error_naming_the_score_file(fixtures_dir, 
     assert captured.err == f"error: score file {scores}, line {len(keys)}: 'logp' is not finite: nan\n"
 
 
+def test_infer_on_a_pool_with_a_string_batch_is_an_error_naming_the_pool_file(fixtures_dir, tmp_path, capsys):
+    """A pool row whose batch is the string "2": infer exits 1 and names
+    the file and the line, not a comparison of an int with a str."""
+    rows = (fixtures_dir / "shape" / "green_triangles_pool.jsonl").read_text().splitlines()
+    pool_path = tmp_path / "pool.jsonl"
+    pool_path.write_text("".join(line + "\n" for line in [json.dumps(dict(json.loads(rows[0]), batch="2"))] + rows[1:]))
+    argv = ["infer", "--domain", "shape", "--pool", str(pool_path), "--upto-batch", "1"]
+    assert main(argv + ["--curve", str(fixtures_dir / "shape" / "green_triangles_curve.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: pool file {pool_path}, line 1: 'batch' is not an integer: '2'\n"
+
+
 @pytest.mark.parametrize("upto", [-1, 16])
 def test_infer_upto_batch_outside_the_curve_is_a_usage_error(upto, fixtures_dir, capsys):
     argv = ["infer", "--domain", "shape", "--pool", str(fixtures_dir / "shape" / "green_triangles_pool.jsonl")]

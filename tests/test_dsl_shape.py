@@ -369,6 +369,40 @@ def test_compiled_matches_interpreter_on_edge_cases(src):
     _assert_array_eval_matches(parse_shape_concept(src), _small_batch_trials())
 
 
+@pytest.mark.parametrize("domain", ["colors", "shapes", "sizes"])
+def test_compiled_matches_interpreter_under_feature_set_binders(domain):
+    """forall, exists and count over a feature set, around generated
+    bodies, at the top and under an object binder. The quantifiers
+    reduce their body with no mask, so bodies that never mention the
+    bound variable, and constant ones, must agree too; count keeps its
+    mask, which a body constant in the variable needs."""
+    trials = _fuzzed_trials(60, seed=12)
+    arrays = encode_trials(trials)
+    rng = random.Random(13)
+    var, kind = domain[0], shape_dsl.FEATURE_SETS[domain]
+    constant = [BoolLit(True), BoolLit(False), parse_shape_concept("1 < 2"), parse_shape_concept("not 2 <= 1")]
+    for outer in (None, "o"):
+        unbound = {"this": "object"} if outer is None else {"this": "object", outer: "object"}
+        bodies = constant + [random_shape_expr(rng, rng.randint(0, 2), {**unbound, var: kind}) for _ in range(40)]
+        bodies += [random_shape_expr(rng, rng.randint(0, 2), unbound) for _ in range(20)]
+        for body in bodies:
+            for rule in (
+                Quant("forall", var, domain, body),
+                Quant("exists", var, domain, body),
+                Cmp(rng.choice(["==", ">=", "<"]), Count(var, domain, body), Const("int", rng.randint(0, 3))),
+            ):
+                if outer is not None:
+                    rule = Quant(rng.choice(["forall", "exists"]), outer, rng.choice(["all", "others"]), rule)
+                _assert_array_eval_matches(rule, trials, arrays)
+
+
+def test_compiled_matches_interpreter_on_integers_beyond_int64():
+    """Integer literals are compared as Python ints, as eval_shape
+    compares them, whatever their size."""
+    rule = "this.size < 99999999999999999999999 and count(o in all, true) != 18446744073709551616"
+    _assert_array_eval_matches(parse_shape_concept(rule), _small_batch_trials())
+
+
 DEEP_RULE = (
     "exists(a in others, forall(b in all, exists(c in all, forall(d in all,"
     " exists(e in all, exists(f in all, f.color == a.color and e.size >= d.size or c.shape == b.shape))))))"

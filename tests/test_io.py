@@ -137,6 +137,46 @@ def test_score_file_row_without_a_finite_logp_is_refused(tmp_path, row, fault):
     assert str(err.value) == f"score file {path}, line 3: {fault}"
 
 
+@pytest.mark.parametrize(
+    "row,fault",
+    [
+        ('{"nl": "odd", "dsl": "odd(x)", "logq": NaN}', "'logq' is not a finite number: nan"),
+        ('{"nl": "odd", "dsl": "odd(x)", "logq": Infinity}', "'logq' is not a finite number: inf"),
+        ('{"nl": "odd", "dsl": "odd(x)", "logq": -Infinity}', "'logq' is not a finite number: -inf"),
+        ('{"nl": "odd", "dsl": "odd(x)", "logq": "-1.0"}', "'logq' is not a finite number: '-1.0'"),
+        ('{"nl": "odd", "dsl": "odd(x)", "logq": true}', "'logq' is not a finite number: True"),
+        ('{"nl": "odd", "dsl": "odd(x)", "batch": "2"}', "'batch' is not an integer: '2'"),
+        ('{"nl": "odd", "dsl": "odd(x)", "batch": true}', "'batch' is not an integer: True"),
+        ('{"nl": "odd", "dsl": "odd(x)", "batch": 2.0}', "'batch' is not an integer: 2.0"),
+        ('{"dsl": "odd(x)"}', "no string 'nl'"),
+        ('{"nl": 5, "dsl": "odd(x)"}', "no string 'nl'"),
+        ('{"nl": "odd", "dsl": 5}', "'dsl' is not a string: 5"),
+        ('{"nl": "odd", "dsl": null}', "'dsl' is not a string: None"),
+        ('["odd", "odd(x)"]', "not a JSON object"),
+        ('{"nl": "odd", "dsl":', "not a JSON object"),
+    ],
+)
+def test_malformed_pool_row_is_refused(tmp_path, row, fault):
+    """A pool row that is not {"nl": str, "dsl": str, "logq": finite
+    number|null, "batch": int|null} is a PoolFileError naming the file
+    and the line (blank lines count); a NaN logq once loaded and broke
+    importance weighting downstream."""
+    path = tmp_path / "pool.jsonl"
+    path.write_text('{"nl": "even", "dsl": "even(x)", "logq": -1, "batch": 2}\n\n' + row + "\n")
+    with pytest.raises(io.PoolFileError) as err:
+        io.load_pool(path, "number")
+    assert str(err.value) == f"pool file {path}, line 3: {fault}"
+
+
+def test_pool_row_may_leave_out_logq_batch_and_dsl(tmp_path):
+    path = tmp_path / "pool.jsonl"
+    path.write_text('{"nl": "even", "logq": null, "batch": null}\n{"nl": "odd", "dsl": "odd(x)", "logq": -2}\n')
+    first, second = io.load_pool(path, "number")
+    assert (first.proposal_logprob, first.source_batch, first.parsed) == (None, None, False)
+    assert first.program.source == ""
+    assert (second.proposal_logprob, second.source_batch, second.parsed) == (-2, None, True)
+
+
 @pytest.mark.parametrize("domain", ["number", "shape"])
 def test_pool_load_marks_a_too_deeply_nested_rule_unparsed(tmp_path, domain):
     """A source nested past the recursion limit is a parse failure, not
