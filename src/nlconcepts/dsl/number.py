@@ -32,6 +32,15 @@ limit: evaluating, formatting, comparing and pickling a tree all
 recurse once or more per level, and chains of `or`, `and`, `+`, `-`,
 `*` or `mod` build depth without deepening the parse.
 
+The nodes of both languages' trees are plain classes on one `Node`
+base: each lists its fields as `__slots__` and sets them in a
+hand-written `__init__`, so building one costs a few attribute stores
+and importing the languages generates no code. `Node` defines equality
+(same class, equal fields), a hash that agrees with it and a `repr`
+that names the fields, once for every class, from `__slots__`. Nothing
+guards a node's fields: a parsed tree is shared (`load_pool` parses
+each source once), so it must not be changed after construction.
+
 Two evaluators share these semantics. `eval_number` walks the tree for
 one x; it is the reference interpreter, and `number_extension` collects
 its extension as a frozenset. `extension_values` walks the tree once
@@ -49,7 +58,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, is_dataclass
 from typing import Tuple
 
 import numpy as np
@@ -67,57 +75,96 @@ class DslSyntaxError(SyntaxError):
 # AST
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: int
+class Node:
+    """A syntax-tree node of either language. Its fields are its
+    `__slots__`, which its `__init__` sets and nothing changes after;
+    two nodes are equal when they are of one class with equal fields,
+    equal nodes hash alike, and `repr` names the fields."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__qualname__}({fields})"
 
 
-@dataclass(frozen=True)
-class Var:
-    pass  # the single free variable x
+class Lit(Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
 
 
-@dataclass(frozen=True)
-class Arith:
-    op: str  # + - * mod ^
-    left: object
-    right: object
+class Var(Node):
+    __slots__ = ()  # the single free variable x
 
 
-@dataclass(frozen=True)
-class Cmp:
-    op: str  # < <= == >= >
-    left: object
-    right: object
+class Arith(Node):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Node, right: Node):
+        self.op = op  # + - * mod ^
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
-class Pred:
-    name: str
-    args: Tuple[object, ...]
+class Cmp(Node):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Node, right: Node):
+        self.op = op  # < <= == != >= >
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
-class InSet:
-    members: Tuple[int, ...]
-    arg: object
+class Pred(Node):
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: Tuple[Node, ...]):
+        self.name = name
+        self.args = args
 
 
-@dataclass(frozen=True)
-class BoolOp:
-    op: str  # and / or
-    left: object
-    right: object
+class InSet(Node):
+    __slots__ = ("members", "arg")
+
+    def __init__(self, members: Tuple[int, ...], arg: Node):
+        self.members = members
+        self.arg = arg
 
 
-@dataclass(frozen=True)
-class Not:
-    arg: object
+class BoolOp(Node):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Node, right: Node):
+        self.op = op  # and / or
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
-class BoolLit:
-    value: bool
+class Not(Node):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Node):
+        self.arg = arg
+
+
+class BoolLit(Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool):
+        self.value = value
 
 
 # arity of each predicate, excluding in_set which has special syntax
@@ -164,15 +211,16 @@ MAX_DEPTH = 200
 
 def _depth(node) -> int:
     """Nodes on the longest path down from `node`, counted without
-    recursion; a node's children are its dataclass fields, alone or in
-    a tuple."""
+    recursion; a node's children are the nodes in its slots, alone or
+    in a tuple."""
     deepest, stack = 0, [(node, 1)]
     while stack:
         node, depth = stack.pop()
         deepest = max(deepest, depth)
-        for value in vars(node).values():
-            for child in value if isinstance(value, tuple) else (value,):
-                if is_dataclass(child):
+        for name in node.__slots__:
+            value = getattr(node, name)
+            for child in value if type(value) is tuple else (value,):
+                if isinstance(child, Node):
                     stack.append((child, depth + 1))
     return deepest
 

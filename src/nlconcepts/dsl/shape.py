@@ -32,13 +32,12 @@ set is never empty and each value on its axis is in it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from ..types import COLORS, SHAPES, SIZES, ShapeObject
-from .number import COMPARE, _CMP_OPS, BoolLit, BoolOp, Cmp, Not, _is_name, format_bool
+from .number import COMPARE, _CMP_OPS, BoolLit, BoolOp, Cmp, Node, Not, _is_name, format_bool
 from .number import _Parser as _BoolParser
 
 KEYWORDS = {"forall", "exists", "count", "in", "and", "or", "not", "true", "false"}
@@ -47,37 +46,47 @@ FEATURE_SETS = {"colors": "color", "shapes": "shape", "sizes": "int"}
 SIZE_CONSTS = {"small": 1, "medium": 2, "large": 3}
 
 
-@dataclass(frozen=True)
-class Const:
-    kind: str  # "shape" | "color" | "int"
-    value: object
+class Const(Node):
+    __slots__ = ("kind", "value")
+
+    def __init__(self, kind: str, value):
+        self.kind = kind  # "shape" | "color" | "int"
+        self.value = value
 
 
-@dataclass(frozen=True)
-class VarRef:
-    name: str
-    kind: str  # "object" | "shape" | "color" | "int"
+class VarRef(Node):
+    __slots__ = ("name", "kind")
+
+    def __init__(self, name: str, kind: str):
+        self.name = name
+        self.kind = kind  # "object" | "shape" | "color" | "int"
 
 
-@dataclass(frozen=True)
-class Accessor:
-    var: str
-    field: str  # shape | color | size
+class Accessor(Node):
+    __slots__ = ("var", "field")
+
+    def __init__(self, var: str, field: str):
+        self.var = var
+        self.field = field  # shape | color | size
 
 
-@dataclass(frozen=True)
-class Count:
-    var: str
-    domain: str
-    body: object
+class Count(Node):
+    __slots__ = ("var", "domain", "body")
+
+    def __init__(self, var: str, domain: str, body: Node):
+        self.var = var
+        self.domain = domain
+        self.body = body
 
 
-@dataclass(frozen=True)
-class Quant:
-    quantifier: str  # forall | exists
-    var: str
-    domain: str
-    body: object
+class Quant(Node):
+    __slots__ = ("quantifier", "var", "domain", "body")
+
+    def __init__(self, quantifier: str, var: str, domain: str, body: Node):
+        self.quantifier = quantifier  # forall | exists
+        self.var = var
+        self.domain = domain
+        self.body = body
 
 
 # each shape, color and size name as one node that every tree shares

@@ -5,10 +5,12 @@ Hypothesis pool: JSON Lines, one object per line:
 `logq` and `batch` may be left out, as null, and `dsl` too, as "" (a
 rule that does not parse). A row that is not such an object, whose
 `logq` is not a finite number, or whose `batch` is not an integer (a
-bool is neither) is refused as PoolFileError. A rule whose DSL does not
-parse is kept as Unparsed (`parse_program`, which translation uses
-too). A pool file that holds no hypotheses, where one is needed, is
-refused as EmptyPool.
+bool is neither) is refused as PoolFileError. A finite number is a
+float other than NaN and +/-Infinity, or an integer that converts to a
+float without overflow: 10**300 loads as written, a 400-digit integer
+is refused. A rule whose DSL does not parse is kept as Unparsed
+(`parse_program`, which translation uses too). A pool file that holds
+no hypotheses, where one is needed, is refused as EmptyPool.
 
 Number judgments: CSV with header set_id,examples,test_number,mean_rating
 where examples is a ';'-separated integer list and mean_rating is the
@@ -19,8 +21,8 @@ Learning curve: JSON with concept_id, ground_truth_nl, batches (lists of
 trial.
 
 Score file: JSON Lines {"nl": str, "logp": float}. A row that is not
-such an object, or whose logp is not a finite number, is refused as
-ScoreFileError.
+such an object, or whose logp is not a finite number as a pool's `logq`
+must be, is refused as ScoreFileError; logp is kept as a float.
 """
 
 from __future__ import annotations
@@ -100,6 +102,8 @@ def load_pool(path, domain: str) -> List[Hypothesis]:
             raise PoolFileError(path, number, f"'dsl' is not a string: {src!r}")
         if not (logq is None or type(logq) is int or type(logq) is float and math.isfinite(logq)):
             raise PoolFileError(path, number, f"'logq' is not a finite number: {logq!r}")
+        if type(logq) is int and not _fits_float(logq):
+            raise PoolFileError(path, number, _TOO_LARGE.format("logq"))
         if not (batch is None or type(batch) is int):
             raise PoolFileError(path, number, f"'batch' is not an integer: {batch!r}")
         if src not in programs:
@@ -245,10 +249,24 @@ def load_score_file(path) -> Dict[str, float]:
         logp = row["logp"]
         if isinstance(logp, bool) or not isinstance(logp, (int, float)):
             raise ScoreFileError(path, number, f"'logp' is not a number: {logp!r}")
+        if not _fits_float(logp):
+            raise ScoreFileError(path, number, _TOO_LARGE.format("logp"))
         if not math.isfinite(logp):
             raise ScoreFileError(path, number, f"'logp' is not finite: {logp!r}")
         scores[canonicalize_nl(row["nl"])] = float(logp)
     return scores
+
+
+_TOO_LARGE = "'{}' is an integer too large for a float"
+
+
+def _fits_float(value) -> bool:
+    """Whether the int or float `value` converts to a float without overflow."""
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def save_score_file(path, scores: Dict[str, float]) -> None:

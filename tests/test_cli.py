@@ -253,6 +253,19 @@ def test_infer_with_a_nan_score_is_an_error_naming_the_score_file(fixtures_dir, 
     assert captured.err == f"error: score file {scores}, line {len(keys)}: 'logp' is not finite: nan\n"
 
 
+def test_infer_with_a_score_too_large_for_a_float_is_an_error_naming_the_score_file(fixtures_dir, tmp_path, capsys):
+    """A 400-digit integer logp: infer exits 1 and names the file and
+    the line, not an OverflowError of the float conversion."""
+    scores = tmp_path / "scores.jsonl"
+    scores.write_text('{"nl": "it is green", "logp": -1.5}\n{"nl": "it is red", "logp": -1' + "0" * 400 + "}\n")
+    argv = ["infer", "--domain", "shape", "--pool", str(fixtures_dir / "shape" / "green_triangles_pool.jsonl")]
+    argv += ["--curve", str(fixtures_dir / "shape" / "green_triangles_curve.json"), "--upto-batch", "1"]
+    assert main(argv + ["--prior", "external", "--scores", str(scores)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: score file {scores}, line 2: 'logp' is an integer too large for a float\n"
+
+
 def test_infer_on_a_pool_with_a_string_batch_is_an_error_naming_the_pool_file(fixtures_dir, tmp_path, capsys):
     """A pool row whose batch is the string "2": infer exits 1 and names
     the file and the line, not a comparison of an int with a str."""

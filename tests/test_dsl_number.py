@@ -183,6 +183,7 @@ CHAINS = {
     "or": ("number", lambda n: "x < 3" + " or x < 3" * n),
     "and": ("number", lambda n: "x < 3" + " and even(x)" * n),
     "compare": ("number", lambda n: "x" + " < x" * n),
+    "predicate-argument": ("number", lambda n: "even(x" + " + x" * n + ")"),
     "not": ("number", lambda n: "not " * n + "x < 3"),
     "shape-or": ("shape", lambda n: "this.color == green" + " or this.size >= 2" * n),
     "shape-and": ("shape", lambda n: "this.color == green" + " and this.size >= 2" * n),

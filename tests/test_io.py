@@ -168,6 +168,34 @@ def test_malformed_pool_row_is_refused(tmp_path, row, fault):
     assert str(err.value) == f"pool file {path}, line 3: {fault}"
 
 
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_an_integer_too_large_for_a_float_is_refused_by_both_readers(tmp_path, sign):
+    """A 400-digit integer once passed both readers' type checks: the
+    score file then failed with a bare OverflowError, and the pool under
+    importance weighting."""
+    huge = sign + "1" + "0" * 400
+    pool = tmp_path / "pool.jsonl"
+    pool.write_text('{"nl": "even", "dsl": "even(x)", "logq": -1}\n{"nl": "odd", "dsl": "odd(x)", "logq": %s}\n' % huge)
+    with pytest.raises(io.PoolFileError) as err:
+        io.load_pool(pool, "number")
+    assert str(err.value) == f"pool file {pool}, line 2: 'logq' is an integer too large for a float"
+    scores = tmp_path / "scores.jsonl"
+    scores.write_text('{"nl": "even", "logp": -1}\n{"nl": "odd", "logp": %s}\n' % huge)
+    with pytest.raises(io.ScoreFileError) as err:
+        io.load_score_file(scores)
+    assert str(err.value) == f"score file {scores}, line 2: 'logp' is an integer too large for a float"
+
+
+@pytest.mark.parametrize("value", [10**300, -(10**300)])
+def test_an_integer_within_float_range_loads_in_both_readers(tmp_path, value):
+    pool = tmp_path / "pool.jsonl"
+    pool.write_text(json.dumps({"nl": "odd", "dsl": "odd(x)", "logq": value}) + "\n")
+    assert io.load_pool(pool, "number")[0].proposal_logprob == value
+    scores = tmp_path / "scores.jsonl"
+    scores.write_text(json.dumps({"nl": "odd", "logp": value}) + "\n")
+    assert io.load_score_file(scores) == {"odd": float(value)}
+
+
 def test_pool_row_may_leave_out_logq_batch_and_dsl(tmp_path):
     path = tmp_path / "pool.jsonl"
     path.write_text('{"nl": "even", "logq": null, "batch": null}\n{"nl": "odd", "dsl": "odd(x)", "logq": -2}\n')
