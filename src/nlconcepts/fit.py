@@ -58,7 +58,7 @@ import numpy as np
 
 from .likelihood import count_logliks, positive_probs
 from .posterior import PROB_CLAMP, expit, logit, softmax_masked
-from .types import ModelParams
+from .types import ModelParams, check_finite_number, check_integer
 
 ALL_PARAM_GROUPS = ("theta", "epsilon", "alpha", "beta", "temperature", "platt")
 
@@ -717,14 +717,10 @@ class FitConfig:
         if isinstance(self.trainable, str):
             raise ValueError(f"trainable must be a list of group names, not the string {self.trainable!r}")
         self.trainable = tuple(self.trainable)
-        if isinstance(self.learning_rate, bool) or not isinstance(self.learning_rate, (int, float)):
-            raise ValueError(f"learning_rate must be a number, not {self.learning_rate!r}")
-        if isinstance(self.epochs, bool) or not isinstance(self.epochs, int):
-            raise ValueError(f"epochs must be an integer, not {self.epochs!r}")
+        check_finite_number("learning_rate", self.learning_rate)
+        check_integer("epochs", self.epochs, 1)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
         unknown = set(self.trainable) - set(ALL_PARAM_GROUPS)
         if unknown:
             raise ValueError(f"unknown trainable groups: {sorted(unknown)}")

@@ -43,6 +43,8 @@ from .types import (
     LearningCurve,
     ModelParams,
     NumberExampleSet,
+    check_finite_number,
+    check_integer,
 )
 
 
@@ -54,8 +56,7 @@ class PredictionRecord:
     split: str = "holdout"
 
     def __post_init__(self):
-        if not math.isfinite(self.prediction):
-            raise ValueError("prediction must be finite")
+        check_finite_number("prediction", self.prediction)
 
 
 class ConfigError(ValueError):
@@ -122,11 +123,7 @@ class ExperimentConfig:
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"{name} must be one of {allowed}, not {getattr(self, name)!r}")
         for name, least in (("budget", 1), ("k_folds", 2), ("seed", 0), ("feature_dim", None)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, not {value!r}")
-            if least is not None and value < least:
-                raise ConfigError(f"{name} must be >= {least}, not {value}")
+            check_integer(name, getattr(self, name), least, ConfigError)
         for name in ("data_path", "scores_path"):
             if not isinstance(getattr(self, name), str):
                 raise ConfigError(f"{name} must be a string, not {getattr(self, name)!r}")

@@ -1,35 +1,40 @@
 """Readers and writers for the on-disk data formats.
 
-Hypothesis pool: JSON Lines, one object per line:
-    {"nl": str, "dsl": str, "logq": float|null, "batch": int|null}
+A reader refuses a file it cannot use as InputFileError, whose text
+reads "<kind> file <path>, <where>: <fault>"; <where> is a line, a batch
+or a trial, each counted from 1 over the whole file, or a JSON file's
+top level. Integers and finite numbers are checked by
+`types.check_integer` and `types.check_finite_number`: a bool is
+neither, and 10**300 loads as written but a 400-digit integer does not.
+
+Hypothesis pool ("pool"): JSON Lines, one object per line:
+    {"nl": str, "dsl": str, "logq": finite number|null, "batch": int|null}
 `logq` and `batch` may be left out, as null, and `dsl` too, as "" (a
-rule that does not parse). A row that is not such an object, whose
-`logq` is not a finite number, or whose `batch` is not an integer (a
-bool is neither) is refused as PoolFileError. A finite number is a
-float other than NaN and +/-Infinity, or an integer that converts to a
-float without overflow: 10**300 loads as written, a 400-digit integer
-is refused. A rule whose DSL does not parse is kept as Unparsed
-(`parse_program`, which translation uses too). A pool file that holds
-no hypotheses, where one is needed, is refused as EmptyPool.
+rule that does not parse). A rule whose DSL does not parse is kept as
+Unparsed (`parse_program`, which translation uses too). A pool file
+that holds no hypotheses, where one is needed, is refused as EmptyPool.
 
-Number judgments: CSV with header set_id,examples,test_number,mean_rating
-where examples is a ';'-separated integer list and mean_rating is the
-raw 1-7 mean (normalized to [0,1] at load).
+Score file ("score"): JSON Lines {"nl": str, "logp": finite number};
+logp is kept as a float.
 
-Learning curve: JSON with concept_id, ground_truth_nl, batches (lists of
-{"shape","color","size","label"} objects) and human_positive_rate per
-trial.
+Number judgments ("judgments"): CSV with header
+set_id,examples,test_number,mean_rating, where examples is a
+';'-separated list of integers in 1..100, test_number is an integer in
+1..100 and mean_rating is a finite raw mean in [1, 7] (normalized to
+[0, 1] at load). A fault names its line.
 
-Score file: JSON Lines {"nl": str, "logp": float}. A row that is not
-such an object, or whose logp is not a finite number as a pool's `logq`
-must be, is refused as ScoreFileError; logp is kept as a float.
+Learning curve ("curve"): a JSON object with the string concept_id and
+ground_truth_nl, batches (lists of 1..5 {"shape", "color", "size",
+"label"} objects, where shape, color and size are ones `types` knows
+and label is 0 or 1) and human_positive_rate, one finite rate in [0, 1]
+per trial of the file. A fault names its batch or trial, counted over
+the whole file; batches past the 15th are dropped after the checks.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Sequence
@@ -44,6 +49,8 @@ from .types import (
     Trial,
     Unparsed,
     canonicalize_nl,
+    check_finite_number,
+    check_integer,
     normalize_rating,
 )
 
@@ -55,21 +62,39 @@ class EmptyPool(ValueError):
         return f"pool file {self.args[0]} holds no hypotheses"
 
 
-class PoolFileError(ValueError):
-    """A pool file row that is not {"nl": str, "dsl": str, "logq": finite
-    number|null, "batch": int|null}; the arguments are the file, the line
-    number (from 1) and the fault."""
+class InputFileError(ValueError):
+    """A file the program cannot use; the arguments are its kind ("pool",
+    "score", "judgments" or "curve"), its path, where the fault is
+    ("line 3", "batch 2", "trial 7" or "top level") and the fault."""
 
     def __str__(self):
-        return "pool file {}, line {}: {}".format(*self.args)
+        return "{} file {}, {}: {}".format(*self.args)
 
 
-class ScoreFileError(ValueError):
-    """A score file row that is not {"nl": str, "logp": finite number};
-    the arguments are the file, the line number (from 1) and the fault."""
+def _read_jsonl(kind: str, path, read_row) -> list:
+    """`read_row` of the JSON object on each non-blank line, in order; a
+    line holding none, or a row `read_row` refuses with a ValueError, is
+    an InputFileError naming the line."""
+    out = []
+    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            out.append(read_row(_json_object(line)))
+        except ValueError as exc:
+            raise InputFileError(kind, path, f"line {number}", str(exc)) from None
+    return out
 
-    def __str__(self):
-        return "score file {}, line {}: {}".format(*self.args)
+
+def _json_object(text: str) -> dict:
+    """The JSON object `text` holds; a ValueError if it holds none."""
+    try:
+        data = json.loads(text)
+    except ValueError:
+        data = None
+    if not isinstance(data, dict):
+        raise ValueError("not a JSON object")
+    return data
 
 
 def load_pool(path, domain: str) -> List[Hypothesis]:
@@ -80,37 +105,26 @@ def load_pool(path, domain: str) -> List[Hypothesis]:
     `save_pool` did not write) is built again from its key.
 
     Rules that fail to parse are kept as Unparsed so the pool size still
-    matches the proposal budget. A malformed row is a PoolFileError
-    naming the file and the line.
+    matches the proposal budget.
     """
     programs = {}  # DSL source -> ConceptProgram or Unparsed
-    out = []
-    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except ValueError:
-            raise PoolFileError(path, number, "not a JSON object") from None
-        if type(row) is not dict:
-            raise PoolFileError(path, number, "not a JSON object")
+
+    def hypothesis(row) -> Hypothesis:
         nl, src, logq, batch = row.get("nl"), row.get("dsl", ""), row.get("logq"), row.get("batch")
-        # exact type tests: JSON gives no subclasses, and a bool is no number here
-        if type(nl) is not str:
-            raise PoolFileError(path, number, "no string 'nl'")
-        if type(src) is not str:
-            raise PoolFileError(path, number, f"'dsl' is not a string: {src!r}")
-        if not (logq is None or type(logq) is int or type(logq) is float and math.isfinite(logq)):
-            raise PoolFileError(path, number, f"'logq' is not a finite number: {logq!r}")
-        if type(logq) is int and not _fits_float(logq):
-            raise PoolFileError(path, number, _TOO_LARGE.format("logq"))
-        if not (batch is None or type(batch) is int):
-            raise PoolFileError(path, number, f"'batch' is not an integer: {batch!r}")
+        if not isinstance(nl, str):
+            raise ValueError("no string 'nl'")
+        if not isinstance(src, str):
+            raise ValueError(f"'dsl' is not a string: {src!r}")
+        if logq is not None:
+            check_finite_number("'logq'", logq)
+        if batch is not None:
+            check_integer("'batch'", batch)
         if src not in programs:
             programs[src] = parse_program(src, domain)
         h = Hypothesis(nl, programs[src], logq, batch)
-        out.append(h if h.nl_text == h.key else replace(h, nl_text=h.key))
-    return out
+        return h if h.nl_text == h.key else replace(h, nl_text=h.key)
+
+    return _read_jsonl("pool", path, hypothesis)
 
 
 def parse_program(src: str, domain: str):
@@ -149,22 +163,46 @@ def save_pool(path, pool: List[Hypothesis]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+JUDGMENT_COLUMNS = ("set_id", "examples", "test_number", "mean_rating")
+
+
 def load_number_judgments(path) -> List[HumanNumberJudgment]:
     out = []
     with open(path, newline="") as handle:
-        for row in csv.DictReader(handle):
-            examples = NumberExampleSet(
-                [int(x) for x in row["examples"].split(";")]
-            )
-            out.append(
-                HumanNumberJudgment(
-                    example_set=examples,
-                    test_number=int(row["test_number"]),
-                    mean_rating=normalize_rating(float(row["mean_rating"])),
-                    set_id=row["set_id"],
-                )
-            )
+        reader = csv.DictReader(handle)
+        for row in reader:
+            try:
+                out.append(_judgment(row))
+            except ValueError as exc:
+                raise InputFileError("judgments", path, f"line {reader.line_num}", str(exc)) from None
     return out
+
+
+def _judgment(row: dict) -> HumanNumberJudgment:
+    """The judgment of one judgments CSV row; a ValueError at a fault."""
+    for column in JUDGMENT_COLUMNS:
+        if row.get(column) is None:
+            raise ValueError(f"no {column!r}")
+    rating = check_finite_number("'mean_rating'", _converted(float, row["mean_rating"]))
+    if not 1.0 <= rating <= 7.0:
+        raise ValueError(f"'mean_rating' must lie in [1, 7], not {rating!r}")
+    return HumanNumberJudgment(
+        example_set=NumberExampleSet(
+            [check_integer("'examples'", _converted(int, x)) for x in row["examples"].split(";")]
+        ),
+        test_number=check_integer("'test_number'", _converted(int, row["test_number"])),
+        mean_rating=normalize_rating(rating),
+        set_id=row["set_id"],
+    )
+
+
+def _converted(convert, text: str):
+    """`convert(text)`, or `text` itself if it does not convert, so that
+    the check it is passed to refuses it."""
+    try:
+        return convert(text)
+    except ValueError:
+        return text
 
 
 def save_number_judgments(path, judgments: List[HumanNumberJudgment]) -> None:
@@ -174,7 +212,7 @@ def save_number_judgments(path, judgments: List[HumanNumberJudgment]) -> None:
         [j.set_id, ";".join(map(str, j.example_set.examples)), j.test_number, f"{j.mean_rating * 6.0 + 1.0:.6f}"]
         for j in judgments
     )
-    write_csv(path, ["set_id", "examples", "test_number", "mean_rating"], rows)
+    write_csv(path, JUDGMENT_COLUMNS, rows)
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -186,21 +224,49 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 
 
 def load_learning_curve(path) -> LearningCurve:
-    data = json.loads(Path(path).read_text())
-    batches = []
-    for raw_batch in data["batches"]:
-        objects = [ShapeObject(o["shape"], o["color"], o["size"]) for o in raw_batch]
-        trials = [
-            Trial(batch=objects, test=obj, label=bool(raw["label"]))
-            for obj, raw in zip(objects, raw_batch)
-        ]
-        batches.append(trials)
-    return LearningCurve(
-        concept_id=data["concept_id"],
-        ground_truth_nl=data["ground_truth_nl"],
-        batches=batches,
-        human_positive_rate=data["human_positive_rate"],
-    )
+    where = "top level"  # the part of the file being read, named on a fault
+    try:
+        data = _json_object(Path(path).read_text())
+        for key in ("concept_id", "ground_truth_nl"):
+            if not isinstance(data.get(key), str):
+                raise ValueError(f"no string {key!r}")
+        for key in ("batches", "human_positive_rate"):
+            if not isinstance(data.get(key), list):
+                raise ValueError(f"no list {key!r}")
+        batches, k = [], 0
+        for b, raw_batch in enumerate(data["batches"], start=1):
+            where = f"batch {b}"
+            if not isinstance(raw_batch, list) or not 1 <= len(raw_batch) <= 5:
+                raise ValueError("not a list of 1..5 objects")
+            labelled = []
+            for k, raw in enumerate(raw_batch, start=k + 1):
+                where = f"trial {k}"
+                labelled.append(_curve_object(raw))
+            objects = [obj for obj, _ in labelled]
+            batches.append([Trial(objects, obj, label) for obj, label in labelled])
+        where, rates = "top level", data["human_positive_rate"]
+        if len(rates) != k:
+            raise ValueError(f"{len(rates)} human rates for {k} trials")
+        for k, rate in enumerate(rates, start=1):
+            where = f"trial {k}"
+            if not 0.0 <= check_finite_number("human rate", rate) <= 1.0:
+                raise ValueError(f"human rate must lie in [0, 1], not {rate!r}")
+        return LearningCurve(data["concept_id"], data["ground_truth_nl"], batches, rates)
+    except ValueError as exc:
+        raise InputFileError("curve", path, where, str(exc)) from None
+
+
+def _curve_object(raw):
+    """(ShapeObject, label) of one object of a curve's batch; a
+    ValueError at a fault."""
+    if not isinstance(raw, dict):
+        raise ValueError("not a JSON object")
+    for key in ("shape", "color", "size", "label"):
+        if key not in raw:
+            raise ValueError(f"no {key!r}")
+    if check_integer("'label'", raw["label"]) not in (0, 1):
+        raise ValueError(f"'label' must be 0 or 1, not {raw['label']!r}")
+    return ShapeObject(raw["shape"], raw["color"], raw["size"]), bool(raw["label"])
 
 
 def save_learning_curve(path, curve: LearningCurve) -> None:
@@ -231,42 +297,18 @@ def save_learning_curve(path, curve: LearningCurve) -> None:
 
 
 def load_score_file(path) -> Dict[str, float]:
-    """The external prior's log-prior of each canonical NL text; a row
-    that is not {"nl": str, "logp": finite number} is a ScoreFileError
-    naming the file and the line."""
-    scores = {}
-    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except ValueError:
-            raise ScoreFileError(path, number, "not a JSON object") from None
-        if not isinstance(row, dict) or not isinstance(row.get("nl"), str):
-            raise ScoreFileError(path, number, "no string 'nl'")
-        if "logp" not in row:
-            raise ScoreFileError(path, number, "no 'logp'")
-        logp = row["logp"]
-        if isinstance(logp, bool) or not isinstance(logp, (int, float)):
-            raise ScoreFileError(path, number, f"'logp' is not a number: {logp!r}")
-        if not _fits_float(logp):
-            raise ScoreFileError(path, number, _TOO_LARGE.format("logp"))
-        if not math.isfinite(logp):
-            raise ScoreFileError(path, number, f"'logp' is not finite: {logp!r}")
-        scores[canonicalize_nl(row["nl"])] = float(logp)
-    return scores
+    """The external prior's log-prior of each canonical NL text."""
+    return dict(_read_jsonl("score", path, _score))
 
 
-_TOO_LARGE = "'{}' is an integer too large for a float"
-
-
-def _fits_float(value) -> bool:
-    """Whether the int or float `value` converts to a float without overflow."""
-    try:
-        float(value)
-    except OverflowError:
-        return False
-    return True
+def _score(row: dict):
+    """(canonical NL, log-prior) of one score file row; a ValueError at a
+    fault."""
+    if not isinstance(row.get("nl"), str):
+        raise ValueError("no string 'nl'")
+    if "logp" not in row:
+        raise ValueError("no 'logp'")
+    return canonicalize_nl(row["nl"]), float(check_finite_number("'logp'", row["logp"]))
 
 
 def save_score_file(path, scores: Dict[str, float]) -> None:

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..types import SIZE_NAMES, NumberExampleSet, Trial, canonicalize_nl
+from ..types import SIZE_NAMES, NumberExampleSet, Trial, canonicalize_nl, check_integer
 
 NUMBER = "number"
 SHAPE_PROPOSITIONAL = "shape_propositional"
@@ -53,8 +53,7 @@ class ProposalRequest:
     def __post_init__(self):
         if self.domain not in DOMAINS:
             raise TemplateMismatch(f"unknown domain {self.domain!r}")
-        if self.budget < 1:
-            raise ValueError(f"budget must be >= 1, not {self.budget}")
+        check_integer("budget", self.budget, 1)
 
     @property
     def source_batch(self) -> Optional[int]:

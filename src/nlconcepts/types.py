@@ -6,6 +6,7 @@ threads, and use as cache keys.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
@@ -16,6 +17,28 @@ COLORS = ("green", "yellow", "blue")
 SIZES = (1, 2, 3)
 
 SIZE_NAMES = {1: "small", 2: "medium", 3: "large"}
+
+
+def check_integer(name: str, value, least=None, error=ValueError):
+    """`value` if it is an integer, not a bool, of at least `least`; else `error`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{name} is not an integer: {value!r}")
+    if least is not None and value < least:
+        raise error(f"{name} must be >= {least}, not {value}")
+    return value
+
+
+def check_finite_number(name: str, value):
+    """`value` if it is a finite number, not a bool, that converts to a
+    float without overflow; else a ValueError."""
+    number = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    try:
+        finite = number and math.isfinite(value)
+    except OverflowError:
+        raise ValueError(f"{name} is an integer too large for a float") from None
+    if not finite:
+        raise ValueError(f"{name} is not a finite number: {value!r}")
+    return value
 
 
 def canonicalize_nl(text: str) -> str:
@@ -197,9 +220,7 @@ class ModelParams:
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=float)
         for name in ("epsilon", "alpha", "beta", "temperature", "platt_a", "platt_b"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-                raise ValueError(f"{name} must be a number, not {value!r}")
+            check_finite_number(name, getattr(self, name))
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0,1)")
         if not 0.0 < self.alpha < 1.0:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -250,7 +251,7 @@ def test_infer_with_a_nan_score_is_an_error_naming_the_score_file(fixtures_dir, 
     assert main(argv + ["--prior", "external", "--scores", str(scores)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: score file {scores}, line {len(keys)}: 'logp' is not finite: nan\n"
+    assert captured.err == f"error: score file {scores}, line {len(keys)}: 'logp' is not a finite number: nan\n"
 
 
 def test_infer_with_a_score_too_large_for_a_float_is_an_error_naming_the_score_file(fixtures_dir, tmp_path, capsys):
@@ -277,6 +278,32 @@ def test_infer_on_a_pool_with_a_string_batch_is_an_error_naming_the_pool_file(fi
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: pool file {pool_path}, line 1: 'batch' is not an integer: '2'\n"
+
+
+def test_infer_on_a_curve_with_a_rate_above_1_is_an_error_naming_the_curve_file(fixtures_dir, tmp_path, capsys):
+    """A human rate of 1.7 on the first trial: infer exits 1 and names
+    the file and the trial; such a curve was once fit as it stood."""
+    raw = json.loads((fixtures_dir / "shape" / "green_triangles_curve.json").read_text())
+    raw["human_positive_rate"][0] = 1.7
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps(raw))
+    argv = ["infer", "--domain", "shape", "--pool", str(fixtures_dir / "shape" / "green_triangles_pool.jsonl")]
+    assert main(argv + ["--curve", str(curve), "--upto-batch", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: curve file {curve}, trial 1: human rate must lie in [0, 1], not 1.7\n"
+
+
+def test_fit_on_judgments_with_a_rating_that_is_no_number_is_an_error_naming_the_file(fixtures_dir, tmp_path, capsys):
+    """A rating of "high" on the first row: fit exits 1 and names the
+    judgments file and the line, not float()'s bare message."""
+    path = _tiny_number_config(fixtures_dir, tmp_path)
+    data = Path(json.loads(path.read_text())["data_path"])
+    header, first, *rest = data.read_text().splitlines(keepends=True)
+    data.write_text("".join([header, first.rsplit(",", 1)[0] + ",high\n", *rest]))
+    assert main(["fit", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: judgments file {data}, line 2: 'mean_rating' is not a finite number: 'high'\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("upto", [-1, 16])
@@ -609,6 +636,41 @@ def test_a_params_file_the_parameters_refuse_is_a_usage_error(command, fixtures_
     assert err.value.code == 2
     assert "epsilon must lie in (0,1)" in capsys.readouterr().err
 
+
+@pytest.mark.parametrize(
+    "command,key,value",
+    [
+        ("infer", "beta", math.nan),
+        ("infer", "beta", math.inf),
+        ("eval", "platt_a", math.nan),
+        ("fit", "learning_rate", math.nan),
+    ],
+)
+def test_a_non_finite_parameter_is_a_usage_error_naming_it(command, key, value, fixtures_dir, tmp_path, capsys):
+    """A NaN or an infinite parameter, or learning rate, is refused where
+    it is read (exit 2, the key named); a NaN beta once failed later as
+    "weights must sum to 1", an infinite one passed, and a NaN learning
+    rate or platt_a ran the fit into a non-finite loss (exit 1)."""
+    config = _tiny_number_config(fixtures_dir, tmp_path)
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({key: value}))
+    if command == "infer":
+        argv = ["infer", "--domain", "number", "--pool", str(fixtures_dir / "number_pool_size_principle.jsonl")]
+        argv += ["--examples", "16,8", "--params", str(params)]
+    elif command == "eval":
+        argv = ["eval", "--config", str(config), "--params", str(params), "--out-dir", str(tmp_path / "out")]
+    else:
+        cfg = json.loads(config.read_text())
+        cfg["fit"][key] = value
+        config.write_text(json.dumps(cfg))
+        argv = ["fit", "--config", str(config), "--out-dir", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert f"error: {key} is not a finite number: {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "section,key,value",
     [
@@ -658,7 +720,7 @@ def test_a_setting_of_the_wrong_type_is_a_usage_error(section, key, value, fixtu
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
-    assert f"error: {key} must be" in capsys.readouterr().err
+    assert re.search(rf"error: {key} (must be|is not)", capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 

@@ -840,7 +840,7 @@ def test_a_config_value_that_cannot_compare_is_a_config_error(tmp_path):
     feature_dim, not Python's TypeError."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"domain": "number", "prior": "tuned", "feature_dim": "16"}))
-    with pytest.raises(ConfigError, match="^feature_dim must be an integer, not '16'$"):
+    with pytest.raises(ConfigError, match="^feature_dim is not an integer: '16'$"):
         ExperimentConfig.from_json(path)
 
 

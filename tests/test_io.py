@@ -116,23 +116,23 @@ def test_score_file_round_trip(tmp_path):
     "row,fault",
     [
         ('{"logp": -1.0}', "no string 'nl'"),
-        ('["the number is odd", -1.0]', "no string 'nl'"),
+        ('["the number is odd", -1.25]', "not a JSON object"),
         ('{"nl": "the number is odd"}', "no 'logp'"),
-        ('{"nl": "the number is odd", "logp": "-1.0"}', "'logp' is not a number: '-1.0'"),
-        ('{"nl": "the number is odd", "logp": null}', "'logp' is not a number: None"),
-        ('{"nl": "the number is odd", "logp": true}', "'logp' is not a number: True"),
-        ('{"nl": "the number is odd", "logp": NaN}', "'logp' is not finite: nan"),
-        ('{"nl": "the number is odd", "logp": Infinity}', "'logp' is not finite: inf"),
-        ('{"nl": "the number is odd", "logp": -Infinity}', "'logp' is not finite: -inf"),
+        ('{"nl": "the number is odd", "logp": "-1.0"}', "'logp' is not a finite number: '-1.0'"),
+        ('{"nl": "the number is odd", "logp": null}', "'logp' is not a finite number: None"),
+        ('{"nl": "the number is odd", "logp": true}', "'logp' is not a finite number: True"),
+        ('{"nl": "the number is odd", "logp": NaN}', "'logp' is not a finite number: nan"),
+        ('{"nl": "the number is odd", "logp": Infinity}', "'logp' is not a finite number: inf"),
+        ('{"nl": "the number is odd", "logp": -Infinity}', "'logp' is not a finite number: -inf"),
         ('{"nl": "the number is odd", "logp":', "not a JSON object"),
     ],
 )
 def test_score_file_row_without_a_finite_logp_is_refused(tmp_path, row, fault):
-    """A row that is not {"nl": str, "logp": finite number} is a
-    ScoreFileError naming the file and the line (blank lines count)."""
+    """A row that is not {"nl": str, "logp": finite number} is an
+    InputFileError naming the file and the line (blank lines count)."""
     path = tmp_path / "scores.jsonl"
     path.write_text('{"nl": "the number is even", "logp": -2.5}\n\n' + row + "\n")
-    with pytest.raises(io.ScoreFileError) as err:
+    with pytest.raises(io.InputFileError) as err:
         io.load_score_file(path)
     assert str(err.value) == f"score file {path}, line 3: {fault}"
 
@@ -158,12 +158,12 @@ def test_score_file_row_without_a_finite_logp_is_refused(tmp_path, row, fault):
 )
 def test_malformed_pool_row_is_refused(tmp_path, row, fault):
     """A pool row that is not {"nl": str, "dsl": str, "logq": finite
-    number|null, "batch": int|null} is a PoolFileError naming the file
+    number|null, "batch": int|null} is an InputFileError naming the file
     and the line (blank lines count); a NaN logq once loaded and broke
     importance weighting downstream."""
     path = tmp_path / "pool.jsonl"
     path.write_text('{"nl": "even", "dsl": "even(x)", "logq": -1, "batch": 2}\n\n' + row + "\n")
-    with pytest.raises(io.PoolFileError) as err:
+    with pytest.raises(io.InputFileError) as err:
         io.load_pool(path, "number")
     assert str(err.value) == f"pool file {path}, line 3: {fault}"
 
@@ -176,12 +176,12 @@ def test_an_integer_too_large_for_a_float_is_refused_by_both_readers(tmp_path, s
     huge = sign + "1" + "0" * 400
     pool = tmp_path / "pool.jsonl"
     pool.write_text('{"nl": "even", "dsl": "even(x)", "logq": -1}\n{"nl": "odd", "dsl": "odd(x)", "logq": %s}\n' % huge)
-    with pytest.raises(io.PoolFileError) as err:
+    with pytest.raises(io.InputFileError) as err:
         io.load_pool(pool, "number")
     assert str(err.value) == f"pool file {pool}, line 2: 'logq' is an integer too large for a float"
     scores = tmp_path / "scores.jsonl"
     scores.write_text('{"nl": "even", "logp": -1}\n{"nl": "odd", "logp": %s}\n' % huge)
-    with pytest.raises(io.ScoreFileError) as err:
+    with pytest.raises(io.InputFileError) as err:
         io.load_score_file(scores)
     assert str(err.value) == f"score file {scores}, line 2: 'logp' is an integer too large for a float"
 
@@ -215,3 +215,132 @@ def test_pool_load_marks_a_too_deeply_nested_rule_unparsed(tmp_path, domain):
     (h,) = io.load_pool(path, domain)
     assert not h.parsed
     assert h.program.source == deep
+
+
+@pytest.mark.parametrize(
+    "row,fault",
+    [
+        ("set01,2;4;8,11,high", "'mean_rating' is not a finite number: 'high'"),
+        ("set01,2;4;8,11,nan", "'mean_rating' is not a finite number: nan"),
+        ("set01,2;4;8,11,inf", "'mean_rating' is not a finite number: inf"),
+        ("set01,2;4;8,11,99", "'mean_rating' must lie in [1, 7], not 99.0"),
+        ("set01,2;4;8,11,0.5", "'mean_rating' must lie in [1, 7], not 0.5"),
+        ("set01,2;4;8,11", "no 'mean_rating'"),
+        ("set01,2;x;8,11,3.5", "'examples' is not an integer: 'x'"),
+        ("set01,2;4;101,11,3.5", "examples must lie in 1..100"),
+        ("set01,,11,3.5", "'examples' is not an integer: ''"),
+        ("set01,2;4;8,5.5,3.5", "'test_number' is not an integer: '5.5'"),
+        ("set01,2;4;8,0,3.5", "test number must lie in 1..100"),
+    ],
+)
+def test_judgments_row_the_model_cannot_use_is_refused(tmp_path, row, fault):
+    """A judgments row with a column missing, examples or a test number
+    that are not integers in 1..100, or a rating that is not a finite
+    number in [1, 7] on the file's own scale is an InputFileError naming
+    the file and the line; a rating of "high" once failed as float()'s
+    bare message, and one of 99 spoke of the normalized [0, 1] scale."""
+    path = tmp_path / "judgments.csv"
+    path.write_text("set_id,examples,test_number,mean_rating\nset01,2;4;8,16,6.5\n" + row + "\n")
+    with pytest.raises(io.InputFileError) as err:
+        io.load_number_judgments(path)
+    assert str(err.value) == f"judgments file {path}, line 3: {fault}"
+
+
+def test_judgments_file_without_a_rating_column_is_refused(tmp_path):
+    path = tmp_path / "judgments.csv"
+    path.write_text("set_id,examples,test_number\nset01,2;4;8,16\n")
+    with pytest.raises(io.InputFileError) as err:
+        io.load_number_judgments(path)
+    assert str(err.value) == f"judgments file {path}, line 2: no 'mean_rating'"
+
+
+def _curve_raw(n_batches=2):
+    """The JSON object of a curve of `n_batches` batches, each a positive
+    green triangle and a negative blue circle."""
+    batch = [
+        {"shape": "triangle", "color": "green", "size": 1, "label": 1},
+        {"shape": "circle", "color": "blue", "size": 2, "label": 0},
+    ]
+    return {
+        "concept_id": "c1",
+        "ground_truth_nl": "green things",
+        "batches": [[dict(o) for o in batch] for _ in range(n_batches)],
+        "human_positive_rate": [0.9, 0.1] * n_batches,
+    }
+
+
+def _set(path, value):
+    """A change to a curve's JSON object: `value` at the key path `path`,
+    or the key deleted where `value` is `...`."""
+
+    def change(raw):
+        *parents, last = path
+        for key in parents:
+            raw = raw[key]
+        if value is ...:
+            del raw[last]
+        else:
+            raw[last] = value
+
+    return change
+
+
+@pytest.mark.parametrize(
+    "change,where,fault",
+    [
+        (_set(("batches", 1, 0, "color"), "purple"), "trial 3", "bad color: 'purple'"),
+        (_set(("batches", 0, 1, "size"), 4), "trial 2", "bad size: 4"),
+        (_set(("batches", 1, 1, "size"), ...), "trial 4", "no 'size'"),
+        (_set(("batches", 1, 1, "label"), 7), "trial 4", "'label' must be 0 or 1, not 7"),
+        (_set(("batches", 0, 0, "label"), True), "trial 1", "'label' is not an integer: True"),
+        (_set(("batches", 0, 0), "triangle"), "trial 1", "not a JSON object"),
+        (_set(("batches", 1), []), "batch 2", "not a list of 1..5 objects"),
+        (_set(("human_positive_rate", 0), 1.7), "trial 1", "human rate must lie in [0, 1], not 1.7"),
+        (_set(("human_positive_rate", 2), -0.1), "trial 3", "human rate must lie in [0, 1], not -0.1"),
+        (_set(("human_positive_rate", 3), float("nan")), "trial 4", "human rate is not a finite number: nan"),
+        (_set(("human_positive_rate", 3), "0.5"), "trial 4", "human rate is not a finite number: '0.5'"),
+        (_set(("human_positive_rate",), [0.5]), "top level", "1 human rates for 4 trials"),
+        (_set(("human_positive_rate",), [0.5] * 7), "top level", "7 human rates for 4 trials"),
+        (_set(("human_positive_rate",), ...), "top level", "no list 'human_positive_rate'"),
+        (_set(("ground_truth_nl",), ...), "top level", "no string 'ground_truth_nl'"),
+        (_set(("concept_id",), 7), "top level", "no string 'concept_id'"),
+        (_set(("batches",), {}), "top level", "no list 'batches'"),
+    ],
+)
+def test_curve_the_model_cannot_use_is_refused(tmp_path, change, where, fault):
+    """A curve with a key missing, an object `types` refuses, a label
+    that is not 0 or 1, or a human rate that is not a finite number in
+    [0, 1], one per trial, is an InputFileError naming the file and the
+    batch or trial; a rate of 1.7 or a label of 7 once loaded without a
+    word, and extra rates were cut off."""
+    raw = _curve_raw()
+    change(raw)
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(io.InputFileError) as err:
+        io.load_learning_curve(path)
+    assert str(err.value) == f"curve file {path}, {where}: {fault}"
+
+
+@pytest.mark.parametrize("text", ["", "[1, 2]", '{"concept_id": "c1",'])
+def test_curve_file_that_is_not_a_json_object_is_refused(tmp_path, text):
+    path = tmp_path / "curve.json"
+    path.write_text(text)
+    with pytest.raises(io.InputFileError) as err:
+        io.load_learning_curve(path)
+    assert str(err.value) == f"curve file {path}, top level: not a JSON object"
+
+
+def test_curve_load_keeps_15_batches_after_checking_every_rate(tmp_path):
+    """Batches past the 15th are dropped, but only after every trial of
+    the file, and its rate, passed the checks."""
+    raw = _curve_raw(16)
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(raw))
+    curve = io.load_learning_curve(path)
+    assert len(curve.batches) == LearningCurve.MAX_BATCHES == 15
+    assert curve.human_positive_rate == (0.9, 0.1) * 15
+    raw["human_positive_rate"][-1] = 2.0
+    path.write_text(json.dumps(raw))
+    with pytest.raises(io.InputFileError, match="trial 32: human rate must lie"):
+        io.load_learning_curve(path)
