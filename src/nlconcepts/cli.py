@@ -293,6 +293,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command in ("propose", "infer") and getattr(args, _DOMAIN_INPUT[args.domain]) is None:
         parser.error(f"{args.command} --domain {args.domain} requires --{_DOMAIN_INPUT[args.domain]}")
+    if args.command == "propose" and args.unconditioned and args.domain != "number":
+        parser.error(f"propose --unconditioned is for --domain number only, not --domain {args.domain}")
     prior_input = _PRIOR_INPUT.get(getattr(args, "prior", None))
     if args.command == "infer" and prior_input and getattr(args, prior_input) is None:
         parser.error(f"infer --prior {args.prior} requires --{prior_input}")

@@ -12,7 +12,6 @@ from .number import (
     eval_number,
     extension_values,
     format_number_concept,
-    number_extension,
     parse_number_concept,
 )
 from .shape import eval_shape, format_shape_concept, parse_shape_concept
@@ -89,7 +88,6 @@ __all__ = [
     "format_concept",
     "format_number_concept",
     "format_shape_concept",
-    "number_extension",
     "parse_concept",
     "parse_number_concept",
     "parse_shape_concept",

@@ -42,11 +42,13 @@ guards a node's fields: a parsed tree is shared (`load_pool` parses
 each source once), so it must not be changed after construction.
 
 Two evaluators share these semantics. `eval_number` walks the tree for
-one x; it is the reference interpreter, and `number_extension` collects
-its extension as a frozenset. `extension_values` walks the tree once
-for all of x = 1..100, with int64 arrays as values (`_values`,
-`_arith_values`): it gives the (100,) truth row that the likelihood's
-extension matrix stacks (`likelihood.extension_matrix`).
+one x; it is the reference interpreter, whose extension as a frozenset
+the tests' oracle computes (`number_extension` in `tests/oracle.py`).
+`extension_values` walks the tree once for all of x = 1..100, with
+int64 arrays as values (`_values`, `_arith_values`): it gives the
+(100,) truth row that the likelihood's extension matrix stacks
+(`likelihood.extension_matrix`), and falls back on `eval_number` for a
+rule with a literal beyond +/-SAT.
 
 Conventions (these matter for concepts like "powers of two"):
   * prime(1) is false.
@@ -541,11 +543,6 @@ def eval_number(expr, x: int) -> bool:
     if isinstance(expr, InSet):
         return _eval_arith(expr.arg, x) in expr.members
     raise TypeError(f"not a boolean expression: {expr!r}")
-
-
-def number_extension(expr) -> frozenset:
-    """The set of integers in 1..100 satisfying the expression."""
-    return frozenset(x for x in range(1, 101) if eval_number(expr, x))
 
 
 # ---------------------------------------------------------------------------

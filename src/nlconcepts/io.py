@@ -2,10 +2,12 @@
 
 A reader refuses a file it cannot use as InputFileError, whose text
 reads "<kind> file <path>, <where>: <fault>"; <where> is a line, a batch
-or a trial, each counted from 1 over the whole file, or a JSON file's
-top level. Integers and finite numbers are checked by
-`types.check_integer` and `types.check_finite_number`: a bool is
-neither, and 10**300 loads as written but a 400-digit integer does not.
+or a trial, each counted from 1 over the whole file, or the file's top
+level. Integers and finite numbers are checked by `types.check_integer`
+and `types.check_finite_number`: a bool is neither, and 10**300 loads
+as written but a 400-digit integer does not. A JSON integer of more
+digits than Python converts (4300 by default) is refused as such, not
+as a parse failure.
 
 Hypothesis pool ("pool"): JSON Lines, one object per line:
     {"nl": str, "dsl": str, "logq": finite number|null, "batch": int|null}
@@ -21,7 +23,8 @@ Number judgments ("judgments"): CSV with header
 set_id,examples,test_number,mean_rating, where examples is a
 ';'-separated list of integers in 1..100, test_number is an integer in
 1..100 and mean_rating is a finite raw mean in [1, 7] (normalized to
-[0, 1] at load). A fault names its line.
+[0, 1] at load). A fault names its line; a file with no judgment row is
+refused at its top level.
 
 Learning curve ("curve"): a JSON object with the string concept_id and
 ground_truth_nl, batches (lists of 1..5 {"shape", "color", "size",
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Sequence
@@ -90,8 +94,10 @@ def _json_object(text: str) -> dict:
     """The JSON object `text` holds; a ValueError if it holds none."""
     try:
         data = json.loads(text)
-    except ValueError:
+    except json.JSONDecodeError:
         data = None
+    except ValueError:  # valid JSON, but an integer past int()'s digit limit
+        raise ValueError(f"an integer of more than {sys.get_int_max_str_digits()} digits") from None
     if not isinstance(data, dict):
         raise ValueError("not a JSON object")
     return data
@@ -175,6 +181,8 @@ def load_number_judgments(path) -> List[HumanNumberJudgment]:
                 out.append(_judgment(row))
             except ValueError as exc:
                 raise InputFileError("judgments", path, f"line {reader.line_num}", str(exc)) from None
+    if not out:
+        raise InputFileError("judgments", path, "top level", "no judgments")
     return out
 
 

@@ -4,9 +4,10 @@ likelihoods, the posterior weights and the predictions.
 The library computes all of these as array formulas over compiled
 tasks (`harness.infer_number`, `harness.infer_shape` and the fit's
 forward passes). This module computes them one hypothesis, one example
-and one trial at a time, through the interpreters (`number_extension`,
-`eval_shape`) and log-sum-exp, so the parity tests compare the library
-against an independent reference. Its own sentinels mark impossible
+and one trial at a time, through the interpreters (`dsl.eval_number`,
+whose extension `number_extension` collects, and `dsl.eval_shape`) and
+log-sum-exp, so the parity tests compare the library against an
+independent reference. Its own sentinels mark impossible
 data: -inf log-likelihoods become NEG_LARGE, and log-weights at or
 below ZERO_CUTOFF get weight 0, so epsilon = 0 is a case it can weigh.
 It imports only the interpreters, the DSL's syntax error, the hashed
@@ -41,7 +42,7 @@ import re
 import numpy as np
 from scipy.special import expit, logsumexp
 
-from nlconcepts.dsl import DslSyntaxError, eval_shape, number_extension
+from nlconcepts.dsl import DslSyntaxError, eval_number, eval_shape
 from nlconcepts.fit import kfold_rows
 from nlconcepts.posterior import MissingLogQ, PosteriorState
 from nlconcepts.prior import MissingFeature, extract_features
@@ -94,6 +95,12 @@ def canonicalize_nl(text: str) -> str:
 
 # ---------------------------------------------------------------------------
 # Interpreters
+
+
+def number_extension(expr) -> frozenset:
+    """The set of integers in 1..100 satisfying the number expression,
+    by the reference interpreter."""
+    return frozenset(x for x in range(1, 101) if eval_number(expr, x))
 
 
 def extension(h) -> frozenset:

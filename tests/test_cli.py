@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -40,7 +41,7 @@ def test_infer_number(fixtures_dir, capsys):
         ]
     )
     assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
+    payload = _strict_json(capsys.readouterr().out)
     assert payload["hypotheses"][0]["nl"] == "the number is a power of 2"
     assert not payload["degenerate"]
 
@@ -114,7 +115,7 @@ def test_infer_shape(fixtures_dir, capsys):
         ]
     )
     assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
+    payload = _strict_json(capsys.readouterr().out)
     assert payload["hypotheses"][0]["nl"] == (
         "something is positive if it is a green triangle"
     )
@@ -306,6 +307,17 @@ def test_fit_on_judgments_with_a_rating_that_is_no_number_is_an_error_naming_the
     assert not (tmp_path / "out").exists()
 
 
+def test_fit_on_judgments_with_no_rows_is_an_error_naming_the_file(fixtures_dir, tmp_path, capsys):
+    """A judgments CSV that holds only its header: fit exits 1 and names
+    the file, where it once said "no judgments to model" and named none."""
+    path = _tiny_number_config(fixtures_dir, tmp_path)
+    data = Path(json.loads(path.read_text())["data_path"])
+    data.write_text(data.read_text().splitlines(keepends=True)[0])
+    assert main(["fit", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: judgments file {data}, top level: no judgments\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("upto", [-1, 16])
 def test_infer_upto_batch_outside_the_curve_is_a_usage_error(upto, fixtures_dir, capsys):
     argv = ["infer", "--domain", "shape", "--pool", str(fixtures_dir / "shape" / "green_triangles_pool.jsonl")]
@@ -330,7 +342,7 @@ def test_propose_upto_batch_outside_the_curve_is_a_usage_error(upto, fixtures_di
     assert not (tmp_path / "pool.jsonl").exists()
 
 
-@pytest.mark.parametrize("upto", [0, 1, 3])
+@pytest.mark.parametrize("upto", [0, 1, 2, 3])
 def test_shape_propose_after_b_batches_writes_source_batch_b_plus_1(upto, fixtures_dir, tmp_path):
     """`propose --upto-batch b` sends the prompt that shows the curve's
     first b batches (the first-batch prompt for b = 0), and every rule
@@ -352,6 +364,21 @@ def test_shape_propose_after_b_batches_writes_source_batch_b_plus_1(upto, fixtur
     rows = [json.loads(line) for line in (tmp_path / "pool.jsonl").read_text().splitlines()]
     assert len(rows) == 3
     assert [row["batch"] for row in rows] == [upto + 1] * 3
+
+
+def test_propose_shape_unconditioned_is_a_usage_error(fixtures_dir, tmp_path, capsys):
+    """Only the number ablation has an unconditioned prompt: with
+    --domain shape the flag was once ignored, and a conditioned pool
+    written."""
+    shape_dir = fixtures_dir / "shape"
+    argv = ["propose", "--domain", "shape", "--curve", str(shape_dir / "green_triangles_curve.json"), "--unconditioned"]
+    argv += ["--backend", "static", "--pool", str(shape_dir / "green_triangles_pool.jsonl")]
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--out", str(tmp_path / "pool.jsonl")])
+    assert err.value.code == 2
+    assert "propose --unconditioned is for --domain number only, not --domain shape" in capsys.readouterr().err
+    assert not (tmp_path / "pool.jsonl").exists()
+
 
 def test_replay_list_and_show(fixtures_dir, capsys):
     rc = main(["replay", "list", "--store", str(fixtures_dir / "replay")])
@@ -398,6 +425,10 @@ def test_replay_verify_and_list_a_copy_of_the_fixture_store(fixtures_dir, tmp_pa
     assert capsys.readouterr().out == "5 records, 0 duplicate keys, 0 torn bytes, 0 mismatches\n"
     assert main(["replay", "list", "--store", str(store)]) == 0
     assert capsys.readouterr().out.split() == fixtures.keys()
+    # repair leaves a sound log byte for byte
+    assert main(["replay", "repair", "--store", str(store)]) == 0
+    assert capsys.readouterr().out == "kept 5 records, dropped 0 bytes\n"
+    assert (store / LOG_NAME).read_bytes() == (fixtures_dir / "replay" / LOG_NAME).read_bytes()
     # a flipped byte is a mismatch, and verify exits 1
     log = bytearray((store / LOG_NAME).read_bytes())
     log[-2] ^= 0x01
@@ -415,6 +446,20 @@ def test_replay_verify_and_list_a_copy_of_the_fixture_store(fixtures_dir, tmp_pa
     with pytest.raises(SystemExit) as err:
         main(["replay", "migrate", str(store)])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("action", ["list", "verify", "repair"])
+def test_replay_on_a_store_of_the_earlier_layout_is_an_error(action, fixtures_dir, tmp_path, capsys):
+    """A store that holds only an `entries.log`, the layout before v3:
+    each action exits 1 naming the commit whose `replay migrate`
+    converts it, and leaves the directory as it was."""
+    store = tmp_path / "v2"
+    store.mkdir()
+    shutil.copyfile(fixtures_dir / "replay" / LOG_NAME, store / "entries.log")
+    assert main(["replay", action, "--store", str(store)]) == 1
+    assert "at commit 444a717" in capsys.readouterr().err
+    assert os.listdir(store) == ["entries.log"]
+    assert (store / "entries.log").read_bytes() == (fixtures_dir / "replay" / LOG_NAME).read_bytes()
 
 
 def test_replay_repair_salvages_the_records_after_a_damaged_header(fixtures_dir, tmp_path, capsys):
@@ -599,6 +644,8 @@ def test_fit_with_a_tuned_prior_of_no_features_is_a_usage_error(dim, fixtures_di
         pytest.param(None, "k_fold", 3, "unknown config key(s): 'k_fold'", id="None-k_fold"),
         # the output directory is --out-dir's alone
         pytest.param(None, "out_dir", "out", "unknown config key(s): 'out_dir'", id="None-out_dir"),
+        # trainable is a fit setting
+        pytest.param(None, "trainable", ["epsilon"], "unknown config key(s): 'trainable'", id="None-trainable"),
         pytest.param("fit", "epoch", 3, "unknown fit key(s): 'epoch'", id="fit-epoch"),
         pytest.param("fit", "learning_rate", 0, "learning_rate must be > 0", id="fit-learning_rate"),
         pytest.param("fit", "epochs", 0, "epochs must be >= 1", id="fit-epochs"),
@@ -750,6 +797,7 @@ def test_fit_shape_writes_outputs(fixtures_dir, tmp_path):
     assert (out_dir / "learning_curves.csv").exists()
     params = json.loads((out_dir / "params.json").read_text())
     assert 0.0 < params["epsilon"] < 1.0
+    assert json.loads((out_dir / "metrics.json").read_text())["n_trials"] == 64
 
 
 def test_fit_shape_builds_each_curve_once(fixtures_dir, tmp_path, monkeypatch):
@@ -865,6 +913,8 @@ def test_baseline_latent(fixtures_dir, tmp_path):
     rc = main(["baseline", "latent", "--config", str(cfg), "--out-dir", str(out_dir)])
     assert rc == 0
     assert (out_dir / "chosen.json").exists()
+    # each of the 12 judgments of sets set01 and set02 predicted once
+    assert json.loads((out_dir / "metrics.json").read_text())["n_predictions"] == 12
 
 
 def test_baseline_ablation(fixtures_dir, tmp_path):
@@ -952,13 +1002,17 @@ def test_sweep_rejects_shape_config(fixtures_dir, tmp_path, capsys):
 
 
 def test_sweep(fixtures_dir, tmp_path, capsys):
+    """One row per budget. Every fixture pool holds 12 rules, so budgets
+    12 and 30 fit the same pools and give the same row."""
     cfg = _tiny_number_config(fixtures_dir, tmp_path)
     out = tmp_path / "sweep.csv"
     rc = main(
-        ["sweep", "--config", str(cfg), "--budgets", "2,4", "--seeds", "0", "--out", str(out)]
+        ["sweep", "--config", str(cfg), "--budgets", "2,12,30", "--seeds", "0", "--out", str(out)]
     )
     assert rc == 0
-    assert out.exists()
+    with out.open(newline="") as handle:
+        rows = {row.pop("budget"): row for row in csv.DictReader(handle)}
+    assert list(rows) == ["2", "12", "30"] and rows["12"] == rows["30"] != rows["2"]
     assert "budget 2" in capsys.readouterr().out
 
 

@@ -11,7 +11,6 @@ from nlconcepts.dsl import (
     eval_number,
     extension_values,
     format_concept,
-    number_extension,
     parse_concept,
 )
 from nlconcepts.propose import ReplayStore
@@ -38,6 +37,7 @@ from nlconcepts.dsl.number import (
 from nlconcepts.dsl.shape import format_shape_concept
 
 import oracle
+from oracle import number_extension
 
 
 def ext(src):

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -246,6 +247,18 @@ def test_judgments_row_the_model_cannot_use_is_refused(tmp_path, row, fault):
     assert str(err.value) == f"judgments file {path}, line 3: {fault}"
 
 
+@pytest.mark.parametrize("text", ["", "set_id,examples,test_number,mean_rating\n"])
+def test_judgments_file_with_no_row_is_refused(tmp_path, text):
+    """An empty judgments CSV, or one that holds only its header, is an
+    InputFileError naming the file; a fit on one once failed later, as
+    "no judgments to model", naming no file."""
+    path = tmp_path / "judgments.csv"
+    path.write_text(text)
+    with pytest.raises(io.InputFileError) as err:
+        io.load_number_judgments(path)
+    assert str(err.value) == f"judgments file {path}, top level: no judgments"
+
+
 def test_judgments_file_without_a_rating_column_is_refused(tmp_path):
     path = tmp_path / "judgments.csv"
     path.write_text("set_id,examples,test_number\nset01,2;4;8,16\n")
@@ -344,3 +357,27 @@ def test_curve_load_keeps_15_batches_after_checking_every_rate(tmp_path):
     path.write_text(json.dumps(raw))
     with pytest.raises(io.InputFileError, match="trial 32: human rate must lie"):
         io.load_learning_curve(path)
+
+
+_LONG = "1" + "0" * 5000  # an integer of 5001 digits, past int()'s default limit of 4300
+
+
+@pytest.mark.parametrize(
+    "kind,text,where",
+    [
+        ("pool", '{"nl": "even", "dsl": "even(x)"}\n{"nl": "odd", "dsl": "odd(x)", "logq": -%s}\n' % _LONG, "line 2"),
+        ("score", '{"nl": "even", "logp": -1}\n{"nl": "odd", "logp": -%s}\n' % _LONG, "line 2"),
+        ("curve", json.dumps(_curve_raw()).replace("0.9", _LONG, 1), "top level"),
+    ],
+    ids=["pool", "score", "curve"],
+)
+def test_an_integer_past_the_digit_limit_is_refused_as_such(tmp_path, kind, text, where):
+    """A JSON integer of more digits than int() converts is named as
+    such, with the file and the line or top level; json's refusal of it
+    was once reported as "not a JSON object"."""
+    load = {"pool": lambda path: io.load_pool(path, "number"), "score": io.load_score_file, "curve": io.load_learning_curve}
+    path = tmp_path / f"{kind}.json"
+    path.write_text(text)
+    with pytest.raises(io.InputFileError) as err:
+        load[kind](path)
+    assert str(err.value) == f"{kind} file {path}, {where}: an integer of more than {sys.get_int_max_str_digits()} digits"
