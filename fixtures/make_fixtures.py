@@ -48,6 +48,7 @@ from nlconcepts.types import (  # noqa: E402
     NumberExampleSet,
     ShapeObject,
     Trial,
+    shape_universe,
 )
 
 FEATURE_DIM = 64
@@ -197,12 +198,7 @@ def make_green_triangles(rng):
     def is_positive(o):
         return o.color == "green" and o.shape == "triangle"
 
-    universe = [
-        ShapeObject(s, c, z)
-        for s in ("triangle", "rectangle", "circle")
-        for c in ("green", "yellow", "blue")
-        for z in (1, 2, 3)
-    ]
+    universe = shape_universe()
     batches = []
     for b in range(15):
         size = int(rng.integers(3, 6))

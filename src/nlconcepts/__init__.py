@@ -13,7 +13,6 @@ Two experimental domains are included: the Number Game (concepts over
 
 from .fit import FitConfig, FitResult, fit_params, kfold_rows, r_squared
 from .harness import infer_number, infer_shape
-from .likelihood import EvalCache
 from .posterior import PosteriorState, dedup_pool
 from .prior import FeatureExtractor, extract_features
 from .types import (
@@ -32,7 +31,6 @@ from .types import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EvalCache",
     "FeatureExtractor",
     "FitConfig",
     "FitResult",

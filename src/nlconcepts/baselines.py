@@ -48,8 +48,8 @@ _PLATT_FIT = FitConfig(learning_rate=0.01, epochs=1000, trainable=("platt",))
 
 def _raw_task(raw: Sequence[float], targets: Sequence[float], ids: Sequence[str]) -> NumberTask:
     """One hypothesis whose test membership is the raw prediction of
-    each row, in [0, 1]: its weight is 1, so the pass predicts
-    platt(raw)."""
+    each row, in [0, 1]: its weight is 1, so the pass predicts the raw
+    prediction Platt-calibrated."""
     return NumberTask(
         features=None,
         base_logprior=np.zeros(1),

@@ -280,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the flag that carries each domain's data for `propose` and `infer`,
-# and each non-uniform prior's for `infer`
+# the flag that carries each domain's data for `infer` and a conditioned
+# `propose`, and each non-uniform prior's for `infer`
 _DOMAIN_INPUT = {"number": "examples", "shape": "curve"}
 _PRIOR_INPUT = {"tuned": "params", "external": "scores"}
 # the positional argument of each `replay` action that takes one
@@ -291,10 +291,12 @@ _REPLAY_ARG = {"show": "key"}
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("propose", "infer") and getattr(args, _DOMAIN_INPUT[args.domain]) is None:
-        parser.error(f"{args.command} --domain {args.domain} requires --{_DOMAIN_INPUT[args.domain]}")
-    if args.command == "propose" and args.unconditioned and args.domain != "number":
+    unconditioned = args.command == "propose" and args.unconditioned
+    if unconditioned and args.domain != "number":
         parser.error(f"propose --unconditioned is for --domain number only, not --domain {args.domain}")
+    needs_data = args.command in ("propose", "infer") and not unconditioned
+    if needs_data and getattr(args, _DOMAIN_INPUT[args.domain]) is None:
+        parser.error(f"{args.command} --domain {args.domain} requires --{_DOMAIN_INPUT[args.domain]}")
     prior_input = _PRIOR_INPUT.get(getattr(args, "prior", None))
     if args.command == "infer" and prior_input and getattr(args, prior_input) is None:
         parser.error(f"infer --prior {args.prior} requires --{prior_input}")

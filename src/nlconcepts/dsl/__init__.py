@@ -14,7 +14,7 @@ from .number import (
     format_number_concept,
     parse_number_concept,
 )
-from .shape import eval_shape, format_shape_concept, parse_shape_concept
+from .shape import format_shape_concept, parse_shape_concept
 
 NUMBER = "number"
 SHAPE = "shape"
@@ -83,7 +83,6 @@ __all__ = [
     "DomainMismatch",
     "DslSyntaxError",
     "eval_number",
-    "eval_shape",
     "extension_values",
     "format_concept",
     "format_number_concept",

@@ -161,7 +161,8 @@ class NumberTask:
     extension; test_member[i, s] likewise for test number i. The pass
     is linear in test_member, so a column may also hold a raw
     prediction in [0, 1]: the weight of a task's one parsed hypothesis
-    is 1, so it predicts platt(raw), as the number baselines use it.
+    is 1, so it predicts expit(platt_b + platt_a logit(raw)), the raw
+    prediction Platt-calibrated, as the number baselines use it.
     """
 
     features: Optional[np.ndarray]  # (S, D); None under a non-tuned prior
@@ -197,8 +198,8 @@ class ShapeTask:
     the number B of rows of `count` alone (the fields after
     `first_batch`). `visible` is count > 0. With lag[b, k] = K_b - k,
     how far trial k lies behind the start of batch b (K_b trials come
-    before it), they are: the decay lookup (`lags`, the K lags of
-    `decay_weights(K, beta)`, and `decay_index`, where lag^-beta lies in
+    before it), they are: the decay lookup (`lags`, the lags K..1 of
+    trials 1..K, and `decay_index`, where lag^-beta lies in
     that table of K weights followed by a zero slot for trials not yet
     past), and the sums over a trial's label, plain and weighted by log
     lag, that the gradient takes. `consist_t` is a C-contiguous copy of
@@ -537,7 +538,7 @@ def shape_pass(task: ShapeTask, theta, eps: float, alpha: float, beta: float, te
     delta_pos = math.log(max(q1, 1e-300)) - math.log(max(q0, 1e-300))
     delta_log_r = np.where(task.positive, delta_pos, delta_neg)  # (K,) that of each trial's label
     # D (B, K): lag^-beta where trial k is past, read off the decay weights
-    # of all K trials (decay_weights(K, beta)), and 0 elsewhere, at the zero slot
+    # (1 + K - k)^-beta of all K trials, and 0 elsewhere, at the zero slot
     decay = np.zeros(len(task.lags) + 1)
     np.power(task.lags, -beta, out=decay[:-1])
     decay = decay.take(task.decay_index)

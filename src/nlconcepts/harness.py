@@ -2,8 +2,9 @@
 the one experiment path of both domains, which reads its data and pools
 through `load_data` and `load_pools`, the posterior of one pool
 (`infer_number`, `infer_shape`), and tidy CSV emission for plotting.
-`run_number_experiment`, `run_online_experiment` and
-`fit_online_params` stay only because the benchmark calls them."""
+`run_number_experiment`, `run_online_experiment`, `fit_online_params`
+and `build_shape_task`'s `cache` stay only because the benchmark calls
+them: no library code does, and one test holds them to the entry points."""
 
 from __future__ import annotations
 
@@ -149,7 +150,8 @@ class ExperimentConfig:
 def _prior_pieces(cfg: ExperimentConfig, pool: Sequence[Hypothesis], extractor, scores=None):
     """(features or None, base log-prior vector) for a deduped pool;
     the external prior reads `cfg.scores_path` unless given `scores`,
-    and MissingFeature names the first canonical NL it has no score for."""
+    and MissingFeature names that file and the first canonical NL it
+    has no score for."""
     if cfg.prior == "tuned":
         features = extractor.matrix(pool) if pool else np.zeros((0, extractor.dim))
         return features, np.zeros(len(pool))
@@ -158,7 +160,7 @@ def _prior_pieces(cfg: ExperimentConfig, pool: Sequence[Hypothesis], extractor, 
             scores = io.load_score_file(cfg.scores_path)
         missing = next((h.key for h in pool if h.key not in scores), None)
         if missing is not None:
-            raise MissingFeature(missing)
+            raise MissingFeature(cfg.scores_path, missing)
         return None, np.array([scores[h.key] for h in pool], dtype=float)
     return None, np.zeros(len(pool))
 
@@ -166,10 +168,14 @@ def _prior_pieces(cfg: ExperimentConfig, pool: Sequence[Hypothesis], extractor, 
 def load_data(cfg: ExperimentConfig):
     """The judgments in the CSV `cfg.data_path` (numbers), or the
     learning curves in the directory `cfg.data_path` by file name
-    (shapes)."""
+    (shapes); a directory that holds no `*.json` file is a ValueError
+    naming it."""
     if cfg.domain == NUMBER_DOMAIN:
         return io.load_number_judgments(cfg.data_path)
-    return [io.load_learning_curve(p) for p in sorted(Path(cfg.data_path).glob("*.json"))]
+    paths = sorted(Path(cfg.data_path).glob("*.json"))
+    if not paths:
+        raise ValueError(f"curve directory {cfg.data_path} holds no *.json curve file")
+    return [io.load_learning_curve(p) for p in paths]
 
 
 def load_pools(cfg: ExperimentConfig) -> Dict[str, List[Hypothesis]]:
@@ -203,7 +209,7 @@ def build_number_task(
         unique = list(pool)
         log_q = proposal_logq(unique)
     else:
-        unique, _ = dedup_pool(pool)
+        unique = dedup_pool(pool)
         log_q = np.zeros(len(unique))
     features, base = _prior_pieces(cfg, unique, extractor, scores)
     base = base - log_q
@@ -246,7 +252,7 @@ def build_shape_task(
     last batch, as `infer_shape` reads them. `scores` are the external
     prior's, read from `cfg.scores_path` when None. `cache` is not read;
     it stays for callers that pass an `EvalCache` positionally."""
-    unique, _ = dedup_pool(pool)
+    unique = dedup_pool(pool)
     features, base = _prior_pieces(cfg, unique, extractor, scores)
     trials = curve.trials
     n_batches = len(curve.batches)
@@ -315,7 +321,7 @@ def infer_number(
     _check_theta(cfg, params)
     task = build_number_task(cfg, pool, examples, [], FeatureExtractor(dim=cfg.feature_dim))
     weights = number_weights(pack_params(params)[None], stack_tasks([task]), len(params.theta))[0][0, 0]
-    kept = list(pool) if cfg.weighting == "importance" else dedup_pool(pool)[0]
+    kept = list(pool) if cfg.weighting == "importance" else dedup_pool(pool)
     return posterior_state(kept, len(pool), weights, task.parsed)
 
 
@@ -339,7 +345,7 @@ def infer_shape(
         pool = [replace(h, source_batch=None) for h in pool]
     task = build_shape_task(cfg, pool, curve, FeatureExtractor(dim=cfg.feature_dim), after_last=True)
     weights, alive = rule_weights(task, shape_forward(task, params)[1])
-    return posterior_state(dedup_pool(pool)[0], len(pool), weights[upto_batch], alive[upto_batch])
+    return posterior_state(dedup_pool(pool), len(pool), weights[upto_batch], alive[upto_batch])
 
 
 # ---------------------------------------------------------------------------

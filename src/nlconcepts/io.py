@@ -5,9 +5,9 @@ reads "<kind> file <path>, <where>: <fault>"; <where> is a line, a batch
 or a trial, each counted from 1 over the whole file, or the file's top
 level. Integers and finite numbers are checked by `types.check_integer`
 and `types.check_finite_number`: a bool is neither, and 10**300 loads
-as written but a 400-digit integer does not. A JSON integer of more
-digits than Python converts (4300 by default) is refused as such, not
-as a parse failure.
+as written but a 400-digit integer does not. An integer of more
+digits than Python converts (4300 by default), in JSON or a judgments
+cell, is refused as such (`_digit_limit`), not as a parse failure.
 
 Hypothesis pool ("pool"): JSON Lines, one object per line:
     {"nl": str, "dsl": str, "logq": finite number|null, "batch": int|null}
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -90,6 +91,11 @@ def _read_jsonl(kind: str, path, read_row) -> list:
     return out
 
 
+def _digit_limit() -> ValueError:
+    """The fault of an integer of more digits than int() converts."""
+    return ValueError(f"an integer of more than {sys.get_int_max_str_digits()} digits")
+
+
 def _json_object(text: str) -> dict:
     """The JSON object `text` holds; a ValueError if it holds none."""
     try:
@@ -97,7 +103,7 @@ def _json_object(text: str) -> dict:
     except json.JSONDecodeError:
         data = None
     except ValueError:  # valid JSON, but an integer past int()'s digit limit
-        raise ValueError(f"an integer of more than {sys.get_int_max_str_digits()} digits") from None
+        raise _digit_limit() from None
     if not isinstance(data, dict):
         raise ValueError("not a JSON object")
     return data
@@ -206,10 +212,13 @@ def _judgment(row: dict) -> HumanNumberJudgment:
 
 def _converted(convert, text: str):
     """`convert(text)`, or `text` itself if it does not convert, so that
-    the check it is passed to refuses it."""
+    the check it is passed to refuses it; an integer int() refuses only
+    for its length is refused as such."""
     try:
         return convert(text)
     except ValueError:
+        if re.fullmatch(r"\s*[+-]?\d+\s*", text):
+            raise _digit_limit() from None
         return text
 
 

@@ -11,9 +11,8 @@ Shape domain: responses follow the concept with probability
 (1 - epsilon) and otherwise guess positive at base rate alpha
 (`positive_probs`). Older trials are down-weighted by a power-law
 memory decay: trial k of K gets weight (1 + K - k) ** -beta, so the
-most recent trial always has weight 1 (`decay_weights`). The shape
-pass reads these weights off a lookup its task compiles once
-(`fit.ShapeTask`), bit for bit the same.
+most recent trial always has weight 1. The shape pass reads these
+weights off a lookup its task compiles once (`fit.ShapeTask`).
 
 Each domain compiles a pool once against its data: `extension_matrix`
 stacks every hypothesis's truth row over 1..100, which its program
@@ -38,10 +37,9 @@ from .types import Hypothesis, Trial
 
 
 class EvalCache:
-    """A hypothesis's number extension, read off the row memoized on its
-    program (`ConceptProgram.extension`, which raises `DomainMismatch`
-    on a shape rule), empty if unparsed. It holds no state: equal text
-    with different programs never shares an extension."""
+    """A hypothesis's number extension (`ConceptProgram.extension`),
+    empty if unparsed. No library code calls it: it stays only because
+    the benchmark passes one to `harness.build_shape_task`."""
 
     @staticmethod
     def extension(h: Hypothesis) -> frozenset:
@@ -95,11 +93,3 @@ def positive_probs(epsilon, alpha):
     """(q0, q1): the probability of a positive response under a rule
     false (q0) or true (q1) on the trial."""
     return epsilon * alpha, (1.0 - epsilon) + epsilon * alpha
-
-
-def decay_weights(n_trials: int, beta: float) -> np.ndarray:
-    """(1 + K - k) ** -beta for k = 1..K; the last trial gets weight 1."""
-    if n_trials == 0:
-        return np.zeros(0)
-    lag = np.arange(n_trials, 0, -1, dtype=float)  # 1 + K - k
-    return lag**-beta

@@ -70,18 +70,13 @@ class PosteriorState:
         )
 
 
-def dedup_pool(pool: Sequence[Hypothesis]):
-    """Merge duplicates by canonical NL, keeping the first occurrence.
-
-    Returns (unique_pool, counts) where counts[i] is the multiplicity of
-    unique hypothesis i in the input.
-    """
+def dedup_pool(pool: Sequence[Hypothesis]) -> List[Hypothesis]:
+    """The pool with duplicates by canonical NL merged into their first
+    occurrence, in order."""
     first: Dict[str, Hypothesis] = {}
-    counts: Dict[str, int] = {}  # keys in the same order as `first`
     for h in pool:
         first.setdefault(h.key, h)
-        counts[h.key] = counts.get(h.key, 0) + 1
-    return list(first.values()), np.array(list(counts.values()), dtype=int)
+    return list(first.values())
 
 
 def weight_diagnostics(weights) -> Dict[str, float]:
@@ -146,9 +141,3 @@ def expit(x):
 def logit(p):
     """log(p / (1 - p)), elementwise: the inverse of expit on (0, 1)."""
     return np.log(p / (1.0 - p))
-
-
-def platt(p: float, a: float, b: float) -> float:
-    """Two-parameter logistic recalibration; identity at a=1, b=0."""
-    p = min(max(p, PROB_CLAMP), 1.0 - PROB_CLAMP)
-    return float(expit(b + a * logit(p)))

@@ -28,7 +28,11 @@ _HASH_KEY = str(HASH_SEED).encode()
 
 
 class MissingFeature(KeyError):
-    """An external score file lacks an entry for a hypothesis."""
+    """An external score file lacks an entry for a hypothesis; the
+    arguments are the file's path and the hypothesis's canonical text."""
+
+    def __str__(self):
+        return "score file {} has no score for {!r}".format(*self.args)
 
 
 def extract_features(nl_text: str, dim: int = FEATURE_DIM) -> np.ndarray:

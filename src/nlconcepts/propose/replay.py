@@ -404,10 +404,6 @@ class ReplayStore:
         finally:
             fcntl.flock(fd, fcntl.LOCK_UN)
 
-    def get(self, prompt: str, params: Dict) -> Optional[List]:
-        found = self._find(fingerprint(prompt, params))
-        return None if found is None else _decode(found[0][found[1]:])
-
     def lookup(self, prompt: str, params: Dict) -> List:
         key = fingerprint(prompt, params)
         found = self._find(key)

@@ -11,8 +11,13 @@ independent reference. Its own sentinels mark impossible
 data: -inf log-likelihoods become NEG_LARGE, and log-weights at or
 below ZERO_CUTOFF get weight 0, so epsilon = 0 is a case it can weigh.
 It imports only the interpreters, the DSL's syntax error, the hashed
-features, the two errors a pool can raise, the PosteriorState
+features, the error of a pool without log q, the PosteriorState
 container and the fold cut (`kfold_rows`) from the library.
+
+`decay_weights` is the memory decay (1 + K - k) ** -beta of K trials,
+which the library reads off the lookup each `fit.ShapeTask` compiles,
+and `platt` the recalibration expit(b + a logit(p)) the number passes
+apply to a prediction.
 
 `shape_forward_dense` is the reference for the library's shape kernel
 (`fit.shape_forward`): the same forward pass and gradient written over
@@ -42,10 +47,11 @@ import re
 import numpy as np
 from scipy.special import expit, logsumexp
 
-from nlconcepts.dsl import DslSyntaxError, eval_number, eval_shape
+from nlconcepts.dsl import DslSyntaxError, eval_number
+from nlconcepts.dsl.shape import eval_shape
 from nlconcepts.fit import kfold_rows
 from nlconcepts.posterior import MissingLogQ, PosteriorState
-from nlconcepts.prior import MissingFeature, extract_features
+from nlconcepts.prior import extract_features
 
 NEG_LARGE = -1e18  # finite stand-in for the log-likelihood of impossible data
 ZERO_CUTOFF = NEG_LARGE / 2  # log-weights at or below this get weight 0
@@ -119,20 +125,14 @@ def prior_of(kind, theta=(), scores=None):
     """The unnormalized log prior weight of a hypothesis, as a function
     of it: 0 under the uniform prior, theta . phi(h) under the tuned one
     (phi the hashed features of h's text, len(theta) buckets), and the
-    score of h's canonical text under the external one (MissingFeature
-    names a text without one)."""
+    score of h's canonical text under the external one (a KeyError for
+    a text without one)."""
     if kind == "uniform":
         return lambda h: 0.0
     if kind == "tuned":
         theta = np.asarray(theta, dtype=float)
         return lambda h: float(theta @ extract_features(h.nl_text, len(theta)))
-
-    def external(h):
-        if h.key not in scores:
-            raise MissingFeature(h.key)
-        return float(scores[h.key])
-
-    return external
+    return lambda h: float(scores[h.key])
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +155,11 @@ def number_loglikelihood(h, examples, epsilon) -> float:
 def trial_response_prob(h, t, epsilon, alpha) -> float:
     p_positive = (1.0 - epsilon) * float(trial_member(h, t)) + epsilon * alpha
     return p_positive if t.label else 1.0 - p_positive
+
+
+def decay_weights(n_trials: int, beta: float) -> np.ndarray:
+    """(1 + K - k) ** -beta for k = 1..K; the last trial gets weight 1."""
+    return np.arange(n_trials, 0, -1, dtype=float) ** -beta
 
 
 def decayed_sequence_loglik(h, trials, epsilon, alpha, beta) -> float:
@@ -501,6 +506,13 @@ def number_rows_dense(tasks, stack, dim, rows):
 # Platt calibration
 
 
+def platt(p: float, a: float, b: float) -> float:
+    """expit(b + a logit(p)), p clamped to [1e-6, 1 - 1e-6]: the
+    two-parameter logistic recalibration, identity at a=1, b=0."""
+    p = min(max(p, 1e-6), 1.0 - 1e-6)
+    return float(expit(b + a * math.log(p / (1.0 - p))))
+
+
 def fit_platt(raw, targets, epochs=1000, lr=0.001):
     """(a, b) of expit(b + a logit(p)) fit from (1, 0) by full-batch
     Adam (betas 0.9, 0.999, eps 1e-8) on the summed cross-entropy, the
@@ -530,6 +542,5 @@ def platt_cv(rows, k_folds, seed, lr):
         a, b = fit_platt([raw for _, raw, _ in train], [human for _, _, human in train], lr=lr)
         for (i, raw, human), t in zip(rows, trains):
             if not t:
-                p = min(max(raw, 1e-6), 1.0 - 1e-6)
-                out.append((i, float(expit(b + a * math.log(p / (1.0 - p)))), human))
+                out.append((i, platt(raw, a, b), human))
     return out

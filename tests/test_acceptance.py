@@ -15,17 +15,13 @@ import numpy as np
 import pytest
 
 from nlconcepts import io
-from nlconcepts.dsl import eval_shape, parse_concept
-from nlconcepts.fit import loss_and_grad
-from nlconcepts.harness import (
-    ExperimentConfig,
-    infer_number,
-    infer_shape,
-    run_number_experiment,
-    run_online_experiment,
-)
-from nlconcepts.likelihood import EvalCache, decay_weights, extension_matrix
-from nlconcepts.posterior import platt
+from nlconcepts.baselines import _raw_task
+from nlconcepts.dsl import parse_concept
+from nlconcepts.dsl.shape import eval_shape
+from nlconcepts.fit import loss_and_grad, pack_params
+from nlconcepts.harness import ExperimentConfig, build_shape_task, infer_number, infer_shape, run_experiment
+from nlconcepts.likelihood import extension_matrix
+from nlconcepts.prior import FeatureExtractor
 from nlconcepts.types import (
     LearningCurve,
     ModelParams,
@@ -54,14 +50,14 @@ def _uniform_cfg():
 @pytest.fixture(scope="module")
 def tuned_run():
     start = time.monotonic()
-    metrics, records, _ = run_number_experiment(_tuned_cfg())
+    metrics, records, _, _ = run_experiment(_tuned_cfg())
     return metrics, records, time.monotonic() - start
 
 
 @pytest.fixture(scope="module")
 def uniform_run():
     start = time.monotonic()
-    metrics, records, _ = run_number_experiment(_uniform_cfg())
+    metrics, records, _, _ = run_experiment(_uniform_cfg())
     return metrics, records, time.monotonic() - start
 
 
@@ -94,13 +90,12 @@ def test_01_exact_bayes_oracle():
     eps = 0.05
     for examples in ([2, 4, 8], [9, 3, 81], [4, 44, 64], [7]):
         x = NumberExampleSet(examples)
-        cache = EvalCache()
         # library path
         state = _infer_number(pool, x, eps, 1.0)
         # exhaustive enumeration oracle
         unnorm = []
         for h in pool:
-            ext = cache.extension(h)
+            ext = h.program.extension
             w = 1.0
             for xi in examples:
                 inside = (1 - eps) / len(ext) if ext and xi in ext else 0.0
@@ -110,7 +105,7 @@ def test_01_exact_bayes_oracle():
         assert np.abs(state.weights - expected).max() <= 1e-12
         for t in (1, 16, 44, 81, 100):
             enum = sum(
-                w for w, h in zip(expected, pool) if t in cache.extension(h)
+                w for w, h in zip(expected, pool) if t in h.program.extension
             )
             assert abs(_membership(state, t) - enum) <= 1e-12
     elapsed = time.monotonic() - start
@@ -189,11 +184,17 @@ def test_05_tuned_beats_uniform(tuned_run, uniform_run):
 
 
 def test_06_likelihood_laws():
+    universe = shape_universe()
     rng = np.random.default_rng(6)
+    lags = {}  # K -> the lags a shape task of K trials compiles
     for _ in range(1000):
         k = int(rng.integers(1, 40))
         beta = float(rng.uniform(0.0, 4.0))
-        w = decay_weights(k, beta)
+        if k not in lags:
+            trials = [Trial([universe[i % 27]], universe[i % 27], True) for i in range(k)]
+            curve = LearningCurve("c", "", [trials], [0.5] * k)
+            lags[k] = build_shape_task(ExperimentConfig("shape"), [], curve, FeatureExtractor(dim=0)).lags
+        w = np.power(lags[k], -beta)  # the decay weights, as the shape pass raises them
         exact = (1.0 + k - np.arange(1, k + 1)) ** -beta
         np.testing.assert_array_equal(w, exact)  # formula holds exactly
         assert np.all(np.diff(w) >= 0)  # monotone in recency
@@ -207,7 +208,6 @@ def test_06_likelihood_laws():
         io.make_hypothesis("something is positive if it is small", "this.size == 1", "shape"),
         io.make_hypothesis("something is positive if it is a circle", "this.shape == circle", "shape"),
     ]
-    universe = shape_universe()
     trials = [
         Trial([universe[i], universe[(i + 5) % 27]], universe[i], bool(i % 2))
         for i in range(0, 20, 2)
@@ -260,9 +260,7 @@ def test_08_online_protocol():
     pool = io.load_pool(FIXTURES / "shape" / "green_triangles_pool.jsonl", "shape")
     cfg = ExperimentConfig(domain="shape", prior="uniform", feature_dim=0)
     params = ModelParams(theta=np.zeros(0), epsilon=0.05, alpha=0.5, beta=0.5)
-    _, records, details = run_online_experiment(
-        cfg, [curve], {"green_triangles": pool}, params
-    )
+    _, records, details, _ = run_experiment(cfg, [curve], {"green_triangles": pool}, params)
     per_batch = details["green_triangles"]["per_batch"]
     assert per_batch[-1]["accuracy"] >= 0.9
     # planted rule enters the pool in batch 1 and is MAP from then on
@@ -284,9 +282,7 @@ def test_08_online_protocol():
         ],
         curve.human_positive_rate,
     )
-    _, records2, _ = run_online_experiment(
-        cfg, [flipped], {"green_triangles": pool}, params
-    )
+    records2 = run_experiment(cfg, [flipped], {"green_triangles": pool}, params).records
     for r1, r2 in zip(records[:cut], records2[:cut]):
         assert r1.prediction == r2.prediction
     print(
@@ -296,8 +292,11 @@ def test_08_online_protocol():
 
 
 def test_09_calibration_identities():
-    for p in np.linspace(0.001, 0.999, 23):
-        assert abs(platt(float(p), 1.0, 0.0) - p) <= 1e-9
+    # the number pass predicts a raw prediction unchanged at the Platt pair (1, 0)
+    raw = np.linspace(0.001, 0.999, 23)
+    task = _raw_task(raw, raw, [str(i) for i in range(len(raw))])
+    _, _, records = loss_and_grad(pack_params(ModelParams()), [task], 0, want_grad=False)
+    assert max(abs(pred - p) for (_, pred, _), p in zip(records, raw)) <= 1e-9
     pool = io.load_pool(FIXTURES / "number_pool_size_principle.jsonl", "number")
     x = NumberExampleSet([16, 8, 2, 64])
     w1 = _infer_number(pool, x, 0.02, 1.0).weights
@@ -387,7 +386,7 @@ def test_11_published_data_directional(tmp_path):
     io.save_pool(shared_path, shared)
 
     cfg = ExperimentConfig(domain="number", prior="tuned", feature_dim=384, seed=0)
-    full, _, _ = run_number_experiment(cfg, judgments=judgments, pools=pools)
+    full = run_experiment(cfg, judgments, pools).metrics
     latent, _, _ = latent_language_number(cfg, judgments=judgments, pools=pools)
     cfg_abl = ExperimentConfig(domain="number", prior="tuned", feature_dim=384, seed=0)
     ablation, _, _ = no_proposal_ablation(cfg_abl, shared_path, judgments=judgments)

@@ -22,7 +22,6 @@ from nlconcepts.baselines import (
 from nlconcepts.fit import FitConfig, fit_params
 from nlconcepts.harness import ExperimentConfig, run_experiment
 from nlconcepts.io import make_hypothesis
-from nlconcepts.posterior import platt
 from nlconcepts.propose import ReplayBackend, ReplayStore
 from nlconcepts.types import HumanNumberJudgment, ModelParams, NumberExampleSet, ShapeObject, Trial
 
@@ -40,7 +39,7 @@ def test_fit_platt_recovers_known_transform():
     a, b = params.platt_a, params.platt_b
     assert a == pytest.approx(a_true, abs=0.05)
     assert b == pytest.approx(b_true, abs=0.05)
-    assert platt(0.5, a, b) == pytest.approx(expit(b_true), abs=0.01)
+    assert expit(b + a * logit(0.5)) == pytest.approx(expit(b_true), abs=0.01)
 
 
 def latent_choice(pool, examples):

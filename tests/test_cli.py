@@ -15,7 +15,7 @@ import nlconcepts
 from nlconcepts import harness, io
 from nlconcepts.baselines import DIRECT_PARAMS, direct_shape_prompt
 from nlconcepts.cli import _load_params, main
-from nlconcepts.fit import number_weights, pack_params, rule_weights, shape_forward, stack_tasks
+from nlconcepts.fit import fit_params, number_weights, pack_params, rule_weights, shape_forward, stack_tasks
 from nlconcepts.harness import params_to_json
 from nlconcepts.posterior import dedup_pool
 from nlconcepts.prior import FeatureExtractor
@@ -153,7 +153,7 @@ def test_infer_shape_reads_the_online_models_weights(source, fixtures_dir, tmp_p
     cfg = harness.ExperimentConfig("shape")
     task = harness.build_shape_task(cfg, pool, curve, FeatureExtractor(dim=0))
     want, visible = rule_weights(task, shape_forward(task, params)[1])
-    unique, _ = dedup_pool(pool)
+    unique = dedup_pool(pool)
     for b in range(len(curve.batches)):
         got = _infer_json(argv + ["--upto-batch", str(b)], capsys)
         weights = dict((h["nl"], h["weight"]) for h in got["hypotheses"])
@@ -378,6 +378,21 @@ def test_propose_shape_unconditioned_is_a_usage_error(fixtures_dir, tmp_path, ca
     assert err.value.code == 2
     assert "propose --unconditioned is for --domain number only, not --domain shape" in capsys.readouterr().err
     assert not (tmp_path / "pool.jsonl").exists()
+
+
+def test_propose_unconditioned_needs_no_examples(fixtures_dir, tmp_path, capsys):
+    """The ablation prompt shows no examples, so `propose --unconditioned`
+    runs without `--examples`, and writes what it writes with them; it
+    once exited 2 asking for them."""
+    pool = fixtures_dir / "number" / "set01.jsonl"
+    argv = ["propose", "--domain", "number", "--unconditioned", "--backend", "static", "--pool", str(pool)]
+    argv += ["--budget", "3"]
+    out, with_examples = tmp_path / "pool.jsonl", tmp_path / "with_examples.jsonl"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote 3 hypotheses to {out}\n"
+    assert [h.nl_text for h in io.load_pool(out, "number")] == [h.nl_text for h in io.load_pool(pool, "number")[:3]]
+    assert main(argv + ["--examples", "1", "--out", str(with_examples)]) == 0
+    assert with_examples.read_bytes() == out.read_bytes()
 
 
 def test_replay_list_and_show(fixtures_dir, capsys):
@@ -802,9 +817,9 @@ def test_fit_shape_writes_outputs(fixtures_dir, tmp_path):
 
 def test_fit_shape_builds_each_curve_once(fixtures_dir, tmp_path, monkeypatch):
     """`fit` on the shape fixture config compiles each curve once, fits
-    and evaluates those tasks, and writes what fitting with
-    `fit_online_params` and then evaluating with `run_online_experiment`
-    give."""
+    and evaluates those tasks, and writes what fitting the compiled
+    tasks (`shape_tasks`, `fit_params`) and then evaluating with
+    `run_experiment` at the fitted parameters give."""
     raw = json.loads((fixtures_dir / "configs" / "shape_online.json").read_text())
     raw["data_path"] = str(fixtures_dir / "shape")
     raw["pools"] = {cid: str(fixtures_dir.parent / path) for cid, path in raw["pools"].items()}
@@ -820,8 +835,8 @@ def test_fit_shape_builds_each_curve_once(fixtures_dir, tmp_path, monkeypatch):
     cfg = harness.ExperimentConfig.from_json(path)
     curves, pools = harness.load_data(cfg), harness.load_pools(cfg)
     assert builds == [c.concept_id for c in curves]
-    params = harness.fit_online_params(cfg, curves, pools).params
-    metrics, records, details = harness.run_online_experiment(cfg, curves, pools, params)
+    params = fit_params(cfg.fit, harness.shape_tasks(cfg, curves, pools), harness.default_params(cfg)).params
+    metrics, records, details, _ = harness.run_experiment(cfg, curves, pools, params)
     want = tmp_path / "want"
     want.mkdir()
     (want / "params.json").write_text(json.dumps(params_to_json(params), indent=2))
@@ -1061,6 +1076,49 @@ def test_fit_shape_on_an_empty_pool_file_names_it(fixtures_dir, tmp_path, capsys
     path.write_text(json.dumps(dict(json.loads(path.read_text()), pools={"green_triangles": str(empty)})))
     assert main(["fit", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: pool file {empty} holds no hypotheses\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("made", [True, False], ids=["empty", "missing"])
+def test_fit_shape_on_a_data_path_with_no_curve_file_names_it(made, fixtures_dir, tmp_path, capsys):
+    """A shape config whose `data_path` holds no *.json curve file, an
+    empty or a misspelt directory, is refused, naming it, before
+    anything is fitted or written; it was once read as no curves, fit
+    to nothing, and left a params.json behind."""
+    data = tmp_path / "curves"
+    if made:
+        data.mkdir()
+    path = _shape_config(fixtures_dir, tmp_path)
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), data_path=str(data))))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main(["fit", "--config", str(path), "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err == f"error: curve directory {data} holds no *.json curve file\n"
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("domain", ["number", "shape"])
+def test_a_score_file_without_a_pool_text_is_an_error_naming_both(domain, fixtures_dir, tmp_path, capsys):
+    """Under the external prior, a score file with no entry for a pool
+    hypothesis names the file and the text (number `fit`, shape
+    `infer`); the error once read as KeyError's quoted text alone."""
+    scores = tmp_path / "scores.jsonl"
+    if domain == "number":
+        path = _tiny_number_config(fixtures_dir, tmp_path, prior="external")
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), scores_path=str(scores))))
+        pool_path = fixtures_dir / "number" / "set01.jsonl"
+        argv = ["fit", "--config", str(path), "--out-dir", str(tmp_path / "out")]
+    else:
+        pool_path = fixtures_dir / "shape" / "green_triangles_pool.jsonl"
+        argv = ["infer", "--domain", "shape", "--pool", str(pool_path), "--prior", "external", "--scores", str(scores)]
+        argv += ["--curve", str(fixtures_dir / "shape" / "green_triangles_curve.json")]
+    keys = [h.key for h in io.load_pool(pool_path, domain)]
+    io.save_score_file(scores, {key: -1.0 for key in keys[1:]})
+    assert keys[0] not in keys[1:]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: score file {scores} has no score for {keys[0]!r}\n"
     assert not (tmp_path / "out").exists()
 
 

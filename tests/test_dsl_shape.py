@@ -5,12 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nlconcepts.dsl import (
-    DslSyntaxError,
-    eval_shape,
-    format_concept,
-    parse_concept,
-)
+from nlconcepts.dsl import DslSyntaxError, format_concept, parse_concept
 from nlconcepts.dsl import shape as shape_dsl
 from nlconcepts.dsl.generate import random_shape_expr
 from nlconcepts.dsl.shape import (
@@ -25,6 +20,7 @@ from nlconcepts.dsl.shape import (
     VarRef,
     _eval_bool,
     encode_trials,
+    eval_shape,
     format_shape_concept,
     parse_shape_concept,
     truth_values,
@@ -441,7 +437,7 @@ def test_build_shape_task_consist_matches_interpreter():
     pool, curve = synthetic_shape_pool(), synthetic_shape_curve()
     cfg = ExperimentConfig("shape")
     task = build_shape_task(cfg, pool, curve, FeatureExtractor(dim=cfg.feature_dim))
-    unique, _ = dedup_pool(pool)
+    unique = dedup_pool(pool)
     want = np.array(
         [
             [float(h.parsed and eval_shape(h.program.expr, t.test, t.batch)) for t in curve.trials]

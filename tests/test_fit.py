@@ -32,10 +32,9 @@ from nlconcepts.harness import (
     build_shape_task,
     default_params,
     group_judgments,
-    run_number_experiment,
+    run_experiment,
 )
 from nlconcepts.io import make_hypothesis
-from nlconcepts.likelihood import EvalCache, decay_weights
 from nlconcepts.pcg64 import permutation
 from nlconcepts.prior import FeatureExtractor
 from nlconcepts.types import (
@@ -48,6 +47,7 @@ from nlconcepts.types import (
     Unparsed,
 )
 
+import oracle
 from conftest import FIXTURES, synthetic_shape_curve, synthetic_shape_pool
 
 DIM = 12
@@ -66,10 +66,9 @@ def number_task(cfg=None, ext=None, tests=None):
     return build_number_task(cfg, pool, NumberExampleSet([2, 4, 8, 16]), tests, ext)
 
 
-def shape_task(cfg=None, ext=None, cache=None):
+def shape_task(cfg=None, ext=None):
     cfg = cfg or ExperimentConfig(domain="shape", prior="tuned", feature_dim=DIM)
     ext = ext or FeatureExtractor(dim=DIM)
-    cache = cache or EvalCache()
     objs = [
         ShapeObject("triangle", "green", 1),
         ShapeObject("circle", "blue", 2),
@@ -91,7 +90,7 @@ def shape_task(cfg=None, ext=None, cache=None):
         ),
         Hypothesis("something is positive if it sparkles", Unparsed("???"), None, 2),
     ]
-    return build_shape_task(cfg, pool, curve, ext, cache)
+    return build_shape_task(cfg, pool, curve, ext)
 
 
 def fd_check(u, tasks, dim, h=1e-4, rtol=1e-3):
@@ -141,9 +140,7 @@ def test_gradients_match_finite_differences_shape_multibatch():
     batch 2, rules join at batches 2 to 5, one is a duplicate and two
     never parse, so the visibility mask changes from batch to batch."""
     cfg = ExperimentConfig(domain="shape", prior="tuned", feature_dim=DIM)
-    task = build_shape_task(
-        cfg, synthetic_shape_pool(), synthetic_shape_curve(), FeatureExtractor(dim=DIM), EvalCache()
-    )
+    task = build_shape_task(cfg, synthetic_shape_pool(), synthetic_shape_curve(), FeatureExtractor(dim=DIM))
     assert not task.visible[0].any()
     assert (task.visible[1:].sum(axis=1) < task.visible.shape[1]).all()
     rng = np.random.default_rng(3)
@@ -500,7 +497,7 @@ def test_cv_records_keep_fold_then_set_then_row_order():
     cfg.data_path = str(FIXTURES / "number_judgments.csv")
     cfg.pools = {k: str(FIXTURES / "number" / f"{k}.jsonl") for k in cfg.pools}
     cfg.fit = FitConfig(epochs=2, trainable=cfg.fit.trainable)
-    _, records, _ = run_number_experiment(cfg)
+    records = run_experiment(cfg).records
     ids = stack_tasks(fixture_number_tasks(cfg)).ids
     expected = [
         ids[n]
@@ -630,7 +627,7 @@ def fresh_constants(task, beta):
     lag = np.searchsorted(task.batch, np.arange(n_batches))[:, None] - np.arange(n_trials)
     past = lag > 0
     lag = np.where(past, lag, 1)
-    decay = np.where(past, decay_weights(n_trials, beta)[n_trials - lag], 0.0)
+    decay = np.where(past, oracle.decay_weights(n_trials, beta)[n_trials - lag], 0.0)
     return sign, past, decay, np.log(lag.astype(float)), (task.batch, np.arange(n_trials))
 
 
@@ -643,11 +640,11 @@ def assert_constants_match_fresh(task):
         # the zero slot K is read exactly where the trial is not yet past
         np.testing.assert_array_equal(task.decay_index < n_trials, past)
         # the decay is a lookup, bit for bit: the lags raised to -beta as the
-        # pass raises them are decay_weights(K, beta), and decay_index reads
+        # pass raises them are oracle.decay_weights(K, beta), and decay_index reads
         # them, or slot K, a zero, where the trial is not yet past
         table = np.zeros(n_trials + 1)
         np.power(task.lags, -beta, out=table[:-1])
-        np.testing.assert_array_equal(table[:-1], decay_weights(n_trials, beta))
+        np.testing.assert_array_equal(table[:-1], oracle.decay_weights(n_trials, beta))
         np.testing.assert_array_equal(table.take(task.decay_index), decay)
     by_label = np.stack([sign < 0, sign > 0], axis=1).astype(float)
     sums = task.label_sums.reshape(n_batches, n_trials, 4)

@@ -18,7 +18,7 @@ from nlconcepts import io
 from nlconcepts.baselines import latent_language_shape
 from nlconcepts.dsl.generate import random_shape_expr
 from nlconcepts.dsl.shape import format_shape_concept
-from nlconcepts.fit import FitConfig, ShapeTask, kfold_rows, rule_weights, shape_forward, stack_tasks
+from nlconcepts.fit import FitConfig, ShapeTask, fit_params, kfold_rows, rule_weights, shape_forward, stack_tasks
 from nlconcepts.harness import (
     ConfigError,
     ExperimentConfig,
@@ -30,7 +30,6 @@ from nlconcepts.harness import (
     emit_learning_curves,
     emit_plot_data,
     emit_sweep_table,
-    fit_online_params,
     group_judgments,
     infer_shape,
     load_data,
@@ -39,11 +38,9 @@ from nlconcepts.harness import (
     params_from_json,
     params_to_json,
     run_experiment,
-    run_number_experiment,
-    run_online_experiment,
     shape_tasks,
 )
-from nlconcepts.likelihood import EvalCache, truth_matrix
+from nlconcepts.likelihood import truth_matrix
 from nlconcepts.posterior import dedup_pool
 from nlconcepts.prior import FeatureExtractor, MissingFeature
 from nlconcepts.types import (
@@ -56,6 +53,16 @@ from nlconcepts.types import (
 
 import oracle
 from conftest import exchangeable_shape_pool, synthetic_shape_curve, synthetic_shape_pool, write_repeated_judgments
+
+
+def assert_same_task(task, want):
+    """Every field of a compiled task equals `want`'s."""
+    for field in dataclasses.fields(want):
+        got, wanted = getattr(task, field.name), getattr(want, field.name)
+        if isinstance(wanted, np.ndarray):
+            np.testing.assert_array_equal(got, wanted)
+        else:
+            assert got == wanted, field.name
 
 
 def load_fixture_curve(fixtures_dir):
@@ -193,22 +200,16 @@ def test_number_tasks_read_the_score_file_once(fixtures_dir, tmp_path, monkeypat
     extractor = FeatureExtractor(dim=cfg.feature_dim)
     for set_id, group in group_judgments(io.load_number_judgments(cfg.data_path)).items():
         tests = [(j.test_number, j.mean_rating, f"{set_id}:{j.test_number}") for j in group]
-        alone = build_number_task(cfg, pools[set_id], group[0].example_set, tests, extractor)
-        task = tasks[set_id]
-        for field in dataclasses.fields(task):
-            got, want = getattr(task, field.name), getattr(alone, field.name)
-            if isinstance(want, np.ndarray):
-                np.testing.assert_array_equal(got, want)
-            else:
-                assert got == want, field.name
+        assert_same_task(tasks[set_id], build_number_task(cfg, pools[set_id], group[0].example_set, tests, extractor))
     assert len(reads) == 1 + len(tasks)
 
 
 def test_shape_experiments_read_the_score_file_once(fixtures_dir, tmp_path, monkeypatch):
     """Under the external prior, `shape_tasks` reads the score file once
     for two curves and builds each task as `build_shape_task` does on
-    its own; the fit and online evaluation read it once each, and the
-    latent-language baseline, which forces the uniform prior, not at all."""
+    its own; `run_experiment`, which fits and evaluates those tasks,
+    reads it once, and the latent-language baseline, which forces the
+    uniform prior, not at all."""
     curve = load_fixture_curve(fixtures_dir)
     twin = LearningCurve("green_triangles_twin", curve.ground_truth_nl, curve.batches, curve.human_positive_rate)
     pool = load_fixture_pool(fixtures_dir)
@@ -227,14 +228,8 @@ def test_shape_experiments_read_the_score_file_once(fixtures_dir, tmp_path, monk
     tasks = shape_tasks(cfg, curves, pools)
     assert len(tasks) == 2 and reads == [cfg.scores_path]
     for c, task in zip(curves, tasks):
-        alone = build_shape_task(cfg, pool, c, FeatureExtractor(dim=cfg.feature_dim))
-        for field in dataclasses.fields(task):
-            got, want = getattr(task, field.name), getattr(alone, field.name)
-            if isinstance(want, np.ndarray):
-                np.testing.assert_array_equal(got, want)
-            else:
-                assert got == want, field.name
-    for experiment, n_reads in ((fit_online_params, 1), (run_online_experiment, 1), (latent_language_shape, 0)):
+        assert_same_task(task, build_shape_task(cfg, pool, c, FeatureExtractor(dim=cfg.feature_dim)))
+    for experiment, n_reads in ((run_experiment, 1), (latent_language_shape, 0)):
         reads.clear()
         experiment(cfg, curves, pools)
         assert len(reads) == n_reads, experiment.__name__
@@ -290,10 +285,9 @@ def test_shape_task_rejects_a_truth_value_between_zero_and_one_in_a_class(monkey
 def test_build_shape_task_masks_respect_source_batch(fixtures_dir):
     cfg = ExperimentConfig(domain="shape", prior="uniform", feature_dim=0)
     ext = FeatureExtractor(dim=0)
-    cache = EvalCache()
     curve = load_fixture_curve(fixtures_dir)
     pool = load_fixture_pool(fixtures_dir)
-    task = build_shape_task(cfg, pool, curve, ext, cache)
+    task = build_shape_task(cfg, pool, curve, ext)
     assert task.consist.shape[1] == len(curve.trials)
     assert task.ids == [f"{curve.concept_id}:{k}" for k in range(len(curve.trials))]
     unique = []
@@ -378,7 +372,7 @@ def test_shape_task_classes_are_distinct_and_count_the_rules_joined(seed, prior,
         batch = data.draw(st.one_of(st.none(), st.integers(-1, n_batches + 2)), label="batch")
         pool.append(io.make_hypothesis(f"rule {i}: {src}", src, "shape", batch=batch))
     cfg = ExperimentConfig(domain="shape", prior=prior, feature_dim=4 if prior == "tuned" else 0)
-    unique, _ = dedup_pool(pool)
+    unique = dedup_pool(pool)
     scores = {h.key: float(rng.choice([-1.0, -2.0])) for h in unique}
     extractor = FeatureExtractor(dim=cfg.feature_dim)
     task = build_shape_task(cfg, pool, curve, extractor, scores=scores, after_last=after_last)
@@ -422,7 +416,7 @@ def test_map_rule_of_tied_classes_is_the_earlier_rule():
     _, p, _ = shape_forward(task, params)
     assert p[1, 1] == p[1, 2] > p[1, 0]
     assert p[1, 2] * task.count[1, 2] > p[1, 1] * task.count[1, 1]
-    _, _, details = run_online_experiment(cfg, [curve], {curve.concept_id: pool}, params)
+    details = run_experiment(cfg, [curve], {curve.concept_id: pool}, params).details
     per_batch = details[curve.concept_id]["per_batch"]
     assert per_batch[1]["map_nl"] == "it is small and green"
     assert per_batch[1]["max_weight"] == p[1, 1]
@@ -440,8 +434,8 @@ def test_budget_sweep_loads_each_pool_once(fixtures_dir, monkeypatch):
     budgets, seeds = (2, 4), (0, 1)
     want = []
     for budget in budgets:
-        runs = [run_number_experiment(dataclasses.replace(cfg, budget=budget, seed=s)) for s in seeds]
-        r2s = np.array([metrics["holdout_r2"] for metrics, _, _ in runs])
+        runs = [run_experiment(dataclasses.replace(cfg, budget=budget, seed=s)) for s in seeds]
+        r2s = np.array([run.metrics["holdout_r2"] for run in runs])
         sem = float(r2s.std(ddof=1) / np.sqrt(len(r2s)))
         want.append({"budget": budget, "mean_r2": float(r2s.mean()), "sem_r2": sem, "n_runs": 2})
     loads = []
@@ -588,12 +582,6 @@ def test_shape_and_uniform_prior_runs_leave_openssl_unloaded(fixtures_dir, tmp_p
     assert (shape_out / "metrics.json").exists() and (number_out / "metrics.json").exists()
 
 
-@pytest.mark.parametrize("name", ["number_tuned.json", "number_uniform.json"])
-def test_run_number_experiment_is_the_runner(name, fixtures_dir):
-    cfg = _fixture_config(fixtures_dir, name)
-    assert run_number_experiment(cfg) == run_experiment(cfg)[:3]
-
-
 @pytest.mark.parametrize(
     "name, r2", [("number_tuned.json", 0.9977069131873986), ("number_uniform.json", 0.6857791742188053)]
 )
@@ -616,12 +604,30 @@ def test_shape_fixture_fit_keeps_its_parameters(fixtures_dir):
     assert (params.theta.size, params.platt_a, params.platt_b) == (0, 1.0, 0.0)
 
 
-def test_run_online_experiment_is_the_runner_and_never_fits(fixtures_dir):
+def test_the_calls_the_benchmark_makes_are_the_librarys_entry_points(fixtures_dir):
+    """`benchmarks/workloads.py` calls `run_number_experiment`,
+    `fit_online_params`, `run_online_experiment` and `build_shape_task`
+    with an `EvalCache`; no library code calls them, and no other test.
+    Each is a library entry point under another name: `run_experiment`,
+    or `fit_params` over `shape_tasks`, and `run_online_experiment`
+    never fits. Deleting them from the library deletes this test."""
+    from nlconcepts.harness import fit_online_params, run_number_experiment, run_online_experiment
+    from nlconcepts.likelihood import EvalCache
+
+    for name in ("number_tuned.json", "number_uniform.json"):
+        cfg = _fixture_config(fixtures_dir, name)
+        assert run_number_experiment(cfg) == run_experiment(cfg)[:3]
     cfg = _fixture_config(fixtures_dir, "shape_online.json")
     curves, pools = load_data(cfg), load_pools(cfg)
-    params = ModelParams(epsilon=0.2, alpha=0.45, beta=0.3, temperature=0.6)
+    params = fit_online_params(cfg, curves, pools).params
+    want = fit_params(cfg.fit, shape_tasks(cfg, curves, pools), default_params(cfg)).params
+    assert params_to_json(params) == params_to_json(want)
     assert run_online_experiment(cfg, curves, pools, params) == run_experiment(cfg, curves, pools, params)[:3]
     assert run_online_experiment(cfg) == run_experiment(cfg, params=default_params(cfg))[:3]
+    (curve,) = curves
+    extractor = FeatureExtractor(dim=cfg.feature_dim)
+    task = build_shape_task(cfg, pools[curve.concept_id], curve, extractor, EvalCache())
+    assert_same_task(task, build_shape_task(cfg, pools[curve.concept_id], curve, extractor))
 
 
 def test_run_number_experiment_with_fixed_params(fixtures_dir):
@@ -639,7 +645,7 @@ def test_run_number_experiment_with_fixed_params(fixtures_dir):
     cfg.params = params
     cfg.data_path = str(fixtures_dir / "number_judgments.csv")
     cfg.pools = {k: str(fixtures_dir / "number" / f"{k}.jsonl") for k in cfg.pools}
-    metrics, records, verbalizations = run_number_experiment(cfg)
+    metrics, records, verbalizations, _ = run_experiment(cfg)
     assert metrics["n_predictions"] == 48
     # the fixture ratings were generated by exactly these parameters
     assert metrics["holdout_r2"] == pytest.approx(1.0, abs=1e-9)
@@ -664,8 +670,7 @@ def test_top_verbalizations_under_importance_weighting_correct_for_q():
     tops = {}
     for weighting in ("dedup", "importance"):
         cfg = ExperimentConfig(domain="number", weighting=weighting, params=params)
-        _, _, top = run_number_experiment(cfg, judgments=judgments, pools={"s": pool})
-        tops[weighting] = top["s"]
+        tops[weighting] = run_experiment(cfg, judgments, {"s": pool}).details["s"]
     # equal likelihoods: the first entry leads under dedup, log q reorders them
     assert [nl for nl, _ in tops["dedup"]][:2] == ["the number is even", "an even number"]
     assert [nl for nl, _ in tops["importance"]][:3] == [
@@ -686,9 +691,7 @@ def test_online_experiment_results(fixtures_dir):
     params = ModelParams(theta=np.zeros(0), epsilon=0.05, alpha=0.5, beta=0.5)
     curve = load_fixture_curve(fixtures_dir)
     pool = load_fixture_pool(fixtures_dir)
-    metrics, records, details = run_online_experiment(
-        cfg, [curve], {"green_triangles": pool}, params
-    )
+    metrics, records, details, _ = run_experiment(cfg, [curve], {"green_triangles": pool}, params)
     assert metrics["n_trials"] == len(curve.trials)
     per_batch = details["green_triangles"]["per_batch"]
     assert len(per_batch) == 15
@@ -702,13 +705,13 @@ def test_online_experiment_per_batch_diagnostics():
     cfg = ExperimentConfig(domain="shape", prior="uniform", feature_dim=0)
     params = ModelParams(theta=np.zeros(0), epsilon=0.1, alpha=0.4, beta=0.8, temperature=0.7)
     curve, pool = synthetic_shape_curve(), synthetic_shape_pool()
-    _, records, details = run_online_experiment(cfg, [curve], {curve.concept_id: pool}, params)
+    _, records, details, _ = run_experiment(cfg, [curve], {curve.concept_id: pool}, params)
     per_batch = details[curve.concept_id]["per_batch"]
     assert [row["batch"] for row in per_batch] == [1, 2, 3, 4, 5]
     # nothing is visible before batch 2
     assert per_batch[0] == {"batch": 1, "accuracy": 0.5, "map_nl": None, "ess": 0.0, "max_weight": 0.0}
     seen = 0
-    unique, _ = dedup_pool(pool)
+    unique = dedup_pool(pool)
     for b, (batch, row) in enumerate(zip(curve.batches, per_batch), start=1):
         visible = [h for h in unique if h.source_batch is None or h.source_batch <= b]
         loglik = oracle.pool_shape_logliks(
@@ -732,7 +735,7 @@ def test_online_experiment_without_live_rules_predicts_noise(dsl_srcs):
     params = ModelParams(theta=np.ones(8), epsilon=0.2, alpha=0.3, beta=0.5)
     curve = synthetic_shape_curve()
     pool = [io.make_hypothesis(f"rule {i}", src, "shape") for i, src in enumerate(dsl_srcs)]
-    _, records, details = run_online_experiment(cfg, [curve], {curve.concept_id: pool}, params)
+    _, records, details, _ = run_experiment(cfg, [curve], {curve.concept_id: pool}, params)
     assert [r.prediction for r in records] == [pytest.approx(0.2 * 0.3)] * len(curve.trials)
     assert all(row["map_nl"] is None for row in details[curve.concept_id]["per_batch"])
 
@@ -743,9 +746,7 @@ def test_online_experiment_causality(fixtures_dir):
     params = ModelParams(theta=np.zeros(0), epsilon=0.05, alpha=0.5, beta=0.5)
     curve = load_fixture_curve(fixtures_dir)
     pool = load_fixture_pool(fixtures_dir)
-    _, records, _ = run_online_experiment(
-        cfg, [curve], {"green_triangles": pool}, params
-    )
+    records = run_experiment(cfg, [curve], {"green_triangles": pool}, params).records
     # flip every label in the last 5 batches
     cut = sum(len(b) for b in curve.batches[:10])
     flipped_batches = [
@@ -758,9 +759,7 @@ def test_online_experiment_causality(fixtures_dir):
     flipped = LearningCurve(
         curve.concept_id, curve.ground_truth_nl, flipped_batches, curve.human_positive_rate
     )
-    _, records2, _ = run_online_experiment(
-        cfg, [flipped], {"green_triangles": pool}, params
-    )
+    records2 = run_experiment(cfg, [flipped], {"green_triangles": pool}, params).records
     for r1, r2 in zip(records[:cut], records2[:cut]):
         assert r1.prediction == r2.prediction  # bitwise identical
 
@@ -805,8 +804,8 @@ def test_number_experiment_short_fit_is_deterministic(fixtures_dir):
     cfg.fit = FitConfig(epochs=3, trainable=("epsilon", "platt"))
     cfg.pools = {k: str(fixtures_dir / "number" / f"{k}.jsonl") for k in cfg.pools}
     cfg.data_path = str(fixtures_dir / "number_judgments.csv")
-    m1, r1, _ = run_number_experiment(cfg)
-    m2, r2, _ = run_number_experiment(cfg)
+    m1, r1, _, _ = run_experiment(cfg)
+    m2, r2, _, _ = run_experiment(cfg)
     assert m1 == m2
     assert [(r.datum_id, r.prediction) for r in r1] == [
         (r.datum_id, r.prediction) for r in r2

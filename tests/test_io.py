@@ -368,14 +368,22 @@ _LONG = "1" + "0" * 5000  # an integer of 5001 digits, past int()'s default limi
         ("pool", '{"nl": "even", "dsl": "even(x)"}\n{"nl": "odd", "dsl": "odd(x)", "logq": -%s}\n' % _LONG, "line 2"),
         ("score", '{"nl": "even", "logp": -1}\n{"nl": "odd", "logp": -%s}\n' % _LONG, "line 2"),
         ("curve", json.dumps(_curve_raw()).replace("0.9", _LONG, 1), "top level"),
+        ("judgments", f"{','.join(io.JUDGMENT_COLUMNS)}\na,2;4,6,5\nb,2;{_LONG},6,5\n", "line 3"),
+        ("judgments", f"{','.join(io.JUDGMENT_COLUMNS)}\na,2;4,{_LONG},5\n", "line 2"),
     ],
-    ids=["pool", "score", "curve"],
+    ids=["pool", "score", "curve", "judgments-examples", "judgments-test_number"],
 )
 def test_an_integer_past_the_digit_limit_is_refused_as_such(tmp_path, kind, text, where):
-    """A JSON integer of more digits than int() converts is named as
-    such, with the file and the line or top level; json's refusal of it
-    was once reported as "not a JSON object"."""
-    load = {"pool": lambda path: io.load_pool(path, "number"), "score": io.load_score_file, "curve": io.load_learning_curve}
+    """An integer of more digits than int() converts, in JSON or a
+    judgments cell, is named as such, with the file and the line or top
+    level; json's refusal of it was once reported as "not a JSON
+    object", and a judgments cell's as the whole cell."""
+    load = {
+        "pool": lambda path: io.load_pool(path, "number"),
+        "score": io.load_score_file,
+        "curve": io.load_learning_curve,
+        "judgments": io.load_number_judgments,
+    }
     path = tmp_path / f"{kind}.json"
     path.write_text(text)
     with pytest.raises(io.InputFileError) as err:

@@ -11,14 +11,7 @@ from nlconcepts import io
 from nlconcepts.io import make_hypothesis
 from nlconcepts.fit import number_weights, pack_params, stack_tasks
 from nlconcepts.harness import ExperimentConfig, build_number_task, infer_number, infer_shape
-from nlconcepts.likelihood import (
-    DomainMismatch,
-    EvalCache,
-    decay_weights,
-    extension_matrix,
-    positive_probs,
-    truth_matrix,
-)
+from nlconcepts.likelihood import DomainMismatch, extension_matrix, positive_probs, truth_matrix
 from nlconcepts.prior import FeatureExtractor
 from nlconcepts.types import LearningCurve, ModelParams, NumberExampleSet, ShapeObject, Trial
 
@@ -91,9 +84,10 @@ def test_unparsed_gets_sentinel_in_pool_vector():
 
 
 def test_domain_mismatch_raises():
-    cache = EvalCache()
     with pytest.raises(DomainMismatch):
-        cache.extension(GT)
+        GT.program.extension
+    with pytest.raises(DomainMismatch):
+        extension_matrix([GT])
     with pytest.raises(DomainMismatch):
         truth_matrix([EVEN], [Trial([TRI], TRI, True)])
 
@@ -108,7 +102,9 @@ def test_trial_response_prob():
 
 
 def test_decay_weights_formula_and_recency():
-    w = decay_weights(5, 0.7)
+    """The reference decay the shape task's lookup is held to
+    (`tests/test_fit.py::assert_constants_match_fresh`)."""
+    w = oracle.decay_weights(5, 0.7)
     expected = np.array([(1 + 5 - k) ** -0.7 for k in range(1, 6)])
     np.testing.assert_allclose(w, expected)
     assert w[-1] == 1.0  # most recent trial always has weight 1
@@ -118,7 +114,7 @@ def test_decay_weights_formula_and_recency():
 @settings(max_examples=1000, deadline=None)
 @given(st.integers(1, 40), st.floats(0.0, 5.0, allow_nan=False))
 def test_decay_weights_properties(k, beta):
-    w = decay_weights(k, beta)
+    w = oracle.decay_weights(k, beta)
     expected = (1.0 + k - np.arange(1, k + 1)) ** -beta
     np.testing.assert_allclose(w, expected, rtol=1e-12)
     assert w[-1] == pytest.approx(1.0)
@@ -156,7 +152,7 @@ def test_empty_trial_sequence_is_zero():
     params = ModelParams(epsilon=0.1, alpha=0.5, beta=1.0)
     state = infer_shape(ExperimentConfig("shape"), SHAPE_POOL, curve, 0, params)
     np.testing.assert_array_equal(state.weights, np.full(3, 1.0 / 3.0))
-    assert decay_weights(0, 1.0).shape == (0,)
+    assert oracle.decay_weights(0, 1.0).shape == (0,)
 
 
 def test_domain_mismatch_is_the_dsl_error():
@@ -184,10 +180,9 @@ def test_extension_matrix_keys_rows_by_program():
     rows = extension_matrix([EVEN, odd])
     np.testing.assert_array_equal(rows[1], extension_matrix([odd])[0])
     assert rows[0, 1] == rows[1, 0] == 1.0 and rows[0, 0] == rows[1, 1] == 0.0
-    cache = EvalCache()
-    assert cache.extension(EVEN) == frozenset(range(2, 101, 2))
-    assert cache.extension(odd) == frozenset(range(1, 100, 2))
-    assert cache.extension(JUNK) == frozenset() and vars(cache) == {}
+    assert EVEN.program.extension == frozenset(range(2, 101, 2))
+    assert odd.program.extension == frozenset(range(1, 100, 2))
+    assert not extension_matrix([JUNK]).any()
 
 
 def test_extension_matrix_equals_the_interpreters_extensions_on_fixture_pools(fixtures_dir):

@@ -20,7 +20,7 @@ import pytest
 
 from nlconcepts import io
 from nlconcepts.harness import ExperimentConfig, infer_number, infer_shape
-from nlconcepts.likelihood import decay_weights, extension_matrix, truth_matrix
+from nlconcepts.likelihood import extension_matrix, truth_matrix
 from nlconcepts.prior import MissingFeature
 from nlconcepts.types import ModelParams, NumberExampleSet
 
@@ -225,7 +225,7 @@ def test_truth_matrix_matches_interpreter():
 
 
 def test_large_beta_underflows():
-    weights = decay_weights(5, SHAPE_PARAMS[-1][2])
+    weights = oracle.decay_weights(5, SHAPE_PARAMS[-1][2])
     assert weights.tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
 
 

@@ -25,12 +25,10 @@ from nlconcepts.harness import (
     build_number_task,
     build_shape_task,
     group_judgments,
-    run_number_experiment,
-    run_online_experiment,
+    run_experiment,
 )
 from nlconcepts.io import make_hypothesis
-from nlconcepts.likelihood import EvalCache
-from nlconcepts.posterior import dedup_pool, platt
+from nlconcepts.posterior import dedup_pool
 from nlconcepts.prior import FeatureExtractor
 from nlconcepts.types import ModelParams, NumberExampleSet
 
@@ -100,7 +98,7 @@ def test_number_fit_path_matches_inference_path(prior):
             state = oracle.dedup_weights(pool, prior, loglik, params.temperature)
             for j in group:
                 p = oracle.predict_membership(state, j.test_number)
-                want = platt(p, params.platt_a, params.platt_b)
+                want = oracle.platt(p, params.platt_a, params.platt_b)
                 got = fit_path[f"{set_id}:{j.test_number}"]
                 assert abs(got - want) <= TOL, (set_id, j.test_number, got, want)
                 n_checked += 1
@@ -112,7 +110,7 @@ def scalar_online_predictions(cfg, pool, curve, params):
     batch, the visible rules' decayed log-likelihoods of all earlier
     trials, deduplicated weights, then each trial's expected response."""
     prior = oracle_prior(cfg, params)
-    unique, _ = dedup_pool(pool)
+    unique = dedup_pool(pool)
     preds, seen = [], 0
     for b, batch in enumerate(curve.batches, start=1):
         visible = [h for h in unique if h.source_batch is None or h.source_batch <= b]
@@ -132,13 +130,13 @@ def scalar_online_predictions(cfg, pool, curve, params):
 def assert_shape_paths_match_oracle(cfg, pool, curve, params):
     """Online and fit-path predictions against the scalar oracle; the
     fit path at the parameters its unconstrained vector encodes."""
-    _, online, _ = run_online_experiment(cfg, [curve], {curve.concept_id: pool}, params)
+    online = run_experiment(cfg, [curve], {curve.concept_id: pool}, params).records
     want = scalar_online_predictions(cfg, pool, curve, params)
     assert [r.datum_id for r in online] == [f"{curve.concept_id}:{k}" for k in range(len(want))]
     gaps = [abs(r.prediction - w) for r, w in zip(online, want)]
     assert max(gaps) <= TOL, (params, max(gaps))
 
-    task = build_shape_task(cfg, pool, curve, FeatureExtractor(dim=cfg.feature_dim), EvalCache())
+    task = build_shape_task(cfg, pool, curve, FeatureExtractor(dim=cfg.feature_dim))
     u = pack_params(params)
     _, _, records = loss_and_grad(u, [task], cfg.feature_dim, want_grad=False)
     want = scalar_online_predictions(cfg, pool, curve, _unpack(u, cfg.feature_dim))
@@ -171,9 +169,9 @@ SPECIAL_PARAMS = [
 def test_shape_paths_match_scalar_oracle_on_synthetic_pool(prior, special):
     cfg = config("shape", prior)
     pool, curve = synthetic_shape_pool(), synthetic_shape_curve()
-    task = build_shape_task(cfg, pool, curve, FeatureExtractor(dim=cfg.feature_dim), EvalCache())
+    task = build_shape_task(cfg, pool, curve, FeatureExtractor(dim=cfg.feature_dim))
     assert not task.visible[0].any() and task.visible[1].any()
-    assert len(dedup_pool(pool)[0]) == len(pool) - 2
+    assert len(dedup_pool(pool)) == len(pool) - 2
     rng = np.random.default_rng(13)
     params = ModelParams(theta=rng.normal(0, 0.5, cfg.feature_dim), **special)
     assert_shape_paths_match_oracle(cfg, pool, curve, params)
@@ -417,7 +415,7 @@ def test_number_top_verbalizations_match_dedup_weights(prior, setting):
     cfg = fixture_number_config(prior, params)
     pools = fixture_number_pools()
     judgments = io.load_number_judgments(cfg.data_path)
-    _, _, top = run_number_experiment(cfg, judgments=judgments, pools=pools)
+    top = run_experiment(cfg, judgments, pools).details
 
     prior = oracle_prior(cfg, params)
     assert set(top) == set(pools)
@@ -450,7 +448,7 @@ def test_latent_language_number_matches_scalar_oracle(epsilon):
     eps = 0.1 if params is None else params.epsilon
     rows, want_chosen = [], {}
     for set_id, group in group_judgments(judgments).items():
-        pool, _ = dedup_pool(pools[set_id])
+        pool = dedup_pool(pools[set_id])
         loglik = oracle.pool_number_logliks(pool, group[0].example_set, eps)
         best = pool[first_argmax(pool, loglik)]
         want_chosen[set_id] = best.nl_text
@@ -500,7 +498,7 @@ def test_direct_llm_number_matches_scalar_oracle(seed, k_folds):
 def scalar_latent_shape(pool, curve, eps, alpha, beta):
     """Before each batch, the first maximum-likelihood visible rule on
     all earlier trials; its prediction, eps * alpha without one."""
-    unique, _ = dedup_pool(pool)
+    unique = dedup_pool(pool)
     preds, chosen, seen = [], [], 0
     for b, batch in enumerate(curve.batches, start=1):
         visible = [h for h in unique if h.source_batch is None or h.source_batch <= b]

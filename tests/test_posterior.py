@@ -18,7 +18,6 @@ from nlconcepts.posterior import (
     dedup_pool,
     expit,
     logit,
-    platt,
     weight_diagnostics,
 )
 from nlconcepts.prior import FeatureExtractor
@@ -92,11 +91,11 @@ def test_pool_order_permutation_consistency():
 
 def test_dedup_pool_merges_by_canonical_text():
     dup = POOL + [H("The number is EVEN.", "even(x)")]
-    unique, counts = dedup_pool(dup)
-    assert len(unique) == 4
-    assert counts.tolist() == [1, 2, 1, 1]
+    unique = dedup_pool(dup)
+    assert unique == POOL
     # first occurrence wins
     assert unique[1].nl_text == "the number is even"
+    assert posterior(dup, X).diagnostics["duplicates_merged"] == 1
 
 
 def test_duplicates_do_not_change_dedup_weights():
@@ -247,11 +246,13 @@ def test_map_and_json_ordering():
 
 
 def test_platt_identity_and_monotone():
+    """The reference recalibration the number passes are held to
+    (`tests/test_parity.py::test_number_fit_path_matches_inference_path`)."""
     for p in (0.01, 0.3, 0.5, 0.77, 0.99):
-        assert platt(p, 1.0, 0.0) == pytest.approx(p, abs=1e-9)
-    assert platt(0.5, 2.0, 1.0) == pytest.approx(1 / (1 + math.exp(-1.0)))
+        assert oracle.platt(p, 1.0, 0.0) == pytest.approx(p, abs=1e-9)
+    assert oracle.platt(0.5, 2.0, 1.0) == pytest.approx(1 / (1 + math.exp(-1.0)))
     # clamping keeps extreme inputs finite
-    assert 0.0 < platt(0.0, 1.0, 0.0) < platt(1.0, 1.0, 0.0) < 1.0
+    assert 0.0 < oracle.platt(0.0, 1.0, 0.0) < oracle.platt(1.0, 1.0, 0.0) < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -290,7 +290,6 @@ def test_a_non_finite_param_raises_before_anything_is_written(tmp_path, bad, whe
     for use in (
         lambda: fingerprint("prompt", params),
         lambda: store.record("prompt", params, []),
-        lambda: store.get("prompt", params),
         lambda: store.lookup("prompt", params),
         lambda: store.get_or_record("prompt", params, lambda: []),
     ):
@@ -338,7 +337,7 @@ def test_verify_reports_a_record_no_lookup_reaches(tmp_path):
     (mismatch,) = report.mismatches
     assert mismatch.startswith(f"record at byte {start}: ")
     assert "not the v3 encoding of its prompt and params" in mismatch
-    assert store.get("prompt 1", {"n": 1}) is None
+    assert _misses(store, "prompt 1", {"n": 1})
     assert len(store.keys()) == 2  # the header still indexes it
     # repair drops it, and the prompt can be recorded under its v3 key
     assert store.repair() == (1, len(v2))
@@ -350,7 +349,6 @@ def test_replay_store_round_trip(tmp_path):
     store = ReplayStore(tmp_path / "rs")
     completions = [{"text": "even", "logprob": -1.0}]
     key = store.record("prompt", {"n": 1}, completions)
-    assert store.get("prompt", {"n": 1}) == completions
     assert store.lookup("prompt", {"n": 1}) == completions
     assert store.keys() == [key]
     assert store.entry(key)["prompt"] == "prompt"
@@ -358,11 +356,21 @@ def test_replay_store_round_trip(tmp_path):
         store.lookup("other prompt", {"n": 1})
     # first write wins
     store.record("prompt", {"n": 1}, [{"text": "odd", "logprob": -2.0}])
-    assert store.get("prompt", {"n": 1}) == completions
+    assert store.lookup("prompt", {"n": 1}) == completions
 
 
 def _log(root):
     return root / LOG_NAME
+
+
+def _misses(store, prompt, params) -> bool:
+    """Whether the store has no response for the request: its lookup
+    raises ReplayMiss."""
+    try:
+        store.lookup(prompt, params)
+    except ReplayMiss:
+        return True
+    return False
 
 
 def test_truncated_entry_raises_corrupt_entry(tmp_path):
@@ -372,7 +380,6 @@ def test_truncated_entry_raises_corrupt_entry(tmp_path):
     data = _log(root).read_bytes()
     _log(root).write_bytes(data[: len(data) // 2])  # the log cut off under an indexed entry
     for read in (
-        lambda: store.get("prompt", {"n": 1}),
         lambda: store.lookup("prompt", {"n": 1}),
         lambda: store.entry(key),
     ):
@@ -381,7 +388,7 @@ def test_truncated_entry_raises_corrupt_entry(tmp_path):
         assert isinstance(err.value, ValueError)
         assert key in str(err.value) and str(_log(root)) in str(err.value)
     # a store that indexes the cut log finds a torn tail and no entry
-    assert ReplayStore(root).get("prompt", {"n": 1}) is None
+    assert _misses(ReplayStore(root), "prompt", {"n": 1})
 
 
 def test_flipped_body_byte_raises_corrupt_entry(tmp_path):
@@ -395,8 +402,7 @@ def test_flipped_body_byte_raises_corrupt_entry(tmp_path):
         store = ReplayStore(root)
         assert store.keys() == [key]  # the header still indexes it
         for read in (
-            lambda: store.get("prompt", {"n": 1}),
-            lambda: store.lookup("prompt", {"n": 1}),
+                lambda: store.lookup("prompt", {"n": 1}),
             lambda: store.entry(key),
         ):
             with pytest.raises(CorruptEntry) as err:
@@ -414,7 +420,7 @@ def test_the_crc_covers_the_key(tmp_path):
     _log(root).write_bytes(bytes(data))
     store = ReplayStore(root)
     (flipped,) = store.keys()
-    assert flipped != key and store.get("prompt", {"n": 1}) is None
+    assert flipped != key and _misses(store, "prompt", {"n": 1})
     with pytest.raises(CorruptEntry, match="fails its CRC check"):
         store.entry(flipped)
     assert len(store.verify().mismatches) == 1
@@ -457,7 +463,7 @@ def test_record_refuses_a_non_finite_number_and_leaves_the_log_unchanged(tmp_pat
         with pytest.raises(ValueError, match="NaN or infinity"):
             store.record("prompt", {"n": 1}, completions)
     assert _log(tmp_path / "rs").read_bytes() == before
-    assert store.get("prompt", {"n": 1}) is None
+    assert _misses(store, "prompt", {"n": 1})
     # a null that is a None is recorded as one
     store.record("prompt", {"n": 1}, [{"text": "even", "logprob": None}])
     assert ReplayStore(tmp_path / "rs").lookup("prompt", {"n": 1}) == [{"text": "even", "logprob": None}]
@@ -473,7 +479,6 @@ def test_a_record_in_the_stdlib_encoding_reads_back_equal(tmp_path):
     store = ReplayStore(root)
     for completions in (
         store.lookup("prompt", {"n": 1}),
-        store.get("prompt", {"n": 1}),
         store.entry(fingerprint("prompt", {"n": 1}))["completions"],
     ):
         first, nan, inf = completions
@@ -498,7 +503,6 @@ def test_reading_a_missing_store_creates_nothing(tmp_path):
     store = ReplayStore(root)
     with pytest.raises(ReplayMiss):
         store.lookup("prompt", {"n": 1})
-    assert store.get("prompt", {"n": 1}) is None
     assert store.keys() == []
     assert store.verify() == LogReport()
     assert store.repair() == (0, 0)
@@ -521,8 +525,7 @@ def test_a_store_of_the_earlier_layout_names_the_migrate_command(tmp_path, fixtu
         store = ReplayStore(root)
         for use in (
             lambda: store.lookup("prompt", {"n": 1}),
-            lambda: store.get("prompt", {"n": 1}),
-            lambda: store.entry(fingerprint("prompt", {"n": 1})),
+                lambda: store.entry(fingerprint("prompt", {"n": 1})),
             store.keys,
             lambda: store.record("prompt", {"n": 1}, []),
             store.verify,
@@ -549,7 +552,7 @@ def test_verify_reports_an_earlier_layout_left_beside_the_log(tmp_path, fixtures
         (root / LOG_NAME).write_bytes(v3_log)
         (root / leftover).write_bytes(data)
         store = ReplayStore(root)
-        assert store.get("prompt", {"n": 1}) is None
+        assert _misses(store, "prompt", {"n": 1})
         assert store.verify() == LogReport(
             records=5,
             mismatches=[
@@ -570,7 +573,7 @@ def test_a_replaced_log_is_indexed_again(tmp_path):
     assert store.lookup("first", {"n": 1}) == [{"text": "first", "logprob": None}]
     # a miss finds the new file, whose index has only its own records
     assert store.lookup("second", {"n": 1}) == [{"text": "second", "logprob": None}]
-    assert store.get("first", {"n": 1}) is None
+    assert _misses(store, "first", {"n": 1})
     store.record("first", {"n": 1}, [{"text": "again", "logprob": None}])
     assert ReplayStore(root).lookup("first", {"n": 1}) == [{"text": "again", "logprob": None}]
     assert ReplayStore(root).verify() == LogReport(records=2)
@@ -596,7 +599,7 @@ def test_a_log_cut_inside_its_last_record_reads_back_every_earlier_entry(tmp_pat
         assert store.keys() == earlier
         for i in range(2):
             assert store.lookup(f"prompt {i}", {"n": 1}) == completions(i)
-        assert store.get("prompt 2", {"n": 1}) is None
+        assert _misses(store, "prompt 2", {"n": 1})
         assert store.verify() == LogReport(records=2, torn_bytes=cut - last)
         # the next record truncates the torn tail before it appends
         store.record("prompt 3", {"n": 1}, completions(3))
@@ -621,7 +624,7 @@ def test_a_zero_filled_tail_is_a_torn_tail(tmp_path):
         assert len(store.keys()) == 3
         for i in range(3):
             assert store.lookup(f"prompt {i}", {"n": 1}) == [{"text": f"rule {i}", "logprob": -1.0}]
-        assert store.get("prompt 3", {"n": 1}) is None
+        assert _misses(store, "prompt 3", {"n": 1})
         assert store.verify() == LogReport(records=3, torn_bytes=len(tail))
         # the next record truncates the tail before it appends
         store.record("prompt 3", {"n": 1}, [])
@@ -641,7 +644,7 @@ def test_damage_before_a_whole_record_keeps_earlier_entries_and_refuses_to_recor
     assert store.lookup("prompt 0", {"n": 1}) == [{"text": "rule 0", "logprob": -1.0}]
     for use in (
         store.keys,
-        lambda: store.get("prompt 2", {"n": 1}),
+        lambda: store.lookup("prompt 2", {"n": 1}),
         lambda: store.record("prompt 3", {"n": 1}, []),
     ):
         with pytest.raises(
@@ -699,7 +702,7 @@ def test_repair_keeps_the_first_whole_record_of_each_key(tmp_path):
     assert _log(root).read_bytes() == duplicate + data[second:third]
     assert store.lookup("prompt 0", {"n": 1}) == [{"text": "later", "logprob": None}]
     assert store.lookup("prompt 1", {"n": 1}) == [{"text": "rule 1", "logprob": -1.0}]
-    assert store.get("prompt 2", {"n": 1}) is None
+    assert _misses(store, "prompt 2", {"n": 1})
     # a log with nothing to drop is left as it is
     inode = _log(root).stat().st_ino
     assert store.repair() == (2, 0)
