@@ -604,26 +604,41 @@ def test_shape_fixture_fit_keeps_its_parameters(fixtures_dir):
     assert (params.theta.size, params.platt_a, params.platt_b) == (0, 1.0, 0.0)
 
 
+# The shims `benchmarks/workloads.py` calls, and nothing else does: each
+# is a library entry point under another name. Deleting the shims from
+# the library deletes the three tests below.
+
+
+@pytest.mark.parametrize("name", ["number_tuned.json", "number_uniform.json"])
+def test_run_number_experiment_is_the_runner(name, fixtures_dir):
+    from nlconcepts.harness import run_number_experiment
+
+    cfg = _fixture_config(fixtures_dir, name)
+    assert run_number_experiment(cfg) == run_experiment(cfg)[:3]
+
+
+def test_run_online_experiment_is_the_runner_and_never_fits(fixtures_dir):
+    from nlconcepts.harness import run_online_experiment
+
+    cfg = _fixture_config(fixtures_dir, "shape_online.json")
+    curves, pools = load_data(cfg), load_pools(cfg)
+    params = ModelParams(epsilon=0.2, alpha=0.45, beta=0.3, temperature=0.6)
+    assert run_online_experiment(cfg, curves, pools, params) == run_experiment(cfg, curves, pools, params)[:3]
+    assert run_online_experiment(cfg) == run_experiment(cfg, params=default_params(cfg))[:3]
+
+
 def test_the_calls_the_benchmark_makes_are_the_librarys_entry_points(fixtures_dir):
-    """`benchmarks/workloads.py` calls `run_number_experiment`,
-    `fit_online_params`, `run_online_experiment` and `build_shape_task`
-    with an `EvalCache`; no library code calls them, and no other test.
-    Each is a library entry point under another name: `run_experiment`,
-    or `fit_params` over `shape_tasks`, and `run_online_experiment`
-    never fits. Deleting them from the library deletes this test."""
-    from nlconcepts.harness import fit_online_params, run_number_experiment, run_online_experiment
+    """`fit_online_params` is `fit_params` over `shape_tasks`, and
+    `build_shape_task` builds the same task with or without the
+    `EvalCache` the benchmark passes it."""
+    from nlconcepts.harness import fit_online_params
     from nlconcepts.likelihood import EvalCache
 
-    for name in ("number_tuned.json", "number_uniform.json"):
-        cfg = _fixture_config(fixtures_dir, name)
-        assert run_number_experiment(cfg) == run_experiment(cfg)[:3]
     cfg = _fixture_config(fixtures_dir, "shape_online.json")
     curves, pools = load_data(cfg), load_pools(cfg)
     params = fit_online_params(cfg, curves, pools).params
     want = fit_params(cfg.fit, shape_tasks(cfg, curves, pools), default_params(cfg)).params
     assert params_to_json(params) == params_to_json(want)
-    assert run_online_experiment(cfg, curves, pools, params) == run_experiment(cfg, curves, pools, params)[:3]
-    assert run_online_experiment(cfg) == run_experiment(cfg, params=default_params(cfg))[:3]
     (curve,) = curves
     extractor = FeatureExtractor(dim=cfg.feature_dim)
     task = build_shape_task(cfg, pools[curve.concept_id], curve, extractor, EvalCache())
