@@ -31,10 +31,12 @@ parameters do not change:
   counts it, and each shape row's targets likewise, chosen with `where`
   so that a target a fit does not count never reaches it.
 
-An epoch is one `loss_and_grad` call on those objects, then one
-in-place `adam_step`. It runs only the work that depends on the
-parameter stack. For numbers that is the weights (`number_weights`),
-one (F, S) @ (S, R) product per task for the predictions and one
+An epoch is one `loss_and_grad` call on those objects, which converts
+none of them, then one in-place `adam_step`. It runs only the work that
+depends on the parameter stack. For numbers that is the weights
+(`number_weights`: the log-likelihood from one x = g_in / g_out - 1 per
+hypothesis, which the gradient in epsilon reads again), one
+(F, S) @ (S, R) product per task for the predictions and one
 (F, R) @ (R, S) product per task for the gradient in the log-weights,
 each reduced over the task's own rows; no array of the fit has an axis
 over all judgments and one over the tasks, so memory and time grow
@@ -273,16 +275,17 @@ class TaskBatch:
     or its gradient and its log-weight stays finite."""
 
     features: Optional[np.ndarray]  # (D, T·S); None under a non-tuned prior
-    base_logprior: np.ndarray  # (T·S,)
+    base_logprior: Optional[np.ndarray]  # (T·S,); None where every entry is 0 (uniform and tuned priors)
     alive: np.ndarray  # (T, S) parsed and not padding
     any_alive: np.ndarray  # (T,) some hypothesis of the task is alive
     all_alive: bool  # every task has a live hypothesis
     inv_size: np.ndarray  # (T·S,)
     n_inside: np.ndarray  # (T·S,) training examples inside the extension, 0 where dead
     n_outside: np.ndarray  # (T·S,) training examples outside it, 0 where dead
-    deps_in: np.ndarray  # (T·S,) n_inside (1/100 - 1/|C|): d g_in / d eps, times n_inside
-    deps_out: np.ndarray  # (T·S,) n_outside / 100: d g_out / d eps, times n_outside
+    n_all: np.ndarray  # (T·S,) n_inside + n_outside: the task's training examples, 0 where dead
+    in_slope: np.ndarray  # (T·S,) n_inside (1 - 100/|C|), for the gradient in epsilon
     test_member: np.ndarray  # (T, R, S) test number r of task t in hypothesis s's extension
+    test_member_t: np.ndarray  # (T, S, R) test_member.swapaxes(1, 2), C-contiguous for the predictions' product
     row_valid: np.ndarray  # (T, R) a judgment, not padding
     row_targets: np.ndarray  # (T, R) its target, 0 on padding
     shapes: List[ShapeTask]
@@ -313,9 +316,9 @@ def stack_tasks(tasks) -> TaskBatch:
     alive = np.array([pad(t.parsed) for t in numbers], dtype=bool).reshape(len(numbers), width)
     live = alive.reshape(-1)
     inv_size = flat(t.inv_size for t in numbers)
-    n_inside = flat(t.member.sum(axis=1) for t in numbers)
-    n_outside = np.repeat([float(t.member.shape[1]) for t in numbers], width) - n_inside
-    n_inside, n_outside = np.where(live, n_inside, 0.0), np.where(live, n_outside, 0.0)
+    n_inside = np.where(live, flat(t.member.sum(axis=1) for t in numbers), 0.0)
+    n_all = np.where(live, np.repeat([float(t.member.shape[1]) for t in numbers], width), 0.0)
+    base = np.where(live, flat(t.base_logprior for t in numbers), 0.0)
     row_valid = np.arange(height) < np.array(n_rows, dtype=int)[:, None]
     test_member = np.zeros(row_valid.shape + (width,))
     if numbers:
@@ -328,16 +331,17 @@ def stack_tasks(tasks) -> TaskBatch:
         features = np.array([pad(t.features) for t in numbers]).reshape(live.size, -1).T.copy()
     return TaskBatch(
         features=features,
-        base_logprior=np.where(live, flat(t.base_logprior for t in numbers), 0.0),
+        base_logprior=base if base.any() else None,
         alive=alive,
         any_alive=alive.any(axis=1),
         all_alive=bool(alive.any(axis=1).all()),
         inv_size=inv_size,
         n_inside=n_inside,
-        n_outside=n_outside,
-        deps_in=n_inside * (1.0 / 100.0 - inv_size),
-        deps_out=n_outside * (1.0 / 100.0),
+        n_outside=n_all - n_inside,
+        n_all=n_all,
+        in_slope=n_inside * (1.0 - 100.0 * inv_size),
         test_member=test_member,
+        test_member_t=np.ascontiguousarray(test_member.swapaxes(1, 2)),
         row_valid=row_valid,
         row_targets=row_targets,
         shapes=shapes,
@@ -398,34 +402,35 @@ def number_weights(stack, batch: TaskBatch, dim):
     """Posterior weights (F, T, S) of every number task under each
     parameter vector of `stack`, with the log-weights (log prior + log
     likelihood, `likelihood.count_logliks`) they are the tempered
-    softmax of, (F, T, S) too; then, flat over the T·S hypotheses, the
-    likelihood g_in (F, T·S) of one example inside each extension, and
-    g_out, epsilon and the temperature as (F, 1) columns."""
+    softmax of, (F, T, S) too; then, flat over the T·S hypotheses,
+    `count_logliks`' x = g_in / g_out - 1 (F, T·S), and epsilon and the
+    temperature as (F, 1) columns."""
     eps = expit(stack[:, dim, None])
     temp = np.exp(np.minimum(np.maximum(stack[:, dim + 3, None], -700.0), 700.0))
     # dead hypotheses count no examples, so their log-likelihood is 0
-    log_unnorm, g_in, g_out = count_logliks(batch.n_inside, batch.n_outside, batch.inv_size, eps)
-    log_unnorm += batch.base_logprior
+    log_unnorm, x = count_logliks(batch.n_inside, batch.n_all, batch.inv_size, eps)
+    if batch.base_logprior is not None:
+        log_unnorm += batch.base_logprior
     if batch.features is not None:
         log_unnorm += stack[:, :dim] @ batch.features
     shape = (len(stack),) + batch.alive.shape
-    weights = softmax_masked((log_unnorm / temp).reshape(shape), batch.alive)
-    return weights, log_unnorm.reshape(shape), g_in, g_out, eps, temp
+    weights = softmax_masked((log_unnorm / temp).reshape(shape), batch.alive, all_rows_alive=batch.all_alive)
+    return weights, log_unnorm.reshape(shape), x, eps, temp
 
 
 def _number_rows(stack, batch: TaskBatch, dim, rows: FitRows, grad):
     """(loss (F,) over the number rows each fit counts, the predictions
-    (F, T·R) of every row of the (T, R) blocks); adds d(loss)/du into
-    grad (F, P) when given.
+    (F, T·R) of every row of the (T, R) blocks); writes d(loss)/du into
+    grad (F, P) when given, before any shape pass adds to it.
 
     Task t's predictions are w[:, t] @ test_member[t].T, one (F, S) @
     (S, R) product per task, and the gradient in its log-weights one
     (F, R) @ (R, S) product; both are written fit-major, so every
     elementwise step runs on flat (F, T·R) or (F, T·S) arrays."""
-    w, log_unnorm, g_in, g_out, eps, temp = number_weights(stack, batch, dim)
+    w, log_unnorm, x, eps, temp = number_weights(stack, batch, dim)
     n_fits = len(stack)
     p_raw = np.empty((n_fits,) + batch.row_valid.shape)
-    np.matmul(w.swapaxes(0, 1), batch.test_member.swapaxes(1, 2), out=p_raw.swapaxes(0, 1))
+    np.matmul(w.swapaxes(0, 1), batch.test_member_t, out=p_raw.swapaxes(0, 1))
     if not batch.all_alive:  # nothing parses: the noise-only prediction 0.5, through the Platt transform
         p_raw[:, ~batch.any_alive] = 0.5
     p_raw = p_raw.reshape(n_fits, -1)
@@ -445,34 +450,36 @@ def _number_rows(stack, batch: TaskBatch, dim, rows: FitRows, grad):
     row_loss -= capped
     row_loss *= rows.counted
     row_loss += rows.targets * neg_z
-    loss = row_loss.sum(axis=1)
+    loss = np.add.reduce(row_loss, axis=1)
 
     if grad is not None:
         dl_dz = rows.counted * pred
         dl_dz -= rows.targets
-        grad[:, dim + 4] += (dl_dz * logit_p).sum(axis=1)
-        grad[:, dim + 5] += dl_dz.sum(axis=1)
-        # d logit p / d p_raw = 1 / (p q), 0 where the clamp moves p_raw
+        grad[:, dim + 4] = np.add.reduce(dl_dz * logit_p, axis=1)
+        grad[:, dim + 5] = np.add.reduce(dl_dz, axis=1)
+        # d logit p / d p_raw = 1 / (p q), 0 where the clamp moves p_raw; / T for the log-weights
         dl_dp = np.where(p_c == p_raw, dl_dz, 0.0)
-        dl_dp *= a
+        dl_dp *= a / temp
         dl_dp /= p_c * q_c
         # dp_r/ds_s = w_s (t_rs - p_r); summed over each task's rows that is
         # w_s (dl_dp @ test_member - dl_dp . p), one (F, R) @ (R, S) per task
         dl_dp = dl_dp.reshape((n_fits,) + batch.row_valid.shape)
         coeff = np.empty(w.shape)
         np.matmul(dl_dp.swapaxes(0, 1), batch.test_member, out=coeff.swapaxes(0, 1))
-        coeff -= (dl_dp * p_raw.reshape(dl_dp.shape)).sum(axis=2, keepdims=True)
+        coeff -= np.add.reduce(dl_dp * p_raw.reshape(dl_dp.shape), axis=2, keepdims=True)
         coeff *= w
         coeff = coeff.reshape(n_fits, -1)
-        coeff /= temp
         if batch.features is not None:
-            grad[:, :dim] += coeff @ batch.features.T
-        dll_deps = batch.deps_in / g_in
-        dll_deps += batch.deps_out / g_out
-        dll_deps *= coeff
-        grad[:, dim] += dll_deps.sum(axis=1) * (eps * (1.0 - eps))[:, 0]
+            grad[:, :dim] = coeff @ batch.features.T
+        # d(log-likelihood)/d eps_u = (1 - eps) (n_out + n_in (1 - 100/|C|) g / g_in) for
+        # g = eps / 100 unfloored: g / g_in = k / (x + k), k = g / g_out, 1 unless g < 1e-300
+        k = np.minimum(eps * 1e298, 1.0)
+        dll = np.divide(k, x + k)
+        dll *= batch.in_slope
+        dll += batch.n_outside
+        grad[:, dim] = np.add.reduce(dll * coeff, axis=1) * (1.0 - eps[:, 0])
         # a dead hypothesis has weight 0 and a finite log-weight
-        grad[:, dim + 3] -= (coeff * log_unnorm.reshape(n_fits, -1)).sum(axis=1)
+        grad[:, dim + 3] = -np.add.reduce(coeff * log_unnorm.reshape(n_fits, -1), axis=1)
     return loss, pred
 
 
@@ -616,15 +623,19 @@ def loss_and_grad(u: np.ndarray, tasks, dim: int, want_grad: bool = True, rows=N
 
     `tasks` is a sequence of tasks or a TaskBatch. `u` is one parameter
     vector (P,) or a stack (F, P); `rows`, an (F, N) bool mask over the
-    N prediction rows or its `fit_rows`, picks the rows each fit's loss
-    counts (default all). Returns (loss, grad, one (id, prediction,
-    target) per row) for one vector, (loss (F,), grad (F, P),
-    predictions (F, N)) for a stack; grad is None without want_grad.
+    N prediction rows, picks the rows each fit's loss counts (default
+    all). Returns (loss, grad, one (id, prediction, target) per row) for
+    one vector, (loss (F,), grad (F, P), predictions (F, N)) for a
+    stack; grad is None without want_grad. Compiled `rows` (`fit_rows`,
+    as `fit_params` passes them) need the TaskBatch they were compiled
+    against and an (F, P) stack, and no argument is converted.
     """
-    batch = stack_tasks(tasks)
-    one = np.ndim(u) == 1
-    stack = np.atleast_2d(u) if one else u
-    if not isinstance(rows, FitRows):
+    if isinstance(rows, FitRows):
+        batch, stack, one = tasks, u, False
+    else:
+        batch = stack_tasks(tasks)
+        one = np.ndim(u) == 1
+        stack = np.atleast_2d(u) if one else u
         rows = fit_rows(batch, np.ones((len(stack), len(batch.ids)), dtype=bool) if rows is None else rows)
     grad = np.zeros(stack.shape) if want_grad else None
     n_shape = rows.shape_yes.shape[1]

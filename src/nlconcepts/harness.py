@@ -169,7 +169,9 @@ def load_data(cfg: ExperimentConfig):
     """The judgments in the CSV `cfg.data_path` (numbers), or the
     learning curves in the directory `cfg.data_path` by file name
     (shapes); a directory that holds no `*.json` file is a ValueError
-    naming it."""
+    naming it, and an unset `data_path` a ConfigError naming the key."""
+    if not cfg.data_path:
+        raise ConfigError("data_path is not set: the config names no judgments file or curve directory")
     if cfg.domain == NUMBER_DOMAIN:
         return io.load_number_judgments(cfg.data_path)
     paths = sorted(Path(cfg.data_path).glob("*.json"))
@@ -205,12 +207,13 @@ def build_number_task(
     (`likelihood.extension_matrix`) at the examples and test numbers,
     1/|C| and the prior pieces. `scores` are the external prior's, read
     from `cfg.scores_path` when None."""
-    if cfg.weighting == "importance":
-        unique = list(pool)
-        log_q = proposal_logq(unique)
-    else:
-        unique = dedup_pool(pool)
-        log_q = np.zeros(len(unique))
+    unique = list(pool) if cfg.weighting == "importance" else dedup_pool(pool)
+    return _number_task(cfg, unique, example_set, tests, extractor, scores)
+
+
+def _number_task(cfg, unique, example_set, tests, extractor, scores) -> NumberTask:
+    """`build_number_task` on the hypotheses the posterior spans."""
+    log_q = proposal_logq(unique) if cfg.weighting == "importance" else 0.0
     features, base = _prior_pieces(cfg, unique, extractor, scores)
     base = base - log_q
     parsed = np.array([h.parsed for h in unique], dtype=bool)
@@ -252,7 +255,11 @@ def build_shape_task(
     last batch, as `infer_shape` reads them. `scores` are the external
     prior's, read from `cfg.scores_path` when None. `cache` is not read;
     it stays for callers that pass an `EvalCache` positionally."""
-    unique = dedup_pool(pool)
+    return _shape_task(cfg, dedup_pool(pool), curve, extractor, scores, after_last)
+
+
+def _shape_task(cfg, unique, curve, extractor, scores, after_last) -> ShapeTask:
+    """`build_shape_task` on a deduplicated pool."""
     features, base = _prior_pieces(cfg, unique, extractor, scores)
     trials = curve.trials
     n_batches = len(curve.batches)
@@ -319,9 +326,9 @@ def infer_number(
     first occurrences under dedup weighting and every entry under
     importance weighting; unparsed entries get weight 0."""
     _check_theta(cfg, params)
-    task = build_number_task(cfg, pool, examples, [], FeatureExtractor(dim=cfg.feature_dim))
-    weights = number_weights(pack_params(params)[None], stack_tasks([task]), len(params.theta))[0][0, 0]
     kept = list(pool) if cfg.weighting == "importance" else dedup_pool(pool)
+    task = _number_task(cfg, kept, examples, [], FeatureExtractor(dim=cfg.feature_dim), None)
+    weights = number_weights(pack_params(params)[None], stack_tasks([task]), len(params.theta))[0][0, 0]
     return posterior_state(kept, len(pool), weights, task.parsed)
 
 
@@ -341,11 +348,12 @@ def infer_shape(
     if not 0 <= upto_batch <= n_batches:
         raise ValueError(f"upto_batch must lie in 0..{n_batches}, not {upto_batch}")
     _check_theta(cfg, params)
+    kept = dedup_pool(pool)
     if upto_batch == n_batches:  # every batch seen: every parsed rule is visible
-        pool = [replace(h, source_batch=None) for h in pool]
-    task = build_shape_task(cfg, pool, curve, FeatureExtractor(dim=cfg.feature_dim), after_last=True)
+        kept = [replace(h, source_batch=None) for h in kept]
+    task = _shape_task(cfg, kept, curve, FeatureExtractor(dim=cfg.feature_dim), None, True)
     weights, alive = rule_weights(task, shape_forward(task, params)[1])
-    return posterior_state(dedup_pool(pool), len(pool), weights[upto_batch], alive[upto_batch])
+    return posterior_state(kept, len(pool), weights[upto_batch], alive[upto_batch])
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ Number domain: examples are drawn uniformly from the concept's
 extension with probability (1 - epsilon), otherwise uniformly from
 1..100, so an example has probability g_in = (1 - epsilon) / |C| +
 epsilon / 100 inside C and g_out = epsilon / 100 outside it
-(`count_logliks`). This is what produces the size principle: among
-consistent concepts, smaller extensions score higher.
+(`count_logliks`, one log1p of g_in / g_out per hypothesis). Hence the
+size principle: among consistent concepts, smaller extensions score higher.
 
 Shape domain: responses follow the concept with probability
 (1 - epsilon) and otherwise guess positive at base rate alpha
@@ -79,14 +79,17 @@ def truth_matrix(pool: Sequence[Hypothesis], trials: Sequence[Trial]) -> np.ndar
     return out
 
 
-def count_logliks(n_inside, n_outside, inv_size, epsilon):
-    """(n_in log g_in + n_out log g_out, g_in, g_out), elementwise; each
-    log is floored at log 1e-300, so no examples at probability 0 add 0."""
-    g_in = (1.0 - epsilon) * inv_size + epsilon / 100.0
-    g_out = epsilon / 100.0
-    loglik = n_inside * np.log(np.maximum(g_in, 1e-300))
-    loglik = loglik + n_outside * np.log(np.maximum(g_out, 1e-300))
-    return loglik, g_in, g_out
+def count_logliks(n_inside, n_all, inv_size, epsilon):
+    """(n_in log g_in + n_out log g_out, x), elementwise, each log floored
+    at log 1e-300, as n_all log g_out + n_in log1p(x) for n_all = n_in +
+    n_out and x = g_in / g_out - 1 = (1 - epsilon) / (g_out |C|). Only
+    g_out reaches the floor (g_in >= 1/100 where n_in > 0), and then x
+    leaves out epsilon / 100 / g_out - 1, in (-1, 0): below its rounding."""
+    g_out = np.maximum(epsilon / 100.0, 1e-300)
+    x = (1.0 - epsilon) / g_out * inv_size
+    loglik = n_inside * np.log1p(x)
+    loglik += n_all * np.log(g_out)
+    return loglik, x
 
 
 def positive_probs(epsilon, alpha):

@@ -93,11 +93,12 @@ def weight_diagnostics(weights) -> Dict[str, float]:
 _LOWEST = -np.finfo(float).max
 
 
-def softmax_masked(scores: np.ndarray, alive: np.ndarray, count=None) -> np.ndarray:
+def softmax_masked(scores: np.ndarray, alive: np.ndarray, count=None, all_rows_alive=False) -> np.ndarray:
     """Softmax over the last axis among `alive` entries; all zeros where
     nothing is alive. With `count`, entry g stands for count[g] entries
     of equal score: the result is the weight of each of them, and it
-    times `count` sums to 1."""
+    times `count` sums to 1. `all_rows_alive` says that every row has an
+    alive entry, so that no row needs the test for an empty one."""
     # the reductions and ufuncs are called directly: on the small arrays
     # of a fit epoch, the wrappers of max, sum and zeros_like cost more.
     # The shift starts from the lowest finite float, so a row with no
@@ -106,7 +107,7 @@ def softmax_masked(scores: np.ndarray, alive: np.ndarray, count=None) -> np.ndar
     shifted -= np.maximum.reduce(shifted, axis=-1, keepdims=True, initial=_LOWEST)
     e = np.exp(shifted, out=shifted)
     total = np.add.reduce(e if count is None else e * count, axis=-1, keepdims=True)
-    if np.minimum.reduce(total, axis=None) > 0:  # no empty row: one plain division
+    if all_rows_alive or np.minimum.reduce(total, axis=None) > 0:  # no empty row: one plain division
         return np.divide(e, total, out=e)
     return np.divide(e, total, out=np.zeros(e.shape), where=total > 0)
 

@@ -31,6 +31,7 @@ from .prompts import (
     build_prompt,
     completion_rules,
     request_params,
+    split_template,
     strip_prefix,
 )
 from .replay import ReplayStore
@@ -140,17 +141,20 @@ Rule: {nl}
 Program:"""
 
 
+_TRANSLATION_PARTS = {
+    NUMBER_DOMAIN: split_template(NUMBER_TRANSLATION_TEMPLATE, "nl"),
+    SHAPE_DOMAIN: split_template(SHAPE_TRANSLATION_TEMPLATE, "nl"),
+}
+
 # translation is deterministic: one greedy line per rule
 TRANSLATION_PARAMS = {"temperature": 0.0, "n": 1, "max_tokens": 128, "stop": "\n"}
 
 
 def translation_prompt(nl: str, domain: str) -> str:
-    nl = canonicalize_nl(nl)
-    if domain == NUMBER_DOMAIN:
-        return NUMBER_TRANSLATION_TEMPLATE.format(nl=nl)
-    if domain == SHAPE_DOMAIN:
-        return SHAPE_TRANSLATION_TEMPLATE.format(nl=nl)
-    raise ValueError(f"unknown domain {domain!r}")
+    if domain not in _TRANSLATION_PARTS:
+        raise ValueError(f"unknown domain {domain!r}")
+    before, after = _TRANSLATION_PARTS[domain]
+    return before + canonicalize_nl(nl) + after
 
 
 def translate_nl_to_dsl(nl: str, domain: str, backend) -> object:

@@ -167,6 +167,18 @@ Please make your rules short and simple, and please write your response on a sin
 """
 
 
+def split_template(template: str, field: str) -> Tuple[str, str]:
+    """(before, after) its one `{field}`, unescaped: before + value +
+    after is `template.format(field=value)`, without parsing it again."""
+    before, after = template.replace("{{", "{").replace("}}", "}").split("{" + field + "}")
+    return before, after
+
+
+_NUMBER_PARTS = split_template(NUMBER_TEMPLATE, "examples")
+_FIRST_ORDER_PARTS = split_template(FIRST_ORDER_TEMPLATE, "examples")
+_PROPOSITIONAL_PARTS = split_template(PROPOSITIONAL_TEMPLATE, "examples")
+
+
 def serialize_numbers(examples: NumberExampleSet) -> str:
     return ", ".join(str(x) for x in examples.examples)
 
@@ -206,17 +218,13 @@ def serialize_truth_tables(batches: Sequence[Sequence[Trial]]) -> str:
 
 def build_prompt(req: ProposalRequest) -> str:
     if req.domain == NUMBER:
-        return NUMBER_TEMPLATE.format(examples=serialize_numbers(req.examples))
+        return _NUMBER_PARTS[0] + serialize_numbers(req.examples) + _NUMBER_PARTS[1]
     if req.domain == ABLATION:
         return ABLATION_TEMPLATE
     if req.domain == SHAPE_FIRST_ORDER:
-        return FIRST_ORDER_TEMPLATE.format(
-            examples=serialize_shape_batches(req.examples)
-        )
+        return _FIRST_ORDER_PARTS[0] + serialize_shape_batches(req.examples) + _FIRST_ORDER_PARTS[1]
     if req.domain == SHAPE_PROPOSITIONAL:
-        return PROPOSITIONAL_TEMPLATE.format(
-            examples=serialize_truth_tables(req.examples)
-        )
+        return _PROPOSITIONAL_PARTS[0] + serialize_truth_tables(req.examples) + _PROPOSITIONAL_PARTS[1]
     return FIRST_BATCH_TEMPLATE
 
 

@@ -786,6 +786,27 @@ def test_a_setting_of_the_wrong_type_is_a_usage_error(section, key, value, fixtu
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("domain", ["number", "shape"])
+def test_a_config_without_data_path_is_a_usage_error_naming_it(domain, fixtures_dir, tmp_path, monkeypatch, capsys):
+    """A config that sets no `data_path` exits 2 naming the key, before
+    anything is read or written: it does not read the working directory,
+    here one whose only JSON file is the config itself."""
+    if domain == "number":
+        cfg = json.loads((fixtures_dir / "configs" / "number_uniform.json").read_text())
+    else:
+        path = _shape_config(fixtures_dir, tmp_path)
+        cfg = json.loads(path.read_text())
+        path.unlink()
+    del cfg["data_path"]
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main(["fit", "--config", "config.json", "--out-dir", "out"])
+    assert err.value.code == 2
+    assert "error: data_path is not set" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 def _shape_config(fixtures_dir, tmp_path):
     cfg = {
         "domain": "shape",

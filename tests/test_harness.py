@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nlconcepts
+from nlconcepts import harness as harness_module
 from nlconcepts import io
 from nlconcepts.baselines import latent_language_shape
 from nlconcepts.dsl.generate import random_shape_expr
@@ -31,6 +32,7 @@ from nlconcepts.harness import (
     emit_plot_data,
     emit_sweep_table,
     group_judgments,
+    infer_number,
     infer_shape,
     load_data,
     load_pools,
@@ -887,3 +889,25 @@ def test_infer_shape_compiles_its_task_once(fixtures_dir, monkeypatch):
         assert np.array_equal(compiled[0].count, task.count)
         weights = rule_weights(task, shape_forward(task, params)[1])[0][upto]
         assert state.weights.tobytes() == weights.tobytes()
+
+
+def test_inference_deduplicates_each_pool_once(fixtures_dir, monkeypatch):
+    """`infer_number` and `infer_shape` run `dedup_pool` once per call and
+    hand the kept list to both the task they compile and the posterior."""
+    calls = []
+
+    def counted(pool):
+        calls.append(len(pool))
+        return dedup_pool(pool)
+
+    monkeypatch.setattr(harness_module, "dedup_pool", counted)
+    number_pool = io.load_pool(fixtures_dir / "number_pool_size_principle.jsonl", "number")
+    infer_number(ExperimentConfig("number"), number_pool, NumberExampleSet([16, 8, 2, 64]), ModelParams())
+    assert calls == [len(number_pool)]
+    pool = io.load_pool(fixtures_dir / "shape" / "green_triangles_pool.jsonl", "shape")
+    curve = io.load_learning_curve(fixtures_dir / "shape" / "green_triangles_curve.json")
+    for upto in (0, len(curve.batches)):
+        calls.clear()
+        state = infer_shape(ExperimentConfig("shape"), pool, curve, upto, ModelParams())
+        assert calls == [len(pool)]
+        assert [h.nl_text for h in state.pool] == [h.nl_text for h in dedup_pool(pool)]

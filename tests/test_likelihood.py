@@ -11,6 +11,7 @@ from nlconcepts import io
 from nlconcepts.io import make_hypothesis
 from nlconcepts.fit import number_weights, pack_params, stack_tasks
 from nlconcepts.harness import ExperimentConfig, build_number_task, infer_number, infer_shape
+from nlconcepts.posterior import expit
 from nlconcepts.likelihood import DomainMismatch, extension_matrix, positive_probs, truth_matrix
 from nlconcepts.prior import FeatureExtractor
 from nlconcepts.types import LearningCurve, ModelParams, NumberExampleSet, ShapeObject, Trial
@@ -70,6 +71,38 @@ def test_empty_extension_hypothesis():
     x = NumberExampleSet([5])
     # indicator-first: empty extension leaves only the noise floor
     assert logliks([empty], x, 0.1)[0] == pytest.approx(math.log(0.001))
+
+
+@pytest.mark.parametrize("epsilon", [1e-300, 1e-5, 0.3, 1 - 1e-16])
+def test_number_log_weights_are_the_closed_form_at_the_floors(epsilon):
+    """`fit.number_weights`' log-weights at T = 1 under the uniform prior,
+    directly: a live row is n_in log max(g_in, 1e-300) + n_out log
+    max(g_out, 1e-300), an unparsed row exactly 0, and an empty extension
+    K log max(g_out, 1e-300). A live row holds to the rounding of the
+    larger term of the sum the pass computes, n_all log g_out + n_in
+    log1p(x) with g_out floored (`likelihood.count_logliks`): at the
+    floor its two terms, near K log 1e-300, cancel to the closed form."""
+    everything = make_hypothesis("any number", "x >= 1", "number")
+    empty = make_hypothesis("impossible", "false", "number")
+    odd = make_hypothesis("the number is odd", "odd(x)", "number")
+    pool = [EVEN, POW2, everything, odd, JUNK, empty]
+    examples = NumberExampleSet([2, 4, 8, 16, 3])
+    got = logliks(pool, examples, epsilon)
+    eps = float(expit(pack_params(ModelParams(epsilon=epsilon))[0]))  # the epsilon the pass reads
+    log_g_out = math.log(max(eps / 100.0, 1e-300))
+    for h, value in zip(pool, got):
+        if not h.parsed:
+            assert value == 0.0
+            continue
+        size = len(h.program.extension)
+        n_in = sum(x in h.program.extension for x in examples.examples)
+        n_out = len(examples) - n_in
+        if size == 0:
+            assert value == len(examples) * log_g_out
+            continue
+        want = n_in * math.log(max((1.0 - eps) / size + eps / 100.0, 1e-300)) + n_out * log_g_out
+        terms = (len(examples) * log_g_out, n_in * math.log1p((1.0 - eps) / math.exp(log_g_out) / size))
+        assert abs(value - want) <= 4 * np.finfo(float).eps * max(map(abs, terms)), h.nl_text
 
 
 def test_unparsed_gets_sentinel_in_pool_vector():

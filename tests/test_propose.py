@@ -11,6 +11,8 @@ import zlib
 import orjson
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nlconcepts.propose.replay as replay_module
 from nlconcepts.dsl import format_concept
@@ -34,11 +36,12 @@ from nlconcepts.propose import (
     score_nl_prior,
     translate_nl_to_dsl,
 )
+from nlconcepts.propose import backends, prompts
 from nlconcepts.propose.backends import TRANSLATION_PARAMS, EmptyPool, score_prompt, translation_prompt
 from nlconcepts.propose.client import BackendUnavailable
-from nlconcepts.propose.prompts import completion_rules, request_params
+from nlconcepts.propose.prompts import completion_rules, request_params, split_template
 from nlconcepts.propose.replay import HEADER_LEN, LOG_NAME, LogReport
-from nlconcepts.types import NumberExampleSet, ShapeObject, Trial
+from nlconcepts.types import COLORS, SHAPES, NumberExampleSet, ShapeObject, Trial, canonicalize_nl
 
 from conftest import log_record, v2_request_bytes, write_v2_store
 
@@ -113,6 +116,58 @@ def test_propositional_prompt_truth_table():
 def test_unknown_domain_rejected():
     with pytest.raises(TemplateMismatch):
         ProposalRequest(domain="poetry", examples=None, budget=10)
+
+
+# every template with a field, and its field
+FIELD_TEMPLATES = [
+    (prompts.NUMBER_TEMPLATE, "examples"),
+    (prompts.FIRST_ORDER_TEMPLATE, "examples"),
+    (prompts.PROPOSITIONAL_TEMPLATE, "examples"),
+    (backends.NUMBER_TRANSLATION_TEMPLATE, "nl"),
+    (backends.SHAPE_TRANSLATION_TEMPLATE, "nl"),
+]
+
+# text that str.format would read as a field or an escape, were it parsed again
+BRACED_TEXT = st.one_of(
+    st.text(max_size=40),
+    st.lists(st.sampled_from(["{", "}", "{{", "}}", "{examples}", "{nl}", "{0}", "x", " ", "."]), max_size=12).map("".join),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=BRACED_TEXT)
+def test_split_templates_and_translation_prompts_fill_as_str_format_does(value):
+    """A prompt is its template's text around the field, split once: byte
+    for byte what `str.format` gives, whatever braces the value holds."""
+    for template, field in FIELD_TEMPLATES:
+        before, after = split_template(template, field)
+        assert before + value + after == template.format(**{field: value})
+    for domain, template in (("number", backends.NUMBER_TRANSLATION_TEMPLATE), ("shape", backends.SHAPE_TRANSLATION_TEMPLATE)):
+        assert translation_prompt(value, domain) == template.format(nl=canonicalize_nl(value))
+
+
+SHAPE_OBJECTS = st.builds(ShapeObject, st.sampled_from(SHAPES), st.sampled_from(COLORS), st.integers(1, 3))
+TRIALS = st.lists(SHAPE_OBJECTS, min_size=1, max_size=5).flatmap(
+    lambda scene: st.builds(Trial, st.just(scene), st.sampled_from(scene), st.booleans())
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    numbers=st.lists(st.integers(1, 100), min_size=1, max_size=10),
+    batches=st.lists(st.lists(TRIALS, min_size=1, max_size=4), min_size=1, max_size=3),
+)
+def test_every_prompt_builder_matches_str_format(numbers, batches):
+    """`build_prompt` of every request kind with examples equals its
+    template filled by `str.format`, on random example sets and batches."""
+    want = {
+        "number": prompts.NUMBER_TEMPLATE.format(examples=prompts.serialize_numbers(NumberExampleSet(numbers))),
+        "shape_first_order": prompts.FIRST_ORDER_TEMPLATE.format(examples=prompts.serialize_shape_batches(batches)),
+        "shape_propositional": prompts.PROPOSITIONAL_TEMPLATE.format(examples=prompts.serialize_truth_tables(batches)),
+    }
+    for domain, prompt in want.items():
+        examples = NumberExampleSet(numbers) if domain == "number" else batches
+        assert build_prompt(ProposalRequest(domain=domain, examples=examples, budget=3)) == prompt
 
 
 # ---------------------------------------------------------------------------
