@@ -87,7 +87,7 @@ def latent_language_number(
     Returns (metrics, records, chosen NL per set)."""
     tasks = number_tasks(replace(cfg, prior="uniform", weighting="dedup"), judgments, pools)
     params = ModelParams(epsilon=(cfg.params or ModelParams()).epsilon)
-    weights = number_weights(pack_params(params)[None], stack_tasks(list(tasks.values())), 0)[0]
+    weights = number_weights(pack_params(params)[None], stack_tasks(list(tasks.values())))[0]
     raw_tasks = []
     chosen: Dict[str, str] = {}
     for (set_id, task), w in zip(tasks.items(), weights[0]):

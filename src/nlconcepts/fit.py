@@ -6,11 +6,10 @@ are computed analytically through the log-sum-exp posterior weights,
 the likelihood terms, the temperature, and (for the number domain) the
 Platt transform; tests verify them against central finite differences.
 
-Constrained parameters are optimized in an unconstrained space:
-epsilon and alpha through a logistic, beta and temperature through exp.
-The unconstrained vector layout is
-
-    [theta (D entries), eps_u, alpha_u, beta_u, temp_u, platt_a, platt_b]
+Constrained parameters are optimized in an unconstrained space. The
+vector is theta (D entries), then one slot per row of `SLOTS`: its
+`ModelParams` field, trainable group and `reparam` kind. A slot is read
+by its index from the end (`EPS` ... `PLATT_B`); theta is u[..., :EPS].
 
 Several fits (CV folds and the final fit) run as one Adam loop over an
 (F, P) stack of such vectors: they share the compiled tasks and differ
@@ -62,7 +61,17 @@ from .likelihood import count_logliks, positive_probs
 from .posterior import PROB_CLAMP, expit, logit, softmax_masked
 from .types import ModelParams, check_finite_number, check_integer
 
-ALL_PARAM_GROUPS = ("theta", "epsilon", "alpha", "beta", "temperature", "platt")
+# the slots after theta: each one's ModelParams field, trainable group and `reparam` kind
+SLOTS = (
+    ("epsilon", "epsilon", "unit_interval"),
+    ("alpha", "alpha", "unit_interval"),
+    ("beta", "beta", "positive"),
+    ("temperature", "temperature", "positive"),
+    ("platt_a", "platt", None),
+    ("platt_b", "platt", None),
+)
+EPS, ALPHA, BETA, TEMP, PLATT_A, PLATT_B = range(-len(SLOTS), 0)
+ALL_PARAM_GROUPS = ("theta",) + tuple(dict.fromkeys(group for _, group, _ in SLOTS))
 
 
 class NonFinite(ArithmeticError):
@@ -90,7 +99,7 @@ class DegenerateTargets(ValueError):
 # Small numeric pieces
 
 
-def reparam(unconstrained: float, kind: str) -> float:
+def reparam(unconstrained: float, kind: Optional[str]) -> float:
     """Map an unconstrained value into its legal range."""
     if kind == "unit_interval":
         # the C library's exp, as in scipy.special.expit: bit-identical to it
@@ -101,6 +110,8 @@ def reparam(unconstrained: float, kind: str) -> float:
     if kind == "positive":
         # min and max keep a NaN, as np.clip does, at a fraction of its cost
         return float(np.exp(min(max(unconstrained, -700.0), 700.0)))
+    if kind is None:
+        return float(unconstrained)
     raise ValueError(f"unknown reparam kind {kind!r}")
 
 
@@ -380,45 +391,38 @@ def fit_rows(batch: TaskBatch, rows) -> FitRows:
     )
 
 
-def _unpack(u: np.ndarray, dim: int) -> ModelParams:
-    return ModelParams(
-        theta=u[:dim].copy(),
-        epsilon=reparam(u[dim], "unit_interval"),
-        alpha=reparam(u[dim + 1], "unit_interval"),
-        beta=reparam(u[dim + 2], "positive"),
-        temperature=reparam(u[dim + 3], "positive"),
-        platt_a=float(u[dim + 4]),
-        platt_b=float(u[dim + 5]),
-    )
+def _unpack(u: np.ndarray) -> ModelParams:
+    slots = {name: reparam(u[i], kind) for i, (name, _, kind) in zip(range(EPS, 0), SLOTS)}
+    return ModelParams(theta=u[:EPS].copy(), **slots)
 
 
 def pack_params(params: ModelParams) -> np.ndarray:
-    beta_u = math.log(params.beta) if params.beta > 0 else -30.0
-    rest = [logit(params.epsilon), logit(params.alpha), beta_u, math.log(params.temperature)]
-    return np.concatenate([params.theta, rest, [params.platt_a, params.platt_b]]).astype(float)
+    inverse = {"unit_interval": logit, "positive": lambda v: math.log(v) if v > 0 else -30.0, None: float}
+    rest = [inverse[kind](getattr(params, name)) for name, _, kind in SLOTS]
+    return np.concatenate([params.theta, rest]).astype(float)
 
 
-def number_weights(stack, batch: TaskBatch, dim):
+def number_weights(stack, batch: TaskBatch):
     """Posterior weights (F, T, S) of every number task under each
     parameter vector of `stack`, with the log-weights (log prior + log
     likelihood, `likelihood.count_logliks`) they are the tempered
     softmax of, (F, T, S) too; then, flat over the T·S hypotheses,
     `count_logliks`' x = g_in / g_out - 1 (F, T·S), and epsilon and the
     temperature as (F, 1) columns."""
-    eps = expit(stack[:, dim, None])
-    temp = np.exp(np.minimum(np.maximum(stack[:, dim + 3, None], -700.0), 700.0))
+    eps = expit(stack[:, EPS, None])
+    temp = np.exp(np.minimum(np.maximum(stack[:, TEMP, None], -700.0), 700.0))
     # dead hypotheses count no examples, so their log-likelihood is 0
     log_unnorm, x = count_logliks(batch.n_inside, batch.n_all, batch.inv_size, eps)
     if batch.base_logprior is not None:
         log_unnorm += batch.base_logprior
     if batch.features is not None:
-        log_unnorm += stack[:, :dim] @ batch.features
+        log_unnorm += stack[:, :EPS] @ batch.features
     shape = (len(stack),) + batch.alive.shape
     weights = softmax_masked((log_unnorm / temp).reshape(shape), batch.alive, all_rows_alive=batch.all_alive)
     return weights, log_unnorm.reshape(shape), x, eps, temp
 
 
-def _number_rows(stack, batch: TaskBatch, dim, rows: FitRows, grad):
+def _number_rows(stack, batch: TaskBatch, rows: FitRows, grad):
     """(loss (F,) over the number rows each fit counts, the predictions
     (F, T·R) of every row of the (T, R) blocks); writes d(loss)/du into
     grad (F, P) when given, before any shape pass adds to it.
@@ -427,7 +431,7 @@ def _number_rows(stack, batch: TaskBatch, dim, rows: FitRows, grad):
     (S, R) product per task, and the gradient in its log-weights one
     (F, R) @ (R, S) product; both are written fit-major, so every
     elementwise step runs on flat (F, T·R) or (F, T·S) arrays."""
-    w, log_unnorm, x, eps, temp = number_weights(stack, batch, dim)
+    w, log_unnorm, x, eps, temp = number_weights(stack, batch)
     n_fits = len(stack)
     p_raw = np.empty((n_fits,) + batch.row_valid.shape)
     np.matmul(w.swapaxes(0, 1), batch.test_member_t, out=p_raw.swapaxes(0, 1))
@@ -439,9 +443,9 @@ def _number_rows(stack, batch: TaskBatch, dim, rows: FitRows, grad):
     logit_p = np.log(p_c / q_c)
     # -z for z = b + a logit p; pred = expit(z) from exp(min(-z, 709)), as
     # posterior.expit computes it, and softplus(z) = log1p(that) - min(-z, 709)
-    a = stack[:, dim + 4, None]
+    a = stack[:, PLATT_A, None]
     neg_z = logit_p * -a
-    neg_z -= stack[:, dim + 5, None]
+    neg_z -= stack[:, PLATT_B, None]
     capped = np.minimum(neg_z, 709.0)
     e = np.exp(capped)
     pred = 1.0 / (1.0 + e)
@@ -455,8 +459,8 @@ def _number_rows(stack, batch: TaskBatch, dim, rows: FitRows, grad):
     if grad is not None:
         dl_dz = rows.counted * pred
         dl_dz -= rows.targets
-        grad[:, dim + 4] = np.add.reduce(dl_dz * logit_p, axis=1)
-        grad[:, dim + 5] = np.add.reduce(dl_dz, axis=1)
+        grad[:, PLATT_A] = np.add.reduce(dl_dz * logit_p, axis=1)
+        grad[:, PLATT_B] = np.add.reduce(dl_dz, axis=1)
         # d logit p / d p_raw = 1 / (p q), 0 where the clamp moves p_raw; / T for the log-weights
         dl_dp = np.where(p_c == p_raw, dl_dz, 0.0)
         dl_dp *= a / temp
@@ -470,16 +474,16 @@ def _number_rows(stack, batch: TaskBatch, dim, rows: FitRows, grad):
         coeff *= w
         coeff = coeff.reshape(n_fits, -1)
         if batch.features is not None:
-            grad[:, :dim] = coeff @ batch.features.T
+            grad[:, :EPS] = coeff @ batch.features.T
         # d(log-likelihood)/d eps_u = (1 - eps) (n_out + n_in (1 - 100/|C|) g / g_in) for
         # g = eps / 100 unfloored: g / g_in = k / (x + k), k = g / g_out, 1 unless g < 1e-300
         k = np.minimum(eps * 1e298, 1.0)
         dll = np.divide(k, x + k)
         dll *= batch.in_slope
         dll += batch.n_outside
-        grad[:, dim] = np.add.reduce(dll * coeff, axis=1) * (1.0 - eps[:, 0])
+        grad[:, EPS] = np.add.reduce(dll * coeff, axis=1) * (1.0 - eps[:, 0])
         # a dead hypothesis has weight 0 and a finite log-weight
-        grad[:, dim + 3] = -np.add.reduce(coeff * log_unnorm.reshape(n_fits, -1), axis=1)
+        grad[:, TEMP] = -np.add.reduce(coeff * log_unnorm.reshape(n_fits, -1), axis=1)
     return loss, pred
 
 
@@ -597,24 +601,22 @@ def rule_weights(task: ShapeTask, p: np.ndarray):
     return np.where(visible, p[:, task.rule_class], 0.0), visible
 
 
-def _shape_rows(task: ShapeTask, u, dim, grad, yes, no):
+def _shape_rows(task: ShapeTask, u, grad, yes, no):
     """(loss over the trials `yes` and `no` count, every trial's
     prediction) of one curve, with eps, alpha, beta and T read off the
     unconstrained vector u (P,) as `_unpack` reads them; adds
     d(loss)/du into grad (P,) when given."""
-    eps_u, alpha_u, beta_u, temp_u = u[dim : dim + 4].tolist()
-    eps, alpha = reparam(eps_u, "unit_interval"), reparam(alpha_u, "unit_interval")
-    beta, temp = reparam(beta_u, "positive"), reparam(temp_u, "positive")
-    pred, _, backward = shape_pass(task, u[:dim], eps, alpha, beta, temp)
+    eps, alpha, beta, temp = (reparam(u[i], SLOTS[i][2]) for i in (EPS, ALPHA, BETA, TEMP))
+    pred, _, backward = shape_pass(task, u[:EPS], eps, alpha, beta, temp)
     loss, slope = bce_loss_and_slope(pred, yes, no)
     if grad is not None:
         d_theta, d_eps, d_alpha, d_beta, d_temp = backward(slope)
         if d_theta is not None:
-            grad[:dim] += d_theta
-        grad[dim] += d_eps * eps * (1.0 - eps)
-        grad[dim + 1] += d_alpha * alpha * (1.0 - alpha)
-        grad[dim + 2] += d_beta * beta
-        grad[dim + 3] += d_temp * temp
+            grad[:EPS] += d_theta
+        grad[EPS] += d_eps * eps * (1.0 - eps)
+        grad[ALPHA] += d_alpha * alpha * (1.0 - alpha)
+        grad[BETA] += d_beta * beta
+        grad[TEMP] += d_temp * temp
     return loss, pred
 
 
@@ -622,14 +624,16 @@ def loss_and_grad(u: np.ndarray, tasks, dim: int, want_grad: bool = True, rows=N
     """Total loss over all tasks and its gradient in unconstrained space.
 
     `tasks` is a sequence of tasks or a TaskBatch. `u` is one parameter
-    vector (P,) or a stack (F, P); `rows`, an (F, N) bool mask over the
-    N prediction rows, picks the rows each fit's loss counts (default
-    all). Returns (loss, grad, one (id, prediction, target) per row) for
-    one vector, (loss (F,), grad (F, P), predictions (F, N)) for a
-    stack; grad is None without want_grad. Compiled `rows` (`fit_rows`,
-    as `fit_params` passes them) need the TaskBatch they were compiled
-    against and an (F, P) stack, and no argument is converted.
+    vector (P,) or a stack (F, P), P = dim + len(SLOTS); `rows`, an (F, N)
+    bool mask over the N prediction rows, picks the rows each fit's loss
+    counts (default all). Returns (loss, grad, one (id, prediction, target)
+    per row) for one vector, (loss (F,), grad (F, P), predictions (F, N))
+    for a stack; grad is None without want_grad. Compiled `rows`
+    (`fit_rows`, as `fit_params` passes them) need the TaskBatch they were
+    compiled against and an (F, P) stack, and no argument is converted.
     """
+    if np.shape(u)[-1] != dim + len(SLOTS):
+        raise ValueError(f"parameter vector of {np.shape(u)[-1]} entries, not dim + {len(SLOTS)} = {dim + len(SLOTS)}")
     if isinstance(rows, FitRows):
         batch, stack, one = tasks, u, False
     else:
@@ -642,7 +646,7 @@ def loss_and_grad(u: np.ndarray, tasks, dim: int, want_grad: bool = True, rows=N
     n_number = len(batch.ids) - n_shape  # the number rows come first
     pred = None
     if n_number:
-        loss, pred = _number_rows(stack, batch, dim, rows, grad)
+        loss, pred = _number_rows(stack, batch, rows, grad)
         if n_number < pred.shape[1]:  # drop the padding of the (T, R) blocks
             pred = pred[:, batch.row_valid.reshape(-1)]
     else:
@@ -656,7 +660,6 @@ def loss_and_grad(u: np.ndarray, tasks, dim: int, want_grad: bool = True, rows=N
                 task_loss, shape_pred[f, col:end] = _shape_rows(
                     task,
                     stack[f],
-                    dim,
                     None if grad is None else grad[f],
                     rows.shape_yes[f, col:end],
                     rows.shape_no[f, col:end],
@@ -746,8 +749,7 @@ class FitResult:
 
 
 def trainable_mask(dim: int, groups: Sequence[str]) -> np.ndarray:
-    names = ["theta"] * dim + ["epsilon", "alpha", "beta", "temperature", "platt", "platt"]
-    return np.isin(names, list(groups))
+    return np.isin(["theta"] * dim + [group for _, group, _ in SLOTS], list(groups))
 
 
 def fit_params(
@@ -794,7 +796,7 @@ def fit_params(
     pred = None if rows.all() else loss_and_grad(stack, batch, dim, want_grad=False, rows=compiled_rows)[2]
     results = [
         FitResult(
-            _unpack(u, dim),
+            _unpack(u),
             trace,
             [(batch.ids[n], pred[f, n], batch.targets[n]) for n in np.flatnonzero(~train)],
         )

@@ -328,7 +328,7 @@ def infer_number(
     _check_theta(cfg, params)
     kept = list(pool) if cfg.weighting == "importance" else dedup_pool(pool)
     task = _number_task(cfg, kept, examples, [], FeatureExtractor(dim=cfg.feature_dim), None)
-    weights = number_weights(pack_params(params)[None], stack_tasks([task]), len(params.theta))[0][0, 0]
+    weights = number_weights(pack_params(params)[None], stack_tasks([task]))[0][0, 0]
     return posterior_state(kept, len(pool), weights, task.parsed)
 
 
@@ -456,7 +456,7 @@ def number_top_verbalizations(
     """The TOP_K highest-weight hypotheses per example set: the
     posterior weights the model predicts from at `params`, read off
     `batch`, the tasks compiled together."""
-    weights = number_weights(pack_params(params)[None], batch, len(params.theta))[0]
+    weights = number_weights(pack_params(params)[None], batch)[0]
     out = {}
     for (set_id, task), w in zip(tasks.items(), weights[0]):
         order = np.argsort(-w[: len(task.names)], kind="stable")[:TOP_K]

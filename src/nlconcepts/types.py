@@ -205,7 +205,7 @@ class ModelParams:
     """All learnable parameters, stored in their constrained form.
 
     epsilon and alpha live in (0,1), beta and temperature are positive;
-    the optimizer works in an unconstrained space (see fit.reparam).
+    the optimizer works in an unconstrained space (see fit.SLOTS).
     platt_a/platt_b only apply to the number domain.
     """
 

@@ -232,7 +232,7 @@ def test_infer_number_reads_the_fit_paths_weights(prior, temperature, fixtures_d
 
     cfg = harness.ExperimentConfig("number", prior=prior, scores_path=str(scores), feature_dim=dim)
     task = harness.build_number_task(cfg, pool, examples, [(3, 0.5, "t")], FeatureExtractor(dim=dim))
-    want = number_weights(pack_params(params)[None], stack_tasks([task]), dim)[0][0, 0]
+    want = number_weights(pack_params(params)[None], stack_tasks([task]))[0][0, 0]
     weights = dict((h["nl"], h["weight"]) for h in got["hypotheses"])
     assert [weights[nl] for nl in task.names] == want.tolist()
     assert got["diagnostics"]["zero_weight"] == int((~task.parsed).sum())

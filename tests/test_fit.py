@@ -8,6 +8,9 @@ from scipy.special import expit
 
 from nlconcepts import io
 from nlconcepts.fit import (
+    ALL_PARAM_GROUPS,
+    BETA,
+    SLOTS,
     AdamState,
     DegenerateTargets,
     FitConfig,
@@ -121,6 +124,18 @@ def random_u(rng):
     return pack_params(params)
 
 
+@pytest.mark.parametrize("stray", [3, -1])
+def test_a_parameter_vector_that_disagrees_with_dim_is_a_value_error(stray):
+    """A vector with `stray` theta entries more than `dim` says would be
+    read with its slots shifted (theta[dim] as epsilon); it is refused,
+    one vector or a stack, naming both widths."""
+    u = pack_params(ModelParams(theta=np.zeros(DIM + stray)))
+    width, want = DIM + stray + len(SLOTS), DIM + len(SLOTS)
+    for arg in (u, np.tile(u, (2, 1))):
+        with pytest.raises(ValueError, match=rf"of {width} entries, not dim \+ {len(SLOTS)} = {want}"):
+            loss_and_grad(arg, [number_task()], DIM)
+
+
 def test_gradients_match_finite_differences_number():
     rng = np.random.default_rng(0)
     tasks = [number_task()]
@@ -197,7 +212,7 @@ def test_pack_unpack_round_trip():
         platt_a=1.4,
         platt_b=-0.2,
     )
-    q = _unpack(pack_params(p), 3)
+    q = _unpack(pack_params(p))
     np.testing.assert_allclose(q.theta, p.theta)
     assert q.epsilon == pytest.approx(p.epsilon)
     assert q.alpha == pytest.approx(p.alpha)
@@ -205,6 +220,12 @@ def test_pack_unpack_round_trip():
     assert q.temperature == pytest.approx(p.temperature)
     assert q.platt_a == p.platt_a
     assert q.platt_b == p.platt_b
+    # a beta of 0 has no log: it packs to -30, which unpacks to exp(-30)
+    u = pack_params(dataclasses.replace(p, beta=0.0))
+    assert u[BETA] == -30.0
+    assert _unpack(u).beta == pytest.approx(math.exp(-30.0))
+    # one slot per ModelParams field after theta, in the order of the fields
+    assert [f.name for f in dataclasses.fields(ModelParams)] == ["theta"] + [name for name, _, _ in SLOTS]
 
 
 def test_bce_loss_and_slope():
@@ -332,6 +353,10 @@ def test_trainable_mask():
     assert mask.tolist() == [True] * 3 + [False] * 4 + [True, True]
     mask2 = trainable_mask(0, ("epsilon", "beta"))
     assert mask2.tolist() == [True, False, True, False, False, False]
+    # read in SLOTS order, each group's mask marks that group's slots alone
+    for group in ALL_PARAM_GROUPS[1:]:
+        marked = [name for (name, _, _), m in zip(SLOTS, trainable_mask(0, (group,))) if m]
+        assert marked == {"platt": ["platt_a", "platt_b"]}.get(group, [group])
 
 
 def test_fit_config_validation():

@@ -37,7 +37,7 @@ def logliks(pool, examples, epsilon):
     model weighs it: `fit.number_weights`' log-weights under the uniform
     prior, whose log prior is 0."""
     task = build_number_task(ExperimentConfig("number"), pool, examples, [], FeatureExtractor(dim=0))
-    return number_weights(pack_params(ModelParams(epsilon=epsilon))[None], stack_tasks([task]), 0)[1][0, 0]
+    return number_weights(pack_params(ModelParams(epsilon=epsilon))[None], stack_tasks([task]))[1][0, 0]
 
 
 def response_probs(h, trials, epsilon, alpha):

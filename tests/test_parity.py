@@ -139,7 +139,7 @@ def assert_shape_paths_match_oracle(cfg, pool, curve, params):
     task = build_shape_task(cfg, pool, curve, FeatureExtractor(dim=cfg.feature_dim))
     u = pack_params(params)
     _, _, records = loss_and_grad(u, [task], cfg.feature_dim, want_grad=False)
-    want = scalar_online_predictions(cfg, pool, curve, _unpack(u, cfg.feature_dim))
+    want = scalar_online_predictions(cfg, pool, curve, _unpack(u))
     assert [datum_id for datum_id, _, _ in records] == [r.datum_id for r in online]
     gaps = [abs(pred - w) for (_, pred, _), w in zip(records, want)]
     assert max(gaps) <= TOL, (params, max(gaps))
