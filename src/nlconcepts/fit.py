@@ -18,17 +18,18 @@ only in the prediction rows their losses count.
 `fit_params` compiles, once per fit, everything an epoch reads that the
 parameters do not change:
 
-* the tasks, as one `TaskBatch` (`stack_tasks`). Number tasks are
-  padded per-task blocks: hypotheses as T·S flat entries, S the
-  largest pool, judgments as (T, R) blocks, R the most judgments of one
-  set. A shape task compiled its own constants when it was built
-  (`ShapeTask`), among them its decay lookup: the lag of every trial
-  before every batch as an index into a table of the K decay weights
-  with a zero slot for trials not yet past;
-* every fit's rows, as one `FitRows` (`fit_rows`): the weight (1 or
-  0) of each number row in each fit and its target where the fit
-  counts it, and each shape row's targets likewise, chosen with `where`
-  so that a target a fit does not count never reaches it.
+* the tasks of one domain, as one `TaskBatch` (`stack_tasks`). Number
+  tasks are padded per-task blocks: hypotheses as T·S flat entries, S
+  the largest pool, judgments as (T, R) blocks, R the most judgments of
+  one set. Shape trials are one (1, N) block, and a shape task compiled
+  its own constants when it was built (`ShapeTask`), among them its
+  decay lookup: the lag of every trial before every batch as an index
+  into a table of the K decay weights with a zero slot for trials not
+  yet past;
+* every fit's rows, as one `FitRows` (`fit_rows`) over those blocks:
+  the weight (1 or 0) of each row in each fit and its target where the
+  fit counts it, chosen with `where` so that a target a fit does not
+  count never reaches it.
 
 An epoch is one `loss_and_grad` call on those objects, which converts
 none of them, then one in-place `adam_step`. It runs only the work that
@@ -271,15 +272,14 @@ class ShapeTask:
 
 @dataclass
 class TaskBatch:
-    """Tasks compiled once for all forward passes of a fit.
+    """The tasks of one domain, compiled once for all passes of a fit.
 
     Number tasks are stacked and zero-padded to T tasks of S hypotheses
     and R judgment rows. Hypothesis arrays are flat over the T·S
     entries, entry t·S + s; test membership is one (R, S) block per
-    task. Flat, the number rows are the entries of the (T, R) blocks in
-    row-major order, of which the valid ones (task by task, each
-    task's judgments in order) are the batch's number rows. Shape tasks
-    stay as they are, their trials the rows after the number rows.
+    task. Shape tasks stay as they are, their trials one all-true (1, N)
+    block. Flat, the rows are the entries of the `row_valid` blocks in
+    row-major order; the valid ones are the batch's rows, task by task.
 
     The count pieces and the base log-prior are zero where a hypothesis
     is dead (unparsed or padding), so it adds nothing to the likelihood
@@ -297,19 +297,21 @@ class TaskBatch:
     in_slope: np.ndarray  # (T·S,) n_inside (1 - 100/|C|), for the gradient in epsilon
     test_member: np.ndarray  # (T, R, S) test number r of task t in hypothesis s's extension
     test_member_t: np.ndarray  # (T, S, R) test_member.swapaxes(1, 2), C-contiguous for the predictions' product
-    row_valid: np.ndarray  # (T, R) a judgment, not padding
-    row_targets: np.ndarray  # (T, R) its target, 0 on padding
+    row_valid: np.ndarray  # (T, R) a judgment, not padding; (1, N) all true for N shape trials
     shapes: List[ShapeTask]
     ids: List[str]  # every row
     targets: np.ndarray  # every row
 
 
 def stack_tasks(tasks) -> TaskBatch:
-    """Compile tasks into one TaskBatch (a TaskBatch passes through)."""
+    """Compile one domain's tasks into one TaskBatch (a TaskBatch passes
+    through); a list that mixes number and shape tasks is a ValueError."""
     if isinstance(tasks, TaskBatch):
         return tasks
     numbers = [t for t in tasks if isinstance(t, NumberTask)]
     shapes = [t for t in tasks if not isinstance(t, NumberTask)]
+    if numbers and shapes:
+        raise ValueError(f"a batch holds one domain, not {len(numbers)} number and {len(shapes)} shape tasks")
     width = max((len(t.parsed) for t in numbers), default=0)
     n_rows = [len(t.targets) for t in numbers]
     height = max(n_rows, default=0)
@@ -332,11 +334,11 @@ def stack_tasks(tasks) -> TaskBatch:
     base = np.where(live, flat(t.base_logprior for t in numbers), 0.0)
     row_valid = np.arange(height) < np.array(n_rows, dtype=int)[:, None]
     test_member = np.zeros(row_valid.shape + (width,))
+    targets = np.concatenate([np.zeros(0)] + [t.targets for t in numbers + shapes])
     if numbers:
         test_member[row_valid] = np.concatenate([pad(t.test_member, axis=1) for t in numbers])
-    targets = np.concatenate([np.zeros(0)] + [t.targets for t in numbers + shapes])
-    row_targets = np.zeros(row_valid.shape)
-    row_targets[row_valid] = targets[: int(row_valid.sum())]
+    else:
+        row_valid = np.ones((1, len(targets)), dtype=bool)
     features = None
     if numbers and numbers[0].features is not None:  # tasks share one prior
         features = np.array([pad(t.features) for t in numbers]).reshape(live.size, -1).T.copy()
@@ -354,7 +356,6 @@ def stack_tasks(tasks) -> TaskBatch:
         test_member=test_member,
         test_member_t=np.ascontiguousarray(test_member.swapaxes(1, 2)),
         row_valid=row_valid,
-        row_targets=row_targets,
         shapes=shapes,
         ids=[i for t in numbers + shapes for i in t.ids],
         targets=targets,
@@ -364,31 +365,22 @@ def stack_tasks(tasks) -> TaskBatch:
 @dataclass
 class FitRows:
     """The rows each of F fits counts, compiled once per fit against the
-    TaskBatch they select from: the number rows flat over its (T, R)
-    blocks, padding included, and the shape rows flat. Every target is
-    chosen with `where`, so a fit never reads a target it does not
-    count."""
+    TaskBatch they select from, flat over its `row_valid` blocks,
+    padding included. A target is chosen with `where`, so a fit never
+    reads a target it does not count."""
 
-    counted: np.ndarray  # (F, T·R) 1.0 where the fit counts the number row, else 0
+    counted: np.ndarray  # (F, T·R) 1.0 where the fit counts the row, else 0
     targets: np.ndarray  # (F, T·R) the row's target where the fit counts it, else 0
-    shape_yes: np.ndarray  # (F, N_shape) a shape row's target where the fit counts it, else 0
-    shape_no: np.ndarray  # (F, N_shape) one minus that target where the fit counts it, else 0
 
 
 def fit_rows(batch: TaskBatch, rows) -> FitRows:
     """`rows`, an (F, N) bool mask over the N rows of `batch`, as FitRows."""
-    rows = np.asarray(rows, dtype=bool)
     valid = batch.row_valid.reshape(-1)
-    n = int(valid.sum())
-    number = np.zeros((len(rows), valid.size), dtype=bool)
-    number[:, valid] = rows[:, :n]
-    shape_rows, targets = rows[:, n:], batch.targets[n:]
-    return FitRows(
-        number.astype(float),
-        np.where(number, batch.row_targets.reshape(-1), 0.0),
-        np.where(shape_rows, targets, 0.0),
-        np.where(shape_rows, 1.0 - targets, 0.0),
-    )
+    counted = np.zeros((len(rows), valid.size), dtype=bool)
+    counted[:, valid] = rows
+    targets = np.zeros(valid.size)
+    targets[valid] = batch.targets
+    return FitRows(counted.astype(float), np.where(counted, targets, 0.0))
 
 
 def _unpack(u: np.ndarray) -> ModelParams:
@@ -425,7 +417,7 @@ def number_weights(stack, batch: TaskBatch):
 def _number_rows(stack, batch: TaskBatch, rows: FitRows, grad):
     """(loss (F,) over the number rows each fit counts, the predictions
     (F, T·R) of every row of the (T, R) blocks); writes d(loss)/du into
-    grad (F, P) when given, before any shape pass adds to it.
+    grad (F, P) when given.
 
     Task t's predictions are w[:, t] @ test_member[t].T, one (F, S) @
     (S, R) product per task, and the gradient in its log-weights one
@@ -623,7 +615,8 @@ def _shape_rows(task: ShapeTask, u, grad, yes, no):
 def loss_and_grad(u: np.ndarray, tasks, dim: int, want_grad: bool = True, rows=None):
     """Total loss over all tasks and its gradient in unconstrained space.
 
-    `tasks` is a sequence of tasks or a TaskBatch. `u` is one parameter
+    `tasks` is a sequence of one domain's tasks or a TaskBatch, run by
+    `_number_rows` or curve by curve by `_shape_rows`. `u` is one parameter
     vector (P,) or a stack (F, P), P = dim + len(SLOTS); `rows`, an (F, N)
     bool mask over the N prediction rows, picks the rows each fit's loss
     counts (default all). Returns (loss, grad, one (id, prediction, target)
@@ -642,31 +635,22 @@ def loss_and_grad(u: np.ndarray, tasks, dim: int, want_grad: bool = True, rows=N
         stack = np.atleast_2d(u) if one else u
         rows = fit_rows(batch, np.ones((len(stack), len(batch.ids)), dtype=bool) if rows is None else rows)
     grad = np.zeros(stack.shape) if want_grad else None
-    n_shape = rows.shape_yes.shape[1]
-    n_number = len(batch.ids) - n_shape  # the number rows come first
-    pred = None
-    if n_number:
+    if len(batch.alive):  # number tasks
         loss, pred = _number_rows(stack, batch, rows, grad)
-        if n_number < pred.shape[1]:  # drop the padding of the (T, R) blocks
+        if not batch.row_valid.all():  # drop the padding of the (T, R) blocks
             pred = pred[:, batch.row_valid.reshape(-1)]
-    else:
-        loss = np.zeros(len(stack))
-    if batch.shapes:
-        shape_pred = np.empty((len(stack), n_shape))
+    else:  # shape tasks, if any
+        loss, pred = np.zeros(len(stack)), np.empty(rows.counted.shape)
+        yes, no = rows.targets, rows.counted - rows.targets  # the targets and 1 - them, where counted
         for f in range(len(stack)):
             col = 0
             for task in batch.shapes:
                 end = col + len(task.ids)
-                task_loss, shape_pred[f, col:end] = _shape_rows(
-                    task,
-                    stack[f],
-                    None if grad is None else grad[f],
-                    rows.shape_yes[f, col:end],
-                    rows.shape_no[f, col:end],
+                task_loss, pred[f, col:end] = _shape_rows(
+                    task, stack[f], None if grad is None else grad[f], yes[f, col:end], no[f, col:end]
                 )
                 loss[f] += task_loss
                 col = end
-        pred = shape_pred if pred is None else np.concatenate((pred, shape_pred), axis=1)
     # one finite sum says every fold is finite; otherwise name the folds that are not
     if not math.isfinite(np.add.reduce(loss) + (0.0 if grad is None else np.add.reduce(grad, axis=None))):
         bad = ~(np.isfinite(loss) & (grad is None or np.isfinite(grad).all(axis=1)))

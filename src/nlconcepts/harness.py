@@ -365,7 +365,8 @@ def group_judgments(judgments: Sequence[HumanNumberJudgment]):
     test number judged twice for one set is a ConfigError that names
     the first such `set_id:test_number`: its copies would share one
     record id, and a fold could train on one copy and predict the
-    other."""
+    other. So is a judgment whose examples differ from those of its
+    set's first judgment, named with both lists: a set has one task."""
     by_set: Dict[str, List[HumanNumberJudgment]] = {}
     seen = set()
     for j in judgments:
@@ -373,7 +374,11 @@ def group_judgments(judgments: Sequence[HumanNumberJudgment]):
         if key in seen:
             raise ConfigError(f"judgment {key} is repeated; each test number is judged once per example set")
         seen.add(key)
-        by_set.setdefault(j.set_id, []).append(j)
+        group = by_set.setdefault(j.set_id, [])
+        if group and group[0].example_set != j.example_set:
+            this, first = (";".join(map(str, g.example_set.examples)) for g in (j, group[0]))
+            raise ConfigError(f"judgment {key} has examples {this}, but the first judgment of {j.set_id} has {first}")
+        group.append(j)
     if not by_set:
         raise ValueError("no judgments to model")
     return by_set

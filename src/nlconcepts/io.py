@@ -17,14 +17,18 @@ Unparsed (`parse_program`, which translation uses too). A pool file
 that holds no hypotheses, where one is needed, is refused as EmptyPool.
 
 Score file ("score"): JSON Lines {"nl": str, "logp": finite number};
-logp is kept as a float.
+logp is kept as a float. A text whose canonical form an earlier line
+scored with another logp is refused at the later line; an equal repeat
+loads.
 
 Number judgments ("judgments"): CSV with header
 set_id,examples,test_number,mean_rating, where examples is a
 ';'-separated list of integers in 1..100, test_number is an integer in
 1..100 and mean_rating is a finite raw mean in [1, 7] (normalized to
 [0, 1] at load). A fault names its line; a file with no judgment row is
-refused at its top level.
+refused at its top level. The judgments of one set_id share its
+examples, and each judges a test number once: the model refuses a file
+that breaks either rule (`harness.group_judgments`, a ConfigError).
 
 Learning curve ("curve"): a JSON object with the string concept_id and
 ground_truth_nl, batches (lists of 1..5 {"shape", "color", "size",
@@ -315,17 +319,21 @@ def save_learning_curve(path, curve: LearningCurve) -> None:
 
 def load_score_file(path) -> Dict[str, float]:
     """The external prior's log-prior of each canonical NL text."""
-    return dict(_read_jsonl("score", path, _score))
+    scores: Dict[str, float] = {}
+    _read_jsonl("score", path, lambda row: _score(row, scores))
+    return scores
 
 
-def _score(row: dict):
-    """(canonical NL, log-prior) of one score file row; a ValueError at a
-    fault."""
+def _score(row: dict, scores: Dict[str, float]) -> None:
+    """One score file row's canonical NL and log-prior, into `scores`; a
+    ValueError at a fault, a text scored before with another among them."""
     if not isinstance(row.get("nl"), str):
         raise ValueError("no string 'nl'")
     if "logp" not in row:
         raise ValueError("no 'logp'")
-    return canonicalize_nl(row["nl"]), float(check_finite_number("'logp'", row["logp"]))
+    nl, logp = canonicalize_nl(row["nl"]), float(check_finite_number("'logp'", row["logp"]))
+    if scores.setdefault(nl, logp) != logp:
+        raise ValueError(f"text {nl!r} has logp {logp!r}, but {scores[nl]!r} on an earlier line")
 
 
 def save_score_file(path, scores: Dict[str, float]) -> None:

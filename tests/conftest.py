@@ -33,6 +33,17 @@ def write_repeated_judgments(path):
     return path
 
 
+def write_disagreeing_judgments(path):
+    """The fixture judgments with their second row (set01, test number
+    40) judged under the examples 3;5;7;11, not set01's 2;4;8;16,
+    written to `path`; returns it."""
+    lines = (FIXTURES / "number_judgments.csv").read_text().splitlines(keepends=True)
+    assert lines[2].startswith("set01,2;4;8;16,40,")
+    lines[2] = lines[2].replace("2;4;8;16", "3;5;7;11")
+    path.write_text("".join(lines))
+    return path
+
+
 G1 = ShapeObject("triangle", "green", 1)
 B2 = ShapeObject("circle", "blue", 2)
 Y3 = ShapeObject("rectangle", "yellow", 3)

@@ -25,7 +25,7 @@ from nlconcepts.propose.replay import HEADER_LEN, LOG_NAME
 from nlconcepts.types import ModelParams, NumberExampleSet
 
 import oracle
-from conftest import synthetic_shape_curve, synthetic_shape_pool, write_repeated_judgments
+from conftest import synthetic_shape_curve, synthetic_shape_pool, write_disagreeing_judgments, write_repeated_judgments
 
 
 def test_infer_number(fixtures_dir, capsys):
@@ -1202,17 +1202,27 @@ def test_fit_number_names_an_example_set_with_no_pool(fixtures_dir, tmp_path, ca
 def test_a_repeated_judgment_is_a_usage_error(argv, fixtures_dir, tmp_path, monkeypatch, capsys):
     """`number_uniform.json` on judgments with one row repeated exits 2
     naming the repeated `set_id:test_number`, in the model and in each
-    number baseline: its copies would share one record id."""
+    number baseline: its copies would share one record id. Judgments
+    of one set under two lists of examples exit 2 likewise, naming the
+    judgment and both lists."""
+    cases = [
+        (write_repeated_judgments, "error: judgment set01:11 is repeated"),
+        (
+            write_disagreeing_judgments,
+            "error: judgment set01:40 has examples 3;5;7;11, but the first judgment of set01 has 2;4;8;16",
+        ),
+    ]
     cfg = json.loads((fixtures_dir / "configs" / "number_uniform.json").read_text())
-    cfg["data_path"] = str(write_repeated_judgments(tmp_path / "judgments.csv"))
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
     monkeypatch.chdir(fixtures_dir.parent)  # the fixture config's pools are relative to the checkout
-    with pytest.raises(SystemExit) as err:
-        main([*argv, "--config", str(path), "--out-dir", str(tmp_path / "out")])
-    assert err.value.code == 2
-    assert "error: judgment set01:11 is repeated" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    for write, message in cases:
+        cfg["data_path"] = str(write(tmp_path / f"{write.__name__}.csv"))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--config", str(path), "--out-dir", str(tmp_path / "out")])
+        assert err.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

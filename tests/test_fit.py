@@ -170,13 +170,6 @@ def test_fit_config_rejects_removed_keys():
             FitConfig(**{key: value})
 
 
-def test_gradients_match_finite_differences_mixed():
-    rng = np.random.default_rng(2)
-    tasks = [number_task(), shape_task()]
-    for _ in range(3):
-        fd_check(random_u(rng), tasks, DIM)
-
-
 def test_reparam():
     assert reparam(0.0, "unit_interval") == pytest.approx(0.5)
     assert reparam(0.0, "positive") == pytest.approx(1.0)
@@ -300,10 +293,16 @@ def test_permutation_is_numpys_default_rng_permutation(seed):
 
 def test_a_task_is_routed_by_its_class():
     """A task's domain is its class: no field can send a number task
-    down the shape path."""
+    down the shape path, and a batch holds the tasks of one domain, so
+    a list that mixes the classes is refused."""
     for task in (number_task(), shape_task()):
         with pytest.raises(TypeError, match="domain"):
             dataclasses.replace(task, domain="shape")
+    for tasks in ([number_task(), shape_task()], [shape_task(), number_task(), number_task()]):
+        with pytest.raises(ValueError, match="one domain"):
+            stack_tasks(tasks)
+        with pytest.raises(ValueError, match="one domain"):
+            fit_params(FitConfig(epochs=1), tasks, ModelParams(theta=np.zeros(DIM)))
 
 
 def test_r_squared():
@@ -555,24 +554,6 @@ def test_non_finite_fold_is_named_with_its_epoch():
     assert (caught.value.folds, caught.value.epoch) == ([1, 2, 3], 0)
     (result,) = fit_params(FitConfig(epochs=5), [shape], init, train_rows=shape_rows[:1])
     assert [d for d, _, _ in result.holdout_predictions] == [shape.ids[2]]
-    assert all(math.isfinite(loss) for loss in result.loss_trace)
-
-    # a mixed batch, the number rows first: fold 0 counts the NaN number
-    # row, fold 2 the NaN trial, fold 1 neither, and fold 3 both
-    mixed_rows = [
-        number + trials
-        for number, trials in (
-            ([True, True, False], [True, True, False, True]),
-            ([True, False, True], [True, True, False, False]),
-            ([False, False, True], [False, True, True, True]),
-            ([True, True, True], [True, True, True, True]),
-        )
-    ]
-    with pytest.raises(NonFinite) as caught:
-        fit_params(FitConfig(epochs=5), [task, shape], init, train_rows=mixed_rows)
-    assert (caught.value.folds, caught.value.epoch) == ([0, 2, 3], 0)
-    (result,) = fit_params(FitConfig(epochs=5), [task, shape], init, train_rows=mixed_rows[1:2])
-    assert [d for d, _, _ in result.holdout_predictions] == ["t10", shape.ids[2], shape.ids[3]]
     assert all(math.isfinite(loss) for loss in result.loss_trace)
 
 

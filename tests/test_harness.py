@@ -54,7 +54,13 @@ from nlconcepts.types import (
 )
 
 import oracle
-from conftest import exchangeable_shape_pool, synthetic_shape_curve, synthetic_shape_pool, write_repeated_judgments
+from conftest import (
+    exchangeable_shape_pool,
+    synthetic_shape_curve,
+    synthetic_shape_pool,
+    write_disagreeing_judgments,
+    write_repeated_judgments,
+)
 
 
 def assert_same_task(task, want):
@@ -505,15 +511,25 @@ def test_fold_rows_equal_numpys_set_difference(seed, k, fixtures_dir):
 def test_a_repeated_judgment_is_refused(fixtures_dir, tmp_path):
     """A test number judged twice for one example set is a ConfigError
     that names it, not two rows under one record id that one fold could
-    train on while another predicts them."""
-    path = write_repeated_judgments(tmp_path / "judgments.csv")
-    judgments = io.load_number_judgments(path)
-    assert len(judgments) == 49
-    with pytest.raises(ConfigError, match="judgment set01:11 is repeated"):
-        group_judgments(judgments)
-    cfg = dataclasses.replace(_fixture_config(fixtures_dir, "number_uniform.json"), data_path=str(path))
-    with pytest.raises(ConfigError, match="judgment set01:11 is repeated"):
-        number_tasks(cfg, None, None)
+    train on while another predicts them. So is a judgment whose
+    examples differ from those of its set's first judgment, which the
+    set's task would model under the first judgment's examples."""
+    cases = [
+        (write_repeated_judgments(tmp_path / "repeated.csv"), 49, "judgment set01:11 is repeated"),
+        (
+            write_disagreeing_judgments(tmp_path / "disagreeing.csv"),
+            48,
+            "judgment set01:40 has examples 3;5;7;11, but the first judgment of set01 has 2;4;8;16",
+        ),
+    ]
+    for path, n_rows, message in cases:
+        judgments = io.load_number_judgments(path)
+        assert len(judgments) == n_rows
+        with pytest.raises(ConfigError, match=message):
+            group_judgments(judgments)
+        cfg = dataclasses.replace(_fixture_config(fixtures_dir, "number_uniform.json"), data_path=str(path))
+        with pytest.raises(ConfigError, match=message):
+            number_tasks(cfg, None, None)
 
 
 @pytest.mark.parametrize("pools, message", [

@@ -138,6 +138,23 @@ def test_score_file_row_without_a_finite_logp_is_refused(tmp_path, row, fault):
     assert str(err.value) == f"score file {path}, line 3: {fault}"
 
 
+def test_a_text_scored_twice_with_two_log_priors_is_refused(tmp_path):
+    """Two rows whose texts share one canonical form and give it two
+    log-priors are an InputFileError naming the later line, not a load
+    in which the last row wins (a pool keeps the first of its
+    duplicates). A repeat with an equal log-prior loads."""
+    path = tmp_path / "scores.jsonl"
+    first = '{"nl": "The number is even", "logp": -1}\n{"nl": "odd", "logp": -3}\n'
+    path.write_text(first + '{"nl": "the number is even.", "logp": -9}\n')
+    with pytest.raises(io.InputFileError) as err:
+        io.load_score_file(path)
+    assert str(err.value) == (
+        f"score file {path}, line 3: text 'the number is even' has logp -9.0, but -1.0 on an earlier line"
+    )
+    path.write_text(first + '{"nl": "the number is even.", "logp": -1.0}\n')
+    assert io.load_score_file(path) == {"the number is even": -1.0, "odd": -3.0}
+
+
 @pytest.mark.parametrize(
     "row,fault",
     [
