@@ -9,7 +9,6 @@ import numpy as np
 
 from .number import (
     DslSyntaxError,
-    eval_number,
     extension_values,
     format_number_concept,
     parse_number_concept,
@@ -82,7 +81,6 @@ __all__ = [
     "ConceptProgram",
     "DomainMismatch",
     "DslSyntaxError",
-    "eval_number",
     "extension_values",
     "format_concept",
     "format_number_concept",

@@ -1,8 +1,9 @@
 """Parser and evaluator for the number-concept language.
 
 Boolean expressions over a single free variable x, evaluated on the
-integers 1..100. Evaluation is total: arithmetic saturates at +/-1e9 and
-every predicate is defined for every input.
+integers 1..100. Evaluation is total: arithmetic saturates at +/-1e9,
+every predicate is defined and finishes on every integer, and a literal
+longer than `int()` converts is a syntax error.
 
 Grammar (see grammars/number.ebnf):
 
@@ -41,25 +42,26 @@ that names the fields, once for every class, from `__slots__`. Nothing
 guards a node's fields: a parsed tree is shared (`load_pool` parses
 each source once), so it must not be changed after construction.
 
-Two evaluators share these semantics. `eval_number` walks the tree for
-one x; it is the reference interpreter, whose extension as a frozenset
-the tests' oracle computes (`number_extension` in `tests/oracle.py`).
-`extension_values` walks the tree once for all of x = 1..100, with
-int64 arrays as values (`_values`, `_arith_values`): it gives the
+One evaluator gives these semantics. `extension_values` walks the tree
+once for all of x = 1..100 (`_values`, `_arith_values`), with object
+arrays of Python ints as values, so no value overflows: it gives the
 (100,) truth row that the likelihood's extension matrix stacks
-(`likelihood.extension_matrix`), and falls back on `eval_number` for a
-rule with a literal beyond +/-SAT.
+(`likelihood.extension_matrix`). The tests' reference interpreter
+(`eval_number` in `tests/oracle.py`) walks the tree for one x and
+shares the predicates (`_holds`).
 
 Conventions (these matter for concepts like "powers of two"):
-  * prime(1) is false.
+  * prime(1) is false; prime is exact below 3.3e24 (see `_is_prime`).
   * power(b, x) is true iff x = b^k for some integer k >= 0, so
     power(2, 1) is true.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import re
+import sys
 from typing import Tuple
 
 import numpy as np
@@ -229,9 +231,15 @@ def _depth(node) -> int:
 
 def _tokenize(src: str) -> list:
     """The tokens of `src`, then None for the end: an int per number, a
-    str per name or operator as written. A stray character is an error."""
+    str per name or operator as written. A stray character is an error,
+    as is a number of more digits than `int()` converts."""
     found = _TOKEN.findall(src)
-    tokens = [int(num) if num else name or op for num, name, op, _ in found]
+    try:
+        tokens = [int(num) if num else name or op for num, name, op, _ in found]
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        index = next(i for i, token in enumerate(found) if len(token[0]) > limit)
+        raise DslSyntaxError(f"number longer than {limit} digits", _position(src, index)) from None
     if "" in tokens:  # the bad group matched
         index = tokens.index("")
         raise DslSyntaxError(f"unexpected character {found[index][3]!r}", _position(src, index))
@@ -429,49 +437,52 @@ def parse_number_concept(src: str):
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation over 1..100
 
+XS = np.arange(1, 101, dtype=object)  # x = 1..100 as Python ints
 
-def _sat(v: int) -> int:
-    return max(-SAT, min(SAT, v))
+_CLIPPED = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
-
-def _eval_arith(node, x: int) -> int:
-    if isinstance(node, Lit):
-        return node.value
-    if isinstance(node, Var):
-        return x
-    a = _eval_arith(node.left, x)
-    b = _eval_arith(node.right, x)
-    if node.op == "+":
-        return _sat(a + b)
-    if node.op == "-":
-        return _sat(a - b)
-    if node.op == "*":
-        return _sat(a * b)
-    if node.op == "mod":
-        return a % b if b != 0 else 0
-    if node.op == "^":
-        if b < 0:
-            return 0
-        out = 1
-        for _ in range(min(b, 64)):
-            out = _sat(out * a)
-            if abs(out) >= SAT:
-                break
-        return out
-    raise AssertionError(node.op)
+# the first 13 primes: as Miller-Rabin bases they decide every n below 3.3e24
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def _is_prime(n: int) -> bool:
+    """Whether n is prime, by Miller-Rabin over the bases `_MR_BASES`:
+    exact below 3.3e24 (Sorenson and Webster 2015); beyond that, whether
+    n is a strong probable prime to those bases. An n that no base
+    divides costs one to 13 modular powers: 100 values near 1e30 take
+    about a millisecond, near 1e300 about 0.1 s, and near the longest
+    literal (4300 digits) each power takes some 8 s, so one value up to
+    about 100 s (2-vCPU x86 machine)."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        y = pow(a, d, n)
+        if y == 1 or y == n - 1:
+            continue
+        for _ in range(s - 1):
+            y = y * y % n
+            if y == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
+
+
+def _icbrt(n: int) -> int:
+    """floor(n ** (1/3)) for n >= 0, exactly: Newton's method on integers,
+    down from a start above the root."""
+    r = 1 << -(-n.bit_length() // 3)
+    while r**3 > n:
+        r = (2 * r + n // (r * r)) // 3
+    return r
 
 
 def _is_power(base: int, n: int) -> bool:
@@ -490,10 +501,6 @@ def _is_power(base: int, n: int) -> bool:
     return False
 
 
-def _eval_pred(name: str, args, x: int) -> bool:
-    return _holds(name, [_eval_arith(a, x) for a in args])
-
-
 def _holds(name: str, vals) -> bool:
     """Predicate `name` of its argument values."""
     if name == "even":
@@ -504,11 +511,10 @@ def _holds(name: str, vals) -> bool:
         return _is_prime(vals[0])
     if name == "square":
         v = vals[0]
-        return v >= 0 and int(round(v**0.5)) ** 2 == v
+        return v >= 0 and math.isqrt(v) ** 2 == v
     if name == "cube":
         v = vals[0]
-        r = int(round(abs(v) ** (1 / 3)))
-        return any((r + d) ** 3 == abs(v) for d in (-1, 0, 1)) if v >= 0 else False
+        return v >= 0 and _icbrt(v) ** 3 == v
     if name == "power":
         return _is_power(vals[0], vals[1])
     if name == "multiple":
@@ -526,33 +532,7 @@ def _holds(name: str, vals) -> bool:
     raise AssertionError(name)
 
 
-def eval_number(expr, x: int) -> bool:
-    """Evaluate a parsed expression at x. Total for any integer input."""
-    if isinstance(expr, BoolLit):
-        return expr.value
-    if isinstance(expr, BoolOp):
-        if expr.op == "and":
-            return eval_number(expr.left, x) and eval_number(expr.right, x)
-        return eval_number(expr.left, x) or eval_number(expr.right, x)
-    if isinstance(expr, Not):
-        return not eval_number(expr.arg, x)
-    if isinstance(expr, Cmp):
-        return COMPARE[expr.op](_eval_arith(expr.left, x), _eval_arith(expr.right, x))
-    if isinstance(expr, Pred):
-        return _eval_pred(expr.name, expr.args, x)
-    if isinstance(expr, InSet):
-        return _eval_arith(expr.arg, x) in expr.members
-    raise TypeError(f"not a boolean expression: {expr!r}")
-
-
-# ---------------------------------------------------------------------------
-# Evaluation over 1..100 at once
-
-XS = np.arange(1, 101, dtype=np.int64)
-
-_CLIPPED = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-
-# predicates whose int64 form is exact on any values within +/-SAT
+# predicates computed elementwise on the value rows
 _ARRAY_PREDS = {
     "even": lambda v: v % 2 == 0,
     "odd": lambda v: v % 2 != 0,
@@ -562,24 +542,15 @@ _ARRAY_PREDS = {
 }
 
 
-class _Wide(Exception):
-    """A literal beyond +/-SAT in arithmetic, where int64 could overflow."""
-
-
 def extension_values(expr) -> np.ndarray:
-    """(100,) bool: entry x - 1 is `eval_number(expr, x)`, from one walk
-    of the tree over x = 1..100. Every value the walk computes lies
-    within +/-SAT, so a product of two stays below 2^63; a rule whose
-    arithmetic holds a literal beyond that is evaluated one x at a time."""
-    try:
-        row = np.asarray(_values(expr))
-    except _Wide:
-        row = np.array([eval_number(expr, x) for x in range(1, 101)])
-    return row if row.ndim else np.full(100, bool(row))
+    """(100,) bool: entry x - 1 is the truth of `expr` at x, from one walk
+    of the tree over x = 1..100. Values are Python ints in object rows,
+    so arithmetic is exact at any size before it saturates."""
+    return _values(expr).astype(bool)
 
 
 def _values(expr):
-    """Truth over XS: a bool array, or one bool where it does not depend on x."""
+    """Truth over XS, a (100,) bool array."""
     if isinstance(expr, Cmp):
         return COMPARE[expr.op](_arith_values(expr.left), _arith_values(expr.right))
     if isinstance(expr, BoolOp):
@@ -588,27 +559,27 @@ def _values(expr):
     if isinstance(expr, Not):
         return np.logical_not(_values(expr.arg))
     if isinstance(expr, BoolLit):
-        return expr.value
+        return np.full(100, expr.value)
     if isinstance(expr, InSet) and isinstance(expr.arg, Var):
         row = np.zeros(101, dtype=bool)  # a table over 0..100, read from 1
         row[[m for m in expr.members if 1 <= m <= 100]] = True
         return row[1:]
     if isinstance(expr, Pred) and expr.name in _ARRAY_PREDS:
         return _ARRAY_PREDS[expr.name](*map(_arith_values, expr.args))
-    # the scalar helpers, one call per value of the arguments
+    # the scalar helpers, one call per distinct value of the arguments
     args = expr.args if isinstance(expr, Pred) else (expr.arg,)
-    cols = [(_arith_values(a) + np.zeros(100, dtype=np.int64)).tolist() for a in args]
+    cols = [_arith_values(a).tolist() for a in args]
     if isinstance(expr, Pred):
-        return np.array([_holds(expr.name, vals) for vals in zip(*cols)])
+        truth = {vals: _holds(expr.name, vals) for vals in set(zip(*cols))}
+        return np.array([truth[vals] for vals in zip(*cols)])
     return np.array([v in expr.members for v in cols[0]])
 
 
 def _arith_values(node):
-    """Values over XS: an int64 array, or one int where they do not depend on x."""
+    """Values over XS, a (100,) object array of Python ints. Sums,
+    differences, products and powers saturate at +/-SAT."""
     if isinstance(node, Lit):
-        if abs(node.value) > SAT:
-            raise _Wide
-        return node.value
+        return np.full(100, node.value, dtype=object)
     if isinstance(node, Var):
         return XS
     a, b = _arith_values(node.left), _arith_values(node.right)
@@ -624,9 +595,8 @@ def _mod(a, b):
 
 
 def _power(a, e):
-    """a ^ e as `_eval_arith` computes it: at most 64 saturating
-    multiplications, each element frozen once it saturates; 0 for e < 0."""
-    a, e = np.broadcast_arrays(a, e)
+    """a ^ e: at most 64 saturating multiplications, each element frozen
+    once it saturates; 0 for e < 0."""
     out, live = np.ones_like(a), np.ones(a.shape, dtype=bool)
     for k in range(min(int(e.max()), 64)):
         live &= (k < e) & (abs(out) < SAT)

@@ -4,15 +4,21 @@ likelihoods, the posterior weights and the predictions.
 The library computes all of these as array formulas over compiled
 tasks (`harness.infer_number`, `harness.infer_shape` and the fit's
 forward passes). This module computes them one hypothesis, one example
-and one trial at a time, through the interpreters (`dsl.eval_number`,
-whose extension `number_extension` collects, and `dsl.eval_shape`) and
-log-sum-exp, so the parity tests compare the library against an
-independent reference. Its own sentinels mark impossible
-data: -inf log-likelihoods become NEG_LARGE, and log-weights at or
-below ZERO_CUTOFF get weight 0, so epsilon = 0 is a case it can weigh.
-It imports only the interpreters, the DSL's syntax error, the hashed
-features, the error of a pool without log q, the PosteriorState
-container and the fold cut (`kfold_rows`) from the library.
+and one trial at a time, through the interpreters (`eval_number` and
+`dsl.shape.eval_shape`) and log-sum-exp, so the parity tests compare
+the library against an independent reference. Its own sentinels mark
+impossible data: -inf log-likelihoods become NEG_LARGE, and log-weights
+at or below ZERO_CUTOFF get weight 0, so epsilon = 0 is a case it can
+weigh. It imports only the shape interpreter, the number language's
+nodes, comparisons and predicates (`dsl.number._holds`), the DSL's
+syntax error, the hashed features, the error of a pool without log q,
+the PosteriorState container and the fold cut (`kfold_rows`) from the
+library.
+
+`eval_number` is the reference for the library's number evaluator
+(`dsl.number.extension_values`, one walk over x = 1..100 at once): it
+walks the tree for one x at a time, with Python ints saturated by
+`_sat`, and `number_extension` collects its extension over 1..100.
 
 `decay_weights` is the memory decay (1 + K - k) ** -beta of K trials,
 which the library reads off the lookup each `fit.ShapeTask` compiles,
@@ -34,7 +40,8 @@ loop over the Platt pair (a, b) per fold, on scalars and dot products.
 
 `tokenize` is the reference for the DSL tokenizer
 (`dsl.number._tokenize`): one regex match per token from the current
-position, and an error at the first position no token matches.
+position, and an error at the first position no token matches or at
+the first number longer than `int()` converts.
 `canonicalize_nl` is the regex form of `types.canonicalize_nl`.
 """
 
@@ -43,11 +50,13 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+import sys
 
 import numpy as np
 from scipy.special import expit, logsumexp
 
-from nlconcepts.dsl import DslSyntaxError, eval_number
+from nlconcepts.dsl import DslSyntaxError
+from nlconcepts.dsl.number import COMPARE, SAT, BoolLit, BoolOp, Cmp, InSet, Lit, Not, Pred, Var, _holds
 from nlconcepts.dsl.shape import eval_shape
 from nlconcepts.fit import kfold_rows
 from nlconcepts.posterior import MissingLogQ, PosteriorState
@@ -78,6 +87,9 @@ def tokenize(src: str):
                 raise DslSyntaxError(f"unexpected character {src[pos:].strip()[0]!r}", pos)
             break
         if m.group("num") is not None:
+            limit = sys.get_int_max_str_digits()
+            if 0 < limit < len(m.group("num")):
+                raise DslSyntaxError(f"number longer than {limit} digits", m.start())
             tokens.append(("num", int(m.group("num")), m.start()))
         elif m.group("name") is not None:
             tokens.append(("name", m.group("name"), m.start()))
@@ -101,6 +113,60 @@ def canonicalize_nl(text: str) -> str:
 
 # ---------------------------------------------------------------------------
 # Interpreters
+
+
+def _sat(v: int) -> int:
+    return max(-SAT, min(SAT, v))
+
+
+def _eval_arith(node, x: int) -> int:
+    if isinstance(node, Lit):
+        return node.value
+    if isinstance(node, Var):
+        return x
+    a = _eval_arith(node.left, x)
+    b = _eval_arith(node.right, x)
+    if node.op == "+":
+        return _sat(a + b)
+    if node.op == "-":
+        return _sat(a - b)
+    if node.op == "*":
+        return _sat(a * b)
+    if node.op == "mod":
+        return a % b if b != 0 else 0
+    if node.op == "^":
+        if b < 0:
+            return 0
+        out = 1
+        for _ in range(min(b, 64)):
+            out = _sat(out * a)
+            if abs(out) >= SAT:
+                break
+        return out
+    raise AssertionError(node.op)
+
+
+def _eval_pred(name: str, args, x: int) -> bool:
+    return _holds(name, [_eval_arith(a, x) for a in args])
+
+
+def eval_number(expr, x: int) -> bool:
+    """Evaluate a parsed number expression at x. Total for any integer input."""
+    if isinstance(expr, BoolLit):
+        return expr.value
+    if isinstance(expr, BoolOp):
+        if expr.op == "and":
+            return eval_number(expr.left, x) and eval_number(expr.right, x)
+        return eval_number(expr.left, x) or eval_number(expr.right, x)
+    if isinstance(expr, Not):
+        return not eval_number(expr.arg, x)
+    if isinstance(expr, Cmp):
+        return COMPARE[expr.op](_eval_arith(expr.left, x), _eval_arith(expr.right, x))
+    if isinstance(expr, Pred):
+        return _eval_pred(expr.name, expr.args, x)
+    if isinstance(expr, InSet):
+        return _eval_arith(expr.arg, x) in expr.members
+    raise TypeError(f"not a boolean expression: {expr!r}")
 
 
 def number_extension(expr) -> frozenset:

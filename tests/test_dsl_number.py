@@ -1,14 +1,15 @@
 import json
+import math
 import pickle
 import random
 import re
+import time
 
 import numpy as np
 import pytest
 
 from nlconcepts.dsl import (
     DslSyntaxError,
-    eval_number,
     extension_values,
     format_concept,
     parse_concept,
@@ -37,7 +38,7 @@ from nlconcepts.dsl.number import (
 from nlconcepts.dsl.shape import format_shape_concept
 
 import oracle
-from oracle import number_extension
+from oracle import eval_number, number_extension
 
 
 def ext(src):
@@ -65,6 +66,57 @@ def test_prime_convention():
     assert 2 in primes
     assert {2, 3, 5, 7, 11, 97}.issubset(primes)
     assert 91 not in primes  # 7 * 13
+
+
+def const_row(src):
+    """The truth of a rule that does not depend on x, from its row."""
+    row = extension_values(parse_number_concept(src))
+    assert row.all() or not row.any(), src
+    return bool(row[0])
+
+
+@pytest.mark.parametrize("k", [3, 10**8 + 7, 10**20 + 1, 10**200])
+def test_square_and_cube_are_exact_on_every_integer(k):
+    """k^2 and k^3 hold, their neighbours do not, at any size: a float
+    root loses the low digits past 2^53 and overflows past 1e308."""
+    for name, n in (("square", k**2), ("cube", k**3)):
+        assert const_row(f"{name}({n})"), (name, k)
+        assert not const_row(f"{name}({n - 1})"), (name, k)
+        assert not const_row(f"{name}({n + 1})"), (name, k)
+
+
+def primes_between(lo, hi):
+    """The primes in lo..hi - 1: a sieve of the window by the primes up to sqrt(hi)."""
+    root = math.isqrt(hi)
+    small = np.ones(root + 1, dtype=bool)
+    small[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        small[p * p :: p] = False
+    window = np.ones(hi - lo, dtype=bool)
+    for p in np.flatnonzero(small).tolist():
+        window[max(p * p, -(-lo // p) * p) - lo :: p] = False
+    return {lo + i for i in np.flatnonzero(window).tolist() if lo + i >= 2}
+
+
+def test_prime_is_exact_and_finishes_on_wide_values():
+    """prime agrees with a sieve and rejects strong pseudoprimes, at a
+    few modular powers per value: an 11-digit prime's row takes
+    milliseconds, and a row of 15-digit values finishes."""
+    start = time.perf_counter()
+    assert const_row("prime(100000000003)")
+    assert time.perf_counter() - start < 2
+    assert const_row(f"prime({2**61 - 1})") and const_row(f"prime({2**89 - 1})")
+    assert not const_row(f"prime({(2**61 - 1) * (2**31 - 1)})")
+    # strong pseudoprimes to the first 7, 8, 9, 10, 11 and 12 prime bases
+    for n in [3215031751, 2152302898747, 3474749660383, 341550071728321, 3825123056546413051, 318665857834031151167461]:
+        assert not const_row(f"prime({n})"), n
+    # against a sieve, on -5..19994 and on 1e14 - 100..1e14 - 1
+    primes = primes_between(-5, 20000)
+    for k in range(-6, 19900, 100):
+        row = extension_values(parse_number_concept(f"prime(x + {k})" if k >= 0 else f"prime(x - {-k})"))
+        assert set((np.flatnonzero(row) + 1 + k).tolist()) == primes & set(range(k + 1, k + 101)), k
+    row = extension_values(parse_number_concept("prime((0 - x) mod 100000000000000)"))
+    assert set((10**14 - 1 - np.flatnonzero(row)).tolist()) == primes_between(10**14 - 100, 10**14)
 
 
 def test_power_convention():
@@ -99,14 +151,13 @@ def test_boolean_connectives_and_literals():
 def test_evaluation_is_total():
     # division-by-zero-style cases and huge exponents must not raise
     for src in ["x mod (x - x) == 0", "x ^ 4 > 0", "multiple(0, x)", "power(0, x)"]:
-        expr = parse_concept(src, "number").expr
-        for x in range(1, 101):
-            assert isinstance(eval_number(expr, x), bool)
+        row = extension_values(parse_concept(src, "number").expr)
+        assert row.dtype == bool and row.shape == (100,)
 
 
 def test_saturating_arithmetic():
     big = parse_concept("(x * 100000000) * 100000000 > 0", "number").expr
-    assert eval_number(big, 100)  # saturates instead of overflowing
+    assert extension_values(big)[100 - 1]  # saturates instead of overflowing
 
 
 def test_syntax_errors():
@@ -163,6 +214,16 @@ def test_parse_errors_pin_message_and_position(src, message, pos):
     with pytest.raises(DslSyntaxError) as err:
         parse_number_concept(src)
     assert (str(err.value), err.value.pos) == (f"{message} (at position {pos})", pos)
+
+
+@pytest.mark.parametrize("domain,prefix", [("number", "x <"), ("shape", "this.size <")])
+def test_an_over_long_literal_is_a_syntax_error(domain, prefix):
+    """A number of more digits than int() converts is a syntax error at
+    its token, in both languages; one digit fewer parses."""
+    with pytest.raises(DslSyntaxError) as err:
+        parse_concept(f"{prefix} 1" + "0" * 5000, domain)
+    assert (str(err.value), err.value.pos) == (f"number longer than 4300 digits (at position {len(prefix)})", len(prefix))
+    assert parse_concept(f"{prefix} 1" + "0" * 4299, domain).expr.right.value == 10**4299
 
 
 @pytest.mark.parametrize("domain,rule", [("number", "x < 3"), ("shape", "this.color == green")])
@@ -290,6 +351,8 @@ TOKENIZER_EDGE_CASES = [
     "x < 3 \u00b2",
     "caf\u00e9(x)",
     "12345678901234567890 > x",
+    "x < 1" + "0" * 5000,
+    "x < 3 and \u0663" + "1" * 4300 + " > x",
 ]
 
 
@@ -339,6 +402,36 @@ def test_extension_values_match_the_interpreter_on_fuzzed_rules(seed):
     rng = random.Random(seed)
     for _ in range(3000):
         assert_row_matches_interpreter(random_number_expr(rng, rng.randint(0, 4)))
+
+
+WIDENINGS = (lambda v: v * 10**10, lambda v: -4 * 10**9, lambda v: 3 * 10**19, lambda v: v)
+
+
+def widen(node, rng):
+    """`node` with each literal and in_set member replaced by a value past
+    +/-SAT, or kept, as `rng` picks."""
+    if isinstance(node, Lit):
+        return Lit(rng.choice(WIDENINGS)(node.value))
+    if isinstance(node, InSet):
+        return InSet(tuple(rng.choice(WIDENINGS)(m) for m in node.members), widen(node.arg, rng))
+    if isinstance(node, Pred):
+        return Pred(node.name, tuple(widen(a, rng) for a in node.args))
+    if isinstance(node, (Arith, Cmp, BoolOp)):
+        return type(node)(node.op, widen(node.left, rng), widen(node.right, rng))
+    if isinstance(node, Not):
+        return Not(widen(node.arg, rng))
+    return node  # x, true, false
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_extension_values_match_the_interpreter_on_widened_literals(seed):
+    """The fuzzed rules of the test above, with their literals widened
+    past +/-SAT, where a product of two leaves int64."""
+    rng, wide = random.Random(seed), random.Random(seed + 100)
+    rules = [widen(random_number_expr(rng, rng.randint(0, 4)), wide) for _ in range(3000)]
+    assert sum(bool(re.search(r"\d{10}", format_number_concept(rule))) for rule in rules) > 1000
+    for expr in rules:
+        assert_row_matches_interpreter(expr)
 
 
 def test_extension_values_match_the_interpreter_on_fixture_and_replay_rules(fixtures_dir):

@@ -235,6 +235,17 @@ def test_pool_load_marks_a_too_deeply_nested_rule_unparsed(tmp_path, domain):
     assert h.program.source == deep
 
 
+@pytest.mark.parametrize("domain,prefix", [("number", "x < "), ("shape", "this.size < ")])
+def test_pool_load_marks_an_over_long_literal_unparsed(tmp_path, domain, prefix):
+    """A number longer than int() converts is a parse failure of its
+    row, not a refusal of the file."""
+    long = prefix + "1" + "0" * 5000
+    path = tmp_path / "pool.jsonl"
+    path.write_text(json.dumps({"nl": "long", "dsl": long}) + "\n" + json.dumps({"nl": "short", "dsl": prefix + "3"}) + "\n")
+    first, second = io.load_pool(path, domain)
+    assert (first.parsed, first.program.source, second.parsed) == (False, long, True)
+
+
 @pytest.mark.parametrize(
     "row,fault",
     [

@@ -35,6 +35,7 @@ from nlconcepts.propose import (
     round_robin_take,
     score_nl_prior,
     translate_nl_to_dsl,
+    translate_pool,
 )
 from nlconcepts.propose import backends, prompts
 from nlconcepts.propose.backends import TRANSLATION_PARAMS, EmptyPool, score_prompt, translation_prompt
@@ -1131,6 +1132,21 @@ def test_translate_too_deeply_nested_yields_unparsed(tmp_path):
     program = translate_nl_to_dsl("the number is deep", "number", ReplayBackend(store))
     assert isinstance(program, Unparsed)
     assert program.source == deep
+
+
+@pytest.mark.parametrize("domain,prefix", [("number", "x < "), ("shape", "this.size < ")])
+def test_translate_an_over_long_literal_yields_unparsed(tmp_path, domain, prefix):
+    """The pool's translation keeps a rule with a number longer than
+    int() converts as Unparsed, as it keeps any other unparseable rule."""
+    from nlconcepts import io
+    from nlconcepts.types import Unparsed
+
+    long = prefix + "1" + "0" * 5000
+    store = ReplayStore(tmp_path / "rs")
+    store.record(translation_prompt("a long one", domain), TRANSLATION_PARAMS, [{"text": long, "logprob": None}])
+    (h,) = translate_pool([io.make_hypothesis("a long one", "", domain)], domain, ReplayBackend(store))
+    assert isinstance(h.program, Unparsed)
+    assert h.program.source == long
 
 
 def test_score_prompt_strips_domain_prefix():
