@@ -49,12 +49,16 @@ tail. No record is fsynced: a process crash can tear only the tail, a
 power loss can lose or corrupt recent records, which a CRC mismatch
 then shows (`CorruptEntry`). Damage followed by a whole record is not a
 torn tail: the records before it still read, but a miss or a `record`
-raises `CorruptEntry`, and `nlconcepts replay verify` reports it.
-`nlconcepts replay repair` then rewrites the log with every record
-that still holds its entry. A store used across `fork` reopens its log
-in the child, so parent and child never share one lock. The directory
-and its log are created by the first `record`, so reading a missing
-store creates nothing.
+raises `CorruptEntry`, which names `nlconcepts replay verify` and
+`nlconcepts replay repair`. The two share one walk of the log, read
+once: a record is taken at its header's lengths only when it holds its
+entry, and after any other header the search resumes at the next byte,
+so a damaged length cannot hide later records. `verify` reports the
+walk and `repair` rewrites the log with the records it takes, so repair
+keeps exactly what verify reports clean. A store used across `fork`
+reopens its log in the child, so parent and child never share one lock.
+The directory and its log are created by the first `record`, so
+reading a missing store creates nothing.
 
 This version reads only `entries.v3.log`. A store directory that holds
 an earlier layout instead, a v2 log `entries.log` (keyed by the stdlib
@@ -84,7 +88,7 @@ HEADER_LEN = 96
 _HEADER = re.compile(rb"([0-9a-f]{64}) ([0-9]{10}) ([0-9]{10}) ([0-9a-f]{8})\n")
 # the earlier layouts, which are refused: the v2 log, or one entry per file
 _V2_LOG_NAME = "entries.log"
-_V2_ENTRY = re.compile(r"[0-9a-f]{64}\.json")
+_EARLIER_LAYOUT = re.compile(re.escape(_V2_LOG_NAME) + r"|[0-9a-f]{64}\.json")  # matches a whole file name
 
 
 class ReplayMiss(KeyError):
@@ -209,43 +213,63 @@ def _problem(key: str, body: bytes, request_len: int, crc: int) -> Optional[str]
     return None
 
 
-def _records(fd: int, offset: int, size: int, log: str, advice: str):
-    """Yield (offset, key, request length, completions length, crc) of
-    each whole record from `offset` on in a log of `size` bytes, up to a
-    torn tail. Bytes that are no whole record but are followed by one
-    raise CorruptEntry, naming the log and ending with `advice`."""
-    while offset + HEADER_LEN <= size:
-        match = _HEADER.fullmatch(os.pread(fd, HEADER_LEN, offset))
-        if match is None:
-            break
-        request_len, completions_len = int(match[2]), int(match[3])
-        end = offset + HEADER_LEN + request_len + completions_len
-        if end > size:
-            break
-        yield offset, match[1].decode("ascii"), request_len, completions_len, int(match[4], 16)
-        offset = end
-    if offset < size:
-        tail = os.pread(fd, size - offset, offset)
-        for match in _HEADER.finditer(tail):
-            if match.end() + int(match[2]) + int(match[3]) <= len(tail):
-                raise CorruptEntry(
-                    f"replay log {log} is damaged at byte {offset}, before the whole record "
-                    f"at byte {offset + match.start()}{advice}"
-                )
+def _whole_record(data: bytes, start: int) -> Optional[re.Match]:
+    """The first header at or after `start` in `data` whose record ends
+    within `data`, or None."""
+    for match in _HEADER.finditer(data, start):
+        if match.end() + int(match[2]) + int(match[3]) <= len(data):
+            return match
+    return None
+
+
+def _damage(log: str, offset: int, start: int) -> str:
+    return f"replay log {log} is damaged at byte {offset}, before the whole record at byte {start}"
 
 
 @dataclass
 class LogReport:
-    """What `ReplayStore.verify` found in a log."""
+    """What `ReplayStore.verify` found in a log. A record with no
+    mismatch is clean; `repair` keeps each clean record but the
+    duplicates."""
 
-    records: int = 0  # whole records
-    duplicates: int = 0  # records of a key an earlier record holds; the first wins
-    torn_bytes: int = 0  # bytes after the last whole record
+    records: int = 0  # whole records the walk reached, clean or not
+    duplicates: int = 0  # clean records of a key an earlier clean record holds
+    torn_bytes: int = 0  # bytes after the end of the last whole record
     # records that fail their key or CRC, whose request or completions
     # do not decode, or whose request is not the v3 encoding of its
     # prompt and params, so no lookup reaches it; damage before a whole
     # record; and each file of an earlier layout beside the log
     mismatches: List[str] = field(default_factory=list)
+
+
+def _salvage(data: bytes, log: str) -> Tuple[List[bytes], LogReport]:
+    """The one walk of a log's bytes, which `verify` reports and whose
+    records `repair` keeps: a header whose record is whole and holds its
+    entry (`_problem` finds nothing) is taken at its lengths; after any
+    other header the search resumes at the next byte, so a damaged
+    length cannot hide the records after it. Returns the records that
+    hold their entry, the first of each key, and the report."""
+    report, kept, seen = LogReport(), [], set()
+    end = 0  # of the bytes the records walked so far cover
+    match = _whole_record(data, 0)
+    while match is not None:
+        start, key, request_len = match.start(), match[1].decode("ascii"), int(match[2])
+        if start > end:
+            report.mismatches.append(_damage(log, end, start))
+        record_end = match.end() + request_len + int(match[3])
+        end = max(end, record_end)
+        report.records += 1
+        problem = _problem(key, data[match.end() : record_end], request_len, int(match[4], 16))
+        if problem is not None:
+            report.mismatches.append(f"record at byte {start}: {problem}")
+        elif key in seen:
+            report.duplicates += 1
+        else:
+            seen.add(key)
+            kept.append(data[start:record_end])
+        match = _whole_record(data, record_end if problem is None else start + 1)
+    report.torn_bytes = len(data) - end
+    return kept, report
 
 
 class ReplayStore:
@@ -326,7 +350,7 @@ class ReplayStore:
             names = os.listdir(self._dir)
         except FileNotFoundError:
             return
-        if any(name == _V2_LOG_NAME or _V2_ENTRY.fullmatch(name) for name in names):
+        if any(map(_EARLIER_LAYOUT.fullmatch, names)):
             raise UnmigratedStore(
                 f"replay store {self.root} is in an earlier layout ({_V2_LOG_NAME} or <key>.json "
                 f"entries) and holds no {LOG_NAME}, the only layout this version reads; "
@@ -360,13 +384,27 @@ class ReplayStore:
 
     def _catch_up(self, fd: int, size: int) -> None:
         """Under the flock: index the whole records appended since the
-        last catch-up to a log of `size` bytes."""
+        last catch-up to a log of `size` bytes, reading headers only, up
+        to a torn tail. Bytes that are no whole record but are followed
+        by one raise CorruptEntry."""
         if size < self._size:  # shrank: index it again
             self._index, self._size = {}, 0
-        records = _records(fd, self._size, size, self._log, self._advice)
-        for offset, key, request_len, completions_len, crc in records:
+        offset = self._size
+        while offset + HEADER_LEN <= size:
+            match = _HEADER.fullmatch(os.pread(fd, HEADER_LEN, offset))
+            if match is None:
+                break
+            request_len, completions_len = int(match[2]), int(match[3])
+            end = offset + HEADER_LEN + request_len + completions_len
+            if end > size:
+                break
+            key, crc = match[1].decode("ascii"), int(match[4], 16)
             self._index.setdefault(key, (offset + HEADER_LEN, request_len, completions_len, crc))
-            self._size = offset + HEADER_LEN + request_len + completions_len
+            offset = self._size = end
+        if offset < size:
+            match = _whole_record(os.pread(fd, size - offset, offset), 0)
+            if match is not None:
+                raise CorruptEntry(_damage(self._log, offset, offset + match.start()) + self._advice)
 
     # -- reading ---------------------------------------------------------
 
@@ -387,9 +425,9 @@ class ReplayStore:
             offset, request_len, completions_len, crc = where
             body = os.pread(self._fd, request_len + completions_len, offset)
         if len(body) != request_len + completions_len:
-            raise CorruptEntry(f"replay entry {key} in {self._log} is cut short")
+            raise CorruptEntry(f"replay entry {key} in {self._log} is cut short{self._advice}")
         if _crc(key, body) != crc:
-            raise CorruptEntry(f"replay entry {key} in {self._log} fails its CRC check")
+            raise CorruptEntry(f"replay entry {key} in {self._log} fails its CRC check{self._advice}")
         return body, request_len
 
     def _refresh(self) -> None:
@@ -476,61 +514,33 @@ class ReplayStore:
     # -- checking --------------------------------------------------------
 
     def verify(self) -> LogReport:
-        """Read every record: recompute its key from its request, check
-        its CRC, decode its request and completions and check that the
-        request is the v3 encoding of its prompt and params, and count
-        duplicate keys and torn bytes. Damage before a whole record is
-        reported, and the records from that one on are read too. A
-        leftover of an earlier layout beside the log (an `entries.log`
-        or a `<key>.json`) is a mismatch too: no lookup reaches its
-        entries."""
+        """The report of the log's walk (`_salvage`), read once under a
+        shared flock. A leftover of an earlier layout beside the log (an
+        `entries.log` or a `<key>.json`) is a mismatch too: no lookup
+        reaches its entries."""
         import fcntl
 
         self._check_fork()
-        report = LogReport()
-        seen = set()
         with self._lock:
             fd, size = self._locked(write=False)
             if fd is None:
-                return report
-            end = 0  # of the last whole record
+                return LogReport()
             try:
-                while True:
-                    try:
-                        records = _records(fd, end, size, self._log, "")
-                        for offset, key, request_len, completions_len, crc in records:
-                            end = offset + HEADER_LEN + request_len + completions_len
-                            body = os.pread(fd, request_len + completions_len, offset + HEADER_LEN)
-                            problem = _problem(key, body, request_len, crc)
-                            if problem is not None:
-                                report.mismatches.append(f"record at byte {offset}: {problem}")
-                            report.records += 1
-                            report.duplicates += key in seen
-                            seen.add(key)
-                        break
-                    except CorruptEntry as exc:
-                        report.mismatches.append(str(exc))
-                        # read on from the first whole record after the damage
-                        tail = os.pread(fd, size - end, end)
-                        whole = (m for m in _HEADER.finditer(tail) if m.end() + int(m[2]) + int(m[3]) <= len(tail))
-                        end += next(whole).start()
-                report.torn_bytes = size - end
+                report = _salvage(os.pread(fd, size, 0), self._log)[1]
             finally:
                 fcntl.flock(fd, fcntl.LOCK_UN)
-        for name in sorted(os.listdir(self._dir)):
-            if name == _V2_LOG_NAME or _V2_ENTRY.fullmatch(name):
-                report.mismatches.append(
-                    f"{name}: an earlier layout beside {LOG_NAME}, which is the only one "
-                    f"this version reads, so no lookup reaches its entries"
-                )
+        for name in sorted(filter(_EARLIER_LAYOUT.fullmatch, os.listdir(self._dir))):
+            report.mismatches.append(
+                f"{name}: an earlier layout beside {LOG_NAME}, which is the only one "
+                f"this version reads, so no lookup reaches its entries"
+            )
         return report
 
     def repair(self) -> Tuple[int, int]:
-        """Rewrite the log with the records that hold their entry: each
-        whole record, wherever it starts, that `verify` finds no
-        mismatch in; the first record of a key wins. Returns (records
-        kept, bytes dropped); a log with nothing to drop is left as it
-        is."""
+        """Rewrite the log with the records its walk (`_salvage`) keeps,
+        read once under an exclusive flock: those `verify` reports no
+        mismatch in, the first of each key. Returns (records kept, bytes
+        dropped); a log with nothing to drop is left as it is."""
         import fcntl
 
         self._check_fork()
@@ -540,20 +550,7 @@ class ReplayStore:
                 return 0, 0
             fd, size = self._locked(write=True)
             try:
-                data = os.pread(fd, size, 0)
-                kept, seen = [], set()
-                match = _HEADER.search(data)
-                while match is not None:
-                    key, request_len = match[1].decode("ascii"), int(match[2])
-                    end = match.end() + request_len + int(match[3])
-                    body = data[match.end() : end]
-                    if end > len(data) or _problem(key, body, request_len, int(match[4], 16)) is not None:
-                        match = _HEADER.search(data, match.start() + 1)
-                        continue
-                    if key not in seen:
-                        seen.add(key)
-                        kept.append(data[match.start() : end])
-                    match = _HEADER.search(data, end)
+                kept = _salvage(os.pread(fd, size, 0), self._log)[0]
                 log = b"".join(kept)
                 if len(log) < size:
                     # other stores see the new file at their next miss or record

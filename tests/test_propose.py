@@ -5,13 +5,15 @@ import multiprocessing
 import os
 import re
 import sys
+import tempfile
 import threading
 import zlib
+from pathlib import Path
 
 import orjson
 import pytest
 import requests
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import nlconcepts.propose.replay as replay_module
@@ -419,6 +421,11 @@ def _log(root):
     return root / LOG_NAME
 
 
+def _advice(root) -> str:
+    """The remedy every CorruptEntry of the store at `root` ends with."""
+    return f"; see `nlconcepts replay verify --store {root}`, then `nlconcepts replay repair --store {root}`"
+
+
 def _misses(store, prompt, params) -> bool:
     """Whether the store has no response for the request: its lookup
     raises ReplayMiss."""
@@ -443,6 +450,7 @@ def test_truncated_entry_raises_corrupt_entry(tmp_path):
             read()
         assert isinstance(err.value, ValueError)
         assert key in str(err.value) and str(_log(root)) in str(err.value)
+        assert str(err.value).endswith(_advice(root))
     # a store that indexes the cut log finds a torn tail and no entry
     assert _misses(ReplayStore(root), "prompt", {"n": 1})
 
@@ -465,6 +473,7 @@ def test_flipped_body_byte_raises_corrupt_entry(tmp_path):
                 read()
             assert isinstance(err.value, ValueError)
             assert key in str(err.value) and str(_log(root)) in str(err.value)
+            assert str(err.value).endswith(_advice(root))
         assert len(store.verify().mismatches) == 1
 
 
@@ -753,6 +762,9 @@ def test_repair_keeps_the_first_whole_record_of_each_key(tmp_path):
     store = ReplayStore(root)
     with pytest.raises(CorruptEntry):
         store.keys()
+    # verify reads the record the cut one's length covers: a clean duplicate
+    report = store.verify()
+    assert (report.records, report.duplicates, report.torn_bytes, len(report.mismatches)) == (5, 1, len(tail), 2)
     size = _log(root).stat().st_size
     assert store.repair() == (2, size - len(duplicate) - (third - second))
     assert _log(root).read_bytes() == duplicate + data[second:third]
@@ -764,6 +776,101 @@ def test_repair_keeps_the_first_whole_record_of_each_key(tmp_path):
     assert store.repair() == (2, 0)
     assert _log(root).stat().st_ino == inode
     assert os.listdir(root) == [LOG_NAME]
+
+
+def test_a_length_that_covers_the_next_record_hides_no_record(tmp_path):
+    """Record 0's completions length raised to cover record 1 exactly:
+    verify reads record 1 too, and reports what repair keeps."""
+    root = tmp_path / "rs"
+    data = _three_records(root)
+    second = data.index(fingerprint("prompt 1", {"n": 1}).encode())
+    third = data.index(fingerprint("prompt 2", {"n": 1}).encode())
+    damaged = data[:76] + b"%010d" % (int(data[76:86]) + third - second) + data[86:]
+    _log(root).write_bytes(damaged)
+    report = ReplayStore(root).verify()
+    assert (report.records, report.duplicates, report.torn_bytes) == (3, 0, 0)
+    assert report.mismatches == [f"record at byte 0: key {fingerprint('prompt 0', {'n': 1})} fails its CRC check"]
+    assert ReplayStore(root).repair() == (2, second)
+    assert _log(root).read_bytes() == data[second:]
+    store = ReplayStore(root)
+    assert store.verify() == LogReport(records=2)
+    for i in (1, 2):
+        assert store.lookup(f"prompt {i}", {"n": 1}) == [{"text": f"rule {i}", "logprob": -1.0}]
+    # a length that covers the later records and bytes after them leaves
+    # no torn bytes, as a writer's catch-up finds none to truncate
+    covering = data[:76] + b"%010d" % (int(data[76:86]) + len(data) - second + 7) + data[86:] + b"\0" * 7
+    _log(root).write_bytes(covering)
+    report = ReplayStore(root).verify()
+    assert (report.records, report.duplicates, report.torn_bytes, len(report.mismatches)) == (3, 0, 0, 1)
+    assert ReplayStore(root).repair() == (2, second + 7)
+
+
+def _five_records():
+    """A log of five records, the last a second record of prompt 1, with
+    each record's (prompt, completions) in log order."""
+    requests = [(f"prompt {i}", [{"text": f"rule {i}" * (i + 1), "logprob": -float(i)}]) for i in range(4)]
+    requests.append(("prompt 1", [{"text": "a later rule", "logprob": None}]))
+    records = [_raw_record(prompt, {"n": 1}, orjson.dumps(completions)) for prompt, completions in requests]
+    return records, requests
+
+
+FIVE_RECORDS, FIVE_REQUESTS = _five_records()
+FIVE_LOG = b"".join(FIVE_RECORDS)
+
+# one damage to a log: a byte flipped, bytes cut, zero bytes or garbage
+# inserted, or a length field of one of the five records changed
+LOG_DAMAGE = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, len(FIVE_LOG)), st.integers(1, 255)),
+    st.tuples(st.just("cut"), st.integers(0, len(FIVE_LOG)), st.integers(1, 400)),
+    st.tuples(st.just("zeros"), st.integers(0, len(FIVE_LOG)), st.integers(1, 300)),
+    st.tuples(st.just("garbage"), st.integers(0, len(FIVE_LOG)), st.binary(min_size=1, max_size=300)),
+    st.tuples(st.just("length"), st.integers(0, 4), st.tuples(st.sampled_from((65, 76)), st.integers(-300, 800))),
+)
+
+
+def _damaged(data: bytes, damage) -> bytes:
+    kind, at, arg = damage
+    if kind == "length":  # `at` names the record, `arg` the field's offset and the change
+        start = data.find(FIVE_RECORDS[at][:HEADER_LEN])
+        if start < 0:
+            return data
+        field, change = start + arg[0], arg[1]
+        return data[:field] + b"%010d" % max(0, int(data[field : field + 10]) + change) + data[field + 10 :]
+    at %= len(data) + 1
+    if kind == "flip":
+        return data[:at] + bytes([data[at] ^ arg]) + data[at + 1 :] if at < len(data) else data
+    if kind == "cut":
+        return data[:at] + data[at + arg :]
+    return data[:at] + (b"\0" * arg if kind == "zeros" else arg) + data[at:]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(damages=st.lists(LOG_DAMAGE, min_size=1, max_size=3))
+def test_repair_keeps_exactly_what_verify_reports_clean(tmp_path, damages):
+    data = FIVE_LOG
+    for damage in damages:
+        data = _damaged(data, damage)
+    root = Path(tempfile.mkdtemp(dir=tmp_path))
+    _log(root).write_bytes(data)
+    hits = {}
+    for prompt in dict.fromkeys(prompt for prompt, _ in FIVE_REQUESTS):
+        try:
+            hits[prompt] = ReplayStore(root).lookup(prompt, {"n": 1})
+        except (ReplayMiss, ValueError):  # a miss, a CorruptEntry, or completions that do not decode
+            pass
+    report = ReplayStore(root).verify()
+    clean = report.records - sum(mismatch.startswith("record at byte ") for mismatch in report.mismatches)
+    # an intact record is found wherever it starts, and the first of a key wins
+    intact = {fingerprint(prompt, {"n": 1}) for (prompt, _), record in zip(FIVE_REQUESTS, FIVE_RECORDS) if record in data}
+    assert clean - report.duplicates == len(intact)
+    kept, dropped = ReplayStore(root).repair()
+    assert kept == len(intact)
+    assert dropped == len(data) - _log(root).stat().st_size
+    store = ReplayStore(root)
+    assert store.verify() == LogReport(records=kept)
+    assert set(store.keys()) == intact
+    for prompt, completions in hits.items():
+        assert store.lookup(prompt, {"n": 1}) == completions
 
 
 def test_a_thousand_stores_leak_no_file_descriptor(tmp_path):
